@@ -9,7 +9,7 @@ graded antisymmetry supplying the rest.
 
 from __future__ import annotations
 
-from .linalg import SparseEchelon, kernel_basis, same_span, span_echelon
+from .linalg import SparseEchelon, same_span, solve_kernel, span_echelon
 from .scalars import field_zero, to_field
 from .superlin import (
     SubSuperalgebra,
@@ -108,52 +108,41 @@ def curvature_space(algebra: SubSuperalgebra) -> LinearSolutionSpace:
     field = algebra.field
     pairs = canonical_pairs(dim)
     basis = algebra.basis()
+    by_parity = [[gi for gi, g in enumerate(basis) if g.parity == p] for p in (0, 1)]
     elements = []
     dims = [0, 0]
     for sigma in (0, 1):
-        cols = []
-        for pi, (a, b) in enumerate(pairs):
-            want = (dim.parity(a) + dim.parity(b) + sigma) % 2
-            for gi, g in enumerate(basis):
-                if g.parity == want:
-                    cols.append((pi, gi))
-        col_of = {c: j for j, c in enumerate(cols)}
+        # unknowns: the coefficient of basis element gi in the value on a pair
+        labels = {
+            (a, b): [((a, b), gi) for gi in by_parity[(dim.parity(a) + dim.parity(b) + sigma) % 2]]
+            for (a, b) in pairs
+        }
 
-        def term_coeffs(row, u, v, w, comp, scale):
-            pair, sign = reduce_pair(dim, u, v)
-            if sign == 0:
-                return
-            pi = pairs.index(pair)
-            for gi, g in enumerate(basis):
-                j = col_of.get((pi, gi))
-                if j is None:
-                    continue
-                val = g.entries[comp][w]
-                if val:
-                    row[j] = row.get(j, 0) + scale * sign * val
+        def rows():
+            for (x, y, z) in _sorted_triples(t):
+                px, py, pz = dim.parity(x), dim.parity(y), dim.parity(z)
+                s2 = (-1) ** (px * (py + pz))
+                s3 = (-1) ** (pz * (px + py))
+                terms = []
+                for (u, v, w, s) in ((x, y, z, 1), (y, z, x, s2), (z, x, y, s3)):
+                    pair, sign = reduce_pair(dim, u, v)
+                    if sign:
+                        terms.append((labels[pair], w, s * sign))
+                for comp in range(t):
+                    row = {}
+                    for (labs, w, s) in terms:
+                        for lab in labs:
+                            val = basis[lab[1]].entries[comp][w]
+                            if val:
+                                row[lab] = row.get(lab, 0) + s * val
+                    yield row
 
-        rows = []
-        for (x, y, z) in _sorted_triples(t):
-            px, py, pz = dim.parity(x), dim.parity(y), dim.parity(z)
-            s2 = (-1) ** (px * (py + pz))
-            s3 = (-1) ** (pz * (px + py))
-            for comp in range(t):
-                row = {}
-                term_coeffs(row, x, y, z, comp, 1)
-                term_coeffs(row, y, z, x, comp, s2)
-                term_coeffs(row, z, x, y, comp, s3)
-                row = {k: v for k, v in row.items() if v}
-                if row:
-                    rows.append(row)
-        for vec in kernel_basis(rows, len(cols)):
+        cols = [lab for labs in labels.values() for lab in labs]
+        for vec in solve_kernel(cols, rows(), field):
             values = {}
-            for j, coef in vec.items():
-                pi, gi = cols[j]
-                add = basis[gi].scale(to_field(coef, field))
-                if pairs[pi] in values:
-                    values[pairs[pi]] = values[pairs[pi]] + add
-                else:
-                    values[pairs[pi]] = add
+            for (pair, gi), coef in vec.items():
+                add = basis[gi].scale(coef)
+                values[pair] = values[pair] + add if pair in values else add
             elements.append(CurvatureElement(dim, sigma, values, field))
             dims[sigma] += 1
     return LinearSolutionSpace("curvature tensors", elements, dims[0], dims[1])
@@ -237,37 +226,41 @@ def curvature_derivative_space(algebra: SubSuperalgebra, rspace: LinearSolutionS
     out = []
     dims = [0, 0]
     for sigma in (0, 1):
-        cols = [
-            (d, j)
+        # unknowns: the coefficient of basis tensor j in the derivative along d
+        labels = [
+            [(d, j) for j, r in enumerate(relems) if (dim.parity(d) + r.parity) % 2 == sigma]
             for d in range(t)
-            for j, r in enumerate(relems)
-            if (dim.parity(d) + r.parity) % 2 == sigma % 2
         ]
-        col_of = {c: k for k, c in enumerate(cols)}
-        rows = []
-        for (x, y, z) in _sorted_triples(t):
-            px, py, pz = dim.parity(x), dim.parity(y), dim.parity(z)
-            s2 = (-1) ** (px * (py + pz))
-            s3 = (-1) ** (pz * (px + py))
-            for A in range(t):
-                for B in range(t):
-                    row = {}
-                    for (d, u, v, s) in ((x, y, z, 1), (y, z, x, s2), (z, x, y, s3)):
-                        for j, r in enumerate(relems):
-                            k = col_of.get((d, j))
-                            if k is None:
-                                continue
-                            val = r.value(u, v).entries[A][B]
+
+        def rows():
+            for (x, y, z) in _sorted_triples(t):
+                px, py, pz = dim.parity(x), dim.parity(y), dim.parity(z)
+                s2 = (-1) ** (px * (py + pz))
+                s3 = (-1) ** (pz * (px + py))
+                # (label, sign, entries of R_j on the canonical pair) per term
+                terms = []
+                for (d, u, v, s) in ((x, y, z, 1), (y, z, x, s2), (z, x, y, s3)):
+                    pair, sign = reduce_pair(dim, u, v)
+                    if not sign:
+                        continue
+                    for lab in labels[d]:
+                        m = relems[lab[1]].values.get(pair)
+                        if m is not None:
+                            terms.append((lab, s * sign, m.entries))
+                for A in range(t):
+                    for B in range(t):
+                        row = {}
+                        for (lab, s, entries) in terms:
+                            val = entries[A][B]
                             if val:
-                                row[k] = row.get(k, 0) + s * val
-                    row = {k: v for k, v in row.items() if v}
-                    if row:
-                        rows.append(row)
-        for vec in kernel_basis(rows, len(cols)):
+                                row[lab] = row.get(lab, 0) + s * val
+                        yield row
+
+        cols = [lab for labs in labels for lab in labs]
+        for vec in solve_kernel(cols, rows(), field):
             comps = {}
-            for k, coef in vec.items():
-                d, j = cols[k]
-                comps.setdefault(d, []).append((to_field(coef, field), relems[j]))
+            for (d, j), coef in vec.items():
+                comps.setdefault(d, []).append((coef, relems[j]))
             out.append((sigma, comps))
             dims[sigma] += 1
     return LinearSolutionSpace("first curvature derivatives", out, dims[0], dims[1])
@@ -343,47 +336,36 @@ def _apply(elem, k: int, y: int):
     return {key[1:]: v for key, v in elem.items() if key[0] == y}
 
 
-def _next_level(dim: SuperDim, prev_elems, prev_parities, k: int):
+def _next_level(dim: SuperDim, prev_elems, prev_parities, k: int, field):
     """Solve the graded symmetry condition for level k+1 elements."""
     t = dim.total
     new_elems = []
     new_parities = []
     new_raw = []
     for sigma in (0, 1):
-        cols = [
-            (d, i)
+        # unknowns: the coefficient of level-k element i along direction d
+        labels = [
+            [(d, i) for i, p in enumerate(prev_parities) if (dim.parity(d) + p) % 2 == sigma]
             for d in range(t)
-            for i, p in enumerate(prev_parities)
-            if (dim.parity(d) + p) % 2 == sigma
         ]
-        col_of = {c: j for j, c in enumerate(cols)}
-        rows_map = {}
+        rows = {}
 
-        def add(entry_key, col, val):
-            row = rows_map.setdefault(entry_key, {})
-            row[col] = row.get(col, 0) + val
+        def add(lab, x, y, entries, scale=None):
+            for key, v in entries.items():
+                row = rows.setdefault((x, y) + key, {})
+                row[lab] = row.get(lab, 0) + (v if scale is None else scale * v)
 
         for x in range(t):
             for y in range(x, t):
                 sign = (-1) ** (dim.parity(x) * dim.parity(y))
-                for i, elem in enumerate(prev_elems):
-                    jx = col_of.get((x, i))
-                    if jx is not None:
-                        for key, v in _apply(elem, k, y).items():
-                            add((x, y) + key, jx, v)
-                    jy = col_of.get((y, i))
-                    if jy is not None:
-                        for key, v in _apply(elem, k, x).items():
-                            add((x, y) + key, jy, -sign * v)
-        rows = [
-            {c: v for c, v in row.items() if v}
-            for row in rows_map.values()
-        ]
-        rows = [r for r in rows if r]
-        for vec in kernel_basis(rows, len(cols)):
+                for lab in labels[x]:
+                    add(lab, x, y, _apply(prev_elems[lab[1]], k, y))
+                for lab in labels[y]:
+                    add(lab, x, y, _apply(prev_elems[lab[1]], k, x), -sign)
+        cols = [lab for labs in labels for lab in labs]
+        for vec in solve_kernel(cols, rows.values(), field):
             flat = {}
-            for j, coef in vec.items():
-                d, i = cols[j]
+            for (d, i), coef in vec.items():
                 for key, v in prev_elems[i].items():
                     full = (d,) + key
                     w = flat.get(full)
@@ -394,12 +376,8 @@ def _next_level(dim: SuperDim, prev_elems, prev_parities, k: int):
                         flat.pop(full, None)
             new_elems.append(flat)
             new_parities.append(sigma)
-            new_raw.append(vec_with_cols(vec, cols))
+            new_raw.append(vec)
     return new_elems, new_parities, new_raw
-
-
-def vec_with_cols(vec, cols):
-    return {cols[j]: v for j, v in vec.items()}
 
 
 def cartan_prolongation(dim: SuperDim, g0: SubSuperalgebra, order: int) -> ProlongationTower:
@@ -409,7 +387,7 @@ def cartan_prolongation(dim: SuperDim, g0: SubSuperalgebra, order: int) -> Prolo
     prev_elems, prev_parities = _level0_elements(g0)
     levels = []
     for k in range(order):
-        elems, parities, raw = _next_level(dim, prev_elems, prev_parities, k)
+        elems, parities, raw = _next_level(dim, prev_elems, prev_parities, k, g0.field)
         levels.append(ProlongationLevel(k + 1, elems, parities, raw))
         prev_elems, prev_parities = elems, parities
         if not elems:
@@ -444,17 +422,18 @@ def spencer_rank_identity(algebra: SubSuperalgebra, tower: ProlongationTower = N
         "g2_dim": g2.graded_dim,
         "R_dim": rspace.graded_dim,
     }
+    rspace_span = span_echelon([e.flatten() for e in rspace.basis])
     h22 = [0, 0]
     exactness_ok = True
     for sigma in (0, 1):
+        # unknowns: the coefficient of g_1 element j along direction d
         cols = [
             (d, j)
             for d in range(t)
             for j, p in enumerate(g1.parities)
             if (dim.parity(d) + p) % 2 == sigma
         ]
-        col_of = {c: k for k, c in enumerate(cols)}
-        images = []
+        rows = {}
         for (d, j) in cols:
             alpha = g1.elements[j]
             flat = {}
@@ -470,36 +449,18 @@ def spencer_rank_identity(algebra: SubSuperalgebra, tower: ProlongationTower = N
                 for (a, b), v in mat.items():
                     if v:
                         flat[pi * t * t + a * t + b] = v
-            images.append(flat)
+            # the image must satisfy the curvature space constraints
+            if flat and not rspace_span.contains(flat):
+                exactness_ok = False
+            for coord, v in flat.items():
+                rows.setdefault(coord, {})[(d, j)] = v
         # rank of the map and its kernel
-        rows = {}
-        for k, img in enumerate(images):
-            for coord, v in img.items():
-                rows.setdefault(coord, {})[k] = v
-        ker = kernel_basis(list(rows.values()), len(cols))
-        rank = len(cols) - len(ker)
-        r_dim_sigma = rspace.graded_dim[sigma]
-        h22[sigma] = r_dim_sigma - rank
-        # embedded g_2 coordinates
-        emb = []
-        for j2, raw in enumerate(g2.raw_coords):
-            if g2.parities[j2] != sigma:
-                continue
-            vec = {}
-            for (d, i), v in raw.items():
-                k = col_of.get((d, i))
-                if k is None:
-                    exactness_ok = False
-                    continue
-                vec[k] = v
-            emb.append(vec)
+        ker = solve_kernel(cols, rows.values(), field)
+        h22[sigma] = rspace.graded_dim[sigma] - (len(cols) - len(ker))
+        # the kernel must be g_2, embedded through its solver coordinates
+        emb = [raw for raw, p in zip(g2.raw_coords, g2.parities) if p == sigma]
         if not same_span(ker, emb):
             exactness_ok = False
-        # image must satisfy the curvature space constraints
-        rspace_span = span_echelon([e.flatten() for e in rspace.basis])
-        for img in images:
-            if img and not rspace_span.contains(img):
-                exactness_ok = False
     report["exactness_ok"] = exactness_ok
     report["h22_raw"] = tuple(h22)
     report["h22_total"] = h22[0] + h22[1]
@@ -524,14 +485,14 @@ def structure_constants(algebra: SubSuperalgebra):
     for i in range(n):
         for j in range(n):
             br = superbracket(basis[i], basis[j])
-            coords = _coordinates(flats, br.flatten())
+            coords = _coordinates(flats, br.flatten(), algebra.field)
             if coords is None:
                 raise ValueError("algebra basis is not bracket-closed")
             table[(i, j)] = coords
     return basis, table
 
 
-def _coordinates(columns, target):
+def _coordinates(columns, target, field):
     """Solve sum c_i columns_i = target exactly; None if unsolvable."""
     k = len(columns)
     rows = {}
@@ -540,8 +501,7 @@ def _coordinates(columns, target):
             rows.setdefault(coord, {})[i] = v
     for coord, v in target.items():
         rows.setdefault(coord, {})[k] = -v
-    combos = kernel_basis(list(rows.values()), k + 1)
-    for combo in combos:
+    for combo in solve_kernel(range(k + 1), rows.values(), field):
         s = combo.get(k)
         if s:
             return {i: v / s for i, v in combo.items() if i != k and v}
@@ -564,8 +524,7 @@ def is_simple(algebra: SubSuperalgebra):
             br = superbracket(basis[i], basis[j])
             for coord, v in br.flatten().items():
                 rows.setdefault((j, coord), {})[i] = v
-    center = kernel_basis(list(rows.values()), n)
-    if center:
+    if solve_kernel(range(n), rows.values(), algebra.field):
         return False, "nontrivial center"
     derived = []
     for i in range(n):

@@ -186,9 +186,6 @@ class ConnectionData:
             conn.gamma[a - 1][A - 1][B - 1] = conn.gamma[a - 1][A - 1][B - 1] + f
         return ConnectionData(chart, conn.gamma)
 
-    def gamma_matrix(self, a: int):
-        return self.gamma[a]
-
     def is_zero(self) -> bool:
         return all(sfmat_is_zero(g) for g in self.gamma)
 
@@ -668,24 +665,6 @@ def _symmetric_signature(block):
     return (pos, neg)
 
 
-def metric_pairing(metric: MetricData, comps_left, comps_right):
-    """g(X, Y) for sections X = X^a d_a, Y = Y^b d_b with left coefficients."""
-    chart = metric.chart
-    sig = chart.sig
-    t = sig.total
-    acc = Superfunction.zero(sig)
-    for a in range(t):
-        if comps_left[a].is_zero():
-            continue
-        for b in range(t):
-            if comps_right[b].is_zero() or metric.g[a][b].is_zero():
-                continue
-            # g(X^a e_a, Y^b e_b) = X^a (-1)^{|a||Y^b|} Y^b g_{ab}
-            pa = chart.coord_parity(a)
-            acc = acc + comps_left[a] * comps_right[b].sign_split(pa) * metric.g[a][b]
-    return acc
-
-
 def nabla_metric_component(metric: MetricData, conn: ConnectionData, a: int, b: int, c: int):
     """(nabla_a g)(d_b, d_c), which must vanish for a metric connection."""
     chart = metric.chart
@@ -784,9 +763,6 @@ class TensorSpace:
 
     def _tuple_parity(self, t) -> int:
         return sum(self.base.parity(i) for i in t) % 2
-
-    def tuple_parity(self, t) -> int:
-        return self._tuple_parity(t)
 
 
 def tensor_extension(a_mat: SuperMatrix, r: int, s: int, space: TensorSpace = None):

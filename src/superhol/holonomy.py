@@ -21,7 +21,7 @@ from .geometry import (
     nabla_section,
     pure_gauge_connection,
 )
-from .linalg import SparseEchelon, kernel_basis, span_echelon
+from .linalg import SparseEchelon, solve_kernel, span_echelon
 from .scalars import field_zero, scalar_float, to_field
 from .superfunc import Superfunction
 from .superlin import (
@@ -55,7 +55,7 @@ def default_order_cap(chart: Chart) -> int:
 def _evaluate_matrix(mat, point, chart: Chart) -> SuperMatrix:
     field = chart.sig.field
     rk = chart.rank
-    entries = [[to_field(f.value(point), field) for f in row] for row in mat]
+    entries = [[f.value(point) for f in row] for row in mat]
     return SuperMatrix(rk, entries, None, field)
 
 
@@ -136,43 +136,10 @@ class TransportOperator:
                 raise AssertionError("transport lost the even block structure")
 
 
-def _body_gamma_float(conn: ConnectionData):
-    """Callables point -> float matrix for each even coordinate direction."""
-    chart = conn.chart
-    sig = chart.sig
-    rk = chart.rank.total
-    tables = []
-    for i in range(sig.n):
-        entries = []
-        for A in range(rk):
-            row = []
-            for B in range(rk):
-                row.append(list(conn.gamma[i][A][B].terms.get(0, {}).items()))
-            entries.append(row)
-        tables.append(entries)
-    def make(i):
-        entries = tables[i]
-        def at(xs):
-            out = np.zeros((rk, rk))
-            for A in range(rk):
-                for B in range(rk):
-                    acc = 0.0
-                    for exps, coef in entries[A][B]:
-                        term = scalar_float(coef)
-                        for x, e in zip(xs, exps):
-                            term *= x ** e
-                        acc += term
-                    out[A, B] = acc
-            return out
-        return at
-    return [make(i) for i in range(sig.n)]
-
-
 def numeric_parallel_transport(conn: ConnectionData, path, steps: int) -> TransportOperator:
     """RK4 integration of dX/dt + Gamma(gamma')X = 0 on the body bundle."""
     chart = conn.chart
     rk = chart.rank.total
-    gam = _body_gamma_float(conn)
     pts = [np.asarray(p, dtype=float) for p in path]
     if len(pts) < 2:
         return TransportOperator(np.eye(rk), path, steps, chart.rank)
@@ -189,7 +156,7 @@ def numeric_parallel_transport(conn: ConnectionData, path, steps: int) -> Transp
             m = np.zeros((rk, rk))
             for i in range(chart.sig.n):
                 if vel[i]:
-                    m += vel[i] * gam[i](x)
+                    m += vel[i] * _float_matrix(conn.gamma[i], x)
             return -m
 
         for k in range(nseg):
@@ -203,12 +170,16 @@ def numeric_parallel_transport(conn: ConnectionData, path, steps: int) -> Transp
 
 
 def _float_matrix(mat_sf, point):
+    """Body of a superfunction matrix at a float point, as a float matrix."""
     rk = len(mat_sf)
     out = np.zeros((rk, rk))
     for A in range(rk):
         for B in range(rk):
+            body = mat_sf[A][B].terms.get(0)
+            if not body:
+                continue
             acc = 0.0
-            for exps, coef in mat_sf[A][B].terms.get(0, {}).items():
+            for exps, coef in body.items():
                 term = scalar_float(coef)
                 for x, e in zip(point, exps):
                     term *= x ** e
@@ -267,31 +238,22 @@ def span_embedding_residual(float_mats, algebra: SubSuperalgebra):
 # ------------------------------------------------------- invariant objects
 
 
+def _common_kernel(mats, dim: SuperDim, field):
+    """Graded basis (even, odd) of the vectors all matrices kill, as sparse dicts."""
+    rows = [dict(enumerate(row)) for m in mats for row in m.entries]
+    return tuple(
+        solve_kernel(cols, rows, field) for cols in (range(dim.p), range(dim.p, dim.total))
+    )
+
+
 def invariant_vectors(algebra: SubSuperalgebra):
     """Graded basis of the common kernel of all basis operators."""
-    dim = algebra.dim
-    t = dim.total
-    out = ([], [])
-    for parity, cols in ((0, list(range(dim.p))), (1, list(range(dim.p, t)))):
-        if not cols:
-            continue
-        col_of = {c: j for j, c in enumerate(cols)}
-        rows = []
-        for m in algebra.basis():
-            for A in range(t):
-                row = {}
-                for B in cols:
-                    v = m.entries[A][B]
-                    if v:
-                        row[col_of[B]] = v
-                if row:
-                    rows.append(row)
-        for vec in kernel_basis(rows, len(cols)):
-            full = [field_zero(algebra.field)] * t
-            for j, v in vec.items():
-                full[cols[j]] = to_field(v, algebra.field)
-            out[parity].append(full)
-    return out
+    zero = field_zero(algebra.field)
+    t = algebra.dim.total
+    return tuple(
+        [[vec.get(a, zero) for a in range(t)] for vec in part]
+        for part in _common_kernel(algebra.basis(), algebra.dim, algebra.field)
+    )
 
 
 def test_invariant_subspace(algebra: SubSuperalgebra, basis_vectors) -> bool:
@@ -498,28 +460,6 @@ def _graded_parts(vec_dicts, p):
     return even, odd
 
 
-def _matrix_kernel_graded(m: SuperMatrix):
-    """Graded kernel of a homogeneous matrix, as sparse vectors."""
-    dim = m.dim
-    t = dim.total
-    out = []
-    for cols in (list(range(dim.p)), list(range(dim.p, t))):
-        if not cols:
-            continue
-        col_of = {c: j for j, c in enumerate(cols)}
-        rows = []
-        for A in range(t):
-            row = {}
-            for B in cols:
-                if m.entries[A][B]:
-                    row[col_of[B]] = m.entries[A][B]
-            if row:
-                rows.append(row)
-        for vec in kernel_basis(rows, len(cols)):
-            out.append({cols[j]: v for j, v in vec.items()})
-    return out
-
-
 def _matrix_image_graded(m: SuperMatrix):
     t = m.dim.total
     out = []
@@ -593,16 +533,10 @@ def _norton_irreducible(algebra: SubSuperalgebra, tries=40) -> bool:
         for m in basis
     ]
     for z in candidates:
-        rows = [
-            {B: z.entries[A][B] for B in range(t) if z.entries[A][B]} for A in range(t)
-        ]
-        ker = kernel_basis([r for r in rows if r], t)
+        ker = solve_kernel(range(t), [dict(enumerate(row)) for row in z.entries], field)
         if len(ker) != 1:
             continue
-        zt_rows = [
-            {B: z.entries[B][A] for B in range(t) if z.entries[B][A]} for A in range(t)
-        ]
-        ker_t = kernel_basis([r for r in zt_rows if r], t)
+        ker_t = solve_kernel(range(t), [dict(enumerate(col)) for col in zip(*z.entries)], field)
         if len(ker_t) != 1:
             continue
         if _spin(ker[0], basis, t).rank == t and _spin(ker_t[0], transposed, t).rank == t:
@@ -640,10 +574,9 @@ def decomposability_certificate(algebra: SubSuperalgebra, metric_body, max_candi
                     gv = metric_body[a][b]
                     if gv:
                         acc = acc + va * gv
-                if acc:
-                    row[b] = acc
+                row[b] = acc
             rows.append(row)
-        return kernel_basis(rows, t)
+        return solve_kernel(range(t), rows, field)
 
     def finish(vectors):
         comp = orthogonal_complement(vectors)
@@ -728,7 +661,8 @@ def decomposability_certificate(algebra: SubSuperalgebra, metric_body, max_candi
         pool.append([dict(v) for v in span_echelon(vectors).basis()])
 
     for op in ops:
-        push(_matrix_kernel_graded(op))
+        even, odd = _common_kernel([op], dim, field)
+        push(even + odd)
         push(_matrix_image_graded(op))
     snapshot = list(pool)
     for va, vb in itertools.combinations(snapshot, 2):

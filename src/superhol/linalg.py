@@ -8,6 +8,8 @@ staying exact.
 
 from __future__ import annotations
 
+from .scalars import to_field
+
 
 class SparseEchelon:
     """Incrementally built reduced row echelon basis of a row space."""
@@ -70,17 +72,6 @@ class SparseEchelon:
         return [dict(self.pivot_rows[p]) for p in sorted(self.pivot_rows)]
 
 
-def vec_from_list(values) -> dict:
-    return {i: v for i, v in enumerate(values) if v}
-
-
-def vec_to_list(vec: dict, length: int, zero):
-    out = [zero] * length
-    for c, v in vec.items():
-        out[c] = v
-    return out
-
-
 def span_echelon(vectors) -> SparseEchelon:
     ech = SparseEchelon()
     for v in vectors:
@@ -109,6 +100,30 @@ def kernel_basis(rows, ncols: int):
                 vec[p] = -coef
         basis.append(vec)
     return basis
+
+
+def solve_kernel(cols, rows, field):
+    """Canonical kernel basis of a sparse system whose unknowns carry labels.
+
+    rows are dicts {label: coefficient}, from any iterable; cols orders the
+    labels.  An unknown whose label is not in cols is held at zero, which is
+    how a caller restricts a system to one parity, and zero coefficients are
+    dropped.  Each kernel vector is a dict {label: scalar} in the given field
+    with a 1 at its free column; the vectors follow their free columns in the
+    order of cols.
+    """
+    if not cols:
+        return []
+    index = {c: j for j, c in enumerate(cols)}
+    system = []
+    for row in rows:
+        row = {index[c]: v for c, v in row.items() if v and c in index}
+        if row:
+            system.append(row)
+    return [
+        {cols[j]: to_field(v, field) for j, v in vec.items()}
+        for vec in kernel_basis(system, len(cols))
+    ]
 
 
 def same_span(vectors_a, vectors_b) -> bool:

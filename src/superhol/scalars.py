@@ -131,10 +131,6 @@ def to_field(value, field):
     return GaussianRational(Fraction(value))
 
 
-def scalar_is_real(value):
-    return not isinstance(value, GaussianRational) or value.im == 0
-
-
 def scalar_float(value):
     """Body float of a scalar; imaginary parts must be absent."""
     if isinstance(value, GaussianRational):

@@ -398,13 +398,6 @@ class Superfunction:
                 out[mask] = poly
         return Superfunction(self.sig, out, _normalized=True)
 
-    def max_even_degree(self) -> int:
-        deg = 0
-        for poly in self.terms.values():
-            for exps in poly:
-                deg = max(deg, sum(exps))
-        return deg
-
     # --------------------------------------------------------------- printing
 
     def __str__(self):

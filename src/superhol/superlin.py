@@ -8,8 +8,8 @@ matrices preserve parity blocks, odd matrices swap them.
 
 from __future__ import annotations
 
-from .linalg import SparseEchelon, intersect_spans, kernel_basis, span_echelon
-from .scalars import RATIONAL, field_one, field_zero, scalar_str, to_field
+from .linalg import SparseEchelon, intersect_spans, solve_kernel, span_echelon
+from .scalars import RATIONAL, field_one, field_zero, scalar_str
 
 
 class SuperDim:
@@ -113,9 +113,6 @@ class SuperMatrix:
         m.declared_parity = m._detect_parity()
         return m
 
-    def copy(self) -> "SuperMatrix":
-        return SuperMatrix(self.dim, self.entries, self.declared_parity, self.field)
-
     def __eq__(self, other):
         return (
             isinstance(other, SuperMatrix)
@@ -216,19 +213,6 @@ class SuperMatrix:
             for b in range(t):
                 if (self.dim.parity(a) + self.dim.parity(b)) % 2 == parity:
                     m.entries[a][b] = self.entries[a][b]
-        m.declared_parity = m._detect_parity()
-        return m
-
-    def supertranspose(self) -> "SuperMatrix":
-        """(-1)-graded transpose: (A^st)_{ab} = (-1)^{|a|(|a|+|b|)} A_{ba}."""
-        t = self.dim.total
-        m = SuperMatrix.zeros(self.dim, self.field)
-        for a in range(t):
-            for b in range(t):
-                v = self.entries[b][a]
-                if v:
-                    sign = (-1) ** (self.dim.parity(a) * (self.dim.parity(a) + self.dim.parity(b)))
-                    m.entries[a][b] = sign * v
         m.declared_parity = m._detect_parity()
         return m
 
@@ -450,54 +434,40 @@ def stabilizer_algebra(tensor: StructureTensor) -> SubSuperalgebra:
     dim = data.dim
     t = dim.total
     field = data.field
+    e = data.entries
+    par = [dim.parity(a) for a in range(t)]
+    form = tensor.kind.endswith("bilinear_form")
+    rho = 0 if tensor.kind.startswith("even") else 1  # parity of the tensor
     mats = []
     for tau in (0, 1):
-        cols = [
-            (a, b)
-            for a in range(t)
-            for b in range(t)
-            if (dim.parity(a) + dim.parity(b)) % 2 == tau
-        ]
-        col_of = {ab: j for j, ab in enumerate(cols)}
+        # unknowns: the entries (a, b) of a parity-tau matrix A
+        cols = [(a, b) for a in range(t) for b in range(t) if (par[a] + par[b]) % 2 == tau]
         rows = []
-        if tensor.kind.endswith("bilinear_form"):
-            g = data.entries
-            for c in range(t):
-                sgn = (-1) ** (tau * dim.parity(c))
-                for d in range(t):
-                    row = {}
+        for c in range(t):
+            for d in range(t):
+                # every unknown of equation (c, d) has parity |c| + |d| + rho
+                if (par[c] + par[d] + rho) % 2 != tau:
+                    continue
+                row = {}
+                if form:
+                    sgn = (-1) ** (tau * par[c])
                     for b in range(t):
-                        j = col_of.get((b, c))
-                        if j is not None and g[b][d]:
-                            row[j] = row.get(j, 0) + g[b][d]
-                        j = col_of.get((b, d))
-                        if j is not None and g[c][b]:
-                            row[j] = row.get(j, 0) + sgn * g[c][b]
-                    row = {k: v for k, v in row.items() if v}
-                    if row:
-                        rows.append(row)
-        else:
-            jm = data.entries
-            jp = 0 if tensor.kind == "even_endomorphism" else 1
-            sgn = (-1) ** (tau * jp)
-            for a in range(t):
-                for b in range(t):
-                    row = {}
-                    for c in range(t):
-                        j = col_of.get((a, c))
-                        if j is not None and jm[c][b]:
-                            row[j] = row.get(j, 0) + jm[c][b]
-                        j = col_of.get((c, b))
-                        if j is not None and jm[a][c]:
-                            row[j] = row.get(j, 0) - sgn * jm[a][c]
-                    row = {k: v for k, v in row.items() if v}
-                    if row:
-                        rows.append(row)
-        for vec in kernel_basis(rows, len(cols)):
+                        if e[b][d]:
+                            row[(b, c)] = row.get((b, c), 0) + e[b][d]
+                        if e[c][b]:
+                            row[(b, d)] = row.get((b, d), 0) + sgn * e[c][b]
+                else:
+                    sgn = (-1) ** (tau * rho)
+                    for b in range(t):
+                        if e[b][d]:
+                            row[(c, b)] = row.get((c, b), 0) + e[b][d]
+                        if e[c][b]:
+                            row[(b, d)] = row.get((b, d), 0) - sgn * e[c][b]
+                rows.append(row)
+        for vec in solve_kernel(cols, rows, field):
             m = SuperMatrix.zeros(dim, field)
-            for j, v in vec.items():
-                a, b = cols[j]
-                m.entries[a][b] = to_field(v, field)
+            for (a, b), v in vec.items():
+                m.entries[a][b] = v
             m.declared_parity = m._detect_parity()
             mats.append(m)
     return SubSuperalgebra.from_matrices(dim, mats, field, closed=True)
@@ -570,18 +540,8 @@ def cut_by_functionals(algebra: SubSuperalgebra, functionals) -> SubSuperalgebra
     """
     out = []
     for basis in (algebra.even_basis, algebra.odd_basis):
-        if not basis:
-            continue
-        rows = []
-        for fn in functionals:
-            row = {}
-            for j, m in enumerate(basis):
-                v = fn(m)
-                if v:
-                    row[j] = v
-            if row:
-                rows.append(row)
-        for combo in kernel_basis(rows, len(basis)):
+        rows = [{j: fn(m) for j, m in enumerate(basis)} for fn in functionals]
+        for combo in solve_kernel(range(len(basis)), rows, algebra.field):
             m = SuperMatrix.zeros(algebra.dim, algebra.field)
             for j, c in combo.items():
                 m = m + basis[j].scale(c)

@@ -11,11 +11,18 @@ from superhol.reportio import ProblemError, decode_problem, dumps_report
 from superhol.superfunc import Superfunction
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
+GOLDEN = os.path.join(DATA, "golden")
+PROBLEMS = sorted(f for f in os.listdir(DATA) if f.endswith(".json"))
 
 
 def load(name):
     with open(os.path.join(DATA, name)) as fh:
         return json.load(fh)
+
+
+def report_text(name):
+    rep, _ = cli.run_problem(load(name))
+    return dumps_report(rep)
 
 
 class TestRunPipelines:
@@ -92,6 +99,20 @@ class TestDeterminism:
         assert cli.main(["run", str(bad), "--out", str(tmp_path / "out.json")]) == 1
 
 
+class TestGoldenReports:
+    """The reports of the bundled problems, pinned byte for byte.
+
+    After an intended change of output, regenerate the files in
+    tests/data/golden with `PYTHONPATH=src python tests/test_cli.py` and
+    review their diff.
+    """
+
+    @pytest.mark.parametrize("name", PROBLEMS)
+    def test_report_matches_pinned(self, name):
+        with open(os.path.join(GOLDEN, name), "rb") as fh:
+            assert report_text(name).encode() == fh.read()
+
+
 class TestSelfTest:
     def test_full_corpus_passes(self):
         report, ok = cli.run_selftest()
@@ -158,3 +179,9 @@ class TestStatusFlags:
         assert ok
         tv = rep["result"]["transport_validation"]
         assert tv["ok"] and tv["residual"] < 1e-6
+
+
+if __name__ == "__main__":
+    for name in PROBLEMS:
+        with open(os.path.join(GOLDEN, name), "w") as fh:
+            fh.write(report_text(name))

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from superhol import linalg
+from superhol.scalars import GAUSSIAN, GaussianRational
 from superhol.superlin import (
     StructureTensor,
     SubSuperalgebra,
@@ -95,6 +97,27 @@ class TestGenerate:
             generate_subalgebra(
                 [SuperMatrix.identity(SuperDim(1, 1)), SuperMatrix.identity(SuperDim(2, 0))]
             )
+
+
+class TestSolveKernel:
+    def test_labelled_kernel_over_gaussian_rationals(self, monkeypatch):
+        calls = []
+        positional = linalg.kernel_basis
+
+        def spy(*args):
+            calls.append(args)
+            return positional(*args)
+
+        monkeypatch.setattr(linalg, "kernel_basis", spy)
+        one, i = GaussianRational(1), GaussianRational(0, 1)
+        rows = [
+            {"a": one, "b": i, "held": one},  # a + i b = 0, "held" is not a column
+            {"c": one - one, "held": one},  # nothing left once zeros are dropped
+        ]
+        ker = linalg.solve_kernel(["a", "b", "c"], rows, GAUSSIAN)
+        assert ker == [{"b": one, "a": -i}, {"c": one}]
+        assert all(type(v) is GaussianRational for vec in ker for v in vec.values())
+        assert calls == [([{0: one, 1: i}], 3)]
 
 
 class TestStabilizers:
