@@ -17,6 +17,7 @@ from . import berger as bg
 from . import geometry as geo
 from . import holonomy as hl
 from . import reportio as rio
+from .scalars import scalar_float
 from .superfunc import ChartSignature, Superfunction, parse_superfunction, sf_to_str
 from .superlin import (
     StructureTensor,
@@ -105,18 +106,7 @@ def default_candidates(dim: SuperDim, field, metric_body=None):
         stab_j = stabilizer_algebra(StructureTensor("even_endomorphism", "none", j))
         u_cut = intersect_algebras(stab_g, stab_j)
 
-        def str_j(m):
-            t = dim.total
-            prod = [
-                [
-                    sum((j.entries[a][c] * m.entries[c][b] for c in range(t)), Fraction(0))
-                    for b in range(t)
-                ]
-                for a in range(t)
-            ]
-            return supertrace(SuperMatrix(dim, prod, None, field))
-
-        su_cut = cut_by_functionals(u_cut, [str_j])
+        su_cut = cut_by_functionals(u_cut, [lambda m: supertrace(j.matmul(m))])
         out.append({"label": "unitary cut (u type)", "algebra": u_cut})
         out.append({"label": "special unitary cut (su type)", "algebra": su_cut})
     return out
@@ -183,7 +173,7 @@ def connection_report(conn: geo.ConnectionData, options, metric=None):
 
     steps = options.get("transport_steps")
     if steps and sig.n >= 1:
-        base = [float(scalar_float_safe(c)) for c in point]
+        base = [scalar_float(c) for c in point]
         side = 0.25
         if sig.n == 1:
             path = [base, [base[0] + side]]
@@ -205,12 +195,6 @@ def connection_report(conn: geo.ConnectionData, options, metric=None):
 
     report["status"] = "capped" if hol.status == "capped" else "stabilized"
     return report
-
-
-def scalar_float_safe(value):
-    from .scalars import scalar_float
-
-    return scalar_float(value)
 
 
 def metric_report(metric: geo.MetricData, options):
@@ -757,6 +741,16 @@ def tables_report(family: str, max_dim: int):
 # ---------------------------------------------------------------------- main
 
 
+def _write_report(report, out):
+    """Write the report JSON to the file `out`, or to stdout when it is None."""
+    text = rio.dumps_report(report)
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="superhol",
@@ -800,36 +794,19 @@ def main(argv=None) -> int:
             rep["input_file"] = path
             reports.append(rep)
             all_ok = all_ok and ok
-        payload = reports[0] if len(reports) == 1 else {"reports": reports}
-        text = rio.dumps_report(payload)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write_report(reports[0] if len(reports) == 1 else {"reports": reports}, args.out)
         return 0 if all_ok else 1
 
     if args.command == "selftest":
         report, ok = run_selftest(with_timing=args.timing)
-        text = rio.dumps_report(report)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write_report(report, args.out)
         for case in report["cases"]:
             status = "pass" if case["pass"] else "FAIL"
             sys.stderr.write("[%s] %s\n" % (status, case["case"]))
         return 0 if ok else 1
 
     if args.command == "tables":
-        report = tables_report(args.family, args.max_dim)
-        text = rio.dumps_report(report)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write_report(tables_report(args.family, args.max_dim), args.out)
         return 0
 
     return 2

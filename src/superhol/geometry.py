@@ -9,6 +9,7 @@ coordinate a; each entry is homogeneous of parity |a|+|A|+|B|.
 
 from __future__ import annotations
 
+from .linalg import span_echelon
 from .scalars import RATIONAL, field_one, field_zero
 from .superfunc import ChartSignature, Superfunction
 from .superlin import SuperDim, SuperMatrix
@@ -53,15 +54,17 @@ def sfmat_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def sfmat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0])
-    sig = None
+def _sfmat_sig(a):
+    """Chart signature of the first entry, or None for a matrix with none."""
     for row in a:
         for f in row:
-            sig = f.sig
-            break
-        if sig:
-            break
+            return f.sig
+    return None
+
+
+def sfmat_mul(a, b):
+    rows, inner, cols = len(a), len(b), len(b[0])
+    sig = _sfmat_sig(a)
     out = [[Superfunction.zero(sig) for _ in range(cols)] for _ in range(rows)]
     for i in range(rows):
         for k in range(inner):
@@ -83,13 +86,15 @@ def sfmat_is_zero(a) -> bool:
 
 
 def sfmat_value(a, point):
-    return [[f.value(point) for f in row] for row in a]
+    """Exact values of a superfunction matrix at a point of the even coordinates.
 
-
-def sfmat_constant_part(a):
-    sig = a[0][0].sig
-    zero_pt = [0] * sig.n
-    return [[f.value(zero_pt) for f in row] for row in a]
+    The point is checked and coerced into the field once for the whole matrix.
+    """
+    sig = _sfmat_sig(a)
+    if sig is None:
+        return [[] for _ in a]
+    point = sig.coerce_point(point)
+    return [[f.body_value(point) for f in row] for row in a]
 
 
 class MatrixInversionError(ValueError):
@@ -97,25 +102,14 @@ class MatrixInversionError(ValueError):
 
 
 def scalar_matrix_inverse(mat, field=RATIONAL):
-    """Exact inverse of a square scalar matrix by Gaussian elimination."""
+    """Exact inverse of a square scalar matrix: the reduced echelon form of [A | I]."""
     t = len(mat)
-    aug = [list(row) + [field_one(field) if i == j else field_zero(field) for j in range(t)] for i, row in enumerate(mat)]
-    for col in range(t):
-        pivot = None
-        for r in range(col, t):
-            if aug[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            raise MatrixInversionError("singular scalar matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = aug[col][col]
-        aug[col] = [v / inv for v in aug[col]]
-        for r in range(t):
-            if r != col and aug[r][col]:
-                c = aug[r][col]
-                aug[r] = [v - c * w for v, w in zip(aug[r], aug[col])]
-    return [row[t:] for row in aug]
+    one = field_one(field)
+    ech = span_echelon({**dict(enumerate(row)), t + i: one} for i, row in enumerate(mat))
+    if any(p >= t for p in ech.pivot_rows):
+        raise MatrixInversionError("singular scalar matrix")
+    zero = field_zero(field)
+    return [[ech.pivot_rows[i].get(t + j, zero) for j in range(t)] for i in range(t)]
 
 
 def sfmat_inverse(a, sig: ChartSignature):
@@ -126,7 +120,7 @@ def sfmat_inverse(a, sig: ChartSignature):
     body of N is nilpotent as a polynomial matrix.  Rejected otherwise.
     """
     t = len(a)
-    a0 = sfmat_constant_part(a)
+    a0 = sfmat_value(a, [0] * sig.n)
     a0_inv_s = scalar_matrix_inverse(a0, sig.field)
     a0_sf = [[Superfunction.constant(sig, v) for v in row] for row in a0]
     a0_inv = [[Superfunction.constant(sig, v) for v in row] for row in a0_inv_s]
@@ -150,11 +144,16 @@ def sfmat_inverse(a, sig: ChartSignature):
 
 
 class ConnectionData:
-    """Christoffel table of a connection on a rank p|q free sheaf."""
+    """Christoffel table of a connection on a rank p|q free sheaf.
+
+    The table must not be modified after construction: `curvature` keeps the
+    curvature it derives from it on the connection.
+    """
 
     def __init__(self, chart: Chart, gamma, validate=True):
         self.chart = chart
         self.gamma = gamma  # gamma[a][A][B], superfunctions
+        self._curvature = None
         sig = chart.sig
         t, r = sig.total, chart.rank.total
         if len(gamma) != t or any(len(g) != r or any(len(row) != r for row in g) for g in gamma):
@@ -181,10 +180,11 @@ class ConnectionData:
     @staticmethod
     def from_entries(chart: Chart, entries) -> "ConnectionData":
         """entries: dict {(a, B, A): Superfunction} with 1-based indices."""
-        conn = ConnectionData.zero(chart)
+        rk = chart.rank.total
+        gamma = [sfmat_zeros(chart.sig, rk, rk) for _ in range(chart.sig.total)]
         for (a, B, A), f in entries.items():
-            conn.gamma[a - 1][A - 1][B - 1] = conn.gamma[a - 1][A - 1][B - 1] + f
-        return ConnectionData(chart, conn.gamma)
+            gamma[a - 1][A - 1][B - 1] = gamma[a - 1][A - 1][B - 1] + f
+        return ConnectionData(chart, gamma)
 
     def is_zero(self) -> bool:
         return all(sfmat_is_zero(g) for g in self.gamma)
@@ -282,7 +282,13 @@ def _parity_ok(f: Superfunction, want: int) -> bool:
 
 
 def curvature(conn: ConnectionData) -> CurvatureTable:
-    """Coordinate curvature components from the Christoffel table."""
+    """Coordinate curvature components from the Christoffel table.
+
+    The table is built on the first call and kept on the connection; later
+    calls return the same table.
+    """
+    if conn._curvature is not None:
+        return conn._curvature
     chart = conn.chart
     sig = chart.sig
     t, rk = sig.total, chart.rank.total
@@ -329,6 +335,7 @@ def curvature(conn: ConnectionData) -> CurvatureTable:
                 for B in range(rk):
                     if mats[(a, b)][A][B] != mats[(b, a)][A][B].scale(sign):
                         raise AssertionError("curvature super-antisymmetry violated")
+    conn._curvature = table
     return table
 
 
@@ -339,11 +346,16 @@ class DerivativeTable:
     of 0-based coordinate indices.
     """
 
-    def __init__(self, chart: Chart, order: int, components, reference_zero: bool):
+    def __init__(self, chart: Chart, order: int, components):
         self.chart = chart
         self.order = order
         self.components = components
-        self.reference_zero = reference_zero
+
+    @staticmethod
+    def order_zero(conn: ConnectionData) -> "DerivativeTable":
+        """The curvature of the connection as the order-0 table."""
+        mats = curvature(conn).mats
+        return DerivativeTable(conn.chart, 0, {((), a, b): m for (a, b), m in mats.items()})
 
 
 def _next_derivative(conn: ConnectionData, ref, prev: DerivativeTable) -> DerivativeTable:
@@ -418,7 +430,7 @@ def _next_derivative(conn: ConnectionData, ref, prev: DerivativeTable) -> Deriva
                                     if not pmat[A][B].is_zero():
                                         new[A][B] = new[A][B] - (gbar * pmat[A][B]).scale(sign)
             out[((ar,) + dirs, a, b)] = new
-    return DerivativeTable(chart, prev.order + 1, out, ref is None)
+    return DerivativeTable(chart, prev.order + 1, out)
 
 
 def covariant_derivatives(conn: ConnectionData, ref, order: int):
@@ -431,8 +443,7 @@ def covariant_derivatives(conn: ConnectionData, ref, order: int):
     if ref is not None:
         if not ref.chart.tangent_sheaf or ref.chart.sig != chart.sig:
             raise ValueError("reference connection must live on the tangent sheaf of the chart")
-    base = curvature(conn)
-    tables = [DerivativeTable(chart, 0, {((), a, b): m for (a, b), m in base.mats.items()}, ref is None)]
+    tables = [DerivativeTable.order_zero(conn)]
     for _ in range(order):
         tables.append(_next_derivative(conn, ref, tables[-1]))
     return tables

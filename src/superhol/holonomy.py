@@ -20,6 +20,8 @@ from .geometry import (
     curvature,
     nabla_section,
     pure_gauge_connection,
+    scalar_matrix_inverse,
+    sfmat_value,
 )
 from .linalg import SparseEchelon, solve_kernel, span_echelon
 from .scalars import field_zero, scalar_float, to_field
@@ -52,13 +54,6 @@ def default_order_cap(chart: Chart) -> int:
     return 2 * chart.rank.total ** 2 + chart.sig.m
 
 
-def _evaluate_matrix(mat, point, chart: Chart) -> SuperMatrix:
-    field = chart.sig.field
-    rk = chart.rank
-    entries = [[f.value(point) for f in row] for row in mat]
-    return SuperMatrix(rk, entries, None, field)
-
-
 def infinitesimal_holonomy(conn: ConnectionData, point, cap=None) -> HolonomyResult:
     """Bracket closure of evaluated curvature derivatives at the point.
 
@@ -75,18 +70,17 @@ def infinitesimal_holonomy(conn: ConnectionData, point, cap=None) -> HolonomyRes
     rk = chart.rank
     full_dims = (rk.p ** 2 + rk.q ** 2, 2 * rk.p * rk.q)
 
-    base = curvature(conn)
-    if base.is_zero():
+    if curvature(conn).is_zero():
         return HolonomyResult(SubSuperalgebra.zero(rk, field), 0, [], "stabilized")
 
-    table = DerivativeTable(chart, 0, {((), a, b): m for (a, b), m in base.mats.items()}, True)
+    table = DerivativeTable.order_zero(conn)
     gens = []
     log = []
 
     def harvest(tab, order):
         added = []
         for (dirs, a, b), mat in sorted(tab.components.items()):
-            m = _evaluate_matrix(mat, point, chart)
+            m = SuperMatrix(rk, sfmat_value(mat, point), None, field)
             if m.is_zero():
                 continue
             want = (
@@ -194,10 +188,7 @@ def conjugated_generators(conn: ConnectionData, point, loops, max_order=1, steps
     Only used to validate that their span embeds into the float image of the
     exact algebra; never used to extend it.
     """
-    chart = conn.chart
-    base = curvature(conn)
-    table = DerivativeTable(chart, 0, {((), a, b): m for (a, b), m in base.mats.items()}, True)
-    tables = [table]
+    tables = [DerivativeTable.order_zero(conn)]
     for _ in range(max_order):
         tables.append(_next_derivative(conn, None, tables[-1]))
     out = []
@@ -275,7 +266,7 @@ class SectionData:
         self.components = list(components)
 
     def value(self, point):
-        return [f.value(point) for f in self.components]
+        return sfmat_value([self.components], point)[0]
 
 
 def check_parallel(conn: ConnectionData, section: SectionData) -> bool:
@@ -363,10 +354,7 @@ def reconstruct_parallel_section(conn: ConnectionData, point, value, gauge=None,
                         return ReconstructionResult(
                             "rejected", reason="supplied gauge does not produce this connection"
                         )
-        gval = _evaluate_matrix(gauge, point, chart)
-        from .geometry import scalar_matrix_inverse
-
-        gval_inv = scalar_matrix_inverse(gval.entries, field)
+        gval_inv = scalar_matrix_inverse(sfmat_value(gauge, point), field)
         coeffs = [
             sum((gval_inv[B][C] * value[C] for C in range(rk)), field_zero(field))
             for B in range(rk)

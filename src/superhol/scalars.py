@@ -97,9 +97,6 @@ class GaussianRational:
     def __bool__(self):
         return self.re != 0 or self.im != 0
 
-    def conjugate(self):
-        return GaussianRational(self.re, -self.im)
-
     def __repr__(self):
         return "GaussianRational(%r, %r)" % (self.re, self.im)
 

@@ -55,6 +55,12 @@ class ChartSignature:
     def total(self) -> int:
         return self.n + self.m
 
+    def coerce_point(self, point):
+        """The even coordinates of a point, checked and coerced into the field."""
+        if len(point) != self.n:
+            raise ValueError("point must have %d even coordinates" % self.n)
+        return [to_field(c, self.field) for c in point]
+
     def index_parity(self, a: int) -> int:
         """Parity of coordinate index a in 1..n+m (1-based)."""
         if not 1 <= a <= self.n + self.m:
@@ -337,17 +343,13 @@ class Superfunction:
 
     # ------------------------------------------------------------- evaluation
 
-    def body(self) -> dict:
-        """Polynomial of the empty odd index set."""
-        return dict(self.terms.get(0, {}))
-
     def value(self, point):
         """Value at a point: the body polynomial evaluated at even coords."""
-        sig = self.sig
-        if len(point) != sig.n:
-            raise ValueError("point must have %d even coordinates" % sig.n)
-        point = [to_field(c, sig.field) for c in point]
-        total = field_zero(sig.field)
+        return self.body_value(self.sig.coerce_point(point))
+
+    def body_value(self, point):
+        """The body polynomial at even coordinates already in the field."""
+        total = field_zero(self.sig.field)
         for exps, coef in self.terms.get(0, {}).items():
             term = coef
             for c, e in zip(point, exps):

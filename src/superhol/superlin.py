@@ -216,9 +216,6 @@ class SuperMatrix:
         m.declared_parity = m._detect_parity()
         return m
 
-    def to_json(self):
-        return [scalar_str(v) for row in self.entries for v in row]
-
     def __repr__(self):
         rows = ["[" + ", ".join(scalar_str(v) for v in row) + "]" for row in self.entries]
         return "SuperMatrix(%r, [%s])" % (self.dim, "; ".join(rows))
@@ -308,13 +305,6 @@ class SubSuperalgebra:
             a == b
             for a, b in zip(self.basis(), other.basis())
         )
-
-    def to_json(self):
-        return {
-            "dim": {"p": self.dim.p, "q": self.dim.q},
-            "even": [m.to_json() for m in self.even_basis],
-            "odd": [m.to_json() for m in self.odd_basis],
-        }
 
     def __repr__(self):
         return "SubSuperalgebra(dim %r, graded dim %d|%d)" % (

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from superhol.scalars import GaussianRational
+from superhol import cli
+from superhol import geometry as geo
+from superhol.scalars import GAUSSIAN, RATIONAL, GaussianRational, field_zero
 from superhol.superfunc import ChartSignature, Superfunction, parse_superfunction
 from superhol.superlin import (
     SuperDim,
@@ -29,6 +31,7 @@ from superhol.geometry import (
     sfmat_inverse,
     sfmat_mul,
     sfmat_partial,
+    sfmat_value,
     sfmat_zeros,
     tensor_extension,
     torsion,
@@ -98,6 +101,59 @@ class TestCurvature:
                         want = curvature_operator_oracle(conn, a, b, col)
                         for row in range(4):
                             assert table.mats[(a, b)][row][col] == want[row]
+
+
+class TestCurvatureKept:
+    def test_same_table_on_every_call(self):
+        chart = Chart(ChartSignature(1, 1), SuperDim(1, 1))
+        conn = random_connection(random.Random(5), chart)
+        assert curvature(conn) is curvature(conn)
+
+    def test_one_build_per_problem(self, monkeypatch):
+        built = []
+
+        class CountingTable(geo.CurvatureTable):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(geo, "CurvatureTable", CountingTable)
+        doc = {
+            "kind": "connection",
+            "chart": {"n": 2, "m": 0},
+            "gamma": {"1,1,2": "0-x2", "1,2,1": "x2"},
+            "options": {"point": ["1/2", "1/2"]},
+        }
+        rep, ok = cli.run_problem(doc, steps=200)
+        assert ok
+        res = rep["result"]
+        assert not res["flat"] and "ricci" in res and "transport_validation" in res
+        assert len(built) == 1
+
+
+class TestEvaluation:
+    @pytest.mark.parametrize("field", [RATIONAL, GAUSSIAN])
+    def test_sfmat_value_matches_entrywise_value(self, field):
+        rng = random.Random(41)
+        sig = ChartSignature(2, 2, field)
+
+        def scalar():
+            re = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            return re if field == RATIONAL else GaussianRational(re, rng.randint(-2, 2))
+
+        for _ in range(30):
+            rows, cols = rng.randint(1, 3), rng.randint(1, 3)
+            mat = [
+                [random_superfunction(rng, sig, maxdeg=2).scale(scalar()) for _ in range(cols)]
+                for _ in range(rows)
+            ]
+            point = [rng.randint(-2, 2), scalar()]
+            got = sfmat_value(mat, point)
+            assert got == [[f.value(point) for f in row] for row in mat]
+            assert all(type(v) is type(field_zero(field)) for row in got for v in row)
+            for bad in ([1], [1, 2, 3]):
+                with pytest.raises(ValueError):
+                    sfmat_value(mat, bad)
 
 
 class TestCovariantDerivatives:

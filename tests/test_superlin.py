@@ -227,10 +227,10 @@ class TestProperties:
 
     def test_serialization_round_trip(self):
         alg = classical_superalgebra("osp", (1, 2))
-        doc = alg.to_json()
+        from superhol.reportio import decode_algebra, encode_algebra
+
+        doc = encode_algebra(alg)
         assert doc["dim"] == {"p": 1, "q": 2}
         assert len(doc["even"]) == 3 and len(doc["odd"]) == 2
-        from superhol.reportio import decode_algebra
-
         back = decode_algebra(doc)
         assert back == alg
