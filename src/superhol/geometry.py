@@ -344,30 +344,59 @@ class DerivativeTable:
 
     components maps (dirs, a, b) -> matrix [A][B], dirs a tuple (a_r,...,a_1)
     of 0-based coordinate indices.
+
+    A full table holds every pair (a, b) and every direction tuple.  A
+    canonical table (`holonomy_seed`) holds only the pairs a < b and (α, α)
+    for odd α, and only the direction tuples with a_r <= ... <= a_1 in which
+    no odd direction repeats.  With the flat coordinate reference,
+    ∇_c∇_d − (−1)^{|c||d|}∇_d∇_c = [R_cd, ·] on End(E)-valued tensors, and
+    ∇_α∇_α = ½[R_αα, ·] for odd α; R_ba = −(−1)^{|a||b|}R_ab, and R_aa = 0
+    for even a.  So at every order the dropped components lie in the bracket
+    closure of the kept ones and of lower orders: both tables close to the
+    same holonomy algebra.
     """
 
-    def __init__(self, chart: Chart, order: int, components):
+    def __init__(self, chart: Chart, order: int, components, canonical=False):
         self.chart = chart
         self.order = order
         self.components = components
+        self.canonical = canonical
 
     @staticmethod
     def order_zero(conn: ConnectionData) -> "DerivativeTable":
-        """The curvature of the connection as the order-0 table."""
+        """The curvature of the connection as the full order-0 table."""
         mats = curvature(conn).mats
         return DerivativeTable(conn.chart, 0, {((), a, b): m for (a, b), m in mats.items()})
+
+    @staticmethod
+    def holonomy_seed(conn: ConnectionData) -> "DerivativeTable":
+        """The canonical order-0 table, for the infinitesimal holonomy."""
+        chart = conn.chart
+        mats = curvature(conn).mats
+        comps = {
+            ((), a, b): m
+            for (a, b), m in mats.items()
+            if a < b or (a == b and chart.coord_parity(a))
+        }
+        return DerivativeTable(chart, 0, comps, canonical=True)
 
 
 def _next_derivative(conn: ConnectionData, ref, prev: DerivativeTable) -> DerivativeTable:
     chart = conn.chart
     sig = chart.sig
     t, rk = sig.total, chart.rank.total
+    if prev.canonical and ref is not None:
+        raise ValueError("a canonical table extends only with the flat coordinate reference")
     gamma = conn.gamma
     ref_gamma = None if ref is None else ref.gamma
     out = {}
     for (dirs, a, b), mat in prev.components.items():
         base_par = sum(chart.coord_parity(d) for d in dirs) + chart.coord_parity(a) + chart.coord_parity(b)
-        for ar in range(t):
+        stop = t
+        if prev.canonical and dirs:
+            # prepend a_{r+1} <= a_r, strictly when it is odd
+            stop = dirs[0] + 1 - chart.coord_parity(dirs[0])
+        for ar in range(stop):
             par = chart.coord_parity(ar)
             new = sfmat_zeros(sig, rk, rk)
             for A in range(rk):
@@ -430,7 +459,7 @@ def _next_derivative(conn: ConnectionData, ref, prev: DerivativeTable) -> Deriva
                                     if not pmat[A][B].is_zero():
                                         new[A][B] = new[A][B] - (gbar * pmat[A][B]).scale(sign)
             out[((ar,) + dirs, a, b)] = new
-    return DerivativeTable(chart, prev.order + 1, out)
+    return DerivativeTable(chart, prev.order + 1, out, prev.canonical)
 
 
 def covariant_derivatives(conn: ConnectionData, ref, order: int):

@@ -9,6 +9,7 @@ exact algebra.
 from __future__ import annotations
 
 import itertools
+import random
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .geometry import (
     scalar_matrix_inverse,
     sfmat_value,
 )
-from .linalg import SparseEchelon, solve_kernel, span_echelon
+from .linalg import SparseEchelon, intersect_spans, solve_kernel, span_echelon
 from .scalars import field_zero, scalar_float, to_field
 from .superfunc import Superfunction
 from .superlin import (
@@ -32,6 +33,7 @@ from .superlin import (
     SuperMatrix,
     generate_subalgebra,
     stabilizer_algebra,
+    superbracket,
 )
 
 
@@ -57,8 +59,11 @@ def default_order_cap(chart: Chart) -> int:
 def infinitesimal_holonomy(conn: ConnectionData, point, cap=None) -> HolonomyResult:
     """Bracket closure of evaluated curvature derivatives at the point.
 
-    Stops at the first derivative order that adds no graded dimension after
-    closure, or at the hard cap (status 'capped').
+    The tower is canonical (`DerivativeTable.holonomy_seed`): sorted
+    directions and one curvature pair of each swap, which close to the same
+    algebra as the full tower at every order.  Stops at the first derivative
+    order that adds no graded dimension after closure, or at the hard cap
+    (status 'capped').
     """
     chart = conn.chart
     sig = chart.sig
@@ -73,7 +78,7 @@ def infinitesimal_holonomy(conn: ConnectionData, point, cap=None) -> HolonomyRes
     if curvature(conn).is_zero():
         return HolonomyResult(SubSuperalgebra.zero(rk, field), 0, [], "stabilized")
 
-    table = DerivativeTable.order_zero(conn)
+    table = DerivativeTable.holonomy_seed(conn)
     gens = []
     log = []
 
@@ -88,7 +93,7 @@ def infinitesimal_holonomy(conn: ConnectionData, point, cap=None) -> HolonomyRes
                 + chart.coord_parity(a)
                 + chart.coord_parity(b)
             ) % 2
-            if m.parity not in (want,):
+            if m.parity != want:
                 raise AssertionError("evaluated generator has unexpected parity")
             label = (tuple(d + 1 for d in dirs), a + 1, b + 1)
             log.append((order, label, m))
@@ -506,8 +511,6 @@ def _norton_irreducible(algebra: SubSuperalgebra, tries=40) -> bool:
     candidates = list(basis)
     for a, b in itertools.combinations(range(len(basis)), 2):
         candidates.append(basis[a].matmul(basis[b]))
-    import random
-
     rng = random.Random(20240515)
     for _ in range(tries):
         coeffs = [rng.randint(-2, 2) for _ in basis]
@@ -614,8 +617,6 @@ def decomposability_certificate(algebra: SubSuperalgebra, metric_body, max_candi
 
     basis = algebra.basis()
     ops = list(basis)
-    from .superlin import superbracket
-
     for i, j in itertools.combinations(range(len(basis)), 2):
         br = superbracket(basis[i], basis[j])
         if not br.is_zero():
@@ -657,8 +658,6 @@ def decomposability_certificate(algebra: SubSuperalgebra, metric_body, max_candi
         if len(pool) >= max_candidates:
             break
         push(va + vb)
-        from .linalg import intersect_spans
-
         push(intersect_spans(va, vb, t))
     pool = pool[:max_candidates]
 

@@ -128,11 +128,15 @@ def to_field(value, field):
     return GaussianRational(Fraction(value))
 
 
+class NotRealError(ValueError):
+    """A real float was asked of a scalar with an imaginary part."""
+
+
 def scalar_float(value):
     """Body float of a scalar; imaginary parts must be absent."""
     if isinstance(value, GaussianRational):
         if value.im != 0:
-            raise ValueError("cannot take a real float of %s" % value)
+            raise NotRealError("cannot take a real float of %s" % value)
         return float(value.re)
     return float(value)
 

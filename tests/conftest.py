@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from superhol.geometry import Chart, ConnectionData, sfmat_zeros
+from superhol.scalars import GAUSSIAN, GaussianRational
 from superhol.superfunc import ChartSignature, Superfunction
 from superhol.superlin import SuperDim, SuperMatrix
 
@@ -31,6 +32,24 @@ def random_connection(rng, chart, maxdeg=1):
             for B in range(rk):
                 want = (chart.coord_parity(a) + chart.fiber_parity(A) + chart.fiber_parity(B)) % 2
                 gamma[a][A][B] = random_superfunction(rng, sig, want, maxdeg)
+    return ConnectionData(chart, gamma)
+
+
+def random_sparse_connection(rng, chart, entries=4, maxdeg=1):
+    """A few nonzero Christoffel entries, each of the parity its slot needs.
+
+    Over the Gaussian field each entry is scaled by a non-real unit multiple.
+    """
+    sig = chart.sig
+    t, rk = sig.total, chart.rank.total
+    gamma = [sfmat_zeros(sig, rk, rk) for _ in range(t)]
+    for _ in range(entries):
+        a, A, B = rng.randrange(t), rng.randrange(rk), rng.randrange(rk)
+        want = (chart.coord_parity(a) + chart.fiber_parity(A) + chart.fiber_parity(B)) % 2
+        f = random_superfunction(rng, sig, want, maxdeg)
+        if sig.field == GAUSSIAN:
+            f = f.scale(GaussianRational(rng.choice([-1, 1]), rng.choice([-1, 1])))
+        gamma[a][A][B] = gamma[a][A][B] + f
     return ConnectionData(chart, gamma)
 
 

@@ -180,6 +180,19 @@ class TestStatusFlags:
         tv = rep["result"]["transport_validation"]
         assert tv["ok"] and tv["residual"] < 1e-6
 
+    @pytest.mark.parametrize("point", [["1/2+i"], ["1/2"]])
+    def test_transport_validation_skipped_off_the_reals(self, point):
+        # non-real point, or a real point with non-real Christoffel bodies
+        doc = load("example_gaussian_point.json")
+        doc["options"]["point"] = point
+        exact, _ = cli.run_problem(doc)
+        rep, ok = cli.run_problem(doc, steps=200)
+        assert ok
+        tv = rep["result"].pop("transport_validation")
+        assert tv["steps"] == 200 and tv["status"] == "skipped"
+        assert "cannot take a real float" in tv["reason"]
+        assert rep == exact
+
 
 if __name__ == "__main__":
     for name in PROBLEMS:

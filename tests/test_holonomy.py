@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,14 +10,18 @@ from superhol.superlin import (
     SubSuperalgebra,
     SuperDim,
     SuperMatrix,
+    generate_subalgebra,
     stabilizer_algebra,
     standard_even_form,
 )
 from superhol.geometry import (
     Chart,
     ConnectionData,
+    DerivativeTable,
     MetricData,
     TensorSpace,
+    _next_derivative,
+    covariant_derivatives,
     curvature,
     levi_civita,
     pure_gauge_connection,
@@ -41,8 +46,10 @@ from superhol.holonomy import (
 )
 from superhol.berger import CurvatureElement, canonical_pairs, curvature_space
 from superhol.linalg import span_echelon
+from superhol.reportio import encode_algebra
+from superhol.scalars import GAUSSIAN, RATIONAL, GaussianRational
 
-from conftest import random_unipotent_gauge
+from conftest import random_sparse_connection, random_torsion_free_connection, random_unipotent_gauge
 
 
 def r01_connection():
@@ -419,3 +426,79 @@ class TestCrossModuleInvariants:
         other = ConnectionData.zero(Chart.tangent(ChartSignature(1, 1)))
         with pytest.raises(ValueError):
             covariant_derivatives(conn, other, 1)
+
+
+def _closures_by_order(tables, point, rank, field):
+    """encode_algebra of the closure of the evaluated orders <= r, for each r."""
+    gens, out = [], []
+    for tab in tables:
+        for key in sorted(tab.components):
+            m = SuperMatrix(rank, sfmat_value(tab.components[key], point), None, field)
+            if not m.is_zero():
+                gens.append(m)
+        out.append(encode_algebra(generate_subalgebra(gens, rank, field)))
+    return out
+
+
+def _canonical_tower(conn, order):
+    tables = [DerivativeTable.holonomy_seed(conn)]
+    for _ in range(order):
+        tables.append(_next_derivative(conn, None, tables[-1]))
+    return tables
+
+
+def _canonical_keys(chart, order):
+    """Canonical pairs times multisets of directions, odd ones at most once."""
+    t = chart.sig.total
+    odd = chart.coord_parity
+    pairs = [(a, b) for a in range(t) for b in range(a, t) if a < b or odd(a)]
+    tuples = [
+        dirs
+        for dirs in itertools.combinations_with_replacement(range(t), order)
+        if not any(d == e and odd(d) for d, e in zip(dirs, dirs[1:]))
+    ]
+    return {(dirs, a, b) for dirs in tuples for (a, b) in pairs}
+
+
+class TestCanonicalTower:
+    """The tower infinitesimal_holonomy builds, against the full reference."""
+
+    # field, chart n|m, rank p|q, top order, Christoffel entries, seeds; the
+    # seeds give algebras that grow after order 0, need the odd diagonal
+    # pairs (R_αα), or need a repeated even direction (rational 2|2, seed 6)
+    CASES = [
+        (RATIONAL, (1, 2), (1, 1), 3, 4, (9, 31)),
+        (GAUSSIAN, (1, 2), (1, 1), 3, 4, (20, 24)),
+        (RATIONAL, (2, 2), (2, 2), 2, 5, (6, 8)),
+        (GAUSSIAN, (2, 2), (2, 2), 2, 5, (6, 14)),
+        (RATIONAL, (0, 3), (2, 1), 3, 4, (1, 7)),
+    ]
+
+    @pytest.mark.parametrize("field, nm, pq, order, entries, seeds", CASES)
+    def test_same_algebra_as_full_tower_at_every_order(self, field, nm, pq, order, entries, seeds):
+        sig = ChartSignature(*nm, field)
+        chart = Chart(sig, SuperDim(*pq))
+        point = [GaussianRational(Fraction(1, 2), 1) if field == GAUSSIAN else Fraction(1, 2)] * sig.n
+        for seed in seeds:
+            conn = random_sparse_connection(random.Random(seed), chart, entries)
+            canonical = _canonical_tower(conn, order)
+            for r, tab in enumerate(canonical):
+                assert set(tab.components) == _canonical_keys(chart, r)
+            full = covariant_derivatives(conn, None, order)
+            assert _closures_by_order(canonical, point, chart.rank, field) == _closures_by_order(
+                full, point, chart.rank, field
+            )
+
+    def test_sizes_on_2_2(self):
+        chart = Chart(ChartSignature(2, 2), SuperDim(2, 2))
+        conn = random_sparse_connection(random.Random(6), chart, 5)
+        assert len(_canonical_tower(conn, 2)[2].components) == 64
+        assert len(covariant_derivatives(conn, None, 2)[2].components) == 4 ** 2 * 4 ** 2
+
+    def test_canonical_table_refuses_a_reference(self):
+        sig = ChartSignature(1, 2)
+        conn = random_torsion_free_connection(random.Random(3), sig)
+        seed = DerivativeTable.holonomy_seed(conn)
+        with pytest.raises(ValueError):
+            _next_derivative(conn, conn, seed)
+        assert len(_next_derivative(conn, conn, DerivativeTable.order_zero(conn)).components) == 3 ** 3
