@@ -106,7 +106,7 @@ def infinitesimal_holonomy(conn: ConnectionData, point, cap=None) -> HolonomyRes
         return HolonomyResult(algebra, 1, log, "stabilized")
 
     for order in range(1, cap + 1):
-        table = _next_derivative(conn, None, table)
+        table = _next_derivative(conn, table)
         new = harvest(table, order)
         gens.extend(new)
         bigger = generate_subalgebra(gens, rk, field)
@@ -195,7 +195,7 @@ def conjugated_generators(conn: ConnectionData, point, loops, max_order=1, steps
     """
     tables = [DerivativeTable.order_zero(conn)]
     for _ in range(max_order):
-        tables.append(_next_derivative(conn, None, tables[-1]))
+        tables.append(_next_derivative(conn, tables[-1]))
     out = []
     for path in loops:
         if list(path) and list(path[0]) != list(point):

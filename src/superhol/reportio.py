@@ -11,7 +11,7 @@ import json
 from .geometry import Chart, ConnectionData, MetricData
 from .scalars import parse_scalar, scalar_str
 from .superfunc import ChartSignature, parse_superfunction
-from .superlin import SubSuperalgebra, SuperDim, SuperMatrix, classical_superalgebra
+from .superlin import SubSuperalgebra, SuperDim, SuperMatrix, classical_superalgebra, generate_subalgebra
 
 
 class ProblemError(ValueError):
@@ -29,6 +29,13 @@ def _require(obj, key, path):
     if key not in obj:
         raise ProblemError(path + "/" + key, "missing required key")
     return obj[key]
+
+
+def _require_object(obj, key, path):
+    value = _require(obj, key, path)
+    if not isinstance(value, dict):
+        raise ProblemError(path + "/" + key, "must be an object")
+    return value
 
 
 def decode_chart(obj, path="/chart") -> ChartSignature:
@@ -53,7 +60,7 @@ def decode_connection(obj, path="") -> ConnectionData:
         tangent = bool(obj.get("tangent", rank.p == sig.n and rank.q == sig.m))
         chart = Chart(sig, rank, tangent_sheaf=tangent and rank.p == sig.n and rank.q == sig.m)
     entries = {}
-    for key, text in _require(obj, "gamma", path).items():
+    for key, text in _require_object(obj, "gamma", path).items():
         try:
             a, b_idx, a_idx = (int(x) for x in key.split(","))
         except ValueError:
@@ -74,7 +81,7 @@ def decode_metric(obj, path="") -> MetricData:
     sig = decode_chart(_require(obj, "chart", path), path + "/chart")
     chart = Chart.tangent(sig)
     entries = {}
-    for key, text in _require(obj, "g", path).items():
+    for key, text in _require_object(obj, "g", path).items():
         try:
             a, b = (int(x) for x in key.split(","))
         except ValueError:
@@ -106,7 +113,7 @@ def decode_algebra(obj, path="/algebra") -> SubSuperalgebra:
         except ValueError as exc:
             raise ProblemError(path, str(exc))
     dim_obj = _require(obj, "dim", path)
-    dim = SuperDim(int(dim_obj["p"]), int(dim_obj["q"]))
+    dim = SuperDim(int(_require(dim_obj, "p", path + "/dim")), int(_require(dim_obj, "q", path + "/dim")))
     field = obj.get("field", "rational")
     if field == "gaussian":
         field = "gaussian-rational"
@@ -114,13 +121,16 @@ def decode_algebra(obj, path="/algebra") -> SubSuperalgebra:
     for section in ("even", "odd"):
         for k, flat in enumerate(obj.get(section, [])):
             t = dim.total
-            if len(flat) != t * t:
+            if not isinstance(flat, list) or len(flat) != t * t:
                 raise ProblemError("%s/%s/%d" % (path, section, k), "expected %d entries" % (t * t))
             entries = [
                 [parse_scalar(flat[a * t + b], field) for b in range(t)] for a in range(t)
             ]
             mats.append(SuperMatrix(dim, entries, None, field))
-    return SubSuperalgebra.from_matrices(dim, mats, field)
+    alg = SubSuperalgebra.from_matrices(dim, mats, field)
+    if generate_subalgebra(alg.basis(), dim, field).graded_dim != alg.graded_dim:
+        raise ProblemError(path, "basis is not closed under the bracket")
+    return alg
 
 
 def decode_problem(obj):
@@ -142,7 +152,7 @@ def decode_point(options, sig: ChartSignature):
     raw = options.get("point")
     if raw is None:
         return [0] * sig.n
-    if len(raw) != sig.n:
+    if not isinstance(raw, list) or len(raw) != sig.n:
         raise ProblemError("/options/point", "expected %d coordinates" % sig.n)
     return [parse_scalar(str(x), sig.field) for x in raw]
 

@@ -77,6 +77,28 @@ class TestRunPipelines:
         rep, ok = cli.run_problem({"kind": "nonsense"})
         assert not ok and "kind" in rep["error"]
 
+    @pytest.mark.parametrize(
+        "doc, path",
+        [
+            ({"kind": "connection", "chart": {"n": 0, "m": 1}, "gamma": ["xi1"]}, "/gamma"),
+            ({"kind": "metric", "chart": {"n": 0, "m": 2}, "g": ["1"]}, "/g"),
+            ({"kind": "algebra", "algebra": {"dim": {"p": 2}}}, "/algebra/dim/q"),
+            ({"kind": "algebra", "algebra": {"dim": {"p": 1, "q": 0}, "even": [5]}}, "/algebra/even/0"),
+            (
+                {"kind": "connection", "chart": {"n": 1, "m": 0}, "gamma": {"1,1,1": "x1"}, "options": {"point": 5}},
+                "/options/point",
+            ),
+            # span{E12, E21} in gl(2|0): the bracket E11 - E22 falls outside it
+            (
+                {"kind": "algebra", "algebra": {"dim": {"p": 2, "q": 0}, "even": [["0", "1", "0", "0"], ["0", "0", "1", "0"]]}},
+                "/algebra",
+            ),
+        ],
+    )
+    def test_malformed_input_is_an_error_report(self, doc, path):
+        rep, ok = cli.run_problem(doc)
+        assert not ok and rep["error"].startswith(path + ": ")
+
 
 class TestDeterminism:
     def test_byte_identical_reports(self, tmp_path):

@@ -40,6 +40,7 @@ from superhol.geometry import (
 
 from conftest import (
     random_connection,
+    random_sparse_connection,
     random_superfunction,
     random_torsion_free_connection,
     random_unipotent_gauge,
@@ -210,36 +211,6 @@ class TestCovariantDerivatives:
         value = mat[0][0].value([])
         assert isinstance(value, Fraction)  # one component: trivially in span{id}
 
-    def test_reference_independence_of_pointwise_span(self):
-        # the span of all derivative values at a point must not depend on the
-        # reference connection
-        from superhol.linalg import same_span
-
-        rng = random.Random(24)
-        sig = ChartSignature(1, 1)
-        chart = Chart(sig, SuperDim(1, 1))
-        conn = random_connection(rng, chart)
-        ref = random_connection(rng, Chart.tangent(sig))
-        point = [Fraction(1, 2)]
-        flat_tables = covariant_derivatives(conn, None, 2)
-        ref_tables = covariant_derivatives(conn, ref, 2)
-        for upto in (0, 1, 2):
-            def span(tables):
-                vecs = []
-                for r in range(upto + 1):
-                    for mat in tables[r].components.values():
-                        flat = {}
-                        for i, row in enumerate(mat):
-                            for j, f in enumerate(row):
-                                v = f.value(point)
-                                if v:
-                                    flat[i * 2 + j] = v
-                        if flat:
-                            vecs.append(flat)
-                return vecs
-
-            assert same_span(span(flat_tables), span(ref_tables))
-
 
 class TestTorsionAndBianchi:
     def test_classical_symmetric_torsion_free(self):
@@ -283,6 +254,82 @@ class TestTorsionAndBianchi:
             assert torsion(conn).is_zero()
             assert check_first_bianchi(conn)
             assert check_second_bianchi(conn)
+
+
+def second_bianchi_oracle(conn):
+    """The second Bianchi flag from the first covariant derivatives themselves.
+
+    (∇_x R)(y,z), with the connection as its own reference on the directions,
+    is the flat-reference component of `covariant_derivatives` minus
+    sum_c Γ^c_{xy} R_{cz} and minus the signed sum_c Γ^c_{xz} R_{yc}.  The flag
+    says whether the cyclic sum of these vanishes entry by entry.
+    """
+    par = conn.chart.coord_parity
+    t, rk = conn.chart.sig.total, conn.chart.rank.total
+    gamma = conn.gamma
+    curv, first = (tab.components for tab in covariant_derivatives(conn, None, 1))
+    nabla = {}
+    for x, y, z in itertools.product(range(t), repeat=3):
+        mat = [row[:] for row in first[((x,), y, z)]]
+        for c in range(t):
+            sign = (-1) ** ((par(c) + par(z)) * par(y))
+            for A in range(rk):
+                for B in range(rk):
+                    mat[A][B] = mat[A][B] - gamma[x][c][y] * curv[((), c, z)][A][B]
+                    mat[A][B] = mat[A][B] - (gamma[x][c][z] * curv[((), y, c)][A][B]).scale(sign)
+        nabla[(x, y, z)] = mat
+    for x, y, z in itertools.product(range(t), repeat=3):
+        s2 = (-1) ** (par(x) * (par(y) + par(z)))
+        s3 = (-1) ** (par(z) * (par(x) + par(y)))
+        for A in range(rk):
+            for B in range(rk):
+                s = nabla[(x, y, z)][A][B] + nabla[(y, z, x)][A][B].scale(s2)
+                if not (s + nabla[(z, x, y)][A][B].scale(s3)).is_zero():
+                    return False
+    return True
+
+
+class TestSecondBianchiOracle:
+    """check_second_bianchi, read off the torsion, against the direct cyclic sum."""
+
+    # field, chart n|m, connection, seed, flag; the sparse ones have one
+    # Christoffel entry, and those with flag True have torsion
+    CASES = [
+        (field, nm, kind, seed, flag)
+        for field in (RATIONAL, GAUSSIAN)
+        for nm, kind, seed, flag in [
+            ((0, 1), "dense", 1, False),
+            ((0, 1), "torsion-free", 1, True),
+            ((1, 1), "dense", 1, False),
+            ((1, 1), "sparse", 0, True),
+            ((1, 1), "sparse", 1, False),
+            ((1, 1), "torsion-free", 1, True),
+            ((1, 2), "sparse", 8, True),
+            ((1, 2), "sparse", 0, False),
+            ((1, 2), "torsion-free", 1, True),
+            ((2, 2), "sparse", 1, True),
+            ((2, 2), "sparse", 0, False),
+            ((0, 3), "dense", 1, False),
+            ((0, 3), "sparse", 0, False),
+            ((0, 3), "torsion-free", 1, True),
+        ]
+    ]
+
+    @pytest.mark.parametrize(
+        "field, nm, kind, seed, flag", CASES, ids=["%s-%d|%d-%s-%d" % (c[0], *c[1], *c[2:4]) for c in CASES]
+    )
+    def test_matches_direct_cyclic_sum(self, field, nm, kind, seed, flag):
+        sig = ChartSignature(*nm, field)
+        rng = random.Random(seed)
+        if kind == "dense":
+            conn = random_connection(rng, Chart.tangent(sig))
+        elif kind == "sparse":
+            conn = random_sparse_connection(rng, Chart.tangent(sig), 1)
+        else:
+            conn = random_torsion_free_connection(rng, sig)
+        assert torsion(conn).is_zero() == (kind == "torsion-free")
+        assert second_bianchi_oracle(conn) == flag
+        assert check_second_bianchi(conn) == flag
 
 
 def curved_02_metric(scale=3):

@@ -418,14 +418,10 @@ class TestCrossModuleInvariants:
         )
         assert stab_of(form).contains_algebra(hol.algebra)
 
-    def test_covariant_derivatives_chart_mismatch(self):
-        import pytest
-        from superhol.geometry import covariant_derivatives
-
+    def test_covariant_derivatives_refuse_a_reference(self):
         conn = r01_connection()
-        other = ConnectionData.zero(Chart.tangent(ChartSignature(1, 1)))
         with pytest.raises(ValueError):
-            covariant_derivatives(conn, other, 1)
+            covariant_derivatives(conn, conn, 1)
 
 
 def _closures_by_order(tables, point, rank, field):
@@ -443,7 +439,7 @@ def _closures_by_order(tables, point, rank, field):
 def _canonical_tower(conn, order):
     tables = [DerivativeTable.holonomy_seed(conn)]
     for _ in range(order):
-        tables.append(_next_derivative(conn, None, tables[-1]))
+        tables.append(_next_derivative(conn, tables[-1]))
     return tables
 
 
@@ -495,10 +491,7 @@ class TestCanonicalTower:
         assert len(_canonical_tower(conn, 2)[2].components) == 64
         assert len(covariant_derivatives(conn, None, 2)[2].components) == 4 ** 2 * 4 ** 2
 
-    def test_canonical_table_refuses_a_reference(self):
+    def test_full_table_extends_to_every_direction(self):
         sig = ChartSignature(1, 2)
         conn = random_torsion_free_connection(random.Random(3), sig)
-        seed = DerivativeTable.holonomy_seed(conn)
-        with pytest.raises(ValueError):
-            _next_derivative(conn, conn, seed)
-        assert len(_next_derivative(conn, conn, DerivativeTable.order_zero(conn)).components) == 3 ** 3
+        assert len(_next_derivative(conn, DerivativeTable.order_zero(conn)).components) == 3 ** 3
