@@ -146,14 +146,15 @@ def sfmat_inverse(a, sig: ChartSignature):
 class ConnectionData:
     """Christoffel table of a connection on a rank p|q free sheaf.
 
-    The table must not be modified after construction: `curvature` keeps the
-    curvature it derives from it on the connection.
+    The table must not be modified after construction: `curvature` and
+    `torsion` keep the tables they derive from it on the connection.
     """
 
     def __init__(self, chart: Chart, gamma, validate=True):
         self.chart = chart
         self.gamma = gamma  # gamma[a][A][B], superfunctions
         self._curvature = None
+        self._torsion = None
         sig = chart.sig
         t, r = sig.total, chart.rank.total
         if len(gamma) != t or any(len(g) != r or any(len(row) != r for row in g) for g in gamma):
@@ -445,6 +446,9 @@ class TorsionTable:
 
 
 def torsion(conn: ConnectionData) -> TorsionTable:
+    """Coordinate torsion components, kept on the connection like its curvature."""
+    if conn._torsion is not None:
+        return conn._torsion
     chart = conn.chart
     if not chart.tangent_sheaf:
         raise ValueError("torsion needs a tangent-sheaf connection")
@@ -456,7 +460,8 @@ def torsion(conn: ConnectionData) -> TorsionTable:
             comps[(a, b)] = [
                 conn.gamma[a][c][b] - conn.gamma[b][c][a].scale(sign) for c in range(t)
             ]
-    return TorsionTable(chart, comps)
+    conn._torsion = TorsionTable(chart, comps)
+    return conn._torsion
 
 
 def check_first_bianchi(conn: ConnectionData) -> bool:

@@ -38,11 +38,12 @@ from .superlin import (
 
 
 class HolonomyResult:
-    def __init__(self, algebra, stabilized_at_order, generator_log, status):
+    def __init__(self, algebra, stabilized_at_order, generator_log, status, tables=()):
         self.algebra = algebra
         self.stabilized_at_order = stabilized_at_order
         self.generator_log = generator_log
         self.status = status  # 'stabilized' | 'capped'
+        self.tables = list(tables)  # canonical orders 0 and 1, as far as built
 
     def __repr__(self):
         return "HolonomyResult(dim %d|%d, order %s, %s)" % (
@@ -79,7 +80,7 @@ def infinitesimal_holonomy(conn: ConnectionData, point, cap=None) -> HolonomyRes
         return HolonomyResult(SubSuperalgebra.zero(rk, field), 0, [], "stabilized")
 
     table = DerivativeTable.holonomy_seed(conn)
-    gens = []
+    tables = [table]
     log = []
 
     def harvest(tab, order):
@@ -100,22 +101,24 @@ def infinitesimal_holonomy(conn: ConnectionData, point, cap=None) -> HolonomyRes
             added.append(m)
         return added
 
-    gens.extend(harvest(table, 0))
+    gens = harvest(table, 0)
     algebra = generate_subalgebra(gens, rk, field)
     if algebra.graded_dim == full_dims:
-        return HolonomyResult(algebra, 1, log, "stabilized")
+        return HolonomyResult(algebra, 1, log, "stabilized", tables)
 
     for order in range(1, cap + 1):
         table = _next_derivative(conn, table)
+        if order == 1:
+            tables.append(table)
         new = harvest(table, order)
         gens.extend(new)
         bigger = generate_subalgebra(gens, rk, field)
         if bigger.total_dim == algebra.total_dim:
-            return HolonomyResult(algebra, order, log, "stabilized")
+            return HolonomyResult(algebra, order, log, "stabilized", tables)
         algebra = bigger
         if algebra.graded_dim == full_dims:
-            return HolonomyResult(algebra, order + 1, log, "stabilized")
-    return HolonomyResult(algebra, None, log, "capped")
+            return HolonomyResult(algebra, order + 1, log, "stabilized", tables)
+    return HolonomyResult(algebra, None, log, "capped", tables)
 
 
 # ---------------------------------------------------------- float transport
@@ -187,15 +190,13 @@ def _float_matrix(mat_sf, point):
     return out
 
 
-def conjugated_generators(conn: ConnectionData, point, loops, max_order=1, steps=2000):
-    """Transport-conjugated curvature generators as float matrices.
+def conjugated_generators(conn: ConnectionData, point, loops, tables, steps=2000):
+    """Transport-conjugated components of the given derivative tables, as
+    float matrices; the zero ones are left out.
 
     Only used to validate that their span embeds into the float image of the
     exact algebra; never used to extend it.
     """
-    tables = [DerivativeTable.order_zero(conn)]
-    for _ in range(max_order):
-        tables.append(_next_derivative(conn, tables[-1]))
     out = []
     for path in loops:
         if list(path) and list(path[0]) != list(point):
@@ -407,13 +408,8 @@ def reconstruct_parallel_section(conn: ConnectionData, point, value, gauge=None,
 
 
 def flatness_certificate(conn: ConnectionData):
-    table = curvature(conn)
-    if table.is_zero():
-        hol = infinitesimal_holonomy(conn, [0] * conn.chart.sig.n)
-        if hol.algebra.total_dim != 0:
-            raise AssertionError("flat connection with nonzero holonomy")
-        return {"flat": True, "witness": None}
-    return {"flat": False, "witness": table.first_nonzero()}
+    witness = curvature(conn).first_nonzero()
+    return {"flat": witness is None, "witness": witness}
 
 
 def classify_geometry(algebra: SubSuperalgebra, candidates):

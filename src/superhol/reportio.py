@@ -38,25 +38,54 @@ def _require_object(obj, key, path):
     return value
 
 
-def decode_chart(obj, path="/chart") -> ChartSignature:
-    n = _require(obj, "n", path)
-    m = _require(obj, "m", path)
-    field = obj.get("field", "rational")
-    if field == "gaussian":
-        field = "gaussian-rational"
+def _int(value, path):
     try:
-        return ChartSignature(int(n), int(m), field)
+        return int(value)
+    except (TypeError, ValueError):
+        raise ProblemError(path, "must be an integer")
+
+
+def _require_int(obj, key, path):
+    return _int(_require(obj, key, path), path + "/" + key)
+
+
+def _scalar(value, field, path):
+    try:
+        return parse_scalar(str(value), field)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ProblemError(path, str(exc))
+
+
+def _parse_entry(text, sig, path):
+    if not isinstance(text, str):
+        raise ProblemError(path, "must be a string")
+    try:
+        return parse_superfunction(text, sig)
+    except ValueError as exc:
+        raise ProblemError(path, str(exc))
+
+
+def _field(obj):
+    field = obj.get("field", "rational")
+    return "gaussian-rational" if field == "gaussian" else field
+
+
+def decode_chart(obj, path="/chart") -> ChartSignature:
+    n = _require_int(obj, "n", path)
+    m = _require_int(obj, "m", path)
+    try:
+        return ChartSignature(n, m, _field(obj))
     except ValueError as exc:
         raise ProblemError(path, str(exc))
 
 
 def decode_connection(obj, path="") -> ConnectionData:
-    sig = decode_chart(_require(obj, "chart", path), path + "/chart")
-    rank_obj = obj.get("rank")
-    if rank_obj is None:
+    sig = decode_chart(_require_object(obj, "chart", path), path + "/chart")
+    if obj.get("rank") is None:
         chart = Chart.tangent(sig)
     else:
-        rank = SuperDim(int(_require(rank_obj, "p", path + "/rank")), int(_require(rank_obj, "q", path + "/rank")))
+        rank_obj = _require_object(obj, "rank", path)
+        rank = SuperDim(_require_int(rank_obj, "p", path + "/rank"), _require_int(rank_obj, "q", path + "/rank"))
         tangent = bool(obj.get("tangent", rank.p == sig.n and rank.q == sig.m))
         chart = Chart(sig, rank, tangent_sheaf=tangent and rank.p == sig.n and rank.q == sig.m)
     entries = {}
@@ -67,10 +96,7 @@ def decode_connection(obj, path="") -> ConnectionData:
             raise ProblemError(path + "/gamma/" + key, "key must be 'a,B,A'")
         if not (1 <= a <= sig.total and 1 <= b_idx <= chart.rank.total and 1 <= a_idx <= chart.rank.total):
             raise ProblemError(path + "/gamma/" + key, "index out of range")
-        try:
-            entries[(a, b_idx, a_idx)] = parse_superfunction(text, sig)
-        except ValueError as exc:
-            raise ProblemError(path + "/gamma/" + key, str(exc))
+        entries[(a, b_idx, a_idx)] = _parse_entry(text, sig, path + "/gamma/" + key)
     try:
         return ConnectionData.from_entries(chart, entries)
     except ValueError as exc:
@@ -78,7 +104,7 @@ def decode_connection(obj, path="") -> ConnectionData:
 
 
 def decode_metric(obj, path="") -> MetricData:
-    sig = decode_chart(_require(obj, "chart", path), path + "/chart")
+    sig = decode_chart(_require_object(obj, "chart", path), path + "/chart")
     chart = Chart.tangent(sig)
     entries = {}
     for key, text in _require_object(obj, "g", path).items():
@@ -88,10 +114,7 @@ def decode_metric(obj, path="") -> MetricData:
             raise ProblemError(path + "/g/" + key, "key must be 'a,b'")
         if not (1 <= a <= sig.total and 1 <= b <= sig.total):
             raise ProblemError(path + "/g/" + key, "index out of range")
-        try:
-            entries[(a, b)] = parse_superfunction(text, sig)
-        except ValueError as exc:
-            raise ProblemError(path + "/g/" + key, str(exc))
+        entries[(a, b)] = _parse_entry(text, sig, path + "/g/" + key)
     try:
         return MetricData.from_entries(chart, entries)
     except ValueError as exc:
@@ -99,24 +122,21 @@ def decode_metric(obj, path="") -> MetricData:
 
 
 def decode_algebra(obj, path="/algebra") -> SubSuperalgebra:
+    field = _field(obj)
     if "name" in obj:
         params = obj.get("params", [])
         if isinstance(params, list):
-            params = tuple(int(x) for x in params)
+            params = tuple(_int(x, "%s/params/%d" % (path, k)) for k, x in enumerate(params))
             if len(params) == 1:
                 params = params[0]
-        field = obj.get("field", "rational")
-        if field == "gaussian":
-            field = "gaussian-rational"
+        elif not isinstance(params, int):
+            raise ProblemError(path + "/params", "must be an integer or a list of integers")
         try:
             return classical_superalgebra(obj["name"], params, field)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ProblemError(path, str(exc))
-    dim_obj = _require(obj, "dim", path)
-    dim = SuperDim(int(_require(dim_obj, "p", path + "/dim")), int(_require(dim_obj, "q", path + "/dim")))
-    field = obj.get("field", "rational")
-    if field == "gaussian":
-        field = "gaussian-rational"
+    dim_obj = _require_object(obj, "dim", path)
+    dim = SuperDim(_require_int(dim_obj, "p", path + "/dim"), _require_int(dim_obj, "q", path + "/dim"))
     mats = []
     for section in ("even", "odd"):
         for k, flat in enumerate(obj.get(section, [])):
@@ -124,7 +144,8 @@ def decode_algebra(obj, path="/algebra") -> SubSuperalgebra:
             if not isinstance(flat, list) or len(flat) != t * t:
                 raise ProblemError("%s/%s/%d" % (path, section, k), "expected %d entries" % (t * t))
             entries = [
-                [parse_scalar(flat[a * t + b], field) for b in range(t)] for a in range(t)
+                [_scalar(flat[a * t + b], field, "%s/%s/%d" % (path, section, k)) for b in range(t)]
+                for a in range(t)
             ]
             mats.append(SuperMatrix(dim, entries, None, field))
     alg = SubSuperalgebra.from_matrices(dim, mats, field)
@@ -134,17 +155,25 @@ def decode_algebra(obj, path="/algebra") -> SubSuperalgebra:
 
 
 def decode_problem(obj):
+    if not isinstance(obj, dict):
+        raise ProblemError("/", "must be an object")
     kind = _require(obj, "kind", "")
     if kind not in KINDS:
         raise ProblemError("/kind", "must be one of %s" % (KINDS,))
     options = obj.get("options", {})
+    if not isinstance(options, dict):
+        raise ProblemError("/options", "must be an object")
+    options = dict(options)
+    for key in ("cap_order", "transport_steps", "order", "candidates"):
+        if options.get(key) is not None:
+            options[key] = _int(options[key], "/options/" + key)
     payload = None
     if kind == "connection":
         payload = decode_connection(obj)
     elif kind == "metric":
         payload = decode_metric(obj)
     else:
-        payload = decode_algebra(_require(obj, "algebra", ""), "/algebra")
+        payload = decode_algebra(_require_object(obj, "algebra", ""), "/algebra")
     return kind, payload, options
 
 
@@ -154,7 +183,7 @@ def decode_point(options, sig: ChartSignature):
         return [0] * sig.n
     if not isinstance(raw, list) or len(raw) != sig.n:
         raise ProblemError("/options/point", "expected %d coordinates" % sig.n)
-    return [parse_scalar(str(x), sig.field) for x in raw]
+    return [_scalar(x, sig.field, "/options/point/%d" % k) for k, x in enumerate(raw)]
 
 
 # ----------------------------------------------------------------- encoding

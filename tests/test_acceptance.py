@@ -310,7 +310,7 @@ def test_criterion_10_numeric_transport():
 
     hol = hl.infinitesimal_holonomy(conn, pt)
     gens = hl.conjugated_generators(
-        conn, x0, [[x0, [0.8, 0.5], [0.8, 0.8]]], max_order=1, steps=10000
+        conn, x0, [[x0, [0.8, 0.5], [0.8, 0.8]]], hol.tables, steps=10000
     )
     residual = hl.span_embedding_residual(gens, hol.algebra)
     assert residual < 1e-6

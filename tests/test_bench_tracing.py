@@ -8,7 +8,8 @@ import importlib
 import importlib.util
 import os
 
-from superhol import holonomy
+from superhol import cli, holonomy
+from superhol.geometry import DerivativeTable
 from superhol.reportio import decode_connection
 
 TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracing.py")
@@ -54,3 +55,23 @@ def test_holonomy_builds_the_tower_through_its_own_global(monkeypatch):
     })
     holonomy.infinitesimal_holonomy(conn, [0, 0])
     assert calls
+
+
+def test_transport_validation_builds_no_second_tower(monkeypatch):
+    # the transport check evaluates the tables the holonomy run built
+    full, orders = [], []
+    original, order_zero = holonomy._next_derivative, DerivativeTable.order_zero
+
+    def counted(conn, prev):
+        orders.append(prev.order)
+        return original(conn, prev)
+
+    monkeypatch.setattr(DerivativeTable, "order_zero", staticmethod(lambda conn: full.append(conn) or order_zero(conn)))
+    monkeypatch.setattr(holonomy, "_next_derivative", counted)
+    doc = {"kind": "connection", "chart": {"n": 2, "m": 0}, "gamma": {"1,1,2": "0-x2", "1,2,1": "x2"}}
+    holonomy.infinitesimal_holonomy(decode_connection(doc), [0, 0])
+    alone, orders[:] = list(orders), []
+    rep, ok = cli.run_problem(doc, steps=200)
+    assert ok and rep["result"]["transport_validation"]["ok"]
+    assert not full
+    assert orders == alone == [0]

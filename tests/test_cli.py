@@ -93,6 +93,17 @@ class TestRunPipelines:
                 {"kind": "algebra", "algebra": {"dim": {"p": 2, "q": 0}, "even": [["0", "1", "0", "0"], ["0", "0", "1", "0"]]}},
                 "/algebra",
             ),
+            ({"kind": "connection", "chart": 3, "gamma": {}}, "/chart"),
+            ({"kind": "connection", "chart": {"n": [1], "m": 0}, "gamma": {}}, "/chart/n"),
+            ({"kind": "connection", "chart": {"n": 1, "m": 0}, "rank": {"p": [1], "q": 0}, "gamma": {}}, "/rank/p"),
+            ({"kind": "connection", "chart": {"n": 1, "m": 0}, "gamma": {"1,1,1": 3}}, "/gamma/1,1,1"),
+            ({"kind": "algebra", "algebra": {"name": "gl", "params": "11"}}, "/algebra/params"),
+            ({"kind": "connection", "chart": {"n": 1, "m": 0}, "gamma": {"1,1,1": "x1"}, "options": "abc"}, "/options"),
+            ({"kind": "connection", "chart": {"n": 1, "m": 0}, "gamma": {"1,1,1": "x1"}, "options": {"cap_order": "two"}}, "/options/cap_order"),
+            ({"kind": "connection", "chart": {"n": 1, "m": 0}, "gamma": {"1,1,1": "x1"}, "options": {"point": ["1/0"]}}, "/options/point/0"),
+            ({"kind": "algebra", "algebra": {"dim": {"p": 1, "q": 0}, "even": [["x"]]}}, "/algebra/even/0"),
+            ({"kind": "algebra", "algebra": {"name": "gl", "params": 3}}, "/algebra"),
+            (3, "/"),
         ],
     )
     def test_malformed_input_is_an_error_report(self, doc, path):

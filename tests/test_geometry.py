@@ -131,6 +131,27 @@ class TestCurvatureKept:
         assert not res["flat"] and "ricci" in res and "transport_validation" in res
         assert len(built) == 1
 
+    def test_same_torsion_on_every_call(self):
+        conn = random_connection(random.Random(5), Chart.tangent(ChartSignature(1, 1)))
+        assert torsion(conn) is torsion(conn)
+
+    def test_one_torsion_build_per_metric_problem(self, monkeypatch):
+        # Levi-Civita's own check, torsion_free and the second Bianchi check
+        built = []
+
+        class CountingTable(geo.TorsionTable):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(geo, "TorsionTable", CountingTable)
+        doc = {"kind": "metric", "chart": {"n": 0, "m": 2}, "g": {"1,2": "1 + 3*xi1*xi2"}}
+        rep, ok = cli.run_problem(doc)
+        assert ok
+        res = rep["result"]
+        assert res["torsion_free"] and res["second_bianchi"] and not res["flat"]
+        assert len(built) == 1
+
 
 class TestEvaluation:
     @pytest.mark.parametrize("field", [RATIONAL, GAUSSIAN])

@@ -5,6 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from superhol import cli
+from superhol import holonomy as hl
 from superhol.superfunc import ChartSignature, Superfunction, parse_superfunction
 from superhol.superlin import (
     SubSuperalgebra,
@@ -32,6 +34,7 @@ from superhol.geometry import (
 )
 from superhol.holonomy import (
     SectionData,
+    _float_matrix,
     check_parallel,
     classify_geometry,
     conjugated_generators,
@@ -180,15 +183,17 @@ class TestTransport:
     def test_conjugated_generators_embed(self):
         conn = self.rotation_connection()
         hol = infinitesimal_holonomy(conn, [Fraction(1, 2), Fraction(1, 2)])
+        assert [tab.order for tab in hol.tables] == [0, 1]
         gens = conjugated_generators(
-            conn, [0.5, 0.5], [[[0.5, 0.5], [0.9, 0.6], [0.7, 0.9]]], max_order=1, steps=5000
+            conn, [0.5, 0.5], [[[0.5, 0.5], [0.9, 0.6], [0.7, 0.9]]], hol.tables, steps=5000
         )
         assert gens
         assert span_embedding_residual(gens, hol.algebra) < 1e-6
 
     def test_trivial_loop_gives_plain_curvature(self):
         conn = self.rotation_connection()
-        gens = conjugated_generators(conn, [0.5, 0.5], [[[0.5, 0.5]]], max_order=0)
+        hol = infinitesimal_holonomy(conn, [Fraction(1, 2), Fraction(1, 2)])
+        gens = conjugated_generators(conn, [0.5, 0.5], [[[0.5, 0.5]]], hol.tables[:1])
         table = curvature(conn)
         want = np.array(
             [[float(table.mats[(0, 1)][a][b].value([Fraction(1, 2), Fraction(1, 2)])) for b in range(2)] for a in range(2)]
@@ -199,8 +204,76 @@ class TestTransport:
     def test_flat_conjugated_all_zero(self):
         sig = ChartSignature(2, 0)
         conn = ConnectionData.zero(Chart(sig, SuperDim(2, 0)))
-        gens = conjugated_generators(conn, [0.0, 0.0], [[[0.0, 0.0], [1.0, 1.0]]])
+        gens = conjugated_generators(
+            conn, [0.0, 0.0], [[[0.0, 0.0], [1.0, 1.0]]], covariant_derivatives(conn, None, 1)
+        )
         assert gens == []
+
+
+def full_table_generators(conn, point, loops, max_order=1, steps=2000):
+    """The transport check's generators as they were before it took the
+    holonomy run's tables: full tables of orders <= max_order, built afresh."""
+    tables = [DerivativeTable.order_zero(conn)]
+    for _ in range(max_order):
+        tables.append(_next_derivative(conn, tables[-1]))
+    out = []
+    for path in loops:
+        if list(path) and list(path[0]) != list(point):
+            raise ValueError("loops must start at the base point")
+        tau = numeric_parallel_transport(conn, path, steps).matrix
+        tau_inv = np.linalg.inv(tau)
+        end = np.asarray(path[-1], dtype=float) if len(path) else np.asarray(point, float)
+        for tab in tables:
+            for key in sorted(tab.components):
+                g = _float_matrix(tab.components[key], end)
+                if np.max(np.abs(g)) > 0:
+                    out.append(tau_inv @ g @ tau)
+    return out
+
+
+class TestTransportReusesTheTower:
+    """cli.transport_validation on the holonomy run's canonical tables,
+    against the full tables it built before.
+
+    The full tables add only ± copies (R_ba = −(−1)^{|a||b|} R_ab) and zero
+    components, and negating a matrix leaves its least-squares residual as
+    it is, so the residual must come out exactly the same.
+    """
+
+    # chart n|m, rank p|q, Christoffel entries; over seeds 0..7 these give
+    # zero curvature (1|0, and 2|0 seed 2), all of gl(1|1) at order 0 (2|1
+    # seeds 3 and 4), and runs that build order 1
+    CASES = [((1, 0), (1, 1), 3), ((2, 0), (2, 0), 3), ((2, 1), (1, 1), 4), ((2, 2), (2, 2), 5)]
+
+    def test_same_residual_as_the_full_tables(self, monkeypatch):
+        kept = set()
+        for nm, pq, entries in self.CASES:
+            chart = Chart(ChartSignature(*nm), SuperDim(*pq))
+            point = [Fraction(1, 2)] * nm[0]
+            for seed in range(8):
+                conn = random_sparse_connection(random.Random(seed), chart, entries)
+                hol = infinitesimal_holonomy(conn, point)
+                kept.add(len(hol.tables))
+                got = cli.transport_validation(conn, point, hol, 200)
+                loops = []
+
+                def oracle(conn, point, paths, tables, steps):
+                    loops.extend(paths)
+                    return full_table_generators(conn, point, paths, steps=steps)
+
+                with monkeypatch.context() as m:
+                    m.setattr(hl, "conjugated_generators", oracle)
+                    want = cli.transport_validation(conn, point, hol, 200)
+                assert repr(got["residual"]) == repr(want["residual"]) and got["ok"] == want["ok"]
+                end = loops[0][-1]
+                nonzero = sum(
+                    bool(np.max(np.abs(_float_matrix(mat, end))) > 0)
+                    for tab in _canonical_tower(conn, 1)
+                    for mat in tab.components.values()
+                )
+                assert got["generators"] == nonzero
+        # zero curvature, all of gl at order 0, and a run past order 0
+        assert kept == {0, 1, 2}
 
 
 class TestInvariantObjects:
