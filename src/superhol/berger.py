@@ -15,6 +15,7 @@ from .superlin import (
     SubSuperalgebra,
     SuperDim,
     SuperMatrix,
+    insert_parts,
     superbracket,
 )
 
@@ -541,28 +542,14 @@ def is_simple(algebra: SubSuperalgebra):
 
 
 def _ideal_closure(algebra: SubSuperalgebra, seeds):
-    ech = SparseEchelon()
-    frontier = []
-    mats = []
-    for s in seeds:
-        for parity in (0, 1):
-            part = s.homogeneous_part(parity)
-            if not part.is_zero() and ech.insert(part.flatten()):
-                frontier.append(part)
-                mats.append(part)
+    echelons = (SparseEchelon(), SparseEchelon())
+    frontier = [part for s in seeds for part in insert_parts(echelons, s)]
     basis = algebra.basis()
     while frontier:
-        nxt = []
-        for f in frontier:
-            for b in basis:
-                br = superbracket(b, f)
-                for parity in (0, 1):
-                    part = br.homogeneous_part(parity)
-                    if not part.is_zero() and ech.insert(part.flatten()):
-                        nxt.append(part)
-                        mats.append(part)
-        frontier = nxt
-    return SubSuperalgebra.from_matrices(algebra.dim, mats, algebra.field)
+        frontier = [
+            part for f in frontier for b in basis for part in insert_parts(echelons, superbracket(b, f))
+        ]
+    return SubSuperalgebra(algebra.dim, *echelons, algebra.field)
 
 
 def pi_adjoint_representation(algebra: SubSuperalgebra):
@@ -581,15 +568,15 @@ def pi_adjoint_representation(algebra: SubSuperalgebra):
     p_v = sum(1 for j in range(n) if basis[j].parity == 1)
     vdim = SuperDim(p_v, n - p_v)
     field = algebra.field
-    rep = []
-    for i in range(n):
-        m = SuperMatrix.zeros(vdim, field)
-        for j in range(n):
-            for k, v in table[(i, j)].items():
-                m.entries[pos[k]][pos[j]] = to_field(v, field)
-        m.declared_parity = m._detect_parity()
-        rep.append(m)
-    rep_alg = SubSuperalgebra.from_matrices(vdim, rep, field, closed=True)
+    rep = [
+        SuperMatrix.from_flat(
+            vdim,
+            {pos[k] * n + pos[j]: to_field(v, field) for j in range(n) for k, v in table[(i, j)].items()},
+            field,
+        )
+        for i in range(n)
+    ]
+    rep_alg = SubSuperalgebra.from_matrices(vdim, rep, field)
     return vdim, rep_alg, rep, pos
 
 

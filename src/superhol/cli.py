@@ -41,14 +41,14 @@ from .superlin import (
 
 
 def _pairwise_j(dim: SuperDim, field):
-    j = SuperMatrix.zeros(dim, field)
+    t = dim.total
     one = Fraction(1)
+    flat = {}
     for base, size in ((0, dim.p), (dim.p, dim.q)):
-        for k in range(size // 2):
-            j.entries[base + 2 * k + 1][base + 2 * k] = one
-            j.entries[base + 2 * k][base + 2 * k + 1] = -one
-    j.declared_parity = "even"
-    return j
+        for k in range(base, base + size - 1, 2):
+            flat[(k + 1) * t + k] = one
+            flat[k * t + k + 1] = -one
+    return SuperMatrix.from_flat(dim, flat, field)
 
 
 def default_candidates(dim: SuperDim, field, metric_body=None):
@@ -56,7 +56,7 @@ def default_candidates(dim: SuperDim, field, metric_body=None):
     out = []
     if dim.q % 2 == 0 and dim.total:
         if metric_body is not None:
-            form = SuperMatrix(dim, metric_body, None, field)
+            form = SuperMatrix(dim, metric_body, field)
             out.append(
                 {
                     "label": "even supersymmetric metric (osp type)",
@@ -99,7 +99,7 @@ def default_candidates(dim: SuperDim, field, metric_body=None):
         )
     if dim.p % 2 == 0 and dim.q % 2 == 0 and dim.total and metric_body is not None:
         j = _pairwise_j(dim, field)
-        form = SuperMatrix(dim, metric_body, None, field)
+        form = SuperMatrix(dim, metric_body, field)
         stab_g = stabilizer_algebra(
             StructureTensor("even_bilinear_form", "supersymmetric", form)
         )
@@ -324,13 +324,14 @@ def _random_sf(rng, sig, parity=None, maxdeg=1):
 
 
 def _random_matrix(rng, dim, parity):
-    m = SuperMatrix.zeros(dim)
-    for a in range(dim.total):
-        for b in range(dim.total):
-            if (dim.parity(a) + dim.parity(b)) % 2 == parity:
-                m.entries[a][b] = Fraction(rng.randint(-2, 2))
-    m.declared_parity = m._detect_parity()
-    return m
+    t = dim.total
+    flat = {
+        a * t + b: Fraction(rng.randint(-2, 2))
+        for a in range(t)
+        for b in range(t)
+        if (dim.parity(a) + dim.parity(b)) % 2 == parity
+    }
+    return SuperMatrix.from_flat(dim, flat)
 
 
 def selftest_cases():

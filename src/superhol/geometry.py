@@ -795,7 +795,9 @@ def tensor_extension(a_mat: SuperMatrix, r: int, s: int, space: TensorSpace = No
     if space is None:
         space = TensorSpace(dim, r, s)
     tau = a_mat.parity
-    big = SuperMatrix.zeros(space.dim, a_mat.field)
+    flat = {}
+    t = space.dim.total
+    z = field_zero(a_mat.field)
     for col_tuple in space.tuples:
         col = space.index[col_tuple]
         for slot in range(r + s):
@@ -812,7 +814,6 @@ def tensor_extension(a_mat: SuperMatrix, r: int, s: int, space: TensorSpace = No
                 if not coef:
                     continue
                 row_tuple = col_tuple[:slot] + (new,) + col_tuple[slot + 1 :]
-                row = space.index[row_tuple]
-                big.entries[row][col] = big.entries[row][col] + sign * coef
-    big.declared_parity = big._detect_parity()
-    return big, space
+                pos = space.index[row_tuple] * t + col
+                flat[pos] = flat.get(pos, z) + sign * coef
+    return SuperMatrix.from_flat(space.dim, flat, a_mat.field), space

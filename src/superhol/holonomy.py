@@ -86,7 +86,7 @@ def infinitesimal_holonomy(conn: ConnectionData, point, cap=None) -> HolonomyRes
     def harvest(tab, order):
         added = []
         for (dirs, a, b), mat in sorted(tab.components.items()):
-            m = SuperMatrix(rk, sfmat_value(mat, point), None, field)
+            m = SuperMatrix(rk, sfmat_value(mat, point), field)
             if m.is_zero():
                 continue
             want = (
@@ -516,7 +516,7 @@ def _norton_irreducible(algebra: SubSuperalgebra, tries=40) -> bool:
                 acc = acc + m.scale(c)
         candidates.append(acc)
     transposed = [
-        SuperMatrix(dim, [[m.entries[b][a] for b in range(t)] for a in range(t)], None, field)
+        SuperMatrix(dim, [[m.entries[b][a] for b in range(t)] for a in range(t)], field)
         for m in basis
     ]
     for z in candidates:

@@ -147,7 +147,7 @@ def decode_algebra(obj, path="/algebra") -> SubSuperalgebra:
                 [_scalar(flat[a * t + b], field, "%s/%s/%d" % (path, section, k)) for b in range(t)]
                 for a in range(t)
             ]
-            mats.append(SuperMatrix(dim, entries, None, field))
+            mats.append(SuperMatrix(dim, entries, field))
     alg = SubSuperalgebra.from_matrices(dim, mats, field)
     if generate_subalgebra(alg.basis(), dim, field).graded_dim != alg.graded_dim:
         raise ProblemError(path, "basis is not closed under the bracket")

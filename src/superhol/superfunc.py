@@ -22,6 +22,10 @@ from .scalars import (
     to_field,
 )
 
+# Largest exponent the parser accepts after `^`: it multiplies the base that
+# many times, so an unbounded exponent is an unbounded run.
+MAX_EXPONENT = 16
+
 
 class ChartSignature:
     """n even coordinates, m odd coordinates, over an exact field."""
@@ -376,14 +380,6 @@ class Superfunction:
             return "odd"
         return "mixed"
 
-    def homogeneous_part(self, parity: int) -> "Superfunction":
-        out = {
-            mask: poly
-            for mask, poly in self.terms.items()
-            if bin(mask).count("1") % 2 == parity
-        }
-        return Superfunction(self.sig, out, _normalized=True)
-
     def sign_split(self, exponent: int) -> "Superfunction":
         """Apply (-1)^(exponent * parity) termwise.
 
@@ -513,7 +509,7 @@ def _tokenize(text):
 
 class _Parser:
     """Recursive descent over: expr := ['+'|'-'] term (('+'|'-') term)*
-    term := factor ('*' factor)*; factor := atom ('^' nat)?;
+    term := factor ('*' factor)*; factor := atom ('^' nat)?, nat <= MAX_EXPONENT;
     atom := rational | 'i' | evenvar | oddvar | '(' expr ')'.
     """
 
@@ -570,6 +566,8 @@ class _Parser:
             self.next()
             tok = self.expect("int")
             power = int(tok[1])
+            if power > MAX_EXPONENT:
+                raise SyntaxErrorAt("exponent %d is above the limit %d" % (power, MAX_EXPONENT), tok[2])
             out = Superfunction.constant(self.sig, 1)
             for _ in range(power):
                 out = out * f

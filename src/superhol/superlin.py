@@ -8,7 +8,7 @@ matrices preserve parity blocks, odd matrices swap them.
 
 from __future__ import annotations
 
-from .linalg import SparseEchelon, intersect_spans, solve_kernel, span_echelon
+from .linalg import SparseEchelon, intersect_spans, solve_kernel
 from .scalars import RATIONAL, field_one, field_zero, scalar_str
 
 
@@ -44,74 +44,39 @@ class SuperDim:
 
 
 class SuperMatrix:
-    """Parity-graded endomorphism with exact scalar entries."""
+    """Parity-graded endomorphism with exact scalar entries.
 
-    __slots__ = ("dim", "entries", "declared_parity", "field")
+    `parity` is read once from the nonzero entries: 0 or 1 for a homogeneous
+    matrix (0 for the zero matrix), None for a mixed one.  A SuperMatrix must
+    not be modified after construction.
+    """
 
-    def __init__(self, dim: SuperDim, entries, declared_parity=None, field=RATIONAL):
+    __slots__ = ("dim", "entries", "parity", "field")
+
+    def __init__(self, dim: SuperDim, entries, field=RATIONAL):
         t = dim.total
         if len(entries) != t or any(len(row) != t for row in entries):
             raise ValueError("entries must be %dx%d" % (t, t))
         self.dim = dim
         self.entries = [list(row) for row in entries]
         self.field = field
-        if declared_parity not in (None, "even", "odd"):
-            raise ValueError("declared_parity must be even/odd/None")
-        if declared_parity is None:
-            declared_parity = self._detect_parity()
-        else:
-            want = 0 if declared_parity == "even" else 1
-            for a in range(t):
-                for b in range(t):
-                    if self.entries[a][b] and (dim.parity(a) + dim.parity(b)) % 2 != want:
-                        raise ValueError(
-                            "entry (%d,%d) violates declared %s parity" % (a, b, declared_parity)
-                        )
-        self.declared_parity = declared_parity
-
-    def _detect_parity(self):
-        t = self.dim.total
-        seen = set()
-        for a in range(t):
-            for b in range(t):
-                if self.entries[a][b]:
-                    seen.add((self.dim.parity(a) + self.dim.parity(b)) % 2)
-        if not seen or seen == {0}:
-            return "even"
-        if seen == {1}:
-            return "odd"
-        return None
-
-    @property
-    def parity(self):
-        """0, 1 or None for mixed."""
-        if self.declared_parity == "even":
-            return 0
-        if self.declared_parity == "odd":
-            return 1
-        return None
+        p = dim.p
+        seen = {(a < p) != (b < p) for a, row in enumerate(self.entries) for b, v in enumerate(row) if v}
+        self.parity = None if len(seen) == 2 else int(True in seen)
 
     @staticmethod
     def zeros(dim: SuperDim, field=RATIONAL) -> "SuperMatrix":
-        z = field_zero(field)
-        t = dim.total
-        return SuperMatrix(dim, [[z] * t for _ in range(t)], "even", field)
+        return SuperMatrix.from_flat(dim, {}, field)
 
     @staticmethod
     def identity(dim: SuperDim, field=RATIONAL) -> "SuperMatrix":
-        m = SuperMatrix.zeros(dim, field)
         one = field_one(field)
-        for a in range(dim.total):
-            m.entries[a][a] = one
-        return m
+        return SuperMatrix.from_flat(dim, {a * dim.total + a: one for a in range(dim.total)}, field)
 
     @staticmethod
     def unit(dim: SuperDim, a: int, b: int, field=RATIONAL) -> "SuperMatrix":
         """E_{ab}: sends e_b to e_a (0-based)."""
-        m = SuperMatrix.zeros(dim, field)
-        m.entries[a][b] = field_one(field)
-        m.declared_parity = m._detect_parity()
-        return m
+        return SuperMatrix.from_flat(dim, {a * dim.total + b: field_one(field)}, field)
 
     def __eq__(self, other):
         return (
@@ -134,7 +99,6 @@ class SuperMatrix:
         return SuperMatrix(
             self.dim,
             [[self.entries[a][b] + other.entries[a][b] for b in range(t)] for a in range(t)],
-            None,
             self.field,
         )
 
@@ -149,7 +113,6 @@ class SuperMatrix:
         return SuperMatrix(
             self.dim,
             [[c * self.entries[a][b] for b in range(t)] for a in range(t)],
-            self.declared_parity,
             self.field,
         )
 
@@ -171,7 +134,7 @@ class SuperMatrix:
                     w = orow[b]
                     if w:
                         orow_out[b] = orow_out[b] + v * w
-        return SuperMatrix(self.dim, out, None, self.field)
+        return SuperMatrix(self.dim, out, self.field)
 
     def apply(self, vec):
         """Matrix times column vector (list of scalars)."""
@@ -199,22 +162,24 @@ class SuperMatrix:
 
     @staticmethod
     def from_flat(dim: SuperDim, vec: dict, field=RATIONAL) -> "SuperMatrix":
-        m = SuperMatrix.zeros(dim, field)
         t = dim.total
+        z = field_zero(field)
+        rows = [[z] * t for _ in range(t)]
         for pos, v in vec.items():
-            m.entries[pos // t][pos % t] = v
-        m.declared_parity = m._detect_parity()
-        return m
+            rows[pos // t][pos % t] = v
+        return SuperMatrix(dim, rows, field)
 
-    def homogeneous_part(self, parity: int) -> "SuperMatrix":
+    def graded_flat(self):
+        """(even part, odd part) of the nonzero entries, each flattened like
+        `flatten`."""
         t = self.dim.total
-        m = SuperMatrix.zeros(self.dim, self.field)
-        for a in range(t):
-            for b in range(t):
-                if (self.dim.parity(a) + self.dim.parity(b)) % 2 == parity:
-                    m.entries[a][b] = self.entries[a][b]
-        m.declared_parity = m._detect_parity()
-        return m
+        p = self.dim.p
+        parts = ({}, {})
+        for a, row in enumerate(self.entries):
+            for b, v in enumerate(row):
+                if v:
+                    parts[(a < p) != (b < p)][a * t + b] = v
+        return parts
 
     def __repr__(self):
         rows = ["[" + ", ".join(scalar_str(v) for v in row) + "]" for row in self.entries]
@@ -243,37 +208,32 @@ def superbracket(a: SuperMatrix, b: SuperMatrix) -> SuperMatrix:
 
 
 class SubSuperalgebra:
-    """Echelonized homogeneous basis of a subspace of gl(p|q)."""
+    """Graded subspace of gl(p|q), kept as one reduced echelon per parity.
 
-    def __init__(self, dim: SuperDim, even_basis, odd_basis, field=RATIONAL, closed=False):
+    The echelons belong to the algebra once it is built; its even and odd
+    bases are their rows, sorted by pivot.
+    """
+
+    def __init__(self, dim: SuperDim, even: SparseEchelon, odd: SparseEchelon, field=RATIONAL):
         self.dim = dim
         self.field = field
-        self.even_basis = list(even_basis)
-        self.odd_basis = list(odd_basis)
-        self.closed = closed
-        self._even_ech = span_echelon([m.flatten() for m in self.even_basis])
-        self._odd_ech = span_echelon([m.flatten() for m in self.odd_basis])
+        self._even_ech = even
+        self._odd_ech = odd
+        self.even_basis = [SuperMatrix.from_flat(dim, v, field) for v in even.basis()]
+        self.odd_basis = [SuperMatrix.from_flat(dim, v, field) for v in odd.basis()]
 
     @staticmethod
-    def from_matrices(dim: SuperDim, mats, field=RATIONAL, closed=False) -> "SubSuperalgebra":
-        even = SparseEchelon()
-        odd = SparseEchelon()
+    def from_matrices(dim: SuperDim, mats, field=RATIONAL) -> "SubSuperalgebra":
+        echelons = (SparseEchelon(), SparseEchelon())
         for m in mats:
-            for parity, ech in ((0, even), (1, odd)):
-                part = m.homogeneous_part(parity)
-                if not part.is_zero():
-                    ech.insert(part.flatten())
-        return SubSuperalgebra(
-            dim,
-            [SuperMatrix.from_flat(dim, v, field) for v in even.basis()],
-            [SuperMatrix.from_flat(dim, v, field) for v in odd.basis()],
-            field,
-            closed,
-        )
+            for part, ech in zip(m.graded_flat(), echelons):
+                if part:
+                    ech.insert(part)
+        return SubSuperalgebra(dim, *echelons, field)
 
     @staticmethod
     def zero(dim: SuperDim, field=RATIONAL) -> "SubSuperalgebra":
-        return SubSuperalgebra(dim, [], [], field, closed=True)
+        return SubSuperalgebra(dim, SparseEchelon(), SparseEchelon(), field)
 
     @property
     def graded_dim(self):
@@ -287,11 +247,8 @@ class SubSuperalgebra:
         return self.even_basis + self.odd_basis
 
     def contains_matrix(self, m: SuperMatrix) -> bool:
-        for parity, ech in ((0, self._even_ech), (1, self._odd_ech)):
-            part = m.homogeneous_part(parity)
-            if not part.is_zero() and not ech.contains(part.flatten()):
-                return False
-        return True
+        echelons = (self._even_ech, self._odd_ech)
+        return all(ech.contains(part) for part, ech in zip(m.graded_flat(), echelons))
 
     def contains_algebra(self, other: "SubSuperalgebra") -> bool:
         return all(self.contains_matrix(m) for m in other.basis())
@@ -319,7 +276,7 @@ def generate_subalgebra(generators, dim=None, field=None) -> SubSuperalgebra:
 
     Mixed-parity generators are split into homogeneous parts.  Each pass
     brackets the newly added basis elements against the whole current basis
-    and re-echelonizes until the graded dimension stabilizes.
+    until no bracket enlarges the span.
     """
     generators = list(generators)
     if dim is None:
@@ -332,42 +289,26 @@ def generate_subalgebra(generators, dim=None, field=None) -> SubSuperalgebra:
         if g.dim != dim:
             raise ValueError("generator dimension mismatch")
 
-    even = SparseEchelon()
-    odd = SparseEchelon()
-    basis_mats = []
-
-    def push(m: SuperMatrix):
-        added = []
-        for parity, ech in ((0, even), (1, odd)):
-            part = m.homogeneous_part(parity)
-            if part.is_zero():
-                continue
-            if ech.insert(part.flatten()):
-                added.append(part)
-        basis_mats.extend(added)
-        return added
-
-    frontier = []
-    for g in generators:
-        frontier.extend(push(g))
-
+    echelons = (SparseEchelon(), SparseEchelon())
+    frontier = [part for g in generators for part in insert_parts(echelons, g)]
+    basis_mats = list(frontier)
     while frontier:
-        new_frontier = []
-        snapshot = list(basis_mats)
-        for a in frontier:
-            for b in snapshot:
-                br = superbracket(a, b)
-                if not br.is_zero():
-                    new_frontier.extend(push(br))
-        frontier = new_frontier
+        frontier = [
+            part for a in frontier for b in basis_mats for part in insert_parts(echelons, superbracket(a, b))
+        ]
+        basis_mats += frontier
+    return SubSuperalgebra(dim, *echelons, field)
 
-    return SubSuperalgebra(
-        dim,
-        [SuperMatrix.from_flat(dim, v, field) for v in even.basis()],
-        [SuperMatrix.from_flat(dim, v, field) for v in odd.basis()],
-        field,
-        closed=True,
-    )
+
+def insert_parts(echelons, m: SuperMatrix):
+    """Insert the even and odd parts of m into echelons = (even, odd); return
+    the parts that enlarged their span, as matrices."""
+    added = []
+    for part, ech in zip(m.graded_flat(), echelons):
+        if part and ech.insert(part):
+            # a homogeneous m is its own only nonzero part
+            added.append(m if m.parity is not None else SuperMatrix.from_flat(m.dim, part, m.field))
+    return added
 
 
 class StructureTensor:
@@ -455,12 +396,8 @@ def stabilizer_algebra(tensor: StructureTensor) -> SubSuperalgebra:
                             row[(b, d)] = row.get((b, d), 0) - sgn * e[c][b]
                 rows.append(row)
         for vec in solve_kernel(cols, rows, field):
-            m = SuperMatrix.zeros(dim, field)
-            for (a, b), v in vec.items():
-                m.entries[a][b] = v
-            m.declared_parity = m._detect_parity()
-            mats.append(m)
-    return SubSuperalgebra.from_matrices(dim, mats, field, closed=True)
+            mats.append(SuperMatrix.from_flat(dim, {a * t + b: v for (a, b), v in vec.items()}, field))
+    return SubSuperalgebra.from_matrices(dim, mats, field)
 
 
 # ------------------------------------------------------- classical algebras
@@ -468,47 +405,43 @@ def stabilizer_algebra(tensor: StructureTensor) -> SubSuperalgebra:
 
 def standard_even_form(p: int, q: int, skew=False, field=RATIONAL) -> StructureTensor:
     """diag(I_p, J_q) supersymmetric, or diag(J_p, I_q) super-skew."""
-    dim = SuperDim(p, q)
-    m = SuperMatrix.zeros(dim, field)
-    one = field_one(field)
-    if not skew:
-        if q % 2:
-            raise ValueError("supersymmetric even form needs even q")
-        for a in range(p):
-            m.entries[a][a] = one
-        for k in range(q // 2):
-            m.entries[p + 2 * k][p + 2 * k + 1] = one
-            m.entries[p + 2 * k + 1][p + 2 * k] = -one
-        return StructureTensor("even_bilinear_form", "supersymmetric", m)
-    if p % 2:
+    if not skew and q % 2:
+        raise ValueError("supersymmetric even form needs even q")
+    if skew and p % 2:
         raise ValueError("super-skew even form needs even p")
-    for k in range(p // 2):
-        m.entries[2 * k][2 * k + 1] = one
-        m.entries[2 * k + 1][2 * k] = -one
-    for a in range(q):
-        m.entries[p + a][p + a] = one
-    return StructureTensor("even_bilinear_form", "super-skew", m)
+    # the 2x2 J blocks fill the indices start..stop-1, the identity the rest
+    start, stop = (0, p) if skew else (p, p + q)
+    t = p + q
+    one = field_one(field)
+    flat = {a * t + a: one for a in range(t) if not start <= a < stop}
+    for k in range(start, stop, 2):
+        flat[k * t + k + 1] = one
+        flat[(k + 1) * t + k] = -one
+    m = SuperMatrix.from_flat(SuperDim(p, q), flat, field)
+    return StructureTensor("even_bilinear_form", "super-skew" if skew else "supersymmetric", m)
 
 
 def standard_odd_form(n: int, skew=False, field=RATIONAL) -> StructureTensor:
     """Pairing of the two blocks of an n|n space."""
-    dim = SuperDim(n, n)
-    m = SuperMatrix.zeros(dim, field)
+    t = 2 * n
     one = field_one(field)
+    flat = {}
     for a in range(n):
-        m.entries[a][n + a] = one
-        m.entries[n + a][a] = -one if skew else one
+        flat[a * t + n + a] = one
+        flat[(n + a) * t + a] = -one if skew else one
+    m = SuperMatrix.from_flat(SuperDim(n, n), flat, field)
     return StructureTensor("odd_bilinear_form", "super-skew" if skew else "supersymmetric", m)
 
 
 def standard_odd_complex_structure(n: int, field=RATIONAL) -> StructureTensor:
     """Odd J with J^2 = -id on an n|n space."""
-    dim = SuperDim(n, n)
-    m = SuperMatrix.zeros(dim, field)
+    t = 2 * n
     one = field_one(field)
+    flat = {}
     for a in range(n):
-        m.entries[a][n + a] = -one
-        m.entries[n + a][a] = one
+        flat[a * t + n + a] = -one
+        flat[(n + a) * t + a] = one
+    m = SuperMatrix.from_flat(SuperDim(n, n), flat, field)
     return StructureTensor("odd_endomorphism", "none", m)
 
 
@@ -518,7 +451,7 @@ def full_gl(dim: SuperDim, field=RATIONAL) -> SubSuperalgebra:
         for a in range(dim.total)
         for b in range(dim.total)
     ]
-    return SubSuperalgebra.from_matrices(dim, mats, field, closed=True)
+    return SubSuperalgebra.from_matrices(dim, mats, field)
 
 
 def cut_by_functionals(algebra: SubSuperalgebra, functionals) -> SubSuperalgebra:
@@ -529,14 +462,15 @@ def cut_by_functionals(algebra: SubSuperalgebra, functionals) -> SubSuperalgebra
     to both parities regardless, which is correct for linear constraints.
     """
     out = []
+    z = field_zero(algebra.field)
     for basis in (algebra.even_basis, algebra.odd_basis):
         rows = [{j: fn(m) for j, m in enumerate(basis)} for fn in functionals]
         for combo in solve_kernel(range(len(basis)), rows, algebra.field):
-            m = SuperMatrix.zeros(algebra.dim, algebra.field)
+            flat = {}
             for j, c in combo.items():
-                m = m + basis[j].scale(c)
-            m.declared_parity = m._detect_parity()
-            out.append(m)
+                for pos, v in basis[j].flatten().items():
+                    flat[pos] = flat.get(pos, z) + c * v
+            out.append(SuperMatrix.from_flat(algebra.dim, flat, algebra.field))
     return SubSuperalgebra.from_matrices(algebra.dim, out, algebra.field)
 
 
@@ -583,5 +517,5 @@ def classical_superalgebra(name: str, params, field=RATIONAL) -> SubSuperalgebra
     if name in ("cosp", "cpe", "cspe"):
         base = classical_superalgebra(name[1:], params, field)
         mats = base.basis() + [SuperMatrix.identity(dim, field)]
-        return SubSuperalgebra.from_matrices(dim, mats, field, closed=True)
+        return SubSuperalgebra.from_matrices(dim, mats, field)
     raise ValueError("unknown classical superalgebra %r" % name)

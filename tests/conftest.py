@@ -87,10 +87,10 @@ def random_unipotent_gauge(rng, sig, rank, maxdeg=1):
 
 
 def random_homogeneous_matrix(rng, dim, parity, lo=-2, hi=2):
-    m = SuperMatrix.zeros(dim)
-    for a in range(dim.total):
-        for b in range(dim.total):
+    t = dim.total
+    rows = [[Fraction(0)] * t for _ in range(t)]
+    for a in range(t):
+        for b in range(t):
             if (dim.parity(a) + dim.parity(b)) % 2 == parity:
-                m.entries[a][b] = Fraction(rng.randint(lo, hi))
-    m.declared_parity = m._detect_parity()
-    return m
+                rows[a][b] = Fraction(rng.randint(lo, hi))
+    return SuperMatrix(dim, rows)

@@ -13,6 +13,7 @@ from superhol.superfunc import Superfunction
 DATA = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN = os.path.join(DATA, "golden")
 PROBLEMS = sorted(f for f in os.listdir(DATA) if f.endswith(".json"))
+TABLE_FAMILIES = ("gl", "sl", "osp", "pe", "spe", "q")
 
 
 def load(name):
@@ -23,6 +24,11 @@ def load(name):
 def report_text(name):
     rep, _ = cli.run_problem(load(name))
     return dumps_report(rep)
+
+
+def tables_text(family):
+    """`superhol tables <family> --max-dim 4`, as written to stdout."""
+    return dumps_report(cli.tables_report(family, 4))
 
 
 class TestRunPipelines:
@@ -104,6 +110,7 @@ class TestRunPipelines:
             ({"kind": "algebra", "algebra": {"dim": {"p": 1, "q": 0}, "even": [["x"]]}}, "/algebra/even/0"),
             ({"kind": "algebra", "algebra": {"name": "gl", "params": 3}}, "/algebra"),
             (3, "/"),
+            ({"kind": "connection", "chart": {"n": 1, "m": 0}, "gamma": {"1,1,1": "2^99999999"}}, "/gamma/1,1,1"),
         ],
     )
     def test_malformed_input_is_an_error_report(self, doc, path):
@@ -133,7 +140,8 @@ class TestDeterminism:
 
 
 class TestGoldenReports:
-    """The reports of the bundled problems, pinned byte for byte.
+    """The reports of the bundled problems and the `tables --max-dim 4`
+    reports of every family, pinned byte for byte.
 
     After an intended change of output, regenerate the files in
     tests/data/golden with `PYTHONPATH=src python tests/test_cli.py` and
@@ -144,6 +152,11 @@ class TestGoldenReports:
     def test_report_matches_pinned(self, name):
         with open(os.path.join(GOLDEN, name), "rb") as fh:
             assert report_text(name).encode() == fh.read()
+
+    @pytest.mark.parametrize("family", TABLE_FAMILIES)
+    def test_tables_match_pinned(self, family):
+        with open(os.path.join(GOLDEN, "tables_%s.json" % family), "rb") as fh:
+            assert tables_text(family).encode() == fh.read()
 
 
 class TestSelfTest:
@@ -231,3 +244,6 @@ if __name__ == "__main__":
     for name in PROBLEMS:
         with open(os.path.join(GOLDEN, name), "w") as fh:
             fh.write(report_text(name))
+    for family in TABLE_FAMILIES:
+        with open(os.path.join(GOLDEN, "tables_%s.json" % family), "w") as fh:
+            fh.write(tables_text(family))

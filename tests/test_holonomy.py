@@ -128,7 +128,7 @@ class TestInfinitesimalHolonomy:
                 [table.mats[(a, b)][A][B].value([]) for B in range(dim.total)]
                 for A in range(dim.total)
             ]
-            values[(a, b)] = SuperMatrix(dim, mat, None, hol.algebra.field)
+            values[(a, b)] = SuperMatrix(dim, mat, hol.algebra.field)
         elem = CurvatureElement(dim, 0, values, hol.algebra.field)
         rspace = curvature_space(hol.algebra)
         span = span_echelon([e.flatten() for e in rspace.basis])
@@ -457,7 +457,6 @@ class TestCrossModuleInvariants:
                 values[(a, b)] = SuperMatrix(
                     dim,
                     [[mat[A][B].value([]) for B in range(t)] for A in range(t)],
-                    None,
                     hol.algebra.field,
                 )
             elem = CurvatureElement(dim, 1, values, hol.algebra.field)
@@ -487,7 +486,7 @@ class TestCrossModuleInvariants:
         form = StructureTensor(
             "even_bilinear_form",
             "supersymmetric",
-            SuperMatrix(SuperDim(2, 0), body, None, sig.field),
+            SuperMatrix(SuperDim(2, 0), body, sig.field),
         )
         assert stab_of(form).contains_algebra(hol.algebra)
 
@@ -502,7 +501,7 @@ def _closures_by_order(tables, point, rank, field):
     gens, out = [], []
     for tab in tables:
         for key in sorted(tab.components):
-            m = SuperMatrix(rank, sfmat_value(tab.components[key], point), None, field)
+            m = SuperMatrix(rank, sfmat_value(tab.components[key], point), field)
             if not m.is_zero():
                 gens.append(m)
         out.append(encode_algebra(generate_subalgebra(gens, rank, field)))

@@ -7,6 +7,7 @@ from superhol.scalars import GaussianRational, parse_scalar, scalar_str
 from superhol.superfunc import (
     ChartSignature,
     Superfunction,
+    MAX_EXPONENT,
     SyntaxErrorAt,
     merge_sign,
     parse_superfunction,
@@ -47,6 +48,13 @@ class TestParser:
         with pytest.raises(SyntaxErrorAt) as err:
             sf("x1 + @")
         assert err.value.pos == 5
+
+    def test_exponent_bound(self):
+        assert MAX_EXPONENT == 16
+        assert sf("x1^16").terms == {0: {(16, 0): Fraction(1)}}
+        with pytest.raises(SyntaxErrorAt) as err:
+            sf("x1 + (1+x2)^17")
+        assert err.value.pos == 12
 
     def test_out_of_range_variable(self):
         with pytest.raises(SyntaxErrorAt):

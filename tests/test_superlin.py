@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from superhol import linalg
-from superhol.scalars import GAUSSIAN, GaussianRational
+from superhol.reportio import encode_algebra, encode_matrix
+from superhol.scalars import GAUSSIAN, RATIONAL, GaussianRational, field_zero
 from superhol.superlin import (
     StructureTensor,
     SubSuperalgebra,
@@ -234,3 +235,174 @@ class TestProperties:
         assert len(doc["even"]) == 3 and len(doc["odd"]) == 2
         back = decode_algebra(doc)
         assert back == alg
+
+
+FIELDS = (RATIONAL, GAUSSIAN)
+
+
+def entry_parity(m):
+    """Parity read off the nonzero entries: 0 or 1, None for mixed, 0 for zero."""
+    t = m.dim.total
+    seen = {(m.dim.parity(a) + m.dim.parity(b)) % 2 for a in range(t) for b in range(t) if m.entries[a][b]}
+    return None if len(seen) == 2 else (seen.pop() if seen else 0)
+
+
+def random_scalar(rng, field):
+    if field == RATIONAL:
+        return Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+    return GaussianRational(rng.randint(-2, 2), rng.randint(-1, 1))
+
+
+def random_matrix(rng, dim, field, parities=(0, 1), density=0.5):
+    """Entries drawn in the blocks of the given parities, each kept with
+    probability density; mixed when both parities are allowed."""
+    t = dim.total
+    rows = [[field_zero(field)] * t for _ in range(t)]
+    for a in range(t):
+        for b in range(t):
+            if (dim.parity(a) + dim.parity(b)) % 2 in parities and rng.random() < density:
+                rows[a][b] = random_scalar(rng, field)
+    return SuperMatrix(dim, rows, field)
+
+
+class TestParityFromEntries:
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_odd_standard_forms(self, n, field):
+        assert standard_odd_form(n, field=field).data.parity == 1
+        assert standard_odd_form(n, skew=True, field=field).data.parity == 1
+        j = standard_odd_complex_structure(n, field=field).data
+        assert j.parity == 1
+        assert superbracket(j, j) == SuperMatrix.identity(SuperDim(n, n)).scale(-2)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_every_constructor_reads_its_entries(self, field):
+        rng = random.Random(81)
+        for dim in (SuperDim(1, 1), SuperDim(2, 1), SuperDim(0, 2), SuperDim(2, 0), SuperDim(2, 2)):
+            t = dim.total
+            made = [SuperMatrix.zeros(dim, field), SuperMatrix.identity(dim, field)]
+            made += [SuperMatrix.unit(dim, a, b, field) for a in range(t) for b in range(t)]
+            for _ in range(30):
+                parities = rng.choice([(0,), (1,), (0, 1)])
+                a = random_matrix(rng, dim, field, parities, rng.choice([0.0, 0.3, 1.0]))
+                b = random_matrix(rng, dim, field, rng.choice([(0,), (1,), (0, 1)]))
+                c = rng.choice([0, 1, -3, random_scalar(rng, field)])
+                made += [
+                    SuperMatrix.from_flat(dim, a.flatten(), field),
+                    a + b,
+                    a - a,
+                    a.scale(c),
+                    a.matmul(b),
+                ]
+            seen = set()
+            for m in made:
+                assert m.parity == entry_parity(m), m
+                seen.add(m.parity)
+            assert seen == {0, 1, None} or dim.q == 0 or dim.p == 0
+
+
+# ------------------------------------ the split-and-re-echelonize reference
+
+
+def reference_homogeneous_part(m, parity):
+    t = m.dim.total
+    rows = [
+        [m.entries[a][b] if (m.dim.parity(a) + m.dim.parity(b)) % 2 == parity else field_zero(m.field) for b in range(t)]
+        for a in range(t)
+    ]
+    return SuperMatrix(m.dim, rows, m.field)
+
+
+class ReferenceAlgebra:
+    """The route SubSuperalgebra took before it kept its echelons: the bases
+    are read off fresh echelons of the homogeneous parts, then echelonized a
+    second time for membership."""
+
+    def __init__(self, dim, echelons, field):
+        self.even_basis, self.odd_basis = (
+            [SuperMatrix.from_flat(dim, v, field) for v in ech.basis()] for ech in echelons
+        )
+        self.echelons = [
+            linalg.span_echelon([m.flatten() for m in basis]) for basis in (self.even_basis, self.odd_basis)
+        ]
+        self.doc = {
+            "dim": {"p": dim.p, "q": dim.q},
+            "even": [encode_matrix(m) for m in self.even_basis],
+            "odd": [encode_matrix(m) for m in self.odd_basis],
+        }
+
+    @staticmethod
+    def push(echelons, m):
+        added = []
+        for parity, ech in enumerate(echelons):
+            part = reference_homogeneous_part(m, parity)
+            if not part.is_zero() and ech.insert(part.flatten()):
+                added.append(part)
+        return added
+
+    @classmethod
+    def from_matrices(cls, dim, mats, field):
+        echelons = (linalg.SparseEchelon(), linalg.SparseEchelon())
+        for m in mats:
+            cls.push(echelons, m)
+        return cls(dim, echelons, field)
+
+    @classmethod
+    def generate(cls, dim, generators, field):
+        echelons = (linalg.SparseEchelon(), linalg.SparseEchelon())
+        basis = []
+        frontier = []
+        for g in generators:
+            frontier.extend(cls.push(echelons, g))
+        basis.extend(frontier)
+        while frontier:
+            new = []
+            snapshot = list(basis)
+            for a in frontier:
+                for b in snapshot:
+                    br = superbracket(a, b)
+                    if not br.is_zero():
+                        added = cls.push(echelons, br)
+                        new.extend(added)
+                        basis.extend(added)
+            frontier = new
+        return cls(dim, echelons, field)
+
+    def contains(self, m):
+        return all(
+            self.echelons[parity].contains(reference_homogeneous_part(m, parity).flatten()) for parity in (0, 1)
+        )
+
+
+class TestKeptEchelonsMatchTheReference:
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("dim", [SuperDim(1, 1), SuperDim(2, 1), SuperDim(2, 2)], ids=repr)
+    def test_from_matrices_generate_and_membership(self, dim, field):
+        rng = random.Random("%r/%s" % (dim, field))
+        outside = 0
+        for case in range(8):
+            # few sparse generators, so that proper subalgebras occur
+            gens = [
+                random_matrix(rng, dim, field, rng.choice([(0,), (1,), (0, 1)]), 0.25)
+                for _ in range(rng.randint(1, 3))
+            ]
+            pairs = [
+                (SubSuperalgebra.from_matrices(dim, gens, field), ReferenceAlgebra.from_matrices(dim, gens, field)),
+                (generate_subalgebra(gens, dim, field), ReferenceAlgebra.generate(dim, gens, field)),
+            ]
+            for alg, ref in pairs:
+                assert encode_algebra(alg) == ref.doc
+                basis = alg.basis()
+                members = [SuperMatrix.zeros(dim, field)] + basis
+                for _ in range(4):
+                    acc = SuperMatrix.zeros(dim, field)
+                    for m in basis:
+                        acc = acc + m.scale(random_scalar(rng, field))
+                    members.append(acc)
+                for m in members:
+                    assert alg.contains_matrix(m) and ref.contains(m)
+                for _ in range(6):
+                    m = random_matrix(rng, dim, field, rng.choice([(0,), (1,), (0, 1)]), 0.5)
+                    assert alg.contains_matrix(m) == ref.contains(m)
+                    outside += not ref.contains(m)
+        assert outside
