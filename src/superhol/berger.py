@@ -15,6 +15,7 @@ from .superlin import (
     SubSuperalgebra,
     SuperDim,
     SuperMatrix,
+    cyclic_terms,
     insert_parts,
     superbracket,
 )
@@ -121,11 +122,8 @@ def curvature_space(algebra: SubSuperalgebra) -> LinearSolutionSpace:
 
         def rows():
             for (x, y, z) in _sorted_triples(t):
-                px, py, pz = dim.parity(x), dim.parity(y), dim.parity(z)
-                s2 = (-1) ** (px * (py + pz))
-                s3 = (-1) ** (pz * (px + py))
                 terms = []
-                for (u, v, w, s) in ((x, y, z, 1), (y, z, x, s2), (z, x, y, s3)):
+                for (u, v, w), s in cyclic_terms(dim.parity, x, y, z):
                     pair, sign = reduce_pair(dim, u, v)
                     if sign:
                         terms.append((labels[pair], w, s * sign))
@@ -157,12 +155,10 @@ def check_curvature_element(algebra: SubSuperalgebra, elem: CurvatureElement) ->
         if not algebra.contains_matrix(m):
             return False
     for (x, y, z) in _sorted_triples(t):
-        px, py, pz = dim.parity(x), dim.parity(y), dim.parity(z)
-        s2 = (-1) ** (px * (py + pz))
-        s3 = (-1) ** (pz * (px + py))
+        terms = cyclic_terms(dim.parity, x, y, z)
         for comp in range(t):
             acc = field_zero(algebra.field)
-            for (u, v, w, s) in ((x, y, z, 1), (y, z, x, s2), (z, x, y, s3)):
+            for (u, v, w), s in terms:
                 acc = acc + s * elem.value(u, v).entries[comp][w]
             if acc:
                 return False
@@ -235,12 +231,9 @@ def curvature_derivative_space(algebra: SubSuperalgebra, rspace: LinearSolutionS
 
         def rows():
             for (x, y, z) in _sorted_triples(t):
-                px, py, pz = dim.parity(x), dim.parity(y), dim.parity(z)
-                s2 = (-1) ** (px * (py + pz))
-                s3 = (-1) ** (pz * (px + py))
                 # (label, sign, entries of R_j on the canonical pair) per term
                 terms = []
-                for (d, u, v, s) in ((x, y, z, 1), (y, z, x, s2), (z, x, y, s3)):
+                for (d, u, v), s in cyclic_terms(dim.parity, x, y, z):
                     pair, sign = reduce_pair(dim, u, v)
                     if not sign:
                         continue
@@ -480,35 +473,15 @@ def spencer_rank_identity(algebra: SubSuperalgebra, tower: ProlongationTower = N
 def structure_constants(algebra: SubSuperalgebra):
     """Basis and bracket coordinates; raises if the basis is not closed."""
     basis = algebra.basis()
-    flats = [m.flatten() for m in basis]
     n = len(basis)
     table = {}
     for i in range(n):
         for j in range(n):
-            br = superbracket(basis[i], basis[j])
-            coords = _coordinates(flats, br.flatten(), algebra.field)
+            coords = algebra.coordinates(superbracket(basis[i], basis[j]))
             if coords is None:
                 raise ValueError("algebra basis is not bracket-closed")
             table[(i, j)] = coords
     return basis, table
-
-
-def _coordinates(columns, target, field):
-    """Solve sum c_i columns_i = target exactly; None if unsolvable."""
-    k = len(columns)
-    rows = {}
-    for i, col in enumerate(columns):
-        for coord, v in col.items():
-            rows.setdefault(coord, {})[i] = v
-    for coord, v in target.items():
-        rows.setdefault(coord, {})[k] = -v
-    for combo in solve_kernel(range(k + 1), rows.values(), field):
-        s = combo.get(k)
-        if s:
-            return {i: v / s for i, v in combo.items() if i != k and v}
-    if not target:
-        return {}
-    return None
 
 
 def is_simple(algebra: SubSuperalgebra):
@@ -518,19 +491,15 @@ def is_simple(algebra: SubSuperalgebra):
     if not basis:
         return False, "zero algebra"
     n = len(basis)
+    derived = [superbracket(basis[i], basis[j]) for i in range(n) for j in range(n)]
     # center: combinations bracketing to zero with every basis element
     rows = {}
-    for i in range(n):
-        for j in range(n):
-            br = superbracket(basis[i], basis[j])
-            for coord, v in br.flatten().items():
-                rows.setdefault((j, coord), {})[i] = v
+    for k, br in enumerate(derived):
+        i, j = divmod(k, n)
+        for coord, v in br.flatten().items():
+            rows.setdefault((j, coord), {})[i] = v
     if solve_kernel(range(n), rows.values(), algebra.field):
         return False, "nontrivial center"
-    derived = []
-    for i in range(n):
-        for j in range(n):
-            derived.append(superbracket(basis[i], basis[j]))
     dspan = SubSuperalgebra.from_matrices(algebra.dim, derived, algebra.field)
     if dspan.graded_dim != algebra.graded_dim:
         return False, "derived subalgebra is proper"

@@ -12,7 +12,7 @@ from __future__ import annotations
 from .linalg import span_echelon
 from .scalars import RATIONAL, field_one, field_zero
 from .superfunc import ChartSignature, Superfunction
-from .superlin import SuperDim, SuperMatrix
+from .superlin import SuperDim, SuperMatrix, cyclic_terms
 
 
 class Chart:
@@ -299,29 +299,14 @@ def curvature(conn: ConnectionData) -> CurvatureTable:
         pa = chart.coord_parity(a)
         for b in range(t):
             pb = chart.coord_parity(b)
-            mat = sfmat_zeros(sig, rk, rk)
+            # R_ab = ∇_a Γ_b − (−1)^{|a||b|} ∂_b Γ_a
+            mat = _covariant_step(conn, a, gamma[b], pb)
+            sign = -((-1) ** (pa * pb))
             for A in range(rk):
                 fA = chart.fiber_parity(A)
                 for B in range(rk):
-                    fB = chart.fiber_parity(B)
-                    term = gamma[b][A][B].partial(a + 1)
-                    for C in range(rk):
-                        g1 = gamma[b][C][B]
-                        g2 = gamma[a][A][C]
-                        if g1.is_zero() or g2.is_zero():
-                            continue
-                        sign = (-1) ** (pa * (pb + fB + chart.fiber_parity(C)))
-                        term = term + (g1 * g2).scale(sign)
-                    other = gamma[a][A][B].partial(b + 1)
-                    for C in range(rk):
-                        g1 = gamma[a][C][B]
-                        g2 = gamma[b][A][C]
-                        if g1.is_zero() or g2.is_zero():
-                            continue
-                        sign = (-1) ** (pb * (pa + fB + chart.fiber_parity(C)))
-                        other = other + (g1 * g2).scale(sign)
-                    term = term + other.scale(-((-1) ** (pa * pb)))
-                    want = (pa + pb + fA + fB) % 2
+                    term = mat[A][B] + gamma[a][A][B].partial(b + 1).scale(sign)
+                    want = (pa + pb + fA + chart.fiber_parity(B)) % 2
                     if not _parity_ok(term, want):
                         raise AssertionError("curvature parity law violated")
                     mat[A][B] = term
@@ -382,38 +367,48 @@ class DerivativeTable:
         return DerivativeTable(chart, 0, comps, canonical=True)
 
 
+def _covariant_step(conn: ConnectionData, c: int, mat, par: int):
+    """∇_c of one End(E)-valued component over the flat coordinate reference.
+
+    `par` is the total parity of the component's coordinate indices, so entry
+    [A][B] of `mat` has parity par + |A| + |B|.  Entry [A][B] of the result is
+    ∂_c M^A_B + Σ_C (−1)^{|c|(par+|B|+|C|)} M^C_B Γ^A_{cC}
+    − Σ_C (−1)^{par(|C|+|B|)} Γ^C_{cB} M^A_C, that is ∂_c M + Γ_c M − M Γ_c
+    with the super signs of that grading.
+    """
+    chart = conn.chart
+    rk = chart.rank.total
+    gamma = conn.gamma[c]
+    pc = chart.coord_parity(c)
+    new = sfmat_zeros(chart.sig, rk, rk)
+    for A in range(rk):
+        for B in range(rk):
+            fB = chart.fiber_parity(B)
+            term = mat[A][B].partial(c + 1)
+            for C in range(rk):
+                fC = chart.fiber_parity(C)
+                g2 = gamma[A][C]
+                if not (mat[C][B].is_zero() or g2.is_zero()):
+                    term = term + (mat[C][B] * g2).scale((-1) ** (pc * (par + fB + fC)))
+                g1 = gamma[C][B]
+                if not (g1.is_zero() or mat[A][C].is_zero()):
+                    term = term - (g1 * mat[A][C]).scale((-1) ** ((fC + fB) * par))
+            new[A][B] = term
+    return new
+
+
 def _next_derivative(conn: ConnectionData, prev: DerivativeTable) -> DerivativeTable:
     chart = conn.chart
-    sig = chart.sig
-    t, rk = sig.total, chart.rank.total
-    gamma = conn.gamma
+    t = chart.sig.total
     out = {}
     for (dirs, a, b), mat in prev.components.items():
-        base_par = sum(chart.coord_parity(d) for d in dirs) + chart.coord_parity(a) + chart.coord_parity(b)
+        par = sum(chart.coord_parity(d) for d in dirs + (a, b)) % 2
         stop = t
         if prev.canonical and dirs:
             # prepend a_{r+1} <= a_r, strictly when it is odd
             stop = dirs[0] + 1 - chart.coord_parity(dirs[0])
-        for ar in range(stop):
-            par = chart.coord_parity(ar)
-            new = sfmat_zeros(sig, rk, rk)
-            for A in range(rk):
-                fA = chart.fiber_parity(A)
-                for B in range(rk):
-                    fB = chart.fiber_parity(B)
-                    term = mat[A][B].partial(ar + 1)
-                    for C in range(rk):
-                        fC = chart.fiber_parity(C)
-                        g2 = gamma[ar][A][C]
-                        if not (mat[C][B].is_zero() or g2.is_zero()):
-                            sign = (-1) ** (par * (base_par + fB + fC))
-                            term = term + (mat[C][B] * g2).scale(sign)
-                        g1 = gamma[ar][C][B]
-                        if not (g1.is_zero() or mat[A][C].is_zero()):
-                            sign = (-1) ** ((fC + fB) * (base_par % 2))
-                            term = term - (g1 * mat[A][C]).scale(sign)
-                    new[A][B] = term
-            out[((ar,) + dirs, a, b)] = new
+        for c in range(stop):
+            out[((c,) + dirs, a, b)] = _covariant_step(conn, c, mat, par)
     return DerivativeTable(chart, prev.order + 1, out, prev.canonical)
 
 
@@ -469,18 +464,17 @@ def check_first_bianchi(conn: ConnectionData) -> bool:
     chart = conn.chart
     if not chart.tangent_sheaf:
         raise ValueError("first Bianchi needs a tangent-sheaf connection")
-    table = curvature(conn)
+    mats = curvature(conn).mats
     t = chart.sig.total
     for a in range(t):
-        pa = chart.coord_parity(a)
         for b in range(t):
-            pb = chart.coord_parity(b)
             for c in range(t):
-                pc = chart.coord_parity(c)
+                # the first term is (a, b, c) with sign 1, left unscaled
+                _, *rest = cyclic_terms(chart.coord_parity, a, b, c)
                 for A in range(t):
-                    s = table.mats[(a, b)][A][c]
-                    s = s + table.mats[(b, c)][A][a].scale((-1) ** (pa * (pb + pc)))
-                    s = s + table.mats[(c, a)][A][b].scale((-1) ** (pc * (pa + pb)))
+                    s = mats[(a, b)][A][c]
+                    for (u, v, w), sign in rest:
+                        s = s + mats[(u, v)][A][w].scale(sign)
                     if not s.is_zero():
                         return False
     return True
@@ -490,8 +484,8 @@ def check_second_bianchi(conn: ConnectionData) -> bool:
     """Second Bianchi identity on coordinate fields, read off the torsion.
 
     Every connection satisfies 𝔖[(∇_x R)(y,z) + R(T(x,y),z)] = 0, the cyclic
-    sum taken with the signs below (Kobayashi–Nomizu I, Thm III.5.3, with
-    super signs).  So the cyclic sum of the first covariant derivatives
+    sum taken with the signs of `cyclic_terms` (Kobayashi–Nomizu I, Thm
+    III.5.3, with super signs).  So the cyclic sum of the first covariant derivatives
     vanishes exactly when 𝔖 R(T(x,y),z) does, entry by entry, and that sum
     needs only the curvature table and the torsion.  A torsion-free
     connection, every Levi-Civita connection among them, satisfies it.
@@ -515,19 +509,15 @@ def check_second_bianchi(conn: ConnectionData) -> bool:
                     mat = sfmat_add(mat, [[coef * f for f in row] for row in mats[(c, z)]])
             rt[(x, y, z)] = mat
     for x in range(t):
-        px = chart.coord_parity(x)
         for y in range(t):
-            py = chart.coord_parity(y)
             for z in range(t):
-                pz = chart.coord_parity(z)
-                m1 = rt[(x, y, z)]
-                m2 = rt[(y, z, x)]
-                m3 = rt[(z, x, y)]
-                s2 = (-1) ** (px * (py + pz))
-                s3 = (-1) ** (pz * (px + py))
+                # the first term is (x, y, z) with sign 1, left unscaled
+                _, *rest = cyclic_terms(chart.coord_parity, x, y, z)
                 for A in range(rk):
                     for B in range(rk):
-                        s = m1[A][B] + m2[A][B].scale(s2) + m3[A][B].scale(s3)
+                        s = rt[(x, y, z)][A][B]
+                        for uvw, sign in rest:
+                            s = s + rt[uvw][A][B].scale(sign)
                         if not s.is_zero():
                             return False
     return True
@@ -713,15 +703,13 @@ def levi_civita(metric: MetricData) -> ConnectionData:
     half = field_one(sig.field) / 2
     gamma = [sfmat_zeros(sig, t, t) for _ in range(t)]
     for a in range(t):
-        pa = chart.coord_parity(a)
         for b in range(t):
-            pb = chart.coord_parity(b)
             k_row = []
             for c in range(t):
-                pc = chart.coord_parity(c)
+                _, (_, s2), (_, s3) = cyclic_terms(chart.coord_parity, a, b, c)
                 term = g[b][c].partial(a + 1)
-                term = term + g[c][a].partial(b + 1).scale((-1) ** (pa * (pb + pc)))
-                term = term - g[a][b].partial(c + 1).scale((-1) ** (pc * (pa + pb)))
+                term = term + g[c][a].partial(b + 1).scale(s2)
+                term = term - g[a][b].partial(c + 1).scale(s3)
                 k_row.append(term.scale(half))
             for d in range(t):
                 acc = Superfunction.zero(sig)
@@ -742,22 +730,9 @@ def levi_civita(metric: MetricData) -> ConnectionData:
 
 def nabla_endomorphism(conn: ConnectionData, j: SuperMatrix, a: int):
     """(nabla_a J) for a constant even endomorphism J of the tangent sheaf."""
-    chart = conn.chart
-    sig = chart.sig
-    t = sig.total
-    out = sfmat_zeros(sig, t, t)
-    for d in range(t):
-        for c in range(t):
-            acc = Superfunction.zero(sig)
-            for b in range(t):
-                jv = j.entries[b][c]
-                if jv:
-                    acc = acc + conn.gamma[a][d][b].scale(jv)
-                jv = j.entries[d][b]
-                if jv:
-                    acc = acc - conn.gamma[a][b][c].scale(jv)
-            out[d][c] = acc
-    return out
+    sig = conn.chart.sig
+    const = [[Superfunction.constant(sig, v) for v in row] for row in j.entries]
+    return _covariant_step(conn, a, const, 0)
 
 
 # ------------------------------------------------------- tensor extensions

@@ -25,6 +25,12 @@ from .scalars import (
 # Largest exponent the parser accepts after `^`: it multiplies the base that
 # many times, so an unbounded exponent is an unbounded run.
 MAX_EXPONENT = 16
+# Largest even total degree of a parsed product or power: nested powers
+# multiply their exponents, so the exponent bound alone does not bound the work.
+MAX_DEGREE = 16
+# Deepest parenthesis nesting the parser accepts: each level costs a few
+# Python stack frames, and the recursion limit must not be the bound.
+MAX_NESTING = 64
 
 
 class ChartSignature:
@@ -507,16 +513,29 @@ def _tokenize(text):
     return tokens
 
 
+def _even_degree(f: Superfunction) -> int:
+    """Largest total degree in the even coordinates over the terms of f."""
+    return max((sum(exps) for poly in f.terms.values() for exps in poly), default=0)
+
+
 class _Parser:
     """Recursive descent over: expr := ['+'|'-'] term (('+'|'-') term)*
     term := factor ('*' factor)*; factor := atom ('^' nat)?, nat <= MAX_EXPONENT;
     atom := rational | 'i' | evenvar | oddvar | '(' expr ')'.
+
+    A `*` or `^` whose factors' even degrees add up to more than MAX_DEGREE,
+    and a `(` nested deeper than MAX_NESTING, are syntax errors at that token.
     """
 
     def __init__(self, tokens, sig):
         self.tokens = tokens
         self.pos = 0
         self.sig = sig
+        self.depth = 0
+
+    def check_degree(self, degree, tok):
+        if degree > MAX_DEGREE:
+            raise SyntaxErrorAt("degree %d is above the limit %d" % (degree, MAX_DEGREE), tok[2])
 
     def peek(self):
         return self.tokens[self.pos]
@@ -556,18 +575,21 @@ class _Parser:
     def term(self):
         f = self.factor()
         while self.peek()[0] == "*":
-            self.next()
-            f = f * self.factor()
+            op = self.next()
+            g = self.factor()
+            self.check_degree(_even_degree(f) + _even_degree(g), op)
+            f = f * g
         return f
 
     def factor(self):
         f = self.atom()
         if self.peek()[0] == "^":
-            self.next()
+            op = self.next()
             tok = self.expect("int")
             power = int(tok[1])
             if power > MAX_EXPONENT:
                 raise SyntaxErrorAt("exponent %d is above the limit %d" % (power, MAX_EXPONENT), tok[2])
+            self.check_degree(power * _even_degree(f), op)
             out = Superfunction.constant(self.sig, 1)
             for _ in range(power):
                 out = out * f
@@ -602,8 +624,12 @@ class _Parser:
                 raise SyntaxErrorAt("odd variable xi%d out of range (m=%d)" % (alpha, self.sig.m), pos)
             return Superfunction.odd_var(self.sig, alpha)
         if kind == "(":
+            if self.depth == MAX_NESTING:
+                raise SyntaxErrorAt("parentheses nested deeper than %d" % MAX_NESTING, pos)
+            self.depth += 1
             f = self.expr()
             self.expect(")")
+            self.depth -= 1
             return f
         raise SyntaxErrorAt("unexpected token %r" % text, pos)
 

@@ -207,6 +207,21 @@ def superbracket(a: SuperMatrix, b: SuperMatrix) -> SuperMatrix:
     return ab - ba
 
 
+def cyclic_terms(parity, x, y, z):
+    """The three terms ((u, v, w), sign) of a graded cyclic sum over x, y, z.
+
+    `parity` maps an index to its parity.  The terms are (x, y, z) with sign
+    1, (y, z, x) with (−1)^{|x|(|y|+|z|)} and (z, x, y) with
+    (−1)^{|z|(|x|+|y|)}, the signs of the first Bianchi identity.
+    """
+    px, py, pz = parity(x), parity(y), parity(z)
+    return (
+        ((x, y, z), 1),
+        ((y, z, x), (-1) ** (px * (py + pz))),
+        ((z, x, y), (-1) ** (pz * (px + py))),
+    )
+
+
 class SubSuperalgebra:
     """Graded subspace of gl(p|q), kept as one reduced echelon per parity.
 
@@ -249,6 +264,19 @@ class SubSuperalgebra:
     def contains_matrix(self, m: SuperMatrix) -> bool:
         echelons = (self._even_ech, self._odd_ech)
         return all(ech.contains(part) for part, ech in zip(m.graded_flat(), echelons))
+
+    def coordinates(self, m: SuperMatrix):
+        """Coordinates of m in `basis()`, as {index: nonzero scalar}, or None
+        when m is not in the algebra.
+
+        Each basis element has a 1 at its own pivot and 0 at the other pivots
+        of its echelon, so the coordinates are the entries of m at the pivots.
+        """
+        if not self.contains_matrix(m):
+            return None
+        echelons = (self._even_ech, self._odd_ech)
+        pivots = [(part, p) for part, ech in zip(m.graded_flat(), echelons) for p in sorted(ech.pivot_rows)]
+        return {i: part[p] for i, (part, p) in enumerate(pivots) if p in part}
 
     def contains_algebra(self, other: "SubSuperalgebra") -> bool:
         return all(self.contains_matrix(m) for m in other.basis())

@@ -111,6 +111,8 @@ class TestRunPipelines:
             ({"kind": "algebra", "algebra": {"name": "gl", "params": 3}}, "/algebra"),
             (3, "/"),
             ({"kind": "connection", "chart": {"n": 1, "m": 0}, "gamma": {"1,1,1": "2^99999999"}}, "/gamma/1,1,1"),
+            ({"kind": "connection", "chart": {"n": 1, "m": 0}, "gamma": {"1,1,1": "(" * 5000 + "x1" + ")" * 5000}}, "/gamma/1,1,1"),
+            ({"kind": "connection", "chart": {"n": 2, "m": 0}, "gamma": {"1,1,1": "((1+x1+x2)^16)^16"}}, "/gamma/1,1,1"),
         ],
     )
     def test_malformed_input_is_an_error_report(self, doc, path):

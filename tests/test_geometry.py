@@ -89,19 +89,79 @@ class TestCurvature:
             conn = pure_gauge_connection(chart, g)
             assert curvature(conn).is_zero()
 
-    def test_matches_operator_definition(self):
+    @pytest.mark.parametrize("make", [random_connection, random_sparse_connection], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("field", [RATIONAL, GAUSSIAN])
+    @pytest.mark.parametrize(
+        "chart_dims, rank_dims",
+        [((2, 2), (2, 2)), ((0, 1), (0, 1)), ((1, 2), (1, 2)), ((2, 1), (2, 1)), ((2, 1), (1, 2))],
+        ids=lambda d: "%d|%d" % d,
+    )
+    def test_matches_operator_definition(self, chart_dims, rank_dims, field, make):
         rng = random.Random(22)
+        sig = ChartSignature(*chart_dims, field)
+        chart = Chart(sig, SuperDim(*rank_dims))
+        t, rk = sig.total, chart.rank.total
         for _ in range(3):
-            sig = ChartSignature(2, 2)
-            chart = Chart(sig, SuperDim(2, 2))
-            conn = random_connection(rng, chart)
+            conn = make(rng, chart)
             table = curvature(conn)
-            for a in range(4):
-                for b in range(4):
-                    for col in range(4):
+            for a in range(t):
+                for b in range(t):
+                    for col in range(rk):
                         want = curvature_operator_oracle(conn, a, b, col)
-                        for row in range(4):
+                        for row in range(rk):
                             assert table.mats[(a, b)][row][col] == want[row]
+
+
+def reference_nabla_endomorphism(conn, j, a):
+    """(nabla_a J) for a constant even J as its own sum, the body
+    `nabla_endomorphism` had before it became one covariant step."""
+    sig = conn.chart.sig
+    t = sig.total
+    out = sfmat_zeros(sig, t, t)
+    for d in range(t):
+        for c in range(t):
+            acc = Superfunction.zero(sig)
+            for b in range(t):
+                jv = j.entries[b][c]
+                if jv:
+                    acc = acc + conn.gamma[a][d][b].scale(jv)
+                jv = j.entries[d][b]
+                if jv:
+                    acc = acc - conn.gamma[a][b][c].scale(jv)
+            out[d][c] = acc
+    return out
+
+
+class TestNablaEndomorphism:
+    @pytest.mark.parametrize("field", [RATIONAL, GAUSSIAN])
+    @pytest.mark.parametrize("n, m", [(1, 1), (2, 2), (0, 4)])
+    def test_matches_the_direct_sum(self, n, m, field):
+        rng = random.Random("nabla J %d|%d %s" % (n, m, field))
+        sig = ChartSignature(n, m, field)
+        chart = Chart.tangent(sig)
+        dim = SuperDim(n, m)
+        t = sig.total
+
+        def scalar():
+            if field == GAUSSIAN:
+                return GaussianRational(rng.randint(-2, 2), rng.randint(-2, 2))
+            return Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+
+        nonzero = 0
+        for make in (random_connection, random_sparse_connection):
+            for _ in range(2):
+                conn = make(rng, chart)
+                rows = [
+                    [scalar() if dim.parity(r) == dim.parity(c) else field_zero(field) for c in range(t)]
+                    for r in range(t)
+                ]
+                j = SuperMatrix(dim, rows, field)
+                assert j.parity == 0
+                for a in range(t):
+                    got = geo.nabla_endomorphism(conn, j, a)
+                    assert got == reference_nabla_endomorphism(conn, j, a)
+                    nonzero += any(not f.is_zero() for row in got for f in row)
+        assert nonzero
 
 
 class TestCurvatureKept:

@@ -7,7 +7,9 @@ from superhol.scalars import GaussianRational, parse_scalar, scalar_str
 from superhol.superfunc import (
     ChartSignature,
     Superfunction,
+    MAX_DEGREE,
     MAX_EXPONENT,
+    MAX_NESTING,
     SyntaxErrorAt,
     merge_sign,
     parse_superfunction,
@@ -55,6 +57,24 @@ class TestParser:
         with pytest.raises(SyntaxErrorAt) as err:
             sf("x1 + (1+x2)^17")
         assert err.value.pos == 12
+
+    def test_degree_bound(self):
+        assert MAX_DEGREE >= 16
+        assert sf("x1^8*x2^8") == sf("x2^8*x1^8")
+        assert sf("(x1*xi1)^16").is_zero()
+        with pytest.raises(SyntaxErrorAt) as err:
+            sf("x1^16 * x2")
+        assert err.value.pos == 6
+        with pytest.raises(SyntaxErrorAt) as err:
+            sf("((1+x1)^4)^5")
+        assert err.value.pos == 10
+
+    def test_nesting_bound(self):
+        deep = "(" * MAX_NESTING + "x1" + ")" * MAX_NESTING
+        assert sf(deep) == sf("x1")
+        with pytest.raises(SyntaxErrorAt) as err:
+            sf("x2 + (" + deep + ")")
+        assert err.value.pos == 5 + MAX_NESTING
 
     def test_out_of_range_variable(self):
         with pytest.raises(SyntaxErrorAt):

@@ -406,3 +406,54 @@ class TestKeptEchelonsMatchTheReference:
                     assert alg.contains_matrix(m) == ref.contains(m)
                     outside += not ref.contains(m)
         assert outside
+
+
+def reference_coordinates(columns, target, field):
+    """Solve sum c_i columns_i = target exactly, None if unsolvable: the
+    kernel solve that `berger.structure_constants` made for each bracket
+    before `SubSuperalgebra.coordinates` read the pivots."""
+    k = len(columns)
+    rows = {}
+    for i, col in enumerate(columns):
+        for coord, v in col.items():
+            rows.setdefault(coord, {})[i] = v
+    for coord, v in target.items():
+        rows.setdefault(coord, {})[k] = -v
+    for combo in linalg.solve_kernel(range(k + 1), rows.values(), field):
+        s = combo.get(k)
+        if s:
+            return {i: v / s for i, v in combo.items() if i != k and v}
+    if not target:
+        return {}
+    return None
+
+
+class TestCoordinatesMatchTheSolve:
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize(
+        "name, params", [("gl", (1, 1)), ("sl", (2, 1)), ("osp", (1, 2)), ("pe", 2), ("spe", 2), ("q", 2), ("cosp", (2, 2))],
+        ids=str,
+    )
+    def test_members_and_non_members(self, name, params, field):
+        rng = random.Random("coordinates %s%s %s" % (name, params, field))
+        alg = classical_superalgebra(name, params, field)
+        dim = alg.dim
+        basis = alg.basis()
+        flats = [m.flatten() for m in basis]
+        members = [SuperMatrix.zeros(dim, field)] + basis
+        members += [superbracket(rng.choice(basis), rng.choice(basis)) for _ in range(6)]
+        for _ in range(6):
+            acc = SuperMatrix.zeros(dim, field)
+            for m in rng.sample(basis, rng.randint(1, len(basis))):
+                acc = acc + m.scale(random_scalar(rng, field))
+            members.append(acc)
+        for m in members:
+            got = alg.coordinates(m)
+            assert got is not None and got == reference_coordinates(flats, m.flatten(), field)
+        outside = 0
+        for _ in range(12):
+            m = random_matrix(rng, dim, field, rng.choice([(0,), (1,), (0, 1)]))
+            got = alg.coordinates(m)
+            assert got == reference_coordinates(flats, m.flatten(), field)
+            outside += got is None
+        assert outside or alg.total_dim == dim.total ** 2
