@@ -9,7 +9,7 @@ graded antisymmetry supplying the rest.
 
 from __future__ import annotations
 
-from .linalg import SparseEchelon, same_span, solve_kernel, span_echelon
+from .linalg import SparseEchelon, same_span, solve_graded, solve_kernel, span_echelon
 from .scalars import field_zero, to_field
 from .superlin import (
     SubSuperalgebra,
@@ -110,41 +110,38 @@ def curvature_space(algebra: SubSuperalgebra) -> LinearSolutionSpace:
     field = algebra.field
     pairs = canonical_pairs(dim)
     basis = algebra.basis()
-    by_parity = [[gi for gi, g in enumerate(basis) if g.parity == p] for p in (0, 1)]
+    # unknowns: the coefficient of basis element gi in the value on a pair
+    parity = {
+        ((a, b), gi): (dim.parity(a) + dim.parity(b) + g.parity) % 2 for (a, b) in pairs for gi, g in enumerate(basis)
+    }
+
+    def rows():
+        for (x, y, z) in _sorted_triples(t):
+            terms = []
+            for (u, v, w), s in cyclic_terms(dim.parity, x, y, z):
+                pair, sign = reduce_pair(dim, u, v)
+                if sign:
+                    terms.append((pair, w, s * sign))
+            for comp in range(t):
+                row = {}
+                for (pair, w, s) in terms:
+                    for gi, g in enumerate(basis):
+                        val = g.entries[comp][w]
+                        if val:
+                            lab = (pair, gi)
+                            row[lab] = row.get(lab, 0) + s * val
+                yield row
+
+    kernels = solve_graded(parity, rows(), field)
     elements = []
-    dims = [0, 0]
-    for sigma in (0, 1):
-        # unknowns: the coefficient of basis element gi in the value on a pair
-        labels = {
-            (a, b): [((a, b), gi) for gi in by_parity[(dim.parity(a) + dim.parity(b) + sigma) % 2]]
-            for (a, b) in pairs
-        }
-
-        def rows():
-            for (x, y, z) in _sorted_triples(t):
-                terms = []
-                for (u, v, w), s in cyclic_terms(dim.parity, x, y, z):
-                    pair, sign = reduce_pair(dim, u, v)
-                    if sign:
-                        terms.append((labels[pair], w, s * sign))
-                for comp in range(t):
-                    row = {}
-                    for (labs, w, s) in terms:
-                        for lab in labs:
-                            val = basis[lab[1]].entries[comp][w]
-                            if val:
-                                row[lab] = row.get(lab, 0) + s * val
-                    yield row
-
-        cols = [lab for labs in labels.values() for lab in labs]
-        for vec in solve_kernel(cols, rows(), field):
+    for sigma, kernel in enumerate(kernels):
+        for vec in kernel:
             values = {}
             for (pair, gi), coef in vec.items():
                 add = basis[gi].scale(coef)
                 values[pair] = values[pair] + add if pair in values else add
             elements.append(CurvatureElement(dim, sigma, values, field))
-            dims[sigma] += 1
-    return LinearSolutionSpace("curvature tensors", elements, dims[0], dims[1])
+    return LinearSolutionSpace("curvature tensors", elements, *map(len, kernels))
 
 
 def check_curvature_element(algebra: SubSuperalgebra, elem: CurvatureElement) -> bool:
@@ -220,44 +217,39 @@ def curvature_derivative_space(algebra: SubSuperalgebra, rspace: LinearSolutionS
     t = dim.total
     field = algebra.field
     relems = rspace.basis
+    # unknowns: the coefficient of basis tensor j in the derivative along d
+    parity = {(d, j): (dim.parity(d) + r.parity) % 2 for d in range(t) for j, r in enumerate(relems)}
+
+    def rows():
+        for (x, y, z) in _sorted_triples(t):
+            # (label, sign, entries of R_j on the canonical pair) per term
+            terms = []
+            for (d, u, v), s in cyclic_terms(dim.parity, x, y, z):
+                pair, sign = reduce_pair(dim, u, v)
+                if not sign:
+                    continue
+                for j, r in enumerate(relems):
+                    m = r.values.get(pair)
+                    if m is not None:
+                        terms.append(((d, j), s * sign, m.entries))
+            for A in range(t):
+                for B in range(t):
+                    row = {}
+                    for (lab, s, entries) in terms:
+                        val = entries[A][B]
+                        if val:
+                            row[lab] = row.get(lab, 0) + s * val
+                    yield row
+
+    kernels = solve_graded(parity, rows(), field)
     out = []
-    dims = [0, 0]
-    for sigma in (0, 1):
-        # unknowns: the coefficient of basis tensor j in the derivative along d
-        labels = [
-            [(d, j) for j, r in enumerate(relems) if (dim.parity(d) + r.parity) % 2 == sigma]
-            for d in range(t)
-        ]
-
-        def rows():
-            for (x, y, z) in _sorted_triples(t):
-                # (label, sign, entries of R_j on the canonical pair) per term
-                terms = []
-                for (d, u, v), s in cyclic_terms(dim.parity, x, y, z):
-                    pair, sign = reduce_pair(dim, u, v)
-                    if not sign:
-                        continue
-                    for lab in labels[d]:
-                        m = relems[lab[1]].values.get(pair)
-                        if m is not None:
-                            terms.append((lab, s * sign, m.entries))
-                for A in range(t):
-                    for B in range(t):
-                        row = {}
-                        for (lab, s, entries) in terms:
-                            val = entries[A][B]
-                            if val:
-                                row[lab] = row.get(lab, 0) + s * val
-                        yield row
-
-        cols = [lab for labs in labels for lab in labs]
-        for vec in solve_kernel(cols, rows(), field):
+    for sigma, kernel in enumerate(kernels):
+        for vec in kernel:
             comps = {}
             for (d, j), coef in vec.items():
                 comps.setdefault(d, []).append((coef, relems[j]))
             out.append((sigma, comps))
-            dims[sigma] += 1
-    return LinearSolutionSpace("first curvature derivatives", out, dims[0], dims[1])
+    return LinearSolutionSpace("first curvature derivatives", out, *map(len, kernels))
 
 
 def symmetric_berger_check(algebra: SubSuperalgebra):
@@ -333,31 +325,28 @@ def _apply(elem, k: int, y: int):
 def _next_level(dim: SuperDim, prev_elems, prev_parities, k: int, field):
     """Solve the graded symmetry condition for level k+1 elements."""
     t = dim.total
+    # unknowns: the coefficient of level-k element i along direction d
+    parity = {(d, i): (dim.parity(d) + p) % 2 for d in range(t) for i, p in enumerate(prev_parities)}
+
+    def rows():
+        for x in range(t):
+            for y in range(x, t):
+                # the equations of the pair (x, y), one per entry they fix; no
+                # other pair touches them
+                eqs = {}
+                sign = -((-1) ** (dim.parity(x) * dim.parity(y)))
+                for d, e, s in ((x, y, 1), (y, x, sign)):
+                    for i, elem in enumerate(prev_elems):
+                        for key, v in _apply(elem, k, e).items():
+                            row = eqs.setdefault(key, {})
+                            row[(d, i)] = row.get((d, i), 0) + (v if s == 1 else s * v)
+                yield from eqs.values()
+
     new_elems = []
     new_parities = []
     new_raw = []
-    for sigma in (0, 1):
-        # unknowns: the coefficient of level-k element i along direction d
-        labels = [
-            [(d, i) for i, p in enumerate(prev_parities) if (dim.parity(d) + p) % 2 == sigma]
-            for d in range(t)
-        ]
-        rows = {}
-
-        def add(lab, x, y, entries, scale=None):
-            for key, v in entries.items():
-                row = rows.setdefault((x, y) + key, {})
-                row[lab] = row.get(lab, 0) + (v if scale is None else scale * v)
-
-        for x in range(t):
-            for y in range(x, t):
-                sign = (-1) ** (dim.parity(x) * dim.parity(y))
-                for lab in labels[x]:
-                    add(lab, x, y, _apply(prev_elems[lab[1]], k, y))
-                for lab in labels[y]:
-                    add(lab, x, y, _apply(prev_elems[lab[1]], k, x), -sign)
-        cols = [lab for labs in labels for lab in labs]
-        for vec in solve_kernel(cols, rows.values(), field):
+    for sigma, kernel in enumerate(solve_graded(parity, rows(), field)):
+        for vec in kernel:
             flat = {}
             for (d, i), coef in vec.items():
                 for key, v in prev_elems[i].items():
@@ -417,44 +406,40 @@ def spencer_rank_identity(algebra: SubSuperalgebra, tower: ProlongationTower = N
         "R_dim": rspace.graded_dim,
     }
     rspace_span = span_echelon([e.flatten() for e in rspace.basis])
-    h22 = [0, 0]
     exactness_ok = True
-    for sigma in (0, 1):
-        # unknowns: the coefficient of g_1 element j along direction d
-        cols = [
-            (d, j)
-            for d in range(t)
-            for j, p in enumerate(g1.parities)
-            if (dim.parity(d) + p) % 2 == sigma
-        ]
-        rows = {}
-        for (d, j) in cols:
-            alpha = g1.elements[j]
-            flat = {}
-            for pi, (x, y) in enumerate(pairs):
-                mat = {}
-                if x == d:
-                    for key, v in _apply(alpha, 1, y).items():
-                        mat[key[0:2]] = mat.get(key[0:2], 0) + v
-                if y == d:
-                    sign = -((-1) ** (dim.parity(x) * dim.parity(y)))
-                    for key, v in _apply(alpha, 1, x).items():
-                        mat[key[0:2]] = mat.get(key[0:2], 0) + sign * v
-                for (a, b), v in mat.items():
-                    if v:
-                        flat[pi * t * t + a * t + b] = v
-            # the image must satisfy the curvature space constraints
-            if flat and not rspace_span.contains(flat):
-                exactness_ok = False
-            for coord, v in flat.items():
-                rows.setdefault(coord, {})[(d, j)] = v
-        # rank of the map and its kernel
-        ker = solve_kernel(cols, rows.values(), field)
-        h22[sigma] = rspace.graded_dim[sigma] - (len(cols) - len(ker))
-        # the kernel must be g_2, embedded through its solver coordinates
-        emb = [raw for raw, p in zip(g2.raw_coords, g2.parities) if p == sigma]
-        if not same_span(ker, emb):
+    # unknowns: the coefficient of g_1 element j along direction d
+    parity = {(d, j): (dim.parity(d) + p) % 2 for d in range(t) for j, p in enumerate(g1.parities)}
+    rows = {}
+    for (d, j) in parity:
+        alpha = g1.elements[j]
+        flat = {}
+        for pi, (x, y) in enumerate(pairs):
+            mat = {}
+            if x == d:
+                for key, v in _apply(alpha, 1, y).items():
+                    mat[key[0:2]] = mat.get(key[0:2], 0) + v
+            if y == d:
+                sign = -((-1) ** (dim.parity(x) * dim.parity(y)))
+                for key, v in _apply(alpha, 1, x).items():
+                    mat[key[0:2]] = mat.get(key[0:2], 0) + sign * v
+            for (a, b), v in mat.items():
+                if v:
+                    flat[pi * t * t + a * t + b] = v
+        # the image must satisfy the curvature space constraints
+        if flat and not rspace_span.contains(flat):
             exactness_ok = False
+        for coord, v in flat.items():
+            rows.setdefault(coord, {})[(d, j)] = v
+    # rank of the map and its kernel, per parity
+    kernels = solve_graded(parity, rows.values(), field)
+    odd_cols = sum(parity.values())
+    h22 = [
+        r - (ncols - len(ker))
+        for r, ncols, ker in zip(rspace.graded_dim, (len(parity) - odd_cols, odd_cols), kernels)
+    ]
+    # the kernel must be g_2, embedded through its solver coordinates
+    if not same_span(kernels[0] + kernels[1], g2.raw_coords):
+        exactness_ok = False
     report["exactness_ok"] = exactness_ok
     report["h22_raw"] = tuple(h22)
     report["h22_total"] = h22[0] + h22[1]
@@ -511,14 +496,14 @@ def is_simple(algebra: SubSuperalgebra):
 
 
 def _ideal_closure(algebra: SubSuperalgebra, seeds):
-    echelons = (SparseEchelon(), SparseEchelon())
-    frontier = [part for s in seeds for part in insert_parts(echelons, s)]
+    echelon = SparseEchelon()
+    frontier = [part for s in seeds for part in insert_parts(echelon, s)]
     basis = algebra.basis()
     while frontier:
         frontier = [
-            part for f in frontier for b in basis for part in insert_parts(echelons, superbracket(b, f))
+            part for f in frontier for b in basis for part in insert_parts(echelon, superbracket(b, f))
         ]
-    return SubSuperalgebra(algebra.dim, *echelons, algebra.field)
+    return SubSuperalgebra(algebra.dim, echelon, algebra.field)
 
 
 def pi_adjoint_representation(algebra: SubSuperalgebra):

@@ -24,7 +24,7 @@ from .geometry import (
     scalar_matrix_inverse,
     sfmat_value,
 )
-from .linalg import SparseEchelon, intersect_spans, solve_kernel, span_echelon
+from .linalg import SparseEchelon, intersect_spans, solve_graded, solve_kernel, span_echelon
 from .scalars import field_zero, scalar_float, to_field
 from .superfunc import Superfunction
 from .superlin import (
@@ -236,11 +236,10 @@ def span_embedding_residual(float_mats, algebra: SubSuperalgebra):
 
 
 def _common_kernel(mats, dim: SuperDim, field):
-    """Graded basis (even, odd) of the vectors all matrices kill, as sparse dicts."""
-    rows = [dict(enumerate(row)) for m in mats for row in m.entries]
-    return tuple(
-        solve_kernel(cols, rows, field) for cols in (range(dim.p), range(dim.p, dim.total))
-    )
+    """Graded basis (even, odd) of the vectors all homogeneous matrices kill,
+    as sparse dicts."""
+    parity = {a: dim.parity(a) for a in range(dim.total)}
+    return solve_graded(parity, (dict(enumerate(row)) for m in mats for row in m.entries), field)
 
 
 def invariant_vectors(algebra: SubSuperalgebra):
@@ -587,30 +586,6 @@ def decomposability_certificate(algebra: SubSuperalgebra, metric_body, max_candi
             out[c] = to_field(val, field)
         return out
 
-    if algebra.total_dim == 0:
-        # any nondegenerate coordinate piece works; build one explicitly
-        for a in range(dim.p):
-            cand = [{a: to_field(1, field)}]
-            if nondegenerate(cand):
-                res = finish(cand)
-                if res:
-                    return res
-        for a in range(dim.p):
-            for b in range(a + 1, dim.p):
-                cand = [{a: to_field(1, field)}, {b: to_field(1, field)}]
-                if nondegenerate(cand):
-                    res = finish(cand)
-                    if res:
-                        return res
-        for a in range(dim.p, t):
-            for b in range(a + 1, t):
-                cand = [{a: to_field(1, field)}, {b: to_field(1, field)}]
-                if nondegenerate(cand):
-                    res = finish(cand)
-                    if res:
-                        return res
-        return {"status": "inconclusive"}
-
     basis = algebra.basis()
     ops = list(basis)
     for i, j in itertools.combinations(range(len(basis)), 2):
@@ -624,21 +599,10 @@ def decomposability_certificate(algebra: SubSuperalgebra, metric_body, max_candi
     def push(vectors):
         if not vectors or len(vectors) >= t:
             return
-        parts = _graded_parts(vectors, dim.p)
-        if parts is None:
-            # split into graded parts: invariant subspaces of graded algebras
-            # decompose; keep each part separately
-            ech_e, ech_o = SparseEchelon(), SparseEchelon()
-            for v in vectors:
-                ev = {c: x for c, x in v.items() if c < dim.p}
-                ov = {c: x for c, x in v.items() if c >= dim.p}
-                if ev:
-                    ech_e.insert(ev)
-                if ov:
-                    ech_o.insert(ov)
-            vectors = ech_e.basis() + ech_o.basis()
-            if len(vectors) >= t:
-                return
+        # kernels, images, sums and intersections of graded pieces in reduced
+        # echelon form have homogeneous rows
+        if _graded_parts(vectors, dim.p) is None:
+            raise AssertionError("candidate subspace is not graded")
         key = _subspace_key(vectors)
         if key in seen:
             return
@@ -649,6 +613,13 @@ def decomposability_certificate(algebra: SubSuperalgebra, metric_body, max_candi
         even, odd = _common_kernel([op], dim, field)
         push(even + odd)
         push(_matrix_image_graded(op))
+    if not ops:
+        # the zero algebra leaves every subspace invariant: try the
+        # coordinate lines and planes
+        one = to_field(1, field)
+        planes = [*itertools.combinations(range(dim.p), 2), *itertools.combinations(range(dim.p, t), 2)]
+        for coords in [(a,) for a in range(dim.p)] + planes:
+            push([{a: one} for a in coords])
     snapshot = list(pool)
     for va, vb in itertools.combinations(snapshot, 2):
         if len(pool) >= max_candidates:

@@ -102,28 +102,45 @@ def kernel_basis(rows, ncols: int):
     return basis
 
 
-def solve_kernel(cols, rows, field):
-    """Canonical kernel basis of a sparse system whose unknowns carry labels.
+def solve_graded(parity, rows, field):
+    """Canonical (even, odd) kernel bases of a sparse system whose unknowns
+    carry labels and whose every row is homogeneous.
 
-    rows are dicts {label: coefficient}, from any iterable; cols orders the
-    labels.  An unknown whose label is not in cols is held at zero, which is
-    how a caller restricts a system to one parity, and zero coefficients are
-    dropped.  Each kernel vector is a dict {label: scalar} in the given field
-    with a 1 at its free column; the vectors follow their free columns in the
-    order of cols.
+    parity maps each label to 0 or 1, in column order; rows are dicts
+    {label: coefficient} from any iterable, with zero coefficients dropped.
+    Each row goes to the block of its unknowns' parity, and each block is
+    solved on its own: a row that mixes parities, or names an unknown label,
+    raises ValueError.  Each kernel vector is a dict {label: scalar} in the
+    given field with a 1 at its free column, in the order of the free columns.
     """
-    if not cols:
-        return []
-    index = {c: j for j, c in enumerate(cols)}
-    system = []
+    cols = ([], [])
+    index = {}
+    for c, p in parity.items():
+        index[c] = (p, len(cols[p]))
+        cols[p].append(c)
+    systems = ([], [])
     for row in rows:
-        row = {index[c]: v for c, v in row.items() if v and c in index}
-        if row:
-            system.append(row)
-    return [
-        {cols[j]: to_field(v, field) for j, v in vec.items()}
-        for vec in kernel_basis(system, len(cols))
-    ]
+        try:
+            entries = [(index[c], v) for c, v in row.items() if v]
+        except KeyError as exc:
+            raise ValueError("unknown label %r" % exc.args) from None
+        if not entries:
+            continue
+        p = entries[0][0][0]
+        if any(q != p for (q, _), _ in entries):
+            raise ValueError("row mixes even and odd unknowns: %r" % (row,))
+        systems[p].append({j: v for (_, j), v in entries})
+    return tuple(
+        [{labels[j]: to_field(v, field) for j, v in vec.items()} for vec in kernel_basis(system, len(labels))]
+        if labels else []
+        for labels, system in zip(cols, systems)
+    )
+
+
+def solve_kernel(cols, rows, field):
+    """`solve_graded` for a system whose unknowns, labelled and ordered by
+    cols, are all of one parity: the canonical kernel basis as a list."""
+    return solve_graded(dict.fromkeys(cols, 0), rows, field)[0]
 
 
 def same_span(vectors_a, vectors_b) -> bool:

@@ -31,6 +31,9 @@ MAX_DEGREE = 16
 # Deepest parenthesis nesting the parser accepts: each level costs a few
 # Python stack frames, and the recursion limit must not be the bound.
 MAX_NESTING = 64
+# Largest bit length of a numerator or denominator that a `*` or `^` may
+# produce: nested constant powers multiply it by up to 16 a level.
+MAX_COEFFICIENT_BITS = 1024
 
 
 class ChartSignature:
@@ -518,13 +521,25 @@ def _even_degree(f: Superfunction) -> int:
     return max((sum(exps) for poly in f.terms.values() for exps in poly), default=0)
 
 
+def _coefficient_bits(f: Superfunction) -> int:
+    """Largest bit length of a numerator or denominator of f's coefficients,
+    over both parts of a Gaussian one."""
+    parts = [
+        x for poly in f.terms.values() for c in poly.values()
+        for x in ((c.re, c.im) if isinstance(c, GaussianRational) else (c,))
+    ]
+    return max((max(x.numerator.bit_length(), x.denominator.bit_length()) for x in parts), default=0)
+
+
 class _Parser:
     """Recursive descent over: expr := ['+'|'-'] term (('+'|'-') term)*
     term := factor ('*' factor)*; factor := atom ('^' nat)?, nat <= MAX_EXPONENT;
     atom := rational | 'i' | evenvar | oddvar | '(' expr ')'.
 
     A `*` or `^` whose factors' even degrees add up to more than MAX_DEGREE,
-    and a `(` nested deeper than MAX_NESTING, are syntax errors at that token.
+    or one of whose multiplications gives a coefficient of more than
+    MAX_COEFFICIENT_BITS bits, and a `(` nested deeper than MAX_NESTING, are
+    syntax errors at that token.
     """
 
     def __init__(self, tokens, sig):
@@ -536,6 +551,11 @@ class _Parser:
     def check_degree(self, degree, tok):
         if degree > MAX_DEGREE:
             raise SyntaxErrorAt("degree %d is above the limit %d" % (degree, MAX_DEGREE), tok[2])
+
+    def check_coefficients(self, f, tok):
+        if _coefficient_bits(f) > MAX_COEFFICIENT_BITS:
+            raise SyntaxErrorAt("a coefficient is above the limit of %d bits" % MAX_COEFFICIENT_BITS, tok[2])
+        return f
 
     def peek(self):
         return self.tokens[self.pos]
@@ -578,7 +598,7 @@ class _Parser:
             op = self.next()
             g = self.factor()
             self.check_degree(_even_degree(f) + _even_degree(g), op)
-            f = f * g
+            f = self.check_coefficients(f * g, op)
         return f
 
     def factor(self):
@@ -592,7 +612,7 @@ class _Parser:
             self.check_degree(power * _even_degree(f), op)
             out = Superfunction.constant(self.sig, 1)
             for _ in range(power):
-                out = out * f
+                out = self.check_coefficients(out * f, op)
             return out
         return f
 

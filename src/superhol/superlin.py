@@ -8,7 +8,7 @@ matrices preserve parity blocks, odd matrices swap them.
 
 from __future__ import annotations
 
-from .linalg import SparseEchelon, intersect_spans, solve_kernel
+from .linalg import SparseEchelon, intersect_spans, solve_graded, solve_kernel
 from .scalars import RATIONAL, field_one, field_zero, scalar_str
 
 
@@ -223,32 +223,35 @@ def cyclic_terms(parity, x, y, z):
 
 
 class SubSuperalgebra:
-    """Graded subspace of gl(p|q), kept as one reduced echelon per parity.
+    """Graded subspace of gl(p|q), kept as one reduced echelon of flattened
+    homogeneous matrices.
 
-    The echelons belong to the algebra once it is built; its even and odd
-    bases are their rows, sorted by pivot.
+    Even and odd matrices fill disjoint flat positions, so every row of the
+    echelon is homogeneous.  The echelon belongs to the algebra once it is
+    built; the even and odd bases are its rows with an even or an odd pivot.
     """
 
-    def __init__(self, dim: SuperDim, even: SparseEchelon, odd: SparseEchelon, field=RATIONAL):
+    def __init__(self, dim: SuperDim, echelon: SparseEchelon, field=RATIONAL):
         self.dim = dim
         self.field = field
-        self._even_ech = even
-        self._odd_ech = odd
-        self.even_basis = [SuperMatrix.from_flat(dim, v, field) for v in even.basis()]
-        self.odd_basis = [SuperMatrix.from_flat(dim, v, field) for v in odd.basis()]
+        self._echelon = echelon
+        t, p = dim.total, dim.p
+        # the even pivots, then the odd ones, each in increasing order
+        self._pivots = sorted(echelon.pivot_rows, key=lambda c: ((c // t < p) != (c % t < p), c))
+        basis = [SuperMatrix.from_flat(dim, echelon.pivot_rows[c], field) for c in self._pivots]
+        self.even_basis = [m for m in basis if m.parity == 0]
+        self.odd_basis = [m for m in basis if m.parity == 1]
 
     @staticmethod
     def from_matrices(dim: SuperDim, mats, field=RATIONAL) -> "SubSuperalgebra":
-        echelons = (SparseEchelon(), SparseEchelon())
+        echelon = SparseEchelon()
         for m in mats:
-            for part, ech in zip(m.graded_flat(), echelons):
-                if part:
-                    ech.insert(part)
-        return SubSuperalgebra(dim, *echelons, field)
+            insert_parts(echelon, m)
+        return SubSuperalgebra(dim, echelon, field)
 
     @staticmethod
     def zero(dim: SuperDim, field=RATIONAL) -> "SubSuperalgebra":
-        return SubSuperalgebra(dim, SparseEchelon(), SparseEchelon(), field)
+        return SubSuperalgebra(dim, SparseEchelon(), field)
 
     @property
     def graded_dim(self):
@@ -262,21 +265,19 @@ class SubSuperalgebra:
         return self.even_basis + self.odd_basis
 
     def contains_matrix(self, m: SuperMatrix) -> bool:
-        echelons = (self._even_ech, self._odd_ech)
-        return all(ech.contains(part) for part, ech in zip(m.graded_flat(), echelons))
+        return self._echelon.contains(m.flatten())
 
     def coordinates(self, m: SuperMatrix):
         """Coordinates of m in `basis()`, as {index: nonzero scalar}, or None
         when m is not in the algebra.
 
-        Each basis element has a 1 at its own pivot and 0 at the other pivots
-        of its echelon, so the coordinates are the entries of m at the pivots.
+        Each basis element has a 1 at its own pivot and 0 at the other pivots,
+        so the coordinates are the entries of m at the pivots.
         """
-        if not self.contains_matrix(m):
+        flat = m.flatten()
+        if not self._echelon.contains(flat):
             return None
-        echelons = (self._even_ech, self._odd_ech)
-        pivots = [(part, p) for part, ech in zip(m.graded_flat(), echelons) for p in sorted(ech.pivot_rows)]
-        return {i: part[p] for i, (part, p) in enumerate(pivots) if p in part}
+        return {i: flat[p] for i, p in enumerate(self._pivots) if p in flat}
 
     def contains_algebra(self, other: "SubSuperalgebra") -> bool:
         return all(self.contains_matrix(m) for m in other.basis())
@@ -317,23 +318,23 @@ def generate_subalgebra(generators, dim=None, field=None) -> SubSuperalgebra:
         if g.dim != dim:
             raise ValueError("generator dimension mismatch")
 
-    echelons = (SparseEchelon(), SparseEchelon())
-    frontier = [part for g in generators for part in insert_parts(echelons, g)]
+    echelon = SparseEchelon()
+    frontier = [part for g in generators for part in insert_parts(echelon, g)]
     basis_mats = list(frontier)
     while frontier:
         frontier = [
-            part for a in frontier for b in basis_mats for part in insert_parts(echelons, superbracket(a, b))
+            part for a in frontier for b in basis_mats for part in insert_parts(echelon, superbracket(a, b))
         ]
         basis_mats += frontier
-    return SubSuperalgebra(dim, *echelons, field)
+    return SubSuperalgebra(dim, echelon, field)
 
 
-def insert_parts(echelons, m: SuperMatrix):
-    """Insert the even and odd parts of m into echelons = (even, odd); return
-    the parts that enlarged their span, as matrices."""
+def insert_parts(echelon: SparseEchelon, m: SuperMatrix):
+    """Insert the even and odd parts of m into the echelon of a
+    `SubSuperalgebra`; return the parts that enlarged its span, as matrices."""
     added = []
-    for part, ech in zip(m.graded_flat(), echelons):
-        if part and ech.insert(part):
+    for part in m.graded_flat():
+        if part and echelon.insert(part):
             # a homogeneous m is its own only nonzero part
             added.append(m if m.parity is not None else SuperMatrix.from_flat(m.dim, part, m.field))
     return added
@@ -397,34 +398,34 @@ def stabilizer_algebra(tensor: StructureTensor) -> SubSuperalgebra:
     par = [dim.parity(a) for a in range(t)]
     form = tensor.kind.endswith("bilinear_form")
     rho = 0 if tensor.kind.startswith("even") else 1  # parity of the tensor
-    mats = []
-    for tau in (0, 1):
-        # unknowns: the entries (a, b) of a parity-tau matrix A
-        cols = [(a, b) for a in range(t) for b in range(t) if (par[a] + par[b]) % 2 == tau]
-        rows = []
-        for c in range(t):
-            for d in range(t):
-                # every unknown of equation (c, d) has parity |c| + |d| + rho
-                if (par[c] + par[d] + rho) % 2 != tau:
-                    continue
-                row = {}
-                if form:
-                    sgn = (-1) ** (tau * par[c])
-                    for b in range(t):
-                        if e[b][d]:
-                            row[(b, c)] = row.get((b, c), 0) + e[b][d]
-                        if e[c][b]:
-                            row[(b, d)] = row.get((b, d), 0) + sgn * e[c][b]
-                else:
-                    sgn = (-1) ** (tau * rho)
-                    for b in range(t):
-                        if e[b][d]:
-                            row[(c, b)] = row.get((c, b), 0) + e[b][d]
-                        if e[c][b]:
-                            row[(b, d)] = row.get((b, d), 0) - sgn * e[c][b]
-                rows.append(row)
-        for vec in solve_kernel(cols, rows, field):
-            mats.append(SuperMatrix.from_flat(dim, {a * t + b: v for (a, b), v in vec.items()}, field))
+    # unknowns: the entries (a, b) of A, each of parity |a| + |b|
+    parity = {(a, b): (par[a] + par[b]) % 2 for a in range(t) for b in range(t)}
+    rows = []
+    for c in range(t):
+        for d in range(t):
+            # every unknown of equation (c, d) has parity |c| + |d| + rho
+            tau = (par[c] + par[d] + rho) % 2
+            row = {}
+            if form:
+                sgn = (-1) ** (tau * par[c])
+                for b in range(t):
+                    if e[b][d]:
+                        row[(b, c)] = row.get((b, c), 0) + e[b][d]
+                    if e[c][b]:
+                        row[(b, d)] = row.get((b, d), 0) + sgn * e[c][b]
+            else:
+                sgn = (-1) ** (tau * rho)
+                for b in range(t):
+                    if e[b][d]:
+                        row[(c, b)] = row.get((c, b), 0) + e[b][d]
+                    if e[c][b]:
+                        row[(b, d)] = row.get((b, d), 0) - sgn * e[c][b]
+            rows.append(row)
+    mats = [
+        SuperMatrix.from_flat(dim, {a * t + b: v for (a, b), v in vec.items()}, field)
+        for kernel in solve_graded(parity, rows, field)
+        for vec in kernel
+    ]
     return SubSuperalgebra.from_matrices(dim, mats, field)
 
 
@@ -505,14 +506,10 @@ def cut_by_functionals(algebra: SubSuperalgebra, functionals) -> SubSuperalgebra
 def intersect_algebras(a: SubSuperalgebra, b: SubSuperalgebra) -> SubSuperalgebra:
     if a.dim != b.dim:
         raise ValueError("ambient dimension mismatch")
-    t2 = a.dim.total ** 2
-    mats = []
-    for basis_a, basis_b in ((a.even_basis, b.even_basis), (a.odd_basis, b.odd_basis)):
-        vecs = intersect_spans(
-            [m.flatten() for m in basis_a], [m.flatten() for m in basis_b], t2
-        )
-        mats.extend(SuperMatrix.from_flat(a.dim, v, a.field) for v in vecs)
-    return SubSuperalgebra.from_matrices(a.dim, mats, a.field)
+    # the intersection of graded subspaces is graded, so its reduced rows are
+    # homogeneous
+    vecs = intersect_spans([m.flatten() for m in a.basis()], [m.flatten() for m in b.basis()], a.dim.total ** 2)
+    return SubSuperalgebra.from_matrices(a.dim, [SuperMatrix.from_flat(a.dim, v, a.field) for v in vecs], a.field)
 
 
 def classical_superalgebra(name: str, params, field=RATIONAL) -> SubSuperalgebra:

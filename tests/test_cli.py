@@ -113,6 +113,7 @@ class TestRunPipelines:
             ({"kind": "connection", "chart": {"n": 1, "m": 0}, "gamma": {"1,1,1": "2^99999999"}}, "/gamma/1,1,1"),
             ({"kind": "connection", "chart": {"n": 1, "m": 0}, "gamma": {"1,1,1": "(" * 5000 + "x1" + ")" * 5000}}, "/gamma/1,1,1"),
             ({"kind": "connection", "chart": {"n": 2, "m": 0}, "gamma": {"1,1,1": "((1+x1+x2)^16)^16"}}, "/gamma/1,1,1"),
+            ({"kind": "connection", "chart": {"n": 1, "m": 0}, "gamma": {"1,1,1": "((((((2^16)^16)^16)^16)^16)^16)*x1"}}, "/gamma/1,1,1"),
         ],
     )
     def test_malformed_input_is_an_error_report(self, doc, path):

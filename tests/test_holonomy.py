@@ -434,6 +434,16 @@ class TestCertificates:
         res = decomposability_certificate(SubSuperalgebra.zero(SuperDim(2, 2)), body)
         assert res["status"] == "decomposable"
 
+    @pytest.mark.parametrize(
+        "n, m, g", [(1, 0, {"1,1": "1"}), (0, 2, {"1,2": "1"}), (2, 0, {"1,2": "1"})], ids=str
+    )
+    def test_flat_metric_has_no_whole_space_witness(self, n, m, g):
+        # the holonomy is zero and no proper coordinate line or plane is
+        # nondegenerate, so V itself is the only coordinate candidate left
+        rep, ok = cli.run_problem({"kind": "metric", "chart": {"n": n, "m": m}, "g": g})
+        assert ok and rep["result"]["holonomy_dim"] == [0, 0]
+        assert rep["result"]["decomposable"] == {"status": "inconclusive"}
+
 
 class TestCrossModuleInvariants:
     def test_first_derivative_blocks_lie_in_r_of_hol(self):

@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from superhol.scalars import GaussianRational, parse_scalar, scalar_str
+from superhol.scalars import GAUSSIAN, GaussianRational, parse_scalar, scalar_str
 from superhol.superfunc import (
     ChartSignature,
     Superfunction,
+    MAX_COEFFICIENT_BITS,
     MAX_DEGREE,
     MAX_EXPONENT,
     MAX_NESTING,
@@ -68,6 +69,25 @@ class TestParser:
         with pytest.raises(SyntaxErrorAt) as err:
             sf("((1+x1)^4)^5")
         assert err.value.pos == 10
+
+    def test_coefficient_bound(self):
+        assert MAX_COEFFICIENT_BITS == 1024
+        f = sf("((2^16)^16)^3 * x1 + ((1/3)^16)^16")
+        assert f.terms[0] == {(1, 0): Fraction(2 ** 768), (0, 0): Fraction(1, 3 ** 256)}
+        # the fourth multiplication of the last `^` reaches 2^1024, 1025 bits
+        with pytest.raises(SyntaxErrorAt) as err:
+            sf("((2^16)^16)^16 * x1")
+        assert err.value.pos == 11
+        with pytest.raises(SyntaxErrorAt) as err:
+            sf("x1 + (2^16)^16 * (2^16)^16 * (2^16)^16 * (2^16)^16")
+        assert err.value.pos == 39
+        # denominators, and imaginary parts over the Gaussian field
+        with pytest.raises(SyntaxErrorAt) as err:
+            sf("((1/3)^16)^16 * ((1/3)^16)^16 * ((1/3)^16)^16")
+        assert err.value.pos == 30
+        with pytest.raises(SyntaxErrorAt) as err:
+            sf("(((2^16)^16)^3 * i) * (2^16)^16", ChartSignature(2, 2, GAUSSIAN))
+        assert err.value.pos == 20
 
     def test_nesting_bound(self):
         deep = "(" * MAX_NESTING + "x1" + ")" * MAX_NESTING

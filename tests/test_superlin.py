@@ -112,8 +112,8 @@ class TestSolveKernel:
         monkeypatch.setattr(linalg, "kernel_basis", spy)
         one, i = GaussianRational(1), GaussianRational(0, 1)
         rows = [
-            {"a": one, "b": i, "held": one},  # a + i b = 0, "held" is not a column
-            {"c": one - one, "held": one},  # nothing left once zeros are dropped
+            {"a": one, "b": i},  # a + i b = 0
+            {"c": one - one},  # nothing left once zeros are dropped
         ]
         ker = linalg.solve_kernel(["a", "b", "c"], rows, GAUSSIAN)
         assert ker == [{"b": one, "a": -i}, {"c": one}]
@@ -263,6 +263,58 @@ def random_matrix(rng, dim, field, parities=(0, 1), density=0.5):
             if (dim.parity(a) + dim.parity(b)) % 2 in parities and rng.random() < density:
                 rows[a][b] = random_scalar(rng, field)
     return SuperMatrix(dim, rows, field)
+
+
+def reference_graded_solve(parity, rows, field):
+    """The route of the graded systems before `solve_graded`: one
+    `solve_kernel` per parity over that parity's columns, with the other
+    parity's unknowns held at zero."""
+    out = []
+    for sigma in (0, 1):
+        cols = [c for c, p in parity.items() if p == sigma]
+        out.append(linalg.solve_kernel(cols, [{c: v for c, v in row.items() if c in cols} for row in rows], field))
+    return tuple(out)
+
+
+class TestSolveGraded:
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_matches_one_solve_per_parity(self, field):
+        rng = random.Random("solve_graded %s" % field)
+        ranks = set()
+        for _ in range(60):
+            labels = ["u%d" % k for k in range(rng.randint(0, 10))]
+            rng.shuffle(labels)  # column order is not the order of the labels
+            parity = {lab: rng.randint(0, 1) for lab in labels}
+            blocks = [[lab for lab in labels if parity[lab] == sigma] for sigma in (0, 1)]
+            rows = []
+            for _ in range(rng.randint(0, 12)):
+                block = blocks[rng.randint(0, 1)]
+                picked = rng.sample(block, min(len(block), rng.randint(1, 4)))
+                rows.append({lab: random_scalar(rng, field) for lab in picked})
+            got = linalg.solve_graded(parity, iter(rows), field)
+            assert got == reference_graded_solve(parity, rows, field)
+            for sigma, kernel in enumerate(got):
+                for vec in kernel:
+                    assert all(parity[c] == sigma for c in vec)
+                    for row in rows:
+                        assert not sum((v * vec.get(c, 0) for c, v in row.items()), field_zero(field))
+                ranks.add((sigma, len(blocks[sigma]) - len(kernel)))
+        # both blocks were cut down, and left whole, somewhere
+        assert {(0, 0), (1, 0)} < ranks and any(r > 1 for _, r in ranks)
+
+    def test_mixed_row_raises(self):
+        one = Fraction(1)
+        parity = {"a": 0, "b": 1}
+        assert linalg.solve_graded(parity, [{"a": one, "b": one - one}], RATIONAL) == ([], [{"b": one}])
+        with pytest.raises(ValueError, match="mixes"):
+            linalg.solve_graded(parity, [{"a": one, "b": one}], RATIONAL)
+
+    def test_unknown_label_raises(self):
+        one = Fraction(1)
+        with pytest.raises(ValueError, match="unknown label 'c'"):
+            linalg.solve_graded({"a": 0, "b": 1}, [{"a": one}, {"c": one}], RATIONAL)
+        with pytest.raises(ValueError, match="unknown label 'c'"):
+            linalg.solve_kernel(["a", "b"], [{"a": one, "c": one}], RATIONAL)
 
 
 class TestParityFromEntries:
