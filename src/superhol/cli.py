@@ -159,13 +159,13 @@ def connection_report(conn: geo.ConnectionData, options, metric=None):
     report["classification"] = hl.classify_geometry(hol.algebra, cands)
 
     if metric is not None:
-        dec = hl.decomposability_certificate(
-            hol.algebra, body, options.get("candidates", 200)
-        )
+        dec = hl.decomposability_certificate(hol.algebra, body)
         entry = {"status": dec["status"]}
         if dec["status"] == "decomposable":
             entry["witness"] = [rio.encode_vector(v) for v in dec["witness"]]
             entry["complement"] = [rio.encode_vector(v) for v in dec["complement"]]
+        elif dec["status"] == "inconclusive":
+            entry["reason"] = dec["reason"]
         report["decomposable"] = entry
     else:
         report["decomposable"] = {"status": "not_applicable"}
@@ -274,7 +274,7 @@ def pi_adjoint_report(alg: SubSuperalgebra):
         "generator_matches": res["generator_matches"],
         "is_berger": res["is_berger"],
         "simplicity_note": res["simplicity_note"],
-        "status": "certified",
+        "status": res["simplicity_status"],
     }
 
 

@@ -380,13 +380,14 @@ def _covariant_step(conn: ConnectionData, c: int, mat, par: int):
     rk = chart.rank.total
     gamma = conn.gamma[c]
     pc = chart.coord_parity(c)
+    fiber = [chart.fiber_parity(A) for A in range(rk)]
     new = sfmat_zeros(chart.sig, rk, rk)
     for A in range(rk):
         for B in range(rk):
-            fB = chart.fiber_parity(B)
+            fB = fiber[B]
             term = mat[A][B].partial(c + 1)
             for C in range(rk):
-                fC = chart.fiber_parity(C)
+                fC = fiber[C]
                 g2 = gamma[A][C]
                 if not (mat[C][B].is_zero() or g2.is_zero()):
                     term = term + (mat[C][B] * g2).scale((-1) ** (pc * (par + fB + fC)))

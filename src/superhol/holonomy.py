@@ -8,9 +8,6 @@ exact algebra.
 
 from __future__ import annotations
 
-import itertools
-import random
-
 import numpy as np
 
 from .geometry import (
@@ -24,16 +21,20 @@ from .geometry import (
     scalar_matrix_inverse,
     sfmat_value,
 )
-from .linalg import SparseEchelon, intersect_spans, solve_graded, solve_kernel, span_echelon
+from .linalg import same_span, solve_kernel, span_echelon
 from .scalars import field_zero, scalar_float, to_field
 from .superfunc import Superfunction
 from .superlin import (
     SubSuperalgebra,
     SuperDim,
     SuperMatrix,
+    associative_closure,
+    commutant,
+    common_kernel,
     generate_subalgebra,
+    radical,
+    split,
     stabilizer_algebra,
-    superbracket,
 )
 
 
@@ -235,20 +236,13 @@ def span_embedding_residual(float_mats, algebra: SubSuperalgebra):
 # ------------------------------------------------------- invariant objects
 
 
-def _common_kernel(mats, dim: SuperDim, field):
-    """Graded basis (even, odd) of the vectors all homogeneous matrices kill,
-    as sparse dicts."""
-    parity = {a: dim.parity(a) for a in range(dim.total)}
-    return solve_graded(parity, (dict(enumerate(row)) for m in mats for row in m.entries), field)
-
-
 def invariant_vectors(algebra: SubSuperalgebra):
     """Graded basis of the common kernel of all basis operators."""
     zero = field_zero(algebra.field)
     t = algebra.dim.total
     return tuple(
         [[vec.get(a, zero) for a in range(t)] for vec in part]
-        for part in _common_kernel(algebra.basis(), algebra.dim, algebra.field)
+        for part in common_kernel(algebra.basis(), algebra.dim, algebra.field)
     )
 
 
@@ -428,216 +422,56 @@ def classify_geometry(algebra: SubSuperalgebra, candidates):
 # ------------------------------------------------- decomposability search
 
 
-def _subspace_key(vectors):
-    ech = span_echelon(vectors)
-    return tuple(
-        (p, tuple(sorted((c, str(v)) for c, v in row.items())))
-        for p, row in sorted(ech.pivot_rows.items())
-    )
+def decomposability_certificate(algebra: SubSuperalgebra, metric_body):
+    """Wu decomposition of V under an algebra that preserves the metric body G.
 
-
-def _graded_parts(vec_dicts, p):
-    even, odd = [], []
-    for v in vec_dicts:
-        if all(c < p for c in v):
-            even.append(v)
-        elif all(c >= p for c in v):
-            odd.append(v)
-        else:
-            return None
-    return even, odd
-
-
-def _matrix_image_graded(m: SuperMatrix):
-    t = m.dim.total
-    out = []
-    for B in range(t):
-        col = {A: m.entries[A][B] for A in range(t) if m.entries[A][B]}
-        if col:
-            out.append(col)
-    return out
-
-
-def _gram_rank(vectors, body, field):
-    k = len(vectors)
-    rows = []
-    for i in range(k):
-        row = {}
-        for j in range(k):
-            acc = field_zero(field)
-            for a, va in vectors[i].items():
-                for b, vb in vectors[j].items():
-                    gv = body[a][b]
-                    if gv:
-                        acc = acc + va * gv * vb
-            if acc:
-                row[j] = acc
-        rows.append(row)
-    return span_echelon(rows).rank
-
-
-def _spin(seed, mats, t):
-    ech = SparseEchelon()
-    ech.insert(dict(seed))
-    frontier = [seed]
-    while frontier and ech.rank < t:
-        nxt = []
-        for v in frontier:
-            dense = [field_zero(mats[0].field)] * t if mats else []
-            for c, val in v.items():
-                dense[c] = val
-            for m in mats:
-                img = m.apply(dense)
-                vec = {i: w for i, w in enumerate(img) if w}
-                if vec and ech.insert(vec):
-                    nxt.append(vec)
-        frontier = nxt
-    return ech
-
-
-def _norton_irreducible(algebra: SubSuperalgebra, tries=40) -> bool:
-    """Certified irreducibility via nullity-one singular algebra elements."""
-    basis = algebra.basis()
-    if not basis:
-        return False
-    t = algebra.dim.total
-    dim = algebra.dim
-    field = algebra.field
-    candidates = list(basis)
-    for a, b in itertools.combinations(range(len(basis)), 2):
-        candidates.append(basis[a].matmul(basis[b]))
-    rng = random.Random(20240515)
-    for _ in range(tries):
-        coeffs = [rng.randint(-2, 2) for _ in basis]
-        acc = SuperMatrix.zeros(dim, field)
-        for c, m in zip(coeffs, basis):
-            if c:
-                acc = acc + m.scale(c)
-        candidates.append(acc)
-    transposed = [
-        SuperMatrix(dim, [[m.entries[b][a] for b in range(t)] for a in range(t)], field)
-        for m in basis
-    ]
-    for z in candidates:
-        ker = solve_kernel(range(t), [dict(enumerate(row)) for row in z.entries], field)
-        if len(ker) != 1:
-            continue
-        ker_t = solve_kernel(range(t), [dict(enumerate(col)) for col in zip(*z.entries)], field)
-        if len(ker_t) != 1:
-            continue
-        if _spin(ker[0], basis, t).rank == t and _spin(ker_t[0], transposed, t).rank == t:
-            return True
-    return False
-
-
-def decomposability_certificate(algebra: SubSuperalgebra, metric_body, max_candidates=200):
-    """Search for a nondegenerate invariant graded subspace.
-
-    Returns {'status': 'decomposable', 'witness': ..., 'complement': ...} or
-    {'status': 'weakly_irreducible'} (certified via an irreducibility test)
-    or {'status': 'inconclusive'} when the candidate pool is exhausted.
+    S is the commutant of the algebra among the G-self-adjoint even matrices
+    (X^T G = G X); the G-orthogonal projections onto the nondegenerate
+    invariant graded subspaces are exactly the idempotents of S.  When the
+    associative algebra A that S and 1 generate has dim A/rad A = 1, A is
+    local, its only idempotents are 0 and 1, and the result is
+    {'status': 'weakly_irreducible'}.  Otherwise `split` on S gives a witness
+    and its complement, and the result is {'status': 'decomposable',
+    'witness': ..., 'complement': ...} once both are checked exactly:
+    invariant, each the G-orthogonal complement of the other, and together
+    spanning V.  Failing that, {'status': 'inconclusive', 'reason': ...}.
     """
     dim = algebra.dim
     t = dim.total
     field = algebra.field
-
-    def nondegenerate(vectors):
-        parts = _graded_parts(vectors, dim.p)
-        if parts is None:
-            return False
-        for part in parts:
-            if part and _gram_rank(part, metric_body, field) != len(part):
-                return False
-        return True
-
-    def orthogonal_complement(vectors):
-        rows = []
-        for w in vectors:
+    g = metric_body
+    selfadjoint = []
+    for c in range(t):
+        for d in range(t):
+            # entry (c, d) of X^T G - G X
             row = {}
             for b in range(t):
-                acc = field_zero(field)
-                for a, va in w.items():
-                    gv = metric_body[a][b]
-                    if gv:
-                        acc = acc + va * gv
-                row[b] = acc
-            rows.append(row)
-        return solve_kernel(range(t), rows, field)
-
-    def finish(vectors):
-        comp = orthogonal_complement(vectors)
-        wit = [vec_dense(v) for v in vectors]
-        cmp_dense = [vec_dense(v) for v in comp]
-        if not test_invariant_subspace(algebra, cmp_dense):
-            return None
-        if not nondegenerate(comp):
-            return None
-        if len(vectors) + len(comp) != t:
-            return None
+                row[b * t + c] = row.get(b * t + c, 0) + g[b][d]
+                row[b * t + d] = row.get(b * t + d, 0) - g[c][b]
+            selfadjoint.append(row)
+    sym = commutant(algebra.basis(), dim, field, selfadjoint)
+    closure = associative_closure(sym + [SuperMatrix.identity(dim, field)], dim)
+    quotient = closure.rank - len(radical(closure, dim, field))
+    if quotient == 1:
+        return {"status": "weakly_irreducible"}
+    parts = split(sym, dim, field)
+    if parts is None:
         return {
-            "status": "decomposable",
-            "witness": wit,
-            "complement": cmp_dense,
+            "status": "inconclusive",
+            "reason": "dim A/rad A = %d, but no seeded draw from the self-adjoint commutant "
+            "has an eigenvalue in the field with a proper generalized eigenspace" % quotient,
         }
 
-    def vec_dense(v):
-        out = [field_zero(field)] * t
-        for c, val in v.items():
-            out[c] = to_field(val, field)
-        return out
+    def perp(vectors):
+        return solve_kernel(range(t), ({b: sum(v * g[a][b] for a, v in w.items()) for b in range(t)} for w in vectors), field)
 
-    basis = algebra.basis()
-    ops = list(basis)
-    for i, j in itertools.combinations(range(len(basis)), 2):
-        br = superbracket(basis[i], basis[j])
-        if not br.is_zero():
-            ops.append(br)
-
-    pool = []
-    seen = set()
-
-    def push(vectors):
-        if not vectors or len(vectors) >= t:
-            return
-        # kernels, images, sums and intersections of graded pieces in reduced
-        # echelon form have homogeneous rows
-        if _graded_parts(vectors, dim.p) is None:
-            raise AssertionError("candidate subspace is not graded")
-        key = _subspace_key(vectors)
-        if key in seen:
-            return
-        seen.add(key)
-        pool.append([dict(v) for v in span_echelon(vectors).basis()])
-
-    for op in ops:
-        even, odd = _common_kernel([op], dim, field)
-        push(even + odd)
-        push(_matrix_image_graded(op))
-    if not ops:
-        # the zero algebra leaves every subspace invariant: try the
-        # coordinate lines and planes
-        one = to_field(1, field)
-        planes = [*itertools.combinations(range(dim.p), 2), *itertools.combinations(range(dim.p, t), 2)]
-        for coords in [(a,) for a in range(dim.p)] + planes:
-            push([{a: one} for a in coords])
-    snapshot = list(pool)
-    for va, vb in itertools.combinations(snapshot, 2):
-        if len(pool) >= max_candidates:
-            break
-        push(va + vb)
-        push(intersect_spans(va, vb, t))
-    pool = pool[:max_candidates]
-
-    for cand in pool:
-        dense = [vec_dense(v) for v in cand]
-        if not test_invariant_subspace(algebra, dense):
-            continue
-        if not nondegenerate(cand):
-            continue
-        res = finish(cand)
-        if res:
-            return res
-
-    if _norton_irreducible(algebra):
-        return {"status": "weakly_irreducible"}
-    return {"status": "inconclusive"}
+    witness, complement = parts
+    dense = [[[vec.get(a, field_zero(field)) for a in range(t)] for vec in part] for part in parts]
+    if (
+        all(test_invariant_subspace(algebra, part) for part in dense)
+        and same_span(perp(witness), complement)
+        and same_span(perp(complement), witness)
+        and span_echelon(witness + complement).rank == t
+    ):
+        return {"status": "decomposable", "witness": dense[0], "complement": dense[1]}
+    return {"status": "inconclusive", "reason": "the split of the self-adjoint commutant failed its exact check"}

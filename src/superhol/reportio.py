@@ -164,7 +164,7 @@ def decode_problem(obj):
     if not isinstance(options, dict):
         raise ProblemError("/options", "must be an object")
     options = dict(options)
-    for key in ("cap_order", "transport_steps", "order", "candidates"):
+    for key in ("cap_order", "transport_steps", "order"):
         if options.get(key) is not None:
             options[key] = _int(options[key], "/options/" + key)
     payload = None

@@ -8,8 +8,13 @@ matrices preserve parity blocks, odd matrices swap them.
 
 from __future__ import annotations
 
-from .linalg import SparseEchelon, intersect_spans, solve_graded, solve_kernel
-from .scalars import RATIONAL, field_one, field_zero, scalar_str
+import math
+import random
+
+import numpy as np
+
+from .linalg import SparseEchelon, intersect_spans, solve_graded, solve_kernel, span_echelon
+from .scalars import RATIONAL, GaussianRational, field_one, field_zero, scalar_str, to_field
 
 
 class SuperDim:
@@ -338,6 +343,138 @@ def insert_parts(echelon: SparseEchelon, m: SuperMatrix):
             # a homogeneous m is its own only nonzero part
             added.append(m if m.parity is not None else SuperMatrix.from_flat(m.dim, part, m.field))
     return added
+
+
+# ---------------------------------------------- associative-algebra engine
+
+# `split` draws are seeded by a constant, so reports stay deterministic.
+SPLIT_SEED = 20240515
+SPLIT_DRAWS = 16
+
+
+def commutant(mats, dim: SuperDim, field=RATIONAL, extra_rows=()):
+    """Basis of the even X with XA = AX for every given matrix A, from one
+    kernel solve.
+
+    extra_rows are further linear conditions on X, as sparse dicts over its
+    flat positions a*t + b; their terms at odd positions, where X is zero,
+    are dropped.
+    """
+    t = dim.total
+    even = [a * t + b for a in range(t) for b in range(t) if dim.parity(a) == dim.parity(b)]
+    keep = set(even)
+
+    def rows():
+        for m in mats:
+            e = m.entries
+            for c in range(t):
+                for d in range(t):
+                    # entry (c, d) of XA - AX
+                    row = {}
+                    for b in range(t):
+                        if e[b][d] and c * t + b in keep:
+                            row[c * t + b] = row.get(c * t + b, 0) + e[b][d]
+                        if e[c][b] and b * t + d in keep:
+                            row[b * t + d] = row.get(b * t + d, 0) - e[c][b]
+                    yield row
+        for row in extra_rows:
+            yield {c: v for c, v in row.items() if c in keep}
+
+    return [SuperMatrix.from_flat(dim, vec, field) for vec in solve_kernel(even, rows(), field)]
+
+
+def associative_closure(mats, dim: SuperDim) -> SparseEchelon:
+    """Echelon of the flattened span of all products of the given matrices,
+    of one factor or more; it stops once it spans all t² positions."""
+    full = dim.total ** 2
+    echelon = SparseEchelon()
+    gens = [m for m in mats if echelon.insert(m.flatten())]
+    frontier = list(gens)
+    while frontier:
+        grown = []
+        for f in frontier:
+            for g in gens:
+                if echelon.rank == full:
+                    return echelon
+                prod = g.matmul(f)
+                if echelon.insert(prod.flatten()):
+                    grown.append(prod)
+        frontier = grown
+    return echelon
+
+
+def radical(echelon: SparseEchelon, dim: SuperDim, field=RATIONAL):
+    """Basis, as flat dicts, of the radical of the associative algebra that
+    the echelon spans.
+
+    By Dickson's criterion in characteristic 0, the radical is the x with
+    tr(xy) = 0 for every y in the algebra, with the ordinary trace.
+    """
+    t = dim.total
+    basis = echelon.basis()
+    rows = []
+    for y in basis:
+        # tr(xy) is the sum over positions (a, b) of x[a][b] y[b][a]
+        yt = {(p % t) * t + p // t: v for p, v in y.items()}
+        rows.append({i: sum(v * yt[p] for p, v in x.items() if p in yt) for i, x in enumerate(basis)})
+    out = []
+    for combo in solve_kernel(range(len(basis)), rows, field):
+        acc = {}
+        for i, c in combo.items():
+            for p, v in basis[i].items():
+                acc[p] = acc.get(p, 0) + c * v
+        out.append({p: v for p, v in acc.items() if v})
+    return out
+
+
+def common_kernel(mats, dim: SuperDim, field=RATIONAL):
+    """Graded basis (even, odd) of the vectors all the given homogeneous
+    matrices kill, as sparse dicts."""
+    parity = {a: dim.parity(a) for a in range(dim.total)}
+    return solve_graded(parity, (dict(enumerate(row)) for m in mats for row in m.entries), field)
+
+
+def split(mats, dim: SuperDim, field=RATIONAL):
+    """Split V along a seeded draw X from the span of the given even matrices.
+
+    Each of SPLIT_DRAWS draws is the sum of a seeded random subset of the
+    matrices.  For the first draw with an eigenvalue r in the field whose
+    generalized eigenspace is proper, returns the graded bases of
+    ker (X - r)^t and im (X - r)^t, t = dim V, as lists of sparse vectors:
+    with mu = (x - r)^m h the minimal polynomial of X, they are ker (X - r)^m
+    and ker h(X).  V is their direct sum (Fitting), and both are invariant
+    under every matrix that commutes with X.  None when no draw splits.
+
+    With d the common denominator of the entries of X, dX has a monic
+    (Gaussian) integer characteristic polynomial, so d r is a (Gaussian)
+    integer: each floating-point eigenvalue, scaled by d and rounded, names
+    the one candidate near it, and the kernel decides it exactly.
+    """
+    t = dim.total
+    rng = random.Random(SPLIT_SEED)
+    identity = SuperMatrix.identity(dim, field)
+    for _ in range(SPLIT_DRAWS):
+        x = SuperMatrix.zeros(dim, field)
+        for m in mats:
+            if rng.randrange(2):
+                x = x + m
+        parts = [[(v.re, v.im) if isinstance(v, GaussianRational) else (v, 0) for v in row] for row in x.entries]
+        d = math.lcm(1, *(c.denominator for row in parts for v in row for c in v))
+        approx = np.array([[complex(float(re), float(im)) for re, im in row] for row in parts]).reshape(t, t)
+        candidates = sorted({(round(z.real * d), round(z.imag * d)) for z in np.linalg.eigvals(approx)})
+        for re, im in candidates:
+            if im and field == RATIONAL:
+                continue
+            power = x - identity.scale(to_field(GaussianRational(re, im) / d, field))
+            for _ in range(max(t - 1, 0).bit_length()):
+                power = power.matmul(power)
+            even, odd = common_kernel([power], dim, field)
+            if 0 < len(even) + len(odd) < t:
+                # the columns of an even matrix are homogeneous, so the
+                # reduced basis of their span is graded
+                image = span_echelon(dict(enumerate(col)) for col in zip(*power.entries)).basis()
+                return even + odd, image
+    return None
 
 
 class StructureTensor:

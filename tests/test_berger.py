@@ -280,11 +280,55 @@ class TestPiAdjoint:
         with pytest.raises(ValueError):
             pi_adjoint_test(classical_superalgebra("gl", (1, 1)))
 
-    def test_simplicity_sweep(self):
-        assert is_simple(classical_superalgebra("sl", (2, 0)))[0]
-        assert is_simple(classical_superalgebra("sl", (1, 2)))[0]
-        assert not is_simple(classical_superalgebra("gl", (1, 1)))[0]
-        assert not is_simple(SubSuperalgebra.zero(SuperDim(1, 1)))[0]
+    @pytest.mark.parametrize(
+        "name, params", [("sl", (2, 0)), ("sl", (1, 2)), ("osp", (1, 2)), ("osp", (3, 2)), ("sl", (3, 1))], ids=str
+    )
+    def test_burnside_certifies_simplicity(self, name, params):
+        res = is_simple(classical_superalgebra(name, params))
+        assert res["simple"] and res["status"] == "certified"
+
+    @pytest.mark.parametrize(
+        "name, params", [("gl", (1, 1)), ("spe", 2), ("pe", 2), ("q", 2), ("sl", (2, 2)), ("gl", (2, 1))], ids=str
+    )
+    def test_center_and_derived_checks_reject(self, name, params):
+        assert not is_simple(classical_superalgebra(name, params))["simple"]
+
+    def test_zero_algebra_is_not_simple(self):
+        assert not is_simple(SubSuperalgebra.zero(SuperDim(1, 1)))["simple"]
+
+    def test_sl2_plus_sl2_splits_off_an_ideal(self):
+        # sl(2) + sl(2) in two diagonal blocks of gl(4): perfect and
+        # centerless, so only the commutant of ad finds a factor
+        flats = [{0: 1, 5: -1}, {1: 1}, {4: 1}, {10: 1, 15: -1}, {11: 1}, {14: 1}]
+        alg = explicit_algebra(SuperDim(4, 0), flats)
+        res = is_simple(alg)
+        assert not res["simple"] and res["status"] == "certified"
+        assert_proper_ideal(alg, res["ideal"], (3, 0))
+
+    def test_radical_moves_onto_an_ideal(self):
+        # sl(2) acting on its standard module K², as [[A, v], [0, 0]] in
+        # gl(3): perfect and centerless, and ad is not semisimple
+        flats = [{0: 1, 4: -1}, {1: 1}, {3: 1}, {2: 1}, {5: 1}]
+        alg = explicit_algebra(SuperDim(3, 0), flats)
+        res = is_simple(alg)
+        assert not res["simple"] and "radical" in res["note"]
+        assert_proper_ideal(alg, res["ideal"], (2, 0))
+
+    def test_pi_adjoint_status_follows_the_certificate(self):
+        assert pi_adjoint_test(classical_superalgebra("sl", (2, 1)))["simplicity_status"] == "certified"
+
+
+def explicit_algebra(dim, flats):
+    mats = [SuperMatrix.from_flat(dim, {k: Fraction(v) for k, v in flat.items()}) for flat in flats]
+    return SubSuperalgebra.from_matrices(dim, mats)
+
+
+def assert_proper_ideal(alg, ideal, graded_dim):
+    assert ideal.graded_dim == graded_dim
+    assert alg.contains_algebra(ideal)
+    for a in alg.basis():
+        for b in ideal.basis():
+            assert ideal.contains_matrix(superbracket(a, b))
 
 
 class TestActionLaws:

@@ -7,6 +7,8 @@ import pytest
 
 from superhol import cli
 from superhol import holonomy as hl
+from superhol import reportio as rio
+from superhol import superlin
 from superhol.superfunc import ChartSignature, Superfunction, parse_superfunction
 from superhol.superlin import (
     SubSuperalgebra,
@@ -50,7 +52,7 @@ from superhol.holonomy import (
 from superhol.berger import CurvatureElement, canonical_pairs, curvature_space
 from superhol.linalg import span_echelon
 from superhol.reportio import encode_algebra
-from superhol.scalars import GAUSSIAN, RATIONAL, GaussianRational
+from superhol.scalars import GAUSSIAN, RATIONAL, GaussianRational, parse_scalar
 
 from conftest import random_sparse_connection, random_torsion_free_connection, random_unipotent_gauge
 
@@ -435,14 +437,60 @@ class TestCertificates:
         assert res["status"] == "decomposable"
 
     @pytest.mark.parametrize(
-        "n, m, g", [(1, 0, {"1,1": "1"}), (0, 2, {"1,2": "1"}), (2, 0, {"1,2": "1"})], ids=str
+        "n, m, g, status",
+        [
+            (1, 0, {"1,1": "1"}, "weakly_irreducible"),
+            (0, 2, {"1,2": "1"}, "weakly_irreducible"),
+            # a hyperbolic plane: no coordinate line is nondegenerate, but
+            # e1 + e2 and e1 - e2 are
+            (2, 0, {"1,2": "1"}, "decomposable"),
+        ],
+        ids=str,
     )
-    def test_flat_metric_has_no_whole_space_witness(self, n, m, g):
-        # the holonomy is zero and no proper coordinate line or plane is
-        # nondegenerate, so V itself is the only coordinate candidate left
+    def test_flat_metric_certificates(self, n, m, g, status):
         rep, ok = cli.run_problem({"kind": "metric", "chart": {"n": n, "m": m}, "g": g})
         assert ok and rep["result"]["holonomy_dim"] == [0, 0]
-        assert rep["result"]["decomposable"] == {"status": "inconclusive"}
+        dec = rep["result"]["decomposable"]
+        assert dec["status"] == status
+        if status == "decomposable":
+            metric = rio.decode_metric({"chart": {"n": n, "m": m}, "g": g})
+            body = sfmat_value(metric.g, [0] * n)
+            assert_wu_split(SubSuperalgebra.zero(SuperDim(n, m)), dec, body, RATIONAL)
+
+    def test_gaussian_product_metric_is_decomposable(self):
+        doc = {
+            "kind": "metric",
+            "chart": {"n": 0, "m": 4, "field": "gaussian-rational"},
+            "g": {"1,2": "1 + 3*i*xi1*xi2", "3,4": "1 + (2 - i)*xi3*xi4"},
+        }
+        rep, ok = cli.run_problem(doc)
+        res = rep["result"]
+        assert ok and res["holonomy_dim"] == [6, 0]
+        metric = rio.decode_metric(doc)
+        algebra = infinitesimal_holonomy(levi_civita(metric), []).algebra
+        assert_wu_split(algebra, res["decomposable"], sfmat_value(metric.g, []), GAUSSIAN)
+
+    def test_inconclusive_names_its_reason(self, monkeypatch):
+        monkeypatch.setattr(superlin, "SPLIT_DRAWS", 0)
+        rep, ok = cli.run_problem({"kind": "metric", "chart": {"n": 2, "m": 0}, "g": {"1,2": "1"}})
+        dec = rep["result"]["decomposable"]
+        assert ok and dec["status"] == "inconclusive" and "dim A/rad A = 4" in dec["reason"]
+
+
+def assert_wu_split(algebra, dec, body, field):
+    """The reported witness and complement are invariant, G-orthogonal and
+    span V together."""
+    assert dec["status"] == "decomposable"
+    witness, complement = (
+        [[parse_scalar(x, field) for x in vec] for vec in dec[key]] for key in ("witness", "complement")
+    )
+    t = algebra.dim.total
+    assert witness and complement
+    assert check_invariant_subspace(algebra, witness) and check_invariant_subspace(algebra, complement)
+    for w in witness:
+        for c in complement:
+            assert not sum(w[a] * body[a][b] * c[b] for a in range(t) for b in range(t))
+    assert span_echelon([dict(enumerate(v)) for v in witness + complement]).rank == t == len(witness + complement)
 
 
 class TestCrossModuleInvariants:

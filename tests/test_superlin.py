@@ -12,11 +12,15 @@ from superhol.superlin import (
     SubSuperalgebra,
     SuperDim,
     SuperMatrix,
+    associative_closure,
     classical_superalgebra,
+    commutant,
     cut_by_functionals,
     full_gl,
     generate_subalgebra,
     intersect_algebras,
+    radical,
+    split,
     stabilizer_algebra,
     standard_even_form,
     standard_odd_complex_structure,
@@ -509,3 +513,71 @@ class TestCoordinatesMatchTheSolve:
             assert got == reference_coordinates(flats, m.flatten(), field)
             outside += got is None
         assert outside or alg.total_dim == dim.total ** 2
+
+
+def flat_matrix(dim, flat, field=RATIONAL):
+    one = {RATIONAL: Fraction(1), GAUSSIAN: GaussianRational(1)}[field]
+    return SuperMatrix.from_flat(dim, {k: one * v for k, v in flat.items()}, field)
+
+
+class TestAssociativeEngine:
+    def test_commutant_of_a_diagonal_is_diagonal(self):
+        dim = SuperDim(2, 0)
+        basis = commutant([flat_matrix(dim, {0: 1, 3: -1})], dim)
+        assert linalg.same_span([m.flatten() for m in basis], [{0: 1}, {3: 1}])
+
+    def test_commutant_is_even_and_takes_extra_rows(self):
+        # the odd swap J of a 1|1 space commutes with the identity only;
+        # without it every even matrix commutes, and the extra row a = d
+        # leaves the identity again
+        dim = SuperDim(1, 1)
+        swap = flat_matrix(dim, {1: 1, 2: 1})
+        assert [m.flatten() for m in commutant([swap], dim)] == [{0: 1, 3: 1}]
+        assert len(commutant([], dim)) == 2
+        assert [m.flatten() for m in commutant([], dim, extra_rows=[{0: 1, 3: -1, 1: 5}])] == [{0: 1, 3: 1}]
+
+    def test_closure_spans_products_and_stops_at_full(self):
+        dim = SuperDim(2, 0)
+        assert associative_closure([flat_matrix(dim, {1: 1})], dim).rank == 1
+        assert associative_closure([flat_matrix(dim, {1: 1}), flat_matrix(dim, {2: 1})], dim).rank == 4
+
+    def test_radical_of_upper_triangular_is_strict(self):
+        dim = SuperDim(2, 0)
+        closure = associative_closure([flat_matrix(dim, {0: 1}), flat_matrix(dim, {1: 1}), flat_matrix(dim, {3: 1})], dim)
+        assert closure.rank == 3
+        assert radical(closure, dim) == [{1: 1}]
+
+    def test_radical_uses_the_ordinary_trace(self):
+        # the supertrace of the identity of a 1|1 space is 0
+        dim = SuperDim(1, 1)
+        assert radical(associative_closure([SuperMatrix.identity(dim)], dim), dim) == []
+
+    def test_split_along_a_rational_root(self):
+        # minimal polynomial (x - 1)^2 (x - 2): the root 1 has multiplicity 2
+        dim = SuperDim(3, 0)
+        x = flat_matrix(dim, {0: 1, 1: 1, 4: 1, 8: 2})
+        witness, complement = split([x], dim)
+        assert linalg.same_span(witness, [{0: 1}, {1: 1}])
+        assert linalg.same_span(complement, [{2: 1}])
+
+    def test_split_needs_a_root_in_the_field(self):
+        # x^2 + 1 splits over the Gaussian rationals only
+        dim = SuperDim(2, 0)
+        assert split([flat_matrix(dim, {1: -1, 2: 1})], dim) is None
+        rotation = flat_matrix(dim, {1: -1, 2: 1}, GAUSSIAN)
+        witness, complement = split([rotation], dim, GAUSSIAN)
+        assert len(witness) == len(complement) == 1
+        for part in (witness, complement):
+            (vec,) = part
+            image = rotation.apply([vec.get(a, GaussianRational(0)) for a in range(2)])
+            assert linalg.same_span([dict(enumerate(image))], part)
+
+    def test_split_keeps_grading(self):
+        # X = diag(1, 2 | 1): the kernels are graded even with a repeated root
+        dim = SuperDim(2, 1)
+        witness, complement = split([flat_matrix(dim, {0: 1, 4: 2, 8: 1})], dim)
+        assert witness == [{0: 1}, {2: 1}] and complement == [{1: 1}]
+
+    def test_scalar_draws_do_not_split(self):
+        dim = SuperDim(2, 1)
+        assert split([SuperMatrix.identity(dim)], dim) is None
