@@ -9,6 +9,8 @@ graded antisymmetry supplying the rest.
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement, permutations
+
 from .linalg import same_span, solve_graded, span_echelon
 from .scalars import field_zero, to_field
 from .superlin import (
@@ -269,117 +271,109 @@ def symmetric_berger_check(algebra: SubSuperalgebra):
 
 
 class ProlongationLevel:
-    """Basis of one prolongation level as coordinate multimaps.
+    """Basis of one prolongation level g^(k) = (S^{k+1}V* (x) V) ∩ (S^k V* (x) g).
 
-    Each element maps a tuple of k direction indices to a matrix in the level
-    zero algebra, stored flat as {(d_1,...,d_k, A, B): scalar}.  raw_coords
-    are the solver coordinates over (direction, previous-level basis index).
+    Each element is a graded-symmetric tensor T(d_1, ..., d_k, B) with values
+    in V, stored as {(S, A): scalar}: its A-component on the sorted
+    (k+1)-tuple S, for the tuples in which no odd index repeats.  `multimaps`
+    expands the basis on demand into flat multimaps {(d_1, ..., d_k, A, B):
+    scalar}, the entries (A, B) of the matrix in g that e_{d_1}, ..., e_{d_k}
+    map to.
     """
 
-    def __init__(self, k: int, elements, parities, raw_coords):
+    def __init__(self, dim: SuperDim, k: int, kernels):
+        self.dim = dim
         self.k = k
-        self.elements = elements
-        self.parities = parities
-        self.raw_coords = raw_coords
+        self.tensors = [*kernels[0], *kernels[1]]
+        self.parities = [sigma for sigma, kernel in enumerate(kernels) for _ in kernel]
 
     @property
     def graded_dim(self):
-        even = sum(1 for p in self.parities if p == 0)
-        return (even, len(self.parities) - even)
+        return (self.parities.count(0), self.parities.count(1))
 
     @property
     def total_dim(self):
         return len(self.parities)
 
+    def multimaps(self):
+        out = []
+        for tensor in self.tensors:
+            flat = {}
+            for (s, a), v in tensor.items():
+                for idx in set(permutations(s)):
+                    flat[idx[:-1] + (a, idx[-1])] = _koszul_sort(self.dim, idx)[1] * v
+            out.append(flat)
+        return out
+
 
 class ProlongationTower:
-    def __init__(self, dim: SuperDim, g0: SubSuperalgebra, levels):
-        self.dim = dim
-        self.g0 = g0
+    def __init__(self, levels):
         self.levels = levels  # list of ProlongationLevel for k = 1..
 
     def graded_dims(self):
         return [lvl.graded_dim for lvl in self.levels]
 
 
-def _level0_elements(g0: SubSuperalgebra):
-    elems = []
-    parities = []
-    for m in g0.basis():
-        flat = {}
-        t = m.dim.total
-        for a in range(t):
-            for b in range(t):
-                if m.entries[a][b]:
-                    flat[(a, b)] = m.entries[a][b]
-        elems.append(flat)
-        parities.append(m.parity)
-    return elems, parities
+def _koszul_sort(dim: SuperDim, idx):
+    """(sorted idx, Koszul sign of sorting it); the sign is 0 when an odd index repeats."""
+    odd = [a for a in idx if dim.parity(a)]
+    if len(set(odd)) < len(odd):
+        return None, 0
+    inversions = sum(a > b for i, a in enumerate(odd) for b in odd[i + 1:])
+    return tuple(sorted(idx)), (-1) ** inversions
 
 
-def _apply(elem, k: int, y: int):
-    """Apply a level-k multimap to the basis direction y, landing in level k-1."""
-    if k == 0:
-        return {(key[0],): v for key, v in elem.items() if key[1] == y}
-    return {key[1:]: v for key, v in elem.items() if key[0] == y}
-
-
-def _next_level(dim: SuperDim, prev_elems, prev_parities, k: int, field):
-    """Solve the graded symmetry condition for level k+1 elements."""
-    t = dim.total
-    # unknowns: the coefficient of level-k element i along direction d
-    parity = {(d, i): (dim.parity(d) + p) % 2 for d in range(t) for i, p in enumerate(prev_parities)}
-
-    def rows():
-        for x in range(t):
-            for y in range(x, t):
-                # the equations of the pair (x, y), one per entry they fix; no
-                # other pair touches them
-                eqs = {}
-                sign = -((-1) ** (dim.parity(x) * dim.parity(y)))
-                for d, e, s in ((x, y, 1), (y, x, sign)):
-                    for i, elem in enumerate(prev_elems):
-                        for key, v in _apply(elem, k, e).items():
-                            row = eqs.setdefault(key, {})
-                            row[(d, i)] = row.get((d, i), 0) + (v if s == 1 else s * v)
-                yield from eqs.values()
-
-    new_elems = []
-    new_parities = []
-    new_raw = []
-    for sigma, kernel in enumerate(solve_graded(parity, rows(), field)):
-        for vec in kernel:
-            flat = {}
-            for (d, i), coef in vec.items():
-                for key, v in prev_elems[i].items():
-                    full = (d,) + key
-                    w = flat.get(full)
-                    w = coef * v if w is None else w + coef * v
-                    if w:
-                        flat[full] = w
-                    else:
-                        flat.pop(full, None)
-            new_elems.append(flat)
-            new_parities.append(sigma)
-            new_raw.append(vec)
-    return new_elems, new_parities, new_raw
+def _symmetric_tuples(dim: SuperDim, r: int):
+    """Sorted r-tuples of basis indices in which no odd index repeats."""
+    return [
+        s
+        for s in combinations_with_replacement(range(dim.total), r)
+        if not any(a == b and dim.parity(a) for a, b in zip(s, s[1:]))
+    ]
 
 
 def cartan_prolongation(dim: SuperDim, g0: SubSuperalgebra, order: int) -> ProlongationTower:
-    """Levels 1..order of the prolongation tower of g0 acting on V."""
+    """Levels 1..order of the prolongation tower of g0 acting on V.
+
+    Each level is one graded solve from g0 alone (Sternberg, Lectures on
+    Differential Geometry, ch. VII): the unknowns are the values U[(S, A)] of
+    a graded-symmetric tensor, and each functional phi in the annihilator of
+    g0 gives, for every sorted k-tuple I, the row
+    sum_{A,B} phi_AB eps(I + B) U[sort(I + B), A] = 0, with eps the Koszul
+    sign.  A level after a zero level is zero and is not solved.
+    """
     if order < 1:
         raise ValueError("order must be at least 1")
-    prev_elems, prev_parities = _level0_elements(g0)
+    t = dim.total
+    field = g0.field
+    # homogeneous functionals phi_AB on gl(V) that vanish on g0
+    cols = {(a, b): (dim.parity(a) + dim.parity(b)) % 2 for a in range(t) for b in range(t)}
+    rows = ({(a, b): m.entries[a][b] for (a, b) in cols} for m in g0.basis())
+    annihilator = [phi for kernel in solve_graded(cols, rows, field) for phi in kernel]
     levels = []
-    for k in range(order):
-        elems, parities, raw = _next_level(dim, prev_elems, prev_parities, k, g0.field)
-        levels.append(ProlongationLevel(k + 1, elems, parities, raw))
-        prev_elems, prev_parities = elems, parities
-        if not elems:
-            for k2 in range(k + 1, order):
-                levels.append(ProlongationLevel(k2 + 1, [], [], []))
-            break
-    return ProlongationTower(dim, g0, levels)
+    for k in range(1, order + 1):
+        kernels = ((), ())
+        if not levels or levels[-1].total_dim:
+            parity = {
+                (s, a): (sum(map(dim.parity, s)) + dim.parity(a)) % 2
+                for s in _symmetric_tuples(dim, k + 1)
+                for a in range(t)
+            }
+            kernels = solve_graded(parity, _prolongation_rows(dim, annihilator, k), field)
+        levels.append(ProlongationLevel(dim, k, kernels))
+    return ProlongationTower(levels)
+
+
+def _prolongation_rows(dim: SuperDim, annihilator, k: int):
+    """phi(T(I, -)) = 0 for every functional phi and sorted k-tuple I."""
+    for i in _symmetric_tuples(dim, k):
+        for phi in annihilator:
+            row = {}
+            for (a, b), v in phi.items():
+                s, sign = _koszul_sort(dim, i + (b,))
+                if sign:
+                    row[(s, a)] = sign * v
+            yield row
 
 
 # --------------------------------------------------- Spencer rank identity
@@ -388,8 +382,9 @@ def cartan_prolongation(dim: SuperDim, g0: SubSuperalgebra, order: int) -> Prolo
 def spencer_rank_identity(algebra: SubSuperalgebra, tower: ProlongationTower = None, rspace: LinearSolutionSpace = None):
     """Exactness of the prolongation sequence and the derived cohomology rank.
 
-    Builds the map V* tensor g_1 -> curvature space, checks its kernel equals
-    the embedded g_2, and reports dim R(g) - rank as the derived quantity.
+    Builds the map V* tensor g_1 -> curvature space, checks that its kernel,
+    expanded into flat multimaps, spans the g_2 that `cartan_prolongation`
+    solves directly, and reports dim R(g) - rank as the derived quantity.
     """
     dim = algebra.dim
     t = dim.total
@@ -398,38 +393,24 @@ def spencer_rank_identity(algebra: SubSuperalgebra, tower: ProlongationTower = N
         rspace = curvature_space(algebra)
     if tower is None:
         tower = cartan_prolongation(dim, algebra, 2)
-    g1 = tower.levels[0]
-    g2 = tower.levels[1] if len(tower.levels) > 1 else ProlongationLevel(2, [], [], [])
-    pairs = canonical_pairs(dim)
-
-    report = {
-        "g1_dim": g1.graded_dim,
-        "g2_dim": g2.graded_dim,
-        "R_dim": rspace.graded_dim,
-    }
+    g1, g2 = tower.levels[:2]
+    g1_maps = g1.multimaps()
+    pair_index = {pair: i for i, pair in enumerate(canonical_pairs(dim))}
     rspace_span = span_echelon([e.flatten() for e in rspace.basis])
-    exactness_ok = True
+    images_ok = True
     # unknowns: the coefficient of g_1 element j along direction d
     parity = {(d, j): (dim.parity(d) + p) % 2 for d in range(t) for j, p in enumerate(g1.parities)}
     rows = {}
     for (d, j) in parity:
-        alpha = g1.elements[j]
+        # the 2-form (x, y) -> delta_xd alpha(e_y) - (-1)^{|x||y|} delta_yd alpha(e_x)
         flat = {}
-        for pi, (x, y) in enumerate(pairs):
-            mat = {}
-            if x == d:
-                for key, v in _apply(alpha, 1, y).items():
-                    mat[key[0:2]] = mat.get(key[0:2], 0) + v
-            if y == d:
-                sign = -((-1) ** (dim.parity(x) * dim.parity(y)))
-                for key, v in _apply(alpha, 1, x).items():
-                    mat[key[0:2]] = mat.get(key[0:2], 0) + sign * v
-            for (a, b), v in mat.items():
-                if v:
-                    flat[pi * t * t + a * t + b] = v
+        for (e, a, b), v in g1_maps[j].items():
+            for pair, s in (((d, e), 1), ((e, d), -((-1) ** (dim.parity(d) * dim.parity(e))))):
+                if pair in pair_index:
+                    coord = pair_index[pair] * t * t + a * t + b
+                    flat[coord] = flat.get(coord, 0) + s * v
         # the image must satisfy the curvature space constraints
-        if flat and not rspace_span.contains(flat):
-            exactness_ok = False
+        images_ok = images_ok and rspace_span.contains(flat)
         for coord, v in flat.items():
             rows.setdefault(coord, {})[(d, j)] = v
     # rank of the map and its kernel, per parity
@@ -439,19 +420,26 @@ def spencer_rank_identity(algebra: SubSuperalgebra, tower: ProlongationTower = N
         r - (ncols - len(ker))
         for r, ncols, ker in zip(rspace.graded_dim, (len(parity) - odd_cols, odd_cols), kernels)
     ]
-    # the kernel must be g_2, embedded through its solver coordinates
-    if not same_span(kernels[0] + kernels[1], g2.raw_coords):
-        exactness_ok = False
-    report["exactness_ok"] = exactness_ok
-    report["h22_raw"] = tuple(h22)
-    report["h22_total"] = h22[0] + h22[1]
-    # Table notation reports these modules with a parity shift
-    report["h22_pi_twisted"] = (h22[1], h22[0])
-    if not exactness_ok:
-        raise AssertionError(
-            "prolongation sequence failed exactness; the solver implementations disagree"
-        )
-    return report
+    # the kernel, as flat multimaps, must span g_2
+    kernel_maps = []
+    for vec in kernels[0] + kernels[1]:
+        flat = {}
+        for (d, j), c in vec.items():
+            for key, v in g1_maps[j].items():
+                flat[(d,) + key] = flat.get((d,) + key, 0) + c * v
+        kernel_maps.append(flat)
+    if not (images_ok and same_span(kernel_maps, g2.multimaps())):
+        raise AssertionError("prolongation sequence failed exactness; the two formulations disagree")
+    return {
+        "g1_dim": g1.graded_dim,
+        "g2_dim": g2.graded_dim,
+        "R_dim": rspace.graded_dim,
+        "exactness_ok": True,
+        "h22_raw": tuple(h22),
+        "h22_total": h22[0] + h22[1],
+        # Table notation reports these modules with a parity shift
+        "h22_pi_twisted": (h22[1], h22[0]),
+    }
 
 
 # ------------------------------------------------------- abstract algebra
@@ -487,12 +475,17 @@ def is_simple(algebra: SubSuperalgebra):
     {'simple', 'status', 'note', 'ideal'}; 'ideal' is the proper ideal the
     last two tests find, as a SubSuperalgebra, and None otherwise.
     """
+    return _simplicity_of(algebra, pi_adjoint_representation(algebra))
+
+
+def _simplicity_of(algebra: SubSuperalgebra, representation):
+    """`is_simple`, given the `pi_adjoint_representation` of the algebra."""
     field = algebra.field
     if not algebra.total_dim:
         return _simplicity(False, "zero algebra")
     basis = algebra.basis()
     n = len(basis)
-    vdim, rep_alg, ad, pos = pi_adjoint_representation(algebra)
+    vdim, rep_alg, ad, pos = representation
     if rep_alg.total_dim < n:
         return _simplicity(False, "nontrivial center")
     # the columns of ad(x) span the derived algebra
@@ -558,11 +551,12 @@ def pi_adjoint_representation(algebra: SubSuperalgebra):
 
 def pi_adjoint_test(algebra: SubSuperalgebra):
     """Prolongation profile of a simple algebra on its parity reversal."""
-    simplicity = is_simple(algebra)
+    representation = pi_adjoint_representation(algebra)
+    simplicity = _simplicity_of(algebra, representation)
     if not simplicity["simple"]:
         raise ValueError("input algebra is not simple: %s" % simplicity["note"])
     basis = algebra.basis()
-    vdim, rep_alg, rep, pos = pi_adjoint_representation(algebra)
+    vdim, rep_alg, rep, pos = representation
     tower = cartan_prolongation(vdim, rep_alg, 2)
     g1, g2 = tower.levels[0], tower.levels[1]
     # expected generator x -> (-1)^{|x|} Pi(x)
@@ -578,8 +572,7 @@ def pi_adjoint_test(algebra: SubSuperalgebra):
                     expected[(pos[j], a, b)] = sign * v
     generator_matches = False
     if g1.total_dim == 1:
-        elem = g1.elements[0]
-        generator_matches = _proportional(elem, expected)
+        generator_matches = _proportional(g1.multimaps()[0], expected)
     bc = berger_check(rep_alg)
     return {
         "g1_dim": g1.graded_dim,

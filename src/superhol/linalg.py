@@ -8,6 +8,8 @@ staying exact.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .scalars import to_field
 
 
@@ -45,6 +47,8 @@ class SparseEchelon:
             return False
         pivot = min(res)
         inv = res[pivot]
+        if isinstance(inv, int):
+            inv = Fraction(inv)  # an int pivot would divide into floats
         row = {c: v / inv for c, v in res.items()}
         # back-substitute into existing rows to keep the form reduced
         for p, other in self.pivot_rows.items():
@@ -86,8 +90,6 @@ def kernel_basis(rows, ncols: int):
     free columns in increasing order, each basis vector reduced and with a 1
     at its free column.
     """
-    from fractions import Fraction
-
     ech = span_echelon(rows)
     pivots = sorted(ech.pivot_rows)
     free = [c for c in range(ncols) if c not in ech.pivot_rows]

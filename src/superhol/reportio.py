@@ -105,6 +105,8 @@ def decode_connection(obj, path="") -> ConnectionData:
 
 def decode_metric(obj, path="") -> MetricData:
     sig = decode_chart(_require_object(obj, "chart", path), path + "/chart")
+    if not sig.total:
+        raise ProblemError(path + "/chart", "a metric needs n + m >= 1")
     chart = Chart.tangent(sig)
     entries = {}
     for key, text in _require_object(obj, "g", path).items():

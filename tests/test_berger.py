@@ -1,5 +1,7 @@
 import itertools
+import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ from superhol.superlin import (
     SuperDim,
     SuperMatrix,
     classical_superalgebra,
+    generate_subalgebra,
     superbracket,
 )
 from superhol.berger import (
@@ -26,9 +29,15 @@ from superhol.berger import (
     spencer_rank_identity,
     symmetric_berger_check,
 )
-from superhol.linalg import SparseEchelon, kernel_basis, span_echelon
+from superhol import berger, linalg
+from superhol.linalg import SparseEchelon, kernel_basis, same_span, span_echelon
+from superhol.scalars import GAUSSIAN, RATIONAL, GaussianRational
 
 from conftest import random_homogeneous_matrix
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench"))
+
+from checks import classical_forms  # noqa: E402
 
 
 class TestCurvatureSpace:
@@ -127,8 +136,11 @@ class TestDerivativeSpace:
 
 
 def naive_prolongation_dims(dim: SuperDim, g0: SubSuperalgebra, order: int):
-    """Independent enumerator: dense unknowns over V* x gl(V) with explicit
-    membership rows from the reduced echelon form of the level below."""
+    """Independent enumerator, the recursive formulation: level k+1 is solved
+    over (direction, level-k element) coefficients, with explicit graded
+    symmetry rows in the first two directions.  Returns the total dims of
+    levels 1..order and each level's elements as flat multimaps
+    {(d_1, ..., d_k, A, B): value}."""
     t = dim.total
     level_elems = []  # list of dicts {(dirs..., A, B): value}
     for m in g0.basis():
@@ -139,6 +151,7 @@ def naive_prolongation_dims(dim: SuperDim, g0: SubSuperalgebra, order: int):
                     flat[(a, b)] = m.entries[a][b]
         level_elems.append(flat)
     dims = []
+    levels = []
     for k in range(order):
         # unknowns: coefficients over (direction, previous element)
         prev = level_elems
@@ -191,12 +204,23 @@ def naive_prolongation_dims(dim: SuperDim, g0: SubSuperalgebra, order: int):
                         flat.pop(full, None)
             new_elems.append(flat)
         dims.append(len(new_elems))
+        levels.append(new_elems)
         level_elems = new_elems
-        if not new_elems:
-            for _ in range(k + 1, order):
-                dims.append(0)
-            break
-    return dims
+    return dims, levels
+
+
+def random_subalgebra(rng, dim, field):
+    """The subalgebra that one or two seeded homogeneous matrices generate."""
+    gens = []
+    for _ in range(rng.randint(1, 2)):
+        p = rng.randint(0, 1)
+        m = random_homogeneous_matrix(rng, dim, p, -1, 1)
+        if field == GAUSSIAN:
+            im = random_homogeneous_matrix(rng, dim, p, -1, 1)
+            entries = [[GaussianRational(a, b) for a, b in zip(re, ri)] for re, ri in zip(m.entries, im.entries)]
+            m = SuperMatrix(dim, entries, GAUSSIAN)
+        gens.append(m)
+    return generate_subalgebra(gens, dim, field)
 
 
 class TestProlongations:
@@ -218,10 +242,36 @@ class TestProlongations:
     )
     def test_naive_enumerator_agrees(self, name, params, dim):
         g0 = classical_superalgebra(name, params)
-        tower = cartan_prolongation(dim, g0, 2)
-        naive = naive_prolongation_dims(dim, g0, 2)
-        got = [lvl.total_dim for lvl in tower.levels]
-        assert got == naive
+        assert_matches_naive(dim, g0, 2)
+
+    @pytest.mark.parametrize("field", (RATIONAL, GAUSSIAN))
+    def test_naive_enumerator_agrees_on_seeded_subalgebras(self, field):
+        rng = random.Random("prolongation %s" % field)
+        profiles = set()
+        for dim in (SuperDim(1, 1), SuperDim(2, 1), SuperDim(1, 2), SuperDim(1, 3)):
+            for _ in range(6):
+                g0 = random_subalgebra(rng, dim, field)
+                profiles.add(tuple(assert_matches_naive(dim, g0, 3)))
+        # levels that are zero, nonzero and growing all occur
+        assert len(profiles) > 5 and any(p[0] == 0 for p in profiles) and any(p[2] > 0 for p in profiles)
+
+    @pytest.mark.parametrize("name", ("gl", "sl"))
+    @pytest.mark.parametrize("p, q", [(1, 0), (2, 0), (1, 1), (2, 1), (1, 2), (3, 1), (1, 3), (2, 2)])
+    def test_closed_form_dims(self, name, p, q):
+        # g_k(gl(p|q)) = S^(k+1) V* (x) V, and sl loses one S^k V*; p = 0 is
+        # left out: for sl(0|3) at order 3 the closed form reads 0|-1
+        g_k = classical_forms(name, p, q)["g"]
+        tower = cartan_prolongation(SuperDim(p, q), classical_superalgebra(name, (p, q)), 5)
+        assert tower.graded_dims() == [g_k(k) for k in range(1, 6)]
+
+    @pytest.mark.parametrize("name, params, solves", [("gl", (1, 1), 4), ("osp", (2, 2), 2)], ids=str)
+    def test_one_solve_per_level_not_known_to_be_zero(self, monkeypatch, name, params, solves):
+        # the annihilator, then each level until one is zero
+        calls = []
+        monkeypatch.setattr(berger, "solve_graded", lambda *args: calls.append(1) or linalg.solve_graded(*args))
+        g0 = classical_superalgebra(name, params)
+        cartan_prolongation(g0.dim, g0, 3)
+        assert len(calls) == solves
 
     def test_prolongation_embeds_via_symmetry(self):
         # every level-1 element must satisfy the graded symmetry exactly
@@ -229,7 +279,7 @@ class TestProlongations:
         dim = SuperDim(2, 2)
         tower = cartan_prolongation(dim, g0, 1)
         t = dim.total
-        for elem in tower.levels[0].elements:
+        for elem in tower.levels[0].multimaps():
             # keys are (direction, A, B); phi(x) e_y is the column B = y
             for x in range(t):
                 for y in range(t):
@@ -238,6 +288,17 @@ class TestProlongations:
                     rvec = {k[1]: v for k, v in elem.items() if k[0] == y and k[2] == x}
                     for key in set(lvec) | set(rvec):
                         assert lvec.get(key, 0) == sign * rvec.get(key, 0)
+
+
+def assert_matches_naive(dim, g0, order):
+    """Each level spans the same flat multimaps as the recursive enumerator;
+    returns the level dims."""
+    tower = cartan_prolongation(dim, g0, order)
+    dims, levels = naive_prolongation_dims(dim, g0, order)
+    assert [lvl.total_dim for lvl in tower.levels] == dims
+    for lvl, naive in zip(tower.levels, levels):
+        assert same_span(lvl.multimaps(), naive)
+    return dims
 
 
 class TestSpencer:
@@ -251,6 +312,14 @@ class TestSpencer:
         assert rep["h22_total"] == 1
         assert rep["h22_raw"] == (1, 0)
         assert rep["h22_pi_twisted"] == (0, 1)
+
+    def test_cpe2_kernel_spans_a_nonzero_g2(self):
+        # cpe(2) is cut out of gl(2|2) by functionals of both parities, and its
+        # g_2 is nonzero, so the kernel is checked against g_2 itself
+        rep = spencer_rank_identity(classical_superalgebra("cpe", 2))
+        assert rep["exactness_ok"]
+        assert (rep["g1_dim"], rep["g2_dim"]) == ((2, 2), (0, 1))
+        assert rep["h22_raw"] == (4, 5)
 
     def test_rigid_algebra_h22_equals_r(self):
         # when g_1 = 0 the derived quantity equals dim R(g)

@@ -100,6 +100,7 @@ class TestRunPipelines:
                 "/algebra",
             ),
             ({"kind": "connection", "chart": 3, "gamma": {}}, "/chart"),
+            ({"kind": "metric", "chart": {"n": 0, "m": 0}, "g": {}}, "/chart"),
             ({"kind": "connection", "chart": {"n": [1], "m": 0}, "gamma": {}}, "/chart/n"),
             ({"kind": "connection", "chart": {"n": 1, "m": 0}, "rank": {"p": [1], "q": 0}, "gamma": {}}, "/rank/p"),
             ({"kind": "connection", "chart": {"n": 1, "m": 0}, "gamma": {"1,1,1": 3}}, "/gamma/1,1,1"),
@@ -135,6 +136,14 @@ class TestDeterminism:
         assert cli.main(["run", path, "--out", str(out1)]) == 0
         assert cli.main(["run", path, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_empty_chart_metric_does_not_end_the_batch(self, tmp_path, capsys):
+        empty = tmp_path / "empty.json"
+        empty.write_text('{"kind": "metric", "chart": {"n": 0, "m": 0}, "g": {}}')
+        assert cli.main(["run", str(empty), os.path.join(DATA, "example_r01.json")]) == 1
+        first, second = json.loads(capsys.readouterr().out)["reports"]
+        assert first["error"].startswith("/chart: ")
+        assert "error" not in second and second["result"]["holonomy_dim"] == [1, 0]
 
     def test_exit_code_on_bad_file(self, tmp_path):
         bad = tmp_path / "bad.json"

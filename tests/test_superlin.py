@@ -321,6 +321,19 @@ class TestSolveGraded:
             linalg.solve_kernel(["a", "b"], [{"a": one, "c": one}], RATIONAL)
 
 
+class TestExactPivots:
+    def test_integer_input_stays_exact(self):
+        # an int pivot divides as a Fraction, never into a float
+        row = linalg.span_echelon([{0: 2, 1: 3}]).basis()[0]
+        assert row == {0: 1, 1: Fraction(3, 2)} and all(type(v) is Fraction for v in row.values())
+        (vec,) = linalg.kernel_basis([{0: 2, 1: 3}], 2)
+        assert vec == {0: Fraction(-3, 2), 1: 1} and all(type(v) is Fraction for v in vec.values())
+        dim = SuperDim(2, 0)
+        (m,) = SubSuperalgebra.from_matrices(dim, [SuperMatrix(dim, [[2, 0], [0, 0]])]).basis()
+        assert all(type(v) is Fraction for row in m.entries for v in row)
+        assert repr(m) == "SuperMatrix(2|0, [[1, 0]; [0, 0]])"
+
+
 class TestParityFromEntries:
     @pytest.mark.parametrize("field", FIELDS)
     @pytest.mark.parametrize("n", [1, 2, 3])
