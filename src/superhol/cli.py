@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+import traceback
 from fractions import Fraction
 
 from . import berger as bg
@@ -27,7 +28,6 @@ from .superlin import (
     classical_superalgebra,
     cut_by_functionals,
     generate_subalgebra,
-    intersect_algebras,
     stabilizer_algebra,
     standard_even_form,
     standard_odd_complex_structure,
@@ -54,22 +54,13 @@ def _pairwise_j(dim: SuperDim, field):
 def default_candidates(dim: SuperDim, field, metric_body=None):
     """Labeled stabilizer targets fitting the fiber dimensions."""
     out = []
+    form = j = None
     if dim.q % 2 == 0 and dim.total:
-        if metric_body is not None:
-            form = SuperMatrix(dim, metric_body, field)
-            out.append(
-                {
-                    "label": "even supersymmetric metric (osp type)",
-                    "tensor": StructureTensor("even_bilinear_form", "supersymmetric", form),
-                }
-            )
+        if metric_body is None:
+            form = standard_even_form(dim.p, dim.q, field=field)
         else:
-            out.append(
-                {
-                    "label": "even supersymmetric metric (osp type)",
-                    "tensor": standard_even_form(dim.p, dim.q, field=field),
-                }
-            )
+            form = StructureTensor("even_bilinear_form", "supersymmetric", SuperMatrix(dim, metric_body, field))
+        out.append({"label": "even supersymmetric metric (osp type)", "tensor": form})
     if dim.p % 2 == 0 and dim.total:
         out.append(
             {
@@ -78,12 +69,8 @@ def default_candidates(dim: SuperDim, field, metric_body=None):
             }
         )
     if dim.p % 2 == 0 and dim.q % 2 == 0 and dim.total:
-        out.append(
-            {
-                "label": "complex structure (gl_C type)",
-                "tensor": StructureTensor("even_endomorphism", "none", _pairwise_j(dim, field)),
-            }
-        )
+        j = StructureTensor("even_endomorphism", "none", _pairwise_j(dim, field))
+        out.append({"label": "complex structure (gl_C type)", "tensor": j})
     if dim.p == dim.q and dim.p:
         out.append(
             {
@@ -97,16 +84,9 @@ def default_candidates(dim: SuperDim, field, metric_body=None):
                 "tensor": standard_odd_complex_structure(dim.p, field=field),
             }
         )
-    if dim.p % 2 == 0 and dim.q % 2 == 0 and dim.total and metric_body is not None:
-        j = _pairwise_j(dim, field)
-        form = SuperMatrix(dim, metric_body, field)
-        stab_g = stabilizer_algebra(
-            StructureTensor("even_bilinear_form", "supersymmetric", form)
-        )
-        stab_j = stabilizer_algebra(StructureTensor("even_endomorphism", "none", j))
-        u_cut = intersect_algebras(stab_g, stab_j)
-
-        su_cut = cut_by_functionals(u_cut, [lambda m: supertrace(j.matmul(m))])
+    if j is not None and metric_body is not None:
+        u_cut = stabilizer_algebra(form, j)
+        su_cut = cut_by_functionals(u_cut, [lambda m: supertrace(j.data.matmul(m))])
         out.append({"label": "unitary cut (u type)", "algebra": u_cut})
         out.append({"label": "special unitary cut (su type)", "algebra": su_cut})
     return out
@@ -302,6 +282,12 @@ def run_problem(doc, cap_order=None, steps=None, with_timing=False):
             report["result"] = pi_adjoint_report(payload)
     except (rio.ProblemError, ValueError) as exc:
         report["error"] = str(exc)
+        ok = False
+    except Exception as exc:
+        # a fault inside the pipeline: this report names it, the batch goes on
+        traceback.print_exc()
+        report["error"] = str(exc)
+        report["internal_error"] = type(exc).__name__
         ok = False
     if with_timing:
         report["timing_seconds"] = round(time.time() - t0, 3)

@@ -63,7 +63,8 @@ def infinitesimal_holonomy(conn: ConnectionData, point, cap=None) -> HolonomyRes
 
     The tower is canonical (`DerivativeTable.holonomy_seed`): sorted
     directions and one curvature pair of each swap, which close to the same
-    algebra as the full tower at every order.  Stops at the first derivative
+    algebra as the full tower at every order.  Each order's generators grow
+    the algebra closed at the order before.  Stops at the first derivative
     order that adds no graded dimension after closure, or at the hard cap
     (status 'capped').
     """
@@ -102,8 +103,7 @@ def infinitesimal_holonomy(conn: ConnectionData, point, cap=None) -> HolonomyRes
             added.append(m)
         return added
 
-    gens = harvest(table, 0)
-    algebra = generate_subalgebra(gens, rk, field)
+    algebra = generate_subalgebra(harvest(table, 0), rk, field)
     if algebra.graded_dim == full_dims:
         return HolonomyResult(algebra, 1, log, "stabilized", tables)
 
@@ -111,9 +111,8 @@ def infinitesimal_holonomy(conn: ConnectionData, point, cap=None) -> HolonomyRes
         table = _next_derivative(conn, table)
         if order == 1:
             tables.append(table)
-        new = harvest(table, order)
-        gens.extend(new)
-        bigger = generate_subalgebra(gens, rk, field)
+        # the algebra so far is closed: only this order's generators are new
+        bigger = generate_subalgebra(harvest(table, order), rk, field, algebra)
         if bigger.total_dim == algebra.total_dim:
             return HolonomyResult(algebra, order, log, "stabilized", tables)
         algebra = bigger

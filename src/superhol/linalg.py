@@ -151,42 +151,3 @@ def same_span(vectors_a, vectors_b) -> bool:
     if ea.rank != eb.rank:
         return False
     return all(ea.contains(v) for v in eb.basis())
-
-
-def intersect_spans(vectors_a, vectors_b, ncols: int):
-    """Basis of the intersection of two spans inside dimension ncols.
-
-    Uses the kernel of the stacked coefficient system on (a-coeffs, b-coeffs).
-    """
-    va = list(vectors_a)
-    vb = list(vectors_b)
-    if not va or not vb:
-        return []
-    rows = []
-    for col in range(ncols):
-        row = {}
-        for j, v in enumerate(va):
-            if v.get(col):
-                row[j] = v[col]
-        for j, v in enumerate(vb):
-            if v.get(col):
-                row[len(va) + j] = -v[col]
-        if row:
-            rows.append(row)
-    combos = kernel_basis(rows, len(va) + len(vb))
-    out = SparseEchelon()
-    for combo in combos:
-        vec = {}
-        for j, coef in combo.items():
-            if j >= len(va):
-                continue
-            for c, v in va[j].items():
-                w = vec.get(c)
-                w = coef * v if w is None else w + coef * v
-                if w:
-                    vec[c] = w
-                else:
-                    vec.pop(c, None)
-        if vec:
-            out.insert(vec)
-    return out.basis()

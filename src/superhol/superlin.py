@@ -13,7 +13,7 @@ import random
 
 import numpy as np
 
-from .linalg import SparseEchelon, intersect_spans, solve_graded, solve_kernel, span_echelon
+from .linalg import SparseEchelon, solve_graded, solve_kernel, span_echelon
 from .scalars import RATIONAL, GaussianRational, field_one, field_zero, scalar_str, to_field
 
 
@@ -305,12 +305,15 @@ class SubSuperalgebra:
         )
 
 
-def generate_subalgebra(generators, dim=None, field=None) -> SubSuperalgebra:
-    """Smallest bracket-closed graded subspace containing the generators.
+def generate_subalgebra(generators, dim=None, field=None, closed=None) -> SubSuperalgebra:
+    """Smallest bracket-closed graded subspace containing the generators and
+    the algebra `closed`, which must itself be bracket-closed.
 
-    Mixed-parity generators are split into homogeneous parts.  Each pass
+    Mixed-parity generators are split into homogeneous parts.  The echelon is
+    seeded with the basis of `closed`, which is left as it is.  Each pass
     brackets the newly added basis elements against the whole current basis
-    until no bracket enlarges the span.
+    until no bracket enlarges the span; brackets within `closed` already lie
+    in it, so they are never formed.
     """
     generators = list(generators)
     if dim is None:
@@ -323,9 +326,12 @@ def generate_subalgebra(generators, dim=None, field=None) -> SubSuperalgebra:
         if g.dim != dim:
             raise ValueError("generator dimension mismatch")
 
+    seed = [] if closed is None else closed.basis()
     echelon = SparseEchelon()
+    for m in seed:
+        insert_parts(echelon, m)
     frontier = [part for g in generators for part in insert_parts(echelon, g)]
-    basis_mats = list(frontier)
+    basis_mats = seed + frontier
     while frontier:
         frontier = [
             part for a in frontier for b in basis_mats for part in insert_parts(echelon, superbracket(a, b))
@@ -521,43 +527,46 @@ class StructureTensor:
                     raise ValueError("form violates %s symmetry at (%d,%d)" % (self.symmetry, a, b))
 
 
-def stabilizer_algebra(tensor: StructureTensor) -> SubSuperalgebra:
-    """All homogeneous A annihilating the tensor.
+def stabilizer_algebra(*tensors: StructureTensor) -> SubSuperalgebra:
+    """All homogeneous A annihilating every given tensor, from one graded
+    solve on the rows of all of them: the intersection of their stabilizers.
 
     Forms: g(AX, Y) + (-1)^{|A||X|} g(X, AY) = 0.
     Endomorphisms: [A, J] = 0 in the endomorphism superalgebra.
     """
-    data = tensor.data
-    dim = data.dim
+    dim = tensors[0].data.dim
+    field = tensors[0].data.field
+    if any(tensor.data.dim != dim for tensor in tensors):
+        raise ValueError("ambient dimension mismatch")
     t = dim.total
-    field = data.field
-    e = data.entries
     par = [dim.parity(a) for a in range(t)]
-    form = tensor.kind.endswith("bilinear_form")
-    rho = 0 if tensor.kind.startswith("even") else 1  # parity of the tensor
     # unknowns: the entries (a, b) of A, each of parity |a| + |b|
     parity = {(a, b): (par[a] + par[b]) % 2 for a in range(t) for b in range(t)}
     rows = []
-    for c in range(t):
-        for d in range(t):
-            # every unknown of equation (c, d) has parity |c| + |d| + rho
-            tau = (par[c] + par[d] + rho) % 2
-            row = {}
-            if form:
-                sgn = (-1) ** (tau * par[c])
-                for b in range(t):
-                    if e[b][d]:
-                        row[(b, c)] = row.get((b, c), 0) + e[b][d]
-                    if e[c][b]:
-                        row[(b, d)] = row.get((b, d), 0) + sgn * e[c][b]
-            else:
-                sgn = (-1) ** (tau * rho)
-                for b in range(t):
-                    if e[b][d]:
-                        row[(c, b)] = row.get((c, b), 0) + e[b][d]
-                    if e[c][b]:
-                        row[(b, d)] = row.get((b, d), 0) - sgn * e[c][b]
-            rows.append(row)
+    for tensor in tensors:
+        e = tensor.data.entries
+        form = tensor.kind.endswith("bilinear_form")
+        rho = 0 if tensor.kind.startswith("even") else 1  # parity of the tensor
+        for c in range(t):
+            for d in range(t):
+                # every unknown of equation (c, d) has parity |c| + |d| + rho
+                tau = (par[c] + par[d] + rho) % 2
+                row = {}
+                if form:
+                    sgn = (-1) ** (tau * par[c])
+                    for b in range(t):
+                        if e[b][d]:
+                            row[(b, c)] = row.get((b, c), 0) + e[b][d]
+                        if e[c][b]:
+                            row[(b, d)] = row.get((b, d), 0) + sgn * e[c][b]
+                else:
+                    sgn = (-1) ** (tau * rho)
+                    for b in range(t):
+                        if e[b][d]:
+                            row[(c, b)] = row.get((c, b), 0) + e[b][d]
+                        if e[c][b]:
+                            row[(b, d)] = row.get((b, d), 0) - sgn * e[c][b]
+                rows.append(row)
     mats = [
         SuperMatrix.from_flat(dim, {a * t + b: v for (a, b), v in vec.items()}, field)
         for kernel in solve_graded(parity, rows, field)
@@ -638,15 +647,6 @@ def cut_by_functionals(algebra: SubSuperalgebra, functionals) -> SubSuperalgebra
                     flat[pos] = flat.get(pos, z) + c * v
             out.append(SuperMatrix.from_flat(algebra.dim, flat, algebra.field))
     return SubSuperalgebra.from_matrices(algebra.dim, out, algebra.field)
-
-
-def intersect_algebras(a: SubSuperalgebra, b: SubSuperalgebra) -> SubSuperalgebra:
-    if a.dim != b.dim:
-        raise ValueError("ambient dimension mismatch")
-    # the intersection of graded subspaces is graded, so its reduced rows are
-    # homogeneous
-    vecs = intersect_spans([m.flatten() for m in a.basis()], [m.flatten() for m in b.basis()], a.dim.total ** 2)
-    return SubSuperalgebra.from_matrices(a.dim, [SuperMatrix.from_flat(a.dim, v, a.field) for v in vecs], a.field)
 
 
 def classical_superalgebra(name: str, params, field=RATIONAL) -> SubSuperalgebra:

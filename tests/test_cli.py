@@ -145,6 +145,23 @@ class TestDeterminism:
         assert first["error"].startswith("/chart: ")
         assert "error" not in second and second["result"]["holonomy_dim"] == [1, 0]
 
+    def test_internal_error_does_not_end_the_batch(self, tmp_path, monkeypatch, capsys):
+        r01 = os.path.join(DATA, "example_r01.json")
+        alone = tmp_path / "alone.json"
+        assert cli.main(["run", r01, "--out", str(alone)]) == 0
+
+        def broken(*args):
+            raise AssertionError("prolongation sequence failed exactness")
+
+        monkeypatch.setattr(cli.bg, "spencer_rank_identity", broken)
+        out = tmp_path / "out.json"
+        assert cli.main(["run", os.path.join(DATA, "example_gl11.json"), r01, "--out", str(out)]) == 1
+        first, second = json.loads(out.read_text())["reports"]
+        assert first["error"] == "prolongation sequence failed exactness"
+        assert first["internal_error"] == "AssertionError" and "result" not in first
+        assert second == json.loads(alone.read_text())
+        assert "AssertionError: prolongation sequence failed exactness" in capsys.readouterr().err
+
     def test_exit_code_on_bad_file(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"kind": "connection"}')

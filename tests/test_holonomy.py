@@ -625,3 +625,72 @@ class TestCanonicalTower:
         sig = ChartSignature(1, 2)
         conn = random_torsion_free_connection(random.Random(3), sig)
         assert len(_next_derivative(conn, DerivativeTable.order_zero(conn)).components) == 3 ** 3
+
+
+def scratch_holonomy(conn, log):
+    """The holonomy loop before the closure grew across orders: each order
+    closes every generator of the log up to it from scratch.  Returns the
+    algebra, the stop order, the status and the closure of each order."""
+    rk, field = conn.chart.rank, conn.chart.sig.field
+    if curvature(conn).is_zero():
+        return SubSuperalgebra.zero(rk, field), 0, "stabilized", []
+    full_dims = (rk.p ** 2 + rk.q ** 2, 2 * rk.p * rk.q)
+    gens = [m for order, _, m in log if order == 0]
+    algebra = generate_subalgebra(gens, rk, field)
+    closures = [algebra]
+    if algebra.graded_dim == full_dims:
+        return algebra, 1, "stabilized", closures
+    for order in range(1, hl.default_order_cap(conn.chart) + 1):
+        gens += [m for r, _, m in log if r == order]
+        bigger = generate_subalgebra(gens, rk, field)
+        closures.append(bigger)
+        if bigger.total_dim == algebra.total_dim:
+            return algebra, order, "stabilized", closures
+        algebra = bigger
+        if algebra.graded_dim == full_dims:
+            return algebra, order + 1, "stabilized", closures
+    return algebra, None, "capped", closures
+
+
+class TestClosureGrowsAcrossOrders:
+    """Each order's closure, grown from the order before, is the closure from
+    scratch of the generator log up to that order."""
+
+    # field, chart n|m, rank p|q, Christoffel entries
+    CASES = [
+        (RATIONAL, (1, 2), (1, 1), 4),
+        (GAUSSIAN, (1, 2), (1, 1), 4),
+        (RATIONAL, (2, 2), (2, 2), 5),
+        (GAUSSIAN, (2, 2), (2, 2), 5),
+        (RATIONAL, (0, 3), (2, 1), 4),
+    ]
+
+    @pytest.mark.parametrize("field, nm, pq, entries", CASES)
+    def test_each_order_is_the_closure_from_scratch(self, monkeypatch, field, nm, pq, entries):
+        sig = ChartSignature(*nm, field)
+        chart = Chart(sig, SuperDim(*pq))
+        point = [GaussianRational(Fraction(1, 2), 1) if field == GAUSSIAN else Fraction(1, 2)] * sig.n
+        grown = []
+        original = hl.generate_subalgebra
+
+        def recorded(*args):
+            alg = original(*args)
+            grown.append(encode_algebra(alg))
+            return alg
+
+        monkeypatch.setattr(hl, "generate_subalgebra", recorded)
+        grew = 0
+        for seed in range(10):
+            grown.clear()
+            conn = random_sparse_connection(random.Random(seed), chart, entries)
+            hol = infinitesimal_holonomy(conn, point)
+            algebra, order, status, closures = scratch_holonomy(conn, hol.generator_log)
+            assert grown == [encode_algebra(c) for c in closures]
+            assert (encode_algebra(hol.algebra), hol.stabilized_at_order, hol.status) == (
+                encode_algebra(algebra),
+                order,
+                status,
+            )
+            grew += len({c.total_dim for c in closures}) > 1
+        # runs whose algebra grows after order 0
+        assert grew

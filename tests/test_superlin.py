@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from superhol import linalg
+from superhol.cli import _pairwise_j
 from superhol.reportio import encode_algebra, encode_matrix
 from superhol.scalars import GAUSSIAN, RATIONAL, GaussianRational, field_zero
 from superhol.superlin import (
@@ -18,7 +19,6 @@ from superhol.superlin import (
     cut_by_functionals,
     full_gl,
     generate_subalgebra,
-    intersect_algebras,
     radical,
     split,
     stabilizer_algebra,
@@ -30,6 +30,8 @@ from superhol.superlin import (
 )
 
 from conftest import random_homogeneous_matrix
+
+FIELDS = (RATIONAL, GAUSSIAN)
 
 
 class TestSupertrace:
@@ -199,12 +201,27 @@ class TestClassical:
         sl = cut_by_functionals(full_gl(SuperDim(2, 1)), [supertrace])
         assert sl == classical_superalgebra("sl", (2, 1))
 
-    def test_intersection(self):
-        a = classical_superalgebra("osp", (2, 2))
-        b = classical_superalgebra("sl", (2, 2))
-        both = intersect_algebras(a, b)
-        assert all(b.contains_matrix(m) for m in both.basis())
-        assert all(a.contains_matrix(m) for m in both.basis())
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("pq", [(2, 0), (0, 2), (2, 2), (4, 2)])
+    def test_intersection(self, pq, field):
+        # the u cut of a seeded metric body: one solve on the rows of both
+        # tensors against the kernel intersection of the two stabilizers
+        dim = SuperDim(*pq)
+        j = StructureTensor("even_endomorphism", "none", _pairwise_j(dim, field))
+        rng = random.Random("%r/%s" % (dim, field))
+        smaller = 0
+        for _ in range(6):
+            form = random_supersymmetric_form(rng, dim, field)
+            stab_g, stab_j = stabilizer_algebra(form), stabilizer_algebra(j)
+            both = stabilizer_algebra(form, j)
+            assert both == reference_intersection(stab_g, stab_j)
+            assert stabilizer_algebra(j, form) == both
+            smaller += both.total_dim < min(stab_g.total_dim, stab_j.total_dim)
+        assert smaller
+
+    def test_stabilizer_of_tensors_on_different_spaces(self):
+        with pytest.raises(ValueError):
+            stabilizer_algebra(standard_even_form(2, 2), standard_even_form(2, 0))
 
 
 class TestProperties:
@@ -241,9 +258,6 @@ class TestProperties:
         assert back == alg
 
 
-FIELDS = (RATIONAL, GAUSSIAN)
-
-
 def entry_parity(m):
     """Parity read off the nonzero entries: 0 or 1, None for mixed, 0 for zero."""
     t = m.dim.total
@@ -267,6 +281,46 @@ def random_matrix(rng, dim, field, parities=(0, 1), density=0.5):
             if (dim.parity(a) + dim.parity(b)) % 2 in parities and rng.random() < density:
                 rows[a][b] = random_scalar(rng, field)
     return SuperMatrix(dim, rows, field)
+
+
+def random_supersymmetric_form(rng, dim, field):
+    """A seeded even supersymmetric form: symmetric on the even block,
+    skew on the odd block, zero between them."""
+    t, p = dim.total, dim.p
+    rows = [[field_zero(field)] * t for _ in range(t)]
+    for a in range(t):
+        for b in range(a, t):
+            if (a < p) != (b < p) or (a == b >= p) or rng.random() < 0.3:
+                continue
+            v = random_scalar(rng, field)
+            rows[a][b] = v
+            rows[b][a] = -v if a >= p else v
+    return StructureTensor("even_bilinear_form", "supersymmetric", SuperMatrix(dim, rows, field))
+
+
+def reference_intersection(a, b):
+    """The u cut before one solve took every tensor's rows: the kernel of
+    the stacked system sum_j x_j a_j - sum_k y_k b_k = 0 over the flattened
+    bases, pushed back through the a_j."""
+    va = [m.flatten() for m in a.basis()]
+    vb = [m.flatten() for m in b.basis()]
+    if not va or not vb:
+        return SubSuperalgebra.zero(a.dim, a.field)
+    rows = []
+    for col in range(a.dim.total ** 2):
+        row = {j: v[col] for j, v in enumerate(va) if v.get(col)}
+        row.update({len(va) + k: -v[col] for k, v in enumerate(vb) if v.get(col)})
+        if row:
+            rows.append(row)
+    out = []
+    for combo in linalg.kernel_basis(rows, len(va) + len(vb)):
+        vec = {}
+        for j, coef in combo.items():
+            if j < len(va):
+                for c, v in va[j].items():
+                    vec[c] = vec.get(c, 0) + coef * v
+        out.append(SuperMatrix.from_flat(a.dim, {c: v for c, v in vec.items() if v}, a.field))
+    return SubSuperalgebra.from_matrices(a.dim, out, a.field)
 
 
 def reference_graded_solve(parity, rows, field):
@@ -475,6 +529,30 @@ class TestKeptEchelonsMatchTheReference:
                     assert alg.contains_matrix(m) == ref.contains(m)
                     outside += not ref.contains(m)
         assert outside
+
+
+class TestGrowClosedAlgebra:
+    """`generate_subalgebra(new, dim, field, closed)` brackets only what is
+    new; it must give the closure from scratch of the basis of `closed` and
+    the new generators, and leave `closed` as it was."""
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("dim", [SuperDim(2, 1), SuperDim(2, 2), SuperDim(0, 3)], ids=repr)
+    def test_same_as_closure_from_scratch(self, dim, field):
+        rng = random.Random("grow/%r/%s" % (dim, field))
+        kinds = [(0,), (1,), (0, 1)]  # even, odd and mixed generators
+        cross = 0
+        for _ in range(12):
+            old = [random_matrix(rng, dim, field, rng.choice(kinds), 0.2) for _ in range(rng.randint(0, 2))]
+            closed = generate_subalgebra(old, dim, field)
+            before = encode_algebra(closed)
+            new = [random_matrix(rng, dim, field, rng.choice(kinds), 0.2) for _ in range(rng.randint(1, 2))]
+            grown = generate_subalgebra(new, dim, field, closed)
+            assert encode_algebra(grown) == encode_algebra(generate_subalgebra(closed.basis() + new, dim, field))
+            assert encode_algebra(closed) == before
+            # brackets of the new generators with the closed algebra count
+            cross += grown.total_dim > generate_subalgebra(new, dim, field).total_dim + closed.total_dim
+        assert cross
 
 
 def reference_coordinates(columns, target, field):
