@@ -382,9 +382,11 @@ def _prolongation_rows(dim: SuperDim, annihilator, k: int):
 def spencer_rank_identity(algebra: SubSuperalgebra, tower: ProlongationTower = None, rspace: LinearSolutionSpace = None):
     """Exactness of the prolongation sequence and the derived cohomology rank.
 
-    Builds the map V* tensor g_1 -> curvature space, checks that its kernel,
-    expanded into flat multimaps, spans the g_2 that `cartan_prolongation`
-    solves directly, and reports dim R(g) - rank as the derived quantity.
+    Builds the map V* tensor g_1 -> curvature space and reports dim R(g) - rank
+    as the derived quantity.  `exactness_ok` holds when every image lies in
+    the curvature space and the kernel, expanded into flat multimaps, spans
+    the g_2 that `cartan_prolongation` solves directly; False means the two
+    formulations disagree.
     """
     dim = algebra.dim
     t = dim.total
@@ -428,13 +430,11 @@ def spencer_rank_identity(algebra: SubSuperalgebra, tower: ProlongationTower = N
             for key, v in g1_maps[j].items():
                 flat[(d,) + key] = flat.get((d,) + key, 0) + c * v
         kernel_maps.append(flat)
-    if not (images_ok and same_span(kernel_maps, g2.multimaps())):
-        raise AssertionError("prolongation sequence failed exactness; the two formulations disagree")
     return {
         "g1_dim": g1.graded_dim,
         "g2_dim": g2.graded_dim,
         "R_dim": rspace.graded_dim,
-        "exactness_ok": True,
+        "exactness_ok": images_ok and same_span(kernel_maps, g2.multimaps()),
         "h22_raw": tuple(h22),
         "h22_total": h22[0] + h22[1],
         # Table notation reports these modules with a parity shift

@@ -229,7 +229,7 @@ def algebra_report(alg: SubSuperalgebra):
         "is_symmetric_berger": bc["is_berger"] and deriv.total_dim == 0,
         "exactness_ok": spencer["exactness_ok"],
         "L_dim": list(bc["L"].graded_dim),
-        "status": "certified",
+        "status": "certified" if spencer["exactness_ok"] else "inconclusive",
     }
 
 

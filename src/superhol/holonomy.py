@@ -8,8 +8,6 @@ exact algebra.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .geometry import (
     Chart,
     ConnectionData,
@@ -123,11 +121,21 @@ def infinitesimal_holonomy(conn: ConnectionData, point, cap=None) -> HolonomyRes
 
 # ---------------------------------------------------------- float transport
 
+# RK4 steps whose propagators are built in one batch: transport memory is
+# O(TRANSPORT_CHUNK * rank^2) whatever the number of steps.
+TRANSPORT_CHUNK = 256
+
 
 class TransportOperator:
-    """Float parallel displacement on the body bundle along a polyline."""
+    """Float parallel displacement on the body bundle along a polyline.
+
+    `matrix` is the product of the per-step RK4 propagators; it must keep the
+    even block structure of the rank, which the constructor checks.
+    """
 
     def __init__(self, matrix, path, steps, rank: SuperDim):
+        import numpy as np
+
         self.matrix = matrix
         self.path = path
         self.steps = steps
@@ -138,56 +146,96 @@ class TransportOperator:
                 raise AssertionError("transport lost the even block structure")
 
 
+def _compile_body(rows, n):
+    """The body of a superfunction matrix, given as its rows, compiled for
+    float evaluation: the exponents of its monomials, shape (M, n), and one
+    float coefficient matrix per monomial, shape (M, rows, columns).  Raises
+    NotRealError on a non-real coefficient."""
+    import numpy as np
+
+    index = {}
+    entries = []
+    for A, row in enumerate(rows):
+        for B, f in enumerate(row):
+            for exps, coef in f.terms.get(0, {}).items():
+                entries.append((index.setdefault(exps, len(index)), A, B, scalar_float(coef)))
+    coefs = np.zeros((len(index), len(rows), len(rows[0]) if rows else 0))
+    for k, A, B, c in entries:
+        coefs[k, A, B] = c
+    return np.array(list(index), dtype=float).reshape(len(index), n), coefs
+
+
+def _eval_body(body, points):
+    """A compiled body at float points of shape (N, n), as an array of shape
+    (N, rows, columns)."""
+    import numpy as np
+
+    exps, coefs = body
+    monomials = np.prod(points[:, None, :] ** exps, axis=2)
+    return np.tensordot(monomials, coefs, axes=1)
+
+
+def _float_matrix(mat_sf, point):
+    """Body of a superfunction matrix at a float point, as a float matrix."""
+    import numpy as np
+
+    point = np.asarray(point, dtype=float)
+    return _eval_body(_compile_body(mat_sf, len(point)), point[None, :])[0]
+
+
 def numeric_parallel_transport(conn: ConnectionData, path, steps: int) -> TransportOperator:
-    """RK4 integration of dX/dt + Gamma(gamma')X = 0 on the body bundle."""
+    """RK4 integration of dX/dt + Gamma(gamma')X = 0 on the body bundle.
+
+    Each segment of the polyline gets its share of `steps`, by length.  The
+    bodies of the Gamma_i that the path moves along are compiled once; the
+    others are never read, so only those can raise NotRealError.  The ODE is
+    linear, so each step is the propagator S_k = I + h/6 (K1 + 2 K2 + 2 K3 + K4)
+    with K1 = A0, K2 = Am (I + h/2 K1), K3 = Am (I + h/2 K2), K4 = A1 (I + h K3),
+    A0, Am, A1 the matrix A(t) = -sum_i vel_i Gamma_i at the start, midpoint
+    and end of the step.  For each chunk of TRANSPORT_CHUNK steps, A is
+    evaluated at all of its nodes in one pass and the propagators are built
+    as one batch; they are then folded into X in step order.
+    """
+    import numpy as np
+
     chart = conn.chart
+    n = chart.sig.n
     rk = chart.rank.total
     pts = [np.asarray(p, dtype=float) for p in path]
     if len(pts) < 2:
         return TransportOperator(np.eye(rk), path, steps, chart.rank)
     lengths = [np.linalg.norm(q - p) for p, q in zip(pts, pts[1:])]
     total = sum(lengths) or 1.0
-    u = np.eye(rk)
+    eye = np.eye(rk)
+    u = eye
+    bodies = {}
     for p, q, ell in zip(pts, pts[1:], lengths):
         nseg = max(1, int(round(steps * ell / total)))
         vel = q - p
         h = 1.0 / nseg
-
-        def a_mat(t):
-            x = p + t * vel
-            m = np.zeros((rk, rk))
-            for i in range(chart.sig.n):
-                if vel[i]:
-                    m += vel[i] * _float_matrix(conn.gamma[i], x)
-            return -m
-
-        for k in range(nseg):
-            t0 = k * h
-            k1 = a_mat(t0) @ u
-            k2 = a_mat(t0 + h / 2) @ (u + h / 2 * k1)
-            k3 = a_mat(t0 + h / 2) @ (u + h / 2 * k2)
-            k4 = a_mat(t0 + h) @ (u + h * k3)
-            u = u + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        moved = [i for i in range(n) if vel[i]]
+        if not moved:
+            continue  # A = 0: every propagator is the identity
+        for i in moved:
+            if i not in bodies:
+                bodies[i] = _compile_body(conn.gamma[i], n)
+        # A(t) as one compiled body: the monomials of every moved direction
+        body = (
+            np.concatenate([bodies[i][0] for i in moved]),
+            np.concatenate([-vel[i] * bodies[i][1] for i in moved]),
+        )
+        for start in range(0, nseg, TRANSPORT_CHUNK):
+            stop = min(nseg, start + TRANSPORT_CHUNK)
+            # nodes j h/2: step k has its start, midpoint and end at j = 2k, 2k+1, 2k+2
+            t = np.arange(2 * start, 2 * stop + 1) * (h / 2)
+            a = _eval_body(body, p + t[:, None] * vel)
+            a0, am, a1 = a[0:-1:2], a[1::2], a[2::2]
+            k2 = am + h / 2 * (am @ a0)
+            k3 = am + h / 2 * (am @ k2)
+            k4 = a1 + h * (a1 @ k3)
+            for s in eye + h / 6 * (a0 + 2 * k2 + 2 * k3 + k4):
+                u = s @ u
     return TransportOperator(u, path, steps, chart.rank)
-
-
-def _float_matrix(mat_sf, point):
-    """Body of a superfunction matrix at a float point, as a float matrix."""
-    rk = len(mat_sf)
-    out = np.zeros((rk, rk))
-    for A in range(rk):
-        for B in range(rk):
-            body = mat_sf[A][B].terms.get(0)
-            if not body:
-                continue
-            acc = 0.0
-            for exps, coef in body.items():
-                term = scalar_float(coef)
-                for x, e in zip(point, exps):
-                    term *= x ** e
-                acc += term
-            out[A, B] = acc
-    return out
 
 
 def conjugated_generators(conn: ConnectionData, point, loops, tables, steps=2000):
@@ -197,39 +245,44 @@ def conjugated_generators(conn: ConnectionData, point, loops, tables, steps=2000
     Only used to validate that their span embeds into the float image of the
     exact algebra; never used to extend it.
     """
+    import numpy as np
+
+    rk = conn.chart.rank.total
+    mats = [tab.components[key] for tab in tables for key in sorted(tab.components)]
+    # every component as one compiled body: the rows of all of them stacked
+    stacked = [row for mat in mats for row in mat]
+    body = None
     out = []
     for path in loops:
         if list(path) and list(path[0]) != list(point):
             raise ValueError("loops must start at the base point")
         tau = numeric_parallel_transport(conn, path, steps).matrix
-        tau_inv = np.linalg.inv(tau)
-        end = np.asarray(path[-1], dtype=float) if len(path) else np.asarray(point, float)
-        for tab in tables:
-            for key in sorted(tab.components):
-                g = _float_matrix(tab.components[key], end)
-                if np.max(np.abs(g)) > 0:
-                    out.append(tau_inv @ g @ tau)
+        end = np.asarray(path[-1] if len(path) else point, dtype=float)
+        if body is None:
+            body = _compile_body(stacked, len(end))
+        values = _eval_body(body, end[None, :]).reshape(len(mats), rk, rk)
+        nonzero = values[np.abs(values).max(axis=(1, 2), initial=0.0) > 0]
+        out.extend(np.linalg.inv(tau) @ nonzero @ tau)
     return out
 
 
 def span_embedding_residual(float_mats, algebra: SubSuperalgebra):
-    """Largest least-squares residual of float matrices against the algebra."""
+    """Largest least-squares residual of float matrices against the algebra,
+    from one solve with every matrix as a right-hand side."""
+    import numpy as np
+
+    if not float_mats:
+        return 0.0
+    rhs = np.stack([np.asarray(g, float).ravel() for g in float_mats], axis=1)
     basis = algebra.basis()
     if not basis:
-        worst = 0.0
-        for g in float_mats:
-            worst = max(worst, float(np.max(np.abs(g))))
-        return worst
+        return float(np.max(np.abs(rhs)))
     cols = np.stack([
         np.array([[scalar_float(v) for v in row] for row in m.entries]).ravel()
         for m in basis
     ], axis=1)
-    worst = 0.0
-    for g in float_mats:
-        vec = np.asarray(g, float).ravel()
-        coef, *_ = np.linalg.lstsq(cols, vec, rcond=None)
-        worst = max(worst, float(np.linalg.norm(cols @ coef - vec)))
-    return worst
+    coef, *_ = np.linalg.lstsq(cols, rhs, rcond=None)
+    return float(np.max(np.linalg.norm(cols @ coef - rhs, axis=0)))
 
 
 # ------------------------------------------------------- invariant objects

@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 import random
 
-import numpy as np
-
 from .linalg import SparseEchelon, solve_graded, solve_kernel, span_echelon
 from .scalars import RATIONAL, GaussianRational, field_one, field_zero, scalar_str, to_field
 
@@ -456,6 +454,8 @@ def split(mats, dim: SuperDim, field=RATIONAL):
     integer: each floating-point eigenvalue, scaled by d and rounded, names
     the one candidate near it, and the kernel decides it exactly.
     """
+    import numpy as np
+
     t = dim.total
     rng = random.Random(SPLIT_SEED)
     identity = SuperMatrix.identity(dim, field)

@@ -268,6 +268,31 @@ class TestStatusFlags:
         assert "cannot take a real float" in tv["reason"]
         assert rep == exact
 
+    @pytest.mark.parametrize("entry, status", [("3,1,1", None), ("1,1,1", "skipped")])
+    def test_transport_reads_only_the_directions_it_moves(self, entry, status):
+        # the non-real body i sits in Gamma_3, which the transport path never
+        # moves along, or in Gamma_1, which it does; every table stays real
+        doc = {
+            "kind": "connection",
+            "chart": {"n": 3, "m": 0, "field": "gaussian-rational"},
+            "rank": {"p": 1, "q": 0},
+            "gamma": {entry: "i", "2,1,1": "x1"},
+            "options": {"point": ["0", "0", "0"]},
+        }
+        rep, ok = cli.run_problem(doc, steps=200)
+        assert ok
+        tv = rep["result"]["transport_validation"]
+        assert tv.get("status") == status
+        if status is None:
+            assert tv["ok"] and tv["generators"] > 0
+
+    def test_failed_exactness_is_inconclusive(self, monkeypatch):
+        monkeypatch.setattr(cli.bg, "same_span", lambda *args: False)
+        rep, ok = cli.run_problem(load("example_gl11.json"))
+        assert ok and "internal_error" not in rep
+        assert rep["result"]["exactness_ok"] is False
+        assert rep["result"]["status"] == "inconclusive"
+
 
 if __name__ == "__main__":
     for name in PROBLEMS:

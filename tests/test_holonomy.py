@@ -1,5 +1,9 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -52,7 +56,7 @@ from superhol.holonomy import (
 from superhol.berger import CurvatureElement, canonical_pairs, curvature_space
 from superhol.linalg import span_echelon
 from superhol.reportio import encode_algebra
-from superhol.scalars import GAUSSIAN, RATIONAL, GaussianRational, parse_scalar
+from superhol.scalars import GAUSSIAN, RATIONAL, GaussianRational, parse_scalar, scalar_float
 
 from conftest import random_sparse_connection, random_torsion_free_connection, random_unipotent_gauge
 
@@ -276,6 +280,135 @@ class TestTransportReusesTheTower:
                 assert got["generators"] == nonzero
         # zero curvature, all of gl at order 0, and a run past order 0
         assert kept == {0, 1, 2}
+
+
+def reference_float_matrix(mat_sf, point):
+    """Body of a superfunction matrix at a float point, entry by entry: the
+    dict-walk evaluator that `_float_matrix` compiles."""
+    rk = len(mat_sf)
+    out = np.zeros((rk, rk))
+    for A in range(rk):
+        for B in range(rk):
+            body = mat_sf[A][B].terms.get(0)
+            if not body:
+                continue
+            acc = 0.0
+            for exps, coef in body.items():
+                term = scalar_float(coef)
+                for x, e in zip(point, exps):
+                    term *= x ** e
+                acc += term
+            out[A, B] = acc
+    return out
+
+
+def reference_transport(conn, path, steps):
+    """RK4 that walks the Christoffel dicts for A(t) four times per step and
+    advances X step by step: the transport the compiled one replaced."""
+    chart = conn.chart
+    rk = chart.rank.total
+    pts = [np.asarray(p, dtype=float) for p in path]
+    if len(pts) < 2:
+        return np.eye(rk)
+    lengths = [np.linalg.norm(q - p) for p, q in zip(pts, pts[1:])]
+    total = sum(lengths) or 1.0
+    u = np.eye(rk)
+    for p, q, ell in zip(pts, pts[1:], lengths):
+        nseg = max(1, int(round(steps * ell / total)))
+        vel = q - p
+        h = 1.0 / nseg
+
+        def a_mat(t):
+            x = p + t * vel
+            m = np.zeros((rk, rk))
+            for i in range(chart.sig.n):
+                if vel[i]:
+                    m += vel[i] * reference_float_matrix(conn.gamma[i], x)
+            return -m
+
+        for k in range(nseg):
+            t0 = k * h
+            k1 = a_mat(t0) @ u
+            k2 = a_mat(t0 + h / 2) @ (u + h / 2 * k1)
+            k3 = a_mat(t0 + h / 2) @ (u + h / 2 * k2)
+            k4 = a_mat(t0 + h) @ (u + h * k3)
+            u = u + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return u
+
+
+def real_gaussian_copy(conn):
+    """The same connection over the Gaussian field, every coefficient real."""
+    sig = conn.chart.sig
+    gsig = ChartSignature(sig.n, sig.m, GAUSSIAN)
+
+    def copy(f):
+        return Superfunction(gsig, {mask: {e: GaussianRational(c) for e, c in poly.items()} for mask, poly in f.terms.items()})
+
+    gamma = [[[copy(f) for f in row] for row in mat] for mat in conn.gamma]
+    return ConnectionData(Chart(gsig, conn.chart.rank), gamma)
+
+
+class TestCompiledTransport:
+    """numeric_parallel_transport and _float_matrix against the per-step,
+    dict-walk RK4 they replaced, on seeded sparse connections."""
+
+    # chart n|m, rank p|q (both parities), a polyline moving along several
+    # directions at once and one at a time, and a single segment
+    CASES = [
+        ((1, 1), (1, 1), [[[0.1], [0.8], [0.3]], [[0.2], [0.9]]]),
+        ((2, 0), (2, 1), [[[0.1, 0.2], [0.7, 0.2], [0.3, 0.9], [0.1, 0.2]], [[0.0, 0.0], [0.6, -0.4]]]),
+        ((3, 1), (1, 2), [[[0.0, 0.0, 0.0], [0.5, 0.3, 0.0], [0.5, 0.3, 0.6], [0.1, -0.2, 0.4]], [[0.1, 0.1, 0.1], [0.4, 0.7, -0.2]]]),
+    ]
+    # step counts that are not multiples of the chunk, one below and one above it
+    STEPS = (hl.TRANSPORT_CHUNK // 3 + 1, 2 * hl.TRANSPORT_CHUNK + 45)
+
+    def connections(self, nm, pq):
+        chart = Chart(ChartSignature(*nm), SuperDim(*pq))
+        # seeds whose transports all move the frame (checked below)
+        for seed in (1, 2):
+            conn = random_sparse_connection(random.Random(seed), chart, 3 * nm[0] + 3, maxdeg=2)
+            yield conn
+            yield real_gaussian_copy(conn)
+
+    def test_matches_per_step_rk4(self):
+        for nm, pq, paths in self.CASES:
+            for conn in self.connections(nm, pq):
+                for path in paths:
+                    for steps in self.STEPS:
+                        op = numeric_parallel_transport(conn, path, steps)
+                        want = reference_transport(conn, path, steps)
+                        assert np.max(np.abs(want - np.eye(len(want)))) > 1e-3
+                        assert np.max(np.abs(op.matrix - want)) <= 1e-12 * (1 + np.max(np.abs(want)))
+                        # the even block structure survives the propagators exactly
+                        p = pq[0]
+                        assert not op.matrix[:p, p:].any() and not op.matrix[p:, :p].any()
+                    x = np.asarray(path[-1], dtype=float)
+                    for mat in conn.gamma:
+                        got = _float_matrix(mat, x)
+                        assert np.max(np.abs(got - reference_float_matrix(mat, x))) <= 1e-12 * (1 + np.max(np.abs(got)))
+
+    def test_memory_is_bounded_in_steps(self):
+        nm, pq, paths = self.CASES[2]
+        conn = next(self.connections(nm, pq))
+        peaks = []
+        tracemalloc.start()
+        try:
+            for steps in (2000, 20000):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                numeric_parallel_transport(conn, paths[0], steps)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] <= 2 * peaks[0]
+
+    def test_importing_the_front_end_loads_no_numpy(self):
+        import superhol
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(superhol.__file__)))
+        code = "import sys; sys.path.insert(0, %r); import superhol.cli, superhol.reportio; print('numpy' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code % src], capture_output=True, text=True, timeout=60, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestInvariantObjects:
