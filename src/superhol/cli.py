@@ -8,6 +8,7 @@ attached on request so identical inputs give byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -51,40 +52,51 @@ def _pairwise_j(dim: SuperDim, field):
     return SuperMatrix.from_flat(dim, flat, field)
 
 
+@functools.lru_cache(maxsize=64)
+def _standard_stabilizer(kind, p, q, field):
+    """Stabilizer of a standard candidate tensor on rank p|q, which depends
+    only on the rank and the field: each is solved once per process, and at
+    most 64 are kept."""
+    if kind == "osp":
+        tensor = standard_even_form(p, q, field=field)
+    elif kind == "osp_sk":
+        tensor = standard_even_form(p, q, skew=True, field=field)
+    elif kind == "gl_C":
+        tensor = StructureTensor("even_endomorphism", "none", _pairwise_j(SuperDim(p, q), field))
+    elif kind == "pe":
+        tensor = standard_odd_form(p, field=field)
+    else:
+        tensor = standard_odd_complex_structure(p, field=field)
+    return stabilizer_algebra(tensor)
+
+
 def default_candidates(dim: SuperDim, field, metric_body=None):
-    """Labeled stabilizer targets fitting the fiber dimensions."""
+    """Labeled stabilizer targets fitting the fiber dimensions.
+
+    Each candidate carries its stabilizer as "algebra", except the osp of a
+    given metric body, which carries its "tensor".
+    """
     out = []
     form = j = None
+
+    def standard(label, kind):
+        out.append({"label": label, "algebra": _standard_stabilizer(kind, dim.p, dim.q, field)})
+
     if dim.q % 2 == 0 and dim.total:
         if metric_body is None:
-            form = standard_even_form(dim.p, dim.q, field=field)
+            standard("even supersymmetric metric (osp type)", "osp")
         else:
             form = StructureTensor("even_bilinear_form", "supersymmetric", SuperMatrix(dim, metric_body, field))
-        out.append({"label": "even supersymmetric metric (osp type)", "tensor": form})
+            out.append({"label": "even supersymmetric metric (osp type)", "tensor": form})
     if dim.p % 2 == 0 and dim.total:
-        out.append(
-            {
-                "label": "even super skew metric (osp_sk type)",
-                "tensor": standard_even_form(dim.p, dim.q, skew=True, field=field),
-            }
-        )
+        standard("even super skew metric (osp_sk type)", "osp_sk")
     if dim.p % 2 == 0 and dim.q % 2 == 0 and dim.total:
         j = StructureTensor("even_endomorphism", "none", _pairwise_j(dim, field))
-        out.append({"label": "complex structure (gl_C type)", "tensor": j})
+        standard("complex structure (gl_C type)", "gl_C")
     if dim.p == dim.q and dim.p:
-        out.append(
-            {
-                "label": "odd supersymmetric metric (pe type)",
-                "tensor": standard_odd_form(dim.p, field=field),
-            }
-        )
-        out.append(
-            {
-                "label": "odd complex structure (q type)",
-                "tensor": standard_odd_complex_structure(dim.p, field=field),
-            }
-        )
-    if j is not None and metric_body is not None:
+        standard("odd supersymmetric metric (pe type)", "pe")
+        standard("odd complex structure (q type)", "q")
+    if j is not None and form is not None:
         u_cut = stabilizer_algebra(form, j)
         su_cut = cut_by_functionals(u_cut, [lambda m: supertrace(j.data.matmul(m))])
         out.append({"label": "unitary cut (u type)", "algebra": u_cut})
@@ -268,6 +280,7 @@ def run_problem(doc, cap_order=None, steps=None, with_timing=False):
         if cap_order is not None:
             options["cap_order"] = cap_order
         if steps is not None:
+            rio.check_transport_steps(steps)
             options["transport_steps"] = steps
         report["kind"] = kind
         if kind == "connection":

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .linalg import span_echelon
 from .scalars import RATIONAL, field_one, field_zero
-from .superfunc import ChartSignature, Superfunction
+from .superfunc import ChartSignature, Superfunction, accumulated, add_into, mul_into
 from .superlin import SuperDim, SuperMatrix, cyclic_terms
 
 
@@ -155,6 +155,7 @@ class ConnectionData:
         self.gamma = gamma  # gamma[a][A][B], superfunctions
         self._curvature = None
         self._torsion = None
+        self._nonzero_gamma = None
         sig = chart.sig
         t, r = sig.total, chart.rank.total
         if len(gamma) != t or any(len(g) != r or any(len(row) != r for row in g) for g in gamma):
@@ -189,6 +190,21 @@ class ConnectionData:
 
     def is_zero(self) -> bool:
         return all(sfmat_is_zero(g) for g in self.gamma)
+
+    def nonzero_gamma(self, c: int):
+        """The nonzero Γ^A_{cB} of direction c, as (columns, rows): column B
+        lists the pairs (A, Γ^A_{cB}), row A the pairs (B, Γ^A_{cB}).  Built
+        for every direction on the first call and kept on the connection."""
+        if self._nonzero_gamma is None:
+            r = self.chart.rank.total
+            self._nonzero_gamma = [
+                (
+                    [[(A, g[A][B]) for A in range(r) if g[A][B].terms] for B in range(r)],
+                    [[(B, f) for B, f in enumerate(row) if f.terms] for row in g],
+                )
+                for g in self.gamma
+            ]
+        return self._nonzero_gamma[c]
 
 
 def pure_gauge_connection(chart: Chart, gauge) -> ConnectionData:
@@ -291,35 +307,34 @@ def curvature(conn: ConnectionData) -> CurvatureTable:
     if conn._curvature is not None:
         return conn._curvature
     chart = conn.chart
-    sig = chart.sig
-    t, rk = sig.total, chart.rank.total
+    t = chart.sig.total
     gamma = conn.gamma
+    fiber = [0] * chart.rank.p + [1] * chart.rank.q
     mats = {}
     for a in range(t):
         pa = chart.coord_parity(a)
+        gamma_rows = conn.nonzero_gamma(a)[1]
         for b in range(t):
             pb = chart.coord_parity(b)
             # R_ab = ∇_a Γ_b − (−1)^{|a||b|} ∂_b Γ_a
             mat = _covariant_step(conn, a, gamma[b], pb)
-            sign = -((-1) ** (pa * pb))
-            for A in range(rk):
-                fA = chart.fiber_parity(A)
-                for B in range(rk):
-                    term = mat[A][B] + gamma[a][A][B].partial(b + 1).scale(sign)
-                    want = (pa + pb + fA + chart.fiber_parity(B)) % 2
-                    if not _parity_ok(term, want):
+            for A, row in enumerate(gamma_rows):
+                for B, g in row:
+                    d = g.partial(b + 1)
+                    mat[A][B] = mat[A][B] + d if pa * pb else mat[A][B] - d
+            for A, row in enumerate(mat):
+                for B, term in enumerate(row):
+                    if term.terms and not _parity_ok(term, (pa + pb + fiber[A] + fiber[B]) % 2):
                         raise AssertionError("curvature parity law violated")
-                    mat[A][B] = term
             mats[(a, b)] = mat
     table = CurvatureTable(chart, mats)
+    # R_ba = −(−1)^{|a||b|} R_ab, checked once for each unordered pair
     for a in range(t):
-        pa = chart.coord_parity(a)
-        for b in range(t):
-            pb = chart.coord_parity(b)
-            sign = -((-1) ** (pa * pb))
-            for A in range(rk):
-                for B in range(rk):
-                    if mats[(a, b)][A][B] != mats[(b, a)][A][B].scale(sign):
+        for b in range(a, t):
+            odd = chart.coord_parity(a) * chart.coord_parity(b)
+            for row_ab, row_ba in zip(mats[(a, b)], mats[(b, a)]):
+                for x, y in zip(row_ab, row_ba):
+                    if (x.terms or y.terms) and x != (y if odd else -y):
                         raise AssertionError("curvature super-antisymmetry violated")
     conn._curvature = table
     return table
@@ -375,26 +390,33 @@ def _covariant_step(conn: ConnectionData, c: int, mat, par: int):
     ∂_c M^A_B + Σ_C (−1)^{|c|(par+|B|+|C|)} M^C_B Γ^A_{cC}
     − Σ_C (−1)^{par(|C|+|B|)} Γ^C_{cB} M^A_C, that is ∂_c M + Γ_c M − M Γ_c
     with the super signs of that grading.
+
+    The sum is scattered from the nonzero entries of `mat` and of Γ_c, each
+    product added into its entry's accumulator; the result has dense rows,
+    with one shared zero in the entries that nothing reached.
     """
     chart = conn.chart
+    sig = chart.sig
     rk = chart.rank.total
-    gamma = conn.gamma[c]
+    gamma_cols, gamma_rows = conn.nonzero_gamma(c)
     pc = chart.coord_parity(c)
-    fiber = [chart.fiber_parity(A) for A in range(rk)]
-    new = sfmat_zeros(chart.sig, rk, rk)
-    for A in range(rk):
-        for B in range(rk):
-            fB = fiber[B]
-            term = mat[A][B].partial(c + 1)
-            for C in range(rk):
-                fC = fiber[C]
-                g2 = gamma[A][C]
-                if not (mat[C][B].is_zero() or g2.is_zero()):
-                    term = term + (mat[C][B] * g2).scale((-1) ** (pc * (par + fB + fC)))
-                g1 = gamma[C][B]
-                if not (g1.is_zero() or mat[A][C].is_zero()):
-                    term = term - (g1 * mat[A][C]).scale((-1) ** ((fC + fB) * par))
-            new[A][B] = term
+    fiber = [0] * chart.rank.p + [1] * chart.rank.q
+    acc = {}
+    for C, row in enumerate(mat):
+        for B, m in enumerate(row):
+            if not m.terms:
+                continue
+            add_into(acc.setdefault((C, B), {}), m.partial(c + 1))
+            sign = (-1) ** (pc * (par + fiber[B] + fiber[C]))
+            for A, g in gamma_cols[C]:
+                mul_into(acc.setdefault((A, B), {}), m, g, sign)
+            for B2, g in gamma_rows[B]:
+                mul_into(acc.setdefault((C, B2), {}), g, m, -((-1) ** (par * (fiber[B] + fiber[B2]))))
+    new = sfmat_zeros(sig, rk, rk)
+    for (A, B), raw in acc.items():
+        f = accumulated(sig, raw)
+        if f:
+            new[A][B] = f
     return new
 
 

@@ -83,12 +83,25 @@ def infinitesimal_holonomy(conn: ConnectionData, point, cap=None) -> HolonomyRes
     tables = [table]
     log = []
 
+    pt = sig.coerce_point(point)
+    t = rk.total
+
     def harvest(tab, order):
         added = []
-        for (dirs, a, b), mat in sorted(tab.components.items()):
-            m = SuperMatrix(rk, sfmat_value(mat, point), field)
-            if m.is_zero():
+        for key in sorted(tab.components):
+            # only the nonzero entries are evaluated; a component whose values
+            # at the point all vanish builds no matrix
+            flat = {}
+            for A, row in enumerate(tab.components[key]):
+                for B, f in enumerate(row):
+                    if f.terms:
+                        v = f.body_value(pt)
+                        if v:
+                            flat[A * t + B] = v
+            if not flat:
                 continue
+            m = SuperMatrix.from_flat(rk, flat, field)
+            dirs, a, b = key
             want = (
                 sum(chart.coord_parity(d) for d in dirs)
                 + chart.coord_parity(a)

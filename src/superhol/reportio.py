@@ -24,6 +24,10 @@ class ProblemError(ValueError):
 
 KINDS = ("connection", "metric", "algebra", "prolongation", "pi_adjoint")
 
+# Largest `options.transport_steps` (or `--steps`) accepted: the float
+# transport's time is linear in the number of steps.
+MAX_TRANSPORT_STEPS = 100_000
+
 
 def _require(obj, key, path):
     if key not in obj:
@@ -169,6 +173,7 @@ def decode_problem(obj):
     for key in ("cap_order", "transport_steps", "order"):
         if options.get(key) is not None:
             options[key] = _int(options[key], "/options/" + key)
+    check_transport_steps(options.get("transport_steps"))
     payload = None
     if kind == "connection":
         payload = decode_connection(obj)
@@ -177,6 +182,12 @@ def decode_problem(obj):
     else:
         payload = decode_algebra(_require_object(obj, "algebra", ""), "/algebra")
     return kind, payload, options
+
+
+def check_transport_steps(steps):
+    """Reject a step count above MAX_TRANSPORT_STEPS at /options/transport_steps."""
+    if steps is not None and steps > MAX_TRANSPORT_STEPS:
+        raise ProblemError("/options/transport_steps", "must be at most %d" % MAX_TRANSPORT_STEPS)
 
 
 def decode_point(options, sig: ChartSignature):

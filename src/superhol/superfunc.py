@@ -10,6 +10,7 @@ absorbed into coefficients, no zero entries.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .scalars import (
     FIELDS,
@@ -139,22 +140,46 @@ def _poly_scale(p, c):
     return {k: c * v for k, v in p.items()}
 
 
-def _poly_mul(p, q):
-    out = {}
-    for ke, ve in p.items():
-        for kf, vf in q.items():
-            k = tuple(a + b for a, b in zip(ke, kf))
-            v = ve * vf
+def mul_into(acc, f, g, sign=1):
+    """Add sign·f·g into `acc`, a raw {mask: {exps: coef}} accumulator.
+
+    No intermediate superfunction is built: each product of terms lands in
+    its slot with the sign of `merge_sign` folded in.  Coefficients that
+    cancel stay in `acc` as zeros until `accumulated` drops them.
+    """
+    for mi, pi in f.terms.items():
+        for mj, pj in g.terms.items():
+            if mi & mj:
+                continue
+            out = acc.setdefault(mi | mj, {})
+            negate = sign * merge_sign(mi, mj) < 0
+            for ke, ve in pi.items():
+                if negate:
+                    ve = -ve
+                for kf, vf in pj.items():
+                    k = tuple(map(add, ke, kf))
+                    v = ve * vf
+                    w = out.get(k)
+                    out[k] = v if w is None else w + v
+
+
+def add_into(acc, f):
+    """Add f into `acc`, a raw accumulator as for `mul_into`."""
+    for mask, poly in f.terms.items():
+        out = acc.setdefault(mask, {})
+        for k, v in poly.items():
             w = out.get(k)
-            if w is None:
-                out[k] = v
-            else:
-                w = w + v
-                if w:
-                    out[k] = w
-                else:
-                    del out[k]
-    return out
+            out[k] = v if w is None else w + v
+
+
+def accumulated(sig: ChartSignature, acc) -> "Superfunction":
+    """The superfunction an accumulator holds, its zero coefficients dropped."""
+    terms = {}
+    for mask, poly in acc.items():
+        poly = {k: v for k, v in poly.items() if v}
+        if poly:
+            terms[mask] = poly
+    return Superfunction(sig, terms, _normalized=True)
 
 
 class Superfunction:
@@ -286,24 +311,8 @@ class Superfunction:
             return self.scale(other)
         self._check(other)
         acc = {}
-        for mi, pi in self.terms.items():
-            for mj, pj in other.terms.items():
-                if mi & mj:
-                    continue
-                sign = merge_sign(mi, mj)
-                prod = _poly_mul(pi, pj)
-                if sign < 0:
-                    prod = {k: -v for k, v in prod.items()}
-                mask = mi | mj
-                if mask in acc:
-                    s = _poly_add(acc[mask], prod)
-                    if s:
-                        acc[mask] = s
-                    else:
-                        del acc[mask]
-                elif prod:
-                    acc[mask] = prod
-        return Superfunction(self.sig, acc, _normalized=True)
+        mul_into(acc, self, other)
+        return accumulated(self.sig, acc)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):

@@ -2,13 +2,24 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
 from superhol import cli
-from superhol.reportio import ProblemError, decode_problem, dumps_report
+from superhol import geometry as geo
+from superhol.reportio import MAX_TRANSPORT_STEPS, ProblemError, decode_problem, dumps_report, encode_algebra
+from superhol.scalars import GAUSSIAN, RATIONAL
 from superhol.superfunc import Superfunction
+from superhol.superlin import (
+    StructureTensor,
+    SuperDim,
+    stabilizer_algebra,
+    standard_even_form,
+    standard_odd_complex_structure,
+    standard_odd_form,
+)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN = os.path.join(DATA, "golden")
@@ -115,6 +126,7 @@ class TestRunPipelines:
             ({"kind": "connection", "chart": {"n": 1, "m": 0}, "gamma": {"1,1,1": "(" * 5000 + "x1" + ")" * 5000}}, "/gamma/1,1,1"),
             ({"kind": "connection", "chart": {"n": 2, "m": 0}, "gamma": {"1,1,1": "((1+x1+x2)^16)^16"}}, "/gamma/1,1,1"),
             ({"kind": "connection", "chart": {"n": 1, "m": 0}, "gamma": {"1,1,1": "((((((2^16)^16)^16)^16)^16)^16)*x1"}}, "/gamma/1,1,1"),
+            ({"kind": "connection", "chart": {"n": 1, "m": 0}, "gamma": {"1,1,1": "x1"}, "options": {"transport_steps": 10 ** 9}}, "/options/transport_steps"),
         ],
     )
     def test_malformed_input_is_an_error_report(self, doc, path):
@@ -231,6 +243,89 @@ class TestTables:
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert doc["rows"][0]["family"] == "q"
+
+
+class TestTransportStepsLimit:
+    ROTATION = {
+        "kind": "connection",
+        "chart": {"n": 2, "m": 0},
+        "rank": {"p": 2, "q": 0},
+        "gamma": {"1,1,2": "0-x2", "1,2,1": "x2"},
+        "options": {"point": ["1/2", "1/2"]},
+    }
+
+    def test_limit_itself_is_accepted(self):
+        doc = dict(self.ROTATION, options={"transport_steps": MAX_TRANSPORT_STEPS})
+        assert decode_problem(doc)[2]["transport_steps"] == MAX_TRANSPORT_STEPS
+
+    def test_steps_argument_above_the_limit(self):
+        rep, ok = cli.run_problem(self.ROTATION, steps=MAX_TRANSPORT_STEPS + 1)
+        assert not ok and rep["error"].startswith("/options/transport_steps: ")
+
+    def test_oversized_document_does_not_end_the_batch(self, tmp_path):
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps(dict(self.ROTATION, options={"transport_steps": 10 ** 9})))
+        r01 = os.path.join(DATA, "example_r01.json")
+        out = tmp_path / "out.json"
+        t0 = time.perf_counter()
+        assert cli.main(["run", str(big), r01, "--out", str(out)]) == 1
+        # 10^9 RK4 steps would take hours; the rejection takes no transport
+        assert time.perf_counter() - t0 < 30
+        first, second = json.loads(out.read_text())["reports"]
+        assert first["error"].startswith("/options/transport_steps: ")
+        assert "error" not in second and second["result"]["holonomy_dim"] == [1, 0]
+
+    def test_steps_flag_above_the_limit(self, tmp_path):
+        out = tmp_path / "out.json"
+        r01 = os.path.join(DATA, "example_r01.json")
+        assert cli.main(["run", r01, "--steps", str(10 ** 9), "--out", str(out)]) == 1
+        rep = json.loads(out.read_text())
+        assert rep["error"].startswith("/options/transport_steps: ")
+
+
+class TestStandardStabilizers:
+    def test_solved_once_per_rank_and_field(self, monkeypatch):
+        cli._standard_stabilizer.cache_clear()
+        solved = []
+        original = cli.stabilizer_algebra
+
+        def counting(*tensors):
+            solved.append(tensors)
+            return original(*tensors)
+
+        monkeypatch.setattr(cli, "stabilizer_algebra", counting)
+        first = cli.default_candidates(SuperDim(2, 2), RATIONAL)
+        again = cli.default_candidates(SuperDim(2, 2), RATIONAL)
+        # osp, osp_sk, gl_C, pe and q
+        assert len(solved) == 5
+        assert all(a["algebra"] is b["algebra"] for a, b in zip(first, again))
+        cli.default_candidates(SuperDim(2, 2), GAUSSIAN)
+        assert len(solved) == 10
+        assert cli._standard_stabilizer.cache_info().maxsize == 64
+
+    @pytest.mark.parametrize("field", [RATIONAL, GAUSSIAN])
+    @pytest.mark.parametrize("pq", [(2, 2), (2, 0), (0, 2), (1, 1), (4, 2)], ids=lambda d: "%d|%d" % d)
+    def test_each_is_the_stabilizer_of_its_tensor(self, pq, field):
+        dim = SuperDim(*pq)
+        tensors = {
+            "even supersymmetric metric (osp type)": lambda: standard_even_form(dim.p, dim.q, field=field),
+            "even super skew metric (osp_sk type)": lambda: standard_even_form(dim.p, dim.q, skew=True, field=field),
+            "complex structure (gl_C type)": lambda: StructureTensor("even_endomorphism", "none", cli._pairwise_j(dim, field)),
+            "odd supersymmetric metric (pe type)": lambda: standard_odd_form(dim.p, field=field),
+            "odd complex structure (q type)": lambda: standard_odd_complex_structure(dim.p, field=field),
+        }
+        cands = cli.default_candidates(dim, field)
+        assert cands
+        for cand in cands:
+            want = stabilizer_algebra(tensors[cand["label"]]())
+            assert encode_algebra(cand["algebra"]) == encode_algebra(want)
+
+    def test_metric_osp_is_solved_from_its_tensor(self):
+        metric, _ = cli.kahler_test_metric(0)
+        body = geo.sfmat_value(metric.g, [])
+        cands = cli.default_candidates(SuperDim(0, 4), RATIONAL, metric_body=body)
+        assert "tensor" in cands[0] and "algebra" not in cands[0]
+        assert [c["label"].split(" (")[0] for c in cands[-2:]] == ["unitary cut", "special unitary cut"]
 
 
 class TestStatusFlags:

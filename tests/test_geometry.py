@@ -7,7 +7,7 @@ import pytest
 from superhol import cli
 from superhol import geometry as geo
 from superhol.scalars import GAUSSIAN, RATIONAL, GaussianRational, field_zero
-from superhol.superfunc import ChartSignature, Superfunction, parse_superfunction
+from superhol.superfunc import ChartSignature, Superfunction, mask_to_indices, parse_superfunction
 from superhol.superlin import (
     SuperDim,
     SuperMatrix,
@@ -162,6 +162,105 @@ class TestNablaEndomorphism:
                     assert got == reference_nabla_endomorphism(conn, j, a)
                     nonzero += any(not f.is_zero() for row in got for f in row)
         assert nonzero
+
+
+def reference_product(f, g):
+    """f·g with each odd sign found by sorting the concatenated index lists
+    by adjacent swaps, independent of `superfunc.merge_sign`."""
+    terms = {}
+    for mi, pi in f.terms.items():
+        for mj, pj in g.terms.items():
+            if mi & mj:
+                continue
+            order = list(mask_to_indices(mi)) + list(mask_to_indices(mj))
+            swaps = 0
+            for i in range(len(order)):
+                for j in range(len(order) - 1 - i):
+                    if order[j] > order[j + 1]:
+                        order[j], order[j + 1] = order[j + 1], order[j]
+                        swaps += 1
+            for ke, ve in pi.items():
+                for kf, vf in pj.items():
+                    prod = {tuple(a + b for a, b in zip(ke, kf)): (-1) ** swaps * ve * vf}
+                    terms = (Superfunction(f.sig, terms) + Superfunction(f.sig, {mi | mj: prod})).terms
+    return Superfunction(f.sig, terms)
+
+
+def dense_covariant_step(conn, c, mat, par):
+    """The covariant step as the dense sum it was before it scattered from
+    nonzero entries: every entry [A][B] sums over every C, and products go
+    through `reference_product`."""
+    chart = conn.chart
+    rk = chart.rank.total
+    gamma = conn.gamma[c]
+    pc = chart.coord_parity(c)
+    fiber = [chart.fiber_parity(A) for A in range(rk)]
+    new = sfmat_zeros(chart.sig, rk, rk)
+    for A in range(rk):
+        for B in range(rk):
+            fB = fiber[B]
+            term = mat[A][B].partial(c + 1)
+            for C in range(rk):
+                fC = fiber[C]
+                g2 = gamma[A][C]
+                if not (mat[C][B].is_zero() or g2.is_zero()):
+                    term = term + reference_product(mat[C][B], g2).scale((-1) ** (pc * (par + fB + fC)))
+                g1 = gamma[C][B]
+                if not (g1.is_zero() or mat[A][C].is_zero()):
+                    term = term - reference_product(g1, mat[A][C]).scale((-1) ** ((fC + fB) * par))
+            new[A][B] = term
+    return new
+
+
+class TestSparseCovariantStep:
+    """The scattered covariant step against the dense sum, entry by entry."""
+
+    @pytest.mark.parametrize("field", [RATIONAL, GAUSSIAN])
+    @pytest.mark.parametrize("nm", [(1, 1), (1, 2), (2, 2)], ids=lambda d: "%d|%d" % d)
+    @pytest.mark.parametrize("pq", [(1, 1), (2, 1), (1, 2)], ids=lambda d: "%d|%d" % d)
+    def test_matches_the_dense_step(self, nm, pq, field):
+        rng = random.Random("sparse step %d|%d %d|%d %s" % (nm + pq + (field,)))
+        sig = ChartSignature(*nm, field)
+        chart = Chart(sig, SuperDim(*pq))
+        t, rk = sig.total, chart.rank.total
+        unit = GaussianRational(1, 1) if field == GAUSSIAN else 1
+
+        def entry(par, A, B, maxdeg=2):
+            want = (par + chart.fiber_parity(A) + chart.fiber_parity(B)) % 2
+            return random_superfunction(rng, sig, want, maxdeg).scale(unit)
+
+        nonzero = 0
+        for make in (random_connection, random_sparse_connection):
+            for _ in range(2):
+                conn = make(rng, chart)
+                for par in (0, 1):
+                    mats = [sfmat_zeros(sig, rk, rk)]
+                    for A, B in itertools.product(range(rk), repeat=2):
+                        one = sfmat_zeros(sig, rk, rk)
+                        one[A][B] = entry(par, A, B)
+                        mats.append(one)
+                    mats.append([[entry(par, A, B) for B in range(rk)] for A in range(rk)])
+                    sparse = sfmat_zeros(sig, rk, rk)
+                    for _ in range(2):
+                        A, B = rng.randrange(rk), rng.randrange(rk)
+                        sparse[A][B] = entry(par, A, B)
+                    mats.append(sparse)
+                    for mat in mats:
+                        for c in range(t):
+                            got = geo._covariant_step(conn, c, mat, par)
+                            want = dense_covariant_step(conn, c, mat, par)
+                            for A in range(rk):
+                                for B in range(rk):
+                                    assert got[A][B] == want[A][B], (c, A, B)
+                            nonzero += not geo.sfmat_is_zero(got)
+        assert nonzero
+
+    def test_empty_entries_share_one_zero(self):
+        chart = Chart(ChartSignature(2, 2), SuperDim(2, 2))
+        conn = random_sparse_connection(random.Random(4), chart, 2)
+        got = geo._covariant_step(conn, 0, sfmat_zeros(chart.sig, 4, 4), 0)
+        assert geo.sfmat_is_zero(got)
+        assert len({id(f) for row in got for f in row}) == 1
 
 
 class TestCurvatureKept:

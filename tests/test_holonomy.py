@@ -827,3 +827,96 @@ class TestClosureGrowsAcrossOrders:
             grew += len({c.total_dim for c in closures}) > 1
         # runs whose algebra grows after order 0
         assert grew
+
+
+def dense_generator_log(conn, point, cap=None):
+    """The generator log of `infinitesimal_holonomy`, each canonical component
+    evaluated whole with `sfmat_value` and kept when the matrix is nonzero,
+    under the same stopping rule."""
+    chart = conn.chart
+    rk, field = chart.rank, chart.sig.field
+    if curvature(conn).is_zero():
+        return []
+    if cap is None:
+        cap = hl.default_order_cap(chart)
+    full_dims = (rk.p ** 2 + rk.q ** 2, 2 * rk.p * rk.q)
+    log, algebra = [], None
+    table = DerivativeTable.holonomy_seed(conn)
+    for order in range(cap + 1):
+        if order:
+            table = _next_derivative(conn, table)
+        gens = []
+        for dirs, a, b in sorted(table.components):
+            m = SuperMatrix(rk, sfmat_value(table.components[(dirs, a, b)], point), field)
+            if not m.is_zero():
+                log.append((order, (tuple(d + 1 for d in dirs), a + 1, b + 1), m))
+                gens.append(m)
+        bigger = generate_subalgebra(gens, rk, field, algebra)
+        if algebra is not None and bigger.total_dim == algebra.total_dim:
+            break
+        algebra = bigger
+        if algebra.graded_dim == full_dims:
+            break
+    return log
+
+
+class TestSparseHarvest:
+    """The generators harvested from nonzero entries only, against whole
+    components evaluated with `sfmat_value`."""
+
+    @staticmethod
+    def assert_same_log(hol, want):
+        assert [(order, label) for order, label, _ in hol.generator_log] == [
+            (order, label) for order, label, _ in want
+        ]
+        for (_, _, got), (_, _, m) in zip(hol.generator_log, want):
+            assert got.entries == m.entries and got.parity == m.parity
+
+    # field, chart n|m, rank p|q, Christoffel entries
+    CASES = [
+        (RATIONAL, (1, 2), (1, 1), 4),
+        (GAUSSIAN, (1, 2), (1, 1), 4),
+        (RATIONAL, (2, 2), (2, 2), 5),
+        (GAUSSIAN, (2, 1), (1, 2), 5),
+        (RATIONAL, (0, 3), (2, 1), 4),
+    ]
+
+    @pytest.mark.parametrize("field, nm, pq, entries", CASES)
+    def test_seeded_connections(self, field, nm, pq, entries):
+        sig = ChartSignature(*nm, field)
+        chart = Chart(sig, SuperDim(*pq))
+        half = GaussianRational(Fraction(1, 2), 1) if field == GAUSSIAN else Fraction(1, 2)
+        logged = 0
+        for seed in range(6):
+            conn = random_sparse_connection(random.Random(seed), chart, entries)
+            for point in ([0] * sig.n, [half] * sig.n):
+                hol = infinitesimal_holonomy(conn, point)
+                self.assert_same_log(hol, dense_generator_log(conn, point))
+                logged += len(hol.generator_log)
+        assert logged
+
+    def test_plateau_reproducer_with_vanishing_components(self):
+        doc = {
+            "kind": "connection",
+            "chart": {"n": 2, "m": 2},
+            "rank": {"p": 2, "q": 2},
+            "gamma": {
+                "1,3,3": "2 + x2*xi1*xi2",
+                "3,4,1": "-2",
+                "4,3,2": "-x1*x2 - 1 - 2*x1*x2*xi1*xi2 - x1*xi1*xi2",
+            },
+        }
+        _, conn, _ = rio.decode_problem(doc)
+        point = [0, 0]
+        hol = infinitesimal_holonomy(conn, point)
+        self.assert_same_log(hol, dense_generator_log(conn, point))
+        # some canonical components are nonzero superfunction matrices whose
+        # every value at the point is zero
+        vanishing = [
+            key
+            for tab in _canonical_tower(conn, 1)
+            for key, mat in tab.components.items()
+            if not all(f.is_zero() for row in mat for f in row)
+            and not any(v for row in sfmat_value(mat, point) for v in row)
+        ]
+        assert vanishing
