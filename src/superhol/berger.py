@@ -19,8 +19,8 @@ from .superlin import (
     SuperMatrix,
     associative_closure,
     commutant,
-    cyclic_terms,
     radical,
+    sorted_cyclic_terms,
     split,
     superbracket,
 )
@@ -99,15 +99,6 @@ class LinearSolutionSpace:
         return "LinearSolutionSpace(%s, dim %d|%d)" % (self.ambient, self.even_dim, self.odd_dim)
 
 
-def _sorted_triples(t):
-    return [
-        (x, y, z)
-        for x in range(t)
-        for y in range(x, t)
-        for z in range(y, t)
-    ]
-
-
 def curvature_space(algebra: SubSuperalgebra) -> LinearSolutionSpace:
     """Solutions of the graded antisymmetry + cyclic identity valued in g."""
     dim = algebra.dim
@@ -121,9 +112,9 @@ def curvature_space(algebra: SubSuperalgebra) -> LinearSolutionSpace:
     }
 
     def rows():
-        for (x, y, z) in _sorted_triples(t):
+        for cyclic in sorted_cyclic_terms(dim.parity, t):
             terms = []
-            for (u, v, w), s in cyclic_terms(dim.parity, x, y, z):
+            for (u, v, w), s in cyclic:
                 pair, sign = reduce_pair(dim, u, v)
                 if sign:
                     terms.append((pair, w, s * sign))
@@ -156,8 +147,7 @@ def check_curvature_element(algebra: SubSuperalgebra, elem: CurvatureElement) ->
     for m in elem.values.values():
         if not algebra.contains_matrix(m):
             return False
-    for (x, y, z) in _sorted_triples(t):
-        terms = cyclic_terms(dim.parity, x, y, z)
+    for terms in sorted_cyclic_terms(dim.parity, t):
         for comp in range(t):
             acc = field_zero(algebra.field)
             for (u, v, w), s in terms:
@@ -225,10 +215,10 @@ def curvature_derivative_space(algebra: SubSuperalgebra, rspace: LinearSolutionS
     parity = {(d, j): (dim.parity(d) + r.parity) % 2 for d in range(t) for j, r in enumerate(relems)}
 
     def rows():
-        for (x, y, z) in _sorted_triples(t):
+        for cyclic in sorted_cyclic_terms(dim.parity, t):
             # (label, sign, entries of R_j on the canonical pair) per term
             terms = []
-            for (d, u, v), s in cyclic_terms(dim.parity, x, y, z):
+            for (d, u, v), s in cyclic:
                 pair, sign = reduce_pair(dim, u, v)
                 if not sign:
                     continue

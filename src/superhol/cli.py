@@ -272,7 +272,7 @@ def pi_adjoint_report(alg: SubSuperalgebra):
 
 def run_problem(doc, cap_order=None, steps=None, with_timing=False):
     """Dispatch one parsed problem document; returns (report, ok)."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     report = {"input": doc}
     ok = True
     try:
@@ -303,7 +303,7 @@ def run_problem(doc, cap_order=None, steps=None, with_timing=False):
         report["internal_error"] = type(exc).__name__
         ok = False
     if with_timing:
-        report["timing_seconds"] = round(time.time() - t0, 3)
+        report["timing_seconds"] = round(time.perf_counter() - t0, 3)
     return report, ok
 
 
@@ -694,7 +694,7 @@ def product_test_metric():
 
 
 def run_selftest(with_timing=False):
-    t0 = time.time()
+    t0 = time.perf_counter()
     results = []
     ok = True
     for name, fn in selftest_cases():
@@ -706,7 +706,7 @@ def run_selftest(with_timing=False):
         ok = ok and passed
     report = {"kind": "selftest", "all_pass": ok, "cases": results}
     if with_timing:
-        report["timing_seconds"] = round(time.time() - t0, 3)
+        report["timing_seconds"] = round(time.perf_counter() - t0, 3)
     return report, ok
 
 

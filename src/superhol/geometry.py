@@ -12,7 +12,7 @@ from __future__ import annotations
 from .linalg import span_echelon
 from .scalars import RATIONAL, field_one, field_zero
 from .superfunc import ChartSignature, Superfunction, accumulated, add_into, mul_into
-from .superlin import SuperDim, SuperMatrix, cyclic_terms
+from .superlin import SuperDim, SuperMatrix, cyclic_terms, sorted_cyclic_terms
 
 
 class Chart:
@@ -277,9 +277,6 @@ class CurvatureTable:
         self.chart = chart
         self.mats = mats
 
-    def component(self, a: int, b: int):
-        return self.mats[(a, b)]
-
     def is_zero(self) -> bool:
         return all(sfmat_is_zero(m) for m in self.mats.values())
 
@@ -471,36 +468,53 @@ def torsion(conn: ConnectionData) -> TorsionTable:
     if not chart.tangent_sheaf:
         raise ValueError("torsion needs a tangent-sheaf connection")
     t = chart.sig.total
+    gamma = conn.gamma
     comps = {}
     for a in range(t):
         for b in range(t):
             sign = (-1) ** (chart.coord_parity(a) * chart.coord_parity(b))
+            # a pair of zero entries keeps the table's zero
             comps[(a, b)] = [
-                conn.gamma[a][c][b] - conn.gamma[b][c][a].scale(sign) for c in range(t)
+                f - g.scale(sign) if f.terms or g.terms else f
+                for f, g in ((gamma[a][c][b], gamma[b][c][a]) for c in range(t))
             ]
     conn._torsion = TorsionTable(chart, comps)
     return conn._torsion
 
 
-def check_first_bianchi(conn: ConnectionData) -> bool:
-    """Cyclic curvature identity on coordinate fields."""
+def _bianchi_holds(conn: ConnectionData, name: str, add_term) -> bool:
+    """Whether a graded cyclic sum over coordinate fields vanishes, at once
+    True on a torsion-free connection.  The summed term must be super-
+    antisymmetric in its first two indices, so the sorted triples suffice;
+    `add_term(acc, tor, mats, u, v, w, sign)` adds its signed entries at
+    (u, v, w) into `acc`, a dict from entry to raw accumulator."""
     chart = conn.chart
     if not chart.tangent_sheaf:
-        raise ValueError("first Bianchi needs a tangent-sheaf connection")
+        raise ValueError("%s Bianchi needs a tangent-sheaf connection" % name)
+    tor = torsion(conn)
+    if tor.is_zero():
+        return True
     mats = curvature(conn).mats
-    t = chart.sig.total
-    for a in range(t):
-        for b in range(t):
-            for c in range(t):
-                # the first term is (a, b, c) with sign 1, left unscaled
-                _, *rest = cyclic_terms(chart.coord_parity, a, b, c)
-                for A in range(t):
-                    s = mats[(a, b)][A][c]
-                    for (u, v, w), sign in rest:
-                        s = s + mats[(u, v)][A][w].scale(sign)
-                    if not s.is_zero():
-                        return False
+    for terms in sorted_cyclic_terms(chart.coord_parity, chart.sig.total):
+        acc = {}
+        for (u, v, w), sign in terms:
+            add_term(acc, tor, mats, u, v, w, sign)
+        if any(c for raw in acc.values() for poly in raw.values() for c in poly.values()):
+            return False
     return True
+
+
+def check_first_bianchi(conn: ConnectionData) -> bool:
+    """Cyclic curvature identity 𝔖 R(x,y)z = 0 on coordinate fields.  It equals
+    𝔖[T(T(x,y),z) + (∇_x T)(y,z)] (Kobayashi–Nomizu I, Thm III.5.3), so a
+    torsion-free connection satisfies it."""
+
+    def add_term(acc, tor, mats, u, v, w, sign):
+        for A, row in enumerate(mats[(u, v)]):  # R^A_{w,uv}
+            if row[w].terms:
+                add_into(acc.setdefault(A, {}), row[w], sign)
+
+    return _bianchi_holds(conn, "first", add_term)
 
 
 def check_second_bianchi(conn: ConnectionData) -> bool:
@@ -508,42 +522,22 @@ def check_second_bianchi(conn: ConnectionData) -> bool:
 
     Every connection satisfies 𝔖[(∇_x R)(y,z) + R(T(x,y),z)] = 0, the cyclic
     sum taken with the signs of `cyclic_terms` (Kobayashi–Nomizu I, Thm
-    III.5.3, with super signs).  So the cyclic sum of the first covariant derivatives
-    vanishes exactly when 𝔖 R(T(x,y),z) does, entry by entry, and that sum
-    needs only the curvature table and the torsion.  A torsion-free
-    connection, every Levi-Civita connection among them, satisfies it.
+    III.5.3, with super signs).  So the cyclic sum of the first covariant
+    derivatives vanishes exactly when 𝔖 R(T(x,y),z) does, entry by entry.  A
+    torsion-free connection, every Levi-Civita connection among them,
+    satisfies it.
     """
-    chart = conn.chart
-    if not chart.tangent_sheaf:
-        raise ValueError("second Bianchi needs a tangent-sheaf connection")
-    tor = torsion(conn)
-    if tor.is_zero():
-        return True
-    mats = curvature(conn).mats
-    sig = chart.sig
-    t, rk = sig.total, chart.rank.total
-    # R(T(x,y), z) = sum_c T^c_{xy} R_{cz}, the coefficient on the left
-    rt = {}
-    for (x, y), vec in tor.comps.items():
-        for z in range(t):
-            mat = sfmat_zeros(sig, rk, rk)
-            for c, coef in enumerate(vec):
-                if not coef.is_zero():
-                    mat = sfmat_add(mat, [[coef * f for f in row] for row in mats[(c, z)]])
-            rt[(x, y, z)] = mat
-    for x in range(t):
-        for y in range(t):
-            for z in range(t):
-                # the first term is (x, y, z) with sign 1, left unscaled
-                _, *rest = cyclic_terms(chart.coord_parity, x, y, z)
-                for A in range(rk):
-                    for B in range(rk):
-                        s = rt[(x, y, z)][A][B]
-                        for uvw, sign in rest:
-                            s = s + rt[uvw][A][B].scale(sign)
-                        if not s.is_zero():
-                            return False
-    return True
+
+    def add_term(acc, tor, mats, u, v, w, sign):
+        # R(T(u,v), w) = Σ_c T^c_{uv} R_{cw}, the coefficient on the left
+        for c, coef in enumerate(tor.comps[(u, v)]):
+            if coef.terms:
+                for A, row in enumerate(mats[(c, w)]):
+                    for B, f in enumerate(row):
+                        if f.terms:
+                            mul_into(acc.setdefault((A, B), {}), coef, f, sign)
+
+    return _bianchi_holds(conn, "second", add_term)
 
 
 def ricci(conn: ConnectionData):
@@ -551,18 +545,19 @@ def ricci(conn: ConnectionData):
     chart = conn.chart
     if not chart.tangent_sheaf:
         raise ValueError("Ricci needs a tangent-sheaf connection")
-    table = curvature(conn)
+    mats = curvature(conn).mats
     t = chart.sig.total
     out = {}
     for a in range(t):
         for b in range(t):
             pb = chart.coord_parity(b)
-            acc = Superfunction.zero(chart.sig)
+            acc = {}
             for c in range(t):
-                pc = chart.coord_parity(c)
-                sign = (-1) ** (pc + pc * pb)
-                acc = acc + table.mats[(a, c)][c][b].scale(sign)
-            out[(a, b)] = acc
+                f = mats[(a, c)][c][b]
+                if f.terms:
+                    pc = chart.coord_parity(c)
+                    add_into(acc, f, (-1) ** (pc + pc * pb))
+            out[(a, b)] = accumulated(chart.sig, acc)
     return out
 
 

@@ -163,11 +163,13 @@ def mul_into(acc, f, g, sign=1):
                     out[k] = v if w is None else w + v
 
 
-def add_into(acc, f):
-    """Add f into `acc`, a raw accumulator as for `mul_into`."""
+def add_into(acc, f, sign=1):
+    """Add sign·f into `acc`, a raw accumulator as for `mul_into`."""
     for mask, poly in f.terms.items():
         out = acc.setdefault(mask, {})
         for k, v in poly.items():
+            if sign < 0:
+                v = -v
             w = out.get(k)
             out[k] = v if w is None else w + v
 

@@ -225,6 +225,16 @@ def cyclic_terms(parity, x, y, z):
     )
 
 
+def sorted_cyclic_terms(parity, t):
+    """The `cyclic_terms` of every sorted triple x ≤ y ≤ z of 0..t-1.  A cyclic
+    sum of a term super-antisymmetric in its first two indices is so in all
+    three, so the sorted triples give every such sum up to sign."""
+    for x in range(t):
+        for y in range(x, t):
+            for z in range(y, t):
+                yield cyclic_terms(parity, x, y, z)
+
+
 class SubSuperalgebra:
     """Graded subspace of gl(p|q), kept as one reduced echelon of flattened
     homogeneous matrices.

@@ -141,6 +141,17 @@ class TestDeterminism:
         rep2, _ = cli.run_problem(doc)
         assert dumps_report(rep1) == dumps_report(rep2)
 
+    def test_timing_is_opt_in_and_monotonic(self, monkeypatch):
+        doc = load("example_r01.json")
+        assert "timing_seconds" not in cli.run_problem(doc)[0]
+        assert "timing_seconds" not in cli.run_selftest()[0]
+        # a wall clock that steps back must not reach the timing
+        clock = iter(range(10**6, 0, -1))
+        monkeypatch.setattr(time, "time", lambda: next(clock))
+        for report, _ in (cli.run_problem(doc, with_timing=True), cli.run_selftest(with_timing=True)):
+            seconds = report["timing_seconds"]
+            assert isinstance(seconds, float) and seconds >= 0
+
     def test_cli_main_round_trip(self, tmp_path):
         out1 = tmp_path / "a.json"
         out2 = tmp_path / "b.json"

@@ -11,6 +11,7 @@ from superhol.superfunc import ChartSignature, Superfunction, mask_to_indices, p
 from superhol.superlin import (
     SuperDim,
     SuperMatrix,
+    cyclic_terms,
     stabilizer_algebra,
     standard_even_form,
 )
@@ -469,47 +470,108 @@ def second_bianchi_oracle(conn):
     return True
 
 
-class TestSecondBianchiOracle:
-    """check_second_bianchi, read off the torsion, against the direct cyclic sum."""
+def dense_first_bianchi(conn):
+    """The first Bianchi flag from every ordered triple and every entry."""
+    chart = conn.chart
+    mats = curvature(conn).mats
+    t = chart.sig.total
+    for a, b, c in itertools.product(range(t), repeat=3):
+        _, *rest = cyclic_terms(chart.coord_parity, a, b, c)
+        for A in range(t):
+            s = mats[(a, b)][A][c]
+            for (u, v, w), sign in rest:
+                s = s + mats[(u, v)][A][w].scale(sign)
+            if not s.is_zero():
+                return False
+    return True
 
-    # field, chart n|m, connection, seed, flag; the sparse ones have one
-    # Christoffel entry, and those with flag True have torsion
+
+def dense_second_bianchi(conn):
+    """The flag of 𝔖 R(T(x,y),z) = 0 from a dense table of every R(T(x,y),z)."""
+    chart = conn.chart
+    tor = torsion(conn)
+    mats = curvature(conn).mats
+    sig = chart.sig
+    t, rk = sig.total, chart.rank.total
+    rt = {}
+    for (x, y), vec in tor.comps.items():
+        for z in range(t):
+            mat = sfmat_zeros(sig, rk, rk)
+            for c, coef in enumerate(vec):
+                if not coef.is_zero():
+                    mat = geo.sfmat_add(mat, [[coef * f for f in row] for row in mats[(c, z)]])
+            rt[(x, y, z)] = mat
+    for x, y, z in itertools.product(range(t), repeat=3):
+        _, *rest = cyclic_terms(chart.coord_parity, x, y, z)
+        for A in range(rk):
+            for B in range(rk):
+                s = rt[(x, y, z)][A][B]
+                for uvw, sign in rest:
+                    s = s + rt[uvw][A][B].scale(sign)
+                if not s.is_zero():
+                    return False
+    return True
+
+
+class TestSecondBianchiOracle:
+    """Both Bianchi checks, over sorted triples and read off the torsion,
+    against the direct cyclic sum and the dense all-triples loops."""
+
+    # field, chart n|m, connection, seed, second flag, first flag.  The
+    # sparse ones have one Christoffel entry ("sparse3" three), and "gauge"
+    # is a flat connection; every connection but the torsion-free ones has
+    # torsion, so a True flag there comes from the sum, not the early return.
     CASES = [
-        (field, nm, kind, seed, flag)
+        (field, nm, kind, seed, flag, first)
         for field in (RATIONAL, GAUSSIAN)
-        for nm, kind, seed, flag in [
-            ((0, 1), "dense", 1, False),
-            ((0, 1), "torsion-free", 1, True),
-            ((1, 1), "dense", 1, False),
-            ((1, 1), "sparse", 0, True),
-            ((1, 1), "sparse", 1, False),
-            ((1, 1), "torsion-free", 1, True),
-            ((1, 2), "sparse", 8, True),
-            ((1, 2), "sparse", 0, False),
-            ((1, 2), "torsion-free", 1, True),
-            ((2, 2), "sparse", 1, True),
-            ((2, 2), "sparse", 0, False),
-            ((0, 3), "dense", 1, False),
-            ((0, 3), "sparse", 0, False),
-            ((0, 3), "torsion-free", 1, True),
+        for nm, kind, seed, flag, first in [
+            ((0, 1), "dense", 1, False, False),
+            ((0, 1), "torsion-free", 1, True, True),
+            ((1, 1), "dense", 1, False, False),
+            ((1, 1), "sparse", 0, True, True),
+            ((1, 1), "sparse", 1, False, False),
+            ((1, 1), "torsion-free", 1, True, True),
+            ((1, 2), "sparse", 8, True, False),
+            ((1, 2), "sparse", 0, False, False),
+            ((1, 2), "torsion-free", 1, True, True),
+            ((2, 2), "sparse", 1, True, False),
+            ((2, 2), "sparse", 0, False, False),
+            ((0, 3), "dense", 1, False, False),
+            ((0, 3), "sparse", 0, False, False),
+            ((0, 3), "torsion-free", 1, True, True),
+            ((0, 2), "gauge", 0, True, True),
+            ((1, 2), "gauge", 0, True, True),
+            ((2, 1), "sparse", 0, True, True),
+            ((2, 1), "sparse", 3, True, False),
+            ((1, 3), "sparse3", 0, False, False),
+            ((1, 3), "gauge", 0, True, True),
         ]
     ]
 
     @pytest.mark.parametrize(
-        "field, nm, kind, seed, flag", CASES, ids=["%s-%d|%d-%s-%d" % (c[0], *c[1], *c[2:4]) for c in CASES]
+        "field, nm, kind, seed, flag, first", CASES, ids=["%s-%d|%d-%s-%d" % (c[0], *c[1], *c[2:4]) for c in CASES]
     )
-    def test_matches_direct_cyclic_sum(self, field, nm, kind, seed, flag):
+    def test_matches_direct_cyclic_sum(self, field, nm, kind, seed, flag, first):
         sig = ChartSignature(*nm, field)
+        chart = Chart.tangent(sig)
         rng = random.Random(seed)
         if kind == "dense":
-            conn = random_connection(rng, Chart.tangent(sig))
+            conn = random_connection(rng, chart)
         elif kind == "sparse":
-            conn = random_sparse_connection(rng, Chart.tangent(sig), 1)
+            conn = random_sparse_connection(rng, chart, 1)
+        elif kind == "sparse3":
+            conn = random_sparse_connection(rng, chart, 3)
+        elif kind == "gauge":
+            conn = pure_gauge_connection(chart, random_unipotent_gauge(rng, sig, chart.rank))
+            assert curvature(conn).is_zero()
         else:
             conn = random_torsion_free_connection(rng, sig)
         assert torsion(conn).is_zero() == (kind == "torsion-free")
         assert second_bianchi_oracle(conn) == flag
+        assert dense_second_bianchi(conn) == flag
         assert check_second_bianchi(conn) == flag
+        assert dense_first_bianchi(conn) == first
+        assert check_first_bianchi(conn) == first
 
 
 def curved_02_metric(scale=3):
