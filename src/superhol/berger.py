@@ -11,13 +11,15 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement, permutations
 
-from .linalg import same_span, solve_graded, span_echelon
+from .linalg import combine, same_span, solve_graded, span_echelon
 from .scalars import field_zero, to_field
 from .superlin import (
     SubSuperalgebra,
     SuperDim,
     SuperMatrix,
+    _product_into,
     associative_closure,
+    combination,
     commutant,
     radical,
     sorted_cyclic_terms,
@@ -132,10 +134,10 @@ def curvature_space(algebra: SubSuperalgebra) -> LinearSolutionSpace:
     elements = []
     for sigma, kernel in enumerate(kernels):
         for vec in kernel:
-            values = {}
+            terms = {}
             for (pair, gi), coef in vec.items():
-                add = basis[gi].scale(coef)
-                values[pair] = values[pair] + add if pair in values else add
+                terms.setdefault(pair, []).append((coef, basis[gi]))
+            values = {pair: combination(dim, ts, field) for pair, ts in terms.items()}
             elements.append(CurvatureElement(dim, sigma, values, field))
     return LinearSolutionSpace("curvature tensors", elements, *map(len, kernels))
 
@@ -168,17 +170,19 @@ def act_on_curvature(a_mat: SuperMatrix, elem: CurvatureElement) -> CurvatureEle
     values = {}
     for (a, b) in canonical_pairs(dim):
         rv = elem.value(a, b)
-        out = superbracket(a_mat, rv) if rv.parity is not None else a_mat.matmul(rv) - rv.matmul(a_mat)
+        # [A, R(a, b)], or the commutator when R(a, b) is mixed
+        bracket = {}
+        _product_into(bracket, a_mat, rv, 1)
+        _product_into(bracket, rv, a_mat, -((-1) ** (tau * (rv.parity or 0))))
+        terms = [(1, bracket)]
         for c in range(t):
             coef = a_mat.entries[c][a]
             if coef:
-                out = out + elem.value(c, b).scale(-((-1) ** (tau * rho)) * coef)
+                terms.append((-((-1) ** (tau * rho)) * coef, elem.value(c, b).flatten()))
             coef = a_mat.entries[c][b]
             if coef:
-                out = out + elem.value(a, c).scale(
-                    -((-1) ** (tau * (rho + dim.parity(a)))) * coef
-                )
-        values[(a, b)] = out
+                terms.append((-((-1) ** (tau * (rho + dim.parity(a)))) * coef, elem.value(a, c).flatten()))
+        values[(a, b)] = SuperMatrix.from_flat(dim, combine(terms), elem.field)
     return CurvatureElement(dim, (tau + rho) % 2, values, elem.field)
 
 
@@ -395,12 +399,12 @@ def spencer_rank_identity(algebra: SubSuperalgebra, tower: ProlongationTower = N
     rows = {}
     for (d, j) in parity:
         # the 2-form (x, y) -> delta_xd alpha(e_y) - (-1)^{|x||y|} delta_yd alpha(e_x)
-        flat = {}
-        for (e, a, b), v in g1_maps[j].items():
-            for pair, s in (((d, e), 1), ((e, d), -((-1) ** (dim.parity(d) * dim.parity(e))))):
-                if pair in pair_index:
-                    coord = pair_index[pair] * t * t + a * t + b
-                    flat[coord] = flat.get(coord, 0) + s * v
+        flat = combine(
+            (s, {pair_index[pair] * t * t + a * t + b: v})
+            for (e, a, b), v in g1_maps[j].items()
+            for pair, s in (((d, e), 1), ((e, d), -((-1) ** (dim.parity(d) * dim.parity(e)))))
+            if pair in pair_index
+        )
         # the image must satisfy the curvature space constraints
         images_ok = images_ok and rspace_span.contains(flat)
         for coord, v in flat.items():
@@ -413,13 +417,10 @@ def spencer_rank_identity(algebra: SubSuperalgebra, tower: ProlongationTower = N
         for r, ncols, ker in zip(rspace.graded_dim, (len(parity) - odd_cols, odd_cols), kernels)
     ]
     # the kernel, as flat multimaps, must span g_2
-    kernel_maps = []
-    for vec in kernels[0] + kernels[1]:
-        flat = {}
-        for (d, j), c in vec.items():
-            for key, v in g1_maps[j].items():
-                flat[(d,) + key] = flat.get((d,) + key, 0) + c * v
-        kernel_maps.append(flat)
+    kernel_maps = [
+        combine((c, {(d,) + key: v for key, v in g1_maps[j].items()}) for (d, j), c in vec.items())
+        for vec in kernels[0] + kernels[1]
+    ]
     return {
         "g1_dim": g1.graded_dim,
         "g2_dim": g2.graded_dim,
@@ -487,8 +488,7 @@ def _simplicity_of(algebra: SubSuperalgebra, representation):
     order = sorted(pos, key=pos.get)
 
     def ideal(vectors):
-        zero = SuperMatrix.zeros(algebra.dim, field)
-        mats = [sum((basis[order[k]].scale(v) for k, v in vec.items()), zero) for vec in vectors]
+        mats = [combination(algebra.dim, ((v, basis[order[k]]) for k, v in vec.items()), field) for vec in vectors]
         return SubSuperalgebra.from_matrices(algebra.dim, mats, field)
 
     rad = radical(closure, vdim, field)

@@ -76,6 +76,17 @@ class SparseEchelon:
         return [dict(self.pivot_rows[p]) for p in sorted(self.pivot_rows)]
 
 
+def combine(terms) -> dict:
+    """The sparse sum of c·v over (c, v) pairs, each v a sparse dict, with zero
+    entries dropped.  Keys may be any hashable labels."""
+    acc = {}
+    for c, vec in terms:
+        for k, v in vec.items():
+            w = acc.get(k)
+            acc[k] = c * v if w is None else w + c * v
+    return {k: v for k, v in acc.items() if v}
+
+
 def span_echelon(vectors) -> SparseEchelon:
     ech = SparseEchelon()
     for v in vectors:

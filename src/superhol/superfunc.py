@@ -353,16 +353,8 @@ class Superfunction:
             # left derivative: sign (-1)^(s-1) with s the position of alpha
             below = bin(mask & (bit - 1)).count("1")
             sign = 1 if below % 2 == 0 else -1
-            new_mask = mask & ~bit
-            part = poly if sign > 0 else {k: -v for k, v in poly.items()}
-            if new_mask in out:
-                s = _poly_add(out[new_mask], part)
-                if s:
-                    out[new_mask] = s
-                else:
-                    del out[new_mask]
-            else:
-                out[new_mask] = dict(part)
+            # distinct masks holding the bit stay distinct once it is cleared
+            out[mask & ~bit] = dict(poly) if sign > 0 else {k: -v for k, v in poly.items()}
         return Superfunction(sig, out, _normalized=True)
 
     # ------------------------------------------------------------- evaluation

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 
-from .linalg import SparseEchelon, solve_graded, solve_kernel, span_echelon
+from .linalg import SparseEchelon, combine, solve_graded, solve_kernel, span_echelon
 from .scalars import RATIONAL, GaussianRational, field_one, field_zero, scalar_str, to_field
 
 
@@ -49,22 +49,27 @@ class SuperDim:
 class SuperMatrix:
     """Parity-graded endomorphism with exact scalar entries.
 
-    `parity` is read once from the nonzero entries: 0 or 1 for a homogeneous
-    matrix (0 for the zero matrix), None for a mixed one.  A SuperMatrix must
-    not be modified after construction.
+    The nonzero entries are also kept flat, as `flatten` gives them.
+    `parity` is read once from them: 0 or 1 for a homogeneous matrix (0 for
+    the zero matrix), None for a mixed one.  A SuperMatrix must not be
+    modified after construction.
     """
 
-    __slots__ = ("dim", "entries", "parity", "field")
+    __slots__ = ("dim", "entries", "parity", "field", "_flat")
 
     def __init__(self, dim: SuperDim, entries, field=RATIONAL):
         t = dim.total
         if len(entries) != t or any(len(row) != t for row in entries):
             raise ValueError("entries must be %dx%d" % (t, t))
-        self.dim = dim
         self.entries = [list(row) for row in entries]
+        self._set(dim, {a * t + b: v for a, row in enumerate(self.entries) for b, v in enumerate(row) if v}, field)
+
+    def _set(self, dim: SuperDim, flat: dict, field):
+        t, p = dim.total, dim.p
+        self.dim = dim
         self.field = field
-        p = dim.p
-        seen = {(a < p) != (b < p) for a, row in enumerate(self.entries) for b, v in enumerate(row) if v}
+        self._flat = flat
+        seen = {(pos // t < p) != (pos % t < p) for pos in flat}
         self.parity = None if len(seen) == 2 else int(True in seen)
 
     @staticmethod
@@ -82,62 +87,27 @@ class SuperMatrix:
         return SuperMatrix.from_flat(dim, {a * dim.total + b: field_one(field)}, field)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, SuperMatrix)
-            and self.dim == other.dim
-            and all(
-                self.entries[a][b] == other.entries[a][b]
-                for a in range(self.dim.total)
-                for b in range(self.dim.total)
-            )
-        )
+        return isinstance(other, SuperMatrix) and self.dim == other.dim and self._flat == other._flat
 
     def is_zero(self) -> bool:
-        return all(not v for row in self.entries for v in row)
+        return not self._flat
 
     def __add__(self, other):
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        t = self.dim.total
-        return SuperMatrix(
-            self.dim,
-            [[self.entries[a][b] + other.entries[a][b] for b in range(t)] for a in range(t)],
-            self.field,
-        )
+        return combination(self.dim, ((1, self), (1, other)), self.field)
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        return combination(self.dim, ((1, self), (-1, other)), self.field)
 
     def __neg__(self):
         return self.scale(-1)
 
     def scale(self, c) -> "SuperMatrix":
-        t = self.dim.total
-        return SuperMatrix(
-            self.dim,
-            [[c * self.entries[a][b] for b in range(t)] for a in range(t)],
-            self.field,
-        )
+        return combination(self.dim, ((c, self),), self.field)
 
     def matmul(self, other: "SuperMatrix") -> "SuperMatrix":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        t = self.dim.total
-        z = field_zero(self.field)
-        out = [[z] * t for _ in range(t)]
-        for a in range(t):
-            row = self.entries[a]
-            for c in range(t):
-                v = row[c]
-                if not v:
-                    continue
-                orow = other.entries[c]
-                orow_out = out[a]
-                for b in range(t):
-                    w = orow[b]
-                    if w:
-                        orow_out[b] = orow_out[b] + v * w
-        return SuperMatrix(self.dim, out, self.field)
+        acc = {}
+        _product_into(acc, self, other, 1)
+        return SuperMatrix.from_flat(self.dim, acc, self.field)
 
     def apply(self, vec):
         """Matrix times column vector (list of scalars)."""
@@ -154,23 +124,23 @@ class SuperMatrix:
         return out
 
     def flatten(self) -> dict:
-        t = self.dim.total
-        out = {}
-        for a in range(t):
-            for b in range(t):
-                v = self.entries[a][b]
-                if v:
-                    out[a * t + b] = v
-        return out
+        """The nonzero entries as {row * t + col: scalar}."""
+        return dict(self._flat)
 
     @staticmethod
     def from_flat(dim: SuperDim, vec: dict, field=RATIONAL) -> "SuperMatrix":
+        """The matrix whose entries are the values of vec, as `flatten`
+        gives them, and zero elsewhere."""
         t = dim.total
         z = field_zero(field)
-        rows = [[z] * t for _ in range(t)]
+        m = SuperMatrix.__new__(SuperMatrix)
+        m.entries = [[z] * t for _ in range(t)]
+        flat = {}
         for pos, v in vec.items():
-            rows[pos // t][pos % t] = v
-        return SuperMatrix(dim, rows, field)
+            if v:
+                m.entries[pos // t][pos % t] = flat[pos] = v
+        m._set(dim, flat, field)
+        return m
 
     def graded_flat(self):
         """(even part, odd part) of the nonzero entries, each flattened like
@@ -178,15 +148,39 @@ class SuperMatrix:
         t = self.dim.total
         p = self.dim.p
         parts = ({}, {})
-        for a, row in enumerate(self.entries):
-            for b, v in enumerate(row):
-                if v:
-                    parts[(a < p) != (b < p)][a * t + b] = v
+        for pos, v in self._flat.items():
+            parts[(pos // t < p) != (pos % t < p)][pos] = v
         return parts
 
     def __repr__(self):
         rows = ["[" + ", ".join(scalar_str(v) for v in row) + "]" for row in self.entries]
         return "SuperMatrix(%r, [%s])" % (self.dim, "; ".join(rows))
+
+
+def combination(dim: SuperDim, terms, field=RATIONAL) -> SuperMatrix:
+    """The matrix sum of c·M over (c, M) pairs, formed sparsely by `combine`."""
+    terms = list(terms)
+    if any(m.dim != dim for _, m in terms):
+        raise ValueError("dimension mismatch")
+    return SuperMatrix.from_flat(dim, combine((c, m._flat) for c, m in terms), field)
+
+
+def _product_into(acc: dict, a: SuperMatrix, b: SuperMatrix, sign: int):
+    """Add sign·AB, sign ±1, into acc, a flat accumulator {row*t + col: scalar}
+    like `flatten`, from the nonzero entries of A and B only."""
+    if a.dim != b.dim:
+        raise ValueError("dimension mismatch")
+    t = a.dim.total
+    b_rows = [[] for _ in range(t)]
+    for pos, w in b._flat.items():
+        b_rows[pos // t].append((pos % t, w))
+    for pos, v in a._flat.items():
+        i, k = divmod(pos, t)
+        if sign < 0:
+            v = -v
+        for j, w in b_rows[k]:
+            x = acc.get(i * t + j)
+            acc[i * t + j] = v * w if x is None else x + v * w
 
 
 def supertrace(m: SuperMatrix):
@@ -200,14 +194,14 @@ def supertrace(m: SuperMatrix):
 
 
 def superbracket(a: SuperMatrix, b: SuperMatrix) -> SuperMatrix:
-    """[A,B] = AB - (-1)^{|A||B|} BA for homogeneous A, B."""
+    """[A,B] = AB - (-1)^{|A||B|} BA for homogeneous A, B, formed in one
+    accumulator."""
     if a.parity is None or b.parity is None:
         raise ValueError("superbracket needs homogeneous matrices")
-    ab = a.matmul(b)
-    ba = b.matmul(a)
-    if a.parity and b.parity:
-        return ab + ba
-    return ab - ba
+    acc = {}
+    _product_into(acc, a, b, 1)
+    _product_into(acc, b, a, 1 if a.parity and b.parity else -1)
+    return SuperMatrix.from_flat(a.dim, acc, a.field)
 
 
 def cyclic_terms(parity, x, y, z):
@@ -431,14 +425,7 @@ def radical(echelon: SparseEchelon, dim: SuperDim, field=RATIONAL):
         # tr(xy) is the sum over positions (a, b) of x[a][b] y[b][a]
         yt = {(p % t) * t + p // t: v for p, v in y.items()}
         rows.append({i: sum(v * yt[p] for p, v in x.items() if p in yt) for i, x in enumerate(basis)})
-    out = []
-    for combo in solve_kernel(range(len(basis)), rows, field):
-        acc = {}
-        for i, c in combo.items():
-            for p, v in basis[i].items():
-                acc[p] = acc.get(p, 0) + c * v
-        out.append({p: v for p, v in acc.items() if v})
-    return out
+    return [combine((c, basis[i]) for i, c in combo.items()) for combo in solve_kernel(range(len(basis)), rows, field)]
 
 
 def common_kernel(mats, dim: SuperDim, field=RATIONAL):
@@ -470,10 +457,7 @@ def split(mats, dim: SuperDim, field=RATIONAL):
     rng = random.Random(SPLIT_SEED)
     identity = SuperMatrix.identity(dim, field)
     for _ in range(SPLIT_DRAWS):
-        x = SuperMatrix.zeros(dim, field)
-        for m in mats:
-            if rng.randrange(2):
-                x = x + m
+        x = combination(dim, [(1, m) for m in mats if rng.randrange(2)], field)
         parts = [[(v.re, v.im) if isinstance(v, GaussianRational) else (v, 0) for v in row] for row in x.entries]
         d = math.lcm(1, *(c.denominator for row in parts for v in row for c in v))
         approx = np.array([[complex(float(re), float(im)) for re, im in row] for row in parts]).reshape(t, t)
@@ -481,7 +465,7 @@ def split(mats, dim: SuperDim, field=RATIONAL):
         for re, im in candidates:
             if im and field == RATIONAL:
                 continue
-            power = x - identity.scale(to_field(GaussianRational(re, im) / d, field))
+            power = combination(dim, ((1, x), (-to_field(GaussianRational(re, im) / d, field), identity)), field)
             for _ in range(max(t - 1, 0).bit_length()):
                 power = power.matmul(power)
             even, odd = common_kernel([power], dim, field)
@@ -647,15 +631,10 @@ def cut_by_functionals(algebra: SubSuperalgebra, functionals) -> SubSuperalgebra
     to both parities regardless, which is correct for linear constraints.
     """
     out = []
-    z = field_zero(algebra.field)
     for basis in (algebra.even_basis, algebra.odd_basis):
         rows = [{j: fn(m) for j, m in enumerate(basis)} for fn in functionals]
         for combo in solve_kernel(range(len(basis)), rows, algebra.field):
-            flat = {}
-            for j, c in combo.items():
-                for pos, v in basis[j].flatten().items():
-                    flat[pos] = flat.get(pos, z) + c * v
-            out.append(SuperMatrix.from_flat(algebra.dim, flat, algebra.field))
+            out.append(combination(algebra.dim, ((c, basis[j]) for j, c in combo.items()), algebra.field))
     return SubSuperalgebra.from_matrices(algebra.dim, out, algebra.field)
 
 

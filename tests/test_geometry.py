@@ -670,6 +670,36 @@ class TestLeviCivita:
                 for c in range(4):
                     assert nabla_metric_component(metric, conn, a, b, c).is_zero()
 
+    @pytest.mark.parametrize("n, m", [(1, 1), (0, 2), (2, 1), (1, 2), (2, 2), (0, 3)])
+    def test_nabla_metric_is_supersymmetric(self, n, m):
+        # (nabla_a g)(b, c) = (-1)^{|b||c|} (nabla_a g)(c, b) for any connection
+        # and any even supersymmetric g, so levi_civita checks b <= c only
+        from superhol.geometry import nabla_metric_component
+
+        sig = ChartSignature(n, m)
+        chart = Chart.tangent(sig)
+        t = sig.total
+        rng = random.Random(10 * n + m)
+        for _ in range(2):
+            conn = random_connection(rng, chart)
+            g = sfmat_zeros(sig, t, t)
+            for b in range(t):
+                for c in range(b, t):
+                    pb, pc = chart.coord_parity(b), chart.coord_parity(c)
+                    if b == c and pb:
+                        continue  # g(b, b) = -g(b, b) for odd b
+                    g[b][c] = random_superfunction(rng, sig, (pb + pc) % 2)
+                    g[c][b] = g[b][c].scale((-1) ** (pb * pc))
+            metric = MetricData(chart, g, validate=False)
+            for a in range(t):
+                for b in range(t):
+                    for c in range(b, t):
+                        sign = (-1) ** (chart.coord_parity(b) * chart.coord_parity(c))
+                        bc = nabla_metric_component(metric, conn, a, b, c)
+                        assert bc == nabla_metric_component(metric, conn, a, c, b).scale(sign)
+                        if b == c and chart.coord_parity(b):
+                            assert bc.is_zero()
+
     def test_non_nilpotent_body_rejected(self):
         # the classical surface metric diag(1, (1+x1)^2) has no polynomial
         # inverse; it must be rejected with a diagnostic

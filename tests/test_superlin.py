@@ -7,7 +7,7 @@ import pytest
 from superhol import linalg
 from superhol.cli import _pairwise_j
 from superhol.reportio import encode_algebra, encode_matrix
-from superhol.scalars import GAUSSIAN, RATIONAL, GaussianRational, field_zero
+from superhol.scalars import GAUSSIAN, RATIONAL, GaussianRational, field_one, field_zero
 from superhol.superlin import (
     StructureTensor,
     SubSuperalgebra,
@@ -15,6 +15,7 @@ from superhol.superlin import (
     SuperMatrix,
     associative_closure,
     classical_superalgebra,
+    combination,
     commutant,
     cut_by_functionals,
     full_gl,
@@ -42,8 +43,7 @@ class TestSupertrace:
         assert supertrace(SuperMatrix.identity(SuperDim(2, 1))) == 1
 
     def test_odd_block(self):
-        m = SuperMatrix.zeros(SuperDim(0, 1))
-        m.entries[0][0] = Fraction(-2)
+        m = SuperMatrix.from_flat(SuperDim(0, 1), {0: Fraction(-2)})
         assert supertrace(m) == 2
 
 
@@ -69,6 +69,15 @@ class TestSuperbracket:
         m = SuperMatrix.identity(dim) + SuperMatrix.unit(dim, 0, 1)
         with pytest.raises(ValueError):
             superbracket(m, m)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_matches_dense_reference(self, field):
+        rng = random.Random("superbracket %s" % field)
+        for dim in REFERENCE_DIMS:
+            mats = reference_operands(rng, dim, field, mixed=False)
+            for a in mats:
+                for b in mats:
+                    assert_same_matrix(superbracket(a, b), reference_superbracket(a, b))
 
 
 class TestGenerate:
@@ -247,6 +256,33 @@ class TestProperties:
             b = random_homogeneous_matrix(rng, dim, rng.randint(0, 1))
             assert supertrace(superbracket(a, b)) == 0
 
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_sum_scale_and_product_match_dense_reference(self, field):
+        rng = random.Random("sparse sums %s" % field)
+        for dim in REFERENCE_DIMS:
+            mats = reference_operands(rng, dim, field, mixed=True)
+            for a in mats:
+                c = random_scalar(rng, field)
+                assert_same_matrix(a.scale(c), reference_scale(a, c))
+                assert_same_matrix(-a, reference_scale(a, -1))
+                for b in mats:
+                    assert_same_matrix(a + b, reference_add(a, b))
+                    assert_same_matrix(a - b, reference_add(a, reference_scale(b, -1)))
+                    assert_same_matrix(a.matmul(b), reference_matmul(a, b))
+                    assert (a == b) == (a.entries == b.entries)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_cancelling_combination_is_zero(self, field):
+        rng = random.Random("cancel %s" % field)
+        dim = SuperDim(2, 1)
+        a = random_matrix(rng, dim, field, density=1)
+        b = random_matrix(rng, dim, field, (1,), density=1)
+        c = random_scalar(rng, field) or field_one(field)
+        m = combination(dim, [(c, a), (1, b), (-c, a), (-1, b)], field)
+        assert m.is_zero() and m.parity == 0 and m.flatten() == {}
+        assert m == SuperMatrix.zeros(dim, field)
+        assert linalg.combine([(1, {"x": 2}), (2, {"x": -1, "y": 3})]) == {"y": 6}
+
     def test_serialization_round_trip(self):
         alg = classical_superalgebra("osp", (1, 2))
         from superhol.reportio import decode_algebra, encode_algebra
@@ -281,6 +317,63 @@ def random_matrix(rng, dim, field, parities=(0, 1), density=0.5):
             if (dim.parity(a) + dim.parity(b)) % 2 in parities and rng.random() < density:
                 rows[a][b] = random_scalar(rng, field)
     return SuperMatrix(dim, rows, field)
+
+
+# every p|q with p <= 3, q <= 2 and p + q > 0
+REFERENCE_DIMS = [SuperDim(p, q) for p in range(4) for q in range(3) if p + q]
+
+
+def reference_operands(rng, dim, field, mixed):
+    """Zero, identity and seeded even and odd matrices at two densities, plus
+    mixed ones when asked."""
+    mats = [SuperMatrix.zeros(dim, field), SuperMatrix.identity(dim, field)]
+    for parities in ((0,), (1,), (0, 1)) if mixed else ((0,), (1,)):
+        mats += [random_matrix(rng, dim, field, parities, density) for density in (0.3, 1)]
+    return mats
+
+
+def reference_add(x, y):
+    """Dense entrywise sum: the reference for `SuperMatrix.__add__`."""
+    t = x.dim.total
+    return SuperMatrix(x.dim, [[x.entries[a][b] + y.entries[a][b] for b in range(t)] for a in range(t)], x.field)
+
+
+def reference_scale(x, c):
+    t = x.dim.total
+    return SuperMatrix(x.dim, [[c * x.entries[a][b] for b in range(t)] for a in range(t)], x.field)
+
+
+def reference_matmul(x, y):
+    """Dense row-by-column product: the reference for `SuperMatrix.matmul`."""
+    t = x.dim.total
+    out = [[field_zero(x.field)] * t for _ in range(t)]
+    for a in range(t):
+        for c in range(t):
+            v = x.entries[a][c]
+            if v:
+                for b in range(t):
+                    w = y.entries[c][b]
+                    if w:
+                        out[a][b] = out[a][b] + v * w
+    return SuperMatrix(x.dim, out, x.field)
+
+
+def reference_superbracket(x, y):
+    """AB - (-1)^{|A||B|} BA from two dense products and a negated copy."""
+    ab, ba = reference_matmul(x, y), reference_matmul(y, x)
+    if x.parity and y.parity:
+        return reference_add(ab, ba)
+    return reference_add(ab, reference_scale(ba, -1))
+
+
+def assert_same_matrix(m, ref):
+    """Same entries, nonzero entries and parity, each read off the entries
+    of the reference."""
+    t = ref.dim.total
+    assert m.dim == ref.dim
+    assert m.entries == ref.entries
+    assert m.flatten() == {a * t + b: v for a, row in enumerate(ref.entries) for b, v in enumerate(row) if v}
+    assert m.parity == entry_parity(ref)
 
 
 def random_supersymmetric_form(rng, dim, field):
