@@ -104,7 +104,6 @@ class LinearSolutionSpace:
 def curvature_space(algebra: SubSuperalgebra) -> LinearSolutionSpace:
     """Solutions of the graded antisymmetry + cyclic identity valued in g."""
     dim = algebra.dim
-    t = dim.total
     field = algebra.field
     pairs = canonical_pairs(dim)
     basis = algebra.basis()
@@ -112,25 +111,7 @@ def curvature_space(algebra: SubSuperalgebra) -> LinearSolutionSpace:
     parity = {
         ((a, b), gi): (dim.parity(a) + dim.parity(b) + g.parity) % 2 for (a, b) in pairs for gi, g in enumerate(basis)
     }
-
-    def rows():
-        for cyclic in sorted_cyclic_terms(dim.parity, t):
-            terms = []
-            for (u, v, w), s in cyclic:
-                pair, sign = reduce_pair(dim, u, v)
-                if sign:
-                    terms.append((pair, w, s * sign))
-            for comp in range(t):
-                row = {}
-                for (pair, w, s) in terms:
-                    for gi, g in enumerate(basis):
-                        val = g.entries[comp][w]
-                        if val:
-                            lab = (pair, gi)
-                            row[lab] = row.get(lab, 0) + s * val
-                yield row
-
-    kernels = solve_graded(parity, rows(), field)
+    kernels = solve_graded(parity, _curvature_rows(dim, basis), field)
     elements = []
     for sigma, kernel in enumerate(kernels):
         for vec in kernel:
@@ -140,6 +121,34 @@ def curvature_space(algebra: SubSuperalgebra) -> LinearSolutionSpace:
             values = {pair: combination(dim, ts, field) for pair, ts in terms.items()}
             elements.append(CurvatureElement(dim, sigma, values, field))
     return LinearSolutionSpace("curvature tensors", elements, *map(len, kernels))
+
+
+def _curvature_rows(dim: SuperDim, basis):
+    """The graded cyclic identity on the unknowns ((a, b), gi) of
+    `curvature_space`: one row per sorted triple and row index of the values,
+    built from the nonzero entries of the basis matrices.  Only nonempty
+    rows are emitted."""
+    t = dim.total
+    by_col = [[] for _ in range(t)]  # column -> (row, gi, value) of the basis entries
+    for gi, g in enumerate(basis):
+        for pos, val in g._flat.items():
+            comp, w = divmod(pos, t)
+            by_col[w].append((comp, gi, val))
+    for cyclic in sorted_cyclic_terms(dim.parity, t):
+        rows = {}
+        for (u, v, w), s in cyclic:
+            pair, sign = reduce_pair(dim, u, v)
+            if not sign:
+                continue
+            negate = s * sign < 0
+            for comp, gi, val in by_col[w]:
+                row = rows.setdefault(comp, {})
+                lab = (pair, gi)
+                if negate:
+                    val = -val
+                x = row.get(lab)
+                row[lab] = val if x is None else x + val
+        yield from rows.values()
 
 
 def check_curvature_element(algebra: SubSuperalgebra, elem: CurvatureElement) -> bool:
@@ -217,29 +226,7 @@ def curvature_derivative_space(algebra: SubSuperalgebra, rspace: LinearSolutionS
     relems = rspace.basis
     # unknowns: the coefficient of basis tensor j in the derivative along d
     parity = {(d, j): (dim.parity(d) + r.parity) % 2 for d in range(t) for j, r in enumerate(relems)}
-
-    def rows():
-        for cyclic in sorted_cyclic_terms(dim.parity, t):
-            # (label, sign, entries of R_j on the canonical pair) per term
-            terms = []
-            for (d, u, v), s in cyclic:
-                pair, sign = reduce_pair(dim, u, v)
-                if not sign:
-                    continue
-                for j, r in enumerate(relems):
-                    m = r.values.get(pair)
-                    if m is not None:
-                        terms.append(((d, j), s * sign, m.entries))
-            for A in range(t):
-                for B in range(t):
-                    row = {}
-                    for (lab, s, entries) in terms:
-                        val = entries[A][B]
-                        if val:
-                            row[lab] = row.get(lab, 0) + s * val
-                    yield row
-
-    kernels = solve_graded(parity, rows(), field)
+    kernels = solve_graded(parity, _derivative_rows(dim, relems), field)
     out = []
     for sigma, kernel in enumerate(kernels):
         for vec in kernel:
@@ -248,6 +235,33 @@ def curvature_derivative_space(algebra: SubSuperalgebra, rspace: LinearSolutionS
                 comps.setdefault(d, []).append((coef, relems[j]))
             out.append((sigma, comps))
     return LinearSolutionSpace("first curvature derivatives", out, *map(len, kernels))
+
+
+def _derivative_rows(dim: SuperDim, relems):
+    """The graded cyclic constraint on the unknowns (d, j) of
+    `curvature_derivative_space`: one row per sorted triple and matrix entry,
+    built from the nonzero entries of the values of the R_j.  Only nonempty
+    rows are emitted."""
+    by_pair = {}  # canonical pair -> (j, nonzero entries of R_j on it)
+    for j, r in enumerate(relems):
+        for pair, m in r.values.items():
+            by_pair.setdefault(pair, []).append((j, m._flat))
+    for cyclic in sorted_cyclic_terms(dim.parity, dim.total):
+        rows = {}
+        for (d, u, v), s in cyclic:
+            pair, sign = reduce_pair(dim, u, v)
+            if not sign:
+                continue
+            negate = s * sign < 0
+            for j, flat in by_pair.get(pair, ()):
+                lab = (d, j)
+                for pos, val in flat.items():
+                    row = rows.setdefault(pos, {})
+                    if negate:
+                        val = -val
+                    x = row.get(lab)
+                    row[lab] = val if x is None else x + val
+        yield from rows.values()
 
 
 def symmetric_berger_check(algebra: SubSuperalgebra):
@@ -361,12 +375,13 @@ def cartan_prolongation(dim: SuperDim, g0: SubSuperalgebra, order: int) -> Prolo
 def _prolongation_rows(dim: SuperDim, annihilator, k: int):
     """phi(T(I, -)) = 0 for every functional phi and sorted k-tuple I."""
     for i in _symmetric_tuples(dim, k):
+        sorts = [_koszul_sort(dim, i + (b,)) for b in range(dim.total)]
         for phi in annihilator:
             row = {}
             for (a, b), v in phi.items():
-                s, sign = _koszul_sort(dim, i + (b,))
+                s, sign = sorts[b]
                 if sign:
-                    row[(s, a)] = sign * v
+                    row[(s, a)] = v if sign > 0 else -v
             yield row
 
 

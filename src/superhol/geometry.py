@@ -719,22 +719,24 @@ def levi_civita(metric: MetricData) -> ConnectionData:
     g = metric.g
     g_inv = sfmat_inverse(g, sig)
     half = field_one(sig.field) / 2
+    # dg[x][y][z] = d_x g_yz, each differentiated once
+    dg = [[[g[y][z].partial(x + 1) for z in range(t)] for y in range(t)] for x in range(t)]
     gamma = [sfmat_zeros(sig, t, t) for _ in range(t)]
     for a in range(t):
         for b in range(t):
             k_row = []
             for c in range(t):
                 _, (_, s2), (_, s3) = cyclic_terms(chart.coord_parity, a, b, c)
-                term = g[b][c].partial(a + 1)
-                term = term + g[c][a].partial(b + 1).scale(s2)
-                term = term - g[a][b].partial(c + 1).scale(s3)
-                k_row.append(term.scale(half))
+                acc = {}
+                add_into(acc, dg[a][b][c])
+                add_into(acc, dg[b][c][a], s2)
+                add_into(acc, dg[c][a][b], -s3)
+                k_row.append(accumulated(sig, acc).scale(half))
             for d in range(t):
-                acc = Superfunction.zero(sig)
+                acc = {}
                 for c in range(t):
-                    if not (k_row[c].is_zero() or g_inv[c][d].is_zero()):
-                        acc = acc + k_row[c] * g_inv[c][d]
-                gamma[a][d][b] = acc
+                    mul_into(acc, k_row[c], g_inv[c][d])
+                gamma[a][d][b] = accumulated(sig, acc)
     conn = ConnectionData(chart, gamma)
     if not torsion(conn).is_zero():
         raise AssertionError("Koszul output failed the torsion-free check")

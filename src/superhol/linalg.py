@@ -14,31 +14,34 @@ from .scalars import to_field
 
 
 class SparseEchelon:
-    """Incrementally built reduced row echelon basis of a row space."""
+    """Incrementally built reduced row echelon basis of a row space.
+
+    Every pivot row has a 1 at its pivot and no other pivot column, so
+    eliminating one pivot from a vector never brings in another.  `_holders`
+    indexes the rest: each non-pivot column maps to the set of pivots whose
+    rows hold it (a set may be left empty).
+    """
 
     def __init__(self):
         self.pivot_rows = {}  # pivot column -> row dict with row[pivot] == 1
+        self._holders = {}  # non-pivot column -> pivots whose rows hold it
 
     def reduce(self, vec: dict) -> dict:
         """Residual of vec after eliminating all current pivots."""
         vec = {c: v for c, v in vec.items() if v}
-        while True:
-            hit = None
-            for c in vec:
-                if c in self.pivot_rows:
-                    hit = c
-                    break
-            if hit is None:
-                return vec
-            coef = vec[hit]
-            row = self.pivot_rows[hit]
-            for c, v in row.items():
+        rows = self.pivot_rows
+        for p in [c for c in vec if c in rows]:
+            coef = vec.pop(p)
+            for c, v in rows[p].items():
+                if c == p:
+                    continue
                 w = vec.get(c)
                 w = -coef * v if w is None else w - coef * v
                 if w:
                     vec[c] = w
                 else:
-                    vec.pop(c, None)
+                    del vec[c]
+        return vec
 
     def insert(self, vec: dict) -> bool:
         """Add a vector; returns True if it enlarged the span."""
@@ -50,17 +53,29 @@ class SparseEchelon:
         if isinstance(inv, int):
             inv = Fraction(inv)  # an int pivot would divide into floats
         row = {c: v / inv for c, v in res.items()}
-        # back-substitute into existing rows to keep the form reduced
-        for p, other in self.pivot_rows.items():
-            coef = other.get(pivot)
-            if coef:
-                for c, v in row.items():
-                    w = other.get(c)
-                    w = -coef * v if w is None else w - coef * v
+        holders = self._holders
+        # back-substitute into the rows that hold the new pivot, keeping the
+        # form reduced and the index exact
+        for p in holders.pop(pivot, ()):
+            other = self.pivot_rows[p]
+            coef = other.pop(pivot)
+            for c, v in row.items():
+                if c == pivot:
+                    continue
+                w = other.get(c)
+                if w is None:
+                    other[c] = -coef * v
+                    holders.setdefault(c, set()).add(p)
+                else:
+                    w = w - coef * v
                     if w:
                         other[c] = w
                     else:
-                        other.pop(c, None)
+                        del other[c]
+                        holders[c].discard(p)
+        for c in row:
+            if c != pivot:
+                holders.setdefault(c, set()).add(pivot)
         self.pivot_rows[pivot] = row
         return True
 
@@ -102,15 +117,13 @@ def kernel_basis(rows, ncols: int):
     at its free column.
     """
     ech = span_echelon(rows)
-    pivots = sorted(ech.pivot_rows)
-    free = [c for c in range(ncols) if c not in ech.pivot_rows]
     basis = []
-    for f in free:
+    for f in range(ncols):
+        if f in ech.pivot_rows:
+            continue
         vec = {f: Fraction(1)}
-        for p in pivots:
-            coef = ech.pivot_rows[p].get(f)
-            if coef:
-                vec[p] = -coef
+        for p in sorted(ech._holders.get(f, ())):
+            vec[p] = -ech.pivot_rows[p][f]
         basis.append(vec)
     return basis
 

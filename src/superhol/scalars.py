@@ -118,6 +118,8 @@ def field_one(field):
 def to_field(value, field):
     """Coerce an int/Fraction/GaussianRational into the given field."""
     if field == RATIONAL:
+        if value.__class__ is Fraction:
+            return value
         if isinstance(value, GaussianRational):
             if value.im != 0:
                 raise ValueError("imaginary value over the rational field")

@@ -2,6 +2,7 @@ import itertools
 import os
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from superhol.superlin import (
     SuperMatrix,
     classical_superalgebra,
     generate_subalgebra,
+    sorted_cyclic_terms,
     superbracket,
 )
 from superhol.berger import (
@@ -425,3 +427,127 @@ class TestVacuousCases:
         res = symmetric_berger_check(zero)
         assert res["is_berger"] and res["is_symmetric_berger"]
         assert res["Rnabla_dim"] == (0, 0)
+
+
+def reference_curvature_rows(dim, basis):
+    """`curvature_space`'s rows as they were built before: dense, one per
+    sorted triple and row index, empty ones included."""
+    t = dim.total
+    for cyclic in sorted_cyclic_terms(dim.parity, t):
+        terms = []
+        for (u, v, w), s in cyclic:
+            pair, sign = berger.reduce_pair(dim, u, v)
+            if sign:
+                terms.append((pair, w, s * sign))
+        for comp in range(t):
+            row = {}
+            for (pair, w, s) in terms:
+                for gi, g in enumerate(basis):
+                    val = g.entries[comp][w]
+                    if val:
+                        lab = (pair, gi)
+                        row[lab] = row.get(lab, 0) + s * val
+            yield row
+
+
+def reference_derivative_rows(dim, relems):
+    """`curvature_derivative_space`'s rows as they were built before: dense,
+    one per sorted triple and matrix entry."""
+    t = dim.total
+    for cyclic in sorted_cyclic_terms(dim.parity, t):
+        terms = []
+        for (d, u, v), s in cyclic:
+            pair, sign = berger.reduce_pair(dim, u, v)
+            if not sign:
+                continue
+            for j, r in enumerate(relems):
+                m = r.values.get(pair)
+                if m is not None:
+                    terms.append(((d, j), s * sign, m.entries))
+        for A in range(t):
+            for B in range(t):
+                row = {}
+                for (lab, s, entries) in terms:
+                    val = entries[A][B]
+                    if val:
+                        row[lab] = row.get(lab, 0) + s * val
+                yield row
+
+
+def reference_prolongation_rows(dim, annihilator, k):
+    """`_prolongation_rows` as it was: one Koszul sort per functional."""
+    for i in berger._symmetric_tuples(dim, k):
+        for phi in annihilator:
+            row = {}
+            for (a, b), v in phi.items():
+                s, sign = berger._koszul_sort(dim, i + (b,))
+                if sign:
+                    row[(s, a)] = sign * v
+            yield row
+
+
+def row_multiset(rows):
+    """The nonempty rows, zero coefficients dropped, as a multiset."""
+    return Counter(frozenset((k, v) for k, v in row.items() if v) for row in rows if any(row.values()))
+
+
+def gaussian_algebra():
+    rng = random.Random("row builders")
+    while True:
+        alg = random_subalgebra(rng, SuperDim(2, 1), GAUSSIAN)
+        if alg.total_dim > 2 and any(v.im for m in alg.basis() for v in m.flatten().values()):
+            return alg
+
+
+ROW_ALGEBRAS = {
+    "osp(1|2)": lambda: classical_superalgebra("osp", (1, 2)),
+    "q(2)": lambda: classical_superalgebra("q", 2),
+    "pe(2)": lambda: classical_superalgebra("pe", 2),
+    "sl(2|1)": lambda: classical_superalgebra("sl", (2, 1)),
+    "gaussian": gaussian_algebra,
+}
+
+
+class TestRowBuildersMatchTheDenseOnes:
+    @pytest.fixture(params=sorted(ROW_ALGEBRAS))
+    def algebra(self, request):
+        return ROW_ALGEBRAS[request.param]()
+
+    @staticmethod
+    def assert_same_system(parity, rows, reference, field):
+        reference = list(reference)
+        assert row_multiset(rows) == row_multiset(reference)
+        assert linalg.solve_graded(parity, rows, field) == linalg.solve_graded(parity, reference, field)
+
+    def test_curvature_rows(self, algebra):
+        dim, basis = algebra.dim, algebra.basis()
+        parity = {
+            ((a, b), gi): (dim.parity(a) + dim.parity(b) + g.parity) % 2
+            for (a, b) in canonical_pairs(dim)
+            for gi, g in enumerate(basis)
+        }
+        rows = list(berger._curvature_rows(dim, basis))
+        assert all(rows)
+        self.assert_same_system(parity, rows, reference_curvature_rows(dim, basis), algebra.field)
+
+    def test_derivative_rows(self, algebra):
+        dim, relems = algebra.dim, curvature_space(algebra).basis
+        assert relems
+        parity = {(d, j): (dim.parity(d) + r.parity) % 2 for d in range(dim.total) for j, r in enumerate(relems)}
+        rows = list(berger._derivative_rows(dim, relems))
+        assert all(rows)
+        self.assert_same_system(parity, rows, reference_derivative_rows(dim, relems), algebra.field)
+
+    @pytest.mark.parametrize("k", (1, 2))
+    def test_prolongation_rows(self, algebra, k):
+        dim, field, t = algebra.dim, algebra.field, algebra.dim.total
+        cols = {(a, b): (dim.parity(a) + dim.parity(b)) % 2 for a in range(t) for b in range(t)}
+        rows = ({(a, b): m.entries[a][b] for (a, b) in cols} for m in algebra.basis())
+        annihilator = [phi for kernel in linalg.solve_graded(cols, rows, field) for phi in kernel]
+        parity = {
+            (s, a): (sum(map(dim.parity, s)) + dim.parity(a)) % 2
+            for s in berger._symmetric_tuples(dim, k + 1)
+            for a in range(t)
+        }
+        rows = list(berger._prolongation_rows(dim, annihilator, k))
+        self.assert_same_system(parity, rows, reference_prolongation_rows(dim, annihilator, k), field)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from superhol.scalars import GAUSSIAN, GaussianRational, parse_scalar, scalar_str
+from superhol.scalars import GAUSSIAN, RATIONAL, GaussianRational, parse_scalar, scalar_str, to_field
 from superhol.superfunc import (
     ChartSignature,
     Superfunction,
@@ -243,3 +243,12 @@ class TestScalars:
         for text in ("1/2+3 i", "-2-1/3 i", "5 i", "4"):
             v = parse_scalar(text, "gaussian-rational")
             assert scalar_str(v) == text
+
+    def test_to_field_rational(self):
+        q = Fraction(-3, 4)
+        assert to_field(q, RATIONAL) is q
+        for value in (2, GaussianRational(Fraction(1, 3))):
+            got = to_field(value, RATIONAL)
+            assert type(got) is Fraction and got == value
+        with pytest.raises(ValueError, match="imaginary"):
+            to_field(GaussianRational(0, 1), RATIONAL)
