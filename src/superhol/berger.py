@@ -323,8 +323,9 @@ class ProlongationTower:
 
 
 def _koszul_sort(dim: SuperDim, idx):
-    """(sorted idx, Koszul sign of sorting it); the sign is 0 when an odd index repeats."""
-    odd = [a for a in idx if dim.parity(a)]
+    """(sorted idx, Koszul sign of sorting it); the sign is 0 when an odd index
+    repeats.  The odd indices are those from dim.p on."""
+    odd = [a for a in idx if a >= dim.p]
     if len(set(odd)) < len(odd):
         return None, 0
     inversions = sum(a > b for i, a in enumerate(odd) for b in odd[i + 1:])
@@ -336,7 +337,7 @@ def _symmetric_tuples(dim: SuperDim, r: int):
     return [
         s
         for s in combinations_with_replacement(range(dim.total), r)
-        if not any(a == b and dim.parity(a) for a, b in zip(s, s[1:]))
+        if not any(a == b >= dim.p for a, b in zip(s, s[1:]))
     ]
 
 
@@ -358,15 +359,16 @@ def cartan_prolongation(dim: SuperDim, g0: SubSuperalgebra, order: int) -> Prolo
     cols = {(a, b): (dim.parity(a) + dim.parity(b)) % 2 for a in range(t) for b in range(t)}
     rows = ({(a, b): m.entries[a][b] for (a, b) in cols} for m in g0.basis())
     annihilator = [phi for kernel in solve_graded(cols, rows, field) for phi in kernel]
+    fiber = [dim.parity(a) for a in range(t)]
     levels = []
     for k in range(1, order + 1):
         kernels = ((), ())
         if not levels or levels[-1].total_dim:
-            parity = {
-                (s, a): (sum(map(dim.parity, s)) + dim.parity(a)) % 2
-                for s in _symmetric_tuples(dim, k + 1)
-                for a in range(t)
-            }
+            parity = {}
+            for s in _symmetric_tuples(dim, k + 1):
+                odd = sum(fiber[a] for a in s)
+                for a in range(t):
+                    parity[(s, a)] = (odd + fiber[a]) % 2
             kernels = solve_graded(parity, _prolongation_rows(dim, annihilator, k), field)
         levels.append(ProlongationLevel(dim, k, kernels))
     return ProlongationTower(levels)

@@ -187,11 +187,7 @@ def transport_validation(conn: geo.ConnectionData, point, hol: hl.HolonomyResult
     path = [base, [base[0] + side] + base[1:]]
     if len(base) > 1:
         path.append([base[0] + side, base[1] + side] + base[2:])
-    tables = hol.tables
-    if len(tables) == 1:
-        # all of gl at order 0, or cap 0: extend once, through the holonomy
-        # module's global, so that bench/tracing.py counts the table
-        tables = tables + [hl._next_derivative(conn, tables[0])]
+    tables = hl.transport_tables(conn, hol)
     gens = hl.conjugated_generators(conn, base, [path], tables, steps=steps)
     residual = hl.span_embedding_residual(gens, hol.algebra)
     return {

@@ -417,19 +417,109 @@ def _covariant_step(conn: ConnectionData, c: int, mat, par: int):
     return new
 
 
-def _next_derivative(conn: ConnectionData, prev: DerivativeTable) -> DerivativeTable:
-    chart = conn.chart
+def _tower_steps(chart: Chart, prev: DerivativeTable):
+    """(key, mat, par, directions) for each component of `prev`: its key
+    (dirs, a, b), its matrix, the total parity of its coordinate indices,
+    and the directions c of the components ((c,) + dirs, a, b) that it
+    gives at the next order.  A canonical table prepends a_{r+1} <= a_r,
+    strictly when it is odd."""
     t = chart.sig.total
-    out = {}
-    for (dirs, a, b), mat in prev.components.items():
+    for key, mat in prev.components.items():
+        dirs, a, b = key
         par = sum(chart.coord_parity(d) for d in dirs + (a, b)) % 2
         stop = t
         if prev.canonical and dirs:
-            # prepend a_{r+1} <= a_r, strictly when it is odd
             stop = dirs[0] + 1 - chart.coord_parity(dirs[0])
-        for c in range(stop):
+        yield key, mat, par, range(stop)
+
+
+def _next_derivative(conn: ConnectionData, prev: DerivativeTable) -> DerivativeTable:
+    out = {}
+    for (dirs, a, b), mat, par, directions in _tower_steps(conn.chart, prev):
+        for c in directions:
             out[((c,) + dirs, a, b)] = _covariant_step(conn, c, mat, par)
-    return DerivativeTable(chart, prev.order + 1, out, prev.canonical)
+    return DerivativeTable(conn.chart, prev.order + 1, out, prev.canonical)
+
+
+def values_at(mat, point):
+    """The nonzero body values of a superfunction matrix at even coordinates
+    already in the field, as a flat dict {A * columns + B: value}."""
+    cols = len(mat[0]) if mat else 0
+    out = {}
+    for A, row in enumerate(mat):
+        for B, f in enumerate(row):
+            if f.terms:
+                v = f.body_value(point)
+                if v:
+                    out[A * cols + B] = v
+    return out
+
+
+def gamma_at(conn: ConnectionData, point):
+    """The nonzero bodies of the Γ_c at even coordinates already in the
+    field, laid out as `nonzero_gamma` lays out the Γ_c themselves."""
+    def nonzero(pairs):
+        values = ((i, g.body_value(point)) for i, g in pairs)
+        return [(i, v) for i, v in values if v]
+
+    out = []
+    for c in range(conn.chart.sig.total):
+        cols, rows = conn.nonzero_gamma(c)
+        out.append(([nonzero(col) for col in cols], [nonzero(row) for row in rows]))
+    return out
+
+
+def _covariant_step_at(conn: ConnectionData, c: int, mat, values, par: int, point, gamma_c):
+    """`_covariant_step(conn, c, mat, par)` at the point, as a flat dict of
+    its nonzero values, without building the step.
+
+    The body of a product is the product of the bodies, so each term of the
+    step is one product of scalars: `values` holds the body values of `mat`
+    at the point (`values_at`), `gamma_c` those of Γ_c (`gamma_at`), and
+    the body of ∂_c M^C_B comes from `partial_body_value`.  The signs are
+    those of `_covariant_step`.
+    """
+    chart = conn.chart
+    t = chart.rank.total
+    gamma_cols, gamma_rows = gamma_c
+    pc = chart.coord_parity(c)
+    fiber = [0] * chart.rank.p + [1] * chart.rank.q
+    acc = {}
+
+    def add(k, v):
+        w = acc.get(k)
+        acc[k] = v if w is None else w + v
+
+    for C, row in enumerate(mat):
+        for B, m in enumerate(row):
+            if not m.terms:
+                continue
+            d = m.partial_body_value(c + 1, point)
+            if d:
+                add(C * t + B, d)
+            v = values.get(C * t + B)
+            if v is None:
+                continue
+            left = -v if pc * (par + fiber[B] + fiber[C]) % 2 else v
+            for A, g in gamma_cols[C]:
+                add(A * t + B, left * g)
+            for B2, g in gamma_rows[B]:
+                add(C * t + B2, g * v if par * (fiber[B] + fiber[B2]) % 2 else -(g * v))
+    return {k: v for k, v in acc.items() if v}
+
+
+def _derivative_at(conn: ConnectionData, prev: DerivativeTable, values, point, gamma):
+    """The components of `_next_derivative(conn, prev)` at the point, as flat
+    dicts of their nonzero values under the same keys, without building that
+    table.  `values` maps each key of `prev` to its values at the point, and
+    `gamma` is `gamma_at(conn, point)`."""
+    out = {}
+    for key, mat, par, directions in _tower_steps(conn.chart, prev):
+        dirs, a, b = key
+        vals = values[key]
+        for c in directions:
+            out[((c,) + dirs, a, b)] = _covariant_step_at(conn, c, mat, vals, par, point, gamma[c])
+    return out
 
 
 def covariant_derivatives(conn: ConnectionData, ref, order: int):
@@ -694,18 +784,15 @@ def _symmetric_signature(block):
 def nabla_metric_component(metric: MetricData, conn: ConnectionData, a: int, b: int, c: int):
     """(nabla_a g)(d_b, d_c), which must vanish for a metric connection."""
     chart = metric.chart
-    pa, pb = chart.coord_parity(a), chart.coord_parity(b)
-    t = chart.sig.total
-    term = metric.g[b][c].partial(a + 1)
-    for d in range(t):
-        gam = conn.gamma[a][d][b]
-        if not (gam.is_zero() or metric.g[d][c].is_zero()):
-            term = term - gam * metric.g[d][c]
-        gam = conn.gamma[a][d][c]
-        if not (gam.is_zero() or metric.g[b][d].is_zero()):
-            sign = (-1) ** (pb * (pa + chart.coord_parity(c) + chart.coord_parity(d)) + pa * pb)
-            term = term - (gam * metric.g[b][d]).scale(sign)
-    return term
+    pa, pb, pc = chart.coord_parity(a), chart.coord_parity(b), chart.coord_parity(c)
+    g, gamma = metric.g, conn.gamma[a]
+    acc = {}
+    add_into(acc, g[b][c].partial(a + 1))
+    for d in range(chart.sig.total):
+        mul_into(acc, gamma[d][b], g[d][c], -1)
+        sign = (-1) ** (pb * (pa + pc + chart.coord_parity(d)) + pa * pb)
+        mul_into(acc, gamma[d][c], g[b][d], -sign)
+    return accumulated(chart.sig, acc)
 
 
 def levi_civita(metric: MetricData) -> ConnectionData:

@@ -12,12 +12,15 @@ from .geometry import (
     Chart,
     ConnectionData,
     DerivativeTable,
+    _derivative_at,
     _next_derivative,
     curvature,
+    gamma_at,
     nabla_section,
     pure_gauge_connection,
     scalar_matrix_inverse,
     sfmat_value,
+    values_at,
 )
 from .linalg import same_span, solve_kernel, span_echelon
 from .scalars import field_zero, scalar_float, to_field
@@ -42,7 +45,7 @@ class HolonomyResult:
         self.stabilized_at_order = stabilized_at_order
         self.generator_log = generator_log
         self.status = status  # 'stabilized' | 'capped'
-        self.tables = list(tables)  # canonical orders 0 and 1, as far as built
+        self.tables = list(tables)  # canonical order 0, and order 1 once built
 
     def __repr__(self):
         return "HolonomyResult(dim %d|%d, order %s, %s)" % (
@@ -65,6 +68,11 @@ def infinitesimal_holonomy(conn: ConnectionData, point, cap=None) -> HolonomyRes
     the algebra closed at the order before.  Stops at the first derivative
     order that adds no graded dimension after closure, or at the hard cap
     (status 'capped').
+
+    Only the values at the point of each order are read: order k is
+    evaluated at the point from the table of order k - 1 (`_derivative_at`),
+    and the table of order k is built only when the run goes on to order
+    k + 1.  `tables` holds order 0, and order 1 once it is built.
     """
     chart = conn.chart
     sig = chart.sig
@@ -82,22 +90,13 @@ def infinitesimal_holonomy(conn: ConnectionData, point, cap=None) -> HolonomyRes
     table = DerivativeTable.holonomy_seed(conn)
     tables = [table]
     log = []
-
     pt = sig.coerce_point(point)
-    t = rk.total
 
-    def harvest(tab, order):
+    def harvest(values, order):
         added = []
-        for key in sorted(tab.components):
-            # only the nonzero entries are evaluated; a component whose values
-            # at the point all vanish builds no matrix
-            flat = {}
-            for A, row in enumerate(tab.components[key]):
-                for B, f in enumerate(row):
-                    if f.terms:
-                        v = f.body_value(pt)
-                        if v:
-                            flat[A * t + B] = v
+        for key in sorted(values):
+            # a component whose values at the point all vanish builds no matrix
+            flat = values[key]
             if not flat:
                 continue
             m = SuperMatrix.from_flat(rk, flat, field)
@@ -114,22 +113,35 @@ def infinitesimal_holonomy(conn: ConnectionData, point, cap=None) -> HolonomyRes
             added.append(m)
         return added
 
-    algebra = generate_subalgebra(harvest(table, 0), rk, field)
+    values = {key: values_at(mat, pt) for key, mat in table.components.items()}
+    algebra = generate_subalgebra(harvest(values, 0), rk, field)
     if algebra.graded_dim == full_dims:
         return HolonomyResult(algebra, 1, log, "stabilized", tables)
 
+    gamma = gamma_at(conn, pt)
     for order in range(1, cap + 1):
-        table = _next_derivative(conn, table)
-        if order == 1:
-            tables.append(table)
+        if order > 1:
+            table = _next_derivative(conn, table)
+            if order == 2:
+                tables.append(table)
+        values = _derivative_at(conn, table, values, pt, gamma)
         # the algebra so far is closed: only this order's generators are new
-        bigger = generate_subalgebra(harvest(table, order), rk, field, algebra)
+        bigger = generate_subalgebra(harvest(values, order), rk, field, algebra)
         if bigger.total_dim == algebra.total_dim:
             return HolonomyResult(algebra, order, log, "stabilized", tables)
         algebra = bigger
         if algebra.graded_dim == full_dims:
             return HolonomyResult(algebra, order + 1, log, "stabilized", tables)
     return HolonomyResult(algebra, None, log, "capped", tables)
+
+
+def transport_tables(conn: ConnectionData, hol: HolonomyResult):
+    """The canonical order-0 and order-1 tables of a holonomy run, for
+    transport validation.  A run that stopped before it built order 1 gets
+    it here, once: it is kept on `hol.tables`.  A flat connection has none."""
+    if len(hol.tables) == 1:
+        hol.tables.append(_next_derivative(conn, hol.tables[0]))
+    return hol.tables
 
 
 # ---------------------------------------------------------- float transport

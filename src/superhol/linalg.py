@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import to_field
+from .scalars import RATIONAL, GaussianRational, to_field
 
 
 class SparseEchelon:
@@ -146,18 +146,27 @@ def solve_graded(parity, rows, field):
         cols[p].append(c)
     systems = ([], [])
     for row in rows:
-        try:
-            entries = [(index[c], v) for c, v in row.items() if v]
-        except KeyError as exc:
-            raise ValueError("unknown label %r" % exc.args) from None
-        if not entries:
-            continue
-        p = entries[0][0][0]
-        if any(q != p for (q, _), _ in entries):
-            raise ValueError("row mixes even and odd unknowns: %r" % (row,))
-        systems[p].append({j: v for (_, j), v in entries})
+        p, out = None, {}
+        for c, v in row.items():
+            if not v:
+                continue
+            try:
+                q, j = index[c]
+            except KeyError:
+                raise ValueError("unknown label %r" % (c,)) from None
+            if p is None:
+                p = q
+            elif q != p:
+                raise ValueError("row mixes even and odd unknowns: %r" % (row,))
+            out[j] = v
+        if out:
+            systems[p].append(out)
+    kind = Fraction if field == RATIONAL else GaussianRational
     return tuple(
-        [{labels[j]: to_field(v, field) for j, v in vec.items()} for vec in kernel_basis(system, len(labels))]
+        [
+            {labels[j]: v if v.__class__ is kind else to_field(v, field) for j, v in vec.items()}
+            for vec in kernel_basis(system, len(labels))
+        ]
         if labels else []
         for labels, system in zip(cols, systems)
     )

@@ -140,6 +140,18 @@ def _poly_scale(p, c):
     return {k: c * v for k, v in p.items()}
 
 
+def _poly_value(poly, point, field):
+    """An even polynomial {exps: coef} at even coordinates in the field."""
+    total = field_zero(field)
+    for exps, coef in poly.items():
+        term = coef
+        for c, e in zip(point, exps):
+            for _ in range(e):
+                term = term * c
+        total = total + term
+    return total
+
+
 def mul_into(acc, f, g, sign=1):
     """Add sign·f·g into `acc`, a raw {mask: {exps: coef}} accumulator.
 
@@ -365,14 +377,24 @@ class Superfunction:
 
     def body_value(self, point):
         """The body polynomial at even coordinates already in the field."""
-        total = field_zero(self.sig.field)
-        for exps, coef in self.terms.get(0, {}).items():
-            term = coef
-            for c, e in zip(point, exps):
-                for _ in range(e):
-                    term = term * c
-            total = total + term
-        return total
+        return _poly_value(self.terms.get(0, {}), point, self.sig.field)
+
+    def partial_body_value(self, a: int, point):
+        """The body at even coordinates already in the field of the left
+        partial derivative by coordinate index a in 1..n+m, without building
+        the derivative.  For an odd a that body is the xi_a-coefficient (its
+        sign is +1: no generator comes before xi_a); for an even a it is the
+        x_a-derivative of the body."""
+        sig = self.sig
+        if a > sig.n:
+            return _poly_value(self.terms.get(1 << (a - sig.n - 1), {}), point, sig.field)
+        i = a - 1
+        derivative = {
+            exps[:i] + (exps[i] - 1,) + exps[i + 1 :]: coef * exps[i]
+            for exps, coef in self.terms.get(0, {}).items()
+            if exps[i]
+        }
+        return _poly_value(derivative, point, sig.field)
 
     def coefficient(self, indices) -> dict:
         """Polynomial coefficient of a given odd index tuple (sorted)."""

@@ -49,16 +49,21 @@ def test_holonomy_builds_the_tower_through_its_own_global(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(holonomy, "_next_derivative", counted)
+    # the curvature vanishes at 0 and its first derivative does not: the run
+    # goes on to order 2, which needs the order-1 table
     conn = decode_connection({
         "chart": {"n": 2, "m": 0},
-        "gamma": {"1,1,2": "0-x2", "1,2,1": "x2"},
+        "gamma": {"1,1,2": "0-x2^2", "1,2,1": "x2^2"},
     })
-    holonomy.infinitesimal_holonomy(conn, [0, 0])
+    hol = holonomy.infinitesimal_holonomy(conn, [0, 0])
+    assert hol.stabilized_at_order == 2
     assert calls
 
 
 def test_transport_validation_builds_no_second_tower(monkeypatch):
-    # the transport check evaluates the tables the holonomy run built
+    # the transport check evaluates the tables the holonomy run built; this
+    # run stops at order 1, which it evaluates from order 0 without building
+    # its table, so the transport check builds order 1 once
     full, orders = [], []
     original, order_zero = holonomy._next_derivative, DerivativeTable.order_zero
 
@@ -74,4 +79,5 @@ def test_transport_validation_builds_no_second_tower(monkeypatch):
     rep, ok = cli.run_problem(doc, steps=200)
     assert ok and rep["result"]["transport_validation"]["ok"]
     assert not full
-    assert orders == alone == [0]
+    assert alone == []
+    assert orders == [0]

@@ -601,6 +601,49 @@ class TestRicci:
         assert ricci_kahler_identity_holds(lc, j)
 
 
+def reference_nabla_metric_component(metric, conn, a, b, c):
+    """(nabla_a g)(d_b, d_c) summed term by term, each term a new
+    superfunction."""
+    chart = metric.chart
+    pa, pb = chart.coord_parity(a), chart.coord_parity(b)
+    term = metric.g[b][c].partial(a + 1)
+    for d in range(chart.sig.total):
+        gam = conn.gamma[a][d][b]
+        if not (gam.is_zero() or metric.g[d][c].is_zero()):
+            term = term - gam * metric.g[d][c]
+        gam = conn.gamma[a][d][c]
+        if not (gam.is_zero() or metric.g[b][d].is_zero()):
+            sign = (-1) ** (pb * (pa + chart.coord_parity(c) + chart.coord_parity(d)) + pa * pb)
+            term = term - (gam * metric.g[b][d]).scale(sign)
+    return term
+
+
+def random_soul_metric(rng, sig):
+    """A metric with a constant standard body (m even) plus a seeded soul:
+    random supersymmetric entries with every body term dropped, scaled by a
+    non-real unit over the Gaussian field."""
+    chart = Chart.tangent(sig)
+    n, t = sig.n, sig.total
+    unit = GaussianRational(1, 1) if sig.field == GAUSSIAN else 1
+    g = sfmat_zeros(sig, t, t)
+    for i in range(n):
+        g[i][i] = Superfunction.constant(sig, rng.choice([1, -1, 2]))
+    for k in range(n, t - 1, 2):
+        g[k][k + 1] = Superfunction.constant(sig, 1)
+        g[k + 1][k] = Superfunction.constant(sig, -1)
+    for b in range(t):
+        for c in range(b, t):
+            pb, pc = chart.coord_parity(b), chart.coord_parity(c)
+            if b == c and pb:
+                continue  # g(b, b) = -g(b, b) for odd b
+            soul = random_superfunction(rng, sig, (pb + pc) % 2)
+            soul = Superfunction(sig, {k: v for k, v in soul.terms.items() if k}).scale(unit)
+            g[b][c] = g[b][c] + soul
+            if b != c:
+                g[c][b] = g[b][c].scale((-1) ** (pb * pc))
+    return MetricData(chart, g)
+
+
 class TestLeviCivita:
     def test_constant_metric_gives_zero(self):
         sig = ChartSignature(2, 2)
@@ -699,6 +742,25 @@ class TestLeviCivita:
                         assert bc == nabla_metric_component(metric, conn, a, c, b).scale(sign)
                         if b == c and chart.coord_parity(b):
                             assert bc.is_zero()
+
+    @pytest.mark.parametrize("field", [RATIONAL, GAUSSIAN])
+    @pytest.mark.parametrize("n, m", [(2, 0), (0, 2), (1, 2), (2, 2)])
+    def test_nabla_metric_matches_the_term_by_term_sum(self, n, m, field):
+        from superhol.geometry import nabla_metric_component
+
+        sig = ChartSignature(n, m, field)
+        chart = Chart.tangent(sig)
+        rng = random.Random("nabla g %d|%d %s" % (n, m, field))
+        metric = random_soul_metric(rng, sig)
+        # a metric connection, and connections that are not
+        conns = [levi_civita(metric)] + [random_connection(rng, chart) for _ in range(2)]
+        nonzero = 0
+        for conn in conns:
+            for a, b, c in itertools.product(range(sig.total), repeat=3):
+                got = nabla_metric_component(metric, conn, a, b, c)
+                assert got == reference_nabla_metric_component(metric, conn, a, b, c)
+                nonzero += bool(got)
+        assert nonzero
 
     def test_non_nilpotent_body_rejected(self):
         # the classical surface metric diag(1, (1+x1)^2) has no polynomial

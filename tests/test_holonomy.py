@@ -28,15 +28,18 @@ from superhol.geometry import (
     DerivativeTable,
     MetricData,
     TensorSpace,
+    _derivative_at,
     _next_derivative,
     covariant_derivatives,
     curvature,
+    gamma_at,
     levi_civita,
     pure_gauge_connection,
     sfmat_value,
     sfmat_zeros,
     tensor_extension,
     torsion,
+    values_at,
 )
 from superhol.holonomy import (
     SectionData,
@@ -189,9 +192,11 @@ class TestTransport:
     def test_conjugated_generators_embed(self):
         conn = self.rotation_connection()
         hol = infinitesimal_holonomy(conn, [Fraction(1, 2), Fraction(1, 2)])
-        assert [tab.order for tab in hol.tables] == [0, 1]
+        tables = hl.transport_tables(conn, hol)
+        assert [tab.order for tab in tables] == [0, 1]
+        assert hl.transport_tables(conn, hol) is tables
         gens = conjugated_generators(
-            conn, [0.5, 0.5], [[[0.5, 0.5], [0.9, 0.6], [0.7, 0.9]]], hol.tables, steps=5000
+            conn, [0.5, 0.5], [[[0.5, 0.5], [0.9, 0.6], [0.7, 0.9]]], tables, steps=5000
         )
         assert gens
         assert span_embedding_residual(gens, hol.algebra) < 1e-6
@@ -278,7 +283,7 @@ class TestTransportReusesTheTower:
                     for mat in tab.components.values()
                 )
                 assert got["generators"] == nonzero
-        # zero curvature, all of gl at order 0, and a run past order 0
+        # zero curvature, runs that keep only order 0, and a run past order 1
         assert kept == {0, 1, 2}
 
 
@@ -920,3 +925,108 @@ class TestSparseHarvest:
             and not any(v for row in sfmat_value(mat, point) for v in row)
         ]
         assert vanishing
+
+
+def built_table_holonomy(conn, point, cap):
+    """The holonomy loop that builds every order's table before it evaluates
+    it, the last order too: (algebra, stop order, status, generator log)."""
+    chart = conn.chart
+    rk, field = chart.rank, chart.sig.field
+    full_dims = (rk.p ** 2 + rk.q ** 2, 2 * rk.p * rk.q)
+    if curvature(conn).is_zero():
+        return SubSuperalgebra.zero(rk, field), 0, "stabilized", []
+    table = DerivativeTable.holonomy_seed(conn)
+    log = []
+    pt = chart.sig.coerce_point(point)
+    t = rk.total
+
+    def harvest(tab, order):
+        added = []
+        for key in sorted(tab.components):
+            flat = {}
+            for A, row in enumerate(tab.components[key]):
+                for B, f in enumerate(row):
+                    if f.terms:
+                        v = f.body_value(pt)
+                        if v:
+                            flat[A * t + B] = v
+            if not flat:
+                continue
+            m = SuperMatrix.from_flat(rk, flat, field)
+            dirs, a, b = key
+            want = (sum(chart.coord_parity(d) for d in dirs) + chart.coord_parity(a) + chart.coord_parity(b)) % 2
+            assert m.parity == want
+            log.append((order, (tuple(d + 1 for d in dirs), a + 1, b + 1), m))
+            added.append(m)
+        return added
+
+    algebra = generate_subalgebra(harvest(table, 0), rk, field)
+    if algebra.graded_dim == full_dims:
+        return algebra, 1, "stabilized", log
+    for order in range(1, cap + 1):
+        table = _next_derivative(conn, table)
+        bigger = generate_subalgebra(harvest(table, order), rk, field, algebra)
+        if bigger.total_dim == algebra.total_dim:
+            return algebra, order, "stabilized", log
+        algebra = bigger
+        if algebra.graded_dim == full_dims:
+            return algebra, order + 1, "stabilized", log
+    return algebra, None, "capped", log
+
+
+class TestEvaluatedOrders:
+    """Each order evaluated at the point from the table before it, against
+    the table of that order built whole and then evaluated."""
+
+    # field, chart n|m, rank p|q, Christoffel entries
+    CASES = [
+        (RATIONAL, (0, 2), (2, 2), 5),
+        (GAUSSIAN, (0, 2), (1, 1), 4),
+        (RATIONAL, (1, 1), (1, 1), 4),
+        (GAUSSIAN, (1, 1), (2, 1), 4),
+        (RATIONAL, (2, 1), (2, 1), 4),
+        (GAUSSIAN, (2, 1), (1, 1), 4),
+        (RATIONAL, (1, 2), (1, 2), 4),
+        (GAUSSIAN, (1, 2), (1, 1), 4),
+        (RATIONAL, (2, 2), (2, 2), 5),
+        (GAUSSIAN, (2, 2), (1, 1), 5),
+    ]
+
+    @staticmethod
+    def points(sig):
+        far = [Fraction(3, 7), Fraction(-5, 11)][: sig.n]
+        return [[0] * sig.n, far] if sig.n else [[]]
+
+    @pytest.mark.parametrize("field, nm, pq, entries", CASES)
+    def test_same_run_as_the_built_tables(self, field, nm, pq, entries):
+        sig = ChartSignature(*nm, field)
+        chart = Chart(sig, SuperDim(*pq))
+        past_order_one = 0
+        for seed in range(4):
+            conn = random_sparse_connection(random.Random(seed), chart, entries)
+            for point in self.points(sig):
+                for cap in (1, 2, 3):
+                    hol = infinitesimal_holonomy(conn, point, cap)
+                    algebra, order, status, log = built_table_holonomy(conn, point, cap)
+                    assert hol.algebra.basis() == algebra.basis()
+                    assert (hol.stabilized_at_order, hol.status) == (order, status)
+                    assert [(r, label) for r, label, _ in hol.generator_log] == [(r, label) for r, label, _ in log]
+                    assert [m for _, _, m in hol.generator_log] == [m for _, _, m in log]
+                    past_order_one += len(hol.tables) == 2
+        assert past_order_one
+
+    @pytest.mark.parametrize("field, nm, pq, entries", CASES)
+    def test_each_key_is_the_built_table_at_the_point(self, field, nm, pq, entries):
+        sig = ChartSignature(*nm, field)
+        chart = Chart(sig, SuperDim(*pq))
+        for seed in range(2):
+            conn = random_sparse_connection(random.Random(seed), chart, entries)
+            tower = _canonical_tower(conn, 3)
+            for point in self.points(sig):
+                pt = sig.coerce_point(point)
+                gamma = gamma_at(conn, pt)
+                values = [{key: values_at(mat, pt) for key, mat in tab.components.items()} for tab in tower]
+                for k in (1, 2, 3):
+                    got = _derivative_at(conn, tower[k - 1], values[k - 1], pt, gamma)
+                    assert list(got) == list(values[k])
+                    assert got == values[k]

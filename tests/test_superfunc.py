@@ -161,6 +161,20 @@ class TestPartial:
         with pytest.raises(IndexError):
             sf("x1").partial(5)
 
+    @pytest.mark.parametrize("field", [RATIONAL, GAUSSIAN])
+    def test_body_value_of_the_derivative(self, field):
+        # the body at a point of every partial, without building the partial
+        sig = ChartSignature(2, 2, field)
+        rng = random.Random("partial body %s" % field)
+        far = [to_field(Fraction(3, 7), field), to_field(Fraction(-5, 11), field)]
+        if field == GAUSSIAN:
+            far[1] = GaussianRational(Fraction(-5, 11), Fraction(1, 2))
+        for _ in range(20):
+            f = random_superfunction(rng, sig, maxdeg=3)
+            for point in ([to_field(0, field)] * 2, far):
+                for a in range(1, sig.total + 1):
+                    assert f.partial_body_value(a, point) == f.partial(a).body_value(point)
+
 
 class TestValueAndParity:
     def test_body_projection(self):
