@@ -379,6 +379,19 @@ class DerivativeTable:
         return DerivativeTable(chart, 0, comps, canonical=True)
 
 
+def _step_signs(chart: Chart, c: int, par: int):
+    """The super signs of ∇_c on a component whose coordinate indices have
+    total parity `par`, as (fiber, left, right): `fiber` lists the parity of
+    each fiber index, and in entry [A][B] of the step the term
+    M^C_B Γ^A_{cC} carries left[|B| ^ |C|] = (−1)^{|c|(par+|B|+|C|)} and the
+    term Γ^C_{cB} M^A_C carries right[|C| ^ |B|] = −(−1)^{par(|C|+|B|)}."""
+    pc = chart.coord_parity(c)
+    fiber = [0] * chart.rank.p + [1] * chart.rank.q
+    left = ((-1) ** (pc * par), (-1) ** (pc * (par + 1)))
+    right = (-1, -((-1) ** par))
+    return fiber, left, right
+
+
 def _covariant_step(conn: ConnectionData, c: int, mat, par: int):
     """∇_c of one End(E)-valued component over the flat coordinate reference.
 
@@ -396,19 +409,18 @@ def _covariant_step(conn: ConnectionData, c: int, mat, par: int):
     sig = chart.sig
     rk = chart.rank.total
     gamma_cols, gamma_rows = conn.nonzero_gamma(c)
-    pc = chart.coord_parity(c)
-    fiber = [0] * chart.rank.p + [1] * chart.rank.q
+    fiber, left, right = _step_signs(chart, c, par)
     acc = {}
     for C, row in enumerate(mat):
         for B, m in enumerate(row):
             if not m.terms:
                 continue
             add_into(acc.setdefault((C, B), {}), m.partial(c + 1))
-            sign = (-1) ** (pc * (par + fiber[B] + fiber[C]))
+            sign = left[fiber[B] ^ fiber[C]]
             for A, g in gamma_cols[C]:
                 mul_into(acc.setdefault((A, B), {}), m, g, sign)
             for B2, g in gamma_rows[B]:
-                mul_into(acc.setdefault((C, B2), {}), g, m, -((-1) ** (par * (fiber[B] + fiber[B2]))))
+                mul_into(acc.setdefault((C, B2), {}), g, m, right[fiber[B] ^ fiber[B2]])
     new = sfmat_zeros(sig, rk, rk)
     for (A, B), raw in acc.items():
         f = accumulated(sig, raw)
@@ -476,14 +488,13 @@ def _covariant_step_at(conn: ConnectionData, c: int, mat, values, par: int, poin
     The body of a product is the product of the bodies, so each term of the
     step is one product of scalars: `values` holds the body values of `mat`
     at the point (`values_at`), `gamma_c` those of Γ_c (`gamma_at`), and
-    the body of ∂_c M^C_B comes from `partial_body_value`.  The signs are
-    those of `_covariant_step`.
+    the body of ∂_c M^C_B comes from `partial_body_value`.  The signs come
+    from `_step_signs`, as in `_covariant_step`.
     """
     chart = conn.chart
     t = chart.rank.total
     gamma_cols, gamma_rows = gamma_c
-    pc = chart.coord_parity(c)
-    fiber = [0] * chart.rank.p + [1] * chart.rank.q
+    fiber, left, right = _step_signs(chart, c, par)
     acc = {}
 
     def add(k, v):
@@ -500,11 +511,11 @@ def _covariant_step_at(conn: ConnectionData, c: int, mat, values, par: int, poin
             v = values.get(C * t + B)
             if v is None:
                 continue
-            left = -v if pc * (par + fiber[B] + fiber[C]) % 2 else v
+            lv = left[fiber[B] ^ fiber[C]] * v
             for A, g in gamma_cols[C]:
-                add(A * t + B, left * g)
+                add(A * t + B, lv * g)
             for B2, g in gamma_rows[B]:
-                add(C * t + B2, g * v if par * (fiber[B] + fiber[B2]) % 2 else -(g * v))
+                add(C * t + B2, right[fiber[B] ^ fiber[B2]] * (g * v))
     return {k: v for k, v in acc.items() if v}
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import RATIONAL, GaussianRational, to_field
+from .scalars import to_field
 
 
 class SparseEchelon:
@@ -161,12 +161,8 @@ def solve_graded(parity, rows, field):
             out[j] = v
         if out:
             systems[p].append(out)
-    kind = Fraction if field == RATIONAL else GaussianRational
     return tuple(
-        [
-            {labels[j]: v if v.__class__ is kind else to_field(v, field) for j, v in vec.items()}
-            for vec in kernel_basis(system, len(labels))
-        ]
+        [{labels[j]: to_field(v, field) for j, v in vec.items()} for vec in kernel_basis(system, len(labels))]
         if labels else []
         for labels, system in zip(cols, systems)
     )

@@ -309,8 +309,10 @@ def test_criterion_10_numeric_transport():
     assert all(o >= 2.7 for o in orders)
 
     hol = hl.infinitesimal_holonomy(conn, pt)
+    tables = hl.transport_tables(conn, hol)
+    assert [tab.order for tab in tables] == [0, 1]
     gens = hl.conjugated_generators(
-        conn, x0, [[x0, [0.8, 0.5], [0.8, 0.8]]], hol.tables, steps=10000
+        conn, x0, [[x0, [0.8, 0.5], [0.8, 0.8]]], tables, steps=10000
     )
     residual = hl.span_embedding_residual(gens, hol.algebra)
     assert residual < 1e-6
