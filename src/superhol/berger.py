@@ -596,6 +596,7 @@ def _proportional(flat_a: dict, flat_b: dict) -> bool:
         return not flat_a and not flat_b
     if set(flat_a) != set(flat_b):
         return False
+    # a = r·b for r = a_key / b_key, compared without dividing
     key = next(iter(flat_a))
-    ratio = flat_a[key] / flat_b[key]
-    return all(flat_a[k] == ratio * flat_b[k] for k in flat_b)
+    a0, b0 = flat_a[key], flat_b[key]
+    return all(flat_a[k] * b0 == a0 * flat_b[k] for k in flat_b)

@@ -19,7 +19,7 @@ from . import berger as bg
 from . import geometry as geo
 from . import holonomy as hl
 from . import reportio as rio
-from .scalars import NotRealError, scalar_float
+from .scalars import NotRealError, field_one, scalar_float
 from .superfunc import ChartSignature, Superfunction, parse_superfunction, sf_to_str
 from .superlin import (
     StructureTensor,
@@ -43,7 +43,7 @@ from .superlin import (
 
 def _pairwise_j(dim: SuperDim, field):
     t = dim.total
-    one = Fraction(1)
+    one = field_one(field)
     flat = {}
     for base, size in ((0, dim.p), (dim.p, dim.q)):
         for k in range(base, base + size - 1, 2):
@@ -274,10 +274,9 @@ def run_problem(doc, cap_order=None, steps=None, with_timing=False):
     try:
         kind, payload, options = rio.decode_problem(doc)
         if cap_order is not None:
-            options["cap_order"] = cap_order
+            options["cap_order"] = rio.check_option("cap_order", cap_order)
         if steps is not None:
-            rio.check_transport_steps(steps)
-            options["transport_steps"] = steps
+            options["transport_steps"] = rio.check_option("transport_steps", steps)
         report["kind"] = kind
         if kind == "connection":
             report["result"] = connection_report(payload, options)

@@ -9,8 +9,10 @@ coordinate a; each entry is homogeneous of parity |a|+|A|+|B|.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .linalg import span_echelon
-from .scalars import RATIONAL, field_one, field_zero
+from .scalars import RATIONAL, field_one, field_zero, to_field
 from .superfunc import ChartSignature, Superfunction, accumulated, add_into, mul_into
 from .superlin import SuperDim, SuperMatrix, cyclic_terms, sorted_cyclic_terms
 
@@ -748,8 +750,6 @@ def validate_metric(metric: MetricData, point=None):
 
 def _symmetric_signature(block):
     """(positives, negatives) of a rational symmetric matrix by congruence."""
-    from fractions import Fraction
-
     m = [[Fraction(v) for v in row] for row in block]
     n = len(m)
     pos = neg = 0
@@ -792,13 +792,17 @@ def _symmetric_signature(block):
     return (pos, neg)
 
 
-def nabla_metric_component(metric: MetricData, conn: ConnectionData, a: int, b: int, c: int):
-    """(nabla_a g)(d_b, d_c), which must vanish for a metric connection."""
+def nabla_metric_component(metric: MetricData, conn: ConnectionData, a: int, b: int, c: int, dg_abc=None):
+    """(nabla_a g)(d_b, d_c), which must vanish for a metric connection.
+
+    dg_abc is d_a g_bc when the caller holds it already; otherwise it is
+    differentiated here.
+    """
     chart = metric.chart
     pa, pb, pc = chart.coord_parity(a), chart.coord_parity(b), chart.coord_parity(c)
     g, gamma = metric.g, conn.gamma[a]
     acc = {}
-    add_into(acc, g[b][c].partial(a + 1))
+    add_into(acc, g[b][c].partial(a + 1) if dg_abc is None else dg_abc)
     for d in range(chart.sig.total):
         mul_into(acc, gamma[d][b], g[d][c], -1)
         sign = (-1) ** (pb * (pa + pc + chart.coord_parity(d)) + pa * pb)
@@ -816,7 +820,7 @@ def levi_civita(metric: MetricData) -> ConnectionData:
     t = sig.total
     g = metric.g
     g_inv = sfmat_inverse(g, sig)
-    half = field_one(sig.field) / 2
+    half = to_field(Fraction(1, 2), sig.field)
     # dg[x][y][z] = d_x g_yz, each differentiated once
     dg = [[[g[y][z].partial(x + 1) for z in range(t)] for y in range(t)] for x in range(t)]
     gamma = [sfmat_zeros(sig, t, t) for _ in range(t)]
@@ -843,7 +847,7 @@ def levi_civita(metric: MetricData) -> ConnectionData:
     for a in range(t):
         for b in range(t):
             for c in range(b, t):
-                if not nabla_metric_component(metric, conn, a, b, c).is_zero():
+                if not nabla_metric_component(metric, conn, a, b, c, dg[a][b][c]).is_zero():
                     raise AssertionError("Koszul output failed the metric-parallel check")
     return conn
 

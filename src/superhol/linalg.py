@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import to_field
+from .scalars import canonical, to_field
 
 
 class SparseEchelon:
@@ -19,7 +19,10 @@ class SparseEchelon:
     Every pivot row has a 1 at its pivot and no other pivot column, so
     eliminating one pivot from a vector never brings in another.  `_holders`
     indexes the rest: each non-pivot column maps to the set of pivots whose
-    rows hold it (a set may be left empty).
+    rows hold it (a set may be left empty).  Integral rationals stay Python
+    ints: `reduce` puts its input in `scalars.canonical` form, and `insert`
+    divides only by a pivot other than ±1, through a Fraction, and puts the
+    quotients in that form too.
     """
 
     def __init__(self):
@@ -28,7 +31,7 @@ class SparseEchelon:
 
     def reduce(self, vec: dict) -> dict:
         """Residual of vec after eliminating all current pivots."""
-        vec = {c: v for c, v in vec.items() if v}
+        vec = {c: canonical(v) for c, v in vec.items() if v}
         rows = self.pivot_rows
         for p in [c for c in vec if c in rows]:
             coef = vec.pop(p)
@@ -49,10 +52,16 @@ class SparseEchelon:
         if not res:
             return False
         pivot = min(res)
-        inv = res[pivot]
-        if isinstance(inv, int):
-            inv = Fraction(inv)  # an int pivot would divide into floats
-        row = {c: v / inv for c, v in res.items()}
+        lead = res[pivot]
+        # a unit pivot needs no division, so int entries stay ints
+        if lead == 1:
+            row = res
+        elif lead == -1:
+            row = {c: -v for c, v in res.items()}
+        else:
+            if lead.__class__ is int:
+                lead = Fraction(lead)  # int / int would be a float
+            row = {c: canonical(v / lead) for c, v in res.items()}
         holders = self._holders
         # back-substitute into the rows that hold the new pivot, keeping the
         # form reduced and the index exact
@@ -121,7 +130,7 @@ def kernel_basis(rows, ncols: int):
     for f in range(ncols):
         if f in ech.pivot_rows:
             continue
-        vec = {f: Fraction(1)}
+        vec = {f: 1}
         for p in sorted(ech._holders.get(f, ())):
             vec[p] = -ech.pivot_rows[p][f]
         basis.append(vec)

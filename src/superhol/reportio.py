@@ -27,6 +27,8 @@ KINDS = ("connection", "metric", "algebra", "prolongation", "pi_adjoint")
 # Largest `options.transport_steps` (or `--steps`) accepted: the float
 # transport's time is linear in the number of steps.
 MAX_TRANSPORT_STEPS = 100_000
+# The integer options, each with the least value it may take.
+INTEGER_OPTIONS = {"cap_order": 0, "transport_steps": 0, "order": 1}
 
 
 def _require(obj, key, path):
@@ -42,15 +44,18 @@ def _require_object(obj, key, path):
     return value
 
 
-def _int(value, path):
-    try:
-        return int(value)
-    except (TypeError, ValueError):
+def _int(value, path, least=None):
+    """A JSON integer, at least `least` when that is given.  A float, a
+    string or a bool is not one: none of them is read as an integer."""
+    if value.__class__ is not int:
         raise ProblemError(path, "must be an integer")
+    if least is not None and value < least:
+        raise ProblemError(path, "must be at least %d" % least)
+    return value
 
 
-def _require_int(obj, key, path):
-    return _int(_require(obj, key, path), path + "/" + key)
+def _require_int(obj, key, path, least=None):
+    return _int(_require(obj, key, path), path + "/" + key, least)
 
 
 def _scalar(value, field, path):
@@ -75,8 +80,8 @@ def _field(obj):
 
 
 def decode_chart(obj, path="/chart") -> ChartSignature:
-    n = _require_int(obj, "n", path)
-    m = _require_int(obj, "m", path)
+    n = _require_int(obj, "n", path, 0)
+    m = _require_int(obj, "m", path, 0)
     try:
         return ChartSignature(n, m, _field(obj))
     except ValueError as exc:
@@ -89,7 +94,7 @@ def decode_connection(obj, path="") -> ConnectionData:
         chart = Chart.tangent(sig)
     else:
         rank_obj = _require_object(obj, "rank", path)
-        rank = SuperDim(_require_int(rank_obj, "p", path + "/rank"), _require_int(rank_obj, "q", path + "/rank"))
+        rank = SuperDim(_require_int(rank_obj, "p", path + "/rank", 0), _require_int(rank_obj, "q", path + "/rank", 0))
         tangent = bool(obj.get("tangent", rank.p == sig.n and rank.q == sig.m))
         chart = Chart(sig, rank, tangent_sheaf=tangent and rank.p == sig.n and rank.q == sig.m)
     entries = {}
@@ -135,14 +140,14 @@ def decode_algebra(obj, path="/algebra") -> SubSuperalgebra:
             params = tuple(_int(x, "%s/params/%d" % (path, k)) for k, x in enumerate(params))
             if len(params) == 1:
                 params = params[0]
-        elif not isinstance(params, int):
+        elif params.__class__ is not int:
             raise ProblemError(path + "/params", "must be an integer or a list of integers")
         try:
             return classical_superalgebra(obj["name"], params, field)
         except (TypeError, ValueError) as exc:
             raise ProblemError(path, str(exc))
     dim_obj = _require_object(obj, "dim", path)
-    dim = SuperDim(_require_int(dim_obj, "p", path + "/dim"), _require_int(dim_obj, "q", path + "/dim"))
+    dim = SuperDim(_require_int(dim_obj, "p", path + "/dim", 0), _require_int(dim_obj, "q", path + "/dim", 0))
     mats = []
     for section in ("even", "odd"):
         for k, flat in enumerate(obj.get(section, [])):
@@ -170,10 +175,9 @@ def decode_problem(obj):
     if not isinstance(options, dict):
         raise ProblemError("/options", "must be an object")
     options = dict(options)
-    for key in ("cap_order", "transport_steps", "order"):
+    for key in INTEGER_OPTIONS:
         if options.get(key) is not None:
-            options[key] = _int(options[key], "/options/" + key)
-    check_transport_steps(options.get("transport_steps"))
+            options[key] = check_option(key, options[key])
     payload = None
     if kind == "connection":
         payload = decode_connection(obj)
@@ -184,10 +188,14 @@ def decode_problem(obj):
     return kind, payload, options
 
 
-def check_transport_steps(steps):
-    """Reject a step count above MAX_TRANSPORT_STEPS at /options/transport_steps."""
-    if steps is not None and steps > MAX_TRANSPORT_STEPS:
+def check_option(key, value):
+    """The value of an integer option, from a problem file or a command-line
+    flag, checked at /options/<key>: an integer no less than its least value
+    in INTEGER_OPTIONS, and a step count no more than MAX_TRANSPORT_STEPS."""
+    value = _int(value, "/options/" + key, INTEGER_OPTIONS[key])
+    if key == "transport_steps" and value > MAX_TRANSPORT_STEPS:
         raise ProblemError("/options/transport_steps", "must be at most %d" % MAX_TRANSPORT_STEPS)
+    return value
 
 
 def decode_point(options, sig: ChartSignature):

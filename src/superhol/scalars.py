@@ -1,9 +1,17 @@
 """Exact scalar fields: rationals and Gaussian rationals.
 
-Every coefficient in the engine is either a `fractions.Fraction` (field tag
-``rational``) or a `GaussianRational` (field tag ``gaussian-rational``).  Both
-support +, -, *, /, ==, bool and canonical string printing, so all higher
-layers are generic over the two.
+Every coefficient in the engine is either a rational (field tag ``rational``)
+or a `GaussianRational` (field tag ``gaussian-rational``).  A rational is a
+plain `int` when it is integral and a reduced `fractions.Fraction` otherwise,
+so that arithmetic on the many small integral values stays in ints.
+`to_field`, `field_zero`, `field_one` and `parse_scalar` return that form, as
+do a superfunction's value at a point and the kernel vectors of
+`linalg.solve_graded`; `linalg.SparseEchelon` puts its input and its
+quotients in it.  Other sums and products may give an integral `Fraction`,
+which equals its int and prints the same.  A true division must go through a
+`Fraction` (or a `GaussianRational`), since int / int is a float, and no
+float is ever a scalar.  Both fields support +, -, *, ==, bool and canonical
+string printing, so all higher layers are generic over the two.
 """
 
 from __future__ import annotations
@@ -108,26 +116,41 @@ I_UNIT = GaussianRational(0, 1)
 
 
 def field_zero(field):
-    return Fraction(0) if field == RATIONAL else GaussianRational(0)
+    return 0 if field == RATIONAL else GaussianRational(0)
 
 
 def field_one(field):
-    return Fraction(1) if field == RATIONAL else GaussianRational(1)
+    return 1 if field == RATIONAL else GaussianRational(1)
+
+
+def canonical(value):
+    """A rational `Fraction` with denominator 1 as its int; any other scalar
+    as it is."""
+    if value.__class__ is Fraction and value.denominator == 1:
+        return value.numerator
+    return value
 
 
 def to_field(value, field):
-    """Coerce an int/Fraction/GaussianRational into the given field."""
+    """Coerce an int/Fraction/GaussianRational into the given field: over the
+    rationals an int when the value is integral, else a reduced Fraction.  A
+    float is not exact and raises TypeError."""
+    cls = value.__class__
     if field == RATIONAL:
-        if value.__class__ is Fraction:
+        if cls is int:
             return value
-        if isinstance(value, GaussianRational):
+        if cls is Fraction:
+            return value.numerator if value.denominator == 1 else value
+        if cls is GaussianRational:
             if value.im != 0:
                 raise ValueError("imaginary value over the rational field")
-            return value.re
-        return Fraction(value)
-    if isinstance(value, GaussianRational):
+            return canonical(value.re)
+    elif cls is GaussianRational:
         return value
-    return GaussianRational(Fraction(value))
+    if isinstance(value, float):
+        raise TypeError("a float is not an exact scalar: %r" % (value,))
+    value = Fraction(value)
+    return canonical(value) if field == RATIONAL else GaussianRational(value)
 
 
 class NotRealError(ValueError):
@@ -166,7 +189,7 @@ def parse_scalar(text: str, field: str):
     """Inverse of scalar_str for the given field."""
     s = text.strip()
     if field == RATIONAL:
-        return Fraction(s)
+        return canonical(Fraction(s))
     if s.endswith("i"):
         body = s[:-1].strip()
         # split into real and imaginary pieces at the last top-level +/-

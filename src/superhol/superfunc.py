@@ -17,6 +17,7 @@ from .scalars import (
     GAUSSIAN,
     RATIONAL,
     GaussianRational,
+    canonical,
     field_one,
     field_zero,
     scalar_str,
@@ -141,7 +142,8 @@ def _poly_scale(p, c):
 
 
 def _poly_value(poly, point, field):
-    """An even polynomial {exps: coef} at even coordinates in the field."""
+    """An even polynomial {exps: coef} at even coordinates in the field, as
+    `scalars.canonical` gives it."""
     total = field_zero(field)
     for exps, coef in poly.items():
         term = coef
@@ -149,7 +151,7 @@ def _poly_value(poly, point, field):
             for _ in range(e):
                 term = term * c
         total = total + term
-    return total
+    return canonical(total)
 
 
 def mul_into(acc, f, g, sign=1):

@@ -10,6 +10,12 @@ from superhol.superfunc import ChartSignature, Superfunction
 from superhol.superlin import SuperDim, SuperMatrix
 
 
+def is_canonical_rational(value):
+    """An int when the value is integral, else a Fraction with denominator
+    above 1: never a float, an integral Fraction or a bool."""
+    return type(value) is int or (type(value) is Fraction and value.denominator > 1)
+
+
 def random_superfunction(rng, sig, parity=None, maxdeg=1, density=1):
     f = Superfunction.zero(sig)
     for mask in range(1 << sig.m):

@@ -127,6 +127,18 @@ class TestRunPipelines:
             ({"kind": "connection", "chart": {"n": 2, "m": 0}, "gamma": {"1,1,1": "((1+x1+x2)^16)^16"}}, "/gamma/1,1,1"),
             ({"kind": "connection", "chart": {"n": 1, "m": 0}, "gamma": {"1,1,1": "((((((2^16)^16)^16)^16)^16)^16)*x1"}}, "/gamma/1,1,1"),
             ({"kind": "connection", "chart": {"n": 1, "m": 0}, "gamma": {"1,1,1": "x1"}, "options": {"transport_steps": 10 ** 9}}, "/options/transport_steps"),
+            # integer fields take JSON integers only, each at least its least value
+            ({"kind": "connection", "chart": {"n": 1.7, "m": 0}, "gamma": {"1,1,1": "x1"}}, "/chart/n"),
+            ({"kind": "connection", "chart": {"n": "1", "m": 0}, "gamma": {"1,1,1": "x1"}}, "/chart/n"),
+            ({"kind": "connection", "chart": {"n": True, "m": 0}, "gamma": {"1,1,1": "x1"}}, "/chart/n"),
+            ({"kind": "connection", "chart": {"n": 1, "m": -1}, "gamma": {}}, "/chart/m"),
+            ({"kind": "connection", "chart": {"n": 1, "m": 0}, "rank": {"p": -1, "q": 0}, "gamma": {}}, "/rank/p"),
+            ({"kind": "algebra", "algebra": {"dim": {"p": 1, "q": -2}}}, "/algebra/dim/q"),
+            ({"kind": "algebra", "algebra": {"name": "gl", "params": True}}, "/algebra/params"),
+            ({"kind": "prolongation", "algebra": {"name": "sl", "params": [2, 1]}, "options": {"order": 2.9}}, "/options/order"),
+            ({"kind": "prolongation", "algebra": {"name": "sl", "params": [2, 1]}, "options": {"order": 0}}, "/options/order"),
+            ({"kind": "connection", "chart": {"n": 1, "m": 0}, "gamma": {"1,1,1": "x1"}, "options": {"cap_order": -1}}, "/options/cap_order"),
+            ({"kind": "connection", "chart": {"n": 1, "m": 0}, "gamma": {"1,1,1": "x1"}, "options": {"transport_steps": -5}}, "/options/transport_steps"),
         ],
     )
     def test_malformed_input_is_an_error_report(self, doc, path):
@@ -272,6 +284,12 @@ class TestTransportStepsLimit:
     def test_steps_argument_above_the_limit(self):
         rep, ok = cli.run_problem(self.ROTATION, steps=MAX_TRANSPORT_STEPS + 1)
         assert not ok and rep["error"].startswith("/options/transport_steps: ")
+
+    @pytest.mark.parametrize("flags, path", [({"steps": -5}, "/options/transport_steps"), ({"cap_order": -1}, "/options/cap_order")])
+    def test_arguments_below_their_least_value(self, flags, path):
+        # the command-line flags meet the same bounds as the problem's options
+        rep, ok = cli.run_problem(self.ROTATION, **flags)
+        assert not ok and rep["error"] == path + ": must be at least 0"
 
     def test_oversized_document_does_not_end_the_batch(self, tmp_path):
         big = tmp_path / "big.json"

@@ -40,6 +40,7 @@ from superhol.geometry import (
 )
 
 from conftest import (
+    is_canonical_rational,
     random_connection,
     random_sparse_connection,
     random_superfunction,
@@ -332,7 +333,10 @@ class TestEvaluation:
             point = [rng.randint(-2, 2), scalar()]
             got = sfmat_value(mat, point)
             assert got == [[f.value(point) for f in row] for row in mat]
-            assert all(type(v) is type(field_zero(field)) for row in got for v in row)
+            if field == RATIONAL:
+                assert all(is_canonical_rational(v) for row in got for v in row)
+            else:
+                assert all(type(v) is GaussianRational for row in got for v in row)
             for bad in ([1], [1, 2, 3]):
                 with pytest.raises(ValueError):
                     sfmat_value(mat, bad)
@@ -390,7 +394,7 @@ class TestCovariantDerivatives:
         tables = covariant_derivatives(conn, None, 1)
         mat = tables[1].components[((0,), 0, 0)]
         value = mat[0][0].value([])
-        assert isinstance(value, Fraction)  # one component: trivially in span{id}
+        assert is_canonical_rational(value)  # one component: trivially in span{id}
 
 
 class TestTorsionAndBianchi:
@@ -658,6 +662,22 @@ class TestLeviCivita:
         )
         assert levi_civita(metric).is_zero()
 
+    def test_half_factor_stays_exact(self):
+        # Gamma = 1/2 K g^-1, and d_1 g_11 = xi1*xi2 gives Gamma^1_11 = 1/2 xi1*xi2:
+        # the 1/2 must be a Fraction, as int / int would give a float
+        sig = ChartSignature(1, 2)
+        chart = Chart.tangent(sig)
+        metric = MetricData.from_entries(
+            chart, {(1, 1): parse_superfunction("1 + x1*xi1*xi2", sig), (2, 3): Superfunction.constant(sig, 1)}
+        )
+        conn = levi_civita(metric)
+        assert conn.gamma[0][0][0] == parse_superfunction("1/2*xi1*xi2", sig)
+        coefficients = [
+            v for plane in conn.gamma for row in plane for f in row for poly in f.terms.values() for v in poly.values()
+        ]
+        assert coefficients and all(type(v) in (int, Fraction) for v in coefficients)
+        assert Fraction(1, 2) in coefficients
+
     def test_classical_koszul_oracle_gaussian_surface(self):
         # m = 0 metric over the gaussian field with polynomial exact inverse:
         # g = I + x1 * N with N = [[1, i], [i, -1]] nilpotent symmetric
@@ -759,6 +779,8 @@ class TestLeviCivita:
             for a, b, c in itertools.product(range(sig.total), repeat=3):
                 got = nabla_metric_component(metric, conn, a, b, c)
                 assert got == reference_nabla_metric_component(metric, conn, a, b, c)
+                # as levi_civita calls it, with d_a g_bc already formed
+                assert got == nabla_metric_component(metric, conn, a, b, c, metric.g[b][c].partial(a + 1))
                 nonzero += bool(got)
         assert nonzero
 
