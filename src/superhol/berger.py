@@ -9,9 +9,11 @@ graded antisymmetry supplying the rest.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from functools import cached_property
 from itertools import combinations_with_replacement, permutations
 
-from .linalg import combine, same_span, solve_graded, span_echelon
+from .linalg import SparseEchelon, combine, graded_blocks, same_span, solve_graded, span_echelon
 from .scalars import field_zero, to_field
 from .superlin import (
     SubSuperalgebra,
@@ -283,25 +285,41 @@ class ProlongationLevel:
 
     Each element is a graded-symmetric tensor T(d_1, ..., d_k, B) with values
     in V, stored as {(S, A): scalar}: its A-component on the sorted
-    (k+1)-tuple S, for the tuples in which no odd index repeats.  `multimaps`
-    expands the basis on demand into flat multimaps {(d_1, ..., d_k, A, B):
+    (k+1)-tuple S, for the tuples in which no odd index repeats.  The level
+    holds the reduced echelon of each parity block of its system, so its
+    graded dim is read from the ranks; `tensors` is built on first use, and
+    `multimaps` expands the basis into flat multimaps {(d_1, ..., d_k, A, B):
     scalar}, the entries (A, B) of the matrix in g that e_{d_1}, ..., e_{d_k}
     map to.
     """
 
-    def __init__(self, dim: SuperDim, k: int, kernels):
+    def __init__(self, dim: SuperDim, k: int, blocks, field):
         self.dim = dim
         self.k = k
-        self.tensors = [*kernels[0], *kernels[1]]
-        self.parities = [sigma for sigma, kernel in enumerate(kernels) for _ in kernel]
-
-    @property
-    def graded_dim(self):
-        return (self.parities.count(0), self.parities.count(1))
+        self.field = field
+        self._blocks = blocks  # per parity: (unknown labels, echelon of the rows)
+        self.graded_dim = tuple(len(labels) - ech.rank for labels, ech in blocks)
 
     @property
     def total_dim(self):
-        return len(self.parities)
+        return sum(self.graded_dim)
+
+    @cached_property
+    def tensors(self):
+        field = self.field
+        return [
+            {labels[j]: to_field(v, field) for j, v in vec.items()}
+            for labels, ech in self._blocks
+            for vec in ech.kernel(len(labels))
+        ]
+
+    @property
+    def parities(self):
+        return [sigma for sigma, n in enumerate(self.graded_dim) for _ in range(n)]
+
+    def support(self):
+        """The unknowns (S, A) on which some element of the level is nonzero."""
+        return {labels[c] for labels, ech in self._blocks for c in ech.kernel_support(len(labels))}
 
     def multimaps(self):
         out = []
@@ -332,6 +350,19 @@ def _koszul_sort(dim: SuperDim, idx):
     return tuple(sorted(idx)), (-1) ** inversions
 
 
+def _insertion(p: int, i, b: int):
+    """`_koszul_sort` of i + (b,) for a sorted i in which no odd index repeats,
+    found by inserting b: an even b (b < p) passes no odd index, and every
+    index above an odd b is odd, so the sign counts the entries of i above b,
+    and is 0 when b is odd and already in i."""
+    j = bisect_left(i, b)
+    if b < p:
+        return i[:j] + (b,) + i[j:], 1
+    if j < len(i) and i[j] == b:
+        return None, 0
+    return i[:j] + (b,) + i[j:], -1 if (len(i) - j) % 2 else 1
+
+
 def _symmetric_tuples(dim: SuperDim, r: int):
     """Sorted r-tuples of basis indices in which no odd index repeats."""
     return [
@@ -341,15 +372,36 @@ def _symmetric_tuples(dim: SuperDim, r: int):
     ]
 
 
+def _pruned_unknowns(dim: SuperDim, support):
+    """The unknowns (S, A) of the next level that the support of this one
+    allows, in column order: g^(k) lies in V* (x) g^(k-1), so U[(S, A)] can be
+    nonzero only if (S minus one copy of d, A) is in the support for every d
+    in S.  Each S is reached once, from S minus its last index."""
+    t, p = dim.total, dim.p
+    kept = []
+    for s0, a in support:
+        last = s0[-1]
+        for b in range(last + (last >= p), t):
+            s = s0 + (b,)
+            if all((s[:j] + s[j + 1:], a) in support for j in range(len(s0)) if s[j] != s[j + 1]):
+                kept.append((s, a))
+    kept.sort()
+    return kept
+
+
 def cartan_prolongation(dim: SuperDim, g0: SubSuperalgebra, order: int) -> ProlongationTower:
     """Levels 1..order of the prolongation tower of g0 acting on V.
 
-    Each level is one graded solve from g0 alone (Sternberg, Lectures on
+    Each level is one graded system from g0 alone (Sternberg, Lectures on
     Differential Geometry, ch. VII): the unknowns are the values U[(S, A)] of
     a graded-symmetric tensor, and each functional phi in the annihilator of
     g0 gives, for every sorted k-tuple I, the row
     sum_{A,B} phi_AB eps(I + B) U[sort(I + B), A] = 0, with eps the Koszul
-    sign.  A level after a zero level is zero and is not solved.
+    sign.  Since g^(k) lies in V* (x) g^(k-1), an unknown is kept only where
+    the level below allows it (`_pruned_unknowns`), once that level's support
+    is not full; the kept unknowns keep their order, so the canonical basis is
+    the one of the whole system.  A level after a zero level is zero and is
+    not solved.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -357,34 +409,69 @@ def cartan_prolongation(dim: SuperDim, g0: SubSuperalgebra, order: int) -> Prolo
     field = g0.field
     # homogeneous functionals phi_AB on gl(V) that vanish on g0
     cols = {(a, b): (dim.parity(a) + dim.parity(b)) % 2 for a in range(t) for b in range(t)}
-    rows = ({(a, b): m.entries[a][b] for (a, b) in cols} for m in g0.basis())
+    basis = g0.basis()
+    rows = ({(a, b): m.entries[a][b] for (a, b) in cols} for m in basis)
     annihilator = [phi for kernel in solve_graded(cols, rows, field) for phi in kernel]
     fiber = [dim.parity(a) for a in range(t)]
+    # the support of g0 as level 0: the entries (A, B) that g0 reaches
+    support = {((pos % t,), pos // t) for m in basis for pos in m._flat}
+    full = len(support) == t * t
     levels = []
     for k in range(1, order + 1):
-        kernels = ((), ())
+        blocks = ([], SparseEchelon()), ([], SparseEchelon())
         if not levels or levels[-1].total_dim:
-            parity = {}
-            for s in _symmetric_tuples(dim, k + 1):
-                odd = sum(fiber[a] for a in s)
-                for a in range(t):
-                    parity[(s, a)] = (odd + fiber[a]) % 2
-            kernels = solve_graded(parity, _prolongation_rows(dim, annihilator, k), field)
-        levels.append(ProlongationLevel(dim, k, kernels))
+            if full:
+                parity, rows = {}, _prolongation_rows(dim, annihilator, k)
+                for s in _symmetric_tuples(dim, k + 1):
+                    odd = sum(fiber[a] for a in s)
+                    for a in range(t):
+                        parity[(s, a)] = (odd + fiber[a]) % 2
+            else:
+                parity = {(s, a): (sum(fiber[b] for b in s) + fiber[a]) % 2 for s, a in _pruned_unknowns(dim, support)}
+                rows = _prolongation_rows(dim, annihilator, k, parity)
+            labels, systems = graded_blocks(parity, rows)
+            blocks = [(labs, span_echelon(system)) for labs, system in zip(labels, systems)]
+        level = ProlongationLevel(dim, k, blocks, field)
+        levels.append(level)
+        if k < order and level.total_dim:
+            support = level.support()
+            full = full and len(support) == len(parity)
     return ProlongationTower(levels)
 
 
-def _prolongation_rows(dim: SuperDim, annihilator, k: int):
-    """phi(T(I, -)) = 0 for every functional phi and sorted k-tuple I."""
-    for i in _symmetric_tuples(dim, k):
-        sorts = [_koszul_sort(dim, i + (b,)) for b in range(dim.total)]
-        for phi in annihilator:
-            row = {}
-            for (a, b), v in phi.items():
-                s, sign = sorts[b]
-                if sign:
-                    row[(s, a)] = v if sign > 0 else -v
-            yield row
+def _prolongation_rows(dim: SuperDim, annihilator, k: int, unknowns=None):
+    """phi(T(I, -)) = 0 for every functional phi and sorted k-tuple I.
+
+    Given the unknowns a pruned level keeps, only the terms on them are
+    written, only for the I that reach one of them (S minus one index), and
+    rows left empty are skipped."""
+    t, p = dim.total, dim.p
+    if unknowns is None:
+        for i in _symmetric_tuples(dim, k):
+            sorts = [_insertion(p, i, b) for b in range(t)]
+            for phi in annihilator:
+                row = {}
+                for (a, b), v in phi.items():
+                    s, sign = sorts[b]
+                    if sign:
+                        row[(s, a)] = v if sign > 0 else -v
+                yield row
+        return
+    by_entry = {}  # (A, B) -> (functional index, phi_AB) over the annihilator
+    for n, phi in enumerate(annihilator):
+        for ab, v in phi.items():
+            by_entry.setdefault(ab, []).append((n, v))
+    for i in sorted({s[:j] + s[j + 1:] for s, _ in unknowns for j in range(len(s))}):
+        rows = {}
+        for b in range(t):
+            s, sign = _insertion(p, i, b)
+            if not sign:
+                continue
+            for a in range(t):
+                if (s, a) in unknowns:
+                    for n, v in by_entry.get((a, b), ()):
+                        rows.setdefault(n, {})[(s, a)] = v if sign > 0 else -v
+        yield from rows.values()
 
 
 # --------------------------------------------------- Spencer rank identity

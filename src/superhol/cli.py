@@ -201,7 +201,7 @@ def transport_validation(conn: geo.ConnectionData, point, hol: hl.HolonomyResult
 
 def metric_report(metric: geo.MetricData, options):
     report = {"metric_valid": None}
-    validation = geo.validate_metric(metric)
+    validation = metric.validation or geo.validate_metric(metric)
     report["metric_valid"] = validation["valid"]
     report["metric_failures"] = validation["failures"]
     if validation["even_signature"] is not None:

@@ -675,10 +675,12 @@ class MetricData:
             raise ValueError("metric lives on the tangent sheaf")
         self.chart = chart
         self.g = g  # g[a][b] superfunctions
+        # the `validate_metric` report at the default point, kept for reuse
+        self.validation = None
         if validate:
-            report = validate_metric(self)
-            if not report["valid"]:
-                raise ValueError("invalid metric: %s" % "; ".join(report["failures"]))
+            self.validation = validate_metric(self)
+            if not self.validation["valid"]:
+                raise ValueError("invalid metric: %s" % "; ".join(self.validation["failures"]))
 
     @staticmethod
     def from_entries(chart: Chart, entries) -> "MetricData":

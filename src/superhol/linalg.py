@@ -99,6 +99,27 @@ class SparseEchelon:
         """Canonical basis rows sorted by pivot column."""
         return [dict(self.pivot_rows[p]) for p in sorted(self.pivot_rows)]
 
+    def kernel(self, ncols: int):
+        """Canonical basis of {x : row . x = 0 for every row}, over columns
+        0..ncols-1: one vector per free column, in increasing order, with a 1
+        there, no other free column, and its pivots read from the index."""
+        rows = self.pivot_rows
+        basis = []
+        for f in range(ncols):
+            if f in rows:
+                continue
+            vec = {f: 1}
+            for p in sorted(self._holders.get(f, ())):
+                vec[p] = -rows[p][f]
+            basis.append(vec)
+        return basis
+
+    def kernel_support(self, ncols: int):
+        """The columns, of 0..ncols-1, on which some kernel vector is nonzero:
+        every free column, and every pivot whose row holds another entry."""
+        rows = self.pivot_rows
+        return [c for c in range(ncols) if c not in rows or len(rows[c]) > 1]
+
 
 def combine(terms) -> dict:
     """The sparse sum of c·v over (c, v) pairs, each v a sparse dict, with zero
@@ -125,34 +146,25 @@ def kernel_basis(rows, ncols: int):
     free columns in increasing order, each basis vector reduced and with a 1
     at its free column.
     """
-    ech = span_echelon(rows)
-    basis = []
-    for f in range(ncols):
-        if f in ech.pivot_rows:
-            continue
-        vec = {f: 1}
-        for p in sorted(ech._holders.get(f, ())):
-            vec[p] = -ech.pivot_rows[p][f]
-        basis.append(vec)
-    return basis
+    return span_echelon(rows).kernel(ncols)
 
 
-def solve_graded(parity, rows, field):
-    """Canonical (even, odd) kernel bases of a sparse system whose unknowns
-    carry labels and whose every row is homogeneous.
+def graded_blocks(parity, rows):
+    """Route a labelled system whose every row is homogeneous into its even
+    and odd blocks: (labels, systems), where labels[p] lists the labels of
+    parity p in column order and systems[p] holds the rows of block p as
+    dicts {column: coefficient}, column j standing for labels[p][j].
 
     parity maps each label to 0 or 1, in column order; rows are dicts
-    {label: coefficient} from any iterable, with zero coefficients dropped.
-    Each row goes to the block of its unknowns' parity, and each block is
-    solved on its own: a row that mixes parities, or names an unknown label,
-    raises ValueError.  Each kernel vector is a dict {label: scalar} in the
-    given field with a 1 at its free column, in the order of the free columns.
+    {label: coefficient} from any iterable.  Zero coefficients are dropped,
+    and so are rows left empty.  A row that mixes parities, or names a label
+    that parity does not, raises ValueError.
     """
-    cols = ([], [])
+    labels = ([], [])
     index = {}
     for c, p in parity.items():
-        index[c] = (p, len(cols[p]))
-        cols[p].append(c)
+        index[c] = (p, len(labels[p]))
+        labels[p].append(c)
     systems = ([], [])
     for row in rows:
         p, out = None, {}
@@ -170,10 +182,25 @@ def solve_graded(parity, rows, field):
             out[j] = v
         if out:
             systems[p].append(out)
+    return labels, systems
+
+
+def solve_graded(parity, rows, field):
+    """Canonical (even, odd) kernel bases of a sparse system whose unknowns
+    carry labels and whose every row is homogeneous.
+
+    parity maps each label to 0 or 1, in column order; rows are dicts
+    {label: coefficient} from any iterable, with zero coefficients dropped.
+    Each row goes to the block of its unknowns' parity, and each block is
+    solved on its own: a row that mixes parities, or names an unknown label,
+    raises ValueError.  Each kernel vector is a dict {label: scalar} in the
+    given field with a 1 at its free column, in the order of the free columns.
+    """
+    labels, systems = graded_blocks(parity, rows)
     return tuple(
-        [{labels[j]: to_field(v, field) for j, v in vec.items()} for vec in kernel_basis(system, len(labels))]
-        if labels else []
-        for labels, system in zip(cols, systems)
+        [{labs[j]: to_field(v, field) for j, v in vec.items()} for vec in kernel_basis(system, len(labs))]
+        if labs else []
+        for labs, system in zip(labels, systems)
     )
 
 

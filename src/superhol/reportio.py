@@ -150,7 +150,10 @@ def decode_algebra(obj, path="/algebra") -> SubSuperalgebra:
     dim = SuperDim(_require_int(dim_obj, "p", path + "/dim", 0), _require_int(dim_obj, "q", path + "/dim", 0))
     mats = []
     for section in ("even", "odd"):
-        for k, flat in enumerate(obj.get(section, [])):
+        flats = obj.get(section, [])
+        if not isinstance(flats, list):
+            raise ProblemError("%s/%s" % (path, section), "must be a list")
+        for k, flat in enumerate(flats):
             t = dim.total
             if not isinstance(flat, list) or len(flat) != t * t:
                 raise ProblemError("%s/%s/%d" % (path, section, k), "expected %d entries" % (t * t))

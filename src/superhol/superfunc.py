@@ -33,9 +33,14 @@ MAX_DEGREE = 16
 # Deepest parenthesis nesting the parser accepts: each level costs a few
 # Python stack frames, and the recursion limit must not be the bound.
 MAX_NESTING = 64
-# Largest bit length of a numerator or denominator that a `*` or `^` may
-# produce: nested constant powers multiply it by up to 16 a level.
+# Largest bit length of a numerator or denominator that a literal may name or
+# a `*` or `^` may produce: nested constant powers multiply it by up to 16 a
+# level.
 MAX_COEFFICIENT_BITS = 1024
+# Longest run of digits the tokenizer reads, leading zeros included: without
+# them, a longer number is above MAX_COEFFICIENT_BITS, MAX_EXPONENT and any
+# coordinate index, and int() never meets its own length limit.
+MAX_DIGITS = len(str(2**MAX_COEFFICIENT_BITS))
 
 
 class ChartSignature:
@@ -509,26 +514,20 @@ def _tokenize(text):
             tokens.append((c, c, i))
             i += 1
             continue
-        if c.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
+        if c.isdecimal():
+            j = _digits_end(text, i)
             tokens.append(("int", text[i:j], i))
             i = j
             continue
         if text.startswith("xi", i):
-            j = i + 2
-            while j < len(text) and text[j].isdigit():
-                j += 1
+            j = _digits_end(text, i + 2)
             if j == i + 2:
                 raise SyntaxErrorAt("odd variable needs an index", i)
             tokens.append(("oddvar", text[i + 2 : j], i))
             i = j
             continue
         if c == "x":
-            j = i + 1
-            while j < len(text) and text[j].isdigit():
-                j += 1
+            j = _digits_end(text, i + 1)
             if j == i + 1:
                 raise SyntaxErrorAt("even variable needs an index", i)
             tokens.append(("evenvar", text[i + 1 : j], i))
@@ -541,6 +540,17 @@ def _tokenize(text):
         raise SyntaxErrorAt("unexpected character %r" % c, i)
     tokens.append(("end", "", len(text)))
     return tokens
+
+
+def _digits_end(text, i):
+    """End of the run of decimal digits from i, which `int` reads: at most
+    MAX_DIGITS of them."""
+    j = i
+    while j < len(text) and text[j].isdecimal():
+        j += 1
+    if j - i > MAX_DIGITS:
+        raise SyntaxErrorAt("a number of more than %d digits" % MAX_DIGITS, i)
+    return j
 
 
 def _even_degree(f: Superfunction) -> int:
@@ -564,7 +574,7 @@ class _Parser:
     atom := rational | 'i' | evenvar | oddvar | '(' expr ')'.
 
     A `*` or `^` whose factors' even degrees add up to more than MAX_DEGREE,
-    or one of whose multiplications gives a coefficient of more than
+    a literal or a multiplication that gives a coefficient of more than
     MAX_COEFFICIENT_BITS bits, and a `(` nested deeper than MAX_NESTING, are
     syntax errors at that token.
     """
@@ -654,8 +664,8 @@ class _Parser:
                 d = int(den[1])
                 if d == 0:
                     raise SyntaxErrorAt("zero denominator", den[2])
-                return Superfunction.constant(self.sig, Fraction(num, d))
-            return Superfunction.constant(self.sig, num)
+                return self.check_coefficients(Superfunction.constant(self.sig, Fraction(num, d)), tok)
+            return self.check_coefficients(Superfunction.constant(self.sig, num), tok)
         if kind == "imag":
             if self.sig.field != GAUSSIAN:
                 raise SyntaxErrorAt("'i' is only valid over the gaussian-rational field", pos)

@@ -646,9 +646,13 @@ def classical_superalgebra(name: str, params, field=RATIONAL) -> SubSuperalgebra
     """
     if name in ("gl", "sl", "osp", "osp_sk", "cosp"):
         p, q = params
-    else:
+    elif name in ("pe", "spe", "q", "cpe", "cspe"):
+        if not isinstance(params, int) and not params:
+            raise ValueError("%s takes a parameter n" % name)
         n = params if isinstance(params, int) else params[0]
         p = q = n
+    else:
+        raise ValueError("unknown classical superalgebra %r" % (name,))
     dim = SuperDim(p, q)
     if name == "gl":
         return full_gl(dim, field)
@@ -665,8 +669,7 @@ def classical_superalgebra(name: str, params, field=RATIONAL) -> SubSuperalgebra
         return cut_by_functionals(pe, [supertrace])
     if name == "q":
         return stabilizer_algebra(standard_odd_complex_structure(p, field=field))
-    if name in ("cosp", "cpe", "cspe"):
-        base = classical_superalgebra(name[1:], params, field)
-        mats = base.basis() + [SuperMatrix.identity(dim, field)]
-        return SubSuperalgebra.from_matrices(dim, mats, field)
-    raise ValueError("unknown classical superalgebra %r" % name)
+    # cosp, cpe and cspe
+    base = classical_superalgebra(name[1:], params, field)
+    mats = base.basis() + [SuperMatrix.identity(dim, field)]
+    return SubSuperalgebra.from_matrices(dim, mats, field)

@@ -31,7 +31,7 @@ from superhol.berger import (
     spencer_rank_identity,
     symmetric_berger_check,
 )
-from superhol import berger, linalg
+from superhol import berger, cli, linalg
 from superhol.linalg import SparseEchelon, kernel_basis, same_span, span_echelon
 from superhol.scalars import GAUSSIAN, RATIONAL, GaussianRational
 
@@ -40,6 +40,7 @@ from conftest import random_homogeneous_matrix
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench"))
 
 from checks import classical_forms  # noqa: E402
+from workloads import BERGER_PI_ADJOINT  # noqa: E402
 
 
 class TestCurvatureSpace:
@@ -267,11 +268,19 @@ class TestProlongations:
         assert tower.graded_dims() == [g_k(k) for k in range(1, 6)]
 
     @pytest.mark.parametrize("name, params, solves", [("gl", (1, 1), 4), ("osp", (2, 2), 2)], ids=str)
-    def test_one_solve_per_level_not_known_to_be_zero(self, monkeypatch, name, params, solves):
-        # the annihilator, then each level until one is zero
+    def test_one_system_per_level_not_known_to_be_zero(self, monkeypatch, name, params, solves):
+        # the annihilator (routed inside solve_graded), then each level until
+        # one is zero (routed by the level loop itself)
         calls = []
-        monkeypatch.setattr(berger, "solve_graded", lambda *args: calls.append(1) or linalg.solve_graded(*args))
+        route = linalg.graded_blocks
+
+        def spy(*args):
+            calls.append(1)
+            return route(*args)
+
         g0 = classical_superalgebra(name, params)
+        monkeypatch.setattr(linalg, "graded_blocks", spy)
+        monkeypatch.setattr(berger, "graded_blocks", spy)
         cartan_prolongation(g0.dim, g0, 3)
         assert len(calls) == solves
 
@@ -302,6 +311,98 @@ def assert_matches_naive(dim, g0, order):
         assert same_span(lvl.multimaps(), naive)
     return dims
 
+
+def eager_prolongation(dim, g0, order):
+    """The unpruned, eager solve that `cartan_prolongation` replaced: every
+    level over all its unknowns, with the rows of one Koszul sort per term,
+    each level's basis built at once.  Returns (tensors, parities) per level."""
+    t, field = dim.total, g0.field
+    cols = {(a, b): (dim.parity(a) + dim.parity(b)) % 2 for a in range(t) for b in range(t)}
+    rows = ({(a, b): m.entries[a][b] for (a, b) in cols} for m in g0.basis())
+    annihilator = [phi for kernel in linalg.solve_graded(cols, rows, field) for phi in kernel]
+    levels = []
+    for k in range(1, order + 1):
+        parity = {
+            (s, a): (sum(map(dim.parity, s)) + dim.parity(a)) % 2
+            for s in berger._symmetric_tuples(dim, k + 1)
+            for a in range(t)
+        }
+        kernels = linalg.solve_graded(parity, reference_prolongation_rows(dim, annihilator, k), field)
+        levels.append(([*kernels[0], *kernels[1]], [sigma for sigma, ker in enumerate(kernels) for _ in ker]))
+    return levels
+
+
+def unknown_count(level):
+    return sum(len(labels) for labels, _ in level._blocks)
+
+
+class TestPrunedLazyLevels:
+    @staticmethod
+    def assert_matches_eager(dim, g0, order):
+        """The pruned, lazy levels give the eager solve's canonical bases;
+        returns how many nonzero levels were solved over fewer unknowns."""
+        tower = cartan_prolongation(dim, g0, order)
+        pruned = 0
+        for level, (tensors, parities) in zip(tower.levels, eager_prolongation(dim, g0, order)):
+            assert "tensors" not in vars(level)  # nothing built before it is read
+            assert level.graded_dim == (parities.count(0), parities.count(1))
+            assert level.tensors == tensors and level.parities == parities
+            assert level.support() == {key for tensor in tensors for key in tensor}
+            unknowns = len(berger._symmetric_tuples(dim, level.k + 1)) * dim.total
+            pruned += bool(level.total_dim and unknown_count(level) < unknowns)
+        return pruned
+
+    @pytest.mark.parametrize("field", (RATIONAL, GAUSSIAN))
+    def test_seeded_subalgebras(self, field):
+        rng = random.Random("pruned %s" % field)
+        pruned = 0
+        for dim in (SuperDim(1, 1), SuperDim(2, 1), SuperDim(1, 2), SuperDim(2, 2)):
+            for _ in range(6):
+                pruned += self.assert_matches_eager(dim, random_subalgebra(rng, dim, field), 3)
+        # some nonzero levels were solved over a pruned set of unknowns
+        assert pruned >= 3
+
+    @pytest.mark.parametrize("name, params", BERGER_PI_ADJOINT, ids=str)
+    def test_pi_adjoint_representations(self, name, params):
+        vdim, rep_alg, _, _ = berger.pi_adjoint_representation(classical_superalgebra(name, params))
+        tower = cartan_prolongation(vdim, rep_alg, 2)
+        self.assert_matches_eager(vdim, rep_alg, 2)
+        # level 2 is solved over a handful of the unknowns of S^3 V* (x) V
+        assert unknown_count(tower.levels[1]) <= 4
+
+    @pytest.mark.parametrize("p, q", [(2, 2), (3, 1), (1, 3), (0, 3), (4, 2)])
+    def test_insertion_sign_is_the_koszul_sign(self, p, q):
+        dim = SuperDim(p, q)
+        for k in range(4):
+            for i in berger._symmetric_tuples(dim, k):
+                for b in range(dim.total):
+                    assert berger._insertion(p, i, b) == berger._koszul_sort(dim, i + (b,)), (i, b)
+
+    def test_prolongation_reports_build_no_basis(self, monkeypatch):
+        kernels = []
+        kernel = SparseEchelon.kernel
+
+        def spy(self, ncols):
+            kernels.append(ncols)
+            return kernel(self, ncols)
+
+        alg = classical_superalgebra("sl", (2, 1))
+        monkeypatch.setattr(SparseEchelon, "kernel", spy)
+        report = cli.prolongation_report(alg, {"order": 3})
+        assert [level["dim"] for level in report["levels"]] == [[6, 6], [8, 8], [10, 10]]
+        # the annihilator's two blocks over the 3 x 3 entries are the one basis built
+        assert sorted(kernels) == [4, 5]
+
+
+    def test_pi_adjoint_test_builds_only_the_levels_it_reads(self, monkeypatch):
+        towers = []
+        prolong = berger.cartan_prolongation
+        monkeypatch.setattr(berger, "cartan_prolongation", lambda *args: towers.append(prolong(*args)) or towers[-1])
+        res = pi_adjoint_test(classical_superalgebra("sl", (2, 0)))
+        assert res["g1_dim"] == (0, 1) and res["g2_dim"] == (0, 0) and res["generator_matches"]
+        # g1 is one element, matched against the generator; g2 is read by its dims
+        (tower,) = towers
+        assert "tensors" in vars(tower.levels[0]) and "tensors" not in vars(tower.levels[1])
 
 class TestSpencer:
     def test_gl_rows_have_zero_h22(self):

@@ -71,6 +71,20 @@ class TestRunPipelines:
         res = rep["result"]
         assert res["metric_valid"] and res["holonomy_dim"] == [3, 0]
 
+    def test_metric_is_validated_once(self, monkeypatch):
+        # decoding validates the metric; the report reuses that result
+        calls = []
+        validate = geo.validate_metric
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return validate(*args, **kwargs)
+
+        monkeypatch.setattr(geo, "validate_metric", spy)
+        rep, ok = cli.run_problem(load("example_metric02.json"))
+        assert ok and rep["result"]["metric_valid"]
+        assert len(calls) == 1
+
     def test_prolongation_file(self):
         rep, ok = cli.run_problem(load("example_prolong_cosp.json"))
         assert ok
@@ -139,6 +153,13 @@ class TestRunPipelines:
             ({"kind": "prolongation", "algebra": {"name": "sl", "params": [2, 1]}, "options": {"order": 0}}, "/options/order"),
             ({"kind": "connection", "chart": {"n": 1, "m": 0}, "gamma": {"1,1,1": "x1"}, "options": {"cap_order": -1}}, "/options/cap_order"),
             ({"kind": "connection", "chart": {"n": 1, "m": 0}, "gamma": {"1,1,1": "x1"}, "options": {"transport_steps": -5}}, "/options/transport_steps"),
+            # found by tests/test_fuzz.py: an unknown name without params, an
+            # empty parameter list, and a basis section that is not a list
+            ({"kind": "algebra", "algebra": {"name": "1 + x2"}}, "/algebra"),
+            ({"kind": "algebra", "algebra": {"name": "pe", "params": []}}, "/algebra"),
+            ({"kind": "algebra", "algebra": {"dim": {"p": 1, "q": 1}, "odd": False}}, "/algebra/odd"),
+            ({"kind": "connection", "chart": {"n": 1, "m": 0}, "gamma": {"1,1,1": "x²"}}, "/gamma/1,1,1"),
+            ({"kind": "connection", "chart": {"n": 1, "m": 0}, "gamma": {"1,1,1": "4" * 5000}}, "/gamma/1,1,1"),
         ],
     )
     def test_malformed_input_is_an_error_report(self, doc, path):

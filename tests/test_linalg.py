@@ -348,3 +348,24 @@ def test_to_field_matches_the_fraction_to_field():
         for value in (0.5, 2.0):
             with pytest.raises(TypeError, match="float"):
                 to_field(value, field)
+
+
+@pytest.mark.parametrize("field", (RATIONAL, GAUSSIAN))
+def test_kernel_support_is_read_from_the_echelon(field):
+    # every free column, and every pivot whose row holds another entry, is
+    # exactly where some kernel vector is nonzero, block by block
+    rng = random.Random("kernel support %s" % field)
+    for _ in range(60):
+        ncols = rng.randint(1, 12)
+        parity = {("u", c): rng.randint(0, 1) for c in range(ncols)}
+        rows = []
+        for row in random_system(rng, field, ncols):
+            keep = rng.randint(0, 1)
+            rows.append({("u", c): v for c, v in row.items() if parity[("u", c)] == keep})
+        labels, systems = linalg.graded_blocks(parity, rows)
+        kernels = solve_graded(parity, rows, field)
+        for labs, system, kernel in zip(labels, systems, kernels):
+            ech = linalg.span_echelon(system)
+            assert ech.kernel(len(labs)) == kernel_basis(system, len(labs))
+            support = {labs[c] for c in ech.kernel_support(len(labs))}
+            assert support == {key for vec in kernel for key in vec}

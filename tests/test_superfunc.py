@@ -89,6 +89,18 @@ class TestParser:
             sf("(((2^16)^16)^3 * i) * (2^16)^16", ChartSignature(2, 2, GAUSSIAN))
         assert err.value.pos == 20
 
+    def test_long_numbers_and_non_decimal_digits(self):
+        # a literal is held to MAX_COEFFICIENT_BITS as a product is, and no
+        # digit run reaches int()'s own length limit or a non-decimal digit
+        big = str(2**MAX_COEFFICIENT_BITS)
+        assert sf(str(2**MAX_COEFFICIENT_BITS - 1) + "*x1").terms[0] == {(1, 0): 2**MAX_COEFFICIENT_BITS - 1}
+        for text, pos in (("x1 + " + big, 5), ("1/" + big, 0), ("x1 + " + "0" * 400 + "1", 5),
+                          ("x1^" + "1" * 5000, 3), ("x" + "1" * 5000, 1), ("xi" + "1" * 5000, 2),
+                          ("x²", 0), ("2²", 1)):
+            with pytest.raises(SyntaxErrorAt) as err:
+                sf(text)
+            assert err.value.pos == pos, text
+
     def test_nesting_bound(self):
         deep = "(" * MAX_NESTING + "x1" + ")" * MAX_NESTING
         assert sf(deep) == sf("x1")
