@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import cached_property
-from itertools import combinations_with_replacement, permutations
+from itertools import permutations
 
 from .linalg import SparseEchelon, combine, graded_blocks, same_span, solve_graded, span_echelon
 from .scalars import field_zero, to_field
@@ -363,30 +363,28 @@ def _insertion(p: int, i, b: int):
     return i[:j] + (b,) + i[j:], -1 if (len(i) - j) % 2 else 1
 
 
-def _symmetric_tuples(dim: SuperDim, r: int):
-    """Sorted r-tuples of basis indices in which no odd index repeats."""
-    return [
-        s
-        for s in combinations_with_replacement(range(dim.total), r)
-        if not any(a == b >= dim.p for a, b in zip(s, s[1:]))
-    ]
-
-
-def _pruned_unknowns(dim: SuperDim, support):
+def _level_unknowns(dim: SuperDim, support):
     """The unknowns (S, A) of the next level that the support of this one
-    allows, in column order: g^(k) lies in V* (x) g^(k-1), so U[(S, A)] can be
-    nonzero only if (S minus one copy of d, A) is in the support for every d
-    in S.  Each S is reached once, from S minus its last index."""
+    allows, mapped to their parities in column order.  g^(k) lies in
+    V* (x) g^(k-1), so U[(S, A)] can be nonzero only if (S minus one copy of d,
+    A) is in the support for every d in S.  Each S is reached once, as S0 + (b,)
+    from a tuple S0 of the support and a b past its end, and its other faces
+    are S0 minus one copy of an index, then b."""
     t, p = dim.total, dim.p
-    kept = []
+    fiber = [dim.parity(a) for a in range(t)]
+    reach = {}  # S0 -> the A with (S0, A) in the support
     for s0, a in support:
-        last = s0[-1]
+        reach.setdefault(s0, set()).add(a)
+    parity = {}
+    for s0 in sorted(reach):
+        n, last = len(s0), s0[-1]
+        drops = [s0[:j] + s0[j + 1:] for j in range(n) if j + 1 == n or s0[j] != s0[j + 1]]
+        odd = n - bisect_left(s0, p)
         for b in range(last + (last >= p), t):
-            s = s0 + (b,)
-            if all((s[:j] + s[j + 1:], a) in support for j in range(len(s0)) if s[j] != s[j + 1]):
-                kept.append((s, a))
-    kept.sort()
-    return kept
+            s, sigma = s0 + (b,), (odd + (b >= p)) % 2
+            for a in sorted(reach[s0].intersection(*(reach.get(r + (b,), ()) for r in drops))):
+                parity[(s, a)] = sigma ^ fiber[a]
+    return parity
 
 
 def cartan_prolongation(dim: SuperDim, g0: SubSuperalgebra, order: int) -> ProlongationTower:
@@ -398,10 +396,9 @@ def cartan_prolongation(dim: SuperDim, g0: SubSuperalgebra, order: int) -> Prolo
     g0 gives, for every sorted k-tuple I, the row
     sum_{A,B} phi_AB eps(I + B) U[sort(I + B), A] = 0, with eps the Koszul
     sign.  Since g^(k) lies in V* (x) g^(k-1), an unknown is kept only where
-    the level below allows it (`_pruned_unknowns`), once that level's support
-    is not full; the kept unknowns keep their order, so the canonical basis is
-    the one of the whole system.  A level after a zero level is zero and is
-    not solved.
+    the level below allows it (`_level_unknowns`); the kept unknowns keep
+    their order, so the canonical basis is the one of the whole system.  A
+    level after a zero level is zero and is not solved.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -412,66 +409,44 @@ def cartan_prolongation(dim: SuperDim, g0: SubSuperalgebra, order: int) -> Prolo
     basis = g0.basis()
     rows = ({(a, b): m.entries[a][b] for (a, b) in cols} for m in basis)
     annihilator = [phi for kernel in solve_graded(cols, rows, field) for phi in kernel]
-    fiber = [dim.parity(a) for a in range(t)]
     # the support of g0 as level 0: the entries (A, B) that g0 reaches
     support = {((pos % t,), pos // t) for m in basis for pos in m._flat}
-    full = len(support) == t * t
     levels = []
     for k in range(1, order + 1):
         blocks = ([], SparseEchelon()), ([], SparseEchelon())
         if not levels or levels[-1].total_dim:
-            if full:
-                parity, rows = {}, _prolongation_rows(dim, annihilator, k)
-                for s in _symmetric_tuples(dim, k + 1):
-                    odd = sum(fiber[a] for a in s)
-                    for a in range(t):
-                        parity[(s, a)] = (odd + fiber[a]) % 2
-            else:
-                parity = {(s, a): (sum(fiber[b] for b in s) + fiber[a]) % 2 for s, a in _pruned_unknowns(dim, support)}
-                rows = _prolongation_rows(dim, annihilator, k, parity)
-            labels, systems = graded_blocks(parity, rows)
+            parity = _level_unknowns(dim, support)
+            faces = sorted({s0 for s0, _ in support})
+            labels, systems = graded_blocks(parity, _prolongation_rows(dim, annihilator, faces, parity))
             blocks = [(labs, span_echelon(system)) for labs, system in zip(labels, systems)]
         level = ProlongationLevel(dim, k, blocks, field)
         levels.append(level)
         if k < order and level.total_dim:
             support = level.support()
-            full = full and len(support) == len(parity)
     return ProlongationTower(levels)
 
 
-def _prolongation_rows(dim: SuperDim, annihilator, k: int, unknowns=None):
-    """phi(T(I, -)) = 0 for every functional phi and sorted k-tuple I.
-
-    Given the unknowns a pruned level keeps, only the terms on them are
-    written, only for the I that reach one of them (S minus one index), and
-    rows left empty are skipped."""
+def _prolongation_rows(dim: SuperDim, annihilator, faces, unknowns):
+    """phi(T(I, -)) = 0 for every functional phi and sorted k-tuple I in
+    faces, with only the terms on the given unknowns.  An unknown that the
+    support below allows has all its faces there, so the faces are the tuples
+    of that support.  For each I only the functionals with an entry in a
+    column B that reaches an unknown are written."""
     t, p = dim.total, dim.p
-    if unknowns is None:
-        for i in _symmetric_tuples(dim, k):
-            sorts = [_insertion(p, i, b) for b in range(t)]
-            for phi in annihilator:
-                row = {}
-                for (a, b), v in phi.items():
-                    s, sign = sorts[b]
-                    if sign:
-                        row[(s, a)] = v if sign > 0 else -v
-                yield row
-        return
-    by_entry = {}  # (A, B) -> (functional index, phi_AB) over the annihilator
+    by_column = [set() for _ in range(t)]  # B -> the functionals with an entry in column B
     for n, phi in enumerate(annihilator):
-        for ab, v in phi.items():
-            by_entry.setdefault(ab, []).append((n, v))
-    for i in sorted({s[:j] + s[j + 1:] for s, _ in unknowns for j in range(len(s))}):
-        rows = {}
-        for b in range(t):
-            s, sign = _insertion(p, i, b)
-            if not sign:
-                continue
-            for a in range(t):
-                if (s, a) in unknowns:
-                    for n, v in by_entry.get((a, b), ()):
-                        rows.setdefault(n, {})[(s, a)] = v if sign > 0 else -v
-        yield from rows.values()
+        for _, b in phi:
+            by_column[b].add(n)
+    heads = {s for s, _ in unknowns}
+    for i in faces:
+        sorts = [_insertion(p, i, b) for b in range(t)]
+        for n in sorted(set().union(*(by_column[b] for b, (s, _) in enumerate(sorts) if s in heads))):
+            row = {}
+            for (a, b), v in annihilator[n].items():
+                s, sign = sorts[b]
+                if sign and (s, a) in unknowns:
+                    row[(s, a)] = v if sign > 0 else -v
+            yield row
 
 
 # --------------------------------------------------- Spencer rank identity

@@ -200,8 +200,10 @@ def transport_validation(conn: geo.ConnectionData, point, hol: hl.HolonomyResult
 
 
 def metric_report(metric: geo.MetricData, options):
+    """The report of a metric built with validate=True: it reads the
+    validation that construction kept, and does not validate again."""
     report = {"metric_valid": None}
-    validation = metric.validation or geo.validate_metric(metric)
+    validation = metric.validation
     report["metric_valid"] = validation["valid"]
     report["metric_failures"] = validation["failures"]
     if validation["even_signature"] is not None:

@@ -312,6 +312,15 @@ def assert_matches_naive(dim, g0, order):
     return dims
 
 
+def symmetric_tuples(dim, r):
+    """Sorted r-tuples of basis indices in which no odd index repeats."""
+    return [
+        s
+        for s in itertools.combinations_with_replacement(range(dim.total), r)
+        if not any(a == b >= dim.p for a, b in zip(s, s[1:]))
+    ]
+
+
 def eager_prolongation(dim, g0, order):
     """The unpruned, eager solve that `cartan_prolongation` replaced: every
     level over all its unknowns, with the rows of one Koszul sort per term,
@@ -324,7 +333,7 @@ def eager_prolongation(dim, g0, order):
     for k in range(1, order + 1):
         parity = {
             (s, a): (sum(map(dim.parity, s)) + dim.parity(a)) % 2
-            for s in berger._symmetric_tuples(dim, k + 1)
+            for s in symmetric_tuples(dim, k + 1)
             for a in range(t)
         }
         kernels = linalg.solve_graded(parity, reference_prolongation_rows(dim, annihilator, k), field)
@@ -348,7 +357,7 @@ class TestPrunedLazyLevels:
             assert level.graded_dim == (parities.count(0), parities.count(1))
             assert level.tensors == tensors and level.parities == parities
             assert level.support() == {key for tensor in tensors for key in tensor}
-            unknowns = len(berger._symmetric_tuples(dim, level.k + 1)) * dim.total
+            unknowns = len(symmetric_tuples(dim, level.k + 1)) * dim.total
             pruned += bool(level.total_dim and unknown_count(level) < unknowns)
         return pruned
 
@@ -374,7 +383,7 @@ class TestPrunedLazyLevels:
     def test_insertion_sign_is_the_koszul_sign(self, p, q):
         dim = SuperDim(p, q)
         for k in range(4):
-            for i in berger._symmetric_tuples(dim, k):
+            for i in symmetric_tuples(dim, k):
                 for b in range(dim.total):
                     assert berger._insertion(p, i, b) == berger._koszul_sort(dim, i + (b,)), (i, b)
 
@@ -577,7 +586,7 @@ def reference_derivative_rows(dim, relems):
 
 def reference_prolongation_rows(dim, annihilator, k):
     """`_prolongation_rows` as it was: one Koszul sort per functional."""
-    for i in berger._symmetric_tuples(dim, k):
+    for i in symmetric_tuples(dim, k):
         for phi in annihilator:
             row = {}
             for (a, b), v in phi.items():
@@ -647,8 +656,8 @@ class TestRowBuildersMatchTheDenseOnes:
         annihilator = [phi for kernel in linalg.solve_graded(cols, rows, field) for phi in kernel]
         parity = {
             (s, a): (sum(map(dim.parity, s)) + dim.parity(a)) % 2
-            for s in berger._symmetric_tuples(dim, k + 1)
+            for s in symmetric_tuples(dim, k + 1)
             for a in range(t)
         }
-        rows = list(berger._prolongation_rows(dim, annihilator, k))
+        rows = list(berger._prolongation_rows(dim, annihilator, symmetric_tuples(dim, k), parity))
         self.assert_same_system(parity, rows, reference_prolongation_rows(dim, annihilator, k), field)

@@ -4,10 +4,11 @@
 `superfunc.parse_superfunction` gets mutated expression strings.  The
 property: every input gives a value or the decoder's own error (a
 `ProblemError`, or the parser's `SyntaxErrorAt`), never another exception.
-Each test stops at a wall-clock deadline, and no one input may take longer
-than a second.  Integers are drawn small: sizes such as n, m, the rank and
-the algebra parameters have no upper limit yet, so a large one is a long
-run, not a crash.
+Each test runs a fixed number of seeded inputs, so a failure reproduces on
+any host; the counts are sized to about a second a test on a 2-core host,
+and a guard far above that fails a test whose inputs blow up.  Integers are
+drawn small: sizes such as n, m, the rank and the algebra parameters have no
+upper limit yet, so a large one is a long run, not a crash.
 """
 
 import copy
@@ -15,6 +16,7 @@ import json
 import os
 import random
 import time
+from itertools import islice
 
 import pytest
 
@@ -22,8 +24,9 @@ from superhol.reportio import ProblemError, decode_problem
 from superhol.superfunc import ChartSignature, Superfunction, SyntaxErrorAt, parse_superfunction
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
-DEADLINE_S = 1.0
-INPUT_S = 1.0
+DECODE_INPUTS = 10000
+PARSE_INPUTS = 8000
+GUARD_S = 60.0
 
 EXTRA_DOCS = [
     {"kind": "connection", "chart": {"n": 2, "m": 1}, "gamma": {"1,1,2": "x1*xi1", "3,2,3": "1/2 - x2^2"}},
@@ -102,23 +105,17 @@ def mutate(rng, value):
     return random_json(rng)
 
 
-def run_until_deadline(inputs, call, allowed):
-    """Feed each input to `call` until the deadline; returns how many ran."""
+def run_inputs(inputs, count, call, allowed):
+    """Feed the first `count` inputs to `call`."""
     start = time.perf_counter()
-    count = 0
-    for item in inputs:
-        if time.perf_counter() - start > DEADLINE_S:
-            break
-        t0 = time.perf_counter()
+    for item in islice(inputs, count):
         try:
             call(item)
         except allowed:
             pass
         except Exception as exc:  # noqa: BLE001 - the property under test
             pytest.fail("%s: %s on %r" % (type(exc).__name__, exc, item))
-        assert time.perf_counter() - t0 < INPUT_S, item
-        count += 1
-    return count
+    assert time.perf_counter() - start < GUARD_S
 
 
 def test_decode_problem_gives_a_problem_or_a_problem_error():
@@ -136,7 +133,7 @@ def test_decode_problem_gives_a_problem_or_a_problem_error():
         kind, payload, options = decode_problem(doc)
         assert payload is not None and isinstance(options, dict)
 
-    assert run_until_deadline(inputs(), call, ProblemError) > 200
+    run_inputs(inputs(), DECODE_INPUTS, call, ProblemError)
 
 
 @pytest.mark.parametrize("sig", [ChartSignature(2, 2), ChartSignature(1, 1, "gaussian-rational"), ChartSignature(0, 3)],
@@ -152,4 +149,4 @@ def test_parse_superfunction_gives_a_superfunction_or_a_syntax_error(sig):
     def call(text):
         assert isinstance(parse_superfunction(text, sig), Superfunction)
 
-    assert run_until_deadline(inputs(), call, SyntaxErrorAt) > 200
+    run_inputs(inputs(), PARSE_INPUTS, call, SyntaxErrorAt)
