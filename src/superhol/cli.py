@@ -445,8 +445,8 @@ def selftest_cases():
             ("sl", (2, 1), (4, 4)),
             ("osp", (2, 2), (4, 4)),
             ("osp", (1, 2), (3, 2)),
-            ("q", (1, 1), (1, 1)),
-            ("q", (2, 2), (4, 4)),
+            ("q", 1, (1, 1)),
+            ("q", 2, (4, 4)),
             ("pe", 3, (9, 9)),
             ("spe", 3, (8, 9)),
             ("cosp", (2, 2), (5, 4)),
@@ -551,7 +551,7 @@ def selftest_cases():
             ("gl", (0, 1), False),
             ("gl", (1, 1), True),
             ("osp", (2, 2), True),
-            ("q", (2, 2), True),
+            ("q", 2, True),
         ]
         for name, params, want in rows:
             alg = classical_superalgebra(name, params)

@@ -65,19 +65,25 @@ def _sfmat_sig(a):
 
 
 def sfmat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0])
+    """The product of two superfunction matrices, scattered from the nonzero
+    entries of both factors into one raw accumulator per entry of a row."""
     sig = _sfmat_sig(a)
-    out = [[Superfunction.zero(sig) for _ in range(cols)] for _ in range(rows)]
-    for i in range(rows):
-        for k in range(inner):
-            f = a[i][k]
-            if f.is_zero():
-                continue
-            for j in range(cols):
-                g = b[k][j]
-                if not g.is_zero():
-                    out[i][j] = out[i][j] + f * g
+    cols = len(b[0])
+    zero = Superfunction.zero(sig)
+    b_rows = [[(j, g) for j, g in enumerate(row) if g.terms] for row in b]
+    out = []
+    for row in a:
+        acc = {}
+        for k, f in enumerate(row):
+            if f.terms:
+                for j, g in b_rows[k]:
+                    mul_into(acc.setdefault(j, {}), f, g)
+        new = [zero] * cols
+        for j, raw in acc.items():
+            new[j] = accumulated(sig, raw)
+        out.append(new)
     return out
+
 
 def sfmat_partial(a, idx: int):
     return [[f.partial(idx) for f in row] for row in a]
@@ -297,6 +303,20 @@ def _parity_ok(f: Superfunction, want: int) -> bool:
     return par == "zero" or (par == "even" and want == 0) or (par == "odd" and want == 1)
 
 
+def _is_signed_copy(f: Superfunction, g: Superfunction, sign: int) -> bool:
+    """Whether f = sign·g for sign ±1, compared coefficient by coefficient
+    without building sign·g."""
+    if sign > 0:
+        return f.terms == g.terms
+    if f.terms.keys() != g.terms.keys():
+        return False
+    for mask, poly in f.terms.items():
+        other = g.terms[mask]
+        if poly.keys() != other.keys() or any(v != -other[k] for k, v in poly.items()):
+            return False
+    return True
+
+
 def curvature(conn: ConnectionData) -> CurvatureTable:
     """Coordinate curvature components from the Christoffel table.
 
@@ -315,12 +335,13 @@ def curvature(conn: ConnectionData) -> CurvatureTable:
         gamma_rows = conn.nonzero_gamma(a)[1]
         for b in range(t):
             pb = chart.coord_parity(b)
-            # R_ab = ∇_a Γ_b − (−1)^{|a||b|} ∂_b Γ_a
-            mat = _covariant_step(conn, a, gamma[b], pb)
+            # R_ab = ∇_a Γ_b − (−1)^{|a||b|} ∂_b Γ_a, the ∂_b Γ_a preloaded
+            sign = 1 if pa * pb else -1
+            acc = {}
             for A, row in enumerate(gamma_rows):
                 for B, g in row:
-                    d = g.partial(b + 1)
-                    mat[A][B] = mat[A][B] + d if pa * pb else mat[A][B] - d
+                    add_into(acc.setdefault((A, B), {}), g.partial(b + 1), sign)
+            mat = _covariant_step(conn, a, gamma[b], pb, acc)
             for A, row in enumerate(mat):
                 for B, term in enumerate(row):
                     if term.terms and not _parity_ok(term, (pa + pb + fiber[A] + fiber[B]) % 2):
@@ -330,10 +351,10 @@ def curvature(conn: ConnectionData) -> CurvatureTable:
     # R_ba = −(−1)^{|a||b|} R_ab, checked once for each unordered pair
     for a in range(t):
         for b in range(a, t):
-            odd = chart.coord_parity(a) * chart.coord_parity(b)
+            sign = 1 if chart.coord_parity(a) * chart.coord_parity(b) else -1
             for row_ab, row_ba in zip(mats[(a, b)], mats[(b, a)]):
                 for x, y in zip(row_ab, row_ba):
-                    if (x.terms or y.terms) and x != (y if odd else -y):
+                    if (x.terms or y.terms) and not _is_signed_copy(x, y, sign):
                         raise AssertionError("curvature super-antisymmetry violated")
     conn._curvature = table
     return table
@@ -394,7 +415,7 @@ def _step_signs(chart: Chart, c: int, par: int):
     return fiber, left, right
 
 
-def _covariant_step(conn: ConnectionData, c: int, mat, par: int):
+def _covariant_step(conn: ConnectionData, c: int, mat, par: int, acc=None):
     """∇_c of one End(E)-valued component over the flat coordinate reference.
 
     `par` is the total parity of the component's coordinate indices, so entry
@@ -405,14 +426,17 @@ def _covariant_step(conn: ConnectionData, c: int, mat, par: int):
 
     The sum is scattered from the nonzero entries of `mat` and of Γ_c, each
     product added into its entry's accumulator; the result has dense rows,
-    with one shared zero in the entries that nothing reached.
+    with one shared zero in the entries that nothing reached.  `acc`, when
+    given, holds raw accumulators {(A, B): raw} of terms that the result
+    adds to the step; the step is added into it.
     """
     chart = conn.chart
     sig = chart.sig
     rk = chart.rank.total
     gamma_cols, gamma_rows = conn.nonzero_gamma(c)
     fiber, left, right = _step_signs(chart, c, par)
-    acc = {}
+    if acc is None:
+        acc = {}
     for C, row in enumerate(mat):
         for B, m in enumerate(row):
             if not m.terms:
@@ -570,17 +594,25 @@ def torsion(conn: ConnectionData) -> TorsionTable:
     chart = conn.chart
     if not chart.tangent_sheaf:
         raise ValueError("torsion needs a tangent-sheaf connection")
-    t = chart.sig.total
+    sig = chart.sig
+    t = sig.total
     gamma = conn.gamma
     comps = {}
     for a in range(t):
         for b in range(t):
-            sign = (-1) ** (chart.coord_parity(a) * chart.coord_parity(b))
-            # a pair of zero entries keeps the table's zero
-            comps[(a, b)] = [
-                f - g.scale(sign) if f.terms or g.terms else f
-                for f, g in ((gamma[a][c][b], gamma[b][c][a]) for c in range(t))
-            ]
+            sign = -((-1) ** (chart.coord_parity(a) * chart.coord_parity(b)))
+            vec = []
+            for c in range(t):
+                # T^c_ab = Γ^c_ab − (−1)^{|a||b|} Γ^c_ba; a pair of zero
+                # entries keeps the table's zero
+                f, g = gamma[a][c][b], gamma[b][c][a]
+                if f.terms or g.terms:
+                    acc = {}
+                    add_into(acc, f)
+                    add_into(acc, g, sign)
+                    f = accumulated(sig, acc)
+                vec.append(f)
+            comps[(a, b)] = vec
     conn._torsion = TorsionTable(chart, comps)
     return conn._torsion
 
@@ -718,7 +750,7 @@ def validate_metric(metric: MetricData, point=None):
     for a in range(t):
         for b in range(t):
             sign = (-1) ** (chart.coord_parity(a) * chart.coord_parity(b))
-            if g[a][b] != g[b][a].scale(sign):
+            if not _is_signed_copy(g[a][b], g[b][a], sign):
                 failures.append("supersymmetry fails at (%d,%d)" % (a + 1, b + 1))
     if point is None:
         point = [0] * sig.n
@@ -794,63 +826,102 @@ def _symmetric_signature(block):
     return (pos, neg)
 
 
-def nabla_metric_component(metric: MetricData, conn: ConnectionData, a: int, b: int, c: int, dg_abc=None):
-    """(nabla_a g)(d_b, d_c), which must vanish for a metric connection.
+def nabla_metric(metric: MetricData, conn: ConnectionData, a: int, dg_a):
+    """The nonzero components (∇_a g)(d_b, d_c) with b <= c, as {(b, c): f}.
 
-    dg_abc is d_a g_bc when the caller holds it already; otherwise it is
-    differentiated here.
+    (∇_a g)(d_b, d_c) = ∂_a g_bc − Σ_d Γ^d_{ab} g_dc
+    − Σ_d (−1)^{|b|(|a|+|c|+|d|)+|a||b|} Γ^d_{ac} g_bd, and it equals
+    (−1)^{|b||c|} (∇_a g)(d_c, d_b) for every connection, so the components
+    with b <= c give them all.  `dg_a[b]` maps each c with a nonzero ∂_a g_bc
+    to that derivative, as `levi_civita` forms them.  Both sums are
+    scattered from the nonzero Γ^d_{a·} and the nonzero entries of g into
+    one raw accumulator per (b, c).
     """
     chart = metric.chart
-    pa, pb, pc = chart.coord_parity(a), chart.coord_parity(b), chart.coord_parity(c)
-    g, gamma = metric.g, conn.gamma[a]
+    sig = chart.sig
+    t = sig.total
+    g = metric.g
+    par = [chart.coord_parity(x) for x in range(t)]
+    pa = par[a]
+    g_rows = [[(c, f) for c, f in enumerate(row) if f.terms] for row in g]
+    g_cols = [[(b, g[b][d]) for b in range(t) if g[b][d].terms] for d in range(t)]
+    gamma_cols = conn.nonzero_gamma(a)[0]  # gamma_cols[b] lists (d, Γ^d_{ab})
     acc = {}
-    add_into(acc, g[b][c].partial(a + 1) if dg_abc is None else dg_abc)
-    for d in range(chart.sig.total):
-        mul_into(acc, gamma[d][b], g[d][c], -1)
-        sign = (-1) ** (pb * (pa + pc + chart.coord_parity(d)) + pa * pb)
-        mul_into(acc, gamma[d][c], g[b][d], -sign)
-    return accumulated(chart.sig, acc)
+    for b in range(t):
+        for c, f in dg_a[b].items():
+            if b <= c:
+                add_into(acc.setdefault((b, c), {}), f)
+        for d, gam in gamma_cols[b]:
+            for c, f in g_rows[d]:
+                if b <= c:
+                    mul_into(acc.setdefault((b, c), {}), gam, f, -1)
+    for c in range(t):
+        for d, gam in gamma_cols[c]:
+            for b, f in g_cols[d]:
+                if b <= c:
+                    sign = (-1) ** (par[b] * (pa + par[c] + par[d]) + pa * par[b])
+                    mul_into(acc.setdefault((b, c), {}), gam, f, -sign)
+    out = {}
+    for key, raw in acc.items():
+        f = accumulated(sig, raw)
+        if f.terms:
+            out[key] = f
+    return out
 
 
 def levi_civita(metric: MetricData) -> ConnectionData:
     """Torsion-free metric connection via the graded Koszul formula.
 
     Both defining properties are re-verified symbolically before returning.
+    Only the nonzero entries take part: the nonzero g_yz are differentiated,
+    a Koszul sum K_abc is formed where one of its three ∂g terms is nonzero,
+    and Γ^d_{ab} = Σ_c K_abc (g⁻¹)_cd reads d from the nonzero entries of
+    row c of g⁻¹.
     """
     chart = metric.chart
     sig = chart.sig
     t = sig.total
     g = metric.g
     g_inv = sfmat_inverse(g, sig)
+    inv_rows = [[(d, f) for d, f in enumerate(row) if f.terms] for row in g_inv]
     half = to_field(Fraction(1, 2), sig.field)
-    # dg[x][y][z] = d_x g_yz, each differentiated once
-    dg = [[[g[y][z].partial(x + 1) for z in range(t)] for y in range(t)] for x in range(t)]
+    # dg[x][y] maps z to d_x g_yz, for the nonzero ones
+    dg = [[{} for _ in range(t)] for _ in range(t)]
+    for y, row in enumerate(g):
+        for z, f in enumerate(row):
+            if f.terms:
+                for x in range(t):
+                    d = f.partial(x + 1)
+                    if d.terms:
+                        dg[x][y][z] = d
     gamma = [sfmat_zeros(sig, t, t) for _ in range(t)]
     for a in range(t):
         for b in range(t):
-            k_row = []
+            acc = {}
             for c in range(t):
+                terms = (dg[a][b].get(c), dg[b][c].get(a), dg[c][a].get(b))
+                if not any(terms):
+                    continue
                 _, (_, s2), (_, s3) = cyclic_terms(chart.coord_parity, a, b, c)
-                acc = {}
-                add_into(acc, dg[a][b][c])
-                add_into(acc, dg[b][c][a], s2)
-                add_into(acc, dg[c][a][b], -s3)
-                k_row.append(accumulated(sig, acc).scale(half))
-            for d in range(t):
-                acc = {}
-                for c in range(t):
-                    mul_into(acc, k_row[c], g_inv[c][d])
-                gamma[a][d][b] = accumulated(sig, acc)
+                koszul = {}
+                for f, sign in zip(terms, (1, s2, -s3)):
+                    if f is not None:
+                        add_into(koszul, f, sign)
+                k = accumulated(sig, koszul).scale(half)
+                if not k.terms:
+                    continue
+                for d, h in inv_rows[c]:
+                    mul_into(acc.setdefault(d, {}), k, h)
+            for d, raw in acc.items():
+                f = accumulated(sig, raw)
+                if f.terms:
+                    gamma[a][d][b] = f
     conn = ConnectionData(chart, gamma)
     if not torsion(conn).is_zero():
         raise AssertionError("Koszul output failed the torsion-free check")
-    # (nabla_a g)(b, c) = (-1)^{|b||c|} (nabla_a g)(c, b) for every connection,
-    # so the components with b <= c decide the check
     for a in range(t):
-        for b in range(t):
-            for c in range(b, t):
-                if not nabla_metric_component(metric, conn, a, b, c, dg[a][b][c]).is_zero():
-                    raise AssertionError("Koszul output failed the metric-parallel check")
+        if nabla_metric(metric, conn, a, dg[a]):
+            raise AssertionError("Koszul output failed the metric-parallel check")
     return conn
 
 

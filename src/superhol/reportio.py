@@ -11,7 +11,14 @@ import json
 from .geometry import Chart, ConnectionData, MetricData
 from .scalars import parse_scalar, scalar_str
 from .superfunc import ChartSignature, parse_superfunction
-from .superlin import SubSuperalgebra, SuperDim, SuperMatrix, classical_superalgebra, generate_subalgebra
+from .superlin import (
+    SubSuperalgebra,
+    SuperDim,
+    SuperMatrix,
+    classical_dim,
+    classical_superalgebra,
+    generate_subalgebra,
+)
 
 
 class ProblemError(ValueError):
@@ -27,6 +34,13 @@ KINDS = ("connection", "metric", "algebra", "prolongation", "pi_adjoint")
 # Largest `options.transport_steps` (or `--steps`) accepted: the float
 # transport's time is linear in the number of steps.
 MAX_TRANSPORT_STEPS = 100_000
+# Largest total dimension a problem may ask for: n + m of a chart, p + q of
+# a rank or of an explicit algebra's dim, and p + q of the superspace a
+# classical family's params give.  Tables grow as (n+m)^3 or (p+q)^2 and a
+# superfunction as 2^m before any check runs, so a larger size would be an
+# unbounded allocation, not a problem this program can answer.  Every
+# bundled, test and benchmark problem has a total of at most 6.
+MAX_TOTAL_DIM = 16
 # The integer options, each with the least value it may take.
 INTEGER_OPTIONS = {"cap_order": 0, "transport_steps": 0, "order": 1}
 
@@ -58,6 +72,15 @@ def _require_int(obj, key, path, least=None):
     return _int(_require(obj, key, path), path + "/" + key, least)
 
 
+def _superdim(obj, path, keys=("p", "q")):
+    """Two nonnegative integer fields of an object, whose sum is at most
+    MAX_TOTAL_DIM, checked at `path`."""
+    first, second = (_require_int(obj, key, path, 0) for key in keys)
+    if first + second > MAX_TOTAL_DIM:
+        raise ProblemError(path, "%s + %s must be at most %d" % (keys + (MAX_TOTAL_DIM,)))
+    return first, second
+
+
 def _scalar(value, field, path):
     try:
         return parse_scalar(str(value), field)
@@ -80,8 +103,7 @@ def _field(obj):
 
 
 def decode_chart(obj, path="/chart") -> ChartSignature:
-    n = _require_int(obj, "n", path, 0)
-    m = _require_int(obj, "m", path, 0)
+    n, m = _superdim(obj, path, ("n", "m"))
     try:
         return ChartSignature(n, m, _field(obj))
     except ValueError as exc:
@@ -94,7 +116,7 @@ def decode_connection(obj, path="") -> ConnectionData:
         chart = Chart.tangent(sig)
     else:
         rank_obj = _require_object(obj, "rank", path)
-        rank = SuperDim(_require_int(rank_obj, "p", path + "/rank", 0), _require_int(rank_obj, "q", path + "/rank", 0))
+        rank = SuperDim(*_superdim(rank_obj, path + "/rank"))
         tangent = bool(obj.get("tangent", rank.p == sig.n and rank.q == sig.m))
         chart = Chart(sig, rank, tangent_sheaf=tangent and rank.p == sig.n and rank.q == sig.m)
     entries = {}
@@ -143,11 +165,14 @@ def decode_algebra(obj, path="/algebra") -> SubSuperalgebra:
         elif params.__class__ is not int:
             raise ProblemError(path + "/params", "must be an integer or a list of integers")
         try:
+            dim = classical_dim(obj["name"], params)
+            if dim.total > MAX_TOTAL_DIM:
+                raise ValueError("%s acts on %r: p + q must be at most %d" % (obj["name"], dim, MAX_TOTAL_DIM))
             return classical_superalgebra(obj["name"], params, field)
         except (TypeError, ValueError) as exc:
             raise ProblemError(path, str(exc))
     dim_obj = _require_object(obj, "dim", path)
-    dim = SuperDim(_require_int(dim_obj, "p", path + "/dim", 0), _require_int(dim_obj, "q", path + "/dim", 0))
+    dim = SuperDim(*_superdim(dim_obj, path + "/dim"))
     mats = []
     for section in ("even", "odd"):
         flats = obj.get(section, [])

@@ -638,22 +638,34 @@ def cut_by_functionals(algebra: SubSuperalgebra, functionals) -> SubSuperalgebra
     return SubSuperalgebra.from_matrices(algebra.dim, out, algebra.field)
 
 
+def classical_dim(name: str, params) -> SuperDim:
+    """The superspace p|q a named classical family acts on.
+
+    gl, sl, osp, osp_sk and cosp take exactly (p, q); pe, spe, q, cpe and
+    cspe take exactly one n, as an int or a 1-tuple, and act on n|n.  Any
+    other parameter count, or an unknown name, raises ValueError.
+    """
+    if name in ("gl", "sl", "osp", "osp_sk", "cosp"):
+        if isinstance(params, int) or len(params) != 2:
+            raise ValueError("%s takes exactly 2 parameters (p, q), got %r" % (name, params))
+        return SuperDim(*params)
+    if name in ("pe", "spe", "q", "cpe", "cspe"):
+        if not isinstance(params, int):
+            if len(params) != 1:
+                raise ValueError("%s takes exactly 1 parameter n, got %r" % (name, params))
+            (params,) = params
+        return SuperDim(params, params)
+    raise ValueError("unknown classical superalgebra %r" % (name,))
+
+
 def classical_superalgebra(name: str, params, field=RATIONAL) -> SubSuperalgebra:
     """Named constructors for the standard matrix superalgebras.
 
-    params: gl/sl/osp/osp_sk take (p, q); pe/spe/q/cpe/cspe take n; cosp takes
-    (p, q).  The c-prefixed variants append the identity (center).
+    params: gl/sl/osp/osp_sk/cosp take (p, q); pe/spe/q/cpe/cspe take n (see
+    `classical_dim`).  The c-prefixed variants append the identity (center).
     """
-    if name in ("gl", "sl", "osp", "osp_sk", "cosp"):
-        p, q = params
-    elif name in ("pe", "spe", "q", "cpe", "cspe"):
-        if not isinstance(params, int) and not params:
-            raise ValueError("%s takes a parameter n" % name)
-        n = params if isinstance(params, int) else params[0]
-        p = q = n
-    else:
-        raise ValueError("unknown classical superalgebra %r" % (name,))
-    dim = SuperDim(p, q)
+    dim = classical_dim(name, params)
+    p, q = dim
     if name == "gl":
         return full_gl(dim, field)
     if name == "sl":

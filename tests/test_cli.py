@@ -9,7 +9,7 @@ import pytest
 
 from superhol import cli
 from superhol import geometry as geo
-from superhol.reportio import MAX_TRANSPORT_STEPS, ProblemError, decode_problem, dumps_report, encode_algebra
+from superhol.reportio import MAX_TOTAL_DIM, MAX_TRANSPORT_STEPS, ProblemError, decode_problem, dumps_report, encode_algebra
 from superhol.scalars import GAUSSIAN, RATIONAL
 from superhol.superfunc import Superfunction
 from superhol.superlin import (
@@ -160,11 +160,38 @@ class TestRunPipelines:
             ({"kind": "algebra", "algebra": {"dim": {"p": 1, "q": 1}, "odd": False}}, "/algebra/odd"),
             ({"kind": "connection", "chart": {"n": 1, "m": 0}, "gamma": {"1,1,1": "x²"}}, "/gamma/1,1,1"),
             ({"kind": "connection", "chart": {"n": 1, "m": 0}, "gamma": {"1,1,1": "4" * 5000}}, "/gamma/1,1,1"),
+            # a classical family takes exactly its own number of params
+            ({"kind": "algebra", "algebra": {"name": "pe", "params": [2, 5]}}, "/algebra"),
+            ({"kind": "algebra", "algebra": {"name": "q", "params": [1, 7, 9]}}, "/algebra"),
+            ({"kind": "algebra", "algebra": {"name": "gl", "params": [2, 5, 1]}}, "/algebra"),
+            ({"kind": "algebra", "algebra": {"name": "gl", "params": 2}}, "/algebra"),
+            # sizes above MAX_TOTAL_DIM are refused before anything is built
+            ({"kind": "metric", "chart": {"n": 12, "m": 5}, "g": {"1,1": "1"}}, "/chart"),
+            ({"kind": "connection", "chart": {"n": 9, "m": 8}, "gamma": {}}, "/chart"),
+            ({"kind": "connection", "chart": {"n": 1, "m": 0}, "rank": {"p": 2 ** 64, "q": 0}, "gamma": {}}, "/rank"),
+            ({"kind": "algebra", "algebra": {"dim": {"p": 10, "q": 7}}}, "/algebra/dim"),
+            ({"kind": "algebra", "algebra": {"name": "q", "params": [9]}}, "/algebra"),
+            ({"kind": "prolongation", "algebra": {"name": "gl", "params": [16, 1]}}, "/algebra"),
         ],
     )
     def test_malformed_input_is_an_error_report(self, doc, path):
         rep, ok = cli.run_problem(doc)
         assert not ok and rep["error"].startswith(path + ": ")
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"kind": "metric", "chart": {"n": MAX_TOTAL_DIM, "m": 0}, "g": {"%d,%d" % (k, k): "1" for k in range(1, MAX_TOTAL_DIM + 1)}},
+        {"kind": "connection", "chart": {"n": 1, "m": 0}, "rank": {"p": 8, "q": 8}, "gamma": {}},
+        {"kind": "algebra", "algebra": {"dim": {"p": 0, "q": MAX_TOTAL_DIM}}},
+        {"kind": "algebra", "algebra": {"name": "pe", "params": [MAX_TOTAL_DIM // 2]}},
+    ],
+    ids=["chart", "rank", "dim", "classical"],
+)
+def test_sizes_up_to_the_limit_decode(doc):
+    kind, payload, _ = decode_problem(doc)
+    assert kind == doc["kind"] and payload is not None
 
 
 class TestDeterminism:

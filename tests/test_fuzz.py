@@ -7,8 +7,9 @@ property: every input gives a value or the decoder's own error (a
 Each test runs a fixed number of seeded inputs, so a failure reproduces on
 any host; the counts are sized to about a second a test on a 2-core host,
 and a guard far above that fails a test whose inputs blow up.  Integers are
-drawn small: sizes such as n, m, the rank and the algebra parameters have no
-upper limit yet, so a large one is a long run, not a crash.
+drawn small, and now and then far above `reportio.MAX_TOTAL_DIM`, so that
+sizes such as n, m, the rank, an algebra's dim and its parameters are also
+tried where the decoder must refuse them before it allocates anything.
 """
 
 import copy
@@ -20,7 +21,7 @@ from itertools import islice
 
 import pytest
 
-from superhol.reportio import ProblemError, decode_problem
+from superhol.reportio import MAX_TOTAL_DIM, ProblemError, decode_problem
 from superhol.superfunc import ChartSignature, Superfunction, SyntaxErrorAt, parse_superfunction
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -58,6 +59,7 @@ def random_json(rng):
     return rng.choice((
         None, True, False, 0, 1, 2, -1, 3, 0.5, 2.0, "", "x1", "1/2", "gl", "rational", "gaussian", [], {}, [1],
         [1, 1], ["1", "0"], {"p": 1, "q": 0}, {"n": 1, "m": 1}, rng.randint(-3, 4), mutate_text(rng, "1 + x1"),
+        rng.choice((MAX_TOTAL_DIM + 1, 10 ** 6, 2 ** 64)),
     ))
 
 
@@ -101,7 +103,7 @@ def mutate(rng, value):
     if isinstance(value, str) and rng.random() < 0.8:
         return mutate_text(rng, value)
     if value.__class__ is int and rng.random() < 0.5:
-        return value + rng.choice((-2, -1, 1, 2))
+        return value + rng.choice((-2, -1, 1, 2, MAX_TOTAL_DIM, 2 ** 64))
     return random_json(rng)
 
 

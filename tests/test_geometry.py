@@ -26,6 +26,7 @@ from superhol.geometry import (
     covariant_derivatives,
     curvature,
     levi_civita,
+    nabla_metric,
     nabla_section,
     pure_gauge_connection,
     ricci,
@@ -265,6 +266,44 @@ class TestSparseCovariantStep:
         assert len({id(f) for row in got for f in row}) == 1
 
 
+def unfolded_curvature(conn):
+    """Every R_ab as ∇_a Γ_b from the dense step, with −(−1)^{|a||b|} ∂_b Γ_a
+    then added entry by entry as a superfunction of its own."""
+    chart = conn.chart
+    t, rk = chart.sig.total, chart.rank.total
+    mats = {}
+    for a, b in itertools.product(range(t), repeat=2):
+        pa, pb = chart.coord_parity(a), chart.coord_parity(b)
+        mat = dense_covariant_step(conn, a, conn.gamma[b], pb)
+        for A, B in itertools.product(range(rk), repeat=2):
+            mat[A][B] = mat[A][B] - conn.gamma[a][A][B].partial(b + 1).scale((-1) ** (pa * pb))
+        mats[(a, b)] = mat
+    return mats
+
+
+class TestFoldedCurvature:
+    """`curvature` adds ∂_b Γ_a into the covariant step's accumulators; it
+    must equal the step followed by the separate sum."""
+
+    @pytest.mark.parametrize("field", [RATIONAL, GAUSSIAN])
+    @pytest.mark.parametrize(
+        "nm, pq", [((1, 1), (1, 1)), ((1, 2), (1, 2)), ((2, 2), (2, 2)), ((2, 1), (1, 2)), ((0, 3), (2, 1))],
+        ids=lambda d: "%d|%d" % d,
+    )
+    def test_matches_the_unfolded_sum(self, nm, pq, field):
+        rng = random.Random("folded curvature %d|%d %d|%d %s" % (nm + pq + (field,)))
+        chart = Chart(ChartSignature(*nm, field), SuperDim(*pq))
+        nonzero = 0
+        for make in (random_connection, random_sparse_connection):
+            conn = make(rng, chart)
+            got, want = curvature(conn).mats, unfolded_curvature(conn)
+            assert got.keys() == want.keys()
+            for key, mat in want.items():
+                assert got[key] == mat, key
+                nonzero += not geo.sfmat_is_zero(mat)
+        assert nonzero
+
+
 class TestCurvatureKept:
     def test_same_table_on_every_call(self):
         chart = Chart(ChartSignature(1, 1), SuperDim(1, 1))
@@ -397,7 +436,100 @@ class TestCovariantDerivatives:
         assert is_canonical_rational(value)  # one component: trivially in span{id}
 
 
+def dense_sfmat_mul(a, b):
+    """The matrix product as the dense sum of every a[i][k]·b[k][j]."""
+    zero = Superfunction.zero(a[0][0].sig)
+    return [
+        [sum((a[i][k] * b[k][j] for k in range(len(b))), zero) for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
+def random_sf_matrix(rng, sig, rows, cols, zeros=0.4, soul_only=False):
+    """Seeded superfunction entries of mixed parity, about a `zeros` share of
+    them zero; `soul_only` drops every body term."""
+    unit = GaussianRational(1, 1) if sig.field == GAUSSIAN else 1
+    mat = sfmat_zeros(sig, rows, cols)
+    for i, j in itertools.product(range(rows), range(cols)):
+        if rng.random() >= zeros:
+            f = random_superfunction(rng, sig)
+            if soul_only:
+                f = Superfunction(sig, {k: v for k, v in f.terms.items() if k})
+            mat[i][j] = f.scale(unit)
+    return mat
+
+
+def random_invertible_sf_matrix(rng, sig, t):
+    """Constant invertible body plus nilpotent rest: the body is lower
+    triangular with a nonzero constant diagonal, and above the diagonal and on
+    it every other term is soul."""
+    mat = random_sf_matrix(rng, sig, t, t)
+    upper = random_sf_matrix(rng, sig, t, t, soul_only=True)
+    for i, j in itertools.product(range(t), repeat=2):
+        if i <= j:
+            mat[i][j] = upper[i][j]
+        if i == j:
+            mat[i][j] = mat[i][j] + Superfunction.constant(sig, rng.choice([1, -1, 2, Fraction(1, 3)]))
+    return mat
+
+
+class TestSparseMatrixProducts:
+    """`sfmat_mul` scatters from nonzero entries; `sfmat_inverse` runs its
+    Neumann series through it.  Both against dense references."""
+
+    @pytest.mark.parametrize("field", [RATIONAL, GAUSSIAN])
+    @pytest.mark.parametrize("nm", [(2, 0), (0, 2), (1, 2), (2, 2)], ids=lambda d: "%d|%d" % d)
+    def test_mul_matches_the_dense_sum(self, nm, field):
+        rng = random.Random("sfmat mul %d|%d %s" % (nm + (field,)))
+        sig = ChartSignature(*nm, field)
+        for zeros in (0.0, 0.5, 0.9, 1.0):
+            for _ in range(4):
+                rows, inner, cols = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+                a = random_sf_matrix(rng, sig, rows, inner, zeros)
+                b = random_sf_matrix(rng, sig, inner, cols, zeros)
+                assert sfmat_mul(a, b) == dense_sfmat_mul(a, b)
+
+    @pytest.mark.parametrize("field", [RATIONAL, GAUSSIAN])
+    @pytest.mark.parametrize("nm", [(2, 0), (0, 2), (1, 2), (2, 2), (1, 4)], ids=lambda d: "%d|%d" % d)
+    def test_inverse_is_a_two_sided_inverse(self, nm, field):
+        rng = random.Random("sfmat inverse %d|%d %s" % (nm + (field,)))
+        sig = ChartSignature(*nm, field)
+        for t in (1, 2, 3, 4):
+            a = random_invertible_sf_matrix(rng, sig, t)
+            inv = sfmat_inverse(a, sig)
+            one = [[Superfunction.constant(sig, int(i == j)) for j in range(t)] for i in range(t)]
+            assert dense_sfmat_mul(a, inv) == one
+            assert dense_sfmat_mul(inv, a) == one
+
+    @pytest.mark.parametrize(
+        "entries", [[["1 + x1"]], [["1", "x1"], ["x1", "1"]], [["2", "0"], ["0", "x1*x2"]]], ids=str
+    )
+    def test_non_nilpotent_body_rejected(self, entries):
+        sig = ChartSignature(2, 1)
+        a = [[parse_superfunction(text, sig) for text in row] for row in entries]
+        with pytest.raises(MatrixInversionError):
+            sfmat_inverse(a, sig)
+
+
 class TestTorsionAndBianchi:
+    @pytest.mark.parametrize("field", [RATIONAL, GAUSSIAN])
+    @pytest.mark.parametrize("nm", [(2, 0), (0, 2), (1, 2), (2, 2)], ids=lambda d: "%d|%d" % d)
+    def test_torsion_is_the_entrywise_difference(self, nm, field):
+        rng = random.Random("torsion %d|%d %s" % (nm + (field,)))
+        sig = ChartSignature(*nm, field)
+        chart = Chart.tangent(sig)
+        t = sig.total
+        nonzero = 0
+        for conn in (random_connection(rng, chart), random_sparse_connection(rng, chart),
+                     random_torsion_free_connection(rng, sig)):
+            comps = torsion(conn).comps
+            assert comps.keys() == set(itertools.product(range(t), repeat=2))
+            for (a, b), vec in comps.items():
+                sign = (-1) ** (chart.coord_parity(a) * chart.coord_parity(b))
+                assert vec == [conn.gamma[a][c][b] - conn.gamma[b][c][a].scale(sign) for c in range(t)]
+                nonzero += sum(map(bool, vec))
+        assert nonzero
+
     def test_classical_symmetric_torsion_free(self):
         rng = random.Random(25)
         sig = ChartSignature(2, 0)
@@ -622,6 +754,12 @@ def reference_nabla_metric_component(metric, conn, a, b, c):
     return term
 
 
+def metric_derivatives(metric, a):
+    """The nonzero d_a g_bc as `nabla_metric` reads them: row b maps c to it."""
+    rows = ({c: f.partial(a + 1) for c, f in enumerate(row)} for row in metric.g)
+    return [{c: d for c, d in row.items() if d} for row in rows]
+
+
 def random_soul_metric(rng, sig):
     """A metric with a constant standard body (m even) plus a seeded soul:
     random supersymmetric entries with every body term dropped, scaled by a
@@ -726,19 +864,16 @@ class TestLeviCivita:
         )
         conn = levi_civita(metric)
         assert torsion(conn).is_zero()
-        from superhol.geometry import nabla_metric_component
-
         for a in range(4):
+            assert nabla_metric(metric, conn, a, metric_derivatives(metric, a)) == {}
             for b in range(4):
                 for c in range(4):
-                    assert nabla_metric_component(metric, conn, a, b, c).is_zero()
+                    assert reference_nabla_metric_component(metric, conn, a, b, c).is_zero()
 
     @pytest.mark.parametrize("n, m", [(1, 1), (0, 2), (2, 1), (1, 2), (2, 2), (0, 3)])
     def test_nabla_metric_is_supersymmetric(self, n, m):
         # (nabla_a g)(b, c) = (-1)^{|b||c|} (nabla_a g)(c, b) for any connection
-        # and any even supersymmetric g, so levi_civita checks b <= c only
-        from superhol.geometry import nabla_metric_component
-
+        # and any even supersymmetric g, so nabla_metric gives b <= c only
         sig = ChartSignature(n, m)
         chart = Chart.tangent(sig)
         t = sig.total
@@ -758,30 +893,31 @@ class TestLeviCivita:
                 for b in range(t):
                     for c in range(b, t):
                         sign = (-1) ** (chart.coord_parity(b) * chart.coord_parity(c))
-                        bc = nabla_metric_component(metric, conn, a, b, c)
-                        assert bc == nabla_metric_component(metric, conn, a, c, b).scale(sign)
+                        bc = reference_nabla_metric_component(metric, conn, a, b, c)
+                        assert bc == reference_nabla_metric_component(metric, conn, a, c, b).scale(sign)
                         if b == c and chart.coord_parity(b):
                             assert bc.is_zero()
 
     @pytest.mark.parametrize("field", [RATIONAL, GAUSSIAN])
-    @pytest.mark.parametrize("n, m", [(2, 0), (0, 2), (1, 2), (2, 2)])
+    @pytest.mark.parametrize("n, m", [(2, 0), (0, 2), (1, 2), (2, 2), (1, 4)])
     def test_nabla_metric_matches_the_term_by_term_sum(self, n, m, field):
-        from superhol.geometry import nabla_metric_component
-
         sig = ChartSignature(n, m, field)
         chart = Chart.tangent(sig)
+        t = sig.total
         rng = random.Random("nabla g %d|%d %s" % (n, m, field))
         metric = random_soul_metric(rng, sig)
         # a metric connection, and connections that are not
-        conns = [levi_civita(metric)] + [random_connection(rng, chart) for _ in range(2)]
+        conns = [levi_civita(metric), random_connection(rng, chart), random_sparse_connection(rng, chart)]
         nonzero = 0
         for conn in conns:
-            for a, b, c in itertools.product(range(sig.total), repeat=3):
-                got = nabla_metric_component(metric, conn, a, b, c)
-                assert got == reference_nabla_metric_component(metric, conn, a, b, c)
-                # as levi_civita calls it, with d_a g_bc already formed
-                assert got == nabla_metric_component(metric, conn, a, b, c, metric.g[b][c].partial(a + 1))
-                nonzero += bool(got)
+            for a in range(t):
+                got = nabla_metric(metric, conn, a, metric_derivatives(metric, a))
+                assert all(b <= c and f for (b, c), f in got.items())
+                for b in range(t):
+                    for c in range(b, t):
+                        want = reference_nabla_metric_component(metric, conn, a, b, c)
+                        assert got.get((b, c), Superfunction.zero(sig)) == want, (a, b, c)
+                nonzero += len(got)
         assert nonzero
 
     def test_non_nilpotent_body_rejected(self):
@@ -828,6 +964,29 @@ class TestValidateMetric:
         g[1][0] = Superfunction.constant(sig, 1)  # symmetric, must be skew
         report = validate_metric(MetricData(chart, g, validate=False))
         assert any("supersymmetry" in f for f in report["failures"])
+
+    @pytest.mark.parametrize("field", [RATIONAL, GAUSSIAN])
+    @pytest.mark.parametrize("nm", [(2, 0), (0, 2), (1, 2), (2, 2)], ids=lambda d: "%d|%d" % d)
+    def test_supersymmetry_failures_in_pair_order(self, nm, field):
+        # a soul metric with some entries negated, copied to the transpose or
+        # changed: every ordered pair whose entry is not the signed transpose
+        # is listed, in row-major order
+        rng = random.Random("supersymmetry %d|%d %s" % (nm + (field,)))
+        sig = ChartSignature(*nm, field)
+        chart = Chart.tangent(sig)
+        t = sig.total
+        for _ in range(4):
+            g = [row[:] for row in random_soul_metric(rng, sig).g]
+            for _ in range(2):
+                a, b = rng.randrange(t), rng.randrange(t)
+                g[a][b] = rng.choice([-g[a][b], g[b][a], g[a][b] + Superfunction.constant(sig, 1)])
+            want = [
+                "supersymmetry fails at (%d,%d)" % (a + 1, b + 1)
+                for a, b in itertools.product(range(t), repeat=2)
+                if g[a][b] != g[b][a].scale((-1) ** (chart.coord_parity(a) * chart.coord_parity(b)))
+            ]
+            failures = validate_metric(MetricData(chart, g, validate=False))["failures"]
+            assert [f for f in failures if f.startswith("supersymmetry")] == want
 
     def test_signature_count(self):
         sig = ChartSignature(3, 0)

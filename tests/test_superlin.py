@@ -199,6 +199,15 @@ class TestClassical:
         with pytest.raises(ValueError):
             classical_superalgebra("osp", (2, 3))  # odd q has no symplectic block
 
+    @pytest.mark.parametrize(
+        "name, params, count",
+        [("pe", (2, 5), 1), ("q", (1, 7, 9), 1), ("cspe", (), 1), ("gl", (2, 5, 1), 2), ("gl", 2, 2), ("cosp", (2,), 2)],
+        ids=str,
+    )
+    def test_wrong_parameter_count(self, name, params, count):
+        with pytest.raises(ValueError, match="%s takes exactly %d parameter" % (name, count)):
+            classical_superalgebra(name, params)
+
     def test_membership_and_equality(self):
         gl11 = classical_superalgebra("gl", (1, 1))
         assert gl11.contains_matrix(SuperMatrix.identity(SuperDim(1, 1)))
