@@ -8,7 +8,6 @@ attached on request so identical inputs give byte-identical output.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 import time
@@ -27,9 +26,7 @@ from .superlin import (
     SuperDim,
     SuperMatrix,
     classical_superalgebra,
-    cut_by_functionals,
     generate_subalgebra,
-    stabilizer_algebra,
     standard_even_form,
     standard_odd_complex_structure,
     standard_odd_form,
@@ -52,55 +49,35 @@ def _pairwise_j(dim: SuperDim, field):
     return SuperMatrix.from_flat(dim, flat, field)
 
 
-@functools.lru_cache(maxsize=64)
-def _standard_stabilizer(kind, p, q, field):
-    """Stabilizer of a standard candidate tensor on rank p|q, which depends
-    only on the rank and the field: each is solved once per process, and at
-    most 64 are kept."""
-    if kind == "osp":
-        tensor = standard_even_form(p, q, field=field)
-    elif kind == "osp_sk":
-        tensor = standard_even_form(p, q, skew=True, field=field)
-    elif kind == "gl_C":
-        tensor = StructureTensor("even_endomorphism", "none", _pairwise_j(SuperDim(p, q), field))
-    elif kind == "pe":
-        tensor = standard_odd_form(p, field=field)
-    else:
-        tensor = standard_odd_complex_structure(p, field=field)
-    return stabilizer_algebra(tensor)
-
-
 def default_candidates(dim: SuperDim, field, metric_body=None):
-    """Labeled stabilizer targets fitting the fiber dimensions.
+    """Labeled structures fitting the fiber dimensions, for `classify_geometry`.
 
-    Each candidate carries its stabilizer as "algebra", except the osp of a
-    given metric body, which carries its "tensor".
+    Each candidate carries the "tensors" whose common stabilizer it names;
+    the su cut also carries "supertrace_with", the complex structure J of
+    its condition str(J·A) = 0.  The osp candidate is the given metric body,
+    or the standard form without one; the u and su cuts need a metric body.
     """
+    p, q = dim
     out = []
-    form = j = None
-
-    def standard(label, kind):
-        out.append({"label": label, "algebra": _standard_stabilizer(kind, dim.p, dim.q, field)})
-
-    if dim.q % 2 == 0 and dim.total:
+    j = None
+    if q % 2 == 0 and dim.total:
         if metric_body is None:
-            standard("even supersymmetric metric (osp type)", "osp")
+            form = standard_even_form(p, q, field=field)
         else:
             form = StructureTensor("even_bilinear_form", "supersymmetric", SuperMatrix(dim, metric_body, field))
-            out.append({"label": "even supersymmetric metric (osp type)", "tensor": form})
-    if dim.p % 2 == 0 and dim.total:
-        standard("even super skew metric (osp_sk type)", "osp_sk")
-    if dim.p % 2 == 0 and dim.q % 2 == 0 and dim.total:
+        out.append({"label": "even supersymmetric metric (osp type)", "tensors": (form,)})
+    if p % 2 == 0 and dim.total:
+        skew = standard_even_form(p, q, skew=True, field=field)
+        out.append({"label": "even super skew metric (osp_sk type)", "tensors": (skew,)})
+    if p % 2 == 0 and q % 2 == 0 and dim.total:
         j = StructureTensor("even_endomorphism", "none", _pairwise_j(dim, field))
-        standard("complex structure (gl_C type)", "gl_C")
-    if dim.p == dim.q and dim.p:
-        standard("odd supersymmetric metric (pe type)", "pe")
-        standard("odd complex structure (q type)", "q")
-    if j is not None and form is not None:
-        u_cut = stabilizer_algebra(form, j)
-        su_cut = cut_by_functionals(u_cut, [lambda m: supertrace(j.data.matmul(m))])
-        out.append({"label": "unitary cut (u type)", "algebra": u_cut})
-        out.append({"label": "special unitary cut (su type)", "algebra": su_cut})
+        out.append({"label": "complex structure (gl_C type)", "tensors": (j,)})
+    if p == q and p:
+        out.append({"label": "odd supersymmetric metric (pe type)", "tensors": (standard_odd_form(p, field=field),)})
+        out.append({"label": "odd complex structure (q type)", "tensors": (standard_odd_complex_structure(p, field=field),)})
+    if j is not None and metric_body is not None:
+        out.append({"label": "unitary cut (u type)", "tensors": (form, j)})
+        out.append({"label": "special unitary cut (su type)", "tensors": (form, j), "supertrace_with": j.data})
     return out
 
 
@@ -711,6 +688,10 @@ def run_selftest(with_timing=False):
 
 
 def tables_report(family: str, max_dim: int):
+    """Table rows of a family for every p + q up to max_dim, from 0 to
+    `reportio.MAX_TOTAL_DIM`; any other max_dim is a ProblemError."""
+    if not 0 <= max_dim <= rio.MAX_TOTAL_DIM:
+        raise rio.ProblemError("--max-dim", "must be from 0 to %d" % rio.MAX_TOTAL_DIM)
     rows = []
     params_list = []
     if family in ("gl", "sl"):
@@ -816,7 +797,12 @@ def main(argv=None) -> int:
         return 0 if ok else 1
 
     if args.command == "tables":
-        _write_report(tables_report(args.family, args.max_dim), args.out)
+        try:
+            report = tables_report(args.family, args.max_dim)
+        except rio.ProblemError as exc:
+            _write_report({"kind": "tables", "family": args.family, "error": str(exc)}, args.out)
+            return 1
+        _write_report(report, args.out)
         return 0
 
     return 2

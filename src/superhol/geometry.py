@@ -327,21 +327,24 @@ def curvature(conn: ConnectionData) -> CurvatureTable:
         return conn._curvature
     chart = conn.chart
     t = chart.sig.total
-    gamma = conn.gamma
     fiber = [0] * chart.rank.p + [1] * chart.rank.q
+    # ∂_x Γ_y of every nonzero entry, formed once and read for R_xy and R_yx:
+    # dgamma[y][x] lists (A, B, ∂_x Γ_y^A_B)
+    nonzero = [[(A, B, g) for A, row in enumerate(conn.nonzero_gamma(y)[1]) for B, g in row] for y in range(t)]
+    dgamma = [[[(A, B, g.partial(x + 1)) for A, B, g in entries] for x in range(t)] for entries in nonzero]
     mats = {}
     for a in range(t):
         pa = chart.coord_parity(a)
-        gamma_rows = conn.nonzero_gamma(a)[1]
         for b in range(t):
             pb = chart.coord_parity(b)
-            # R_ab = ∇_a Γ_b − (−1)^{|a||b|} ∂_b Γ_a, the ∂_b Γ_a preloaded
+            # R_ab = ∂_a Γ_b − (−1)^{|a||b|} ∂_b Γ_a + the Γ terms of ∇_a Γ_b
             sign = 1 if pa * pb else -1
             acc = {}
-            for A, row in enumerate(gamma_rows):
-                for B, g in row:
-                    add_into(acc.setdefault((A, B), {}), g.partial(b + 1), sign)
-            mat = _covariant_step(conn, a, gamma[b], pb, acc)
+            for A, B, d in dgamma[b][a]:
+                add_into(acc.setdefault((A, B), {}), d)
+            for A, B, d in dgamma[a][b]:
+                add_into(acc.setdefault((A, B), {}), d, sign)
+            mat = _gamma_step(conn, a, nonzero[b], pb, acc)
             for A, row in enumerate(mat):
                 for B, term in enumerate(row):
                     if term.terms and not _parity_ok(term, (pa + pb + fiber[A] + fiber[B]) % 2):
@@ -415,38 +418,40 @@ def _step_signs(chart: Chart, c: int, par: int):
     return fiber, left, right
 
 
-def _covariant_step(conn: ConnectionData, c: int, mat, par: int, acc=None):
+def _covariant_step(conn: ConnectionData, c: int, mat, par: int):
     """∇_c of one End(E)-valued component over the flat coordinate reference.
 
     `par` is the total parity of the component's coordinate indices, so entry
     [A][B] of `mat` has parity par + |A| + |B|.  Entry [A][B] of the result is
     ∂_c M^A_B + Σ_C (−1)^{|c|(par+|B|+|C|)} M^C_B Γ^A_{cC}
     − Σ_C (−1)^{par(|C|+|B|)} Γ^C_{cB} M^A_C, that is ∂_c M + Γ_c M − M Γ_c
-    with the super signs of that grading.
-
-    The sum is scattered from the nonzero entries of `mat` and of Γ_c, each
-    product added into its entry's accumulator; the result has dense rows,
-    with one shared zero in the entries that nothing reached.  `acc`, when
-    given, holds raw accumulators {(A, B): raw} of terms that the result
-    adds to the step; the step is added into it.
+    with the super signs of that grading: the ∂_c M term, then `_gamma_step`.
     """
+    entries = [(C, B, m) for C, row in enumerate(mat) for B, m in enumerate(row) if m.terms]
+    acc = {}
+    for C, B, m in entries:
+        add_into(acc.setdefault((C, B), {}), m.partial(c + 1))
+    return _gamma_step(conn, c, entries, par, acc)
+
+
+def _gamma_step(conn: ConnectionData, c: int, entries, par: int, acc):
+    """`_covariant_step` of the matrix whose nonzero entries M^C_B are the
+    (C, B, M^C_B) of `entries`, with its ∂_c M term replaced by the raw
+    accumulators {(A, B): raw} of `acc`: the Γ_c M − M Γ_c terms are scattered
+    from those entries and the nonzero entries of Γ_c, each product added
+    into its entry's accumulator.  The result has dense rows, with one shared
+    zero in the entries that nothing reached."""
     chart = conn.chart
     sig = chart.sig
     rk = chart.rank.total
     gamma_cols, gamma_rows = conn.nonzero_gamma(c)
     fiber, left, right = _step_signs(chart, c, par)
-    if acc is None:
-        acc = {}
-    for C, row in enumerate(mat):
-        for B, m in enumerate(row):
-            if not m.terms:
-                continue
-            add_into(acc.setdefault((C, B), {}), m.partial(c + 1))
-            sign = left[fiber[B] ^ fiber[C]]
-            for A, g in gamma_cols[C]:
-                mul_into(acc.setdefault((A, B), {}), m, g, sign)
-            for B2, g in gamma_rows[B]:
-                mul_into(acc.setdefault((C, B2), {}), g, m, right[fiber[B] ^ fiber[B2]])
+    for C, B, m in entries:
+        sign = left[fiber[B] ^ fiber[C]]
+        for A, g in gamma_cols[C]:
+            mul_into(acc.setdefault((A, B), {}), m, g, sign)
+        for B2, g in gamma_rows[B]:
+            mul_into(acc.setdefault((C, B2), {}), g, m, right[fiber[B] ^ fiber[B2]])
     new = sfmat_zeros(sig, rk, rk)
     for (A, B), raw in acc.items():
         f = accumulated(sig, raw)

@@ -29,13 +29,14 @@ from .superlin import (
     SubSuperalgebra,
     SuperDim,
     SuperMatrix,
+    annihilator_rows,
     associative_closure,
     commutant,
     common_kernel,
     generate_subalgebra,
     radical,
     split,
-    stabilizer_algebra,
+    supertrace,
 )
 
 
@@ -483,16 +484,24 @@ def flatness_certificate(conn: ConnectionData):
 
 
 def classify_geometry(algebra: SubSuperalgebra, candidates):
-    """Containment of the algebra in each candidate structure stabilizer."""
+    """Containment of the algebra in each candidate structure stabilizer.
+
+    A structure is parallel exactly when every holonomy element annihilates
+    it, so the algebra lies in the stabilizer of a candidate's "tensors"
+    when every basis element satisfies their `annihilator_rows`; a candidate
+    with "supertrace_with" J also asks str(J·A) = 0 of each.
+    """
+    basis = [(m, m.flatten()) for m in algebra.basis()]
     report = []
     for cand in candidates:
-        if "algebra" in cand:
-            stab = cand["algebra"]
-        else:
-            stab = stabilizer_algebra(cand["tensor"])
-        report.append(
-            {"structure": cand["label"], "contained": stab.contains_algebra(algebra)}
+        rows = [row for tensor in cand["tensors"] for row in annihilator_rows(tensor)]
+        j = cand.get("supertrace_with")
+        contained = all(
+            not any(sum(v * flat[pos] for pos, v in row.items() if pos in flat) for row in rows)
+            and (j is None or not supertrace(j.matmul(m)))
+            for m, flat in basis
         )
+        report.append({"structure": cand["label"], "contained": contained})
     return report
 
 

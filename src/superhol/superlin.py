@@ -361,8 +361,8 @@ SPLIT_DRAWS = 16
 
 
 def commutant(mats, dim: SuperDim, field=RATIONAL, extra_rows=()):
-    """Basis of the even X with XA = AX for every given matrix A, from one
-    kernel solve.
+    """Basis of the even X with XA = AX for every given homogeneous matrix A,
+    from one kernel solve on the even unknowns of `annihilator_rows`.
 
     extra_rows are further linear conditions on X, as sparse dicts over its
     flat positions a*t + b; their terms at odd positions, where X is zero,
@@ -374,21 +374,15 @@ def commutant(mats, dim: SuperDim, field=RATIONAL, extra_rows=()):
 
     def rows():
         for m in mats:
-            e = m.entries
-            for c in range(t):
-                for d in range(t):
-                    # entry (c, d) of XA - AX
-                    row = {}
-                    for b in range(t):
-                        if e[b][d] and c * t + b in keep:
-                            row[c * t + b] = row.get(c * t + b, 0) + e[b][d]
-                        if e[c][b] and b * t + d in keep:
-                            row[b * t + d] = row.get(b * t + d, 0) - e[c][b]
-                    yield row
-        for row in extra_rows:
-            yield {c: v for c, v in row.items() if c in keep}
+            # [X, A] = XA - AX for an even X; a mixed A fails the even block check
+            kind = "odd_endomorphism" if m.parity else "even_endomorphism"
+            yield from annihilator_rows(StructureTensor(kind, "none", m))
+        yield from extra_rows
 
-    return [SuperMatrix.from_flat(dim, vec, field) for vec in solve_kernel(even, rows(), field)]
+    return [
+        SuperMatrix.from_flat(dim, vec, field)
+        for vec in solve_kernel(even, ({c: v for c, v in row.items() if c in keep} for row in rows()), field)
+    ]
 
 
 def associative_closure(mats, dim: SuperDim) -> SparseEchelon:
@@ -496,76 +490,71 @@ class StructureTensor:
     def _validate(self):
         dim = self.data.dim
         t = dim.total
-        e = self.data.entries
-        form_parity = 0 if self.kind == "even_bilinear_form" else 1
-        if self.kind.endswith("endomorphism"):
-            want = 0 if self.kind == "even_endomorphism" else 1
-            for a in range(t):
-                for b in range(t):
-                    if e[a][b] and (dim.parity(a) + dim.parity(b)) % 2 != want:
-                        raise ValueError("endomorphism block pattern violates %s" % self.kind)
+        flat = self.data._flat
+        want = 0 if self.kind.startswith("even") else 1
+        endomorphism = self.kind.endswith("endomorphism")
+        if flat and self.data.parity != want:
+            if endomorphism:
+                raise ValueError("endomorphism block pattern violates %s" % self.kind)
+            raise ValueError("form entries must sit in parity-%d blocks" % want)
+        if endomorphism or self.symmetry == "none":
             return
-        for a in range(t):
-            for b in range(t):
-                if e[a][b] and (dim.parity(a) + dim.parity(b)) % 2 != form_parity:
-                    raise ValueError("form entries must sit in parity-%d blocks" % form_parity)
-        if self.symmetry == "none":
-            return
-        skew = self.symmetry == "super-skew"
-        for a in range(t):
-            for b in range(t):
-                sign = (-1) ** (dim.parity(a) * dim.parity(b))
-                if skew:
-                    sign = -sign
-                if e[a][b] != sign * e[b][a]:
-                    raise ValueError("form violates %s symmetry at (%d,%d)" % (self.symmetry, a, b))
+        skew = -1 if self.symmetry == "super-skew" else 1
+        # the nonzero entries and their mirrors, in row-major order
+        for pos in sorted(set(flat).union((p % t) * t + p // t for p in flat)):
+            a, b = divmod(pos, t)
+            if flat.get(pos, 0) != skew * (-1) ** (dim.parity(a) * dim.parity(b)) * flat.get(b * t + a, 0):
+                raise ValueError("form violates %s symmetry at (%d,%d)" % (self.symmetry, a, b))
+
+
+def annihilator_rows(tensor: StructureTensor):
+    """The equations "A annihilates T" for a homogeneous A, as rows linear
+    in the entries of A: one dict {a*t + b: coefficient} for each equation
+    (c, d), scattered from the nonzero entries of T.
+
+    Forms: g(AX, Y) + (-1)^{|A||X|} g(X, AY) = 0 at X = e_c, Y = e_d.
+    Endomorphisms: [A, J] = AJ - (-1)^{|A||J|} JA = 0 at entry (c, d).
+    Every unknown of equation (c, d) has parity |c| + |d| + |T|, and its sign
+    is read for an A of that parity; an A of the other parity is zero at all
+    the row's unknowns.  Coefficients that cancel stay in as zeros.
+    """
+    dim = tensor.data.dim
+    t = dim.total
+    par = [0] * dim.p + [1] * dim.q
+    rho = 0 if tensor.kind.startswith("even") else 1
+    form = tensor.kind.endswith("bilinear_form")
+    rows = {}
+    for pos, v in tensor.data._flat.items():
+        x, y = divmod(pos, t)
+        for c in range(t):
+            # T[x][y] as e[b][d], (b, d) = (x, y): the term g(A e_c, e_d) of
+            # a form, with unknown A[x][c]; the term (AJ)[c][d] with A[c][x]
+            row = rows.setdefault(c * t + y, {})
+            unknown = x * t + c if form else c * t + x
+            row[unknown] = row.get(unknown, 0) + v
+        for d in range(t):
+            # T[x][y] as e[c][b], (c, b) = (x, y): the term with unknown A[y][d],
+            # signed (-1)^{|A||c|} in a form and -(-1)^{|A||J|} in [A, J]
+            tau = (par[x] + par[d] + rho) % 2
+            odd = tau * par[x] if form else tau * rho + 1
+            row = rows.setdefault(x * t + d, {})
+            row[y * t + d] = row.get(y * t + d, 0) + (-v if odd % 2 else v)
+    return list(rows.values())
 
 
 def stabilizer_algebra(*tensors: StructureTensor) -> SubSuperalgebra:
     """All homogeneous A annihilating every given tensor, from one graded
-    solve on the rows of all of them: the intersection of their stabilizers.
-
-    Forms: g(AX, Y) + (-1)^{|A||X|} g(X, AY) = 0.
-    Endomorphisms: [A, J] = 0 in the endomorphism superalgebra.
-    """
+    solve on the `annihilator_rows` of all of them: the intersection of their
+    stabilizers."""
     dim = tensors[0].data.dim
     field = tensors[0].data.field
     if any(tensor.data.dim != dim for tensor in tensors):
         raise ValueError("ambient dimension mismatch")
     t = dim.total
-    par = [dim.parity(a) for a in range(t)]
     # unknowns: the entries (a, b) of A, each of parity |a| + |b|
-    parity = {(a, b): (par[a] + par[b]) % 2 for a in range(t) for b in range(t)}
-    rows = []
-    for tensor in tensors:
-        e = tensor.data.entries
-        form = tensor.kind.endswith("bilinear_form")
-        rho = 0 if tensor.kind.startswith("even") else 1  # parity of the tensor
-        for c in range(t):
-            for d in range(t):
-                # every unknown of equation (c, d) has parity |c| + |d| + rho
-                tau = (par[c] + par[d] + rho) % 2
-                row = {}
-                if form:
-                    sgn = (-1) ** (tau * par[c])
-                    for b in range(t):
-                        if e[b][d]:
-                            row[(b, c)] = row.get((b, c), 0) + e[b][d]
-                        if e[c][b]:
-                            row[(b, d)] = row.get((b, d), 0) + sgn * e[c][b]
-                else:
-                    sgn = (-1) ** (tau * rho)
-                    for b in range(t):
-                        if e[b][d]:
-                            row[(c, b)] = row.get((c, b), 0) + e[b][d]
-                        if e[c][b]:
-                            row[(b, d)] = row.get((b, d), 0) - sgn * e[c][b]
-                rows.append(row)
-    mats = [
-        SuperMatrix.from_flat(dim, {a * t + b: v for (a, b), v in vec.items()}, field)
-        for kernel in solve_graded(parity, rows, field)
-        for vec in kernel
-    ]
+    parity = {a * t + b: (dim.parity(a) + dim.parity(b)) % 2 for a in range(t) for b in range(t)}
+    rows = [row for tensor in tensors for row in annihilator_rows(tensor)]
+    mats = [SuperMatrix.from_flat(dim, vec, field) for kernel in solve_graded(parity, rows, field) for vec in kernel]
     return SubSuperalgebra.from_matrices(dim, mats, field)
 
 

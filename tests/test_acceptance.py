@@ -230,8 +230,8 @@ def test_criterion_8_ricci_kahler():
         hol = hl.infinitesimal_holonomy(lc, [])
         body = geo.sfmat_value(metric.g, [])
         cands = default_candidates(SuperDim(0, 4), "rational", metric_body=body)
-        su = next(c for c in cands if c["label"].startswith("special unitary"))
-        in_su = su["algebra"].contains_algebra(hol.algebra)
+        report = hl.classify_geometry(hol.algebra, cands)
+        in_su = next(e["contained"] for e in report if e["structure"].startswith("special unitary"))
         assert ric_zero == in_su, "lam=%d breaks the equivalence" % lam
         outcomes.append((lam, ric_zero))
     assert any(z for _, z in outcomes) and any(not z for _, z in outcomes)

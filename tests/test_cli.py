@@ -15,6 +15,7 @@ from superhol.superfunc import Superfunction
 from superhol.superlin import (
     StructureTensor,
     SuperDim,
+    SuperMatrix,
     stabilizer_algebra,
     standard_even_form,
     standard_odd_complex_structure,
@@ -316,6 +317,31 @@ class TestTables:
         assert doc["rows"][0]["family"] == "q"
 
 
+class TestTablesMaxDim:
+    def test_zero_is_accepted(self):
+        assert cli.tables_report("gl", 0)["rows"] == []
+        assert cli.main(["tables", "q", "--max-dim", "0", "--out", os.devnull]) == 0
+
+    @pytest.mark.parametrize("max_dim", [MAX_TOTAL_DIM + 1, 40, -1])
+    def test_out_of_range_is_an_error(self, max_dim, tmp_path):
+        out = tmp_path / "out.json"
+        t0 = time.perf_counter()
+        assert cli.main(["tables", "gl", "--max-dim", str(max_dim), "--out", str(out)]) == 1
+        # gl(p|q) up to p + q = 40 would take hours; the rejection solves nothing
+        assert time.perf_counter() - t0 < 30
+        rep = json.loads(out.read_text())
+        assert rep == {"kind": "tables", "family": "gl", "error": "--max-dim: must be from 0 to %d" % MAX_TOTAL_DIM}
+
+    def test_console_script_has_no_traceback(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "superhol.cli", "tables", "gl", "--max-dim", "40"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1 and "Traceback" not in proc.stderr
+        assert json.loads(proc.stdout)["error"].startswith("--max-dim: ")
+
+
 class TestTransportStepsLimit:
     ROTATION = {
         "kind": "connection",
@@ -361,25 +387,6 @@ class TestTransportStepsLimit:
 
 
 class TestStandardStabilizers:
-    def test_solved_once_per_rank_and_field(self, monkeypatch):
-        cli._standard_stabilizer.cache_clear()
-        solved = []
-        original = cli.stabilizer_algebra
-
-        def counting(*tensors):
-            solved.append(tensors)
-            return original(*tensors)
-
-        monkeypatch.setattr(cli, "stabilizer_algebra", counting)
-        first = cli.default_candidates(SuperDim(2, 2), RATIONAL)
-        again = cli.default_candidates(SuperDim(2, 2), RATIONAL)
-        # osp, osp_sk, gl_C, pe and q
-        assert len(solved) == 5
-        assert all(a["algebra"] is b["algebra"] for a, b in zip(first, again))
-        cli.default_candidates(SuperDim(2, 2), GAUSSIAN)
-        assert len(solved) == 10
-        assert cli._standard_stabilizer.cache_info().maxsize == 64
-
     @pytest.mark.parametrize("field", [RATIONAL, GAUSSIAN])
     @pytest.mark.parametrize("pq", [(2, 2), (2, 0), (0, 2), (1, 1), (4, 2)], ids=lambda d: "%d|%d" % d)
     def test_each_is_the_stabilizer_of_its_tensor(self, pq, field):
@@ -395,14 +402,18 @@ class TestStandardStabilizers:
         assert cands
         for cand in cands:
             want = stabilizer_algebra(tensors[cand["label"]]())
-            assert encode_algebra(cand["algebra"]) == encode_algebra(want)
+            assert encode_algebra(stabilizer_algebra(*cand["tensors"])) == encode_algebra(want)
 
     def test_metric_osp_is_solved_from_its_tensor(self):
-        metric, _ = cli.kahler_test_metric(0)
+        metric, j = cli.kahler_test_metric(0)
         body = geo.sfmat_value(metric.g, [])
         cands = cli.default_candidates(SuperDim(0, 4), RATIONAL, metric_body=body)
-        assert "tensor" in cands[0] and "algebra" not in cands[0]
-        assert [c["label"].split(" (")[0] for c in cands[-2:]] == ["unitary cut", "special unitary cut"]
+        (form,) = cands[0]["tensors"]
+        assert form.data == SuperMatrix(SuperDim(0, 4), body)
+        u, su = cands[-2:]
+        assert [c["label"].split(" (")[0] for c in (u, su)] == ["unitary cut", "special unitary cut"]
+        assert [t.data for t in u["tensors"]] == [form.data, j]
+        assert "supertrace_with" not in u and su["supertrace_with"] == j
 
 
 class TestStatusFlags:

@@ -57,7 +57,7 @@ from superhol.holonomy import (
     test_invariant_subspace as check_invariant_subspace,
 )
 from superhol.berger import CurvatureElement, canonical_pairs, curvature_space
-from superhol.linalg import span_echelon
+from superhol.linalg import solve_graded, span_echelon
 from superhol.reportio import encode_algebra
 from superhol.scalars import GAUSSIAN, RATIONAL, GaussianRational, parse_scalar, scalar_float
 
@@ -544,7 +544,7 @@ class TestCertificates:
     def test_classify_stabilizer_contains_itself(self):
         tensor = standard_even_form(0, 2)
         stab = stabilizer_algebra(tensor)
-        report = classify_geometry(stab, [{"label": "own metric", "tensor": tensor}])
+        report = classify_geometry(stab, [{"label": "own metric", "tensors": (tensor,)}])
         assert report[0]["contained"]
 
     def test_decomposability_product(self):
@@ -1030,3 +1030,110 @@ class TestEvaluatedOrders:
                     got = _derivative_at(conn, tower[k - 1], values[k - 1], pt, gamma)
                     assert list(got) == list(values[k])
                     assert got == values[k]
+
+
+def defined_stabilizer(*tensors):
+    """The common stabilizer of the tensors, solved from their definition on
+    the unit matrices E_ab: A^T G + S G A = 0 for a form G, with S the
+    diagonal of the signs (−1)^{|A||c|}, and [A, J] = 0 for an endomorphism J."""
+    dim = tensors[0].data.dim
+    field = tensors[0].data.field
+    t = dim.total
+    parity, rows = {}, {}
+    for a in range(t):
+        for b in range(t):
+            unit = SuperMatrix.unit(dim, a, b, field)
+            parity[a * t + b] = unit.parity
+            for k, tensor in enumerate(tensors):
+                g = tensor.data
+                if tensor.kind.endswith("endomorphism"):
+                    image = superlin.superbracket(unit, g)
+                else:
+                    signs = SuperMatrix.from_flat(dim, {c * t + c: (-1) ** (unit.parity * dim.parity(c)) for c in range(t)}, field)
+                    transpose = SuperMatrix.unit(dim, b, a, field)
+                    image = transpose.matmul(g) + signs.matmul(g.matmul(unit))
+                for pos, v in image.flatten().items():
+                    rows.setdefault((k, pos), {})[a * t + b] = v
+    mats = [
+        SuperMatrix.from_flat(dim, vec, field)
+        for kernel in solve_graded(parity, rows.values(), field)
+        for vec in kernel
+    ]
+    return SubSuperalgebra.from_matrices(dim, mats, field)
+
+
+def stabilizer_containment(algebra, candidates):
+    """`classify_geometry` the old way: solve each candidate's stabilizer,
+    cut by str(J·A) = 0 where the candidate asks it, and test containment."""
+    report = []
+    for cand in candidates:
+        stab = stabilizer_algebra(*cand["tensors"])
+        j = cand.get("supertrace_with")
+        if j is not None:
+            stab = superlin.cut_by_functionals(stab, [lambda m: superlin.supertrace(j.matmul(m))])
+        report.append({"structure": cand["label"], "contained": stab.contains_algebra(algebra)})
+    return report
+
+
+def seeded_subalgebras(rng, dim, field, stabilizers):
+    """Subalgebras generated by seeded combinations of each stabilizer's
+    basis, alone and with a seeded unit matrix added, and by two seeded
+    unit matrices."""
+    t = dim.total
+    out = []
+    for stab in stabilizers:
+        basis = stab.basis()
+        for _ in range(2):
+            picks = rng.sample(basis, min(2, len(basis)))
+            inside = [superlin.combination(dim, [(rng.randint(-2, 2) or 1, m) for m in picks[:k + 1]], field) for k in range(len(picks))]
+            out.append(generate_subalgebra(inside, dim, field))
+            unit = SuperMatrix.unit(dim, rng.randrange(t), rng.randrange(t), field)
+            out.append(generate_subalgebra(inside[:1] + [unit], dim, field))
+    units = [SuperMatrix.unit(dim, rng.randrange(t), rng.randrange(t), field) for _ in range(2)]
+    out.append(generate_subalgebra(units, dim, field))
+    return out
+
+
+class TestClassifyByEvaluation:
+    """`classify_geometry` evaluates the stabilizer equations on the basis of
+    the algebra; it must agree with solving each stabilizer and testing
+    containment, and the solved stabilizers with their definition."""
+
+    DIMS = [(p, q) for p in range(5) for q in range(5) if 0 < p + q <= 4]
+
+    @pytest.mark.parametrize("field", [RATIONAL, GAUSSIAN])
+    @pytest.mark.parametrize("pq", DIMS, ids=lambda d: "%d|%d" % d)
+    def test_seeded_subalgebras_and_the_stabilizers(self, pq, field):
+        dim = SuperDim(*pq)
+        cands = cli.default_candidates(dim, field)
+        stabilizers = [stabilizer_algebra(*cand["tensors"]) for cand in cands]
+        for cand, stab in zip(cands, stabilizers):
+            assert stab == defined_stabilizer(*cand["tensors"])
+        algebras = stabilizers + seeded_subalgebras(random.Random(pq[0] * 5 + pq[1]), dim, field, stabilizers)
+        algebras += [SubSuperalgebra.zero(dim, field), superlin.full_gl(dim, field)]
+        outcomes = set()
+        for algebra in algebras:
+            report = classify_geometry(algebra, cands)
+            assert report == stabilizer_containment(algebra, cands)
+            outcomes.update(entry["contained"] for entry in report)
+        assert outcomes == ({True, False} if cands else set())
+
+    @pytest.mark.parametrize("field", [RATIONAL, GAUSSIAN])
+    def test_kahler_family_u_and_su(self, field):
+        seen = set()
+        for lam in (0, 1, -1, 2):
+            metric, _ = cli.kahler_test_metric(lam, field)
+            body = sfmat_value(metric.g, [])
+            cands = cli.default_candidates(SuperDim(0, 4), field, metric_body=body)
+            assert [c["label"].split(" (")[0] for c in cands[-2:]] == ["unitary cut", "special unitary cut"]
+            stabilizers = [stabilizer_algebra(*cand["tensors"]) for cand in cands]
+            for cand, stab in zip(cands[-2:], stabilizers[-2:]):
+                assert stab == defined_stabilizer(*cand["tensors"])
+            hol = infinitesimal_holonomy(levi_civita(metric), [])
+            for algebra in [hol.algebra] + stabilizers:
+                report = classify_geometry(algebra, cands)
+                assert report == stabilizer_containment(algebra, cands)
+                seen.add(tuple(entry["contained"] for entry in report[-2:]))
+        # the family's holonomy lies in u, in su exactly when Ric = 0, and
+        # the u stabilizer itself leaves su
+        assert {(True, True), (True, False)} <= seen
