@@ -74,13 +74,9 @@ class CurvatureElement:
         out = {}
         for idx, pair in enumerate(canonical_pairs(self.dim)):
             m = self.values.get(pair)
-            if m is None:
-                continue
-            for a in range(t):
-                for b in range(t):
-                    v = m.entries[a][b]
-                    if v:
-                        out[idx * t * t + a * t + b] = v
+            if m is not None:
+                for pos, v in m._flat.items():
+                    out[idx * t * t + pos] = v
         return out
 
 
@@ -407,7 +403,7 @@ def cartan_prolongation(dim: SuperDim, g0: SubSuperalgebra, order: int) -> Prolo
     # homogeneous functionals phi_AB on gl(V) that vanish on g0
     cols = {(a, b): (dim.parity(a) + dim.parity(b)) % 2 for a in range(t) for b in range(t)}
     basis = g0.basis()
-    rows = ({(a, b): m.entries[a][b] for (a, b) in cols} for m in basis)
+    rows = ({divmod(pos, t): v for pos, v in m._flat.items()} for m in basis)
     annihilator = [phi for kernel in solve_graded(cols, rows, field) for phi in kernel]
     # the support of g0 as level 0: the entries (A, B) that g0 reaches
     support = {((pos % t,), pos // t) for m in basis for pos in m._flat}
@@ -632,13 +628,8 @@ def pi_adjoint_test(algebra: SubSuperalgebra):
     expected = {}
     for j, g in enumerate(basis):
         sign = (-1) ** (g.parity + 1)
-        m = rep[j]
-        t = vdim.total
-        for a in range(t):
-            for b in range(t):
-                v = m.entries[a][b]
-                if v:
-                    expected[(pos[j], a, b)] = sign * v
+        for flat_pos, v in rep[j]._flat.items():
+            expected[(pos[j],) + divmod(flat_pos, vdim.total)] = sign * v
     generator_matches = False
     if g1.total_dim == 1:
         generator_matches = _proportional(g1.multimaps()[0], expected)

@@ -25,6 +25,7 @@ from .superlin import (
     SubSuperalgebra,
     SuperDim,
     SuperMatrix,
+    annihilator_rows,
     classical_superalgebra,
     generate_subalgebra,
     standard_even_form,
@@ -32,6 +33,7 @@ from .superlin import (
     standard_odd_form,
     superbracket,
     supertrace,
+    supertrace_row,
 )
 
 
@@ -49,13 +51,18 @@ def _pairwise_j(dim: SuperDim, field):
     return SuperMatrix.from_flat(dim, flat, field)
 
 
+def _rows(*tensors):
+    return [row for tensor in tensors for row in annihilator_rows(tensor)]
+
+
 def default_candidates(dim: SuperDim, field, metric_body=None):
     """Labeled structures fitting the fiber dimensions, for `classify_geometry`.
 
-    Each candidate carries the "tensors" whose common stabilizer it names;
-    the su cut also carries "supertrace_with", the complex structure J of
-    its condition str(J·A) = 0.  The osp candidate is the given metric body,
-    or the standard form without one; the u and su cuts need a metric body.
+    Each candidate carries the "rows" that cut out its stabilizer: the
+    `annihilator_rows` of its tensors, and for the su cut also the
+    `supertrace_row` of the complex structure J, str(J·A) = 0.  The osp
+    candidate is the given metric body, or the standard form without one;
+    the u and su cuts need a metric body.
     """
     p, q = dim
     out = []
@@ -65,19 +72,20 @@ def default_candidates(dim: SuperDim, field, metric_body=None):
             form = standard_even_form(p, q, field=field)
         else:
             form = StructureTensor("even_bilinear_form", "supersymmetric", SuperMatrix(dim, metric_body, field))
-        out.append({"label": "even supersymmetric metric (osp type)", "tensors": (form,)})
+        out.append({"label": "even supersymmetric metric (osp type)", "rows": _rows(form)})
     if p % 2 == 0 and dim.total:
         skew = standard_even_form(p, q, skew=True, field=field)
-        out.append({"label": "even super skew metric (osp_sk type)", "tensors": (skew,)})
+        out.append({"label": "even super skew metric (osp_sk type)", "rows": _rows(skew)})
     if p % 2 == 0 and q % 2 == 0 and dim.total:
         j = StructureTensor("even_endomorphism", "none", _pairwise_j(dim, field))
-        out.append({"label": "complex structure (gl_C type)", "tensors": (j,)})
+        out.append({"label": "complex structure (gl_C type)", "rows": _rows(j)})
     if p == q and p:
-        out.append({"label": "odd supersymmetric metric (pe type)", "tensors": (standard_odd_form(p, field=field),)})
-        out.append({"label": "odd complex structure (q type)", "tensors": (standard_odd_complex_structure(p, field=field),)})
+        out.append({"label": "odd supersymmetric metric (pe type)", "rows": _rows(standard_odd_form(p, field=field))})
+        out.append({"label": "odd complex structure (q type)", "rows": _rows(standard_odd_complex_structure(p, field=field))})
     if j is not None and metric_body is not None:
-        out.append({"label": "unitary cut (u type)", "tensors": (form, j)})
-        out.append({"label": "special unitary cut (su type)", "tensors": (form, j), "supertrace_with": j.data})
+        unitary = _rows(form, j)
+        out.append({"label": "unitary cut (u type)", "rows": unitary})
+        out.append({"label": "special unitary cut (su type)", "rows": unitary + [supertrace_row(j.data)]})
     return out
 
 

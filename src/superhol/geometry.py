@@ -712,7 +712,7 @@ class MetricData:
             raise ValueError("metric lives on the tangent sheaf")
         self.chart = chart
         self.g = g  # g[a][b] superfunctions
-        # the `validate_metric` report at the default point, kept for reuse
+        # the `validate_metric` report, kept for reuse
         self.validation = None
         if validate:
             self.validation = validate_metric(self)
@@ -740,8 +740,8 @@ class MetricData:
         return MetricData(chart, g)
 
 
-def validate_metric(metric: MetricData, point=None):
-    """Structural checks plus body nondegeneracy at a point (default 0)."""
+def validate_metric(metric: MetricData):
+    """Structural checks plus body nondegeneracy at the origin."""
     chart = metric.chart
     sig = chart.sig
     t = sig.total
@@ -757,9 +757,7 @@ def validate_metric(metric: MetricData, point=None):
             sign = (-1) ** (chart.coord_parity(a) * chart.coord_parity(b))
             if not _is_signed_copy(g[a][b], g[b][a], sign):
                 failures.append("supersymmetry fails at (%d,%d)" % (a + 1, b + 1))
-    if point is None:
-        point = [0] * sig.n
-    body = sfmat_value(g, point)
+    body = sfmat_value(g, [0] * sig.n)
     n = sig.n
     for a in range(n):
         for b in range(n, t):

@@ -29,14 +29,12 @@ from .superlin import (
     SubSuperalgebra,
     SuperDim,
     SuperMatrix,
-    annihilator_rows,
     associative_closure,
     commutant,
     common_kernel,
     generate_subalgebra,
     radical,
     split,
-    supertrace,
 )
 
 
@@ -487,22 +485,20 @@ def classify_geometry(algebra: SubSuperalgebra, candidates):
     """Containment of the algebra in each candidate structure stabilizer.
 
     A structure is parallel exactly when every holonomy element annihilates
-    it, so the algebra lies in the stabilizer of a candidate's "tensors"
-    when every basis element satisfies their `annihilator_rows`; a candidate
-    with "supertrace_with" J also asks str(J·A) = 0 of each.
+    it, so the algebra lies in a candidate's stabilizer when every basis
+    element satisfies the candidate's "rows": linear conditions on the flat
+    entries of a matrix, as `superlin.solve_algebra` takes them.
     """
-    basis = [(m, m.flatten()) for m in algebra.basis()]
-    report = []
-    for cand in candidates:
-        rows = [row for tensor in cand["tensors"] for row in annihilator_rows(tensor)]
-        j = cand.get("supertrace_with")
-        contained = all(
-            not any(sum(v * flat[pos] for pos, v in row.items() if pos in flat) for row in rows)
-            and (j is None or not supertrace(j.matmul(m)))
-            for m, flat in basis
-        )
-        report.append({"structure": cand["label"], "contained": contained})
-    return report
+    flats = [m.flatten() for m in algebra.basis()]
+    return [
+        {
+            "structure": cand["label"],
+            "contained": not any(
+                sum(v * flat[pos] for pos, v in row.items() if pos in flat) for flat in flats for row in cand["rows"]
+            ),
+        }
+        for cand in candidates
+    ]
 
 
 # ------------------------------------------------- decomposability search

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 
 from .geometry import Chart, ConnectionData, MetricData
-from .scalars import parse_scalar, scalar_str
+from .scalars import FIELDS, GAUSSIAN, RATIONAL, parse_scalar, scalar_str
 from .superfunc import ChartSignature, parse_superfunction
 from .superlin import (
     SubSuperalgebra,
@@ -97,17 +97,19 @@ def _parse_entry(text, sig, path):
         raise ProblemError(path, str(exc))
 
 
-def _field(obj):
-    field = obj.get("field", "rational")
-    return "gaussian-rational" if field == "gaussian" else field
+def _field(obj, path):
+    """The field tag of an object: "rational" when absent, and "gaussian"
+    read as "gaussian-rational"."""
+    field = obj.get("field", RATIONAL)
+    field = GAUSSIAN if field == "gaussian" else field
+    if field not in FIELDS:
+        raise ProblemError(path + "/field", "must be rational, gaussian or gaussian-rational")
+    return field
 
 
 def decode_chart(obj, path="/chart") -> ChartSignature:
     n, m = _superdim(obj, path, ("n", "m"))
-    try:
-        return ChartSignature(n, m, _field(obj))
-    except ValueError as exc:
-        raise ProblemError(path, str(exc))
+    return ChartSignature(n, m, _field(obj, path))
 
 
 def decode_connection(obj, path="") -> ConnectionData:
@@ -117,7 +119,9 @@ def decode_connection(obj, path="") -> ConnectionData:
     else:
         rank_obj = _require_object(obj, "rank", path)
         rank = SuperDim(*_superdim(rank_obj, path + "/rank"))
-        tangent = bool(obj.get("tangent", rank.p == sig.n and rank.q == sig.m))
+        tangent = obj.get("tangent", rank.p == sig.n and rank.q == sig.m)
+        if tangent.__class__ is not bool:
+            raise ProblemError(path + "/tangent", "must be true or false")
         chart = Chart(sig, rank, tangent_sheaf=tangent and rank.p == sig.n and rank.q == sig.m)
     entries = {}
     for key, text in _require_object(obj, "gamma", path).items():
@@ -155,7 +159,7 @@ def decode_metric(obj, path="") -> MetricData:
 
 
 def decode_algebra(obj, path="/algebra") -> SubSuperalgebra:
-    field = _field(obj)
+    field = _field(obj, path)
     if "name" in obj:
         params = obj.get("params", [])
         if isinstance(params, list):

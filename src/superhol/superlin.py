@@ -542,20 +542,34 @@ def annihilator_rows(tensor: StructureTensor):
     return list(rows.values())
 
 
-def stabilizer_algebra(*tensors: StructureTensor) -> SubSuperalgebra:
-    """All homogeneous A annihilating every given tensor, from one graded
-    solve on the `annihilator_rows` of all of them: the intersection of their
-    stabilizers."""
-    dim = tensors[0].data.dim
-    field = tensors[0].data.field
-    if any(tensor.data.dim != dim for tensor in tensors):
-        raise ValueError("ambient dimension mismatch")
+def supertrace_row(j: SuperMatrix):
+    """The equation str(J·A) = 0 as one row linear in the entries of A, like
+    `annihilator_rows`: str(J·A) = Σ (-1)^{|a|} J[a][b] A[b][a], so the
+    unknown A[b][a] gets (-1)^{|a|} J[a][b].  The row of a homogeneous J is
+    homogeneous, of J's parity."""
+    t, p = j.dim.total, j.dim.p
+    return {(pos % t) * t + pos // t: -v if pos >= p * t else v for pos, v in j._flat.items()}
+
+
+def solve_algebra(dim: SuperDim, rows, field=RATIONAL) -> SubSuperalgebra:
+    """All homogeneous A whose entries satisfy every row, from one graded
+    solve.  Each row is a dict {a*t + b: coefficient} on the entries of A,
+    homogeneous like those of `annihilator_rows` and `supertrace_row`."""
     t = dim.total
     # unknowns: the entries (a, b) of A, each of parity |a| + |b|
     parity = {a * t + b: (dim.parity(a) + dim.parity(b)) % 2 for a in range(t) for b in range(t)}
-    rows = [row for tensor in tensors for row in annihilator_rows(tensor)]
     mats = [SuperMatrix.from_flat(dim, vec, field) for kernel in solve_graded(parity, rows, field) for vec in kernel]
     return SubSuperalgebra.from_matrices(dim, mats, field)
+
+
+def stabilizer_algebra(*tensors: StructureTensor) -> SubSuperalgebra:
+    """All homogeneous A annihilating every given tensor, from one
+    `solve_algebra` on the `annihilator_rows` of all of them: the
+    intersection of their stabilizers."""
+    dim = tensors[0].data.dim
+    if any(tensor.data.dim != dim for tensor in tensors):
+        raise ValueError("ambient dimension mismatch")
+    return solve_algebra(dim, [row for tensor in tensors for row in annihilator_rows(tensor)], tensors[0].data.field)
 
 
 # ------------------------------------------------------- classical algebras
@@ -603,30 +617,6 @@ def standard_odd_complex_structure(n: int, field=RATIONAL) -> StructureTensor:
     return StructureTensor("odd_endomorphism", "none", m)
 
 
-def full_gl(dim: SuperDim, field=RATIONAL) -> SubSuperalgebra:
-    mats = [
-        SuperMatrix.unit(dim, a, b, field)
-        for a in range(dim.total)
-        for b in range(dim.total)
-    ]
-    return SubSuperalgebra.from_matrices(dim, mats, field)
-
-
-def cut_by_functionals(algebra: SubSuperalgebra, functionals) -> SubSuperalgebra:
-    """Subalgebra of elements killed by the given linear maps matrix -> scalar.
-
-    Each functional applies to even basis combinations only when it vanishes
-    automatically on odd matrices (e.g. supertrace-type cuts); it is applied
-    to both parities regardless, which is correct for linear constraints.
-    """
-    out = []
-    for basis in (algebra.even_basis, algebra.odd_basis):
-        rows = [{j: fn(m) for j, m in enumerate(basis)} for fn in functionals]
-        for combo in solve_kernel(range(len(basis)), rows, algebra.field):
-            out.append(combination(algebra.dim, ((c, basis[j]) for j, c in combo.items()), algebra.field))
-    return SubSuperalgebra.from_matrices(algebra.dim, out, algebra.field)
-
-
 def classical_dim(name: str, params) -> SuperDim:
     """The superspace p|q a named classical family acts on.
 
@@ -655,10 +645,12 @@ def classical_superalgebra(name: str, params, field=RATIONAL) -> SubSuperalgebra
     """
     dim = classical_dim(name, params)
     p, q = dim
+    # str(A) = 0, as a row
+    traceless = supertrace_row(SuperMatrix.identity(dim, field))
     if name == "gl":
-        return full_gl(dim, field)
+        return solve_algebra(dim, [], field)
     if name == "sl":
-        return cut_by_functionals(full_gl(dim, field), [supertrace])
+        return solve_algebra(dim, [traceless], field)
     if name == "osp":
         return stabilizer_algebra(standard_even_form(p, q, skew=False, field=field))
     if name == "osp_sk":
@@ -666,8 +658,7 @@ def classical_superalgebra(name: str, params, field=RATIONAL) -> SubSuperalgebra
     if name == "pe":
         return stabilizer_algebra(standard_odd_form(p, skew=False, field=field))
     if name == "spe":
-        pe = stabilizer_algebra(standard_odd_form(p, skew=False, field=field))
-        return cut_by_functionals(pe, [supertrace])
+        return solve_algebra(dim, annihilator_rows(standard_odd_form(p, skew=False, field=field)) + [traceless], field)
     if name == "q":
         return stabilizer_algebra(standard_odd_complex_structure(p, field=field))
     # cosp, cpe and cspe

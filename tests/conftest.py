@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 
 from superhol.geometry import Chart, ConnectionData, sfmat_zeros
+from superhol.linalg import solve_graded, solve_kernel
 from superhol.scalars import GAUSSIAN, GaussianRational
 from superhol.superfunc import ChartSignature, Superfunction
-from superhol.superlin import SuperDim, SuperMatrix
+from superhol.superlin import SubSuperalgebra, SuperDim, SuperMatrix, combination, superbracket
 
 
 def is_canonical_rational(value):
@@ -100,3 +101,54 @@ def random_homogeneous_matrix(rng, dim, parity, lo=-2, hi=2):
             if (dim.parity(a) + dim.parity(b)) % 2 == parity:
                 rows[a][b] = Fraction(rng.randint(lo, hi))
     return SuperMatrix(dim, rows)
+
+
+# ----------------------------------------- reference stabilizers and cuts
+
+
+def unit_gl(dim, field):
+    """gl(p|q) as the span of its unit matrices E_ab."""
+    t = dim.total
+    return SubSuperalgebra.from_matrices(dim, [SuperMatrix.unit(dim, a, b, field) for a in range(t) for b in range(t)], field)
+
+
+def cut_by_functionals(algebra, functionals):
+    """The elements of the algebra that the given linear maps matrix ->
+    scalar kill, solved in the coordinates of its even and of its odd
+    basis."""
+    out = []
+    for basis in (algebra.even_basis, algebra.odd_basis):
+        rows = [{j: fn(m) for j, m in enumerate(basis)} for fn in functionals]
+        for combo in solve_kernel(range(len(basis)), rows, algebra.field):
+            out.append(combination(algebra.dim, ((c, basis[j]) for j, c in combo.items()), algebra.field))
+    return SubSuperalgebra.from_matrices(algebra.dim, out, algebra.field)
+
+
+def defined_stabilizer(*tensors):
+    """The common stabilizer of the tensors, solved from their definition on
+    the unit matrices E_ab: A^T G + S G A = 0 for a form G, with S the
+    diagonal of the signs (−1)^{|A||c|}, and [A, J] = 0 for an endomorphism J."""
+    dim = tensors[0].data.dim
+    field = tensors[0].data.field
+    t = dim.total
+    parity, rows = {}, {}
+    for a in range(t):
+        for b in range(t):
+            unit = SuperMatrix.unit(dim, a, b, field)
+            parity[a * t + b] = unit.parity
+            for k, tensor in enumerate(tensors):
+                g = tensor.data
+                if tensor.kind.endswith("endomorphism"):
+                    image = superbracket(unit, g)
+                else:
+                    signs = SuperMatrix.from_flat(dim, {c * t + c: (-1) ** (unit.parity * dim.parity(c)) for c in range(t)}, field)
+                    transpose = SuperMatrix.unit(dim, b, a, field)
+                    image = transpose.matmul(g) + signs.matmul(g.matmul(unit))
+                for pos, v in image.flatten().items():
+                    rows.setdefault((k, pos), {})[a * t + b] = v
+    mats = [
+        SuperMatrix.from_flat(dim, vec, field)
+        for kernel in solve_graded(parity, rows.values(), field)
+        for vec in kernel
+    ]
+    return SubSuperalgebra.from_matrices(dim, mats, field)

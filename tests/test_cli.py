@@ -16,10 +16,13 @@ from superhol.superlin import (
     StructureTensor,
     SuperDim,
     SuperMatrix,
+    annihilator_rows,
+    solve_algebra,
     stabilizer_algebra,
     standard_even_form,
     standard_odd_complex_structure,
     standard_odd_form,
+    supertrace_row,
 )
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -173,6 +176,16 @@ class TestRunPipelines:
             ({"kind": "algebra", "algebra": {"dim": {"p": 10, "q": 7}}}, "/algebra/dim"),
             ({"kind": "algebra", "algebra": {"name": "q", "params": [9]}}, "/algebra"),
             ({"kind": "prolongation", "algebra": {"name": "gl", "params": [16, 1]}}, "/algebra"),
+            # a field is one of the three tags, and tangent a JSON boolean
+            ({"kind": "algebra", "algebra": {"name": "sl", "params": [1, 1], "field": "banana"}}, "/algebra/field"),
+            ({"kind": "algebra", "algebra": {"name": "sl", "params": [1, 1], "field": {}}}, "/algebra/field"),
+            ({"kind": "prolongation", "algebra": {"dim": {"p": 1, "q": 0}, "field": None}}, "/algebra/field"),
+            ({"kind": "connection", "chart": {"n": 1, "m": 0, "field": "real"}, "gamma": {}}, "/chart/field"),
+            (
+                {"kind": "connection", "chart": {"n": 1, "m": 1}, "rank": {"p": 1, "q": 1}, "tangent": "false", "gamma": {}},
+                "/tangent",
+            ),
+            ({"kind": "connection", "chart": {"n": 1, "m": 1}, "rank": {"p": 1, "q": 1}, "tangent": [0], "gamma": {}}, "/tangent"),
         ],
     )
     def test_malformed_input_is_an_error_report(self, doc, path):
@@ -378,6 +391,15 @@ class TestTransportStepsLimit:
         assert first["error"].startswith("/options/transport_steps: ")
         assert "error" not in second and second["result"]["holonomy_dim"] == [1, 0]
 
+    def test_tangent_and_field_values(self):
+        doc = {"kind": "connection", "chart": {"n": 1, "m": 1}, "rank": {"p": 1, "q": 1}, "gamma": {"1,2,1": "xi1"}}
+        for tangent in (True, False):
+            rep, ok = cli.run_problem(dict(doc, tangent=tangent))
+            assert ok and ("torsion_free" in rep["result"]) == tangent
+        for tag, field in (("rational", RATIONAL), ("gaussian", GAUSSIAN), ("gaussian-rational", GAUSSIAN)):
+            _, algebra, _ = decode_problem({"kind": "algebra", "algebra": {"name": "sl", "params": [1, 1], "field": tag}})
+            assert algebra.field == field
+
     def test_steps_flag_above_the_limit(self, tmp_path):
         out = tmp_path / "out.json"
         r01 = os.path.join(DATA, "example_r01.json")
@@ -402,18 +424,18 @@ class TestStandardStabilizers:
         assert cands
         for cand in cands:
             want = stabilizer_algebra(tensors[cand["label"]]())
-            assert encode_algebra(stabilizer_algebra(*cand["tensors"])) == encode_algebra(want)
+            assert encode_algebra(solve_algebra(dim, cand["rows"], field)) == encode_algebra(want)
 
-    def test_metric_osp_is_solved_from_its_tensor(self):
+    def test_metric_rows_and_the_unitary_cuts(self):
         metric, j = cli.kahler_test_metric(0)
         body = geo.sfmat_value(metric.g, [])
         cands = cli.default_candidates(SuperDim(0, 4), RATIONAL, metric_body=body)
-        (form,) = cands[0]["tensors"]
-        assert form.data == SuperMatrix(SuperDim(0, 4), body)
+        form = StructureTensor("even_bilinear_form", "supersymmetric", SuperMatrix(SuperDim(0, 4), body))
+        assert cands[0]["rows"] == annihilator_rows(form)
         u, su = cands[-2:]
         assert [c["label"].split(" (")[0] for c in (u, su)] == ["unitary cut", "special unitary cut"]
-        assert [t.data for t in u["tensors"]] == [form.data, j]
-        assert "supertrace_with" not in u and su["supertrace_with"] == j
+        assert u["rows"] == annihilator_rows(form) + annihilator_rows(StructureTensor("even_endomorphism", "none", j))
+        assert su["rows"] == u["rows"] + [supertrace_row(j)]
 
 
 class TestStatusFlags:

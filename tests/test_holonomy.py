@@ -15,12 +15,19 @@ from superhol import reportio as rio
 from superhol import superlin
 from superhol.superfunc import ChartSignature, Superfunction, parse_superfunction
 from superhol.superlin import (
+    StructureTensor,
     SubSuperalgebra,
     SuperDim,
     SuperMatrix,
+    annihilator_rows,
+    classical_superalgebra,
     generate_subalgebra,
+    solve_algebra,
     stabilizer_algebra,
     standard_even_form,
+    standard_odd_complex_structure,
+    standard_odd_form,
+    supertrace,
 )
 from superhol.geometry import (
     Chart,
@@ -57,11 +64,17 @@ from superhol.holonomy import (
     test_invariant_subspace as check_invariant_subspace,
 )
 from superhol.berger import CurvatureElement, canonical_pairs, curvature_space
-from superhol.linalg import solve_graded, span_echelon
+from superhol.linalg import span_echelon
 from superhol.reportio import encode_algebra
 from superhol.scalars import GAUSSIAN, RATIONAL, GaussianRational, parse_scalar, scalar_float
 
-from conftest import random_sparse_connection, random_torsion_free_connection, random_unipotent_gauge
+from conftest import (
+    cut_by_functionals,
+    defined_stabilizer,
+    random_sparse_connection,
+    random_torsion_free_connection,
+    random_unipotent_gauge,
+)
 
 
 def r01_connection():
@@ -450,9 +463,7 @@ class TestInvariantObjects:
         assert check_invariant_subspace(hol.algebra, [[Fraction(1)]])
 
     def test_random_line_not_invariant_under_gl(self):
-        from superhol.superlin import full_gl
-
-        gl = full_gl(SuperDim(2, 0))
+        gl = classical_superalgebra("gl", (2, 0))
         assert not check_invariant_subspace(gl, [[Fraction(1), Fraction(2)]])
 
     def test_product_block_invariant(self):
@@ -544,7 +555,7 @@ class TestCertificates:
     def test_classify_stabilizer_contains_itself(self):
         tensor = standard_even_form(0, 2)
         stab = stabilizer_algebra(tensor)
-        report = classify_geometry(stab, [{"label": "own metric", "tensors": (tensor,)}])
+        report = classify_geometry(stab, [{"label": "own metric", "rows": annihilator_rows(tensor)}])
         assert report[0]["contained"]
 
     def test_decomposability_product(self):
@@ -1032,47 +1043,42 @@ class TestEvaluatedOrders:
                     assert got == values[k]
 
 
-def defined_stabilizer(*tensors):
-    """The common stabilizer of the tensors, solved from their definition on
-    the unit matrices E_ab: A^T G + S G A = 0 for a form G, with S the
-    diagonal of the signs (−1)^{|A||c|}, and [A, J] = 0 for an endomorphism J."""
-    dim = tensors[0].data.dim
-    field = tensors[0].data.field
-    t = dim.total
-    parity, rows = {}, {}
-    for a in range(t):
-        for b in range(t):
-            unit = SuperMatrix.unit(dim, a, b, field)
-            parity[a * t + b] = unit.parity
-            for k, tensor in enumerate(tensors):
-                g = tensor.data
-                if tensor.kind.endswith("endomorphism"):
-                    image = superlin.superbracket(unit, g)
-                else:
-                    signs = SuperMatrix.from_flat(dim, {c * t + c: (-1) ** (unit.parity * dim.parity(c)) for c in range(t)}, field)
-                    transpose = SuperMatrix.unit(dim, b, a, field)
-                    image = transpose.matmul(g) + signs.matmul(g.matmul(unit))
-                for pos, v in image.flatten().items():
-                    rows.setdefault((k, pos), {})[a * t + b] = v
-    mats = [
-        SuperMatrix.from_flat(dim, vec, field)
-        for kernel in solve_graded(parity, rows.values(), field)
-        for vec in kernel
-    ]
-    return SubSuperalgebra.from_matrices(dim, mats, field)
+def defined_candidate(label, dim, field, metric_body=None):
+    """The stabilizer a `cli.default_candidates` label names, solved from the
+    definition of its tensors, rebuilt here from the label; the su cut is
+    then cut by str(J·A) = 0."""
+    p, q = dim
+    kind = label[label.index("(") + 1:label.index(" type)")]
+
+    def form():
+        if metric_body is None:
+            return standard_even_form(p, q, field=field)
+        return StructureTensor("even_bilinear_form", "supersymmetric", SuperMatrix(dim, metric_body, field))
+
+    j = cli._pairwise_j(dim, field)
+    complex_structure = StructureTensor("even_endomorphism", "none", j)
+    tensors = {
+        "osp": lambda: (form(),),
+        "osp_sk": lambda: (standard_even_form(p, q, skew=True, field=field),),
+        "gl_C": lambda: (complex_structure,),
+        "pe": lambda: (standard_odd_form(p, field=field),),
+        "q": lambda: (standard_odd_complex_structure(p, field=field),),
+        "u": lambda: (form(), complex_structure),
+        "su": lambda: (form(), complex_structure),
+    }
+    stab = defined_stabilizer(*tensors[kind]())
+    if kind == "su":
+        stab = cut_by_functionals(stab, [lambda m: supertrace(j.matmul(m))])
+    return stab
 
 
 def stabilizer_containment(algebra, candidates):
-    """`classify_geometry` the old way: solve each candidate's stabilizer,
-    cut by str(J·A) = 0 where the candidate asks it, and test containment."""
-    report = []
-    for cand in candidates:
-        stab = stabilizer_algebra(*cand["tensors"])
-        j = cand.get("supertrace_with")
-        if j is not None:
-            stab = superlin.cut_by_functionals(stab, [lambda m: superlin.supertrace(j.matmul(m))])
-        report.append({"structure": cand["label"], "contained": stab.contains_algebra(algebra)})
-    return report
+    """`classify_geometry` the old way: solve each candidate's rows and test
+    containment."""
+    return [
+        {"structure": cand["label"], "contained": solve_algebra(algebra.dim, cand["rows"], algebra.field).contains_algebra(algebra)}
+        for cand in candidates
+    ]
 
 
 def seeded_subalgebras(rng, dim, field, stabilizers):
@@ -1095,9 +1101,10 @@ def seeded_subalgebras(rng, dim, field, stabilizers):
 
 
 class TestClassifyByEvaluation:
-    """`classify_geometry` evaluates the stabilizer equations on the basis of
-    the algebra; it must agree with solving each stabilizer and testing
-    containment, and the solved stabilizers with their definition."""
+    """`classify_geometry` evaluates each candidate's rows on the basis of
+    the algebra; it must agree with solving the rows and testing
+    containment, and the solved rows with the definition of the structure
+    the candidate's label names."""
 
     DIMS = [(p, q) for p in range(5) for q in range(5) if 0 < p + q <= 4]
 
@@ -1106,11 +1113,11 @@ class TestClassifyByEvaluation:
     def test_seeded_subalgebras_and_the_stabilizers(self, pq, field):
         dim = SuperDim(*pq)
         cands = cli.default_candidates(dim, field)
-        stabilizers = [stabilizer_algebra(*cand["tensors"]) for cand in cands]
+        stabilizers = [solve_algebra(dim, cand["rows"], field) for cand in cands]
         for cand, stab in zip(cands, stabilizers):
-            assert stab == defined_stabilizer(*cand["tensors"])
+            assert stab == defined_candidate(cand["label"], dim, field)
         algebras = stabilizers + seeded_subalgebras(random.Random(pq[0] * 5 + pq[1]), dim, field, stabilizers)
-        algebras += [SubSuperalgebra.zero(dim, field), superlin.full_gl(dim, field)]
+        algebras += [SubSuperalgebra.zero(dim, field), classical_superalgebra("gl", pq, field)]
         outcomes = set()
         for algebra in algebras:
             report = classify_geometry(algebra, cands)
@@ -1126,9 +1133,9 @@ class TestClassifyByEvaluation:
             body = sfmat_value(metric.g, [])
             cands = cli.default_candidates(SuperDim(0, 4), field, metric_body=body)
             assert [c["label"].split(" (")[0] for c in cands[-2:]] == ["unitary cut", "special unitary cut"]
-            stabilizers = [stabilizer_algebra(*cand["tensors"]) for cand in cands]
-            for cand, stab in zip(cands[-2:], stabilizers[-2:]):
-                assert stab == defined_stabilizer(*cand["tensors"])
+            stabilizers = [solve_algebra(SuperDim(0, 4), cand["rows"], field) for cand in cands]
+            for cand, stab in zip(cands, stabilizers):
+                assert stab == defined_candidate(cand["label"], SuperDim(0, 4), field, body)
             hol = infinitesimal_holonomy(levi_civita(metric), [])
             for algebra in [hol.algebra] + stabilizers:
                 report = classify_geometry(algebra, cands)

@@ -14,11 +14,10 @@ from superhol.superlin import (
     SuperDim,
     SuperMatrix,
     associative_closure,
+    classical_dim,
     classical_superalgebra,
     combination,
     commutant,
-    cut_by_functionals,
-    full_gl,
     generate_subalgebra,
     radical,
     split,
@@ -28,9 +27,10 @@ from superhol.superlin import (
     standard_odd_form,
     superbracket,
     supertrace,
+    supertrace_row,
 )
 
-from conftest import is_canonical_rational, random_homogeneous_matrix
+from conftest import cut_by_functionals, defined_stabilizer, is_canonical_rational, random_homogeneous_matrix, unit_gl
 
 FIELDS = (RATIONAL, GAUSSIAN)
 
@@ -45,6 +45,21 @@ class TestSupertrace:
     def test_odd_block(self):
         m = SuperMatrix.from_flat(SuperDim(0, 1), {0: Fraction(-2)})
         assert supertrace(m) == 2
+
+
+class TestSupertraceRow:
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_row_on_a_matrix_is_the_supertrace_of_the_product(self, field):
+        rng = random.Random("supertrace row %s" % field)
+        for dim in REFERENCE_DIMS:
+            for _ in range(4):
+                j = random_matrix(rng, dim, field, rng.choice([(0,), (1,), (0, 1)]))
+                row = supertrace_row(j)
+                for parity in (0, 1):
+                    a = random_matrix(rng, dim, field, (parity,), density=0.8)
+                    flat = a.flatten()
+                    got = sum((v * flat[pos] for pos, v in row.items() if pos in flat), field_zero(field))
+                    assert got == supertrace(j.matmul(a))
 
 
 class TestSuperbracket:
@@ -173,6 +188,17 @@ class TestStabilizers:
         assert byname == direct
 
 
+# every classical family on p|q with p + q <= 4 where it is defined (osp
+# needs an even q, osp_sk an even p), and on n|n with n <= 3
+CLASSICAL_SIZES = [
+    (name, (p, q))
+    for name in ("gl", "sl", "osp", "osp_sk", "cosp")
+    for p in range(5)
+    for q in range(5 - p)
+    if not (name in ("osp", "cosp") and q % 2 or name == "osp_sk" and p % 2)
+] + [(name, n) for name in ("pe", "spe", "q", "cpe", "cspe") for n in range(4)]
+
+
 class TestClassical:
     @pytest.mark.parametrize(
         "name,params,want",
@@ -215,9 +241,29 @@ class TestClassical:
         assert not zero.contains_matrix(SuperMatrix.unit(SuperDim(1, 1), 0, 1))
         assert zero != gl11
 
-    def test_su_style_cut_by_supertrace(self):
-        sl = cut_by_functionals(full_gl(SuperDim(2, 1)), [supertrace])
-        assert sl == classical_superalgebra("sl", (2, 1))
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("name, params", CLASSICAL_SIZES, ids=str)
+    def test_each_family_equals_its_construction_by_cuts(self, name, params, field):
+        # gl spanned by the unit matrices; sl and spe cut by the supertrace
+        # in the coordinates of gl and of pe; the rest solved from the
+        # definition of their tensors
+        dim = classical_dim(name, params)
+        p, q = dim
+        base = name[1:] if name in ("cosp", "cpe", "cspe") else name
+        tensors = {
+            "osp": lambda: standard_even_form(p, q, field=field),
+            "osp_sk": lambda: standard_even_form(p, q, skew=True, field=field),
+            "pe": lambda: standard_odd_form(p, field=field),
+            "spe": lambda: standard_odd_form(p, field=field),
+            "q": lambda: standard_odd_complex_structure(p, field=field),
+        }
+        got = classical_superalgebra(name, params, field)
+        want = unit_gl(dim, field) if base in ("gl", "sl") else defined_stabilizer(tensors[base]())
+        if base in ("sl", "spe"):
+            want = cut_by_functionals(want, [supertrace])
+        if base != name:
+            want = SubSuperalgebra.from_matrices(dim, want.basis() + [SuperMatrix.identity(dim, field)], field)
+        assert encode_algebra(got) == encode_algebra(want)
 
     @pytest.mark.parametrize("field", FIELDS)
     @pytest.mark.parametrize("pq", [(2, 0), (0, 2), (2, 2), (4, 2)])
