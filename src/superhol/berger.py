@@ -13,7 +13,7 @@ from bisect import bisect_left
 from functools import cached_property
 from itertools import permutations
 
-from .linalg import SparseEchelon, combine, graded_blocks, same_span, solve_graded, span_echelon
+from .linalg import combine, same_span, solve_graded, span_echelon
 from .scalars import field_zero, to_field
 from .superlin import (
     SubSuperalgebra,
@@ -81,22 +81,27 @@ class CurvatureElement:
 
 
 class LinearSolutionSpace:
-    def __init__(self, ambient: str, basis, even_dim: int, odd_dim: int):
-        self.ambient = ambient
-        self.basis = basis
-        self.even_dim = even_dim
-        self.odd_dim = odd_dim
+    """The kernel of a graded system, from the `linalg.GradedKernel` that
+    `solve_graded` returns: its graded dim, read from the ranks, and a basis
+    built on first read, one element(parity, vector) per kernel vector, even
+    ones first."""
 
-    @property
-    def graded_dim(self):
-        return (self.even_dim, self.odd_dim)
+    def __init__(self, solution, element):
+        self.solution = solution
+        self._element = element
+        self.graded_dim = solution.graded_dim
 
     @property
     def total_dim(self):
-        return self.even_dim + self.odd_dim
+        return sum(self.graded_dim)
 
-    def __repr__(self):
-        return "LinearSolutionSpace(%s, dim %d|%d)" % (self.ambient, self.even_dim, self.odd_dim)
+    @property
+    def parities(self):
+        return [sigma for sigma, n in enumerate(self.graded_dim) for _ in range(n)]
+
+    @cached_property
+    def basis(self):
+        return [self._element(sigma, vec) for sigma, kernel in enumerate(self.solution.kernels) for vec in kernel]
 
 
 def curvature_space(algebra: SubSuperalgebra) -> LinearSolutionSpace:
@@ -109,16 +114,15 @@ def curvature_space(algebra: SubSuperalgebra) -> LinearSolutionSpace:
     parity = {
         ((a, b), gi): (dim.parity(a) + dim.parity(b) + g.parity) % 2 for (a, b) in pairs for gi, g in enumerate(basis)
     }
-    kernels = solve_graded(parity, _curvature_rows(dim, basis), field)
-    elements = []
-    for sigma, kernel in enumerate(kernels):
-        for vec in kernel:
-            terms = {}
-            for (pair, gi), coef in vec.items():
-                terms.setdefault(pair, []).append((coef, basis[gi]))
-            values = {pair: combination(dim, ts, field) for pair, ts in terms.items()}
-            elements.append(CurvatureElement(dim, sigma, values, field))
-    return LinearSolutionSpace("curvature tensors", elements, *map(len, kernels))
+
+    def element(sigma, vec):
+        terms = {}
+        for (pair, gi), coef in vec.items():
+            terms.setdefault(pair, []).append((coef, basis[gi]))
+        values = {pair: combination(dim, ts, field) for pair, ts in terms.items()}
+        return CurvatureElement(dim, sigma, values, field)
+
+    return LinearSolutionSpace(solve_graded(parity, _curvature_rows(dim, basis), field), element)
 
 
 def _curvature_rows(dim: SuperDim, basis):
@@ -224,15 +228,14 @@ def curvature_derivative_space(algebra: SubSuperalgebra, rspace: LinearSolutionS
     relems = rspace.basis
     # unknowns: the coefficient of basis tensor j in the derivative along d
     parity = {(d, j): (dim.parity(d) + r.parity) % 2 for d in range(t) for j, r in enumerate(relems)}
-    kernels = solve_graded(parity, _derivative_rows(dim, relems), field)
-    out = []
-    for sigma, kernel in enumerate(kernels):
-        for vec in kernel:
-            comps = {}
-            for (d, j), coef in vec.items():
-                comps.setdefault(d, []).append((coef, relems[j]))
-            out.append((sigma, comps))
-    return LinearSolutionSpace("first curvature derivatives", out, *map(len, kernels))
+
+    def element(sigma, vec):
+        comps = {}
+        for (d, j), coef in vec.items():
+            comps.setdefault(d, []).append((coef, relems[j]))
+        return sigma, comps
+
+    return LinearSolutionSpace(solve_graded(parity, _derivative_rows(dim, relems), field), element)
 
 
 def _derivative_rows(dim: SuperDim, relems):
@@ -276,50 +279,24 @@ def symmetric_berger_check(algebra: SubSuperalgebra):
 # --------------------------------------------------------- prolongations
 
 
-class ProlongationLevel:
-    """Basis of one prolongation level g^(k) = (S^{k+1}V* (x) V) ∩ (S^k V* (x) g).
+class ProlongationLevel(LinearSolutionSpace):
+    """One prolongation level g^(k) = (S^{k+1}V* (x) V) ∩ (S^k V* (x) g).
 
-    Each element is a graded-symmetric tensor T(d_1, ..., d_k, B) with values
-    in V, stored as {(S, A): scalar}: its A-component on the sorted
-    (k+1)-tuple S, for the tuples in which no odd index repeats.  The level
-    holds the reduced echelon of each parity block of its system, so its
-    graded dim is read from the ranks; `tensors` is built on first use, and
-    `multimaps` expands the basis into flat multimaps {(d_1, ..., d_k, A, B):
-    scalar}, the entries (A, B) of the matrix in g that e_{d_1}, ..., e_{d_k}
-    map to.
+    Each basis element is a graded-symmetric tensor T(d_1, ..., d_k, B) with
+    values in V, stored as {(S, A): scalar}: its A-component on the sorted
+    (k+1)-tuple S, for the tuples in which no odd index repeats.  `multimaps`
+    expands the basis into flat multimaps {(d_1, ..., d_k, A, B): scalar}, the
+    entries (A, B) of the matrix in g that e_{d_1}, ..., e_{d_k} map to.
     """
 
-    def __init__(self, dim: SuperDim, k: int, blocks, field):
+    def __init__(self, dim: SuperDim, k: int, solution):
+        super().__init__(solution, lambda sigma, tensor: tensor)
         self.dim = dim
         self.k = k
-        self.field = field
-        self._blocks = blocks  # per parity: (unknown labels, echelon of the rows)
-        self.graded_dim = tuple(len(labels) - ech.rank for labels, ech in blocks)
-
-    @property
-    def total_dim(self):
-        return sum(self.graded_dim)
-
-    @cached_property
-    def tensors(self):
-        field = self.field
-        return [
-            {labels[j]: to_field(v, field) for j, v in vec.items()}
-            for labels, ech in self._blocks
-            for vec in ech.kernel(len(labels))
-        ]
-
-    @property
-    def parities(self):
-        return [sigma for sigma, n in enumerate(self.graded_dim) for _ in range(n)]
-
-    def support(self):
-        """The unknowns (S, A) on which some element of the level is nonzero."""
-        return {labels[c] for labels, ech in self._blocks for c in ech.kernel_support(len(labels))}
 
     def multimaps(self):
         out = []
-        for tensor in self.tensors:
+        for tensor in self.basis:
             flat = {}
             for (s, a), v in tensor.items():
                 for idx in set(permutations(s)):
@@ -394,7 +371,7 @@ def cartan_prolongation(dim: SuperDim, g0: SubSuperalgebra, order: int) -> Prolo
     sign.  Since g^(k) lies in V* (x) g^(k-1), an unknown is kept only where
     the level below allows it (`_level_unknowns`); the kept unknowns keep
     their order, so the canonical basis is the one of the whole system.  A
-    level after a zero level is zero and is not solved.
+    level after a zero level has no unknowns and no rows.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -404,21 +381,17 @@ def cartan_prolongation(dim: SuperDim, g0: SubSuperalgebra, order: int) -> Prolo
     cols = {(a, b): (dim.parity(a) + dim.parity(b)) % 2 for a in range(t) for b in range(t)}
     basis = g0.basis()
     rows = ({divmod(pos, t): v for pos, v in m._flat.items()} for m in basis)
-    annihilator = [phi for kernel in solve_graded(cols, rows, field) for phi in kernel]
+    annihilator = [phi for kernel in solve_graded(cols, rows, field).kernels for phi in kernel]
     # the support of g0 as level 0: the entries (A, B) that g0 reaches
     support = {((pos % t,), pos // t) for m in basis for pos in m._flat}
     levels = []
     for k in range(1, order + 1):
-        blocks = ([], SparseEchelon()), ([], SparseEchelon())
-        if not levels or levels[-1].total_dim:
-            parity = _level_unknowns(dim, support)
-            faces = sorted({s0 for s0, _ in support})
-            labels, systems = graded_blocks(parity, _prolongation_rows(dim, annihilator, faces, parity))
-            blocks = [(labs, span_echelon(system)) for labs, system in zip(labels, systems)]
-        level = ProlongationLevel(dim, k, blocks, field)
-        levels.append(level)
-        if k < order and level.total_dim:
-            support = level.support()
+        parity = _level_unknowns(dim, support)
+        faces = sorted({s0 for s0, _ in support})
+        rows = _prolongation_rows(dim, annihilator, faces, parity)
+        levels.append(ProlongationLevel(dim, k, solve_graded(parity, rows, field)))
+        if k < order:
+            support = levels[-1].solution.support()
     return ProlongationTower(levels)
 
 
@@ -485,16 +458,13 @@ def spencer_rank_identity(algebra: SubSuperalgebra, tower: ProlongationTower = N
         for coord, v in flat.items():
             rows.setdefault(coord, {})[(d, j)] = v
     # rank of the map and its kernel, per parity
-    kernels = solve_graded(parity, rows.values(), field)
-    odd_cols = sum(parity.values())
-    h22 = [
-        r - (ncols - len(ker))
-        for r, ncols, ker in zip(rspace.graded_dim, (len(parity) - odd_cols, odd_cols), kernels)
-    ]
+    solution = solve_graded(parity, rows.values(), field)
+    h22 = [r - ech.rank for r, (_, ech) in zip(rspace.graded_dim, solution.blocks)]
     # the kernel, as flat multimaps, must span g_2
     kernel_maps = [
         combine((c, {(d,) + key: v for key, v in g1_maps[j].items()}) for (d, j), c in vec.items())
-        for vec in kernels[0] + kernels[1]
+        for kernel in solution.kernels
+        for vec in kernel
     ]
     return {
         "g1_dim": g1.graded_dim,

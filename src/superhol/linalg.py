@@ -9,6 +9,7 @@ staying exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from .scalars import canonical, to_field
 
@@ -149,23 +150,50 @@ def kernel_basis(rows, ncols: int):
     return span_echelon(rows).kernel(ncols)
 
 
-def graded_blocks(parity, rows):
-    """Route a labelled system whose every row is homogeneous into its even
-    and odd blocks: (labels, systems), where labels[p] lists the labels of
-    parity p in column order and systems[p] holds the rows of block p as
-    dicts {column: coefficient}, column j standing for labels[p][j].
+class GradedKernel:
+    """The solution space of a labelled graded system, held as the reduced
+    echelon of each parity block: `blocks[p]` is (the labels of parity p in
+    column order, the echelon of block p's rows over columns 0.., column j
+    standing for labels[j]).  The graded dim is read from the ranks;
+    `kernels` is built on first read."""
+
+    def __init__(self, blocks, field):
+        self.blocks = blocks
+        self.field = field
+        self.graded_dim = tuple(len(labels) - ech.rank for labels, ech in blocks)
+
+    @cached_property
+    def kernels(self):
+        """The canonical (even, odd) kernel bases: each vector a dict
+        {label: scalar} in the field with a 1 at its free column, in the
+        order of the free columns."""
+        field = self.field
+        return tuple(
+            [{labels[j]: to_field(v, field) for j, v in vec.items()} for vec in ech.kernel(len(labels))]
+            for labels, ech in self.blocks
+        )
+
+    def support(self):
+        """The labels on which some kernel vector is nonzero."""
+        return {labels[c] for labels, ech in self.blocks for c in ech.kernel_support(len(labels))}
+
+
+def solve_graded(parity, rows, field) -> GradedKernel:
+    """Solve a sparse system whose unknowns carry labels and whose every row
+    is homogeneous.
 
     parity maps each label to 0 or 1, in column order; rows are dicts
-    {label: coefficient} from any iterable.  Zero coefficients are dropped,
-    and so are rows left empty.  A row that mixes parities, or names a label
-    that parity does not, raises ValueError.
+    {label: coefficient} from any iterable, with zero coefficients dropped.
+    Each row goes into the echelon of the block of its unknowns' parity, and
+    each block is solved on its own: a row that mixes parities, or names an
+    unknown label, raises ValueError.
     """
     labels = ([], [])
     index = {}
     for c, p in parity.items():
         index[c] = (p, len(labels[p]))
         labels[p].append(c)
-    systems = ([], [])
+    echelons = (SparseEchelon(), SparseEchelon())
     for row in rows:
         p, out = None, {}
         for c, v in row.items():
@@ -181,33 +209,14 @@ def graded_blocks(parity, rows):
                 raise ValueError("row mixes even and odd unknowns: %r" % (row,))
             out[j] = v
         if out:
-            systems[p].append(out)
-    return labels, systems
-
-
-def solve_graded(parity, rows, field):
-    """Canonical (even, odd) kernel bases of a sparse system whose unknowns
-    carry labels and whose every row is homogeneous.
-
-    parity maps each label to 0 or 1, in column order; rows are dicts
-    {label: coefficient} from any iterable, with zero coefficients dropped.
-    Each row goes to the block of its unknowns' parity, and each block is
-    solved on its own: a row that mixes parities, or names an unknown label,
-    raises ValueError.  Each kernel vector is a dict {label: scalar} in the
-    given field with a 1 at its free column, in the order of the free columns.
-    """
-    labels, systems = graded_blocks(parity, rows)
-    return tuple(
-        [{labs[j]: to_field(v, field) for j, v in vec.items()} for vec in kernel_basis(system, len(labs))]
-        if labs else []
-        for labs, system in zip(labels, systems)
-    )
+            echelons[p].insert(out)
+    return GradedKernel(tuple(zip(labels, echelons)), field)
 
 
 def solve_kernel(cols, rows, field):
     """`solve_graded` for a system whose unknowns, labelled and ordered by
     cols, are all of one parity: the canonical kernel basis as a list."""
-    return solve_graded(dict.fromkeys(cols, 0), rows, field)[0]
+    return solve_graded(dict.fromkeys(cols, 0), rows, field).kernels[0]
 
 
 def same_span(vectors_a, vectors_b) -> bool:

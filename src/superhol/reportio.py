@@ -7,10 +7,11 @@ with a fixed key order so identical inputs produce byte-identical output.
 from __future__ import annotations
 
 import json
+import re
 
 from .geometry import Chart, ConnectionData, MetricData
-from .scalars import FIELDS, GAUSSIAN, RATIONAL, parse_scalar, scalar_str
-from .superfunc import ChartSignature, parse_superfunction
+from .scalars import FIELDS, GAUSSIAN, RATIONAL, parse_scalar, scalar_bits, scalar_str
+from .superfunc import MAX_COEFFICIENT_BITS, MAX_DIGITS, ChartSignature, parse_superfunction
 from .superlin import (
     SubSuperalgebra,
     SuperDim,
@@ -43,6 +44,9 @@ MAX_TRANSPORT_STEPS = 100_000
 MAX_TOTAL_DIM = 16
 # The integer options, each with the least value it may take.
 INTEGER_OPTIONS = {"cap_order": 0, "transport_steps": 0, "order": 1}
+# A run of the digits (and underscores) that `Fraction` reads, with the
+# exponent marker before it when there is one.
+_NUMERAL = re.compile(r"([eE][-+]?)?([\d_]+)")
 
 
 def _require(obj, key, path):
@@ -82,10 +86,22 @@ def _superdim(obj, path, keys=("p", "q")):
 
 
 def _scalar(value, field, path):
-    try:
-        return parse_scalar(str(value), field)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ProblemError(path, str(exc))
+    """A point or explicit-algebra scalar, read from str(value), whose
+    numerators and denominators have at most MAX_COEFFICIENT_BITS bits, as a
+    superfunction literal's must.  A text with a run of more than MAX_DIGITS
+    digits, or an exponent above MAX_DIGITS, is refused before it is built,
+    since building it may cost without bound."""
+    text = str(value)
+    scalar = None
+    numerals = _NUMERAL.findall(text)
+    if not any(len(d) > MAX_DIGITS or e and int(d.replace("_", "") or 0) > MAX_DIGITS for e, d in numerals):
+        try:
+            scalar = parse_scalar(text, field)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ProblemError(path, str(exc))
+    if scalar is None or scalar_bits(scalar) > MAX_COEFFICIENT_BITS:
+        raise ProblemError(path, "a number above the limit of %d bits" % MAX_COEFFICIENT_BITS)
+    return scalar
 
 
 def _parse_entry(text, sig, path):
@@ -119,10 +135,13 @@ def decode_connection(obj, path="") -> ConnectionData:
     else:
         rank_obj = _require_object(obj, "rank", path)
         rank = SuperDim(*_superdim(rank_obj, path + "/rank"))
-        tangent = obj.get("tangent", rank.p == sig.n and rank.q == sig.m)
+        fits = rank.p == sig.n and rank.q == sig.m
+        tangent = obj.get("tangent", fits)
         if tangent.__class__ is not bool:
             raise ProblemError(path + "/tangent", "must be true or false")
-        chart = Chart(sig, rank, tangent_sheaf=tangent and rank.p == sig.n and rank.q == sig.m)
+        if tangent and not fits:
+            raise ProblemError(path + "/tangent", "the tangent sheaf has rank %d|%d, the chart's n|m" % (sig.n, sig.m))
+        chart = Chart(sig, rank, tangent_sheaf=tangent)
     entries = {}
     for key, text in _require_object(obj, "gamma", path).items():
         try:

@@ -131,6 +131,13 @@ def canonical(value):
     return value
 
 
+def scalar_bits(value) -> int:
+    """Largest bit length of a numerator or denominator of a scalar, over
+    both parts of a Gaussian one."""
+    parts = (value.re, value.im) if isinstance(value, GaussianRational) else (value,)
+    return max(max(x.numerator.bit_length(), x.denominator.bit_length()) for x in parts)
+
+
 def to_field(value, field):
     """Coerce an int/Fraction/GaussianRational into the given field: over the
     rationals an int when the value is integral, else a reduced Fraction.  A

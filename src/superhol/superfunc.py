@@ -20,6 +20,7 @@ from .scalars import (
     canonical,
     field_one,
     field_zero,
+    scalar_bits,
     scalar_str,
     to_field,
 )
@@ -561,11 +562,7 @@ def _even_degree(f: Superfunction) -> int:
 def _coefficient_bits(f: Superfunction) -> int:
     """Largest bit length of a numerator or denominator of f's coefficients,
     over both parts of a Gaussian one."""
-    parts = [
-        x for poly in f.terms.values() for c in poly.values()
-        for x in ((c.re, c.im) if isinstance(c, GaussianRational) else (c,))
-    ]
-    return max((max(x.numerator.bit_length(), x.denominator.bit_length()) for x in parts), default=0)
+    return max((scalar_bits(c) for poly in f.terms.values() for c in poly.values()), default=0)
 
 
 class _Parser:

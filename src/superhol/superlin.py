@@ -426,7 +426,7 @@ def common_kernel(mats, dim: SuperDim, field=RATIONAL):
     """Graded basis (even, odd) of the vectors all the given homogeneous
     matrices kill, as sparse dicts."""
     parity = {a: dim.parity(a) for a in range(dim.total)}
-    return solve_graded(parity, (dict(enumerate(row)) for m in mats for row in m.entries), field)
+    return solve_graded(parity, (dict(enumerate(row)) for m in mats for row in m.entries), field).kernels
 
 
 def split(mats, dim: SuperDim, field=RATIONAL):
@@ -558,7 +558,7 @@ def solve_algebra(dim: SuperDim, rows, field=RATIONAL) -> SubSuperalgebra:
     t = dim.total
     # unknowns: the entries (a, b) of A, each of parity |a| + |b|
     parity = {a * t + b: (dim.parity(a) + dim.parity(b)) % 2 for a in range(t) for b in range(t)}
-    mats = [SuperMatrix.from_flat(dim, vec, field) for kernel in solve_graded(parity, rows, field) for vec in kernel]
+    mats = [SuperMatrix.from_flat(dim, vec, field) for kernel in solve_graded(parity, rows, field).kernels for vec in kernel]
     return SubSuperalgebra.from_matrices(dim, mats, field)
 
 

@@ -148,7 +148,7 @@ def defined_stabilizer(*tensors):
                     rows.setdefault((k, pos), {})[a * t + b] = v
     mats = [
         SuperMatrix.from_flat(dim, vec, field)
-        for kernel in solve_graded(parity, rows.values(), field)
+        for kernel in solve_graded(parity, rows.values(), field).kernels
         for vec in kernel
     ]
     return SubSuperalgebra.from_matrices(dim, mats, field)

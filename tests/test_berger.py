@@ -267,22 +267,27 @@ class TestProlongations:
         tower = cartan_prolongation(SuperDim(p, q), classical_superalgebra(name, (p, q)), 5)
         assert tower.graded_dims() == [g_k(k) for k in range(1, 6)]
 
-    @pytest.mark.parametrize("name, params, solves", [("gl", (1, 1), 4), ("osp", (2, 2), 2)], ids=str)
-    def test_one_system_per_level_not_known_to_be_zero(self, monkeypatch, name, params, solves):
-        # the annihilator (routed inside solve_graded), then each level until
-        # one is zero (routed by the level loop itself)
-        calls = []
-        route = linalg.graded_blocks
+    @pytest.mark.parametrize("name, params, solved", [("gl", (1, 1), 3), ("osp", (2, 2), 1)], ids=str)
+    def test_one_system_per_level_and_none_after_a_zero_level(self, monkeypatch, name, params, solved):
+        # the annihilator, then one solve_graded per level: each level up to
+        # the first zero one has unknowns, and each level after it has no
+        # unknowns and is given no rows
+        systems = []
+        solve = linalg.solve_graded
 
-        def spy(*args):
-            calls.append(1)
-            return route(*args)
+        def spy(parity, rows, field):
+            rows = list(rows)
+            systems.append((len(parity), len(rows)))
+            return solve(parity, rows, field)
 
         g0 = classical_superalgebra(name, params)
-        monkeypatch.setattr(linalg, "graded_blocks", spy)
-        monkeypatch.setattr(berger, "graded_blocks", spy)
-        cartan_prolongation(g0.dim, g0, 3)
-        assert len(calls) == solves
+        monkeypatch.setattr(berger, "solve_graded", spy)
+        tower = cartan_prolongation(g0.dim, g0, 3)
+        assert len(systems) == 4
+        levels = systems[1:]
+        assert all(unknowns for unknowns, _ in levels[:solved]) and levels[solved:] == [(0, 0)] * (3 - solved)
+        dims = [level.total_dim for level in tower.levels]
+        assert all(dims[: solved - 1]) and (solved == 3 or dims[solved - 1] == 0)
 
     def test_prolongation_embeds_via_symmetry(self):
         # every level-1 element must satisfy the graded symmetry exactly
@@ -328,7 +333,7 @@ def eager_prolongation(dim, g0, order):
     t, field = dim.total, g0.field
     cols = {(a, b): (dim.parity(a) + dim.parity(b)) % 2 for a in range(t) for b in range(t)}
     rows = ({(a, b): m.entries[a][b] for (a, b) in cols} for m in g0.basis())
-    annihilator = [phi for kernel in linalg.solve_graded(cols, rows, field) for phi in kernel]
+    annihilator = [phi for kernel in linalg.solve_graded(cols, rows, field).kernels for phi in kernel]
     levels = []
     for k in range(1, order + 1):
         parity = {
@@ -336,13 +341,13 @@ def eager_prolongation(dim, g0, order):
             for s in symmetric_tuples(dim, k + 1)
             for a in range(t)
         }
-        kernels = linalg.solve_graded(parity, reference_prolongation_rows(dim, annihilator, k), field)
+        kernels = linalg.solve_graded(parity, reference_prolongation_rows(dim, annihilator, k), field).kernels
         levels.append(([*kernels[0], *kernels[1]], [sigma for sigma, ker in enumerate(kernels) for _ in ker]))
     return levels
 
 
 def unknown_count(level):
-    return sum(len(labels) for labels, _ in level._blocks)
+    return sum(len(labels) for labels, _ in level.solution.blocks)
 
 
 class TestPrunedLazyLevels:
@@ -353,10 +358,11 @@ class TestPrunedLazyLevels:
         tower = cartan_prolongation(dim, g0, order)
         pruned = 0
         for level, (tensors, parities) in zip(tower.levels, eager_prolongation(dim, g0, order)):
-            assert "tensors" not in vars(level)  # nothing built before it is read
+            assert "basis" not in vars(level)  # nothing built before it is read
+            assert "kernels" not in vars(level.solution)
             assert level.graded_dim == (parities.count(0), parities.count(1))
-            assert level.tensors == tensors and level.parities == parities
-            assert level.support() == {key for tensor in tensors for key in tensor}
+            assert level.basis == tensors and level.parities == parities
+            assert level.solution.support() == {key for tensor in tensors for key in tensor}
             unknowns = len(symmetric_tuples(dim, level.k + 1)) * dim.total
             pruned += bool(level.total_dim and unknown_count(level) < unknowns)
         return pruned
@@ -402,6 +408,25 @@ class TestPrunedLazyLevels:
         # the annihilator's two blocks over the 3 x 3 entries are the one basis built
         assert sorted(kernels) == [4, 5]
 
+    def test_algebra_reports_build_no_derivative_basis(self, monkeypatch):
+        built = []
+        kernel = SparseEchelon.kernel
+
+        def spy(self, ncols):
+            built.append(self)
+            return kernel(self, ncols)
+
+        spaces = []
+        derivatives = berger.curvature_derivative_space
+        monkeypatch.setattr(SparseEchelon, "kernel", spy)
+        monkeypatch.setattr(berger, "curvature_derivative_space", lambda *args: spaces.append(derivatives(*args)) or spaces[-1])
+        report = cli.algebra_report(classical_superalgebra("sl", (2, 1)))
+        assert report["dims"]["R"] == [10, 10] and report["dims"]["Rnabla"] == [20, 20]
+        # the derivative space is read by its dims: no kernel vector of it is built
+        (space,) = spaces
+        assert "basis" not in vars(space) and "kernels" not in vars(space.solution)
+        assert built and not any(ech is other for ech in built for _, other in space.solution.blocks)
+
 
     def test_pi_adjoint_test_builds_only_the_levels_it_reads(self, monkeypatch):
         towers = []
@@ -411,7 +436,7 @@ class TestPrunedLazyLevels:
         assert res["g1_dim"] == (0, 1) and res["g2_dim"] == (0, 0) and res["generator_matches"]
         # g1 is one element, matched against the generator; g2 is read by its dims
         (tower,) = towers
-        assert "tensors" in vars(tower.levels[0]) and "tensors" not in vars(tower.levels[1])
+        assert "basis" in vars(tower.levels[0]) and "basis" not in vars(tower.levels[1])
 
 class TestSpencer:
     def test_gl_rows_have_zero_h22(self):
@@ -627,7 +652,7 @@ class TestRowBuildersMatchTheDenseOnes:
     def assert_same_system(parity, rows, reference, field):
         reference = list(reference)
         assert row_multiset(rows) == row_multiset(reference)
-        assert linalg.solve_graded(parity, rows, field) == linalg.solve_graded(parity, reference, field)
+        assert linalg.solve_graded(parity, rows, field).kernels == linalg.solve_graded(parity, reference, field).kernels
 
     def test_curvature_rows(self, algebra):
         dim, basis = algebra.dim, algebra.basis()
@@ -653,7 +678,7 @@ class TestRowBuildersMatchTheDenseOnes:
         dim, field, t = algebra.dim, algebra.field, algebra.dim.total
         cols = {(a, b): (dim.parity(a) + dim.parity(b)) % 2 for a in range(t) for b in range(t)}
         rows = ({(a, b): m.entries[a][b] for (a, b) in cols} for m in algebra.basis())
-        annihilator = [phi for kernel in linalg.solve_graded(cols, rows, field) for phi in kernel]
+        annihilator = [phi for kernel in linalg.solve_graded(cols, rows, field).kernels for phi in kernel]
         parity = {
             (s, a): (sum(map(dim.parity, s)) + dim.parity(a)) % 2
             for s in symmetric_tuples(dim, k + 1)

@@ -186,6 +186,18 @@ class TestRunPipelines:
                 "/tangent",
             ),
             ({"kind": "connection", "chart": {"n": 1, "m": 1}, "rank": {"p": 1, "q": 1}, "tangent": [0], "gamma": {}}, "/tangent"),
+            # the tangent sheaf has the chart's rank n|m
+            ({"kind": "connection", "chart": {"n": 1, "m": 0}, "rank": {"p": 2, "q": 0}, "tangent": True, "gamma": {}}, "/tangent"),
+            # a point or explicit-algebra scalar has at most 1024-bit numerator
+            # and denominator, refused from its text when it is too long to build
+            ({"kind": "connection", "chart": {"n": 1, "m": 0}, "gamma": {"1,1,1": "x1"}, "options": {"point": ["1e309"]}}, "/options/point/0"),
+            ({"kind": "connection", "chart": {"n": 1, "m": 0}, "gamma": {"1,1,1": "x1"}, "options": {"point": ["1e-309"]}}, "/options/point/0"),
+            ({"kind": "connection", "chart": {"n": 1, "m": 0}, "gamma": {"1,1,1": "x1"}, "options": {"point": ["1e2000000"]}}, "/options/point/0"),
+            ({"kind": "connection", "chart": {"n": 1, "m": 0}, "gamma": {"1,1,1": "x1"}, "options": {"point": [10 ** 309]}}, "/options/point/0"),
+            ({"kind": "metric", "chart": {"n": 2, "m": 0}, "g": {"1,1": "1", "2,2": "1"}, "options": {"point": ["0", "7" * 4300]}}, "/options/point/1"),
+            ({"kind": "algebra", "algebra": {"dim": {"p": 1, "q": 0}, "even": [[str(2 ** 1024)]]}}, "/algebra/even/0"),
+            ({"kind": "algebra", "algebra": {"dim": {"p": 1, "q": 0}, "even": [["1/" + "1" * 310]]}}, "/algebra/even/0"),
+            ({"kind": "algebra", "algebra": {"dim": {"p": 1, "q": 1}, "field": "gaussian", "even": [["1e10000000 i", "0", "0", "0"]]}}, "/algebra/even/0"),
         ],
     )
     def test_malformed_input_is_an_error_report(self, doc, path):
@@ -399,6 +411,17 @@ class TestTransportStepsLimit:
         for tag, field in (("rational", RATIONAL), ("gaussian", GAUSSIAN), ("gaussian-rational", GAUSSIAN)):
             _, algebra, _ = decode_problem({"kind": "algebra", "algebra": {"name": "sl", "params": [1, 1], "field": tag}})
             assert algebra.field == field
+
+    def test_scalars_up_to_the_coefficient_bound_are_read(self):
+        # 10^308 has 1024 bits and 10^309 has 1027; 2^1024 - 1 is the largest
+        # numerator a point or algebra scalar may have
+        doc = {"kind": "connection", "chart": {"n": 1, "m": 0}, "gamma": {"1,1,1": "x1"}}
+        for point in (["1e308"], ["1e-308"], [10 ** 308], [str(2 ** 1024 - 1)], ["-1/" + str(2 ** 1024 - 1)]):
+            rep, ok = cli.run_problem(dict(doc, options={"point": point}))
+            assert ok, point
+        rep, ok = cli.run_problem({"kind": "algebra", "algebra": {"dim": {"p": 1, "q": 1}, "field": "gaussian",
+                                                                  "even": [["1e308 i", "0", "0", "0"]]}})
+        assert ok and rep["result"]["algebra_dim"] == [1, 0]
 
     def test_steps_flag_above_the_limit(self, tmp_path):
         out = tmp_path / "out.json"

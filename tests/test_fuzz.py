@@ -21,7 +21,7 @@ from itertools import islice
 
 import pytest
 
-from superhol.reportio import MAX_TOTAL_DIM, ProblemError, decode_problem
+from superhol.reportio import MAX_TOTAL_DIM, ProblemError, decode_point, decode_problem
 from superhol.superfunc import ChartSignature, Superfunction, SyntaxErrorAt, parse_superfunction
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -43,7 +43,8 @@ KEYS = ("kind", "chart", "n", "m", "field", "rank", "p", "q", "tangent", "gamma"
         "cap_order", "order", "transport_steps", "algebra", "name", "params", "dim", "even", "odd", "1,1", "1,1,1")
 TOKENS = ("x1", "x2", "x3", "x0", "xi1", "xi2", "xi0", "x", "xi", "i", "+", "-", "*", "/", "^", "(", ")", " ",
           "0", "1", "2", "7", "16", "17", "1/0", "^16", "((", "))", "1/3", ".", ",", "e", "²", "١", "\x00",
-          "9" * 320, "0" * 400 + "1", "4" * 5000, "x" + "1" * 5000, "(x1+x2)^16", "2^16^16")
+          "9" * 320, "0" * 400 + "1", "4" * 5000, "x" + "1" * 5000, "(x1+x2)^16", "2^16^16",
+          "e308", "e-309", "e2000000", "1e308", "1e309")
 
 
 def problem_documents():
@@ -60,6 +61,8 @@ def random_json(rng):
         None, True, False, 0, 1, 2, -1, 3, 0.5, 2.0, "", "x1", "1/2", "gl", "rational", "gaussian", [], {}, [1],
         [1, 1], ["1", "0"], {"p": 1, "q": 0}, {"n": 1, "m": 1}, rng.randint(-3, 4), mutate_text(rng, "1 + x1"),
         rng.choice((MAX_TOTAL_DIM + 1, 10 ** 6, 2 ** 64)),
+        rng.choice(("1e308", "1e309", "1e-309", "1e2000000", "1" + "0" * 308, "1" + "0" * 309, 10 ** 308, 10 ** 309)),
+        [rng.choice(("3/4", "1e308", "1e309", "1e2000000", "2e308 i"))],
     ))
 
 
@@ -134,6 +137,8 @@ def test_decode_problem_gives_a_problem_or_a_problem_error():
     def call(doc):
         kind, payload, options = decode_problem(doc)
         assert payload is not None and isinstance(options, dict)
+        if kind in ("connection", "metric"):
+            decode_point(options, payload.chart.sig)
 
     run_inputs(inputs(), DECODE_INPUTS, call, ProblemError)
 

@@ -318,7 +318,7 @@ def test_int_rationals_match_the_fraction_echelon():
         # a graded solve: columns of both parities, each row within one
         parity = {("u", c): int(c >= ncols // 2) for c in range(ncols)}
         graded = [{("u", c): v for c, v in row.items() if parity[("u", c)] == parity[("u", min(row))]} for row in rows if row]
-        got = solve_graded(parity, graded, RATIONAL)
+        got = solve_graded(parity, graded, RATIONAL).kernels
         assert got == fraction_solve_graded(parity, graded, RATIONAL)
         assert all(is_canonical_rational(v) for part in got for vec in part for v in vec.values())
 
@@ -362,10 +362,9 @@ def test_kernel_support_is_read_from_the_echelon(field):
         for row in random_system(rng, field, ncols):
             keep = rng.randint(0, 1)
             rows.append({("u", c): v for c, v in row.items() if parity[("u", c)] == keep})
-        labels, systems = linalg.graded_blocks(parity, rows)
-        kernels = solve_graded(parity, rows, field)
-        for labs, system, kernel in zip(labels, systems, kernels):
-            ech = linalg.span_echelon(system)
-            assert ech.kernel(len(labs)) == kernel_basis(system, len(labs))
+        solution = solve_graded(parity, rows, field)
+        for sigma, ((labs, ech), kernel) in enumerate(zip(solution.blocks, solution.kernels)):
+            assert labs == [c for c, p in parity.items() if p == sigma]
             support = {labs[c] for c in ech.kernel_support(len(labs))}
             assert support == {key for vec in kernel for key in vec}
+        assert solution.support() == {key for kernel in solution.kernels for vec in kernel for key in vec}

@@ -132,14 +132,20 @@ class TestGenerate:
 
 class TestSolveKernel:
     def test_labelled_kernel_over_gaussian_rationals(self, monkeypatch):
-        calls = []
-        positional = linalg.kernel_basis
+        # the labels become positional columns, and the one block is solved
+        inserted, kernels = [], []
+        insert, kernel = linalg.SparseEchelon.insert, linalg.SparseEchelon.kernel
 
-        def spy(*args):
-            calls.append(args)
-            return positional(*args)
+        def spy_insert(self, vec):
+            inserted.append(dict(vec))
+            return insert(self, vec)
 
-        monkeypatch.setattr(linalg, "kernel_basis", spy)
+        def spy_kernel(self, ncols):
+            kernels.append(ncols)
+            return kernel(self, ncols)
+
+        monkeypatch.setattr(linalg.SparseEchelon, "insert", spy_insert)
+        monkeypatch.setattr(linalg.SparseEchelon, "kernel", spy_kernel)
         one, i = GaussianRational(1), GaussianRational(0, 1)
         rows = [
             {"a": one, "b": i},  # a + i b = 0
@@ -148,7 +154,7 @@ class TestSolveKernel:
         ker = linalg.solve_kernel(["a", "b", "c"], rows, GAUSSIAN)
         assert ker == [{"b": one, "a": -i}, {"c": one}]
         assert all(type(v) is GaussianRational for vec in ker for v in vec.values())
-        assert calls == [([{0: one, 1: i}], 3)]
+        assert inserted == [{0: one, 1: i}] and kernels == [3, 0]
 
 
 class TestStabilizers:
@@ -497,8 +503,12 @@ class TestSolveGraded:
                 block = blocks[rng.randint(0, 1)]
                 picked = rng.sample(block, min(len(block), rng.randint(1, 4)))
                 rows.append({lab: random_scalar(rng, field) for lab in picked})
-            got = linalg.solve_graded(parity, iter(rows), field)
+            solution = linalg.solve_graded(parity, iter(rows), field)
+            assert "kernels" not in vars(solution)  # built on first read
+            got = solution.kernels
             assert got == reference_graded_solve(parity, rows, field)
+            assert solution.graded_dim == tuple(map(len, got))
+            assert solution.support() == {c for kernel in got for vec in kernel for c in vec}
             for sigma, kernel in enumerate(got):
                 for vec in kernel:
                     assert all(parity[c] == sigma for c in vec)
@@ -511,7 +521,7 @@ class TestSolveGraded:
     def test_mixed_row_raises(self):
         one = Fraction(1)
         parity = {"a": 0, "b": 1}
-        assert linalg.solve_graded(parity, [{"a": one, "b": one - one}], RATIONAL) == ([], [{"b": one}])
+        assert linalg.solve_graded(parity, [{"a": one, "b": one - one}], RATIONAL).kernels == ([], [{"b": one}])
         with pytest.raises(ValueError, match="mixes"):
             linalg.solve_graded(parity, [{"a": one, "b": one}], RATIONAL)
 
