@@ -52,6 +52,14 @@ def sfmat_zeros(sig: ChartSignature, rows: int, cols: int):
     return [[z] * cols for _ in range(rows)]
 
 
+def sfmat_from_flat(sig: ChartSignature, rank: int, flat):
+    """The dense rank x rank rows of a flat {(A, B): Superfunction}."""
+    mat = sfmat_zeros(sig, rank, rank)
+    for (A, B), f in flat.items():
+        mat[A][B] = f
+    return mat
+
+
 def sfmat_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
@@ -330,8 +338,8 @@ def curvature(conn: ConnectionData) -> CurvatureTable:
     fiber = [0] * chart.rank.p + [1] * chart.rank.q
     # ∂_x Γ_y of every nonzero entry, formed once and read for R_xy and R_yx:
     # dgamma[y][x] lists (A, B, ∂_x Γ_y^A_B)
-    nonzero = [[(A, B, g) for A, row in enumerate(conn.nonzero_gamma(y)[1]) for B, g in row] for y in range(t)]
-    dgamma = [[[(A, B, g.partial(x + 1)) for A, B, g in entries] for x in range(t)] for entries in nonzero]
+    nonzero = [[((A, B), g) for A, row in enumerate(conn.nonzero_gamma(y)[1]) for B, g in row] for y in range(t)]
+    dgamma = [[[(key, g.partial(x + 1)) for key, g in entries] for x in range(t)] for entries in nonzero]
     mats = {}
     for a in range(t):
         pa = chart.coord_parity(a)
@@ -340,16 +348,15 @@ def curvature(conn: ConnectionData) -> CurvatureTable:
             # R_ab = ∂_a Γ_b − (−1)^{|a||b|} ∂_b Γ_a + the Γ terms of ∇_a Γ_b
             sign = 1 if pa * pb else -1
             acc = {}
-            for A, B, d in dgamma[b][a]:
-                add_into(acc.setdefault((A, B), {}), d)
-            for A, B, d in dgamma[a][b]:
-                add_into(acc.setdefault((A, B), {}), d, sign)
-            mat = _gamma_step(conn, a, nonzero[b], pb, acc)
-            for A, row in enumerate(mat):
-                for B, term in enumerate(row):
-                    if term.terms and not _parity_ok(term, (pa + pb + fiber[A] + fiber[B]) % 2):
-                        raise AssertionError("curvature parity law violated")
-            mats[(a, b)] = mat
+            for key, d in dgamma[b][a]:
+                add_into(acc.setdefault(key, {}), d)
+            for key, d in dgamma[a][b]:
+                add_into(acc.setdefault(key, {}), d, sign)
+            flat = _gamma_step(conn, a, nonzero[b], pb, acc)
+            for (A, B), term in flat.items():
+                if not _parity_ok(term, (pa + pb + fiber[A] + fiber[B]) % 2):
+                    raise AssertionError("curvature parity law violated")
+            mats[(a, b)] = sfmat_from_flat(chart.sig, chart.rank.total, flat)
     table = CurvatureTable(chart, mats)
     # R_ba = −(−1)^{|a||b|} R_ab, checked once for each unordered pair
     for a in range(t):
@@ -366,43 +373,50 @@ def curvature(conn: ConnectionData) -> CurvatureTable:
 class DerivativeTable:
     """Order-r covariant derivative components of the curvature.
 
-    components maps (dirs, a, b) -> matrix [A][B], dirs a tuple (a_r,...,a_1)
-    of 0-based coordinate indices.
+    components maps (dirs, a, b), dirs a tuple (a_r,...,a_1) of 0-based
+    coordinate indices, to the nonzero entries of a nonzero component: a flat
+    {(A, B): Superfunction} in sorted (A, B) order.  A zero component is
+    dropped, and so are its ∇_c, which are zero too.  parities maps each key
+    to the total parity of its coordinate indices.
 
-    A full table holds every pair (a, b) and every direction tuple.  A
-    canonical table (`holonomy_seed`) holds only the pairs a < b and (α, α)
-    for odd α, and only the direction tuples with a_r <= ... <= a_1 in which
-    no odd direction repeats.  With the flat coordinate reference,
-    ∇_c∇_d − (−1)^{|c||d|}∇_d∇_c = [R_cd, ·] on End(E)-valued tensors, and
-    ∇_α∇_α = ½[R_αα, ·] for odd α; R_ba = −(−1)^{|a||b|}R_ab, and R_aa = 0
-    for even a.  So at every order the dropped components lie in the bracket
-    closure of the kept ones and of lower orders: both tables close to the
-    same holonomy algebra.
+    A full table holds every pair (a, b) and every direction tuple.  A canonical table (`holonomy_seed`) holds only
+    the pairs a < b and (α, α) for odd α, and only the direction tuples with
+    a_r <= ... <= a_1 in which no odd direction repeats.  With the flat
+    coordinate reference, ∇_c∇_d − (−1)^{|c||d|}∇_d∇_c = [R_cd, ·] on
+    End(E)-valued tensors, and ∇_α∇_α = ½[R_αα, ·] for odd α;
+    R_ba = −(−1)^{|a||b|}R_ab, and R_aa = 0 for even a.  So at every order
+    the dropped components lie in the bracket closure of the kept ones and
+    of lower orders: both tables close to the same holonomy algebra.
     """
 
-    def __init__(self, chart: Chart, order: int, components, canonical=False):
+    def __init__(self, chart: Chart, order: int, components, canonical=False, parities=None):
         self.chart = chart
         self.order = order
         self.components = components
         self.canonical = canonical
+        self.parities = parities
 
     @staticmethod
     def order_zero(conn: ConnectionData) -> "DerivativeTable":
         """The curvature of the connection as the full order-0 table."""
-        mats = curvature(conn).mats
-        return DerivativeTable(conn.chart, 0, {((), a, b): m for (a, b), m in mats.items()})
+        return _curvature_table(conn, False)
 
     @staticmethod
     def holonomy_seed(conn: ConnectionData) -> "DerivativeTable":
         """The canonical order-0 table, for the infinitesimal holonomy."""
-        chart = conn.chart
-        mats = curvature(conn).mats
-        comps = {
-            ((), a, b): m
-            for (a, b), m in mats.items()
-            if a < b or (a == b and chart.coord_parity(a))
-        }
-        return DerivativeTable(chart, 0, comps, canonical=True)
+        return _curvature_table(conn, True)
+
+
+def _curvature_table(conn: ConnectionData, canonical: bool) -> DerivativeTable:
+    """The nonzero curvature components as an order-0 table, cut from the
+    dense `curvature(conn).mats`: every pair, or the canonical ones."""
+    par = conn.chart.coord_parity
+    comps = {}
+    for (a, b), mat in curvature(conn).mats.items():
+        flat = {(A, B): f for A, row in enumerate(mat) for B, f in enumerate(row) if f.terms}
+        if flat and (not canonical or a < b or (a == b and par(a))):
+            comps[((), a, b)] = flat
+    return DerivativeTable(conn.chart, 0, comps, canonical, {key: par(key[1]) ^ par(key[2]) for key in comps})
 
 
 def _step_signs(chart: Chart, c: int, par: int):
@@ -418,83 +432,85 @@ def _step_signs(chart: Chart, c: int, par: int):
     return fiber, left, right
 
 
-def _covariant_step(conn: ConnectionData, c: int, mat, par: int):
+def _covariant_step(conn: ConnectionData, c: int, flat, par: int):
     """∇_c of one End(E)-valued component over the flat coordinate reference.
 
-    `par` is the total parity of the component's coordinate indices, so entry
-    [A][B] of `mat` has parity par + |A| + |B|.  Entry [A][B] of the result is
+    The component is given by its nonzero entries, a flat {(A, B): M^A_B},
+    and the step is returned in that form.  `par` is the total parity of the
+    component's coordinate indices, so entry (A, B) has parity
+    par + |A| + |B|.  Entry (A, B) of the result is
     ∂_c M^A_B + Σ_C (−1)^{|c|(par+|B|+|C|)} M^C_B Γ^A_{cC}
     − Σ_C (−1)^{par(|C|+|B|)} Γ^C_{cB} M^A_C, that is ∂_c M + Γ_c M − M Γ_c
     with the super signs of that grading: the ∂_c M term, then `_gamma_step`.
     """
-    entries = [(C, B, m) for C, row in enumerate(mat) for B, m in enumerate(row) if m.terms]
     acc = {}
-    for C, B, m in entries:
-        add_into(acc.setdefault((C, B), {}), m.partial(c + 1))
-    return _gamma_step(conn, c, entries, par, acc)
+    for key, m in flat.items():
+        add_into(acc.setdefault(key, {}), m.partial(c + 1))
+    return _gamma_step(conn, c, flat.items(), par, acc)
 
 
 def _gamma_step(conn: ConnectionData, c: int, entries, par: int, acc):
     """`_covariant_step` of the matrix whose nonzero entries M^C_B are the
-    (C, B, M^C_B) of `entries`, with its ∂_c M term replaced by the raw
+    ((C, B), M^C_B) of `entries`, with its ∂_c M term replaced by the raw
     accumulators {(A, B): raw} of `acc`: the Γ_c M − M Γ_c terms are scattered
     from those entries and the nonzero entries of Γ_c, each product added
-    into its entry's accumulator.  The result has dense rows, with one shared
-    zero in the entries that nothing reached."""
+    into its entry's accumulator.  Returns the nonzero entries of the
+    result as a flat {(A, B): Superfunction} in sorted (A, B) order."""
     chart = conn.chart
     sig = chart.sig
-    rk = chart.rank.total
     gamma_cols, gamma_rows = conn.nonzero_gamma(c)
     fiber, left, right = _step_signs(chart, c, par)
-    for C, B, m in entries:
+    for (C, B), m in entries:
         sign = left[fiber[B] ^ fiber[C]]
         for A, g in gamma_cols[C]:
             mul_into(acc.setdefault((A, B), {}), m, g, sign)
         for B2, g in gamma_rows[B]:
             mul_into(acc.setdefault((C, B2), {}), g, m, right[fiber[B] ^ fiber[B2]])
-    new = sfmat_zeros(sig, rk, rk)
-    for (A, B), raw in acc.items():
-        f = accumulated(sig, raw)
+    out = {}
+    for key in sorted(acc):
+        f = accumulated(sig, acc[key])
         if f:
-            new[A][B] = f
-    return new
+            out[key] = f
+    return out
 
 
 def _tower_steps(chart: Chart, prev: DerivativeTable):
-    """(key, mat, par, directions) for each component of `prev`: its key
-    (dirs, a, b), its matrix, the total parity of its coordinate indices,
-    and the directions c of the components ((c,) + dirs, a, b) that it
-    gives at the next order.  A canonical table prepends a_{r+1} <= a_r,
-    strictly when it is odd."""
+    """(key, flat, par, directions) for each component of `prev`: its key
+    (dirs, a, b), its nonzero entries, the total parity of its coordinate
+    indices, and the directions c of the components ((c,) + dirs, a, b)
+    that it gives at the next order, whose parity is par + |c|.  A canonical
+    table prepends a_{r+1} <= a_r, strictly when it is odd."""
     t = chart.sig.total
-    for key, mat in prev.components.items():
-        dirs, a, b = key
-        par = sum(chart.coord_parity(d) for d in dirs + (a, b)) % 2
+    for key, flat in prev.components.items():
+        dirs = key[0]
         stop = t
         if prev.canonical and dirs:
             stop = dirs[0] + 1 - chart.coord_parity(dirs[0])
-        yield key, mat, par, range(stop)
+        yield key, flat, prev.parities[key], range(stop)
 
 
 def _next_derivative(conn: ConnectionData, prev: DerivativeTable) -> DerivativeTable:
-    out = {}
-    for (dirs, a, b), mat, par, directions in _tower_steps(conn.chart, prev):
+    chart = conn.chart
+    out, parities = {}, {}
+    for (dirs, a, b), flat, par, directions in _tower_steps(chart, prev):
         for c in directions:
-            out[((c,) + dirs, a, b)] = _covariant_step(conn, c, mat, par)
-    return DerivativeTable(conn.chart, prev.order + 1, out, prev.canonical)
+            step = _covariant_step(conn, c, flat, par)
+            if step:
+                key = ((c,) + dirs, a, b)
+                out[key] = step
+                parities[key] = par ^ chart.coord_parity(c)
+    return DerivativeTable(chart, prev.order + 1, out, prev.canonical, parities)
 
 
-def values_at(mat, point):
-    """The nonzero body values of a superfunction matrix at even coordinates
-    already in the field, as a flat dict {A * columns + B: value}."""
-    cols = len(mat[0]) if mat else 0
+def values_at(flat, point, cols: int):
+    """The nonzero body values of a component's entries, a flat
+    {(A, B): Superfunction}, at even coordinates already in the field, as a
+    flat dict {A * cols + B: value}."""
     out = {}
-    for A, row in enumerate(mat):
-        for B, f in enumerate(row):
-            if f.terms:
-                v = f.body_value(point)
-                if v:
-                    out[A * cols + B] = v
+    for (A, B), f in flat.items():
+        v = f.body_value(point)
+        if v:
+            out[A * cols + B] = v
     return out
 
 
@@ -512,15 +528,15 @@ def gamma_at(conn: ConnectionData, point):
     return out
 
 
-def _covariant_step_at(conn: ConnectionData, c: int, mat, values, par: int, point, gamma_c):
-    """`_covariant_step(conn, c, mat, par)` at the point, as a flat dict of
+def _covariant_step_at(conn: ConnectionData, c: int, flat, values, par: int, point, gamma_c):
+    """`_covariant_step(conn, c, flat, par)` at the point, as a flat dict of
     its nonzero values, without building the step.
 
     The body of a product is the product of the bodies, so each term of the
-    step is one product of scalars: `values` holds the body values of `mat`
-    at the point (`values_at`), `gamma_c` those of Γ_c (`gamma_at`), and
-    the body of ∂_c M^C_B comes from `partial_body_value`.  The signs come
-    from `_step_signs`, as in `_covariant_step`.
+    step is one product of scalars: `values` holds the body values of the
+    entries at the point (`values_at`), `gamma_c` those of Γ_c (`gamma_at`),
+    and the body of ∂_c M^C_B comes from `partial_body_value`.  The signs
+    come from `_step_signs`, as in `_covariant_step`.
     """
     chart = conn.chart
     t = chart.rank.total
@@ -532,51 +548,57 @@ def _covariant_step_at(conn: ConnectionData, c: int, mat, values, par: int, poin
         w = acc.get(k)
         acc[k] = v if w is None else w + v
 
-    for C, row in enumerate(mat):
-        for B, m in enumerate(row):
-            if not m.terms:
-                continue
-            d = m.partial_body_value(c + 1, point)
-            if d:
-                add(C * t + B, d)
-            v = values.get(C * t + B)
-            if v is None:
-                continue
-            lv = left[fiber[B] ^ fiber[C]] * v
-            for A, g in gamma_cols[C]:
-                add(A * t + B, lv * g)
-            for B2, g in gamma_rows[B]:
-                add(C * t + B2, right[fiber[B] ^ fiber[B2]] * (g * v))
+    for (C, B), m in flat.items():
+        d = m.partial_body_value(c + 1, point)
+        if d:
+            add(C * t + B, d)
+        v = values.get(C * t + B)
+        if v is None:
+            continue
+        lv = left[fiber[B] ^ fiber[C]] * v
+        for A, g in gamma_cols[C]:
+            add(A * t + B, lv * g)
+        for B2, g in gamma_rows[B]:
+            add(C * t + B2, right[fiber[B] ^ fiber[B2]] * (g * v))
     return {k: v for k, v in acc.items() if v}
 
 
 def _derivative_at(conn: ConnectionData, prev: DerivativeTable, values, point, gamma):
     """The components of `_next_derivative(conn, prev)` at the point, as flat
-    dicts of their nonzero values under the same keys, without building that
-    table.  `values` maps each key of `prev` to its values at the point, and
-    `gamma` is `gamma_at(conn, point)`."""
+    dicts of their nonzero values, without building that table; the zero
+    components it drops are here too, with no values.  `values` maps each
+    key of `prev` to its values at the point, and `gamma` is `gamma_at(conn, point)`."""
     out = {}
-    for key, mat, par, directions in _tower_steps(conn.chart, prev):
+    for key, flat, par, directions in _tower_steps(conn.chart, prev):
         dirs, a, b = key
         vals = values[key]
         for c in directions:
-            out[((c,) + dirs, a, b)] = _covariant_step_at(conn, c, mat, vals, par, point, gamma[c])
+            out[((c,) + dirs, a, b)] = _covariant_step_at(conn, c, flat, vals, par, point, gamma[c])
     return out
 
 
 def covariant_derivatives(conn: ConnectionData, ref, order: int):
     """Full tables of covariant curvature derivatives for orders 0..order.
 
-    The directions are differentiated with the flat coordinate reference:
-    `ref` must be None, and any other value raises ValueError.  The parameter
-    stays because the benchmark's report checker (`bench/checks.py`) calls
-    `covariant_derivatives(conn, None, order)`.
+    Unlike the holonomy tower's, these tables hold every key, as dense rows
+    [A][B], and no parities: they are read, not stepped.  The directions are
+    differentiated with the flat coordinate reference: `ref` must be None,
+    and any other value raises ValueError.  The parameter stays because the
+    benchmark's report checker (`bench/checks.py`) calls it with None.
     """
     if ref is not None:
         raise ValueError("covariant derivatives take only the flat coordinate reference (ref=None)")
-    tables = [DerivativeTable.order_zero(conn)]
-    for _ in range(order):
-        tables.append(_next_derivative(conn, tables[-1]))
+    chart = conn.chart
+    t = chart.sig.total
+    keys = [((), a, b) for a in range(t) for b in range(t)]
+    table = DerivativeTable.order_zero(conn)
+    tables = []
+    for r in range(order + 1):
+        if r:
+            table = _next_derivative(conn, table)
+            keys = [((c,) + dirs, a, b) for dirs, a, b in keys for c in range(t)]
+        comps = {key: sfmat_from_flat(chart.sig, chart.rank.total, table.components.get(key, {})) for key in keys}
+        tables.append(DerivativeTable(chart, r, comps))
     return tables
 
 
@@ -931,8 +953,8 @@ def levi_civita(metric: MetricData) -> ConnectionData:
 def nabla_endomorphism(conn: ConnectionData, j: SuperMatrix, a: int):
     """(nabla_a J) for a constant even endomorphism J of the tangent sheaf."""
     sig = conn.chart.sig
-    const = [[Superfunction.constant(sig, v) for v in row] for row in j.entries]
-    return _covariant_step(conn, a, const, 0)
+    const = {(A, B): Superfunction.constant(sig, v) for A, row in enumerate(j.entries) for B, v in enumerate(row) if v}
+    return sfmat_from_flat(sig, conn.chart.rank.total, _covariant_step(conn, a, const, 0))
 
 
 # ------------------------------------------------------- tensor extensions

@@ -44,7 +44,7 @@ class HolonomyResult:
         self.stabilized_at_order = stabilized_at_order
         self.generator_log = generator_log
         self.status = status  # 'stabilized' | 'capped'
-        self.tables = list(tables)  # canonical order 0, and order 1 once built
+        self.tables = list(tables)  # sparse canonical order 0, and order 1 once built
 
     def __repr__(self):
         return "HolonomyResult(dim %d|%d, order %s, %s)" % (
@@ -112,7 +112,7 @@ def infinitesimal_holonomy(conn: ConnectionData, point, cap=None) -> HolonomyRes
             added.append(m)
         return added
 
-    values = {key: values_at(mat, pt) for key, mat in table.components.items()}
+    values = {key: values_at(flat, pt, rk.total) for key, flat in table.components.items()}
     algebra = generate_subalgebra(harvest(values, 0), rk, field)
     if algebra.graded_dim == full_dims:
         return HolonomyResult(algebra, 1, log, "stabilized", tables)
@@ -170,21 +170,21 @@ class TransportOperator:
                 raise AssertionError("transport lost the even block structure")
 
 
-def _compile_body(rows, n):
-    """The body of a superfunction matrix, given as its rows, compiled for
-    float evaluation: the exponents of its monomials, shape (M, n), and one
-    float coefficient matrix per monomial, shape (M, rows, columns).  Raises
-    NotRealError on a non-real coefficient."""
+def _compile_body(entries, shape, n):
+    """The body of a superfunction matrix of the given shape, given as its
+    nonzero entries (row, col, f), compiled for float evaluation: the
+    exponents of its monomials, shape (M, n), and one float coefficient
+    matrix per monomial, shape (M,) + shape.  Raises NotRealError on a
+    non-real coefficient."""
     import numpy as np
 
     index = {}
-    entries = []
-    for A, row in enumerate(rows):
-        for B, f in enumerate(row):
-            for exps, coef in f.terms.get(0, {}).items():
-                entries.append((index.setdefault(exps, len(index)), A, B, scalar_float(coef)))
-    coefs = np.zeros((len(index), len(rows), len(rows[0]) if rows else 0))
-    for k, A, B, c in entries:
+    cells = []
+    for A, B, f in entries:
+        for exps, coef in f.terms.get(0, {}).items():
+            cells.append((index.setdefault(exps, len(index)), A, B, scalar_float(coef)))
+    coefs = np.zeros((len(index),) + shape)
+    for k, A, B, c in cells:
         coefs[k, A, B] = c
     return np.array(list(index), dtype=float).reshape(len(index), n), coefs
 
@@ -197,14 +197,6 @@ def _eval_body(body, points):
     exps, coefs = body
     monomials = np.prod(points[:, None, :] ** exps, axis=2)
     return np.tensordot(monomials, coefs, axes=1)
-
-
-def _float_matrix(mat_sf, point):
-    """Body of a superfunction matrix at a float point, as a float matrix."""
-    import numpy as np
-
-    point = np.asarray(point, dtype=float)
-    return _eval_body(_compile_body(mat_sf, len(point)), point[None, :])[0]
 
 
 def numeric_parallel_transport(conn: ConnectionData, path, steps: int) -> TransportOperator:
@@ -242,7 +234,8 @@ def numeric_parallel_transport(conn: ConnectionData, path, steps: int) -> Transp
             continue  # A = 0: every propagator is the identity
         for i in moved:
             if i not in bodies:
-                bodies[i] = _compile_body(conn.gamma[i], n)
+                entries = [(A, B, g) for A, row in enumerate(conn.nonzero_gamma(i)[1]) for B, g in row]
+                bodies[i] = _compile_body(entries, (rk, rk), n)
         # A(t) as one compiled body: the monomials of every moved direction
         body = (
             np.concatenate([bodies[i][0] for i in moved]),
@@ -263,8 +256,8 @@ def numeric_parallel_transport(conn: ConnectionData, path, steps: int) -> Transp
 
 
 def conjugated_generators(conn: ConnectionData, point, loops, tables, steps=2000):
-    """Transport-conjugated components of the given derivative tables, as
-    float matrices; the zero ones are left out.
+    """Transport-conjugated components of the given sparse derivative tables
+    (`DerivativeTable`), as float matrices; the zero ones are left out.
 
     Only used to validate that their span embeds into the float image of the
     exact algebra; never used to extend it.
@@ -273,8 +266,8 @@ def conjugated_generators(conn: ConnectionData, point, loops, tables, steps=2000
 
     rk = conn.chart.rank.total
     mats = [tab.components[key] for tab in tables for key in sorted(tab.components)]
-    # every component as one compiled body: the rows of all of them stacked
-    stacked = [row for mat in mats for row in mat]
+    # every component as one compiled body, component k in rows k*rk .. k*rk + rk - 1
+    stacked = [(k * rk + A, B, f) for k, flat in enumerate(mats) for (A, B), f in flat.items()]
     body = None
     out = []
     for path in loops:
@@ -283,7 +276,7 @@ def conjugated_generators(conn: ConnectionData, point, loops, tables, steps=2000
         tau = numeric_parallel_transport(conn, path, steps).matrix
         end = np.asarray(path[-1] if len(path) else point, dtype=float)
         if body is None:
-            body = _compile_body(stacked, len(end))
+            body = _compile_body(stacked, (len(mats) * rk, rk), len(end))
         values = _eval_body(body, end[None, :]).reshape(len(mats), rk, rk)
         nonzero = values[np.abs(values).max(axis=(1, 2), initial=0.0) > 0]
         out.extend(np.linalg.inv(tau) @ nonzero @ tau)

@@ -7,11 +7,10 @@ with a fixed key order so identical inputs produce byte-identical output.
 from __future__ import annotations
 
 import json
-import re
 
 from .geometry import Chart, ConnectionData, MetricData
-from .scalars import FIELDS, GAUSSIAN, RATIONAL, parse_scalar, scalar_bits, scalar_str
-from .superfunc import MAX_COEFFICIENT_BITS, MAX_DIGITS, ChartSignature, parse_superfunction
+from .scalars import FIELDS, GAUSSIAN, MAX_COEFFICIENT_BITS, RATIONAL, parse_scalar, scalar_bits, scalar_str
+from .superfunc import ChartSignature, parse_superfunction
 from .superlin import (
     SubSuperalgebra,
     SuperDim,
@@ -42,11 +41,14 @@ MAX_TRANSPORT_STEPS = 100_000
 # unbounded allocation, not a problem this program can answer.  Every
 # bundled, test and benchmark problem has a total of at most 6.
 MAX_TOTAL_DIM = 16
-# The integer options, each with the least value it may take.
+# Largest `options.cap_order` (or `--cap-order`) accepted: the largest default
+# cap, 2 (p+q)^2 + m (`holonomy.default_order_cap`), of a problem within
+# MAX_TOTAL_DIM.
+MAX_CAP_ORDER = 2 * MAX_TOTAL_DIM ** 2 + MAX_TOTAL_DIM
+# The integer options, each with the least value it may take, and those with
+# a largest value, with it.
 INTEGER_OPTIONS = {"cap_order": 0, "transport_steps": 0, "order": 1}
-# A run of the digits (and underscores) that `Fraction` reads, with the
-# exponent marker before it when there is one.
-_NUMERAL = re.compile(r"([eE][-+]?)?([\d_]+)")
+INTEGER_MAXIMA = {"cap_order": MAX_CAP_ORDER, "transport_steps": MAX_TRANSPORT_STEPS}
 
 
 def _require(obj, key, path):
@@ -86,20 +88,15 @@ def _superdim(obj, path, keys=("p", "q")):
 
 
 def _scalar(value, field, path):
-    """A point or explicit-algebra scalar, read from str(value), whose
-    numerators and denominators have at most MAX_COEFFICIENT_BITS bits, as a
-    superfunction literal's must.  A text with a run of more than MAX_DIGITS
-    digits, or an exponent above MAX_DIGITS, is refused before it is built,
-    since building it may cost without bound."""
+    """A point or explicit-algebra scalar, read from str(value) by the
+    bounded `parse_scalar`, whose numerators and denominators have at most
+    MAX_COEFFICIENT_BITS bits, as a superfunction literal's must."""
     text = str(value)
-    scalar = None
-    numerals = _NUMERAL.findall(text)
-    if not any(len(d) > MAX_DIGITS or e and int(d.replace("_", "") or 0) > MAX_DIGITS for e, d in numerals):
-        try:
-            scalar = parse_scalar(text, field)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ProblemError(path, str(exc))
-    if scalar is None or scalar_bits(scalar) > MAX_COEFFICIENT_BITS:
+    try:
+        scalar = parse_scalar(text, field)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ProblemError(path, str(exc))
+    if scalar_bits(scalar) > MAX_COEFFICIENT_BITS:
         raise ProblemError(path, "a number above the limit of %d bits" % MAX_COEFFICIENT_BITS)
     return scalar
 
@@ -242,10 +239,10 @@ def decode_problem(obj):
 def check_option(key, value):
     """The value of an integer option, from a problem file or a command-line
     flag, checked at /options/<key>: an integer no less than its least value
-    in INTEGER_OPTIONS, and a step count no more than MAX_TRANSPORT_STEPS."""
+    in INTEGER_OPTIONS, and no more than its largest in INTEGER_MAXIMA."""
     value = _int(value, "/options/" + key, INTEGER_OPTIONS[key])
-    if key == "transport_steps" and value > MAX_TRANSPORT_STEPS:
-        raise ProblemError("/options/transport_steps", "must be at most %d" % MAX_TRANSPORT_STEPS)
+    if key in INTEGER_MAXIMA and value > INTEGER_MAXIMA[key]:
+        raise ProblemError("/options/" + key, "must be at most %d" % INTEGER_MAXIMA[key])
     return value
 
 

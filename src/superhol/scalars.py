@@ -16,12 +16,26 @@ string printing, so all higher layers are generic over the two.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 RATIONAL = "rational"
 GAUSSIAN = "gaussian-rational"
 
 FIELDS = (RATIONAL, GAUSSIAN)
+
+# Largest bit length of a numerator or denominator that a literal may name or
+# a `*` or `^` may produce: nested constant powers multiply it by up to 16 a
+# level.
+MAX_COEFFICIENT_BITS = 1024
+# Longest run of digits the tokenizers read, leading zeros included: without
+# them, a longer number is above MAX_COEFFICIENT_BITS, the superfunction
+# parser's MAX_EXPONENT and any coordinate index, and int() never meets its
+# own length limit.
+MAX_DIGITS = len(str(2**MAX_COEFFICIENT_BITS))
+# A run of the digits (and underscores) that `Fraction` reads, with the
+# exponent marker before it when there is one.
+_NUMERAL = re.compile(r"([eE][-+]?)?([\d_]+)")
 
 
 class GaussianRational:
@@ -193,8 +207,13 @@ def scalar_str(value) -> str:
 
 
 def parse_scalar(text: str, field: str):
-    """Inverse of scalar_str for the given field."""
+    """Inverse of scalar_str for the given field.  A text with a run of more
+    than MAX_DIGITS digits, or an exponent above MAX_DIGITS, raises
+    ValueError before it is built, since building it may cost without bound."""
     s = text.strip()
+    for e, d in _NUMERAL.findall(s):
+        if len(d) > MAX_DIGITS or e and int(d.replace("_", "") or 0) > MAX_DIGITS:
+            raise ValueError("a number above the limit of %d bits" % MAX_COEFFICIENT_BITS)
     if field == RATIONAL:
         return canonical(Fraction(s))
     if s.endswith("i"):

@@ -15,6 +15,8 @@ from operator import add
 from .scalars import (
     FIELDS,
     GAUSSIAN,
+    MAX_COEFFICIENT_BITS,
+    MAX_DIGITS,
     RATIONAL,
     GaussianRational,
     canonical,
@@ -34,14 +36,6 @@ MAX_DEGREE = 16
 # Deepest parenthesis nesting the parser accepts: each level costs a few
 # Python stack frames, and the recursion limit must not be the bound.
 MAX_NESTING = 64
-# Largest bit length of a numerator or denominator that a literal may name or
-# a `*` or `^` may produce: nested constant powers multiply it by up to 16 a
-# level.
-MAX_COEFFICIENT_BITS = 1024
-# Longest run of digits the tokenizer reads, leading zeros included: without
-# them, a longer number is above MAX_COEFFICIENT_BITS, MAX_EXPONENT and any
-# coordinate index, and int() never meets its own length limit.
-MAX_DIGITS = len(str(2**MAX_COEFFICIENT_BITS))
 
 
 class ChartSignature:

@@ -17,6 +17,12 @@ def is_canonical_rational(value):
     return type(value) is int or (type(value) is Fraction and value.denominator > 1)
 
 
+def flat_of(mat):
+    """The nonzero entries of dense rows, as the flat {(A, B): f} of a
+    sparse derivative-table component, in sorted (A, B) order."""
+    return {(A, B): f for A, row in enumerate(mat) for B, f in enumerate(row) if f.terms}
+
+
 def random_superfunction(rng, sig, parity=None, maxdeg=1, density=1):
     f = Superfunction.zero(sig)
     for mask in range(1 << sig.m):

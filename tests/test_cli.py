@@ -9,9 +9,18 @@ import pytest
 
 from superhol import cli
 from superhol import geometry as geo
-from superhol.reportio import MAX_TOTAL_DIM, MAX_TRANSPORT_STEPS, ProblemError, decode_problem, dumps_report, encode_algebra
+from superhol import holonomy as hl
+from superhol.reportio import (
+    MAX_CAP_ORDER,
+    MAX_TOTAL_DIM,
+    MAX_TRANSPORT_STEPS,
+    ProblemError,
+    decode_problem,
+    dumps_report,
+    encode_algebra,
+)
 from superhol.scalars import GAUSSIAN, RATIONAL
-from superhol.superfunc import Superfunction
+from superhol.superfunc import ChartSignature, Superfunction
 from superhol.superlin import (
     StructureTensor,
     SuperDim,
@@ -383,6 +392,31 @@ class TestTransportStepsLimit:
     def test_steps_argument_above_the_limit(self):
         rep, ok = cli.run_problem(self.ROTATION, steps=MAX_TRANSPORT_STEPS + 1)
         assert not ok and rep["error"].startswith("/options/transport_steps: ")
+
+    def test_cap_order_limit_is_the_largest_default_cap(self):
+        # a chart and a rank of the largest total dim, all of the rank odd
+        chart = geo.Chart(ChartSignature(0, MAX_TOTAL_DIM), SuperDim(0, MAX_TOTAL_DIM))
+        assert hl.default_order_cap(chart) == MAX_CAP_ORDER == 528
+        doc = dict(self.ROTATION, options={"cap_order": MAX_CAP_ORDER})
+        assert decode_problem(doc)[2]["cap_order"] == MAX_CAP_ORDER
+
+    def test_cap_order_option_above_the_limit(self):
+        doc = dict(self.ROTATION, options={"cap_order": MAX_CAP_ORDER + 1})
+        with pytest.raises(ProblemError) as err:
+            decode_problem(doc)
+        assert err.value.path == "/options/cap_order"
+        rep, ok = cli.run_problem(doc)
+        assert not ok and rep["error"] == "/options/cap_order: must be at most 528"
+
+    def test_cap_order_flag_above_the_limit(self, tmp_path):
+        rep, ok = cli.run_problem(self.ROTATION, cap_order=MAX_CAP_ORDER + 1)
+        assert not ok and rep["error"] == "/options/cap_order: must be at most 528"
+        rep, ok = cli.run_problem(self.ROTATION, cap_order=MAX_CAP_ORDER)
+        assert ok
+        doc, out = tmp_path / "rotation.json", tmp_path / "out.json"
+        doc.write_text(json.dumps(self.ROTATION))
+        assert cli.main(["run", str(doc), "--cap-order", str(MAX_CAP_ORDER + 1), "--out", str(out)]) == 1
+        assert json.loads(out.read_text())["error"] == "/options/cap_order: must be at most 528"
 
     @pytest.mark.parametrize("flags, path", [({"steps": -5}, "/options/transport_steps"), ({"cap_order": -1}, "/options/cap_order")])
     def test_arguments_below_their_least_value(self, flags, path):

@@ -41,6 +41,7 @@ from superhol.geometry import (
 )
 
 from conftest import (
+    flat_of,
     is_canonical_rational,
     random_connection,
     random_sparse_connection,
@@ -250,20 +251,23 @@ class TestSparseCovariantStep:
                     mats.append(sparse)
                     for mat in mats:
                         for c in range(t):
-                            got = geo._covariant_step(conn, c, mat, par)
+                            got = geo._covariant_step(conn, c, flat_of(mat), par)
                             want = dense_covariant_step(conn, c, mat, par)
+                            # the step keeps exactly the nonzero entries, sorted
+                            assert got == flat_of(want) and list(got) == sorted(got), c
+                            dense = geo.sfmat_from_flat(sig, rk, got)
                             for A in range(rk):
                                 for B in range(rk):
-                                    assert got[A][B] == want[A][B], (c, A, B)
-                            nonzero += not geo.sfmat_is_zero(got)
+                                    assert dense[A][B] == want[A][B], (c, A, B)
+                            nonzero += not geo.sfmat_is_zero(dense)
         assert nonzero
 
-    def test_empty_entries_share_one_zero(self):
+    def test_zero_component_steps_to_no_entries(self):
         chart = Chart(ChartSignature(2, 2), SuperDim(2, 2))
         conn = random_sparse_connection(random.Random(4), chart, 2)
-        got = geo._covariant_step(conn, 0, sfmat_zeros(chart.sig, 4, 4), 0)
-        assert geo.sfmat_is_zero(got)
-        assert len({id(f) for row in got for f in row}) == 1
+        got = geo._covariant_step(conn, 0, flat_of(sfmat_zeros(chart.sig, 4, 4)), 0)
+        assert geo.sfmat_is_zero(geo.sfmat_from_flat(chart.sig, 4, got))
+        assert got == {}
 
 
 def unfolded_curvature(conn):
@@ -302,6 +306,142 @@ class TestFoldedCurvature:
                 assert got[key] == mat, key
                 nonzero += not geo.sfmat_is_zero(mat)
         assert nonzero
+
+
+def dense_tower(conn, order, canonical):
+    """Every key's component as dense rows, orders 0..order, the zero
+    components kept: order 0 from `unfolded_curvature`, each later order by
+    `dense_covariant_step` in every direction its key allows (a canonical
+    tower prepends a_{r+1} <= a_r, strictly when it is odd)."""
+    par = conn.chart.coord_parity
+    t = conn.chart.sig.total
+    curv = unfolded_curvature(conn)
+    tables = [{((), a, b): m for (a, b), m in curv.items() if not canonical or a < b or (a == b and par(a))}]
+    for _ in range(order):
+        nxt = {}
+        for (dirs, a, b), mat in tables[-1].items():
+            total = sum(par(d) for d in dirs + (a, b)) % 2
+            stop = dirs[0] + 1 - par(dirs[0]) if canonical and dirs else t
+            for c in range(stop):
+                nxt[((c,) + dirs, a, b)] = dense_covariant_step(conn, c, mat, total)
+        tables.append(nxt)
+    return tables
+
+
+def sparse_tower(conn, order, canonical):
+    first = geo.DerivativeTable.holonomy_seed(conn) if canonical else geo.DerivativeTable.order_zero(conn)
+    tables = [first]
+    for _ in range(order):
+        tables.append(geo._next_derivative(conn, tables[-1]))
+    return tables
+
+
+def tower_mismatches(conn, dense, order, canonical, point):
+    """Where the sparse tower of `conn` differs from its dense tower: its
+    keys must be exactly the nonzero dense components, in the same order,
+    each with the nonzero entries of the dense one in sorted (A, B) order,
+    the same values at the point and the parity of its coordinate indices."""
+    chart = conn.chart
+    rk, par = chart.rank.total, chart.coord_parity
+    pt = chart.sig.coerce_point(point)
+    bad = []
+    for r, (tab, want) in enumerate(zip(sparse_tower(conn, order, canonical), dense)):
+        nonzero = [key for key, mat in want.items() if not geo.sfmat_is_zero(mat)]
+        if list(tab.components) != nonzero:
+            bad.append((r, "keys"))
+        for key in nonzero:
+            flat = tab.components.get(key, {})
+            if flat != flat_of(want[key]) or list(flat) != sorted(flat):
+                bad.append((r, key, "entries"))
+            body = sfmat_value(want[key], pt)
+            values = {A * rk + B: v for A, row in enumerate(body) for B, v in enumerate(row) if v}
+            if geo.values_at(flat, pt, rk) != values:
+                bad.append((r, key, "values"))
+            dirs, a, b = key
+            if key in tab.components and tab.parities[key] != sum(par(d) for d in dirs + (a, b)) % 2:
+                bad.append((r, key, "parity"))
+    return bad
+
+
+class TestSparseTower:
+    """The sparse derivative tables, against dense towers built entry by
+    entry with `dense_covariant_step`, on seeded connections over both
+    fields: every kept component symbolically and by its values at a
+    seeded point, the dropped keys, and the dense `covariant_derivatives`."""
+
+    # field, chart n|m, rank p|q, Christoffel entries, top order
+    CASES = [
+        (RATIONAL, (1, 1), (1, 1), 4, 3),
+        (GAUSSIAN, (1, 1), (1, 1), 4, 3),
+        (RATIONAL, (2, 1), (1, 1), 4, 2),
+        (GAUSSIAN, (1, 2), (1, 1), 4, 2),
+        (RATIONAL, (0, 2), (2, 1), 4, 3),
+    ]
+
+    @staticmethod
+    def connections(field, nm, pq, entries):
+        sig = ChartSignature(*nm, field)
+        chart = Chart(sig, SuperDim(*pq))
+        rng = random.Random("sparse tower %d|%d %d|%d %s" % (nm + pq + (field,)))
+        unit = GaussianRational(Fraction(1, 2), 1) if field == GAUSSIAN else Fraction(1, 3)
+        for _ in range(3):
+            conn = random_sparse_connection(rng, chart, entries, maxdeg=2)
+            yield conn, [unit * rng.randint(-2, 2) for _ in range(sig.n)]
+
+    @pytest.mark.parametrize("field, nm, pq, entries, order", CASES)
+    def test_matches_the_dense_tower(self, field, nm, pq, entries, order):
+        dropped = kept = 0
+        for conn, point in self.connections(field, nm, pq, entries):
+            for canonical in (True, False):
+                dense = dense_tower(conn, order, canonical)
+                assert tower_mismatches(conn, dense, order, canonical, point) == []
+                for tab, want in zip(sparse_tower(conn, order, canonical), dense):
+                    # the dropped keys are exactly the zero components
+                    gone = want.keys() - tab.components.keys()
+                    assert all(geo.sfmat_is_zero(want[key]) for key in gone)
+                    dropped += len(gone)
+                    kept += len(tab.components)
+            # covariant_derivatives keeps every key, as dense rows
+            rk = conn.chart.rank.total
+            full = dense_tower(conn, order, False)
+            for tab, want in zip(covariant_derivatives(conn, None, order), full):
+                assert list(tab.components) == list(want)
+                for key, mat in tab.components.items():
+                    assert len(mat) == rk and all(len(row) == rk for row in mat)
+                    assert mat == want[key], key
+        assert dropped and kept
+
+    def mutant_killed(self, monkeypatch, name, mutant):
+        caught = 0
+        for field, nm, pq, entries, order in self.CASES:
+            for conn, point in self.connections(field, nm, pq, entries):
+                curvature(conn)  # the order-0 table is built before the mutant
+                dense = [dense_tower(conn, order, canonical) for canonical in (True, False)]
+                with monkeypatch.context() as m:
+                    m.setattr(geo, name, mutant(getattr(geo, name)))
+                    for canonical, tower in zip((True, False), dense):
+                        caught += bool(tower_mismatches(conn, tower, order, canonical, point))
+        return caught
+
+    def test_a_dropped_nonzero_entry_is_caught(self, monkeypatch):
+        def mutant(step):
+            def dropping(*args):
+                out = step(*args)
+                if out:
+                    del out[next(iter(out))]
+                return out
+            return dropping
+
+        assert self.mutant_killed(monkeypatch, "_gamma_step", mutant)
+
+    def test_a_flipped_step_sign_is_caught(self, monkeypatch):
+        def mutant(signs):
+            def flipped(chart, c, par):
+                fiber, left, right = signs(chart, c, par)
+                return fiber, (left[0], -left[1]), right
+            return flipped
+
+        assert self.mutant_killed(monkeypatch, "_step_signs", mutant)
 
 
 class TestCurvatureKept:

@@ -42,6 +42,8 @@ from superhol.geometry import (
     gamma_at,
     levi_civita,
     pure_gauge_connection,
+    sfmat_from_flat,
+    sfmat_is_zero,
     sfmat_value,
     sfmat_zeros,
     tensor_extension,
@@ -50,7 +52,6 @@ from superhol.geometry import (
 )
 from superhol.holonomy import (
     SectionData,
-    _float_matrix,
     check_parallel,
     classify_geometry,
     conjugated_generators,
@@ -71,6 +72,7 @@ from superhol.scalars import GAUSSIAN, RATIONAL, GaussianRational, parse_scalar,
 from conftest import (
     cut_by_functionals,
     defined_stabilizer,
+    flat_of,
     random_sparse_connection,
     random_torsion_free_connection,
     random_unipotent_gauge,
@@ -228,10 +230,19 @@ class TestTransport:
     def test_flat_conjugated_all_zero(self):
         sig = ChartSignature(2, 0)
         conn = ConnectionData.zero(Chart(sig, SuperDim(2, 0)))
+        zero = DerivativeTable.order_zero(conn)
         gens = conjugated_generators(
-            conn, [0.0, 0.0], [[[0.0, 0.0], [1.0, 1.0]]], covariant_derivatives(conn, None, 1)
+            conn, [0.0, 0.0], [[[0.0, 0.0], [1.0, 1.0]]], [zero, _next_derivative(conn, zero)]
         )
         assert gens == []
+
+
+def _float_matrix(flat, rk, point):
+    """Body of a flat {(A, B): f} component at a float point, as a float
+    matrix, from the compiled body that the transport check evaluates."""
+    point = np.asarray(point, dtype=float)
+    entries = [(A, B, f) for (A, B), f in flat.items()]
+    return hl._eval_body(hl._compile_body(entries, (rk, rk), len(point)), point[None, :])[0]
 
 
 def full_table_generators(conn, point, loops, max_order=1, steps=2000):
@@ -249,7 +260,7 @@ def full_table_generators(conn, point, loops, max_order=1, steps=2000):
         end = np.asarray(path[-1], dtype=float) if len(path) else np.asarray(point, float)
         for tab in tables:
             for key in sorted(tab.components):
-                g = _float_matrix(tab.components[key], end)
+                g = _float_matrix(tab.components[key], conn.chart.rank.total, end)
                 if np.max(np.abs(g)) > 0:
                     out.append(tau_inv @ g @ tau)
     return out
@@ -291,7 +302,7 @@ class TestTransportReusesTheTower:
                 assert repr(got["residual"]) == repr(want["residual"]) and got["ok"] == want["ok"]
                 end = loops[0][-1]
                 nonzero = sum(
-                    bool(np.max(np.abs(_float_matrix(mat, end))) > 0)
+                    bool(np.max(np.abs(_float_matrix(mat, chart.rank.total, end))) > 0)
                     for tab in _canonical_tower(conn, 1)
                     for mat in tab.components.values()
                 )
@@ -402,7 +413,7 @@ class TestCompiledTransport:
                         assert not op.matrix[:p, p:].any() and not op.matrix[p:, :p].any()
                     x = np.asarray(path[-1], dtype=float)
                     for mat in conn.gamma:
-                        got = _float_matrix(mat, x)
+                        got = _float_matrix(flat_of(mat), len(mat), x)
                         assert np.max(np.abs(got - reference_float_matrix(mat, x))) <= 1e-12 * (1 + np.max(np.abs(got)))
 
     def test_memory_is_bounded_in_steps(self):
@@ -703,12 +714,22 @@ class TestCrossModuleInvariants:
             covariant_derivatives(conn, conn, 1)
 
 
+def _dense(tab):
+    """The components of a table as dense rows: a sparse table's flat ones
+    filled out, those of `covariant_derivatives` as they are."""
+    if tab.parities is None:
+        return tab.components
+    sig, rk = tab.chart.sig, tab.chart.rank.total
+    return {key: sfmat_from_flat(sig, rk, flat) for key, flat in tab.components.items()}
+
+
 def _closures_by_order(tables, point, rank, field):
     """encode_algebra of the closure of the evaluated orders <= r, for each r."""
     gens, out = [], []
     for tab in tables:
-        for key in sorted(tab.components):
-            m = SuperMatrix(rank, sfmat_value(tab.components[key], point), field)
+        comps = _dense(tab)
+        for key in sorted(comps):
+            m = SuperMatrix(rank, sfmat_value(comps[key], point), field)
             if not m.is_zero():
                 gens.append(m)
         out.append(encode_algebra(generate_subalgebra(gens, rank, field)))
@@ -757,9 +778,11 @@ class TestCanonicalTower:
         for seed in seeds:
             conn = random_sparse_connection(random.Random(seed), chart, entries)
             canonical = _canonical_tower(conn, order)
-            for r, tab in enumerate(canonical):
-                assert set(tab.components) == _canonical_keys(chart, r)
             full = covariant_derivatives(conn, None, order)
+            for r, tab in enumerate(canonical):
+                # the canonical keys, less those whose full component is zero
+                nonzero = {key for key in _canonical_keys(chart, r) if not sfmat_is_zero(full[r].components[key])}
+                assert set(tab.components) == nonzero
             assert _closures_by_order(canonical, point, chart.rank, field) == _closures_by_order(
                 full, point, chart.rank, field
             )
@@ -767,13 +790,20 @@ class TestCanonicalTower:
     def test_sizes_on_2_2(self):
         chart = Chart(ChartSignature(2, 2), SuperDim(2, 2))
         conn = random_sparse_connection(random.Random(6), chart, 5)
-        assert len(_canonical_tower(conn, 2)[2].components) == 64
-        assert len(covariant_derivatives(conn, None, 2)[2].components) == 4 ** 2 * 4 ** 2
+        full = covariant_derivatives(conn, None, 2)[2].components
+        assert len(_canonical_keys(chart, 2)) == 64
+        assert len(_canonical_tower(conn, 2)[2].components) == sum(
+            not sfmat_is_zero(full[key]) for key in _canonical_keys(chart, 2)
+        )
+        assert len(full) == 4 ** 2 * 4 ** 2
 
     def test_full_table_extends_to_every_direction(self):
         sig = ChartSignature(1, 2)
         conn = random_torsion_free_connection(random.Random(3), sig)
-        assert len(_next_derivative(conn, DerivativeTable.order_zero(conn)).components) == 3 ** 3
+        full = covariant_derivatives(conn, None, 1)[1].components
+        assert len(full) == 3 ** 3
+        got = _next_derivative(conn, DerivativeTable.order_zero(conn)).components
+        assert set(got) == {key for key, mat in full.items() if not sfmat_is_zero(mat)}
 
 
 def scratch_holonomy(conn, log):
@@ -862,8 +892,9 @@ def dense_generator_log(conn, point, cap=None):
         if order:
             table = _next_derivative(conn, table)
         gens = []
-        for dirs, a, b in sorted(table.components):
-            m = SuperMatrix(rk, sfmat_value(table.components[(dirs, a, b)], point), field)
+        comps = _dense(table)
+        for dirs, a, b in sorted(comps):
+            m = SuperMatrix(rk, sfmat_value(comps[(dirs, a, b)], point), field)
             if not m.is_zero():
                 log.append((order, (tuple(d + 1 for d in dirs), a + 1, b + 1), m))
                 gens.append(m)
@@ -931,7 +962,7 @@ class TestSparseHarvest:
         vanishing = [
             key
             for tab in _canonical_tower(conn, 1)
-            for key, mat in tab.components.items()
+            for key, mat in _dense(tab).items()
             if not all(f.is_zero() for row in mat for f in row)
             and not any(v for row in sfmat_value(mat, point) for v in row)
         ]
@@ -955,12 +986,10 @@ def built_table_holonomy(conn, point, cap):
         added = []
         for key in sorted(tab.components):
             flat = {}
-            for A, row in enumerate(tab.components[key]):
-                for B, f in enumerate(row):
-                    if f.terms:
-                        v = f.body_value(pt)
-                        if v:
-                            flat[A * t + B] = v
+            for (A, B), f in tab.components[key].items():
+                v = f.body_value(pt)
+                if v:
+                    flat[A * t + B] = v
             if not flat:
                 continue
             m = SuperMatrix.from_flat(rk, flat, field)
@@ -1036,11 +1065,15 @@ class TestEvaluatedOrders:
             for point in self.points(sig):
                 pt = sig.coerce_point(point)
                 gamma = gamma_at(conn, pt)
-                values = [{key: values_at(mat, pt) for key, mat in tab.components.items()} for tab in tower]
+                rk = chart.rank.total
+                values = [{key: values_at(flat, pt, rk) for key, flat in tab.components.items()} for tab in tower]
                 for k in (1, 2, 3):
                     got = _derivative_at(conn, tower[k - 1], values[k - 1], pt, gamma)
-                    assert list(got) == list(values[k])
-                    assert got == values[k]
+                    # the built table drops the zero components, which have no values
+                    kept = {key: vals for key, vals in got.items() if key in values[k]}
+                    assert list(kept) == list(values[k])
+                    assert kept == values[k]
+                    assert not any(vals for key, vals in got.items() if key not in values[k])
 
 
 def defined_candidate(label, dim, field, metric_body=None):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from superhol.scalars import GAUSSIAN, RATIONAL, GaussianRational, parse_scalar, scalar_str, to_field
+from superhol.scalars import MAX_DIGITS, GAUSSIAN, RATIONAL, GaussianRational, parse_scalar, scalar_str, to_field
 from superhol.superfunc import (
     ChartSignature,
     Superfunction,
@@ -269,6 +269,26 @@ class TestScalars:
         for text in ("1/2+3 i", "-2-1/3 i", "5 i", "4"):
             v = parse_scalar(text, "gaussian-rational")
             assert scalar_str(v) == text
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ("1e1000000", "rational"),
+            ("1E-400", "rational"),
+            ("1_0e3_000", "rational"),
+            ("7" * (MAX_DIGITS + 1), "rational"),
+            ("1/" + "1" * (MAX_DIGITS + 1), "rational"),
+            ("2+1e1000000 i", "gaussian-rational"),
+        ],
+    )
+    def test_parse_scalar_refuses_unbounded_numbers(self, text, field):
+        # refused from the text, before a number of a million digits is built
+        with pytest.raises(ValueError, match="above the limit of %d bits" % MAX_COEFFICIENT_BITS):
+            parse_scalar(text, field)
+
+    def test_parse_scalar_reads_up_to_the_digit_limit(self):
+        assert parse_scalar("9" * MAX_DIGITS, "rational") == 10 ** MAX_DIGITS - 1
+        assert parse_scalar("1e%d" % MAX_DIGITS, "rational") == 10 ** MAX_DIGITS
 
     def test_to_field_rational(self):
         q = Fraction(-3, 4)
