@@ -286,24 +286,44 @@ def nabla_section(conn: ConnectionData, comps, a: int):
 # --------------------------------------------------------------- curvature
 
 
-class CurvatureTable:
-    """Components R[(a,b)][A][B] with R(d_a, d_b) e_B = R^A_{Bab} e_A."""
+class DerivativeTable:
+    """Order-r covariant derivative components of the curvature; order 0 is
+    the curvature itself (`curvature`).
 
-    def __init__(self, chart: Chart, mats):
+    components maps (dirs, a, b), dirs a tuple (a_r,...,a_1) of 0-based
+    coordinate indices, to the nonzero entries of a nonzero component: a flat
+    {(A, B): Superfunction} in sorted (A, B) order.  A zero component is
+    dropped, and so are its ∇_c, which are zero too.  parities maps each key
+    to the total parity of its coordinate indices.
+
+    A full table holds every pair (a, b) and every direction tuple.  A
+    canonical table (`holonomy_seed`) holds only the pairs a < b and (α, α)
+    for odd α, and only the direction tuples with a_r <= ... <= a_1 in
+    which no odd direction repeats.  With the flat coordinate reference,
+    ∇_c∇_d − (−1)^{|c||d|}∇_d∇_c = [R_cd, ·] on End(E)-valued tensors, and
+    ∇_α∇_α = ½[R_αα, ·] for odd α; R_ba = −(−1)^{|a||b|}R_ab, and R_aa = 0
+    for even a.  So at every order the dropped components lie in the
+    bracket closure of the kept ones and of lower orders: both tables close
+    to the same holonomy algebra.
+    """
+
+    def __init__(self, chart: Chart, order: int, components, canonical=False, parities=None):
         self.chart = chart
-        self.mats = mats
+        self.order = order
+        self.components = components
+        self.canonical = canonical
+        self.parities = parities
 
-    def is_zero(self) -> bool:
-        return all(sfmat_is_zero(m) for m in self.mats.values())
-
-    def first_nonzero(self):
-        chart = self.chart
-        for (a, b), mat in sorted(self.mats.items()):
-            for A in range(chart.rank.total):
-                for B in range(chart.rank.total):
-                    if not mat[A][B].is_zero():
-                        return (a + 1, b + 1, A + 1, B + 1)
-        return None
+    @staticmethod
+    def holonomy_seed(conn: ConnectionData) -> "DerivativeTable":
+        """The canonical order-0 table, for the infinitesimal holonomy: the
+        curvature's components at a < b and at (α, α) for odd α."""
+        full = curvature(conn)
+        par = conn.chart.coord_parity
+        comps = {
+            key: flat for key, flat in full.components.items() if key[1] < key[2] or (key[1] == key[2] and par(key[1]))
+        }
+        return DerivativeTable(conn.chart, 0, comps, True, {key: full.parities[key] for key in comps})
 
 
 def _parity_ok(f: Superfunction, want: int) -> bool:
@@ -325,8 +345,10 @@ def _is_signed_copy(f: Superfunction, g: Superfunction, sign: int) -> bool:
     return True
 
 
-def curvature(conn: ConnectionData) -> CurvatureTable:
-    """Coordinate curvature components from the Christoffel table.
+def curvature(conn: ConnectionData) -> DerivativeTable:
+    """The curvature R_ab, R(d_a, d_b) e_B = R^A_{Bab} e_A, as the full
+    order-0 table of the derivative tower: components {((), a, b): flat}
+    for the nonzero R_ab, each flat holding the nonzero R^A_{Bab} at (A, B).
 
     The table is built on the first call and kept on the connection; later
     calls return the same table.
@@ -335,16 +357,17 @@ def curvature(conn: ConnectionData) -> CurvatureTable:
         return conn._curvature
     chart = conn.chart
     t = chart.sig.total
+    par = chart.coord_parity
     fiber = [0] * chart.rank.p + [1] * chart.rank.q
     # ∂_x Γ_y of every nonzero entry, formed once and read for R_xy and R_yx:
     # dgamma[y][x] lists (A, B, ∂_x Γ_y^A_B)
     nonzero = [[((A, B), g) for A, row in enumerate(conn.nonzero_gamma(y)[1]) for B, g in row] for y in range(t)]
     dgamma = [[[(key, g.partial(x + 1)) for key, g in entries] for x in range(t)] for entries in nonzero]
-    mats = {}
+    comps = {}
     for a in range(t):
-        pa = chart.coord_parity(a)
+        pa = par(a)
         for b in range(t):
-            pb = chart.coord_parity(b)
+            pb = par(b)
             # R_ab = ∂_a Γ_b − (−1)^{|a||b|} ∂_b Γ_a + the Γ terms of ∇_a Γ_b
             sign = 1 if pa * pb else -1
             acc = {}
@@ -356,67 +379,17 @@ def curvature(conn: ConnectionData) -> CurvatureTable:
             for (A, B), term in flat.items():
                 if not _parity_ok(term, (pa + pb + fiber[A] + fiber[B]) % 2):
                     raise AssertionError("curvature parity law violated")
-            mats[(a, b)] = sfmat_from_flat(chart.sig, chart.rank.total, flat)
-    table = CurvatureTable(chart, mats)
+            if flat:
+                comps[((), a, b)] = flat
     # R_ba = −(−1)^{|a||b|} R_ab, checked once for each unordered pair
     for a in range(t):
         for b in range(a, t):
-            sign = 1 if chart.coord_parity(a) * chart.coord_parity(b) else -1
-            for row_ab, row_ba in zip(mats[(a, b)], mats[(b, a)]):
-                for x, y in zip(row_ab, row_ba):
-                    if (x.terms or y.terms) and not _is_signed_copy(x, y, sign):
-                        raise AssertionError("curvature super-antisymmetry violated")
-    conn._curvature = table
-    return table
-
-
-class DerivativeTable:
-    """Order-r covariant derivative components of the curvature.
-
-    components maps (dirs, a, b), dirs a tuple (a_r,...,a_1) of 0-based
-    coordinate indices, to the nonzero entries of a nonzero component: a flat
-    {(A, B): Superfunction} in sorted (A, B) order.  A zero component is
-    dropped, and so are its ∇_c, which are zero too.  parities maps each key
-    to the total parity of its coordinate indices.
-
-    A full table holds every pair (a, b) and every direction tuple.  A canonical table (`holonomy_seed`) holds only
-    the pairs a < b and (α, α) for odd α, and only the direction tuples with
-    a_r <= ... <= a_1 in which no odd direction repeats.  With the flat
-    coordinate reference, ∇_c∇_d − (−1)^{|c||d|}∇_d∇_c = [R_cd, ·] on
-    End(E)-valued tensors, and ∇_α∇_α = ½[R_αα, ·] for odd α;
-    R_ba = −(−1)^{|a||b|}R_ab, and R_aa = 0 for even a.  So at every order
-    the dropped components lie in the bracket closure of the kept ones and
-    of lower orders: both tables close to the same holonomy algebra.
-    """
-
-    def __init__(self, chart: Chart, order: int, components, canonical=False, parities=None):
-        self.chart = chart
-        self.order = order
-        self.components = components
-        self.canonical = canonical
-        self.parities = parities
-
-    @staticmethod
-    def order_zero(conn: ConnectionData) -> "DerivativeTable":
-        """The curvature of the connection as the full order-0 table."""
-        return _curvature_table(conn, False)
-
-    @staticmethod
-    def holonomy_seed(conn: ConnectionData) -> "DerivativeTable":
-        """The canonical order-0 table, for the infinitesimal holonomy."""
-        return _curvature_table(conn, True)
-
-
-def _curvature_table(conn: ConnectionData, canonical: bool) -> DerivativeTable:
-    """The nonzero curvature components as an order-0 table, cut from the
-    dense `curvature(conn).mats`: every pair, or the canonical ones."""
-    par = conn.chart.coord_parity
-    comps = {}
-    for (a, b), mat in curvature(conn).mats.items():
-        flat = {(A, B): f for A, row in enumerate(mat) for B, f in enumerate(row) if f.terms}
-        if flat and (not canonical or a < b or (a == b and par(a))):
-            comps[((), a, b)] = flat
-    return DerivativeTable(conn.chart, 0, comps, canonical, {key: par(key[1]) ^ par(key[2]) for key in comps})
+            sign = 1 if par(a) * par(b) else -1
+            ab, ba = comps.get(((), a, b), {}), comps.get(((), b, a), {})
+            if ab.keys() != ba.keys() or not all(_is_signed_copy(f, ba[key], sign) for key, f in ab.items()):
+                raise AssertionError("curvature super-antisymmetry violated")
+    conn._curvature = DerivativeTable(chart, 0, comps, False, {key: par(key[1]) ^ par(key[2]) for key in comps})
+    return conn._curvature
 
 
 def _step_signs(chart: Chart, c: int, par: int):
@@ -591,7 +564,7 @@ def covariant_derivatives(conn: ConnectionData, ref, order: int):
     chart = conn.chart
     t = chart.sig.total
     keys = [((), a, b) for a in range(t) for b in range(t)]
-    table = DerivativeTable.order_zero(conn)
+    table = curvature(conn)
     tables = []
     for r in range(order + 1):
         if r:
@@ -605,17 +578,9 @@ def covariant_derivatives(conn: ConnectionData, ref, order: int):
 # ------------------------------------------------------------------ torsion
 
 
-class TorsionTable:
-    def __init__(self, chart: Chart, comps):
-        self.chart = chart
-        self.comps = comps  # {(a,b): [T^c_{ab} over c]}
-
-    def is_zero(self) -> bool:
-        return all(f.is_zero() for vec in self.comps.values() for f in vec)
-
-
-def torsion(conn: ConnectionData) -> TorsionTable:
-    """Coordinate torsion components, kept on the connection like its curvature."""
+def torsion(conn: ConnectionData):
+    """Coordinate torsion T(d_a, d_b) = T^c_ab d_c as {(a, b): {c: T^c_ab}},
+    nonzero entries only; kept on the connection like its curvature."""
     if conn._torsion is not None:
         return conn._torsion
     chart = conn.chart
@@ -624,43 +589,45 @@ def torsion(conn: ConnectionData) -> TorsionTable:
     sig = chart.sig
     t = sig.total
     gamma = conn.gamma
-    comps = {}
+    out = {}
     for a in range(t):
         for b in range(t):
             sign = -((-1) ** (chart.coord_parity(a) * chart.coord_parity(b)))
-            vec = []
+            vec = {}
             for c in range(t):
-                # T^c_ab = Γ^c_ab − (−1)^{|a||b|} Γ^c_ba; a pair of zero
-                # entries keeps the table's zero
+                # T^c_ab = Γ^c_ab − (−1)^{|a||b|} Γ^c_ba
                 f, g = gamma[a][c][b], gamma[b][c][a]
                 if f.terms or g.terms:
                     acc = {}
                     add_into(acc, f)
                     add_into(acc, g, sign)
                     f = accumulated(sig, acc)
-                vec.append(f)
-            comps[(a, b)] = vec
-    conn._torsion = TorsionTable(chart, comps)
-    return conn._torsion
+                    if f.terms:
+                        vec[c] = f
+            if vec:
+                out[(a, b)] = vec
+    conn._torsion = out
+    return out
 
 
 def _bianchi_holds(conn: ConnectionData, name: str, add_term) -> bool:
     """Whether a graded cyclic sum over coordinate fields vanishes, at once
     True on a torsion-free connection.  The summed term must be super-
     antisymmetric in its first two indices, so the sorted triples suffice;
-    `add_term(acc, tor, mats, u, v, w, sign)` adds its signed entries at
-    (u, v, w) into `acc`, a dict from entry to raw accumulator."""
+    `add_term(acc, tor, curv, u, v, w, sign)` adds its signed entries at
+    (u, v, w) into `acc`, a dict from entry to raw accumulator, reading the
+    torsion and the curvature's components."""
     chart = conn.chart
     if not chart.tangent_sheaf:
         raise ValueError("%s Bianchi needs a tangent-sheaf connection" % name)
     tor = torsion(conn)
-    if tor.is_zero():
+    if not tor:
         return True
-    mats = curvature(conn).mats
+    curv = curvature(conn).components
     for terms in sorted_cyclic_terms(chart.coord_parity, chart.sig.total):
         acc = {}
         for (u, v, w), sign in terms:
-            add_term(acc, tor, mats, u, v, w, sign)
+            add_term(acc, tor, curv, u, v, w, sign)
         if any(c for raw in acc.values() for poly in raw.values() for c in poly.values()):
             return False
     return True
@@ -671,10 +638,10 @@ def check_first_bianchi(conn: ConnectionData) -> bool:
     𝔖[T(T(x,y),z) + (∇_x T)(y,z)] (Kobayashi–Nomizu I, Thm III.5.3), so a
     torsion-free connection satisfies it."""
 
-    def add_term(acc, tor, mats, u, v, w, sign):
-        for A, row in enumerate(mats[(u, v)]):  # R^A_{w,uv}
-            if row[w].terms:
-                add_into(acc.setdefault(A, {}), row[w], sign)
+    def add_term(acc, tor, curv, u, v, w, sign):
+        for (A, B), f in curv.get(((), u, v), {}).items():  # R^A_{w,uv}
+            if B == w:
+                add_into(acc.setdefault(A, {}), f, sign)
 
     return _bianchi_holds(conn, "first", add_term)
 
@@ -690,36 +657,33 @@ def check_second_bianchi(conn: ConnectionData) -> bool:
     satisfies it.
     """
 
-    def add_term(acc, tor, mats, u, v, w, sign):
+    def add_term(acc, tor, curv, u, v, w, sign):
         # R(T(u,v), w) = Σ_c T^c_{uv} R_{cw}, the coefficient on the left
-        for c, coef in enumerate(tor.comps[(u, v)]):
-            if coef.terms:
-                for A, row in enumerate(mats[(c, w)]):
-                    for B, f in enumerate(row):
-                        if f.terms:
-                            mul_into(acc.setdefault((A, B), {}), coef, f, sign)
+        for c, coef in tor.get((u, v), {}).items():
+            for key, f in curv.get(((), c, w), {}).items():
+                mul_into(acc.setdefault(key, {}), coef, f, sign)
 
     return _bianchi_holds(conn, "second", add_term)
 
 
 def ricci(conn: ConnectionData):
-    """Ricci components Ric[(a,b)] = str(X -> (-1)^{|X||b|} R(d_a, X) d_b)."""
+    """Ricci components Ric[(a,b)] = str(X -> (-1)^{|X||b|} R(d_a, X) d_b),
+    nonzero entries only."""
     chart = conn.chart
     if not chart.tangent_sheaf:
         raise ValueError("Ricci needs a tangent-sheaf connection")
-    mats = curvature(conn).mats
-    t = chart.sig.total
+    par = chart.coord_parity
+    acc = {}
+    for (_, a, c), flat in curvature(conn).components.items():
+        pc = par(c)
+        for (C, b), f in flat.items():
+            if C == c:
+                add_into(acc.setdefault((a, b), {}), f, (-1) ** (pc + pc * par(b)))
     out = {}
-    for a in range(t):
-        for b in range(t):
-            pb = chart.coord_parity(b)
-            acc = {}
-            for c in range(t):
-                f = mats[(a, c)][c][b]
-                if f.terms:
-                    pc = chart.coord_parity(c)
-                    add_into(acc, f, (-1) ** (pc + pc * pb))
-            out[(a, b)] = accumulated(chart.sig, acc)
+    for key in sorted(acc):
+        f = accumulated(chart.sig, acc[key])
+        if f.terms:
+            out[key] = f
     return out
 
 
@@ -942,7 +906,7 @@ def levi_civita(metric: MetricData) -> ConnectionData:
                 if f.terms:
                     gamma[a][d][b] = f
     conn = ConnectionData(chart, gamma)
-    if not torsion(conn).is_zero():
+    if torsion(conn):
         raise AssertionError("Koszul output failed the torsion-free check")
     for a in range(t):
         if nabla_metric(metric, conn, a, dg[a]):
@@ -951,10 +915,11 @@ def levi_civita(metric: MetricData) -> ConnectionData:
 
 
 def nabla_endomorphism(conn: ConnectionData, j: SuperMatrix, a: int):
-    """(nabla_a J) for a constant even endomorphism J of the tangent sheaf."""
+    """(nabla_a J) for a constant even endomorphism J of the tangent sheaf,
+    as its nonzero entries {(A, B): Superfunction}."""
     sig = conn.chart.sig
     const = {(A, B): Superfunction.constant(sig, v) for A, row in enumerate(j.entries) for B, v in enumerate(row) if v}
-    return sfmat_from_flat(sig, conn.chart.rank.total, _covariant_step(conn, a, const, 0))
+    return _covariant_step(conn, a, const, 0)
 
 
 # ------------------------------------------------------- tensor extensions

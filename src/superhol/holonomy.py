@@ -83,7 +83,7 @@ def infinitesimal_holonomy(conn: ConnectionData, point, cap=None) -> HolonomyRes
     rk = chart.rank
     full_dims = (rk.p ** 2 + rk.q ** 2, 2 * rk.p * rk.q)
 
-    if curvature(conn).is_zero():
+    if not curvature(conn).components:
         return HolonomyResult(SubSuperalgebra.zero(rk, field), 0, [], "stabilized")
 
     table = DerivativeTable.holonomy_seed(conn)
@@ -467,8 +467,14 @@ def reconstruct_parallel_section(conn: ConnectionData, point, value, gauge=None,
 
 
 def flatness_certificate(conn: ConnectionData):
-    witness = curvature(conn).first_nonzero()
-    return {"flat": witness is None, "witness": witness}
+    """Flat, or the first nonzero curvature entry (a, b, A, B), 1-based: the
+    smallest key of the curvature and the first entry of that component."""
+    comps = curvature(conn).components
+    if not comps:
+        return {"flat": True, "witness": None}
+    key = min(comps)
+    A, B = next(iter(comps[key]))
+    return {"flat": False, "witness": (key[1] + 1, key[2] + 1, A + 1, B + 1)}
 
 
 def classify_geometry(algebra: SubSuperalgebra, candidates):

@@ -76,12 +76,6 @@ class ChartSignature:
             raise ValueError("point must have %d even coordinates" % self.n)
         return [to_field(c, self.field) for c in point]
 
-    def index_parity(self, a: int) -> int:
-        """Parity of coordinate index a in 1..n+m (1-based)."""
-        if not 1 <= a <= self.n + self.m:
-            raise IndexError("coordinate index %d out of range" % a)
-        return 0 if a <= self.n else 1
-
 
 def mask_to_indices(mask: int):
     out = []

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from superhol.geometry import Chart, ConnectionData, sfmat_zeros
+from superhol.geometry import Chart, ConnectionData, curvature, sfmat_from_flat, sfmat_zeros
 from superhol.linalg import solve_graded, solve_kernel
 from superhol.scalars import GAUSSIAN, GaussianRational
 from superhol.superfunc import ChartSignature, Superfunction
@@ -21,6 +21,15 @@ def flat_of(mat):
     """The nonzero entries of dense rows, as the flat {(A, B): f} of a
     sparse derivative-table component, in sorted (A, B) order."""
     return {(A, B): f for A, row in enumerate(mat) for B, f in enumerate(row) if f.terms}
+
+
+def dense_curvature(conn):
+    """Every R_ab of the connection as dense rows [A][B], the zero ones
+    included, spread from the nonzero entries that `curvature` keeps."""
+    chart = conn.chart
+    t, rk = chart.sig.total, chart.rank.total
+    comps = curvature(conn).components
+    return {(a, b): sfmat_from_flat(chart.sig, rk, comps.get(((), a, b), {})) for a in range(t) for b in range(t)}
 
 
 def random_superfunction(rng, sig, parity=None, maxdeg=1, density=1):

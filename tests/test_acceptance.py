@@ -29,6 +29,7 @@ from superhol.superlin import (
 )
 
 from conftest import (
+    dense_curvature,
     random_homogeneous_matrix,
     random_superfunction,
     random_torsion_free_connection,
@@ -57,12 +58,11 @@ def r01_connection():
 def test_criterion_1_r01_example():
     t0 = time.monotonic()
     conn = r01_connection()
-    table = geo.curvature(conn)
-    witness = table.mats[(0, 0)][0][0]
+    curv = geo.curvature(conn).components
     hol = hl.infinitesimal_holonomy(conn, [])
     elapsed = time.monotonic() - t0
     ok = (
-        witness == Superfunction.constant(ChartSignature(0, 1), 2)
+        curv == {((), 0, 0): {(0, 0): Superfunction.constant(ChartSignature(0, 1), 2)}}
         and hol.algebra.graded_dim == (1, 0)
         and hol.algebra == classical_superalgebra("gl", (0, 1))
         and hol.stabilized_at_order is not None
@@ -80,7 +80,7 @@ def test_criterion_2_flatness_corollary():
     for _ in range(20):
         gauge = random_unipotent_gauge(rng, sig, chart.rank, maxdeg=1)
         conn = geo.pure_gauge_connection(chart, gauge)
-        assert geo.curvature(conn).is_zero()
+        assert geo.curvature(conn).components == {}
         hol = hl.infinitesimal_holonomy(conn, [0, 0])
         assert hol.algebra.total_dim == 0 and hol.stabilized_at_order == 0
         flat_count += 1
@@ -219,14 +219,10 @@ def test_criterion_8_ricci_kahler():
     for lam in (0, 1, -1, 2):
         metric, j = kahler_test_metric(lam)
         lc = geo.levi_civita(metric)
-        parallel = all(
-            all(f.is_zero() for row in geo.nabla_endomorphism(lc, j, a) for f in row)
-            for a in range(4)
-        )
+        parallel = not any(geo.nabla_endomorphism(lc, j, a) for a in range(4))
         assert parallel, "family member lam=%d lost the parallel structure" % lam
         assert ricci_kahler_identity_holds(lc, j)
-        ric = geo.ricci(lc)
-        ric_zero = all(f.is_zero() for f in ric.values())
+        ric_zero = geo.ricci(lc) == {}
         hol = hl.infinitesimal_holonomy(lc, [])
         body = geo.sfmat_value(metric.g, [])
         cands = default_candidates(SuperDim(0, 4), "rational", metric_body=body)
@@ -283,11 +279,11 @@ def test_criterion_10_numeric_transport():
     gamma[0][0][1] = -x2
     gamma[0][1][0] = x2
     conn = geo.ConnectionData(chart, gamma)
-    table = geo.curvature(conn)
+    table = dense_curvature(conn)
     x0 = [0.5, 0.5]
     pt = [Fraction(1, 2), Fraction(1, 2)]
     r_body = np.array(
-        [[float(table.mats[(0, 1)][a][b].value(pt)) for b in range(2)] for a in range(2)]
+        [[float(table[(0, 1)][a][b].value(pt)) for b in range(2)] for a in range(2)]
     )
     eps_list = (0.1, 0.05, 0.025)
     residuals = []
@@ -340,7 +336,7 @@ def test_criterion_11_property_suites_and_selftest():
         f = random_superfunction(rng, sig, pf)
         g = random_superfunction(rng, sig)
         for a in range(1, sig.total + 1):
-            pa = sig.index_parity(a)
+            pa = int(a > sig.n)
             assert (f * g).partial(a) == f.partial(a) * g + (f * g.partial(a)).scale(
                 (-1) ** (pa * pf)
             )

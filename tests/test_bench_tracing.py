@@ -8,7 +8,7 @@ import importlib
 import importlib.util
 import os
 
-from superhol import cli, holonomy
+from superhol import cli, geometry, holonomy
 from superhol.geometry import DerivativeTable
 from superhol.reportio import decode_connection
 
@@ -63,21 +63,24 @@ def test_holonomy_builds_the_tower_through_its_own_global(monkeypatch):
 def test_transport_validation_builds_no_second_tower(monkeypatch):
     # the transport check evaluates the tables the holonomy run built; this
     # run stops at order 1, which it evaluates from order 0 without building
-    # its table, so the transport check builds order 1 once
-    full, orders = [], []
-    original, order_zero = holonomy._next_derivative, DerivativeTable.order_zero
+    # its table, so the transport check builds order 1 once, from the
+    # canonical order 0.  Both modules' _next_derivative are spied on, so a
+    # full tower (`covariant_derivatives` steps through geometry's) or a
+    # second canonical one would show as another step or a full table.
+    steps = []
+    original = geometry._next_derivative
 
     def counted(conn, prev):
-        orders.append(prev.order)
+        steps.append(prev)
         return original(conn, prev)
 
-    monkeypatch.setattr(DerivativeTable, "order_zero", staticmethod(lambda conn: full.append(conn) or order_zero(conn)))
     monkeypatch.setattr(holonomy, "_next_derivative", counted)
+    monkeypatch.setattr(geometry, "_next_derivative", counted)
     doc = {"kind": "connection", "chart": {"n": 2, "m": 0}, "gamma": {"1,1,2": "0-x2", "1,2,1": "x2"}}
     holonomy.infinitesimal_holonomy(decode_connection(doc), [0, 0])
-    alone, orders[:] = list(orders), []
+    assert steps == []
     rep, ok = cli.run_problem(doc, steps=200)
     assert ok and rep["result"]["transport_validation"]["ok"]
-    assert not full
-    assert alone == []
-    assert orders == [0]
+    assert len(steps) == 1
+    seed = DerivativeTable.holonomy_seed(decode_connection(doc))
+    assert (steps[0].order, steps[0].canonical, steps[0].components) == (0, True, seed.components)

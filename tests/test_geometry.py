@@ -8,6 +8,7 @@ from superhol import cli
 from superhol import geometry as geo
 from superhol.scalars import GAUSSIAN, RATIONAL, GaussianRational, field_zero
 from superhol.superfunc import ChartSignature, Superfunction, mask_to_indices, parse_superfunction
+from superhol.holonomy import flatness_certificate
 from superhol.superlin import (
     SuperDim,
     SuperMatrix,
@@ -41,6 +42,7 @@ from superhol.geometry import (
 )
 
 from conftest import (
+    dense_curvature,
     flat_of,
     is_canonical_rational,
     random_connection,
@@ -78,11 +80,11 @@ class TestCurvature:
     def test_flat(self):
         sig = ChartSignature(1, 1)
         chart = Chart(sig, SuperDim(1, 1))
-        assert curvature(ConnectionData.zero(chart)).is_zero()
+        assert curvature(ConnectionData.zero(chart)).components == {}
 
     def test_r01_example(self):
-        table = curvature(r01_connection())
-        assert table.mats[(0, 0)][0][0] == Superfunction.constant(ChartSignature(0, 1), 2)
+        two = Superfunction.constant(ChartSignature(0, 1), 2)
+        assert curvature(r01_connection()).components == {((), 0, 0): {(0, 0): two}}
 
     def test_pure_gauge_is_flat(self):
         rng = random.Random(21)
@@ -91,7 +93,7 @@ class TestCurvature:
         for _ in range(3):
             g = random_unipotent_gauge(rng, sig, chart.rank)
             conn = pure_gauge_connection(chart, g)
-            assert curvature(conn).is_zero()
+            assert curvature(conn).components == {}
 
     @pytest.mark.parametrize("make", [random_connection, random_sparse_connection], ids=lambda f: f.__name__)
     @pytest.mark.parametrize("field", [RATIONAL, GAUSSIAN])
@@ -107,13 +109,13 @@ class TestCurvature:
         t, rk = sig.total, chart.rank.total
         for _ in range(3):
             conn = make(rng, chart)
-            table = curvature(conn)
+            table = dense_curvature(conn)
             for a in range(t):
                 for b in range(t):
                     for col in range(rk):
                         want = curvature_operator_oracle(conn, a, b, col)
                         for row in range(rk):
-                            assert table.mats[(a, b)][row][col] == want[row]
+                            assert table[(a, b)][row][col] == want[row]
 
 
 def reference_nabla_endomorphism(conn, j, a):
@@ -163,8 +165,9 @@ class TestNablaEndomorphism:
                 assert j.parity == 0
                 for a in range(t):
                     got = geo.nabla_endomorphism(conn, j, a)
-                    assert got == reference_nabla_endomorphism(conn, j, a)
-                    nonzero += any(not f.is_zero() for row in got for f in row)
+                    # the nonzero entries of the dense sum, sorted
+                    assert got == flat_of(reference_nabla_endomorphism(conn, j, a)) and list(got) == sorted(got)
+                    nonzero += bool(got)
         assert nonzero
 
 
@@ -300,12 +303,113 @@ class TestFoldedCurvature:
         nonzero = 0
         for make in (random_connection, random_sparse_connection):
             conn = make(rng, chart)
-            got, want = curvature(conn).mats, unfolded_curvature(conn)
-            assert got.keys() == want.keys()
-            for key, mat in want.items():
-                assert got[key] == mat, key
-                nonzero += not geo.sfmat_is_zero(mat)
+            got, want = curvature(conn).components, unfolded_curvature(conn)
+            # exactly the nonzero components, each with its nonzero entries
+            assert got == {((), a, b): flat_of(mat) for (a, b), mat in want.items() if not geo.sfmat_is_zero(mat)}
+            assert list(got) == sorted(got) and all(list(flat) == sorted(flat) for flat in got.values())
+            nonzero += len(got)
         assert nonzero
+
+
+class TestFlatnessWitness:
+    """`flatness_certificate` reads its witness off the sparse curvature: the
+    first nonzero (a, b, A, B), 1-based, of a dense scan of every entry of
+    `unfolded_curvature`, pairs and then entries in row-major order."""
+
+    @staticmethod
+    def dense_witness(conn):
+        rk = conn.chart.rank.total
+        curv = unfolded_curvature(conn)
+        for a, b in sorted(curv):
+            for A, B in itertools.product(range(rk), repeat=2):
+                if not curv[(a, b)][A][B].is_zero():
+                    return (a + 1, b + 1, A + 1, B + 1)
+        return None
+
+    @pytest.mark.parametrize("field", [RATIONAL, GAUSSIAN])
+    @pytest.mark.parametrize(
+        "nm, pq, tangent",
+        [((1, 1), (1, 1), True), ((1, 2), (1, 2), True), ((2, 1), (1, 2), False), ((0, 3), (2, 1), False)],
+        ids=lambda d: "%d|%d" % d if isinstance(d, tuple) else ("tangent" if d else "free"),
+    )
+    def test_matches_the_dense_scan(self, nm, pq, tangent, field):
+        rng = random.Random("flatness witness %d|%d %d|%d %s" % (nm + pq + (field,)))
+        sig = ChartSignature(*nm, field)
+        chart = Chart.tangent(sig) if tangent else Chart(sig, SuperDim(*pq))
+        conns = [ConnectionData.zero(chart)]
+        conns += [random_sparse_connection(rng, chart, entries) for entries in (1, 1, 2, 2, 3) for _ in range(2)]
+        conns += [random_connection(rng, chart)]
+        witnesses = []
+        for conn in conns:
+            want = self.dense_witness(conn)
+            assert flatness_certificate(conn) == {"flat": want is None, "witness": want}
+            witnesses.append(want)
+        assert witnesses[0] is None and len(set(witnesses)) > 2
+
+
+class TestNoStoredZeros:
+    """The curvature, torsion and Ricci tensors keep their nonzero entries and
+    nothing else, against dense references built entry by entry."""
+
+    @staticmethod
+    def dense_torsion(conn):
+        par = conn.chart.coord_parity
+        t = conn.chart.sig.total
+        gamma = conn.gamma
+        return {
+            (a, b, c): gamma[a][c][b] - gamma[b][c][a].scale((-1) ** (par(a) * par(b)))
+            for a, b, c in itertools.product(range(t), repeat=3)
+        }
+
+    @staticmethod
+    def dense_ricci(conn):
+        """Ric_ab = Σ_c (−1)^{|c| + |c||b|} R^c_{b,ac}, every c summed."""
+        par = conn.chart.coord_parity
+        t = conn.chart.sig.total
+        curv = unfolded_curvature(conn)
+        out = {}
+        for a, b in itertools.product(range(t), repeat=2):
+            acc = Superfunction.zero(conn.chart.sig)
+            for c in range(t):
+                acc = acc + curv[(a, c)][c][b].scale((-1) ** (par(c) + par(c) * par(b)))
+            out[(a, b)] = acc
+        return out
+
+    @pytest.mark.parametrize("field", [RATIONAL, GAUSSIAN])
+    @pytest.mark.parametrize("nm", [(1, 1), (2, 1), (1, 2), (0, 3)], ids=lambda d: "%d|%d" % d)
+    def test_only_nonzero_entries_are_kept(self, nm, field):
+        rng = random.Random("no stored zeros %d|%d %s" % (nm + (field,)))
+        sig = ChartSignature(*nm, field)
+        chart = Chart.tangent(sig)
+        conns = [random_connection(rng, chart), random_sparse_connection(rng, chart, 2)]
+        conns += [random_sparse_connection(rng, chart, 4)] + [random_torsion_free_connection(rng, sig) for _ in range(6)]
+        kept = cancelled = 0
+        for conn in conns:
+            curv, tor, ric = curvature(conn).components, torsion(conn), ricci(conn)
+            # the Ricci sums with a nonzero term that cancel to zero
+            summed = {(a, b) for (_, a, c), flat in curv.items() for C, b in flat if C == c}
+            cancelled += len(summed - ric.keys())
+            stored = [f for flat in curv.values() for f in flat.values()]
+            stored += [f for vec in tor.values() for f in vec.values()]
+            stored += list(ric.values())
+            assert all(not f.is_zero() for f in stored)
+            assert all(curv.values()) and all(tor.values())
+            kept += len(stored)
+            want = unfolded_curvature(conn)
+            assert {((), a, b, A, B): f for (_, a, b), flat in curv.items() for (A, B), f in flat.items()} == {
+                ((), a, b, A, B): f
+                for (a, b), mat in want.items()
+                for A, row in enumerate(mat)
+                for B, f in enumerate(row)
+                if not f.is_zero()
+            }
+            assert {(a, b, c): f for (a, b), vec in tor.items() for c, f in vec.items()} == {
+                key: f for key, f in self.dense_torsion(conn).items() if not f.is_zero()
+            }
+            assert ric == {key: f for key, f in self.dense_ricci(conn).items() if not f.is_zero()}
+        assert kept
+        # on these charts some seeded Ricci sums cancel, where a stored zero would show
+        assert cancelled or nm not in ((1, 2), (0, 3))
 
 
 def dense_tower(conn, order, canonical):
@@ -329,7 +433,7 @@ def dense_tower(conn, order, canonical):
 
 
 def sparse_tower(conn, order, canonical):
-    first = geo.DerivativeTable.holonomy_seed(conn) if canonical else geo.DerivativeTable.order_zero(conn)
+    first = geo.DerivativeTable.holonomy_seed(conn) if canonical else curvature(conn)
     tables = [first]
     for _ in range(order):
         tables.append(geo._next_derivative(conn, tables[-1]))
@@ -451,14 +555,16 @@ class TestCurvatureKept:
         assert curvature(conn) is curvature(conn)
 
     def test_one_build_per_problem(self, monkeypatch):
+        # builds of the full order-0 table; the canonical seed is cut from it
         built = []
 
-        class CountingTable(geo.CurvatureTable):
-            def __init__(self, *args):
-                built.append(args)
-                super().__init__(*args)
+        class CountingTable(geo.DerivativeTable):
+            def __init__(self, chart, order, components, canonical=False, parities=None):
+                if order == 0 and not canonical:
+                    built.append(components)
+                super().__init__(chart, order, components, canonical, parities)
 
-        monkeypatch.setattr(geo, "CurvatureTable", CountingTable)
+        monkeypatch.setattr(geo, "DerivativeTable", CountingTable)
         doc = {
             "kind": "connection",
             "chart": {"n": 2, "m": 0},
@@ -476,15 +582,17 @@ class TestCurvatureKept:
         assert torsion(conn) is torsion(conn)
 
     def test_one_torsion_build_per_metric_problem(self, monkeypatch):
-        # Levi-Civita's own check, torsion_free and the second Bianchi check
+        # Levi-Civita's own check, torsion_free and the second Bianchi check;
+        # a call that finds no torsion kept on the connection builds it
         built = []
+        original = geo.torsion
 
-        class CountingTable(geo.TorsionTable):
-            def __init__(self, *args):
-                built.append(args)
-                super().__init__(*args)
+        def counting(conn):
+            if conn._torsion is None:
+                built.append(conn)
+            return original(conn)
 
-        monkeypatch.setattr(geo, "TorsionTable", CountingTable)
+        monkeypatch.setattr(geo, "torsion", counting)
         doc = {"kind": "metric", "chart": {"n": 0, "m": 2}, "g": {"1,2": "1 + 3*xi1*xi2"}}
         rep, ok = cli.run_problem(doc)
         assert ok
@@ -662,28 +770,30 @@ class TestTorsionAndBianchi:
         nonzero = 0
         for conn in (random_connection(rng, chart), random_sparse_connection(rng, chart),
                      random_torsion_free_connection(rng, sig)):
-            comps = torsion(conn).comps
-            assert comps.keys() == set(itertools.product(range(t), repeat=2))
-            for (a, b), vec in comps.items():
+            want = {}
+            for a, b in itertools.product(range(t), repeat=2):
                 sign = (-1) ** (chart.coord_parity(a) * chart.coord_parity(b))
-                assert vec == [conn.gamma[a][c][b] - conn.gamma[b][c][a].scale(sign) for c in range(t)]
-                nonzero += sum(map(bool, vec))
+                vec = {c: conn.gamma[a][c][b] - conn.gamma[b][c][a].scale(sign) for c in range(t)}
+                if any(vec.values()):
+                    want[(a, b)] = {c: f for c, f in vec.items() if f}
+            # exactly the nonzero T^c_ab, every pair with one kept
+            assert torsion(conn) == want
+            nonzero += sum(map(len, want.values()))
         assert nonzero
 
     def test_classical_symmetric_torsion_free(self):
         rng = random.Random(25)
         sig = ChartSignature(2, 0)
         conn = random_torsion_free_connection(rng, sig)
-        assert torsion(conn).is_zero()
+        assert torsion(conn) == {}
 
     def test_r01_torsion(self):
         sig = ChartSignature(0, 1)
-        t = torsion(r01_connection())
-        assert t.comps[(0, 0)][0] == Superfunction.odd_var(sig, 1).scale(2)
+        assert torsion(r01_connection()) == {(0, 0): {0: Superfunction.odd_var(sig, 1).scale(2)}}
 
     def test_levi_civita_torsion_free(self):
         metric = curved_02_metric()
-        assert torsion(levi_civita(metric)).is_zero()
+        assert torsion(levi_civita(metric)) == {}
 
     def test_first_bianchi_constant_metric(self):
         sig = ChartSignature(2, 2)
@@ -708,7 +818,7 @@ class TestTorsionAndBianchi:
         for _ in range(5):
             sig = ChartSignature(1, 2)
             conn = random_torsion_free_connection(rng, sig)
-            assert torsion(conn).is_zero()
+            assert torsion(conn) == {}
             assert check_first_bianchi(conn)
             assert check_second_bianchi(conn)
 
@@ -749,7 +859,7 @@ def second_bianchi_oracle(conn):
 def dense_first_bianchi(conn):
     """The first Bianchi flag from every ordered triple and every entry."""
     chart = conn.chart
-    mats = curvature(conn).mats
+    mats = dense_curvature(conn)
     t = chart.sig.total
     for a, b, c in itertools.product(range(t), repeat=3):
         _, *rest = cyclic_terms(chart.coord_parity, a, b, c)
@@ -766,17 +876,15 @@ def dense_second_bianchi(conn):
     """The flag of 𝔖 R(T(x,y),z) = 0 from a dense table of every R(T(x,y),z)."""
     chart = conn.chart
     tor = torsion(conn)
-    mats = curvature(conn).mats
+    mats = dense_curvature(conn)
     sig = chart.sig
     t, rk = sig.total, chart.rank.total
     rt = {}
-    for (x, y), vec in tor.comps.items():
-        for z in range(t):
-            mat = sfmat_zeros(sig, rk, rk)
-            for c, coef in enumerate(vec):
-                if not coef.is_zero():
-                    mat = geo.sfmat_add(mat, [[coef * f for f in row] for row in mats[(c, z)]])
-            rt[(x, y, z)] = mat
+    for x, y, z in itertools.product(range(t), repeat=3):
+        mat = sfmat_zeros(sig, rk, rk)
+        for c, coef in tor.get((x, y), {}).items():
+            mat = geo.sfmat_add(mat, [[coef * f for f in row] for row in mats[(c, z)]])
+        rt[(x, y, z)] = mat
     for x, y, z in itertools.product(range(t), repeat=3):
         _, *rest = cyclic_terms(chart.coord_parity, x, y, z)
         for A in range(rk):
@@ -839,10 +947,10 @@ class TestSecondBianchiOracle:
             conn = random_sparse_connection(rng, chart, 3)
         elif kind == "gauge":
             conn = pure_gauge_connection(chart, random_unipotent_gauge(rng, sig, chart.rank))
-            assert curvature(conn).is_zero()
+            assert curvature(conn).components == {}
         else:
             conn = random_torsion_free_connection(rng, sig)
-        assert torsion(conn).is_zero() == (kind == "torsion-free")
+        assert (torsion(conn) == {}) == (kind == "torsion-free")
         assert second_bianchi_oracle(conn) == flag
         assert dense_second_bianchi(conn) == flag
         assert check_second_bianchi(conn) == flag
@@ -862,12 +970,10 @@ class TestRicci:
     def test_flat(self):
         sig = ChartSignature(1, 1)
         conn = ConnectionData.zero(Chart.tangent(sig))
-        assert all(f.is_zero() for f in ricci(conn).values())
+        assert ricci(conn) == {}
 
     def test_r01_value(self):
-        assert ricci(r01_connection())[(0, 0)] == Superfunction.constant(
-            ChartSignature(0, 1), 2
-        )
+        assert ricci(r01_connection()) == {(0, 0): Superfunction.constant(ChartSignature(0, 1), 2)}
 
     def test_kahler_identity(self):
         from superhol.cli import kahler_test_metric, ricci_kahler_identity_holds
@@ -985,7 +1091,7 @@ class TestLeviCivita:
                         )
                         koszul = koszul + term * ginv[l][k]
                     assert conn.gamma[a][k][b] == koszul.scale(Fraction(1, 2))
-        assert torsion(conn).is_zero()
+        assert torsion(conn) == {}
 
     def test_soul_perturbed_metric_postconditions(self):
         sig = ChartSignature(2, 2)
@@ -1003,7 +1109,7 @@ class TestLeviCivita:
             },
         )
         conn = levi_civita(metric)
-        assert torsion(conn).is_zero()
+        assert torsion(conn) == {}
         for a in range(4):
             assert nabla_metric(metric, conn, a, metric_derivatives(metric, a)) == {}
             for b in range(4):

@@ -72,6 +72,7 @@ from superhol.scalars import GAUSSIAN, RATIONAL, GaussianRational, parse_scalar,
 from conftest import (
     cut_by_functionals,
     defined_stabilizer,
+    dense_curvature,
     flat_of,
     random_sparse_connection,
     random_torsion_free_connection,
@@ -142,14 +143,14 @@ class TestInfinitesimalHolonomy:
         # curvature space of its own holonomy algebra
         metric = curved_02_metric()
         conn = levi_civita(metric)
-        assert torsion(conn).is_zero()
+        assert torsion(conn) == {}
         hol = infinitesimal_holonomy(conn, [])
-        table = curvature(conn)
+        table = dense_curvature(conn)
         dim = hol.algebra.dim
         values = {}
         for (a, b) in canonical_pairs(dim):
             mat = [
-                [table.mats[(a, b)][A][B].value([]) for B in range(dim.total)]
+                [table[(a, b)][A][B].value([]) for B in range(dim.total)]
                 for A in range(dim.total)
             ]
             values[(a, b)] = SuperMatrix(dim, mat, hol.algebra.field)
@@ -177,10 +178,10 @@ class TestTransport:
 
     def test_square_loop_curvature_expansion(self):
         conn = self.rotation_connection()
-        table = curvature(conn)
+        table = dense_curvature(conn)
         x0 = [0.5, 0.5]
         r_body = np.array(
-            [[float(table.mats[(0, 1)][a][b].value([Fraction(1, 2), Fraction(1, 2)])) for b in range(2)] for a in range(2)]
+            [[float(table[(0, 1)][a][b].value([Fraction(1, 2), Fraction(1, 2)])) for b in range(2)] for a in range(2)]
         )
         residuals = []
         for eps in (0.1, 0.05, 0.025):
@@ -220,9 +221,9 @@ class TestTransport:
         conn = self.rotation_connection()
         hol = infinitesimal_holonomy(conn, [Fraction(1, 2), Fraction(1, 2)])
         gens = conjugated_generators(conn, [0.5, 0.5], [[[0.5, 0.5]]], hol.tables[:1])
-        table = curvature(conn)
+        table = dense_curvature(conn)
         want = np.array(
-            [[float(table.mats[(0, 1)][a][b].value([Fraction(1, 2), Fraction(1, 2)])) for b in range(2)] for a in range(2)]
+            [[float(table[(0, 1)][a][b].value([Fraction(1, 2), Fraction(1, 2)])) for b in range(2)] for a in range(2)]
         )
         got = min(gens, key=lambda g: np.max(np.abs(g - want)))
         assert np.max(np.abs(got - want)) < 1e-12
@@ -230,7 +231,7 @@ class TestTransport:
     def test_flat_conjugated_all_zero(self):
         sig = ChartSignature(2, 0)
         conn = ConnectionData.zero(Chart(sig, SuperDim(2, 0)))
-        zero = DerivativeTable.order_zero(conn)
+        zero = curvature(conn)
         gens = conjugated_generators(
             conn, [0.0, 0.0], [[[0.0, 0.0], [1.0, 1.0]]], [zero, _next_derivative(conn, zero)]
         )
@@ -248,7 +249,7 @@ def _float_matrix(flat, rk, point):
 def full_table_generators(conn, point, loops, max_order=1, steps=2000):
     """The transport check's generators as they were before it took the
     holonomy run's tables: full tables of orders <= max_order, built afresh."""
-    tables = [DerivativeTable.order_zero(conn)]
+    tables = [curvature(conn)]
     for _ in range(max_order):
         tables.append(_next_derivative(conn, tables[-1]))
     out = []
@@ -802,7 +803,7 @@ class TestCanonicalTower:
         conn = random_torsion_free_connection(random.Random(3), sig)
         full = covariant_derivatives(conn, None, 1)[1].components
         assert len(full) == 3 ** 3
-        got = _next_derivative(conn, DerivativeTable.order_zero(conn)).components
+        got = _next_derivative(conn, curvature(conn)).components
         assert set(got) == {key for key, mat in full.items() if not sfmat_is_zero(mat)}
 
 
@@ -811,7 +812,7 @@ def scratch_holonomy(conn, log):
     closes every generator of the log up to it from scratch.  Returns the
     algebra, the stop order, the status and the closure of each order."""
     rk, field = conn.chart.rank, conn.chart.sig.field
-    if curvature(conn).is_zero():
+    if not curvature(conn).components:
         return SubSuperalgebra.zero(rk, field), 0, "stabilized", []
     full_dims = (rk.p ** 2 + rk.q ** 2, 2 * rk.p * rk.q)
     gens = [m for order, _, m in log if order == 0]
@@ -881,7 +882,7 @@ def dense_generator_log(conn, point, cap=None):
     under the same stopping rule."""
     chart = conn.chart
     rk, field = chart.rank, chart.sig.field
-    if curvature(conn).is_zero():
+    if not curvature(conn).components:
         return []
     if cap is None:
         cap = hl.default_order_cap(chart)
@@ -975,7 +976,7 @@ def built_table_holonomy(conn, point, cap):
     chart = conn.chart
     rk, field = chart.rank, chart.sig.field
     full_dims = (rk.p ** 2 + rk.q ** 2, 2 * rk.p * rk.q)
-    if curvature(conn).is_zero():
+    if not curvature(conn).components:
         return SubSuperalgebra.zero(rk, field), 0, "stabilized", []
     table = DerivativeTable.holonomy_seed(conn)
     log = []
