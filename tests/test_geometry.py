@@ -578,27 +578,34 @@ class TestCurvatureKept:
         assert len(built) == 1
 
     def test_same_torsion_on_every_call(self):
+        # one with torsion, and a torsion-free one whose kept table is empty
         conn = random_connection(random.Random(5), Chart.tangent(ChartSignature(1, 1)))
-        assert torsion(conn) is torsion(conn)
+        lc = levi_civita(curved_02_metric())
+        assert torsion(lc) == {}
+        for c in (conn, lc):
+            assert torsion(c) is torsion(c)
 
     def test_one_torsion_build_per_metric_problem(self, monkeypatch):
-        # Levi-Civita's own check, torsion_free and the second Bianchi check;
-        # a call that finds no torsion kept on the connection builds it
-        built = []
+        # Levi-Civita's own check, torsion_free and the second Bianchi check
+        # all read one table: every call on the connection returns the same
+        # object, so no call built a second one
+        results = []
         original = geo.torsion
 
-        def counting(conn):
-            if conn._torsion is None:
-                built.append(conn)
-            return original(conn)
+        def recording(conn):
+            out = original(conn)
+            results.append((conn, out))
+            return out
 
-        monkeypatch.setattr(geo, "torsion", counting)
+        monkeypatch.setattr(geo, "torsion", recording)
         doc = {"kind": "metric", "chart": {"n": 0, "m": 2}, "g": {"1,2": "1 + 3*xi1*xi2"}}
         rep, ok = cli.run_problem(doc)
         assert ok
         res = rep["result"]
         assert res["torsion_free"] and res["second_bianchi"] and not res["flat"]
-        assert len(built) == 1
+        assert len(results) >= 3
+        assert len({id(conn) for conn, _ in results}) == 1
+        assert len({id(out) for _, out in results}) == 1
 
 
 class TestEvaluation:
