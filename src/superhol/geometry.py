@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .linalg import span_echelon
-from .scalars import RATIONAL, field_one, field_zero, to_field
+from .scalars import RATIONAL, canonical, field_one, field_zero, to_field
 from .superfunc import ChartSignature, Superfunction, accumulated, add_into, mul_into
 from .superlin import SuperDim, SuperMatrix, cyclic_terms, sorted_cyclic_terms
 
@@ -58,10 +58,6 @@ def sfmat_from_flat(sig: ChartSignature, rank: int, flat):
     for (A, B), f in flat.items():
         mat[A][B] = f
     return mat
-
-
-def sfmat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def _sfmat_sig(a):
@@ -134,23 +130,27 @@ def sfmat_inverse(a, sig: ChartSignature):
     Writes A = A0 + N with A0 the constant part; the inverse is the finite
     Neumann series (sum of (-A0^{-1} N)^k) A0^{-1}, which terminates iff the
     body of N is nilpotent as a polynomial matrix.  Rejected otherwise.
+    N is A with the constant monomial of each entry dropped, and the series
+    adds only the nonzero entries of each power.
     """
     t = len(a)
-    a0 = sfmat_value(a, [0] * sig.n)
-    a0_inv_s = scalar_matrix_inverse(a0, sig.field)
-    a0_sf = [[Superfunction.constant(sig, v) for v in row] for row in a0]
-    a0_inv = [[Superfunction.constant(sig, v) for v in row] for row in a0_inv_s]
-    n_mat = [[a[i][j] - a0_sf[i][j] for j in range(t)] for i in range(t)]
-    m_mat = sfmat_mul(a0_inv, n_mat)
-    m_mat = [[-f for f in row] for row in m_mat]
-    total = [[Superfunction.constant(sig, 1) if i == j else Superfunction.zero(sig) for j in range(t)] for i in range(t)]
-    term = [[Superfunction.constant(sig, 1) if i == j else Superfunction.zero(sig) for j in range(t)] for i in range(t)]
+    origin, none = (0,) * sig.n, {}
+    a0 = [[f.terms.get(0, none).get(origin, 0) for f in row] for row in a]
+    n_mat = [[f - c if c else f for f, c in zip(row, consts)] for row, consts in zip(a, a0)]
+    a0_inv = [[Superfunction.constant(sig, v) for v in row] for row in scalar_matrix_inverse(a0, sig.field)]
+    m_mat = sfmat_mul([[-f for f in row] for row in a0_inv], n_mat)
+    one, zero = Superfunction.constant(sig, 1), Superfunction.zero(sig)
+    total = [[one if i == j else zero for j in range(t)] for i in range(t)]
+    term = m_mat
     cap = t * (sig.m + 1) + sig.m + 1
     for _ in range(cap):
-        term = sfmat_mul(term, m_mat)
         if sfmat_is_zero(term):
             return sfmat_mul(total, a0_inv)
-        total = sfmat_add(total, term)
+        for i, row in enumerate(term):
+            for j, f in enumerate(row):
+                if f.terms:
+                    total[i][j] = total[i][j] + f
+        term = sfmat_mul(term, m_mat)
     raise MatrixInversionError(
         "matrix is not (constant invertible) + nilpotent; exact inversion unsupported"
     )
@@ -177,14 +177,15 @@ class ConnectionData:
         if len(gamma) != t or any(len(g) != r or any(len(row) != r for row in g) for g in gamma):
             raise ValueError("gamma must be (n+m) x (p+q) x (p+q)")
         if validate:
+            fiber = [chart.fiber_parity(A) for A in range(r)]
             for a in range(t):
                 pa = chart.coord_parity(a)
-                for A in range(r):
-                    for B in range(r):
-                        f = gamma[a][A][B]
-                        want = (pa + chart.fiber_parity(A) + chart.fiber_parity(B)) % 2
-                        par = f.parity()
-                        if par == "mixed" or (par == "even" and want == 1) or (par == "odd" and want == 0):
+                for A, row in enumerate(gamma[a]):
+                    for B, f in enumerate(row):
+                        if not f.terms:
+                            continue  # a zero entry has every parity
+                        want = (pa + fiber[A] + fiber[B]) % 2
+                        if not _parity_ok(f, want):
                             raise ValueError(
                                 "gamma[%d][%d][%d] must be homogeneous of parity %d" % (a, A, B, want)
                             )
@@ -533,7 +534,7 @@ def _covariant_step_at(conn: ConnectionData, c: int, flat, values, par: int, poi
             add(A * t + B, lv * g)
         for B2, g in gamma_rows[B]:
             add(C * t + B2, right[fiber[B] ^ fiber[B2]] * (g * v))
-    return {k: v for k, v in acc.items() if v}
+    return {k: canonical(v) for k, v in acc.items() if v}
 
 
 def _derivative_at(conn: ConnectionData, prev: DerivativeTable, values, point, gamma):

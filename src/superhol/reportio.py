@@ -120,6 +120,30 @@ def _field(obj, path):
     return field
 
 
+def _entries(obj, name, form, bounds, sig, path):
+    """The object `name` of obj, whose keys list 1-based indices in the given
+    form, each at most its bound, as {indices: Superfunction}.  A key that
+    repeats the indices of an earlier one ("1,2", "+1,2", "01,2") is an
+    error at its path, naming the earlier key, since it would replace that
+    entry."""
+    entries, keys = {}, {}
+    for key, text in _require_object(obj, name, path).items():
+        at = "%s/%s/%s" % (path, name, key)
+        try:
+            indices = tuple(int(x) for x in key.split(","))
+        except ValueError:
+            indices = ()
+        if len(indices) != len(bounds):
+            raise ProblemError(at, "key must be '%s'" % form)
+        if not all(1 <= i <= bound for i, bound in zip(indices, bounds)):
+            raise ProblemError(at, "index out of range")
+        if indices in keys:
+            raise ProblemError(at, "repeats the indices of key %r" % keys[indices])
+        keys[indices] = key
+        entries[indices] = _parse_entry(text, sig, at)
+    return entries
+
+
 def decode_chart(obj, path="/chart") -> ChartSignature:
     n, m = _superdim(obj, path, ("n", "m"))
     return ChartSignature(n, m, _field(obj, path))
@@ -139,15 +163,7 @@ def decode_connection(obj, path="") -> ConnectionData:
         if tangent and not fits:
             raise ProblemError(path + "/tangent", "the tangent sheaf has rank %d|%d, the chart's n|m" % (sig.n, sig.m))
         chart = Chart(sig, rank, tangent_sheaf=tangent)
-    entries = {}
-    for key, text in _require_object(obj, "gamma", path).items():
-        try:
-            a, b_idx, a_idx = (int(x) for x in key.split(","))
-        except ValueError:
-            raise ProblemError(path + "/gamma/" + key, "key must be 'a,B,A'")
-        if not (1 <= a <= sig.total and 1 <= b_idx <= chart.rank.total and 1 <= a_idx <= chart.rank.total):
-            raise ProblemError(path + "/gamma/" + key, "index out of range")
-        entries[(a, b_idx, a_idx)] = _parse_entry(text, sig, path + "/gamma/" + key)
+    entries = _entries(obj, "gamma", "a,B,A", (sig.total, chart.rank.total, chart.rank.total), sig, path)
     try:
         return ConnectionData.from_entries(chart, entries)
     except ValueError as exc:
@@ -159,15 +175,7 @@ def decode_metric(obj, path="") -> MetricData:
     if not sig.total:
         raise ProblemError(path + "/chart", "a metric needs n + m >= 1")
     chart = Chart.tangent(sig)
-    entries = {}
-    for key, text in _require_object(obj, "g", path).items():
-        try:
-            a, b = (int(x) for x in key.split(","))
-        except ValueError:
-            raise ProblemError(path + "/g/" + key, "key must be 'a,b'")
-        if not (1 <= a <= sig.total and 1 <= b <= sig.total):
-            raise ProblemError(path + "/g/" + key, "index out of range")
-        entries[(a, b)] = _parse_entry(text, sig, path + "/g/" + key)
+    entries = _entries(obj, "g", "a,b", (sig.total, sig.total), sig, path)
     try:
         return MetricData.from_entries(chart, entries)
     except ValueError as exc:

@@ -6,12 +6,15 @@ plain `int` when it is integral and a reduced `fractions.Fraction` otherwise,
 so that arithmetic on the many small integral values stays in ints.
 `to_field`, `field_zero`, `field_one` and `parse_scalar` return that form, as
 do a superfunction's value at a point and the kernel vectors of
-`linalg.solve_graded`; `linalg.SparseEchelon` puts its input and its
-quotients in it.  Other sums and products may give an integral `Fraction`,
-which equals its int and prints the same.  A true division must go through a
-`Fraction` (or a `GaussianRational`), since int / int is a float, and no
-float is ever a scalar.  Both fields support +, -, *, ==, bool and canonical
-string printing, so all higher layers are generic over the two.
+`linalg.solve_graded`; `linalg.SparseEchelon` puts its input and its quotients
+in it, and every coefficient of a superfunction is in it: no superfunction
+holds an integral `Fraction`.  A sum or product of Fractions may be an
+integral `Fraction`, since `fractions` never returns an int, so the
+superfunction kernels pass what they produce through `canonical`; any other
+integral `Fraction` equals its int and prints the same.  A true division must
+go through a `Fraction` (or a `GaussianRational`), since int / int is a float,
+and no float is ever a scalar.  Both fields support +, -, *, ==, bool and
+canonical string printing, so all higher layers are generic over the two.
 """
 
 from __future__ import annotations

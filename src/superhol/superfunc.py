@@ -123,7 +123,7 @@ def _poly_add(p, q):
         else:
             w = w + v
             if w:
-                out[k] = w
+                out[k] = canonical(w)
             else:
                 del out[k]
     return out
@@ -132,7 +132,7 @@ def _poly_add(p, q):
 def _poly_scale(p, c):
     if not c:
         return {}
-    return {k: c * v for k, v in p.items()}
+    return {k: canonical(c * v) for k, v in p.items()}
 
 
 def _poly_value(poly, point, field):
@@ -183,10 +183,17 @@ def add_into(acc, f, sign=1):
 
 
 def accumulated(sig: ChartSignature, acc) -> "Superfunction":
-    """The superfunction an accumulator holds, its zero coefficients dropped."""
+    """The superfunction an accumulator holds, its zero coefficients dropped
+    and each coefficient in `scalars.canonical` form: a sum or product of
+    rationals may be an integral `Fraction`, and it is stored as its int, so
+    that no superfunction holds an integral `Fraction`."""
     terms = {}
     for mask, poly in acc.items():
-        poly = {k: v for k, v in poly.items() if v}
+        poly = {
+            k: v.numerator if v.__class__ is Fraction and v.denominator == 1 else v
+            for k, v in poly.items()
+            if v
+        }
         if poly:
             terms[mask] = poly
     return Superfunction(sig, terms, _normalized=True)
@@ -206,7 +213,7 @@ class Superfunction:
             for mask, poly in terms.items():
                 if mask < 0 or mask >= (1 << sig.m):
                     raise ValueError("odd index set out of range for m=%d" % sig.m)
-                poly = {k: v for k, v in poly.items() if v}
+                poly = {k: canonical(v) for k, v in poly.items() if v}
                 if poly:
                     clean[mask] = poly
             terms = clean
@@ -348,7 +355,7 @@ class Superfunction:
                         v = coef * e
                         w = der.get(k)
                         der[k] = v if w is None else w + v
-                der = {k: v for k, v in der.items() if v}
+                der = {k: canonical(v) for k, v in der.items() if v}
                 if der:
                     out[mask] = der
             return Superfunction(sig, out, _normalized=True)

@@ -313,9 +313,11 @@ def generate_subalgebra(generators, dim=None, field=None, closed=None) -> SubSup
 
     Mixed-parity generators are split into homogeneous parts.  The echelon is
     seeded with the basis of `closed`, which is left as it is.  Each pass
-    brackets the newly added basis elements against the whole current basis
-    until no bracket enlarges the span; brackets within `closed` already lie
-    in it, so they are never formed.
+    brackets the newly added basis elements with the basis until no bracket
+    enlarges the span: the i-th new element with the older basis, itself and
+    the new elements before it, since [b, a] = ±[a, b] adds nothing ([a, a]
+    is formed, as it is nonzero for an odd a).  Brackets within `closed`
+    already lie in it, so they are never formed.
     """
     generators = list(generators)
     if dim is None:
@@ -335,8 +337,12 @@ def generate_subalgebra(generators, dim=None, field=None, closed=None) -> SubSup
     frontier = [part for g in generators for part in insert_parts(echelon, g)]
     basis_mats = seed + frontier
     while frontier:
+        old = len(basis_mats) - len(frontier)
         frontier = [
-            part for a in frontier for b in basis_mats for part in insert_parts(echelon, superbracket(a, b))
+            part
+            for i, a in enumerate(frontier)
+            for b in basis_mats[: old + i + 1]
+            for part in insert_parts(echelon, superbracket(a, b))
         ]
         basis_mats += frontier
     return SubSuperalgebra(dim, echelon, field)

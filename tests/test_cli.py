@@ -207,11 +207,19 @@ class TestRunPipelines:
             ({"kind": "algebra", "algebra": {"dim": {"p": 1, "q": 0}, "even": [[str(2 ** 1024)]]}}, "/algebra/even/0"),
             ({"kind": "algebra", "algebra": {"dim": {"p": 1, "q": 0}, "even": [["1/" + "1" * 310]]}}, "/algebra/even/0"),
             ({"kind": "algebra", "algebra": {"dim": {"p": 1, "q": 1}, "field": "gaussian", "even": [["1e10000000 i", "0", "0", "0"]]}}, "/algebra/even/0"),
+            # keys whose indices alias would replace each other's entry
+            ({"kind": "connection", "chart": {"n": 1, "m": 0}, "gamma": {"1,1,1": "x1", "+1,1,1": "5"}}, "/gamma/+1,1,1"),
+            ({"kind": "metric", "chart": {"n": 2, "m": 0}, "g": {"1,1": "1", "2,2": "1", "01, 1": "3"}}, "/g/01, 1"),
         ],
     )
     def test_malformed_input_is_an_error_report(self, doc, path):
         rep, ok = cli.run_problem(doc)
         assert not ok and rep["error"].startswith(path + ": ")
+
+    def test_repeated_index_names_the_earlier_key(self):
+        doc = {"kind": "connection", "chart": {"n": 1, "m": 0}, "gamma": {" 1,1,1": "x1", "1,1,1": "5"}}
+        rep, ok = cli.run_problem(doc)
+        assert not ok and rep["error"] == "/gamma/1,1,1: repeats the indices of key ' 1,1,1'"
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,15 @@ import pytest
 from superhol import cli
 from superhol import geometry as geo
 from superhol.scalars import GAUSSIAN, RATIONAL, GaussianRational, field_zero
-from superhol.superfunc import ChartSignature, Superfunction, mask_to_indices, parse_superfunction
+from superhol.superfunc import (
+    ChartSignature,
+    Superfunction,
+    accumulated,
+    add_into,
+    mask_to_indices,
+    mul_into,
+    parse_superfunction,
+)
 from superhol.holonomy import flatness_certificate
 from superhol.superlin import (
     SuperDim,
@@ -766,6 +774,189 @@ class TestSparseMatrixProducts:
             sfmat_inverse(a, sig)
 
 
+def dense_neumann_inverse(a, sig):
+    """The Neumann series inverse over dense matrices: N = A − A0 as t²
+    subtractions, and every power of −A0⁻¹N added entry by entry, zeros
+    included."""
+    t = len(a)
+    a0 = sfmat_value(a, [0] * sig.n)
+    a0_inv_s = geo.scalar_matrix_inverse(a0, sig.field)
+    a0_sf = [[Superfunction.constant(sig, v) for v in row] for row in a0]
+    a0_inv = [[Superfunction.constant(sig, v) for v in row] for row in a0_inv_s]
+    n_mat = [[a[i][j] - a0_sf[i][j] for j in range(t)] for i in range(t)]
+    m_mat = [[-f for f in row] for row in dense_sfmat_mul(a0_inv, n_mat)]
+    one = [[Superfunction.constant(sig, int(i == j)) for j in range(t)] for i in range(t)]
+    total, term = one, one
+    for _ in range(t * (sig.m + 1) + sig.m + 1):
+        term = dense_sfmat_mul(term, m_mat)
+        if geo.sfmat_is_zero(term):
+            return dense_sfmat_mul(total, a0_inv)
+        total = [[x + y for x, y in zip(r, s)] for r, s in zip(total, term)]
+    raise MatrixInversionError("not constant + nilpotent")
+
+
+class TestSparseInverse:
+    """`sfmat_inverse` drops the constant monomial of each entry and adds
+    only the nonzero entries of each power; it must agree with the dense
+    Neumann series, and still reject a body that is not nilpotent."""
+
+    @pytest.mark.parametrize("field", [RATIONAL, GAUSSIAN])
+    @pytest.mark.parametrize("nm", [(2, 0), (0, 2), (1, 2), (2, 2), (1, 3)], ids=lambda d: "%d|%d" % d)
+    def test_matches_the_dense_series(self, nm, field):
+        rng = random.Random("sparse inverse %d|%d %s" % (nm + (field,)))
+        sig = ChartSignature(*nm, field)
+        for t in (1, 2, 3, 4):
+            for _ in range(3):
+                a = random_invertible_sf_matrix(rng, sig, t)
+                got = sfmat_inverse(a, sig)
+                assert got == dense_neumann_inverse(a, sig)
+                assert all(len(row) == t for row in got) and len(got) == t
+
+    @pytest.mark.parametrize("field", [RATIONAL, GAUSSIAN])
+    @pytest.mark.parametrize("nm", [(1, 0), (2, 1), (1, 2)], ids=lambda d: "%d|%d" % d)
+    def test_non_nilpotent_body_raises_on_both(self, nm, field):
+        rng = random.Random("non-nilpotent %d|%d %s" % (nm + (field,)))
+        sig = ChartSignature(*nm, field)
+        x1 = Superfunction.even_var(sig, 1)
+        for t in (1, 2, 3):
+            a = random_invertible_sf_matrix(rng, sig, t)
+            k = rng.randrange(t)
+            a[k][k] = a[k][k] + x1  # the body of N now has x1 on its diagonal
+            with pytest.raises(MatrixInversionError):
+                dense_neumann_inverse(a, sig)
+            with pytest.raises(MatrixInversionError):
+                sfmat_inverse(a, sig)
+
+
+def dense_validation_error(chart, gamma):
+    """The message of the first Christoffel entry of the wrong parity, from a
+    scan of every entry, the zero ones included; None when all are right."""
+    for a in range(chart.sig.total):
+        pa = chart.coord_parity(a)
+        for A in range(chart.rank.total):
+            for B in range(chart.rank.total):
+                want = (pa + chart.fiber_parity(A) + chart.fiber_parity(B)) % 2
+                par = gamma[a][A][B].parity()
+                if par == "mixed" or (par == "even" and want == 1) or (par == "odd" and want == 0):
+                    return "gamma[%d][%d][%d] must be homogeneous of parity %d" % (a, A, B, want)
+    return None
+
+
+class TestConnectionValidation:
+    """`ConnectionData` checks only the nonzero entries; the first bad entry
+    and its message must be those of the dense scan."""
+
+    @pytest.mark.parametrize("field", [RATIONAL, GAUSSIAN])
+    @pytest.mark.parametrize("nm, pq", [((1, 1), (1, 1)), ((2, 1), (1, 2)), ((1, 2), (2, 0)), ((0, 2), (1, 1))], ids=str)
+    def test_same_first_failure_as_the_dense_scan(self, nm, pq, field):
+        rng = random.Random("validation %r %r %s" % (nm, pq, field))
+        sig = ChartSignature(*nm, field)
+        chart = Chart(sig, SuperDim(*pq))
+        t, rk = sig.total, chart.rank.total
+        failed = 0
+        for _ in range(10):
+            gamma = [[list(row) for row in g] for g in random_sparse_connection(rng, chart, entries=3).gamma]
+            assert dense_validation_error(chart, gamma) is None
+            ConnectionData(chart, gamma)
+            for _ in range(rng.randint(1, 3)):
+                a, A, B = rng.randrange(t), rng.randrange(rk), rng.randrange(rk)
+                # an entry of the wrong parity, or of both parities
+                wrong = (chart.coord_parity(a) + chart.fiber_parity(A) + chart.fiber_parity(B) + 1) % 2
+                f = random_superfunction(rng, sig, wrong)
+                gamma[a][A][B] = f + random_superfunction(rng, sig, 1 - wrong) if rng.random() < 0.3 else f
+            want = dense_validation_error(chart, gamma)
+            if want is None:
+                ConnectionData(chart, gamma)
+                continue
+            failed += 1
+            with pytest.raises(ValueError) as err:
+                ConnectionData(chart, gamma)
+            assert str(err.value) == want
+        assert failed
+
+
+def assert_canonical(f):
+    """Every coefficient of f is nonzero, and over the rationals an int or a
+    Fraction with denominator above 1."""
+    for poly in f.terms.values():
+        for v in poly.values():
+            assert v
+            if f.sig.field == RATIONAL:
+                assert is_canonical_rational(v), repr(v)
+            else:
+                assert type(v) is GaussianRational, repr(v)
+
+
+def halved(rng, sig, parity=None):
+    """A seeded superfunction scaled by a factor with a denominator, so that
+    sums and products of such functions often cancel it."""
+    f = random_superfunction(rng, sig, parity, maxdeg=2)
+    c = rng.choice([Fraction(1, 2), Fraction(-3, 2), Fraction(1, 3), 2])
+    return f.scale(GaussianRational(c, c) if sig.field == GAUSSIAN else c)
+
+
+class TestCanonicalCoefficients:
+    """No superfunction holds an integral Fraction: each coefficient an
+    arithmetic, derivative or geometry kernel produces is an int when it is
+    integral, and a Gaussian coefficient stays a GaussianRational."""
+
+    def test_cancelled_halves_are_ints(self):
+        sig = ChartSignature(1, 1)
+        half = Superfunction.constant(sig, Fraction(1, 2))
+        two = Superfunction.constant(sig, 2)
+        x1 = Superfunction.even_var(sig, 1)
+        acc = {}
+        mul_into(acc, half, two)
+        for f in (half * two, half + half, half.scale(3) - half, half.scale(2), (x1 * x1 * half).partial(1),
+                  accumulated(sig, acc)):
+            assert_canonical(f)
+            assert any(type(v) is int for poly in f.terms.values() for v in poly.values())
+
+    @pytest.mark.parametrize("field", [RATIONAL, GAUSSIAN])
+    @pytest.mark.parametrize("nm", [(1, 1), (2, 2), (1, 3)], ids=lambda d: "%d|%d" % d)
+    def test_arithmetic(self, nm, field):
+        rng = random.Random("canonical arithmetic %d|%d %s" % (nm + (field,)))
+        sig = ChartSignature(*nm, field)
+        for _ in range(20):
+            f, g = halved(rng, sig), halved(rng, sig)
+            acc = {}
+            mul_into(acc, f, g)
+            add_into(acc, f, -1)
+            add_into(acc, g)
+            results = [f * g, g * f, f + g, f - g, f + f, f.scale(2), f.scale(Fraction(2, 3)), accumulated(sig, acc)]
+            results += [f.partial(a) for a in range(1, sig.total + 1)]
+            for h in results:
+                assert_canonical(h)
+
+    @pytest.mark.parametrize("field", [RATIONAL, GAUSSIAN])
+    @pytest.mark.parametrize("nm", [(0, 2), (1, 2)], ids=lambda d: "%d|%d" % d)
+    def test_geometry_kernels(self, nm, field):
+        rng = random.Random("canonical geometry %d|%d %s" % (nm + (field,)))
+        sig = ChartSignature(*nm, field)
+        point = sig.coerce_point([Fraction(1, 2)] * sig.n)
+        for t in (1, 2, 3):
+            for row in sfmat_inverse(random_invertible_sf_matrix(rng, sig, t), sig):
+                for f in row:
+                    assert_canonical(f)
+        for _ in range(3):
+            lc = levi_civita(random_soul_metric(rng, sig))
+            for g in lc.gamma:
+                for row in g:
+                    for f in row:
+                        assert_canonical(f)
+            rk = lc.chart.rank.total
+            tables = sparse_tower(lc, 1, False) + sparse_tower(lc, 2, True)
+            for table in tables:
+                for flat in table.components.values():
+                    for f in flat.values():
+                        assert_canonical(f)
+            gamma = geo.gamma_at(lc, point)
+            for table in tables:
+                values = {key: geo.values_at(flat, point, rk) for key, flat in table.components.items()}
+                for at in geo._derivative_at(lc, table, values, point, gamma).values():
+                    assert all(is_canonical_rational(v) if field == RATIONAL else type(v) is GaussianRational
+                               for v in at.values())
+
 class TestTorsionAndBianchi:
     @pytest.mark.parametrize("field", [RATIONAL, GAUSSIAN])
     @pytest.mark.parametrize("nm", [(2, 0), (0, 2), (1, 2), (2, 2)], ids=lambda d: "%d|%d" % d)
@@ -890,7 +1081,7 @@ def dense_second_bianchi(conn):
     for x, y, z in itertools.product(range(t), repeat=3):
         mat = sfmat_zeros(sig, rk, rk)
         for c, coef in tor.get((x, y), {}).items():
-            mat = geo.sfmat_add(mat, [[coef * f for f in row] for row in mats[(c, z)]])
+            mat = [[x + coef * f for x, f in zip(r, row)] for r, row in zip(mat, mats[(c, z)])]
         rt[(x, y, z)] = mat
     for x, y, z in itertools.product(range(t), repeat=3):
         _, *rest = cyclic_terms(chart.coord_parity, x, y, z)

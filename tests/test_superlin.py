@@ -19,6 +19,7 @@ from superhol.superlin import (
     combination,
     commutant,
     generate_subalgebra,
+    insert_parts,
     radical,
     split,
     stabilizer_algebra,
@@ -712,6 +713,63 @@ class TestGrowClosedAlgebra:
             # brackets of the new generators with the closed algebra count
             cross += grown.total_dim > generate_subalgebra(new, dim, field).total_dim + closed.total_dim
         assert cross
+
+
+def all_pairs_closure(generators, dim, closed=None):
+    """The echelon of the bracket closure that brackets each new basis
+    element with the whole basis, so that both [a, b] and [b, a] are formed."""
+    seed = [] if closed is None else closed.basis()
+    echelon = linalg.SparseEchelon()
+    for m in seed:
+        insert_parts(echelon, m)
+    frontier = [part for g in generators for part in insert_parts(echelon, g)]
+    basis = seed + frontier
+    while frontier:
+        frontier = [part for a in frontier for b in basis for part in insert_parts(echelon, superbracket(a, b))]
+        basis += frontier
+    return echelon
+
+
+class TestClosureBracketsEachPairOnce:
+    """`generate_subalgebra` brackets each unordered pair of basis elements
+    once, since [b, a] = ±[a, b].  The reduced echelon of the closure is
+    unique, so it must equal the all-pairs closure's row for row."""
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("dim", [SuperDim(2, 1), SuperDim(1, 2), SuperDim(2, 2), SuperDim(0, 3)], ids=repr)
+    def test_same_pivot_rows_as_all_pairs(self, dim, field, monkeypatch):
+        import superhol.superlin as superlin
+
+        rng = random.Random("pairs once/%r/%s" % (dim, field))
+        kinds = [(0,), (1,), (0, 1)]  # even, odd and mixed generators
+        formed = []
+
+        def counted(a, b):
+            formed.append((id(a), id(b)))
+            return superbracket(a, b)
+
+        monkeypatch.setattr(superlin, "superbracket", counted)
+        grew = 0
+        for k in range(12):
+            closed = None
+            if k % 3 == 2:
+                closed = generate_subalgebra([random_matrix(rng, dim, field, rng.choice(kinds), 0.2)], dim, field)
+            gens = [random_matrix(rng, dim, field, rng.choice(kinds), 0.2) for _ in range(rng.randint(1, 3))]
+            formed.clear()
+            alg = generate_subalgebra(gens, dim, field, closed)
+            # no unordered pair is bracketed twice
+            assert len({frozenset(pair) for pair in formed}) == len(formed)
+            want = all_pairs_closure(gens, dim, closed).pivot_rows
+            assert alg._echelon.pivot_rows == want
+            grew += alg.total_dim > len(gens)
+        assert grew
+
+    def test_an_odd_element_is_bracketed_with_itself(self):
+        dim = SuperDim(1, 1)
+        x = SuperMatrix.unit(dim, 0, 1) + SuperMatrix.unit(dim, 1, 0)
+        # [x, x] = 2x² = 2·id is the only bracket that enlarges the span
+        alg = generate_subalgebra([x])
+        assert alg.graded_dim == (1, 1) and alg.contains_matrix(SuperMatrix.identity(dim))
 
 
 def reference_coordinates(columns, target, field):
