@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from superhol import linalg
+from superhol import linalg, superlin
 from superhol.cli import _pairwise_j
 from superhol.reportio import encode_algebra, encode_matrix
 from superhol.scalars import GAUSSIAN, RATIONAL, GaussianRational, field_one, field_zero
@@ -738,8 +738,6 @@ class TestClosureBracketsEachPairOnce:
     @pytest.mark.parametrize("field", FIELDS)
     @pytest.mark.parametrize("dim", [SuperDim(2, 1), SuperDim(1, 2), SuperDim(2, 2), SuperDim(0, 3)], ids=repr)
     def test_same_pivot_rows_as_all_pairs(self, dim, field, monkeypatch):
-        import superhol.superlin as superlin
-
         rng = random.Random("pairs once/%r/%s" % (dim, field))
         kinds = [(0,), (1,), (0, 1)]  # even, odd and mixed generators
         formed = []
