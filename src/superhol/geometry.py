@@ -131,9 +131,12 @@ def sfmat_inverse(a, sig: ChartSignature):
     Neumann series (sum of (-A0^{-1} N)^k) A0^{-1}, which terminates iff the
     body of N is nilpotent as a polynomial matrix.  Rejected otherwise.
     N is A with the constant monomial of each entry dropped, and the series
-    adds only the nonzero entries of each power.
+    adds only the nonzero entries of each power.  The inverse of the 0x0
+    matrix is itself.
     """
     t = len(a)
+    if not t:
+        return []
     origin, none = (0,) * sig.n, {}
     a0 = [[f.terms.get(0, none).get(origin, 0) for f in row] for row in a]
     n_mat = [[f - c if c else f for f, c in zip(row, consts)] for row, consts in zip(a, a0)]

@@ -63,10 +63,10 @@ def infinitesimal_holonomy(conn: ConnectionData, point, cap=None) -> HolonomyRes
 
     The tower is canonical (`DerivativeTable.holonomy_seed`): sorted
     directions and one curvature pair of each swap, which close to the same
-    algebra as the full tower at every order.  Each order's generators grow
-    the algebra closed at the order before.  Stops at the first derivative
-    order that adds no graded dimension after closure, or at the hard cap
-    (status 'capped').
+    algebra as the full tower at every order.  Each order's generators that
+    lie outside the algebra closed at the order before grow it.  Stops at
+    the first derivative order whose generators all lie in the algebra, or
+    at the hard cap (status 'capped').
 
     Only the values at the point of each order are read: order k is
     evaluated at the point from the table of order k - 1 (`_derivative_at`),
@@ -124,11 +124,12 @@ def infinitesimal_holonomy(conn: ConnectionData, point, cap=None) -> HolonomyRes
             if order == 2:
                 tables.append(table)
         values = _derivative_at(conn, table, values, pt, gamma)
-        # the algebra so far is closed: only this order's generators are new
-        bigger = generate_subalgebra(harvest(values, order), rk, field, algebra)
-        if bigger.total_dim == algebra.total_dim:
+        # the algebra so far is closed: an order whose generators all lie in
+        # it adds nothing, and the others grow it
+        new = [m for m in harvest(values, order) if not algebra.contains_matrix(m)]
+        if not new:
             return HolonomyResult(algebra, order, log, "stabilized", tables)
-        algebra = bigger
+        algebra = generate_subalgebra(new, rk, field, algebra)
         if algebra.graded_dim == full_dims:
             return HolonomyResult(algebra, order + 1, log, "stabilized", tables)
     return HolonomyResult(algebra, None, log, "capped", tables)

@@ -8,11 +8,14 @@ matrices preserve parity blocks, odd matrices swap them.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import random
+from fractions import Fraction
 
 from .linalg import SparseEchelon, combine, solve_graded, solve_kernel, span_echelon
-from .scalars import RATIONAL, GaussianRational, field_one, field_zero, scalar_str, to_field
+from .scalars import RATIONAL, GaussianRational, canonical, field_one, field_zero, scalar_str, to_field
 
 
 class SuperDim:
@@ -445,27 +448,16 @@ def split(mats, dim: SuperDim, field=RATIONAL):
     with mu = (x - r)^m h the minimal polynomial of X, they are ker (X - r)^m
     and ker h(X).  V is their direct sum (Fitting), and both are invariant
     under every matrix that commutes with X.  None when no draw splits.
-
-    With d the common denominator of the entries of X, dX has a monic
-    (Gaussian) integer characteristic polynomial, so d r is a (Gaussian)
-    integer: each floating-point eigenvalue, scaled by d and rounded, names
-    the one candidate near it, and the kernel decides it exactly.
+    The candidates r of a draw come from `eigenvalue_candidates`, and the
+    kernel decides each one exactly.
     """
-    import numpy as np
-
     t = dim.total
     rng = random.Random(SPLIT_SEED)
     identity = SuperMatrix.identity(dim, field)
     for _ in range(SPLIT_DRAWS):
         x = combination(dim, [(1, m) for m in mats if rng.randrange(2)], field)
-        parts = [[(v.re, v.im) if isinstance(v, GaussianRational) else (v, 0) for v in row] for row in x.entries]
-        d = math.lcm(1, *(c.denominator for row in parts for v in row for c in v))
-        approx = np.array([[complex(float(re), float(im)) for re, im in row] for row in parts]).reshape(t, t)
-        candidates = sorted({(round(z.real * d), round(z.imag * d)) for z in np.linalg.eigvals(approx)})
-        for re, im in candidates:
-            if im and field == RATIONAL:
-                continue
-            power = combination(dim, ((1, x), (-to_field(GaussianRational(re, im) / d, field), identity)), field)
+        for r in eigenvalue_candidates(x, field):
+            power = combination(dim, ((1, x), (-r, identity)), field)
             for _ in range(max(t - 1, 0).bit_length()):
                 power = power.matmul(power)
             even, odd = common_kernel([power], dim, field)
@@ -475,6 +467,197 @@ def split(mats, dim: SuperDim, field=RATIONAL):
                 image = span_echelon(dict(enumerate(col)) for col in zip(*power.entries)).basis()
                 return even + odd, image
     return None
+
+
+def eigenvalue_candidates(x: SuperMatrix, field=RATIONAL):
+    """Candidate eigenvalues of x in the field, in increasing order.
+
+    With d the common denominator of the entries of x, dx has a monic
+    (Gaussian) integer characteristic polynomial, so d r is a (Gaussian)
+    integer for every eigenvalue r in the field.  Over the rationals the
+    candidates are exact: r = k / d for each distinct integer root k of the
+    characteristic polynomial of dx, so they are exactly the eigenvalues of
+    x in the field.  Over the Gaussian rationals each floating-point
+    eigenvalue, scaled by d and rounded, names the one candidate near it,
+    sorted by real and then imaginary part; a candidate that is not an
+    eigenvalue fails the caller's exact test.
+    """
+    if field == RATIONAL:
+        d = math.lcm(1, *(v.denominator for v in x._flat.values()))
+        scaled = [[int(v * d) for v in row] for row in x.entries]
+        return [canonical(Fraction(k, d)) for k in integer_roots(char_poly(scaled))]
+    import numpy as np
+
+    t = x.dim.total
+    parts = [[(v.re, v.im) if isinstance(v, GaussianRational) else (v, 0) for v in row] for row in x.entries]
+    d = math.lcm(1, *(c.denominator for row in parts for v in row for c in v))
+    approx = np.array([[complex(float(re), float(im)) for re, im in row] for row in parts]).reshape(t, t)
+    rounded = sorted({(round(z.real * d), round(z.imag * d)) for z in np.linalg.eigvals(approx)})
+    return [to_field(GaussianRational(re, im) / d, field) for re, im in rounded]
+
+
+# -------------------------------------------------- exact integer eigenvalues
+
+# Primes tried by the modular square-free test before the exact gcd.
+SQUAREFREE_TRIES = 8
+
+
+def char_poly(rows):
+    """Coefficients [c_0, ..., c_n] of det(xI - M) = sum c_k x^k for a square
+    matrix M of ints, given as its rows; c_n = 1.
+
+    Faddeev-LeVerrier: with M_0 = 0 and M_k = M M_{k-1} + c_{n-k+1} I,
+    c_{n-k} = -tr(M M_k) / k, and each of these divisions is exact.
+    """
+    n = len(rows)
+    coeffs = [0] * n + [1]
+    product = [[0] * n for _ in range(n)]  # M M_{k-1}
+    for k in range(1, n + 1):
+        c = coeffs[n - k + 1]
+        step = [[v + c if i == j else v for j, v in enumerate(row)] for i, row in enumerate(product)]
+        cols = list(zip(*step))
+        product = [[sum(map(operator.mul, row, col)) for col in cols] for row in rows]
+        coeffs[n - k] = -sum(product[i][i] for i in range(n)) // k
+    return coeffs
+
+
+def integer_roots(coeffs):
+    """The distinct integer roots, in increasing order, of the polynomial
+    sum coeffs[k] x^k with int coefficients, not all zero.
+
+    Zero is deflated first.  The nonzero roots are those of the square-free
+    part f, each a simple root of f modulo the least odd prime p at which f
+    keeps its degree and stays square-free, so each lifts by Newton's method
+    to a unique p-adic root (Loos 1983).  A nonzero integer root divides
+    f(0), so the lift is taken modulo a power of p above 2|f(0)|, read in
+    [-|f(0)|, |f(0)|], and kept when f vanishes there exactly.  A modular
+    square-free test skips the exact gcd of f and f' when f is square-free
+    already.
+    """
+    f = _trimmed(list(coeffs))
+    if not f:
+        raise ValueError("the zero polynomial has every root")
+    roots = []
+    if f[0] == 0:
+        roots.append(0)
+        while f[0] == 0:
+            del f[0]
+    if len(f) == 1:
+        return roots
+    p = _squarefree_prime(f, SQUAREFREE_TRIES)
+    if p is None:
+        f = _exact_quotient(f, _int_gcd(f, _derivative(f)))
+        # f is square-free modulo every odd prime but those dividing
+        # lc(f) disc(f) = ±Res(f, f'), and by Hadamard's bound fewer than
+        # `tries` odd primes divide that
+        tries = 2 * len(f) * (max(abs(c) for c in f).bit_length() + len(f).bit_length())
+        p = _squarefree_prime(f, tries)
+        if p is None:
+            raise ArithmeticError("no odd prime keeps the square-free part square-free")
+    bound = abs(f[0])
+    df = _derivative(f)
+    for residue in range(p):
+        if _value(f, residue, p):
+            continue
+        a, modulus = residue, p
+        while modulus <= 2 * bound:
+            modulus *= modulus
+            a = (a - _value(f, a, modulus) * pow(_value(df, a, modulus), -1, modulus)) % modulus
+        r = a if a <= bound else a - modulus
+        if not _value(f, r):
+            roots.append(r)
+    return sorted(roots)
+
+
+def _trimmed(f):
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
+def _derivative(f):
+    return [k * c for k, c in enumerate(f)][1:]
+
+
+def _value(f, x, modulus=None):
+    """f(x) by Horner's rule, reduced modulo `modulus` at each step unless it
+    is None."""
+    acc = 0
+    for c in reversed(f):
+        acc = acc * x + c
+        if modulus is not None:
+            acc %= modulus
+    return acc
+
+
+def _odd_primes():
+    p = 3
+    while True:
+        if all(p % q for q in range(3, math.isqrt(p) + 1, 2)):
+            yield p
+        p += 2
+
+
+def _squarefree_prime(f, tries):
+    """The least of the first `tries` odd primes p with lc(f) prime to p and
+    f square-free modulo p, or None."""
+    df = _derivative(f)
+    for p in itertools.islice(_odd_primes(), tries):
+        if f[-1] % p and len(_gcd_mod([c % p for c in f], [c % p for c in df], p)) == 1:
+            return p
+    return None
+
+
+def _gcd_mod(a, b, p):
+    """A gcd of two polynomials over F_p, as a coefficient list."""
+    a, b = _trimmed(a), _trimmed(b)
+    while b:
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            q, shift = a[-1] * inv % p, len(a) - len(b)
+            for i, c in enumerate(b):
+                a[shift + i] = (a[shift + i] - q * c) % p
+            _trimmed(a)
+        a, b = b, a
+    return a
+
+
+def _primitive(f):
+    """f divided by its content, with a positive leading coefficient."""
+    content = math.gcd(*f)
+    if f[-1] < 0:
+        content = -content
+    return [c // content for c in f]
+
+
+def _int_gcd(a, b):
+    """The primitive gcd, with a positive leading coefficient, of two nonzero
+    integer polynomials: the primitive PRS, whose pseudo-remainders stay in
+    the integers."""
+    a, b = _primitive(a), _primitive(b)
+    while len(b) > 1:
+        lead = b[-1]
+        while len(a) >= len(b):
+            q, shift = a[-1], len(a) - len(b)
+            a = [c * lead for c in a]
+            for i, c in enumerate(b):
+                a[shift + i] -= q * c
+            _trimmed(a)
+        if not a:
+            return b
+        a, b = b, _primitive(a)
+    return [1]
+
+
+def _exact_quotient(a, b):
+    """a / b for integer polynomials where b divides a in Z[x]."""
+    a = list(a)
+    q = [0] * (len(a) - len(b) + 1)
+    for shift in range(len(q) - 1, -1, -1):
+        q[shift] = a[shift + len(b) - 1] // b[-1]
+        for i, c in enumerate(b):
+            a[shift + i] -= q[shift] * c
+    return q
 
 
 class StructureTensor:

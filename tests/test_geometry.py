@@ -827,6 +827,10 @@ class TestSparseInverse:
             with pytest.raises(MatrixInversionError):
                 sfmat_inverse(a, sig)
 
+    @pytest.mark.parametrize("field", [RATIONAL, GAUSSIAN])
+    def test_empty_matrix_is_its_own_inverse(self, field):
+        assert sfmat_inverse([], ChartSignature(1, 0, field)) == []
+
 
 def dense_validation_error(chart, gamma):
     """The message of the first Christoffel entry of the wrong parity, from a

@@ -440,6 +440,19 @@ class TestCompiledTransport:
         out = subprocess.run([sys.executable, "-c", code % src], capture_output=True, text=True, timeout=60, check=True)
         assert out.stdout.strip() == "False"
 
+    def test_a_rational_split_loads_no_numpy(self):
+        import superhol
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(superhol.__file__)))
+        doc = {"kind": "metric", "chart": {"n": 0, "m": 4}, "g": {"1,2": "1 + 3*xi1*xi2", "3,4": "1 + 5*xi3*xi4"}}
+        code = (
+            "import sys; sys.path.insert(0, %r); from superhol import cli; "
+            "rep, ok = cli.run_problem(%r); "
+            "print(ok, rep['result']['decomposable']['status'], 'numpy' in sys.modules)"
+        )
+        out = subprocess.run([sys.executable, "-c", code % (src, doc)], capture_output=True, text=True, timeout=60, check=True)
+        assert out.stdout.split() == ["True", "decomposable", "False"]
+
 
 class TestInvariantObjects:
     def test_zero_algebra_full_space(self):
@@ -631,6 +644,14 @@ class TestCertificates:
         algebra = infinitesimal_holonomy(levi_civita(metric), []).algebra
         assert_wu_split(algebra, res["decomposable"], sfmat_value(metric.g, []), GAUSSIAN)
 
+    def test_wide_body_entries_split_exactly(self):
+        # the entries 2^1000 and 2^-1000 have no float eigenvalues
+        big = str(2**1000)
+        rep, ok = cli.run_problem({"kind": "metric", "chart": {"n": 2, "m": 0}, "g": {"1,1": big, "2,2": "1/" + big}})
+        assert ok and "internal_error" not in rep
+        dec = rep["result"]["decomposable"]
+        assert dec == {"status": "decomposable", "witness": [["1", "0"]], "complement": [["0", "1"]]}
+
     def test_inconclusive_names_its_reason(self, monkeypatch):
         monkeypatch.setattr(superlin, "SPLIT_DRAWS", 0)
         rep, ok = cli.run_problem({"kind": "metric", "chart": {"n": 2, "m": 0}, "g": {"1,2": "1"}})
@@ -810,7 +831,8 @@ class TestCanonicalTower:
 def scratch_holonomy(conn, log):
     """The holonomy loop before the closure grew across orders: each order
     closes every generator of the log up to it from scratch.  Returns the
-    algebra, the stop order, the status and the closure of each order."""
+    algebra, the stop order, the status and the closure of each order but
+    the plateau order, whose generators all lie in the algebra already."""
     rk, field = conn.chart.rank, conn.chart.sig.field
     if not curvature(conn).components:
         return SubSuperalgebra.zero(rk, field), 0, "stabilized", []
@@ -823,9 +845,9 @@ def scratch_holonomy(conn, log):
     for order in range(1, hl.default_order_cap(conn.chart) + 1):
         gens += [m for r, _, m in log if r == order]
         bigger = generate_subalgebra(gens, rk, field)
-        closures.append(bigger)
         if bigger.total_dim == algebra.total_dim:
             return algebra, order, "stabilized", closures
+        closures.append(bigger)
         algebra = bigger
         if algebra.graded_dim == full_dims:
             return algebra, order + 1, "stabilized", closures
@@ -834,7 +856,8 @@ def scratch_holonomy(conn, log):
 
 class TestClosureGrowsAcrossOrders:
     """Each order's closure, grown from the order before, is the closure from
-    scratch of the generator log up to that order."""
+    scratch of the generator log up to that order; the plateau order, whose
+    generators the algebra already holds, closes nothing."""
 
     # field, chart n|m, rank p|q, Christoffel entries
     CASES = [

@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,7 +9,7 @@ import pytest
 from superhol import linalg, superlin
 from superhol.cli import _pairwise_j
 from superhol.reportio import encode_algebra, encode_matrix
-from superhol.scalars import GAUSSIAN, RATIONAL, GaussianRational, field_one, field_zero
+from superhol.scalars import GAUSSIAN, RATIONAL, GaussianRational, canonical, field_one, field_zero
 from superhol.superlin import (
     StructureTensor,
     SubSuperalgebra,
@@ -887,3 +889,189 @@ class TestAssociativeEngine:
     def test_scalar_draws_do_not_split(self):
         dim = SuperDim(2, 1)
         assert split([SuperMatrix.identity(dim)], dim) is None
+
+
+def poly_product(factors):
+    """Coefficients, lowest degree first, of the product of the given
+    coefficient lists."""
+    out = [1]
+    for f in factors:
+        prod = [0] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
+def poly_value(coeffs, x):
+    return sum(c * x ** k for k, c in enumerate(coeffs))
+
+
+def exact_det(rows):
+    """Determinant by Gaussian elimination over the rationals."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    det = Fraction(1)
+    for k in range(len(rows)):
+        pivot = next((i for i in range(k, len(rows)) if rows[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            det = -det
+        det *= rows[k][k]
+        for i in range(k + 1, len(rows)):
+            c = rows[i][k] / rows[k][k]
+            rows[i] = [a - c * b for a, b in zip(rows[i], rows[k])]
+    return det
+
+
+def no_integer_root_factor(rng, bits):
+    """A factor with no integer root and coefficients of about `bits` bits:
+    x^2 + c with c > 0, x^2 - 2c with c odd (2c is no square), or a x - b
+    with gcd(a, b) = 1 and |a| > 1."""
+    c = rng.getrandbits(bits) | 1
+    kind = rng.randrange(3)
+    if kind == 0:
+        return [c, 0, 1]
+    if kind == 1:
+        return [-2 * c, 0, 1]
+    a = rng.choice([2, 3, 5, -3]) * c
+    b = rng.choice([1, -1, 7, -11])
+    return [b, -a] if math.gcd(a, b) == 1 else [1, 0, 1]
+
+
+def planted_polynomial(rng, bits):
+    """A seeded product of repeated (x - r)^k, zero roots among them, and
+    factors without integer roots; returns it with its integer roots."""
+    roots = set(rng.sample(range(-12, 13), rng.randint(0, 4)))
+    factors = [[-r, 1] for r in roots for _ in range(rng.randint(1, 3))]
+    factors += [no_integer_root_factor(rng, bits) for _ in range(rng.randint(0 if factors else 1, 2))]
+    rng.shuffle(factors)
+    return poly_product(factors), roots
+
+
+class TestExactEigenvalues:
+    """`split` takes its rational candidates from the integer roots of the
+    characteristic polynomial of dX."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_char_poly_is_det_of_xi_minus_m(self, n):
+        rng = random.Random("char poly %d" % n)
+        for _ in range(4):
+            m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            coeffs = superlin.char_poly(m)
+            assert len(coeffs) == n + 1 and coeffs[-1] == 1
+            for x in range(-1, n + 1):
+                shifted = [[(x if i == j else 0) - v for j, v in enumerate(row)] for i, row in enumerate(m)]
+                assert poly_value(coeffs, x) == exact_det(shifted)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_char_poly_matches_numpy(self, n):
+        np = pytest.importorskip("numpy")
+        rng = random.Random("numpy char poly %d" % n)
+        for _ in range(4):
+            m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            reference = np.poly(np.array(m, dtype=float))[::-1]
+            assert superlin.char_poly(m) == [int(round(c)) for c in reference]
+
+    @pytest.mark.parametrize("bits", [4, 300])
+    def test_integer_roots_match_brute_force(self, bits):
+        rng = random.Random("integer roots %d" % bits)
+        for _ in range(40):
+            coeffs, planted = planted_polynomial(rng, bits)
+            window = [r for r in range(-40, 41) if poly_value(coeffs, r) == 0]
+            assert set(window) == planted
+            assert superlin.integer_roots(coeffs) == sorted(planted)
+
+    def test_zero_roots_are_deflated(self):
+        # x^3 (x - 2)^2 (x^2 + 1): the zero root is a triple one
+        coeffs = poly_product([[0, 1]] * 3 + [[-2, 1]] * 2 + [[1, 0, 1]])
+        assert superlin.integer_roots(coeffs) == [0, 2]
+        assert superlin.integer_roots([0, 0, 1]) == [0]
+        assert superlin.integer_roots([5]) == []
+
+    @pytest.mark.parametrize("root", [7, -7, 2**300 + 1, -(2**300 + 1)])
+    def test_roots_at_the_constant_term_bound(self, root):
+        # every nonzero integer root divides f(0): here |f(0)| = |root|
+        sign = 1 if root > 0 else -1
+        coeffs = poly_product([[-root, 1], [sign, 1], [3, 0, 1]])
+        assert superlin.integer_roots(coeffs) == sorted([root, -sign])
+        repeated = poly_product([[-root, 1]] * 2 + [[sign, 1]] * 3)
+        assert superlin.integer_roots(repeated) == sorted([root, -sign])
+
+    def test_repeated_roots_need_the_square_free_part(self):
+        # no prime keeps (x - 3)^2 (x + 4)^3 square-free, so its roots are
+        # lifted from the square-free part (x - 3)(x + 4)
+        coeffs = poly_product([[-3, 1]] * 2 + [[4, 1]] * 3)
+        assert superlin._squarefree_prime(coeffs, 50) is None
+        assert superlin.integer_roots(coeffs) == [-4, 3]
+
+    def test_numpy_candidates_that_are_eigenvalues_are_exact_candidates(self):
+        np = pytest.importorskip("numpy")
+        rng = random.Random("exact candidates")
+        checked = 0
+        for _ in range(60):
+            dim = SuperDim(rng.randint(0, 4), rng.randint(0, 3))
+            t = dim.total
+            x = planted_even_matrix(rng, dim)
+            d = math.lcm(1, *(v.denominator for v in x.flatten().values()))
+            approx = np.array([[float(v) for v in row] for row in x.entries]).reshape(t, t)
+            rounded = {round(z.real * d) for z in np.linalg.eigvals(approx) if round(z.imag * d) == 0}
+            exact = superlin.eigenvalue_candidates(x)
+            assert exact == sorted(exact) and len(set(exact)) == len(exact)
+            for r in exact:
+                assert is_eigenvalue(x, r)
+            for k in rounded:
+                r = Fraction(k, d)
+                if is_eigenvalue(x, r):
+                    assert r in exact
+                    checked += 1
+        assert checked > 60
+
+    @pytest.mark.parametrize("repeated", [False, True], ids=["random", "two equal blocks"])
+    def test_wide_entries_give_their_candidates_quickly(self, repeated):
+        rng = random.Random("wide entries")
+        half = [[rng.getrandbits(1000) - 2**999 for _ in range(6)] for _ in range(6)]
+        if repeated:
+            rows = [row + [0] * 6 for row in half] + [[0] * 6 + row for row in half]
+        else:
+            rows = [[rng.getrandbits(1000) - 2**999 for _ in range(12)] for _ in range(12)]
+        x = SuperMatrix(SuperDim(12, 0), rows)
+        start = time.perf_counter()
+        candidates = superlin.eigenvalue_candidates(x)
+        assert time.perf_counter() - start < 10
+        assert all(is_eigenvalue(x, r) for r in candidates)
+
+
+def planted_even_matrix(rng, dim):
+    """A seeded even matrix with rational entries: each block is a triangular
+    matrix with a few repeated rational diagonal values, or a random one,
+    conjugated by seeded elementary operations."""
+    t = dim.total
+    rows = [[Fraction(0)] * t for _ in range(t)]
+    for block in (range(dim.p), range(dim.p, t)):
+        values = [Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3])) for _ in range(2)]
+        planted = rng.randrange(3)
+        for i in block:
+            for j in block:
+                if planted and i < j or not planted:
+                    rows[i][j] = Fraction(rng.randint(-4, 4), rng.choice([1, 2]))
+            if planted:
+                rows[i][i] = rng.choice(values)
+        for _ in range(3 * len(block)):
+            if len(block) < 2:
+                break
+            i, j = rng.sample(list(block), 2)
+            c = rng.randint(-2, 2)
+            # conjugate by E = 1 + c e_ij: rows first (E M), then columns (M E^-1)
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+            for row in rows:
+                row[j] -= c * row[i]
+    return SuperMatrix(dim, [[canonical(v) for v in row] for row in rows])
+
+
+def is_eigenvalue(x, r):
+    shifted = combination(x.dim, ((1, x), (-r, SuperMatrix.identity(x.dim))))
+    even, odd = superlin.common_kernel([shifted], x.dim)
+    return bool(even or odd)
