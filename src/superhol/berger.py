@@ -14,7 +14,7 @@ from functools import cached_property
 from itertools import permutations
 
 from .linalg import combine, same_span, solve_graded, span_echelon
-from .scalars import field_zero, to_field
+from .scalars import to_field
 from .superlin import (
     SubSuperalgebra,
     SuperDim,
@@ -154,19 +154,34 @@ def _curvature_rows(dim: SuperDim, basis):
 
 
 def check_curvature_element(algebra: SubSuperalgebra, elem: CurvatureElement) -> bool:
-    """Re-check values-in-g plus the cyclic identity for a single element."""
+    """Re-check one tensor exactly: every value lies in g, and the graded
+    cyclic identity holds.  The identity is read, for each sorted triple, from
+    the nonzero entries of the values grouped by (canonical pair, column), so
+    no matrix is formed per term."""
     dim = algebra.dim
     t = dim.total
-    for m in elem.values.values():
-        if not algebra.contains_matrix(m):
+    if not all(algebra.contains_matrix(m) for m in elem.values.values()):
+        return False
+    by_pair_col = {}  # (canonical pair, column) -> (row, value) of the nonzero entries
+    for pair, m in elem.values.items():
+        for pos, val in m._flat.items():
+            comp, w = divmod(pos, t)
+            by_pair_col.setdefault((pair, w), []).append((comp, val))
+    for cyclic in sorted_cyclic_terms(dim.parity, t):
+        acc = {}
+        for (u, v, w), s in cyclic:
+            pair, sign = reduce_pair(dim, u, v)
+            entries = by_pair_col.get((pair, w)) if sign else None
+            if not entries:
+                continue
+            negate = s * sign < 0
+            for comp, val in entries:
+                if negate:
+                    val = -val
+                x = acc.get(comp)
+                acc[comp] = val if x is None else x + val
+        if any(acc.values()):
             return False
-    for terms in sorted_cyclic_terms(dim.parity, t):
-        for comp in range(t):
-            acc = field_zero(algebra.field)
-            for (u, v, w), s in terms:
-                acc = acc + s * elem.value(u, v).entries[comp][w]
-            if acc:
-                return False
     return True
 
 
@@ -421,11 +436,33 @@ def _prolongation_rows(dim: SuperDim, annihilator, faces, unknowns):
 # --------------------------------------------------- Spencer rank identity
 
 
+def spencer_delta(dim: SuperDim, d: int, alpha: dict) -> dict:
+    """The Spencer coboundary delta(e_d* (x) alpha) of an element alpha of
+    g^(1), given as a flat multimap {(e, A, B): v} of
+    `ProlongationLevel.multimaps` (v the entry (A, B) of alpha(e_e)).
+
+    It is the 2-form R(x, y) = delta_xd alpha(e_y) - (-1)^{|x||y|}
+    delta_yd alpha(e_x), returned on canonical pairs as
+    {(pair, A * t + B): v} with zero entries dropped.  By Spencer's
+    exactness (Sternberg, Lectures on Differential Geometry, ch. VII) it lies
+    in the curvature space R(g), and R(d, y) = alpha(e_y) for every y != d.
+    """
+    t = dim.total
+    pd = dim.parity(d)
+    return combine(
+        (s, {(pair, a * t + b): v})
+        for (e, a, b), v in alpha.items()
+        for pair, s in (((d, e), 1), ((e, d), -((-1) ** (pd * dim.parity(e)))))
+        if pair[0] < pair[1] or (pair[0] == pair[1] and pd)
+    )
+
+
 def spencer_rank_identity(algebra: SubSuperalgebra, tower: ProlongationTower = None, rspace: LinearSolutionSpace = None):
     """Exactness of the prolongation sequence and the derived cohomology rank.
 
-    Builds the map V* tensor g_1 -> curvature space and reports dim R(g) - rank
-    as the derived quantity.  `exactness_ok` holds when every image lies in
+    Builds the map V* tensor g_1 -> curvature space, `spencer_delta` on each
+    direction d and basis element of g_1, and reports dim R(g) - rank as the
+    derived quantity.  `exactness_ok` holds when every image lies in
     the curvature space and the kernel, expanded into flat multimaps, spans
     the g_2 that `cartan_prolongation` solves directly; False means the two
     formulations disagree.
@@ -446,13 +483,7 @@ def spencer_rank_identity(algebra: SubSuperalgebra, tower: ProlongationTower = N
     parity = {(d, j): (dim.parity(d) + p) % 2 for d in range(t) for j, p in enumerate(g1.parities)}
     rows = {}
     for (d, j) in parity:
-        # the 2-form (x, y) -> delta_xd alpha(e_y) - (-1)^{|x||y|} delta_yd alpha(e_x)
-        flat = combine(
-            (s, {pair_index[pair] * t * t + a * t + b: v})
-            for (e, a, b), v in g1_maps[j].items()
-            for pair, s in (((d, e), 1), ((e, d), -((-1) ** (dim.parity(d) * dim.parity(e)))))
-            if pair in pair_index
-        )
+        flat = {pair_index[pair] * t * t + pos: v for (pair, pos), v in spencer_delta(dim, d, g1_maps[j]).items()}
         # the image must satisfy the curvature space constraints
         images_ok = images_ok and rspace_span.contains(flat)
         for coord, v in flat.items():
@@ -585,7 +616,20 @@ def pi_adjoint_representation(algebra: SubSuperalgebra):
 
 
 def pi_adjoint_test(algebra: SubSuperalgebra):
-    """Prolongation profile of a simple algebra on its parity reversal."""
+    """Prolongation profile of a simple algebra g on its parity reversal.
+
+    Reports the graded dims of g^(1) and g^(2) of ad(g) on Pi g, whether
+    g^(1) is spanned by the generator x -> (-1)^{|x|} Pi(x), whether ad(g)
+    is Berger, and the simplicity certificate.
+
+    The span L of the values of R(g) is an ideal of g, since R(g) is
+    g-invariant.  So when simplicity is certified, g is Berger exactly when
+    R(g) != 0, and one nonzero tensor that passes `check_curvature_element`
+    decides it: when g^(1) != 0 that tensor is `spencer_delta` of its first
+    basis element alpha (`_berger_witness`).  Otherwise (a heuristic status,
+    g^(1) = 0, or a witness that fails the check) `berger_check` solves
+    R(g) and spans its values.
+    """
     representation = pi_adjoint_representation(algebra)
     simplicity = _simplicity_of(algebra, representation)
     if not simplicity["simple"]:
@@ -594,6 +638,7 @@ def pi_adjoint_test(algebra: SubSuperalgebra):
     vdim, rep_alg, rep, pos = representation
     tower = cartan_prolongation(vdim, rep_alg, 2)
     g1, g2 = tower.levels[0], tower.levels[1]
+    g1_maps = g1.multimaps() if g1.total_dim else []
     # expected generator x -> (-1)^{|x|} Pi(x)
     expected = {}
     for j, g in enumerate(basis):
@@ -602,16 +647,36 @@ def pi_adjoint_test(algebra: SubSuperalgebra):
             expected[(pos[j],) + divmod(flat_pos, vdim.total)] = sign * v
     generator_matches = False
     if g1.total_dim == 1:
-        generator_matches = _proportional(g1.multimaps()[0], expected)
-    bc = berger_check(rep_alg)
+        generator_matches = _proportional(g1_maps[0], expected)
+    witness = None
+    if simplicity["status"] == "certified" and g1_maps:
+        witness = _berger_witness(vdim, g1.parities[0], g1_maps[0], rep_alg.field)
+    if witness is not None and not witness.is_zero() and check_curvature_element(rep_alg, witness):
+        is_berger = True
+    else:
+        is_berger = berger_check(rep_alg)["is_berger"]
     return {
         "g1_dim": g1.graded_dim,
         "g2_dim": g2.graded_dim,
         "generator_matches": generator_matches,
-        "is_berger": bc["is_berger"],
+        "is_berger": is_berger,
         "simplicity_note": simplicity["note"],
         "simplicity_status": simplicity["status"],
     }
+
+
+def _berger_witness(dim: SuperDim, sigma: int, alpha: dict, field) -> CurvatureElement:
+    """The curvature tensor `spencer_delta`(d, alpha) of a nonzero element
+    alpha of g^(1) of parity sigma, for y the least index with alpha(e_y) != 0
+    and d the least index other than y, so that R(d, y) = alpha(e_y) != 0.
+    A simple algebra has dimension at least 2, so such a d exists."""
+    y = min(e for e, _, _ in alpha)
+    d = 1 if y == 0 else 0
+    flats = {}
+    for (pair, p), v in spencer_delta(dim, d, alpha).items():
+        flats.setdefault(pair, {})[p] = v
+    values = {pair: SuperMatrix.from_flat(dim, flat, field) for pair, flat in flats.items()}
+    return CurvatureElement(dim, (dim.parity(d) + sigma) % 2, values, field)
 
 
 def _proportional(flat_a: dict, flat_b: dict) -> bool:

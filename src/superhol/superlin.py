@@ -12,6 +12,7 @@ import itertools
 import math
 import operator
 import random
+import sys
 from fractions import Fraction
 
 from .linalg import SparseEchelon, combine, solve_graded, solve_kernel, span_echelon
@@ -473,27 +474,49 @@ def eigenvalue_candidates(x: SuperMatrix, field=RATIONAL):
     """Candidate eigenvalues of x in the field, in increasing order.
 
     With d the common denominator of the entries of x, dx has a monic
-    (Gaussian) integer characteristic polynomial, so d r is a (Gaussian)
+    (Gaussian) integer characteristic polynomial f, so d r is a (Gaussian)
     integer for every eigenvalue r in the field.  Over the rationals the
-    candidates are exact: r = k / d for each distinct integer root k of the
-    characteristic polynomial of dx, so they are exactly the eigenvalues of
-    x in the field.  Over the Gaussian rationals each floating-point
-    eigenvalue, scaled by d and rounded, names the one candidate near it,
-    sorted by real and then imaginary part; a candidate that is not an
-    eigenvalue fails the caller's exact test.
+    candidates are exact: r = k / d for each distinct integer root k of f,
+    so they are exactly the eigenvalues of x in the field.  Over the Gaussian
+    rationals the real candidates are exact too: with dx = A + iB, f times
+    its conjugate is the characteristic polynomial of the real form
+    [[A, -B], [B, A]], and its integer roots are the real roots of f.  Each
+    floating-point eigenvalue of dx with a nonzero imaginary part, rounded,
+    names the one non-real candidate near it; when an entry of dx does not
+    fit in a float, there are none.  The candidates are sorted by real and
+    then imaginary part, and one that is not an eigenvalue fails the
+    caller's exact test.
     """
     if field == RATIONAL:
         d = math.lcm(1, *(v.denominator for v in x._flat.values()))
         scaled = [[int(v * d) for v in row] for row in x.entries]
         return [canonical(Fraction(k, d)) for k in integer_roots(char_poly(scaled))]
-    import numpy as np
-
-    t = x.dim.total
     parts = [[(v.re, v.im) if isinstance(v, GaussianRational) else (v, 0) for v in row] for row in x.entries]
     d = math.lcm(1, *(c.denominator for row in parts for v in row for c in v))
-    approx = np.array([[complex(float(re), float(im)) for re, im in row] for row in parts]).reshape(t, t)
-    rounded = sorted({(round(z.real * d), round(z.imag * d)) for z in np.linalg.eigvals(approx)})
-    return [to_field(GaussianRational(re, im) / d, field) for re, im in rounded]
+    re_part = [[int(re * d) for re, _ in row] for row in parts]
+    im_part = [[int(im * d) for _, im in row] for row in parts]
+    real_form = [a + [-b for b in nb] for a, nb in zip(re_part, im_part)] + [
+        b + a for a, b in zip(re_part, im_part)
+    ]
+    candidates = {(k, 0) for k in integer_roots(char_poly(real_form))}
+    if all(abs(c) <= sys.float_info.max for part in (re_part, im_part) for row in part for c in row):
+        candidates.update(_non_real_roundings(re_part, im_part))
+    return [to_field(GaussianRational(re, im) / d, field) for re, im in sorted(candidates)]
+
+
+def _non_real_roundings(re_part, im_part):
+    """The Gaussian integers nearest to the finite, non-real floating-point
+    eigenvalues of the matrix re_part + i im_part, whose int entries fit in
+    a float."""
+    import numpy as np
+
+    t = len(re_part)
+    approx = (np.array(re_part, dtype=float) + 1j * np.array(im_part, dtype=float)).reshape(t, t)
+    out = set()
+    for z in np.linalg.eigvals(approx).tolist():
+        if math.isfinite(z.real) and math.isfinite(z.imag) and round(z.imag):
+            out.add((round(z.real), round(z.imag)))
+    return out
 
 
 # -------------------------------------------------- exact integer eigenvalues

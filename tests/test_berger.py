@@ -524,6 +524,193 @@ class TestPiAdjoint:
         assert pi_adjoint_test(classical_superalgebra("sl", (2, 1)))["simplicity_status"] == "certified"
 
 
+# the simple sl(p|q), p != q, and osp(m|2n) with p + q and m + 2n at most 4,
+# and the bench's Pi-adjoint rows
+SIMPLE_ALGEBRAS = sorted(
+    {("sl", (p, q)) for p, q in ((2, 0), (0, 2), (3, 0), (0, 3), (2, 1), (1, 2), (4, 0), (0, 4), (3, 1), (1, 3))}
+    | {("osp", mn) for mn in ((3, 0), (0, 2), (1, 2), (2, 2), (0, 4))}
+    | {(name, tuple(params)) for name, params in BERGER_PI_ADJOINT}
+)
+
+
+def reference_is_berger(alg):
+    """`is_berger` from the whole curvature space of ad(g) on Pi g."""
+    return berger_check(berger.pi_adjoint_representation(alg)[1])["is_berger"]
+
+
+def delta_value(dim, d, alpha, x, y):
+    """R(x, y) = delta_xd alpha(e_y) - (-1)^{|x||y|} delta_yd alpha(e_x) as a
+    dense matrix, from the flat multimap alpha."""
+    t = dim.total
+    out = [[0] * t for _ in range(t)]
+    for (e, a, b), v in alpha.items():
+        if x == d and e == y:
+            out[a][b] += v
+        if y == d and e == x:
+            out[a][b] -= (-1) ** (dim.parity(x) * dim.parity(y)) * v
+    return out
+
+
+def pi_adjoint_g1(name, params):
+    """(V dim, ad(g) on Pi g, the parity and flat multimap of the first g^(1)
+    element) of a simple algebra."""
+    vdim, rep_alg, _, _ = berger.pi_adjoint_representation(classical_superalgebra(name, params))
+    g1 = cartan_prolongation(vdim, rep_alg, 1).levels[0]
+    return vdim, rep_alg, g1.parities[0], g1.multimaps()[0]
+
+
+class TestBergerFromOneTensor:
+    @pytest.mark.parametrize("name, params", SIMPLE_ALGEBRAS, ids=str)
+    def test_is_berger_matches_the_full_solve(self, name, params):
+        alg = classical_superalgebra(name, params)
+        assert is_simple(alg)["simple"]
+        assert pi_adjoint_test(alg)["is_berger"] == reference_is_berger(alg)
+
+    @pytest.mark.parametrize("name, params", BERGER_PI_ADJOINT, ids=str)
+    def test_certified_rows_solve_no_curvature_space(self, name, params, monkeypatch):
+        checked = []
+        check = berger.check_curvature_element
+        monkeypatch.setattr(berger, "check_curvature_element", lambda *args: checked.append(args[1]) or check(*args))
+        for spied in ("curvature_space", "berger_check"):
+            monkeypatch.setattr(berger, spied, lambda *args, name=spied: pytest.fail("%s was called" % name))
+        res = pi_adjoint_test(classical_superalgebra(name, params))
+        assert res["simplicity_status"] == "certified" and res["is_berger"]
+        # the one tensor checked is nonzero
+        (witness,) = checked
+        assert not witness.is_zero()
+
+    @staticmethod
+    def spy_berger_check(monkeypatch):
+        calls = []
+        full = berger.berger_check
+        monkeypatch.setattr(berger, "berger_check", lambda *args: calls.append(args) or full(*args))
+        return calls
+
+    def test_heuristic_status_runs_the_full_solve(self, monkeypatch):
+        calls = self.spy_berger_check(monkeypatch)
+        simplicity = berger._simplicity_of
+        monkeypatch.setattr(berger, "_simplicity_of", lambda *args: dict(simplicity(*args), status="heuristic"))
+        res = pi_adjoint_test(classical_superalgebra("sl", (2, 1)))
+        assert res["simplicity_status"] == "heuristic" and res["is_berger"]
+        assert len(calls) == 1
+
+    def test_zero_g1_runs_the_full_solve(self, monkeypatch):
+        calls = self.spy_berger_check(monkeypatch)
+        monkeypatch.setattr(berger.ProlongationLevel, "multimaps", lambda self: [])
+        monkeypatch.setattr(berger.ProlongationLevel, "total_dim", property(lambda self: 0))
+        assert pi_adjoint_test(classical_superalgebra("sl", (2, 1)))["is_berger"]
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("name, params", [("sl", (2, 1)), ("osp", (1, 2)), ("sl", (3, 0))], ids=str)
+    def test_spencer_delta_is_the_coboundary(self, name, params):
+        vdim, rep_alg, sigma, alpha = pi_adjoint_g1(name, params)
+        t = vdim.total
+        rspace = span_echelon(e.flatten() for e in curvature_space(rep_alg).basis)
+        for d in range(t):
+            flats = {}
+            for (pair, pos), v in berger.spencer_delta(vdim, d, alpha).items():
+                flats.setdefault(pair, {})[pos] = v
+            values = {pair: SuperMatrix.from_flat(vdim, flat, rep_alg.field) for pair, flat in flats.items()}
+            elem = CurvatureElement(vdim, (vdim.parity(d) + sigma) % 2, values, rep_alg.field)
+            for x in range(t):
+                for y in range(t):
+                    assert elem.value(x, y).entries == delta_value(vdim, d, alpha, x, y)
+            assert rspace.contains(elem.flatten())
+            assert check_curvature_element(rep_alg, elem)
+
+    @pytest.mark.parametrize("name, params", BERGER_PI_ADJOINT, ids=str)
+    def test_witness_is_a_nonzero_curvature_tensor(self, name, params):
+        vdim, rep_alg, sigma, alpha = pi_adjoint_g1(name, params)
+        witness = berger._berger_witness(vdim, sigma, alpha, rep_alg.field)
+        y = min(e for e, _, _ in alpha)
+        d = 1 if y == 0 else 0
+        assert witness.value(d, y).entries == delta_value(vdim, d, alpha, d, y)
+        assert not witness.value(d, y).is_zero()
+        assert check_curvature_element(rep_alg, witness)
+
+
+def dense_check_curvature_element(algebra, elem):
+    """`check_curvature_element` as it was: one dense matrix per term."""
+    dim = algebra.dim
+    t = dim.total
+    for m in elem.values.values():
+        if not algebra.contains_matrix(m):
+            return False
+    for terms in sorted_cyclic_terms(dim.parity, t):
+        for comp in range(t):
+            acc = 0
+            for (u, v, w), s in terms:
+                acc = acc + s * elem.value(u, v).entries[comp][w]
+            if acc:
+                return False
+    return True
+
+
+CHECK_ALGEBRAS = [("gl", (1, 1)), ("osp", (2, 2)), ("sl", (2, 1)), ("cpe", 2)]
+
+
+def check_case(name, params, field):
+    """The algebra, the basis of its curvature space and a seeded generator."""
+    alg = classical_superalgebra(name, params, field)
+    return alg, curvature_space(alg).basis, random.Random("sparse check %s %s %s" % (name, params, field))
+
+
+class TestSparseCurvatureCheck:
+    @pytest.fixture(params=[(name, params, field) for name, params in CHECK_ALGEBRAS for field in (RATIONAL, GAUSSIAN)], ids=str)
+    def case(self, request):
+        return check_case(*request.param)
+
+    @staticmethod
+    def both(alg, elem):
+        sparse, dense = check_curvature_element(alg, elem), dense_check_curvature_element(alg, elem)
+        assert sparse == dense
+        return sparse
+
+    @staticmethod
+    def perturbed(elem, changes):
+        """elem plus the flat matrices changes[pair] on their pairs."""
+        values = dict(elem.values)
+        for pair, flat in changes.items():
+            old = values.get(pair, SuperMatrix.zeros(elem.dim, elem.field))
+            values[pair] = SuperMatrix.from_flat(elem.dim, linalg.combine([(1, old.flatten()), (1, flat)]), elem.field)
+        return CurvatureElement(elem.dim, elem.parity, values, elem.field)
+
+    def test_basis_elements_pass(self, case):
+        alg, basis, _ = case
+        assert basis
+        for elem in basis:
+            assert self.both(alg, elem)
+
+    def test_one_changed_entry_fails(self, case):
+        # an entry (a, b) of R(u, v) with b outside {u, v} enters the cyclic
+        # sum of the triple u, v, b at row a alone
+        alg, basis, rng = case
+        t = alg.dim.total
+        places = [(pair, b) for pair in canonical_pairs(alg.dim) for b in range(t) if b not in pair]
+        for _ in range(10):
+            elem = rng.choice(basis)
+            (pair, b), a = rng.choice(places), rng.randrange(t)
+            assert not self.both(alg, self.perturbed(elem, {pair: {a * t + b: rng.choice([1, -1, 2])}}))
+
+    @pytest.mark.parametrize(
+        "name, params, field",
+        [(name, params, field) for name, params in CHECK_ALGEBRAS if name != "gl" for field in (RATIONAL, GAUSSIAN)],
+        ids=str,
+    )
+    def test_values_moved_out_of_g_fail(self, name, params, field):
+        # adding a curvature tensor of gl(V) with a value outside g keeps the
+        # cyclic identity and moves that value out of g
+        alg, basis, rng = check_case(name, params, field)
+        gl = classical_superalgebra("gl", tuple(alg.dim), alg.field)
+        outside = [s for s in curvature_space(gl).basis if not all(alg.contains_matrix(m) for m in s.values.values())]
+        assert outside
+        for _ in range(10):
+            elem = rng.choice(basis)
+            moved = self.perturbed(elem, {pair: m.flatten() for pair, m in rng.choice(outside).values.items()})
+            assert check_curvature_element(gl, moved)
+            assert not self.both(alg, moved)
+
+
 def explicit_algebra(dim, flats):
     mats = [SuperMatrix.from_flat(dim, {k: Fraction(v) for k, v in flat.items()}) for flat in flats]
     return SubSuperalgebra.from_matrices(dim, mats)

@@ -652,6 +652,16 @@ class TestCertificates:
         dec = rep["result"]["decomposable"]
         assert dec == {"status": "decomposable", "witness": [["1", "0"]], "complement": [["0", "1"]]}
 
+    def test_wide_gaussian_body_entries_split_exactly(self):
+        # over the Gaussian rationals the real candidates are exact too, and
+        # entries out of float range name no non-real candidate
+        big = str(2**1000)
+        doc = {"kind": "metric", "chart": {"n": 2, "m": 0, "field": GAUSSIAN}, "g": {"1,1": big, "2,2": "1/" + big}}
+        rep, ok = cli.run_problem(doc)
+        assert ok and "internal_error" not in rep
+        dec = rep["result"]["decomposable"]
+        assert dec == {"status": "decomposable", "witness": [["1", "0"]], "complement": [["0", "1"]]}
+
     def test_inconclusive_names_its_reason(self, monkeypatch):
         monkeypatch.setattr(superlin, "SPLIT_DRAWS", 0)
         rep, ok = cli.run_problem({"kind": "metric", "chart": {"n": 2, "m": 0}, "g": {"1,2": "1"}})

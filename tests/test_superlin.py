@@ -1043,6 +1043,69 @@ class TestExactEigenvalues:
         assert time.perf_counter() - start < 10
         assert all(is_eigenvalue(x, r) for r in candidates)
 
+    def test_gaussian_rotation_gets_plus_and_minus_i(self):
+        x = SuperMatrix(SuperDim(2, 0), [[0, -1], [1, 0]], GAUSSIAN)
+        assert superlin.eigenvalue_candidates(x, GAUSSIAN) == [GaussianRational(0, -1), GaussianRational(0, 1)]
+
+    def test_gaussian_real_candidates_are_exact_for_wide_entries(self):
+        # d x has the entry 2^2000, which does not fit in a float: the real
+        # candidates are exact, and no non-real candidate is named
+        big = 2**1000
+        x = SuperMatrix(SuperDim(2, 0), [[GaussianRational(big), 0], [0, GaussianRational(Fraction(1, big))]], GAUSSIAN)
+        assert superlin.eigenvalue_candidates(x, GAUSSIAN) == [GaussianRational(Fraction(1, big)), GaussianRational(big)]
+
+    def test_gaussian_numpy_candidates_that_are_eigenvalues_are_candidates(self):
+        np = pytest.importorskip("numpy")
+        rng = random.Random("gaussian candidates")
+        checked = {False: 0, True: 0}  # by whether the eigenvalue is real
+        for _ in range(60):
+            dim = SuperDim(rng.randint(0, 4), rng.randint(0, 3))
+            t = dim.total
+            x = planted_gaussian_matrix(rng, dim)
+            parts = [c for v in x.flatten().values() for c in (v.re, v.im)]
+            d = math.lcm(1, *(c.denominator for c in parts))
+            approx = np.array([[complex(float(v.re), float(v.im)) for v in row] for row in x.entries]).reshape(t, t)
+            rounded = {(round(z.real * d), round(z.imag * d)) for z in np.linalg.eigvals(approx)}
+            candidates = superlin.eigenvalue_candidates(x, GAUSSIAN)
+            keys = [(r.re, r.im) for r in candidates]
+            assert keys == sorted(keys) and len(set(keys)) == len(keys)
+            for r in candidates:
+                if not r.im:
+                    assert is_eigenvalue(x, r, GAUSSIAN)
+            for re, im in rounded:
+                r = GaussianRational(Fraction(re, d), Fraction(im, d))
+                if is_eigenvalue(x, r, GAUSSIAN):
+                    assert r in candidates
+                    checked[im == 0] += 1
+        assert checked[True] > 30 and checked[False] > 30
+
+
+def planted_gaussian_matrix(rng, dim):
+    """A seeded even matrix with Gaussian rational entries: each block is
+    triangular with a few real and non-real diagonal values, conjugated by
+    seeded elementary operations with Gaussian integer coefficients."""
+    t = dim.total
+    rows = [[GaussianRational(0)] * t for _ in range(t)]
+    for block in (range(dim.p), range(dim.p, t)):
+        values = [
+            GaussianRational(Fraction(rng.randint(-6, 6), rng.choice([1, 2])), rng.choice([0, 0, rng.randint(-3, 3)]))
+            for _ in range(2)
+        ]
+        for i in block:
+            for j in block:
+                if i < j:
+                    rows[i][j] = GaussianRational(Fraction(rng.randint(-4, 4), rng.choice([1, 2])), rng.randint(-1, 1))
+            rows[i][i] = rng.choice(values)
+        for _ in range(3 * len(block)):
+            if len(block) < 2:
+                break
+            i, j = rng.sample(list(block), 2)
+            c = GaussianRational(rng.randint(-2, 2), rng.randint(-1, 1))
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+            for row in rows:
+                row[j] = row[j] - c * row[i]
+    return SuperMatrix(dim, rows, GAUSSIAN)
+
 
 def planted_even_matrix(rng, dim):
     """A seeded even matrix with rational entries: each block is a triangular
@@ -1071,7 +1134,7 @@ def planted_even_matrix(rng, dim):
     return SuperMatrix(dim, [[canonical(v) for v in row] for row in rows])
 
 
-def is_eigenvalue(x, r):
-    shifted = combination(x.dim, ((1, x), (-r, SuperMatrix.identity(x.dim))))
-    even, odd = superlin.common_kernel([shifted], x.dim)
+def is_eigenvalue(x, r, field=RATIONAL):
+    shifted = combination(x.dim, ((1, x), (-r, SuperMatrix.identity(x.dim, field))), field)
+    even, odd = superlin.common_kernel([shifted], x.dim, field)
     return bool(even or odd)
