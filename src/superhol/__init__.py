@@ -44,14 +44,12 @@ from .holonomy import (
 )
 from .berger import (
     CurvatureElement,
-    act_on_curvature,
     berger_check,
     cartan_prolongation,
     curvature_derivative_space,
     curvature_space,
     pi_adjoint_test,
     spencer_rank_identity,
-    symmetric_berger_check,
 )
 
 __version__ = "0.1.0"

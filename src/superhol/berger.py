@@ -9,17 +9,17 @@ graded antisymmetry supplying the rest.
 
 from __future__ import annotations
 
+import random
 from bisect import bisect_left
 from functools import cached_property
 from itertools import permutations
 
-from .linalg import combine, same_span, solve_graded, span_echelon
-from .scalars import to_field
+from .linalg import SparseEchelon, combine, same_span, solve_graded, solve_kernel, span_echelon
+from .scalars import GaussianRational, to_field
 from .superlin import (
     SubSuperalgebra,
     SuperDim,
     SuperMatrix,
-    _product_into,
     associative_closure,
     combination,
     commutant,
@@ -185,33 +185,6 @@ def check_curvature_element(algebra: SubSuperalgebra, elem: CurvatureElement) ->
     return True
 
 
-def act_on_curvature(a_mat: SuperMatrix, elem: CurvatureElement) -> CurvatureElement:
-    """Module action A . R on curvature tensors."""
-    if a_mat.parity is None:
-        raise ValueError("action needs a homogeneous matrix")
-    dim = elem.dim
-    t = dim.total
-    tau = a_mat.parity
-    rho = elem.parity
-    values = {}
-    for (a, b) in canonical_pairs(dim):
-        rv = elem.value(a, b)
-        # [A, R(a, b)], or the commutator when R(a, b) is mixed
-        bracket = {}
-        _product_into(bracket, a_mat, rv, 1)
-        _product_into(bracket, rv, a_mat, -((-1) ** (tau * (rv.parity or 0))))
-        terms = [(1, bracket)]
-        for c in range(t):
-            coef = a_mat.entries[c][a]
-            if coef:
-                terms.append((-((-1) ** (tau * rho)) * coef, elem.value(c, b).flatten()))
-            coef = a_mat.entries[c][b]
-            if coef:
-                terms.append((-((-1) ** (tau * (rho + dim.parity(a)))) * coef, elem.value(a, c).flatten()))
-        values[(a, b)] = SuperMatrix.from_flat(dim, combine(terms), elem.field)
-    return CurvatureElement(dim, (tau + rho) % 2, values, elem.field)
-
-
 def berger_check(algebra: SubSuperalgebra, rspace: LinearSolutionSpace = None):
     """Span L of curvature values, the Berger property, and the ideal check."""
     if rspace is None:
@@ -278,17 +251,6 @@ def _derivative_rows(dim: SuperDim, relems):
                     x = row.get(lab)
                     row[lab] = val if x is None else x + val
         yield from rows.values()
-
-
-def symmetric_berger_check(algebra: SubSuperalgebra):
-    rspace = curvature_space(algebra)
-    bc = berger_check(algebra, rspace)
-    deriv = curvature_derivative_space(algebra, rspace)
-    return {
-        "is_berger": bc["is_berger"],
-        "Rnabla_dim": deriv.graded_dim,
-        "is_symmetric_berger": bc["is_berger"] and deriv.total_dim == 0,
-    }
 
 
 # --------------------------------------------------------- prolongations
@@ -531,7 +493,11 @@ def is_simple(algebra: SubSuperalgebra):
     the parity reversal of g (`pi_adjoint_representation`).
 
     Exact checks first: a nonzero center and a proper derived algebra are
-    proper ideals.  Then A, the associative algebra that ad(g) generates:
+    proper ideals.  Then the Norton–Schur certificate
+    (`_norton_irreducible`): when it finds Pi g absolutely irreducible,
+    ad(g) generates End(g) (Burnside), so g is simple, with status
+    'certified'.  Otherwise, A, the associative algebra that ad(g)
+    generates:
     - dim A = n²: A = End(g), so g has no proper ad-invariant subspace
       (Burnside) and is simple, with status 'certified';
     - rad A != 0: rad A·g is an ideal, nonzero, and proper because rad A
@@ -558,8 +524,8 @@ def _simplicity_of(algebra: SubSuperalgebra, representation):
     # the columns of ad(x) span the derived algebra
     if span_echelon(dict(enumerate(col)) for m in ad for col in zip(*m.entries)).rank < n:
         return _simplicity(False, "derived subalgebra is proper")
-    closure = associative_closure(ad, vdim)
-    if closure.rank == n * n:
+    closure = None if _norton_irreducible(algebra, ad) else associative_closure(ad, vdim)
+    if closure is None or closure.rank == n * n:
         return _simplicity(True, "ad(g) generates End(g) (Burnside)")
     order = sorted(pos, key=pos.get)
 
@@ -581,6 +547,94 @@ def _simplicity_of(algebra: SubSuperalgebra, representation):
         "of its even commutant (heuristic)" % closure.rank,
         status="heuristic",
     )
+
+
+# h in `_norton_irreducible` is drawn by a constant seed, so reports stay
+# deterministic.
+NORTON_SEED = 20240515
+
+
+def _norton_irreducible(algebra: SubSuperalgebra, ad):
+    """Norton's irreducibility test (Parker 1984; Holt and Rees 1994) for the
+    matrices ad of `pi_adjoint_representation` on Pi g, n = dim g.
+
+    h is a seeded integer combination of the basis of g ∩ diagonal, one
+    kernel over the coordinates of the even basis whose rows are the
+    off-diagonal positions (an odd matrix has no diagonal entry).  ad(h) is
+    the restriction of a diagonal map of gl(V), so it is diagonalizable, with
+    eigenvalues among the differences of h's diagonal entries.  For the
+    first nonzero one λ, in sorted order, whose eigenspace N of
+    θ = ad(h) - λ is one-dimensional, v spans N and w spans ker θᵀ.  A proper
+    submodule either meets N, so holds v, or has an annihilator that meets
+    ker θᵀ, so holds w.  So Pi g is irreducible when v spins to the whole
+    space under ad(g) and w under the transposes, and it is absolutely
+    irreducible: an endomorphism commuting with ad(g) keeps N, so is a scalar
+    on v, which generates Pi g.  Then ad(g) and 1 generate End(Pi g)
+    (Burnside), and so does ad(g) alone: what it generates is a two-sided
+    ideal of End(Pi g), nonzero since λ ≠ 0 makes ad(h) ≠ 0.  Returns True
+    then, False when a spin falls short (it spans a proper invariant
+    subspace), and None when no such h and λ exist.
+    """
+    field = algebra.field
+    t = algebra.dim.total
+    n = len(ad)
+    even = algebra.even_basis
+    rows = {}  # off-diagonal position -> {even basis index: entry}
+    for i, m in enumerate(even):
+        for p, v in m._flat.items():
+            if p // t != p % t:
+                rows.setdefault(p, {})[i] = v
+    rng = random.Random(NORTON_SEED)
+    coords = combine((rng.randint(1, 100), vec) for vec in solve_kernel(range(len(even)), rows.values(), field))
+    h = combine((c, even[i]._flat) for i, c in coords.items())
+    entries = {h.get(a * t + a, 0) for a in range(t)}
+    ad_h = combine((c, ad[i]._flat) for i, c in coords.items())
+    for lam in sorted({x - y for x in entries for y in entries if x != y}, key=_scalar_key):
+        theta = dict(ad_h)
+        for k in range(n):
+            theta[k * n + k] = theta.get(k * n + k, 0) - lam
+        theta_rows, theta_cols = [{} for _ in range(n)], [{} for _ in range(n)]
+        for p, v in theta.items():
+            r, c = divmod(p, n)
+            theta_rows[r][c] = theta_cols[c][r] = v
+        echelon = span_echelon(theta_rows)
+        if echelon.rank == n - 1:
+            (v,) = echelon.kernel(n)
+            (w,) = span_echelon(theta_cols).kernel(n)
+            return _spins(v, ad, n) and _spins(w, ad, n, transpose=True)
+    return None
+
+
+def _scalar_key(v):
+    return (v.re, v.im) if isinstance(v, GaussianRational) else (v, 0)
+
+
+def _spins(vec, mats, n, transpose=False):
+    """Whether vec and its images under all products of the n×n matrices (of
+    their transposes, when asked) span all n coordinates."""
+    maps = []  # each matrix as {column: {row: entry}}
+    for m in mats:
+        cols = {}
+        for p, v in m._flat.items():
+            r, c = divmod(p, n)
+            if transpose:
+                r, c = c, r
+            cols.setdefault(c, {})[r] = v
+        maps.append(cols)
+    echelon = SparseEchelon()
+    echelon.insert(vec)
+    frontier = [vec]
+    while frontier:
+        grown = []
+        for u in frontier:
+            for cols in maps:
+                image = combine((c, cols[b]) for b, c in u.items() if b in cols)
+                if image and echelon.insert(image):
+                    if echelon.rank == n:
+                        return True
+                    grown.append(image)
+        frontier = grown
+    return echelon.rank == n
 
 
 def _simplicity(simple, note, ideal=None, status="certified"):

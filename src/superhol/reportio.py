@@ -31,6 +31,24 @@ class ProblemError(ValueError):
 
 KINDS = ("connection", "metric", "algebra", "prolongation", "pi_adjoint")
 
+# The keys a problem document may hold: at its top level, for each kind, and
+# in each object inside it.  Any other key is an error at its path (`_known`).
+PROBLEM_KEYS = {
+    "connection": ("kind", "chart", "rank", "tangent", "gamma", "options"),
+    "metric": ("kind", "chart", "g", "options"),
+    "algebra": ("kind", "algebra", "options"),
+    "prolongation": ("kind", "algebra", "options"),
+    "pi_adjoint": ("kind", "algebra", "options"),
+}
+OBJECT_KEYS = {
+    "chart": ("n", "m", "field"),
+    "rank": ("p", "q"),
+    "named algebra": ("name", "params", "field"),
+    "explicit algebra": ("dim", "even", "odd", "field"),
+    "dim": ("p", "q"),
+    "options": ("point", "cap_order", "transport_steps", "order"),
+}
+
 # Largest `options.transport_steps` (or `--steps`) accepted: the float
 # transport's time is linear in the number of steps.
 MAX_TRANSPORT_STEPS = 100_000
@@ -49,6 +67,13 @@ MAX_CAP_ORDER = 2 * MAX_TOTAL_DIM ** 2 + MAX_TOTAL_DIM
 # a largest value, with it.
 INTEGER_OPTIONS = {"cap_order": 0, "transport_steps": 0, "order": 1}
 INTEGER_MAXIMA = {"cap_order": MAX_CAP_ORDER, "transport_steps": MAX_TRANSPORT_STEPS}
+
+
+def _known(obj, keys, what, path):
+    """Raise at the path of the first key of obj that is not in keys."""
+    for key in obj:
+        if key not in keys:
+            raise ProblemError("%s/%s" % (path, key), "unknown key: the keys of %s are %s" % (what, ", ".join(keys)))
 
 
 def _require(obj, key, path):
@@ -145,6 +170,7 @@ def _entries(obj, name, form, bounds, sig, path):
 
 
 def decode_chart(obj, path="/chart") -> ChartSignature:
+    _known(obj, OBJECT_KEYS["chart"], "a chart", path)
     n, m = _superdim(obj, path, ("n", "m"))
     return ChartSignature(n, m, _field(obj, path))
 
@@ -155,6 +181,7 @@ def decode_connection(obj, path="") -> ConnectionData:
         chart = Chart.tangent(sig)
     else:
         rank_obj = _require_object(obj, "rank", path)
+        _known(rank_obj, OBJECT_KEYS["rank"], "a rank", path + "/rank")
         rank = SuperDim(*_superdim(rank_obj, path + "/rank"))
         fits = rank.p == sig.n and rank.q == sig.m
         tangent = obj.get("tangent", fits)
@@ -183,6 +210,8 @@ def decode_metric(obj, path="") -> MetricData:
 
 
 def decode_algebra(obj, path="/algebra") -> SubSuperalgebra:
+    kind = "named algebra" if "name" in obj else "explicit algebra"
+    _known(obj, OBJECT_KEYS[kind], "a " + kind, path)
     field = _field(obj, path)
     if "name" in obj:
         params = obj.get("params", [])
@@ -200,6 +229,7 @@ def decode_algebra(obj, path="/algebra") -> SubSuperalgebra:
         except (TypeError, ValueError) as exc:
             raise ProblemError(path, str(exc))
     dim_obj = _require_object(obj, "dim", path)
+    _known(dim_obj, OBJECT_KEYS["dim"], "a dim", path + "/dim")
     dim = SuperDim(*_superdim(dim_obj, path + "/dim"))
     mats = []
     for section in ("even", "odd"):
@@ -227,9 +257,11 @@ def decode_problem(obj):
     kind = _require(obj, "kind", "")
     if kind not in KINDS:
         raise ProblemError("/kind", "must be one of %s" % (KINDS,))
+    _known(obj, PROBLEM_KEYS[kind], "a %s problem" % kind, "")
     options = obj.get("options", {})
     if not isinstance(options, dict):
         raise ProblemError("/options", "must be an object")
+    _known(options, OBJECT_KEYS["options"], "options", "/options")
     options = dict(options)
     for key in INTEGER_OPTIONS:
         if options.get(key) is not None:

@@ -11,6 +11,8 @@ from superhol.superlin import (
     SubSuperalgebra,
     SuperDim,
     SuperMatrix,
+    _product_into,
+    associative_closure,
     classical_superalgebra,
     generate_subalgebra,
     sorted_cyclic_terms,
@@ -19,7 +21,6 @@ from superhol.superlin import (
 from superhol.berger import (
     CurvatureElement,
     ProlongationLevel,
-    act_on_curvature,
     berger_check,
     canonical_pairs,
     cartan_prolongation,
@@ -29,11 +30,10 @@ from superhol.berger import (
     is_simple,
     pi_adjoint_test,
     spencer_rank_identity,
-    symmetric_berger_check,
 )
 from superhol import berger, cli, linalg
-from superhol.linalg import SparseEchelon, kernel_basis, same_span, span_echelon
-from superhol.scalars import GAUSSIAN, RATIONAL, GaussianRational
+from superhol.linalg import SparseEchelon, combine, kernel_basis, same_span, span_echelon
+from superhol.scalars import GAUSSIAN, RATIONAL, GaussianRational, to_field
 
 from conftest import random_homogeneous_matrix
 
@@ -64,6 +64,32 @@ class TestCurvatureSpace:
             alg = classical_superalgebra(name, params)
             for elem in curvature_space(alg).basis:
                 assert check_curvature_element(alg, elem)
+
+
+def act_on_curvature(a_mat, elem):
+    """The module action A . R on curvature tensors, as a reference for the
+    g-invariance of the curvature space."""
+    dim = elem.dim
+    t = dim.total
+    tau = a_mat.parity
+    rho = elem.parity
+    values = {}
+    for (a, b) in canonical_pairs(dim):
+        rv = elem.value(a, b)
+        # [A, R(a, b)], or the commutator when R(a, b) is mixed
+        bracket = {}
+        _product_into(bracket, a_mat, rv, 1)
+        _product_into(bracket, rv, a_mat, -((-1) ** (tau * (rv.parity or 0))))
+        terms = [(1, bracket)]
+        for c in range(t):
+            coef = a_mat.entries[c][a]
+            if coef:
+                terms.append((-((-1) ** (tau * rho)) * coef, elem.value(c, b).flatten()))
+            coef = a_mat.entries[c][b]
+            if coef:
+                terms.append((-((-1) ** (tau * (rho + dim.parity(a)))) * coef, elem.value(a, c).flatten()))
+        values[(a, b)] = SuperMatrix.from_flat(dim, combine(terms), elem.field)
+    return CurvatureElement(dim, (tau + rho) % 2, values, elem.field)
 
 
 class TestActOnCurvature:
@@ -132,7 +158,7 @@ class TestDerivativeSpace:
         so2 = classical_superalgebra("osp", (2, 0))
         deriv = curvature_derivative_space(so2)
         assert deriv.graded_dim == (2, 0)
-        assert not symmetric_berger_check(so2)["is_symmetric_berger"]
+        assert not cli.algebra_report(so2)["is_symmetric_berger"]
 
     def test_gl11_derivative_space_nonzero(self):
         assert curvature_derivative_space(classical_superalgebra("gl", (1, 1))).total_dim > 0
@@ -503,19 +529,15 @@ class TestPiAdjoint:
         assert not is_simple(SubSuperalgebra.zero(SuperDim(1, 1)))["simple"]
 
     def test_sl2_plus_sl2_splits_off_an_ideal(self):
-        # sl(2) + sl(2) in two diagonal blocks of gl(4): perfect and
-        # centerless, so only the commutant of ad finds a factor
-        flats = [{0: 1, 5: -1}, {1: 1}, {4: 1}, {10: 1, 15: -1}, {11: 1}, {14: 1}]
-        alg = explicit_algebra(SuperDim(4, 0), flats)
+        # only the commutant of ad finds a factor
+        alg = explicit_algebra(*SL2_PAIR)
         res = is_simple(alg)
         assert not res["simple"] and res["status"] == "certified"
         assert_proper_ideal(alg, res["ideal"], (3, 0))
 
     def test_radical_moves_onto_an_ideal(self):
-        # sl(2) acting on its standard module K², as [[A, v], [0, 0]] in
-        # gl(3): perfect and centerless, and ad is not semisimple
-        flats = [{0: 1, 4: -1}, {1: 1}, {3: 1}, {2: 1}, {5: 1}]
-        alg = explicit_algebra(SuperDim(3, 0), flats)
+        # ad is not semisimple
+        alg = explicit_algebra(*SL2_ON_PLANE)
         res = is_simple(alg)
         assert not res["simple"] and "radical" in res["note"]
         assert_proper_ideal(alg, res["ideal"], (2, 0))
@@ -711,9 +733,9 @@ class TestSparseCurvatureCheck:
             assert not self.both(alg, moved)
 
 
-def explicit_algebra(dim, flats):
-    mats = [SuperMatrix.from_flat(dim, {k: Fraction(v) for k, v in flat.items()}) for flat in flats]
-    return SubSuperalgebra.from_matrices(dim, mats)
+def explicit_algebra(dim, flats, field=RATIONAL):
+    mats = [SuperMatrix.from_flat(dim, {k: to_field(Fraction(v), field) for k, v in flat.items()}, field) for flat in flats]
+    return SubSuperalgebra.from_matrices(dim, mats, field)
 
 
 def assert_proper_ideal(alg, ideal, graded_dim):
@@ -722,6 +744,121 @@ def assert_proper_ideal(alg, ideal, graded_dim):
     for a in alg.basis():
         for b in ideal.basis():
             assert ideal.contains_matrix(superbracket(a, b))
+
+
+# sl(2) + sl(2) in two diagonal blocks of gl(4), and sl(2) acting on K² as
+# [[A, v], [0, 0]] in gl(3): perfect and centerless, but not simple
+SL2_PAIR = (SuperDim(4, 0), [{0: 1, 5: -1}, {1: 1}, {4: 1}, {10: 1, 15: -1}, {11: 1}, {14: 1}])
+SL2_ON_PLANE = (SuperDim(3, 0), [{0: 1, 4: -1}, {1: 1}, {3: 1}, {2: 1}, {5: 1}])
+# so(3) as the skew 3x3 matrices: simple, with no nonzero diagonal element
+SO3_SKEW = (SuperDim(3, 0), [{1: 1, 3: -1}, {2: 1, 6: -1}, {5: 1, 7: -1}])
+# P keeps the eigenspaces span(e0, e2) and span(e1, e3) of h1 + h2 = diag(1, -1, 1, -1)
+CONJUGATOR = ({0: 1, 2: -1, 8: -1, 10: -1, 5: 1, 7: 1, 15: -1},
+              {0: Fraction(1, 2), 2: Fraction(-1, 2), 8: Fraction(-1, 2), 10: Fraction(-1, 2), 5: 1, 7: 1, 15: -1})
+
+
+def conjugated_sl2_pair(field=RATIONAL):
+    """SL2_PAIR conjugated by CONJUGATOR, so that h1 + h2 is its only diagonal
+    element: every nonzero eigenspace of ad(h) is two-dimensional, and the
+    first vector of the first one, and of the kernel of its transpose,
+    spins to the whole space although g is not simple."""
+    dim, flats = SL2_PAIR
+    p, p_inv = (SuperMatrix.from_flat(dim, m) for m in CONJUGATOR)
+    assert p.matmul(p_inv) == SuperMatrix.identity(dim)
+    conjugated = [p.matmul(m).matmul(p_inv).flatten() for m in explicit_algebra(dim, flats).basis()]
+    return explicit_algebra(dim, conjugated, field)
+
+
+def random_diagonal_algebra(rng, dim, field):
+    """The subalgebra that a seeded diagonal matrix and one to three seeded
+    homogeneous matrices of one or two entries generate."""
+    t = dim.total
+    gens = [{a * t + a: rng.randint(-2, 2) for a in range(t)}]
+    for _ in range(rng.randint(1, 3)):
+        a, b = rng.sample(range(t), 2)
+        flat = {a * t + b: rng.choice((1, -1, 2))}
+        c, d = rng.sample(range(t), 2)
+        if rng.random() < 0.5 and dim.parity(c) + dim.parity(d) == dim.parity(a) + dim.parity(b):
+            flat[c * t + d] = rng.choice((1, -1))
+        gens.append(flat)
+    mats = [SuperMatrix.from_flat(dim, {k: to_field(v, field) for k, v in flat.items()}, field) for flat in gens]
+    return generate_subalgebra(mats, dim, field)
+
+
+def table_algebras(field):
+    """The algebra of every row of `superhol tables F --max-dim 4`."""
+    for family in ("gl", "sl", "osp", "pe", "spe", "q"):
+        for row in cli.tables_report(family, 4)["rows"]:
+            params = row["params"]
+            yield classical_superalgebra(family, tuple(params) if len(params) == 2 else params[0], field)
+
+
+def norton_and_closure(alg):
+    """The Norton verdict on ad(g) over Pi g, and whether the associative
+    closure of ad(g) is all of End(Pi g)."""
+    vdim, _, ad, _ = berger.pi_adjoint_representation(alg)
+    return berger._norton_irreducible(alg, ad), associative_closure(ad, vdim).rank == vdim.total ** 2
+
+
+BURNSIDE = {"simple": True, "status": "certified", "note": "ad(g) generates End(g) (Burnside)", "ideal": None}
+
+
+class TestNortonCertificate:
+    @pytest.mark.parametrize("field", (RATIONAL, GAUSSIAN))
+    def test_verdict_matches_the_closure(self, field):
+        rng = random.Random("norton %s" % field)
+        algebras = list(table_algebras(field))
+        algebras += [classical_superalgebra(name, params, field) for name, params in SIMPLE_ALGEBRAS]
+        algebras += [explicit_algebra(dim, flats, field) for dim, flats in (SL2_PAIR, SL2_ON_PLANE, SO3_SKEW)]
+        algebras.append(conjugated_sl2_pair(field))
+        for dim in (SuperDim(2, 1), SuperDim(1, 2), SuperDim(3, 0), SuperDim(2, 2), SuperDim(3, 1), SuperDim(4, 0)):
+            algebras += [random_diagonal_algebra(rng, dim, field) for _ in range(8)]
+        verdicts = Counter()
+        for alg in algebras:
+            if alg.total_dim:
+                verdict, full = norton_and_closure(alg)
+                assert verdict is None or verdict == full, alg
+                verdicts[verdict] += 1
+        # each verdict, and no verdict, occurs often
+        assert min(verdicts[True], verdicts[False], verdicts[None]) >= 10
+
+    @pytest.mark.parametrize("field", (RATIONAL, GAUSSIAN))
+    def test_two_dimensional_eigenspaces_give_no_verdict(self, field):
+        for alg in (classical_superalgebra("q", 3, field), conjugated_sl2_pair(field)):
+            assert norton_and_closure(alg) == (None, False)
+
+    @pytest.mark.parametrize("name, params", BERGER_PI_ADJOINT + [("sl", (3, 2))], ids=str)
+    def test_certified_rows_build_no_closure(self, name, params, monkeypatch):
+        monkeypatch.setattr(berger, "associative_closure", lambda *args: pytest.fail("associative_closure was called"))
+        alg = classical_superalgebra(name, params)
+        assert is_simple(alg) == BURNSIDE
+        res = pi_adjoint_test(alg)
+        assert res["simplicity_status"] == "certified" and res["simplicity_note"] == BURNSIDE["note"]
+
+    @staticmethod
+    def spy_closure(monkeypatch):
+        calls = []
+        closure = berger.associative_closure
+        monkeypatch.setattr(berger, "associative_closure", lambda *args: calls.append(args) or closure(*args))
+        return calls
+
+    def test_no_diagonal_element_falls_back_to_the_closure(self, monkeypatch):
+        calls = self.spy_closure(monkeypatch)
+        assert is_simple(explicit_algebra(*SO3_SKEW)) == BURNSIDE
+        assert len(calls) == 1
+
+    def test_no_one_dimensional_eigenspace_falls_back_to_the_closure(self, monkeypatch):
+        calls = self.spy_closure(monkeypatch)
+        alg = conjugated_sl2_pair()
+        res = is_simple(alg)
+        assert not res["simple"] and res["status"] == "certified" and "commutant" in res["note"]
+        assert_proper_ideal(alg, res["ideal"], (3, 0))
+        assert len(calls) == 1
+
+    def test_q3_report_is_unchanged(self):
+        # q(3) has no certificate, and its center rejects it before either test
+        report, ok = cli.run_problem({"kind": "pi_adjoint", "algebra": {"name": "q", "params": 3}})
+        assert not ok and report["error"] == "input algebra is not simple: nontrivial center"
 
 
 class TestActionLaws:
@@ -746,9 +883,9 @@ class TestActionLaws:
 class TestVacuousCases:
     def test_zero_algebra_is_vacuously_symmetric_berger(self):
         zero = SubSuperalgebra.zero(SuperDim(2, 1))
-        res = symmetric_berger_check(zero)
+        res = cli.algebra_report(zero)
         assert res["is_berger"] and res["is_symmetric_berger"]
-        assert res["Rnabla_dim"] == (0, 0)
+        assert res["dims"]["Rnabla"] == [0, 0]
 
 
 def reference_curvature_rows(dim, basis):

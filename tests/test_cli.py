@@ -14,6 +14,9 @@ from superhol.reportio import (
     MAX_CAP_ORDER,
     MAX_TOTAL_DIM,
     MAX_TRANSPORT_STEPS,
+    KINDS,
+    OBJECT_KEYS,
+    PROBLEM_KEYS,
     ProblemError,
     decode_problem,
     dumps_report,
@@ -235,6 +238,55 @@ class TestRunPipelines:
 def test_sizes_up_to_the_limit_decode(doc):
     kind, payload, _ = decode_problem(doc)
     assert kind == doc["kind"] and payload is not None
+
+
+CHART = {"n": 1, "m": 0}
+SL21 = {"name": "sl", "params": [2, 1]}
+
+
+class TestUnknownKeys:
+    """Each object of a problem document takes only the keys of its table in
+    `reportio.PROBLEM_KEYS` or `reportio.OBJECT_KEYS`; the first other key
+    is an error at its path."""
+
+    @pytest.mark.parametrize(
+        "doc, path",
+        [
+            # field belongs in chart: the metric would run over the rationals
+            ({"kind": "metric", "field": "gaussian-rational", "chart": CHART, "g": {"1,1": "1"}}, "/field"),
+            ({"kind": "connection", "chart": CHART, "gamma": {}, "bogus": 3}, "/bogus"),
+            ({"kind": "algebra", "algebra": SL21, "order": 2}, "/order"),
+            ({"kind": "prolongation", "algebra": SL21, "point": []}, "/point"),
+            ({"kind": "pi_adjoint", "algebra": SL21, "chart": CHART}, "/chart"),
+            ({"kind": "connection", "chart": {"n": 1, "m": 0, "feild": "gaussian"}, "gamma": {}}, "/chart/feild"),
+            ({"kind": "connection", "chart": CHART, "rank": {"p": 1, "q": 0, "tangent": True}, "gamma": {}}, "/rank/tangent"),
+            ({"kind": "algebra", "algebra": {"name": "gl", "params": [1, 1], "even": []}}, "/algebra/even"),
+            ({"kind": "algebra", "algebra": {"dim": {"p": 1, "q": 0}, "even": [["1"]], "params": [1]}}, "/algebra/params"),
+            ({"kind": "algebra", "algebra": {"dim": {"p": 1, "q": 0, "r": 1}}}, "/algebra/dim/r"),
+            ({"kind": "connection", "chart": CHART, "gamma": {}, "options": {"cap_order": 1, "pointt": [5]}}, "/options/pointt"),
+            ({"kind": "metric", "chart": CHART, "g": {"1,1": "1"}, "options": {"candidates": 4, "cap": 1}}, "/options/candidates"),
+        ],
+        ids=[
+            "metric", "connection", "algebra", "prolongation", "pi_adjoint", "chart", "rank", "named algebra",
+            "explicit algebra", "dim", "options", "first of two",
+        ],
+    )
+    def test_unknown_key_is_an_error_at_its_path(self, doc, path):
+        with pytest.raises(ProblemError) as err:
+            decode_problem(doc)
+        assert err.value.path == path
+        rep, ok = cli.run_problem(doc)
+        assert not ok and rep["error"].startswith(path + ": unknown key: the keys of ")
+
+    def test_every_kind_has_a_table(self):
+        assert tuple(PROBLEM_KEYS) == KINDS
+
+    def test_the_known_keys_decode(self):
+        doc = {"kind": "connection", "chart": {"n": 1, "m": 0, "field": "rational"}, "rank": {"p": 1, "q": 0},
+               "tangent": True, "gamma": {"1,1,1": "x1"},
+               "options": {"point": ["1/2"], "cap_order": 3, "transport_steps": 10, "order": 2}}
+        assert set(doc) == set(PROBLEM_KEYS["connection"]) and set(doc["options"]) == set(OBJECT_KEYS["options"])
+        assert decode_problem(doc)[0] == "connection"
 
 
 class TestDeterminism:

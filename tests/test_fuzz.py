@@ -21,7 +21,7 @@ from itertools import islice
 
 import pytest
 
-from superhol.reportio import MAX_TOTAL_DIM, ProblemError, decode_point, decode_problem
+from superhol.reportio import MAX_TOTAL_DIM, OBJECT_KEYS, PROBLEM_KEYS, ProblemError, decode_point, decode_problem
 from superhol.superfunc import ChartSignature, Superfunction, SyntaxErrorAt, parse_superfunction
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -39,8 +39,8 @@ EXTRA_DOCS = [
     {"kind": "prolongation", "algebra": {"name": "q", "params": 2, "field": "gaussian-rational"},
      "options": {"order": 1}},
 ]
-KEYS = ("kind", "chart", "n", "m", "field", "rank", "p", "q", "tangent", "gamma", "g", "options", "point",
-        "cap_order", "order", "transport_steps", "algebra", "name", "params", "dim", "even", "odd", "1,1", "1,1,1")
+# every key of the schema's tables, and two entry keys
+KEYS = tuple(sorted({key for keys in (*PROBLEM_KEYS.values(), *OBJECT_KEYS.values()) for key in keys})) + ("1,1", "1,1,1")
 TOKENS = ("x1", "x2", "x3", "x0", "xi1", "xi2", "xi0", "x", "xi", "i", "+", "-", "*", "/", "^", "(", ")", " ",
           "0", "1", "2", "7", "16", "17", "1/0", "^16", "((", "))", "1/3", ".", ",", "e", "²", "١", "\x00",
           "9" * 320, "0" * 400 + "1", "4" * 5000, "x" + "1" * 5000, "(x1+x2)^16", "2^16^16",
@@ -86,8 +86,11 @@ def mutate(rng, value):
         op = rng.random()
         if op < 0.15:
             del value[key]
-        elif op < 0.3:
+        elif op < 0.25:
             value[rng.choice(KEYS)] = random_json(rng)
+        elif op < 0.3:
+            # a key the schema does not know, most often a misspelt one
+            value[mutate_text(rng, rng.choice(KEYS))] = random_json(rng)
         elif op < 0.4 and isinstance(key, str):
             value[mutate_text(rng, key)] = value.pop(key)
         else:
