@@ -24,7 +24,6 @@ from .geometry import (
     levi_civita,
     pure_gauge_connection,
     ricci,
-    tensor_extension,
     torsion,
     validate_metric,
 )

@@ -23,6 +23,7 @@ from .superlin import (
     associative_closure,
     combination,
     commutant,
+    cyclic_terms,
     radical,
     sorted_cyclic_terms,
     split,
@@ -157,7 +158,10 @@ def check_curvature_element(algebra: SubSuperalgebra, elem: CurvatureElement) ->
     """Re-check one tensor exactly: every value lies in g, and the graded
     cyclic identity holds.  The identity is read, for each sorted triple, from
     the nonzero entries of the values grouped by (canonical pair, column), so
-    no matrix is formed per term."""
+    no matrix is formed per term.  A term (u, v, w) reads the entries of
+    column w of the value on {u, v}, so only the sorted triples pair + (w,)
+    of a pair and a column with an entry are read: every term of any other
+    triple vanishes."""
     dim = algebra.dim
     t = dim.total
     if not all(algebra.contains_matrix(m) for m in elem.values.values()):
@@ -167,9 +171,10 @@ def check_curvature_element(algebra: SubSuperalgebra, elem: CurvatureElement) ->
         for pos, val in m._flat.items():
             comp, w = divmod(pos, t)
             by_pair_col.setdefault((pair, w), []).append((comp, val))
-    for cyclic in sorted_cyclic_terms(dim.parity, t):
+    triples = {tuple(sorted(pair + (w,))) for pair, w in by_pair_col}
+    for triple in sorted(triples):
         acc = {}
-        for (u, v, w), s in cyclic:
+        for (u, v, w), s in cyclic_terms(dim.parity, *triple):
             pair, sign = reduce_pair(dim, u, v)
             entries = by_pair_col.get((pair, w)) if sign else None
             if not entries:

@@ -924,62 +924,3 @@ def nabla_endomorphism(conn: ConnectionData, j: SuperMatrix, a: int):
     sig = conn.chart.sig
     const = {(A, B): Superfunction.constant(sig, v) for A, row in enumerate(j.entries) for B, v in enumerate(row) if v}
     return _covariant_step(conn, a, const, 0)
-
-
-# ------------------------------------------------------- tensor extensions
-
-
-class TensorSpace:
-    """V^{tensor r} tensor (V*)^{tensor s} with an even-first basis order."""
-
-    def __init__(self, dim: SuperDim, r: int, s: int):
-        self.base = dim
-        self.r = r
-        self.s = s
-        tuples = [()]
-        for _ in range(r + s):
-            tuples = [t + (i,) for t in tuples for i in range(dim.total)]
-        even = [t for t in tuples if self._tuple_parity(t) == 0]
-        odd = [t for t in tuples if self._tuple_parity(t) == 1]
-        self.tuples = even + odd
-        self.index = {t: i for i, t in enumerate(self.tuples)}
-        self.dim = SuperDim(len(even), len(odd))
-
-    def _tuple_parity(self, t) -> int:
-        return sum(self.base.parity(i) for i in t) % 2
-
-
-def tensor_extension(a_mat: SuperMatrix, r: int, s: int, space: TensorSpace = None):
-    """Derivation action of a homogeneous matrix on (r,s) tensors.
-
-    The dual slots act by phi -> -(-1)^{|A||phi|} phi . A.  Returns the matrix
-    together with the TensorSpace carrying the basis order.
-    """
-    if a_mat.parity is None:
-        raise ValueError("tensor extension needs a homogeneous matrix")
-    dim = a_mat.dim
-    if space is None:
-        space = TensorSpace(dim, r, s)
-    tau = a_mat.parity
-    flat = {}
-    t = space.dim.total
-    z = field_zero(a_mat.field)
-    for col_tuple in space.tuples:
-        col = space.index[col_tuple]
-        for slot in range(r + s):
-            passed = sum(dim.parity(i) for i in col_tuple[:slot]) % 2
-            sign = (-1) ** (tau * passed)
-            old = col_tuple[slot]
-            for new in range(dim.total):
-                if slot < r:
-                    coef = a_mat.entries[new][old]
-                else:
-                    coef = a_mat.entries[old][new]
-                    if coef:
-                        coef = -((-1) ** (tau * dim.parity(old))) * coef
-                if not coef:
-                    continue
-                row_tuple = col_tuple[:slot] + (new,) + col_tuple[slot + 1 :]
-                pos = space.index[row_tuple] * t + col
-                flat[pos] = flat.get(pos, z) + sign * coef
-    return SuperMatrix.from_flat(space.dim, flat, a_mat.field), space

@@ -196,8 +196,22 @@ def _eval_body(body, points):
     import numpy as np
 
     exps, coefs = body
+    count, rows, columns = coefs.shape
     monomials = np.prod(points[:, None, :] ** exps, axis=2)
-    return np.tensordot(monomials, coefs, axes=1)
+    return (monomials @ coefs.reshape(count, rows * columns)).reshape(len(points), rows, columns)
+
+
+def _ordered_product(s):
+    """The product s[-1] @ ... @ s[1] @ s[0] of a batch of square matrices,
+    taken pairwise in step order: each pass multiplies s[2k + 1] @ s[2k] as
+    one batched matmul and carries an odd last matrix to the next pass, so
+    the batch takes about log2(len(s)) passes."""
+    import numpy as np
+
+    while len(s) > 1:
+        pairs = s[1::2] @ s[0 : len(s) - 1 : 2]
+        s = pairs if len(s) % 2 == 0 else np.concatenate([pairs, s[-1:]])
+    return s[0]
 
 
 def numeric_parallel_transport(conn: ConnectionData, path, steps: int) -> TransportOperator:
@@ -211,7 +225,8 @@ def numeric_parallel_transport(conn: ConnectionData, path, steps: int) -> Transp
     A0, Am, A1 the matrix A(t) = -sum_i vel_i Gamma_i at the start, midpoint
     and end of the step.  For each chunk of TRANSPORT_CHUNK steps, A is
     evaluated at all of its nodes in one pass and the propagators are built
-    as one batch; they are then folded into X in step order.
+    as one batch; `_ordered_product` multiplies them pairwise in step order,
+    and that product of the chunk is folded into X.
     """
     import numpy as np
 
@@ -238,10 +253,13 @@ def numeric_parallel_transport(conn: ConnectionData, path, steps: int) -> Transp
                 entries = [(A, B, g) for A, row in enumerate(conn.nonzero_gamma(i)[1]) for B, g in row]
                 bodies[i] = _compile_body(entries, (rk, rk), n)
         # A(t) as one compiled body: the monomials of every moved direction
-        body = (
-            np.concatenate([bodies[i][0] for i in moved]),
-            np.concatenate([-vel[i] * bodies[i][1] for i in moved]),
-        )
+        if len(moved) == 1:
+            body = (bodies[moved[0]][0], -vel[moved[0]] * bodies[moved[0]][1])
+        else:
+            body = (
+                np.concatenate([bodies[i][0] for i in moved]),
+                np.concatenate([-vel[i] * bodies[i][1] for i in moved]),
+            )
         for start in range(0, nseg, TRANSPORT_CHUNK):
             stop = min(nseg, start + TRANSPORT_CHUNK)
             # nodes j h/2: step k has its start, midpoint and end at j = 2k, 2k+1, 2k+2
@@ -251,8 +269,7 @@ def numeric_parallel_transport(conn: ConnectionData, path, steps: int) -> Transp
             k2 = am + h / 2 * (am @ a0)
             k3 = am + h / 2 * (am @ k2)
             k4 = a1 + h * (a1 @ k3)
-            for s in eye + h / 6 * (a0 + 2 * k2 + 2 * k3 + k4):
-                u = s @ u
+            u = _ordered_product(eye + h / 6 * (a0 + 2 * k2 + 2 * k3 + k4)) @ u
     return TransportOperator(u, path, steps, chart.rank)
 
 
@@ -295,10 +312,10 @@ def span_embedding_residual(float_mats, algebra: SubSuperalgebra):
     basis = algebra.basis()
     if not basis:
         return float(np.max(np.abs(rhs)))
-    cols = np.stack([
-        np.array([[scalar_float(v) for v in row] for row in m.entries]).ravel()
-        for m in basis
-    ], axis=1)
+    cols = np.zeros((len(rhs), len(basis)))
+    for j, m in enumerate(basis):
+        for pos, v in m._flat.items():
+            cols[pos, j] = scalar_float(v)
     coef, *_ = np.linalg.lstsq(cols, rhs, rcond=None)
     return float(np.max(np.linalg.norm(cols @ coef - rhs, axis=0)))
 

@@ -554,12 +554,6 @@ def _even_degree(f: Superfunction) -> int:
     return max((sum(exps) for poly in f.terms.values() for exps in poly), default=0)
 
 
-def _coefficient_bits(f: Superfunction) -> int:
-    """Largest bit length of a numerator or denominator of f's coefficients,
-    over both parts of a Gaussian one."""
-    return max((scalar_bits(c) for poly in f.terms.values() for c in poly.values()), default=0)
-
-
 class _Parser:
     """Recursive descent over: expr := ['+'|'-'] term (('+'|'-') term)*
     term := factor ('*' factor)*; factor := atom ('^' nat)?, nat <= MAX_EXPONENT;
@@ -569,6 +563,13 @@ class _Parser:
     a literal or a multiplication that gives a coefficient of more than
     MAX_COEFFICIENT_BITS bits, and a `(` nested deeper than MAX_NESTING, are
     syntax errors at that token.
+
+    A literal or a variable, and a power of one, is a monomial: a tuple
+    (coefficient, even exponents, odd mask), the coefficient zero for a zero
+    one, whatever its exponents and mask.  A product of monomials is one
+    monomial, its sign from `merge_sign`, and a repeated odd variable makes
+    it zero.  A term is a `Superfunction` only from its first parenthesized
+    or `i` factor on.  `expr` adds its terms into one raw accumulator.
     """
 
     def __init__(self, tokens, sig):
@@ -576,15 +577,38 @@ class _Parser:
         self.pos = 0
         self.sig = sig
         self.depth = 0
+        self.one = field_one(sig.field)
+        self.zero = field_zero(sig.field)
+        self.body = (0,) * sig.n
 
     def check_degree(self, degree, tok):
         if degree > MAX_DEGREE:
             raise SyntaxErrorAt("degree %d is above the limit %d" % (degree, MAX_DEGREE), tok[2])
 
-    def check_coefficients(self, f, tok):
-        if _coefficient_bits(f) > MAX_COEFFICIENT_BITS:
+    def check_coefficient(self, c, tok):
+        bits = c.bit_length() if c.__class__ is int else scalar_bits(c) if c else 0
+        if bits > MAX_COEFFICIENT_BITS:
             raise SyntaxErrorAt("a coefficient is above the limit of %d bits" % MAX_COEFFICIENT_BITS, tok[2])
+        return c
+
+    def check_coefficients(self, f, tok):
+        for poly in f.terms.values():
+            for c in poly.values():
+                self.check_coefficient(c, tok)
         return f
+
+    def degree(self, f):
+        """The even degree of a monomial or a superfunction, 0 when it is zero."""
+        if f.__class__ is tuple:
+            return sum(f[1]) if f[0] else 0
+        return _even_degree(f)
+
+    def superfunction(self, f):
+        """A monomial or a superfunction, as a superfunction."""
+        if f.__class__ is not tuple:
+            return f
+        c, exps, mask = f
+        return Superfunction(self.sig, {mask: {exps: c}} if c else {}, _normalized=True)
 
     def peek(self):
         return self.tokens[self.pos]
@@ -612,22 +636,28 @@ class _Parser:
         if self.peek()[0] in ("+", "-"):
             if self.next()[0] == "-":
                 sign = -1
-        f = self.term()
-        if sign < 0:
-            f = -f
-        while self.peek()[0] in ("+", "-"):
-            op = self.next()[0]
-            g = self.term()
-            f = f + g if op == "+" else f - g
-        return f
+        acc = {}
+        while True:
+            add_into(acc, self.superfunction(self.term()), sign)
+            if self.peek()[0] not in ("+", "-"):
+                return accumulated(self.sig, acc)
+            sign = 1 if self.next()[0] == "+" else -1
 
     def term(self):
         f = self.factor()
         while self.peek()[0] == "*":
             op = self.next()
             g = self.factor()
-            self.check_degree(_even_degree(f) + _even_degree(g), op)
-            f = self.check_coefficients(f * g, op)
+            self.check_degree(self.degree(f) + self.degree(g), op)
+            if f.__class__ is not tuple or g.__class__ is not tuple:
+                f = self.check_coefficients(self.superfunction(f) * self.superfunction(g), op)
+            elif not f[0] or not g[0] or f[2] & g[2]:
+                f = (self.zero, f[1], f[2])
+            else:
+                c = canonical(f[0] * g[0])
+                if merge_sign(f[2], g[2]) < 0:
+                    c = -c
+                f = (self.check_coefficient(c, op), tuple(map(add, f[1], g[1])), f[2] | g[2])
         return f
 
     def factor(self):
@@ -638,7 +668,15 @@ class _Parser:
             power = int(tok[1])
             if power > MAX_EXPONENT:
                 raise SyntaxErrorAt("exponent %d is above the limit %d" % (power, MAX_EXPONENT), tok[2])
-            self.check_degree(power * _even_degree(f), op)
+            self.check_degree(power * self.degree(f), op)
+            if f.__class__ is tuple:
+                c, exps, mask = f
+                if mask and power > 1:
+                    return (self.zero, exps, mask)
+                out = self.one
+                for _ in range(power):
+                    out = self.check_coefficient(canonical(out * c), op)
+                return (out, tuple(e * power for e in exps), mask if power else 0)
             out = Superfunction.constant(self.sig, 1)
             for _ in range(power):
                 out = self.check_coefficients(out * f, op)
@@ -656,8 +694,8 @@ class _Parser:
                 d = int(den[1])
                 if d == 0:
                     raise SyntaxErrorAt("zero denominator", den[2])
-                return self.check_coefficients(Superfunction.constant(self.sig, Fraction(num, d)), tok)
-            return self.check_coefficients(Superfunction.constant(self.sig, num), tok)
+                num = Fraction(num, d)
+            return (self.check_coefficient(to_field(num, self.sig.field), tok), self.body, 0)
         if kind == "imag":
             if self.sig.field != GAUSSIAN:
                 raise SyntaxErrorAt("'i' is only valid over the gaussian-rational field", pos)
@@ -666,12 +704,12 @@ class _Parser:
             i = int(text)
             if not 1 <= i <= self.sig.n:
                 raise SyntaxErrorAt("even variable x%d out of range (n=%d)" % (i, self.sig.n), pos)
-            return Superfunction.even_var(self.sig, i)
+            return (self.one, self.body[: i - 1] + (1,) + self.body[i:], 0)
         if kind == "oddvar":
             alpha = int(text)
             if not 1 <= alpha <= self.sig.m:
                 raise SyntaxErrorAt("odd variable xi%d out of range (m=%d)" % (alpha, self.sig.m), pos)
-            return Superfunction.odd_var(self.sig, alpha)
+            return (self.one, self.body, 1 << (alpha - 1))
         if kind == "(":
             if self.depth == MAX_NESTING:
                 raise SyntaxErrorAt("parentheses nested deeper than %d" % MAX_NESTING, pos)

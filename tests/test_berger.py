@@ -668,6 +668,32 @@ def dense_check_curvature_element(algebra, elem):
     return True
 
 
+def full_walk_check_curvature_element(algebra, elem):
+    """`check_curvature_element` as it was before it read only the triples
+    that can be nonzero: the sparse sums of every sorted triple."""
+    dim = algebra.dim
+    t = dim.total
+    if not all(algebra.contains_matrix(m) for m in elem.values.values()):
+        return False
+    by_pair_col = {}
+    for pair, m in elem.values.items():
+        for pos, val in m._flat.items():
+            comp, w = divmod(pos, t)
+            by_pair_col.setdefault((pair, w), []).append((comp, val))
+    for cyclic in sorted_cyclic_terms(dim.parity, t):
+        acc = {}
+        for (u, v, w), s in cyclic:
+            pair, sign = berger.reduce_pair(dim, u, v)
+            entries = by_pair_col.get((pair, w)) if sign else None
+            if not entries:
+                continue
+            for comp, val in entries:
+                acc[comp] = acc.get(comp, 0) + (val if s * sign > 0 else -val)
+        if any(acc.values()):
+            return False
+    return True
+
+
 CHECK_ALGEBRAS = [("gl", (1, 1)), ("osp", (2, 2)), ("sl", (2, 1)), ("cpe", 2)]
 
 
@@ -685,7 +711,7 @@ class TestSparseCurvatureCheck:
     @staticmethod
     def both(alg, elem):
         sparse, dense = check_curvature_element(alg, elem), dense_check_curvature_element(alg, elem)
-        assert sparse == dense
+        assert sparse == dense == full_walk_check_curvature_element(alg, elem)
         return sparse
 
     @staticmethod
@@ -731,6 +757,70 @@ class TestSparseCurvatureCheck:
             moved = self.perturbed(elem, {pair: m.flatten() for pair, m in rng.choice(outside).values.items()})
             assert check_curvature_element(gl, moved)
             assert not self.both(alg, moved)
+
+
+def seeded_sum(rng, elems):
+    """A seeded combination of curvature tensors of one parity."""
+    changes = {}
+    for e in elems:
+        c = rng.choice([1, -1, 2])
+        for pair, m in e.values.items():
+            changes[pair] = linalg.combine([(1, changes.get(pair, {})), (c, m.flatten())])
+    zero = CurvatureElement(elems[0].dim, elems[0].parity, {}, elems[0].field)
+    return TestSparseCurvatureCheck.perturbed(zero, changes)
+
+
+def moved_by(elem, rng, basis, count):
+    """elem plus seeded multiples of the matrices of `basis` on `count`
+    seeded canonical pairs, those without a value included."""
+    pairs = canonical_pairs(elem.dim)
+    changes = {}
+    for _ in range(count):
+        pair = rng.choice(pairs)
+        changes[pair] = linalg.combine([(1, changes.get(pair, {})), (rng.choice([1, -1, 2]), rng.choice(basis).flatten())])
+    return TestSparseCurvatureCheck.perturbed(elem, changes)
+
+
+class TestTripleScan:
+    """`check_curvature_element`, which reads only the sorted triples of a
+    pair and a column where the tensor has an entry, against the walk over
+    every sorted triple."""
+
+    @pytest.mark.parametrize("name, params, field", [(n, p, f) for n, p in CHECK_ALGEBRAS for f in (RATIONAL, GAUSSIAN)], ids=str)
+    def test_seeded_elements(self, name, params, field):
+        alg, basis, rng = check_case(name, params, field)
+        verdicts = Counter()
+        for _ in range(30):
+            # a seeded combination of tensors of one parity keeps the identity;
+            # values moved within g mostly break it
+            sigma = rng.choice([e.parity for e in basis])
+            same = [e for e in basis if e.parity == sigma]
+            elem = seeded_sum(rng, rng.sample(same, min(3, len(same))))
+            if rng.random() < 0.5:
+                elem = moved_by(elem, rng, alg.basis(), rng.randint(1, 2))
+            got = check_curvature_element(alg, elem)
+            assert got == full_walk_check_curvature_element(alg, elem)
+            verdicts[got] += 1
+        assert verdicts[True] >= 5 and verdicts[False] >= 5, verdicts
+
+    @pytest.mark.parametrize("name, params", BERGER_PI_ADJOINT, ids=str)
+    def test_pi_adjoint_witnesses(self, name, params, monkeypatch):
+        vdim, rep_alg, sigma, alpha = pi_adjoint_g1(name, params)
+        witness = berger._berger_witness(vdim, sigma, alpha, rep_alg.field)
+        read = []
+        cyclic_terms = berger.cyclic_terms
+        monkeypatch.setattr(berger, "cyclic_terms", lambda parity, *triple: read.append(triple) or cyclic_terms(parity, *triple))
+        assert check_curvature_element(rep_alg, witness)
+        assert full_walk_check_curvature_element(rep_alg, witness)
+        # the witness has values only on pairs that hold d, so few triples are read
+        t = vdim.total
+        assert len(read) == len(set(read)) and 0 < len(read) <= t * t
+        rng = random.Random("witness %s %s" % (name, params))
+        for _ in range(6):
+            # values moved within g, on pairs with or without d, break the identity
+            moved = moved_by(witness, rng, rep_alg.basis(), rng.randint(1, 2))
+            assert not check_curvature_element(rep_alg, moved)
+            assert not full_walk_check_curvature_element(rep_alg, moved)
 
 
 def explicit_algebra(dim, flats, field=RATIONAL):

@@ -21,15 +21,12 @@ from superhol.superlin import (
     SuperDim,
     SuperMatrix,
     cyclic_terms,
-    stabilizer_algebra,
-    standard_even_form,
 )
 from superhol.geometry import (
     Chart,
     ConnectionData,
     MatrixInversionError,
     MetricData,
-    TensorSpace,
     check_first_bianchi,
     check_second_bianchi,
     covariant_derivatives,
@@ -44,7 +41,6 @@ from superhol.geometry import (
     sfmat_partial,
     sfmat_value,
     sfmat_zeros,
-    tensor_extension,
     torsion,
     validate_metric,
 )
@@ -1448,67 +1444,3 @@ class TestValidateMetric:
             },
         )
         assert validate_metric(metric)["even_signature"] == (1, 2)
-
-
-class TestTensorExtension:
-    def test_identity_on_1_1_tensors_is_zero(self):
-        dim = SuperDim(1, 1)
-        big, _ = tensor_extension(SuperMatrix.identity(dim), 1, 1)
-        assert big.is_zero()
-
-    def test_dual_action_pairing_invariance(self):
-        # <A* phi, X> + (-1)^{|A||phi|} <phi, A X> = 0
-        rng = random.Random(27)
-        dim = SuperDim(1, 2)
-        from conftest import random_homogeneous_matrix
-
-        for tau in (0, 1):
-            a = random_homogeneous_matrix(rng, dim, tau)
-            big, space = tensor_extension(a, 0, 1)
-            t = dim.total
-            for phi in range(t):
-                for x in range(t):
-                    # a* e^phi = sum_c big[(c,)][(phi,)] e^c
-                    lhs = big.entries[space.index[(x,)]][space.index[(phi,)]]
-                    rhs = ((-1) ** (tau * dim.parity(phi))) * a.entries[phi][x]
-                    assert lhs + rhs == 0
-
-    def test_metric_annihilated_by_its_stabilizer(self):
-        dim = SuperDim(1, 2)
-        tensor = standard_even_form(1, 2)
-        stab = stabilizer_algebra(tensor)
-        space = TensorSpace(dim, 0, 2)
-        g = tensor.data
-        # encode the bilinear form with the Koszul evaluation convention
-        vec = [Fraction(0)] * space.dim.total
-        for c in range(dim.total):
-            for d in range(dim.total):
-                if g.entries[c][d]:
-                    sign = (-1) ** (dim.parity(c) * dim.parity(d))
-                    vec[space.index[(c, d)]] = sign * g.entries[c][d]
-        for a in stab.basis():
-            big, _ = tensor_extension(a, 0, 2, space)
-            image = big.apply(vec)
-            assert all(not v for v in image)
-
-
-class TestTensorExtensionLaws:
-    def test_extension_is_a_lie_homomorphism(self):
-        rng = random.Random(78)
-        from superhol.superlin import superbracket
-        from conftest import random_homogeneous_matrix
-
-        dim = SuperDim(1, 1)
-        for (r, s) in ((1, 1), (0, 2), (2, 0)):
-            space = TensorSpace(dim, r, s)
-            for _ in range(25):
-                pa, pb = rng.randint(0, 1), rng.randint(0, 1)
-                a = random_homogeneous_matrix(rng, dim, pa)
-                b = random_homogeneous_matrix(rng, dim, pb)
-                br = superbracket(a, b)
-                if br.parity is None:
-                    continue
-                ext_a, _ = tensor_extension(a, r, s, space)
-                ext_b, _ = tensor_extension(b, r, s, space)
-                ext_br, _ = tensor_extension(br, r, s, space)
-                assert (ext_br - superbracket(ext_a, ext_b)).is_zero()

@@ -34,7 +34,6 @@ from superhol.geometry import (
     ConnectionData,
     DerivativeTable,
     MetricData,
-    TensorSpace,
     _derivative_at,
     _next_derivative,
     covariant_derivatives,
@@ -46,7 +45,6 @@ from superhol.geometry import (
     sfmat_is_zero,
     sfmat_value,
     sfmat_zeros,
-    tensor_extension,
     torsion,
     values_at,
 )
@@ -67,7 +65,7 @@ from superhol.holonomy import (
 from superhol.berger import CurvatureElement, canonical_pairs, curvature_space
 from superhol.linalg import span_echelon
 from superhol.reportio import encode_algebra
-from superhol.scalars import GAUSSIAN, RATIONAL, GaussianRational, parse_scalar, scalar_float
+from superhol.scalars import GAUSSIAN, RATIONAL, GaussianRational, field_zero, parse_scalar, scalar_float
 
 from conftest import (
     cut_by_functionals,
@@ -452,6 +450,107 @@ class TestCompiledTransport:
         )
         out = subprocess.run([sys.executable, "-c", code % (src, doc)], capture_output=True, text=True, timeout=60, check=True)
         assert out.stdout.split() == ["True", "decomposable", "False"]
+
+
+class TensorSpace:
+    """V^{tensor r} tensor (V*)^{tensor s} with an even-first basis order."""
+
+    def __init__(self, dim: SuperDim, r: int, s: int):
+        self.base = dim
+        self.r = r
+        self.s = s
+        tuples = [()]
+        for _ in range(r + s):
+            tuples = [t + (i,) for t in tuples for i in range(dim.total)]
+        even = [t for t in tuples if self._tuple_parity(t) == 0]
+        odd = [t for t in tuples if self._tuple_parity(t) == 1]
+        self.tuples = even + odd
+        self.index = {t: i for i, t in enumerate(self.tuples)}
+        self.dim = SuperDim(len(even), len(odd))
+
+    def _tuple_parity(self, t) -> int:
+        return sum(self.base.parity(i) for i in t) % 2
+
+
+def tensor_extension(a_mat: SuperMatrix, r: int, s: int, space: TensorSpace):
+    """Derivation action of a homogeneous matrix on (r,s) tensors, an
+    independent reference for the stabilizer rows of `superlin`.
+
+    The dual slots act by phi -> -(-1)^{|A||phi|} phi . A.  Returns the matrix
+    together with the TensorSpace carrying the basis order.
+    """
+    dim = a_mat.dim
+    tau = a_mat.parity
+    flat = {}
+    t = space.dim.total
+    z = field_zero(a_mat.field)
+    for col_tuple in space.tuples:
+        col = space.index[col_tuple]
+        for slot in range(r + s):
+            passed = sum(dim.parity(i) for i in col_tuple[:slot]) % 2
+            sign = (-1) ** (tau * passed)
+            old = col_tuple[slot]
+            for new in range(dim.total):
+                if slot < r:
+                    coef = a_mat.entries[new][old]
+                else:
+                    coef = a_mat.entries[old][new]
+                    if coef:
+                        coef = -((-1) ** (tau * dim.parity(old))) * coef
+                if not coef:
+                    continue
+                row_tuple = col_tuple[:slot] + (new,) + col_tuple[slot + 1 :]
+                pos = space.index[row_tuple] * t + col
+                flat[pos] = flat.get(pos, z) + sign * coef
+    return SuperMatrix.from_flat(space.dim, flat, a_mat.field), space
+
+
+def stepwise_product(s):
+    """The per-step fold that `_ordered_product` replaced: X = S_k X for each
+    propagator S_k of the batch, in step order."""
+    u = np.eye(s.shape[-1])
+    for m in s:
+        u = m @ u
+    return u
+
+
+class TestPairwiseProduct:
+    """`_ordered_product` and the transport built on it, against the
+    per-step fold, for batch and step counts around TRANSPORT_CHUNK."""
+
+    COUNTS = (1, 2, 3, 255, 256, 257, 600)
+
+    @staticmethod
+    def assert_close(got, want):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_matches_the_stepwise_fold(self):
+        rng = np.random.default_rng(32)
+        for count in self.COUNTS:
+            # steps I + h A_k whose A_k do not commute, as RK4 propagators are
+            s = np.eye(3) + rng.normal(size=(count, 3, 3)) / count
+            want = stepwise_product(s)
+            assert np.max(np.abs(want - np.eye(3))) > 1e-3
+            self.assert_close(hl._ordered_product(s), want)
+
+    def test_transport_matches_the_stepwise_fold(self, monkeypatch):
+        chart = Chart(ChartSignature(2, 1), SuperDim(2, 1))
+        conn = random_sparse_connection(random.Random(3), chart, 9, maxdeg=2)
+        pairwise = hl._ordered_product
+        for path in ([[0.1, 0.2], [0.7, 0.5]], [[0.1, 0.2], [0.7, 0.2], [0.7, 0.9]]):
+            for steps in self.COUNTS:
+                batches = []
+                monkeypatch.setattr(hl, "_ordered_product", lambda s: batches.append(len(s)) or pairwise(s))
+                got = numeric_parallel_transport(conn, path, steps).matrix
+                monkeypatch.setattr(hl, "_ordered_product", stepwise_product)
+                want = numeric_parallel_transport(conn, path, steps).matrix
+                assert np.max(np.abs(want - np.eye(3))) > 1e-3
+                self.assert_close(got, want)
+                # every step is in one batch, and no batch is above the chunk
+                assert max(batches) <= hl.TRANSPORT_CHUNK
+                if len(path) == 2:
+                    assert sum(batches) == steps
+                    assert max(batches) == min(steps, hl.TRANSPORT_CHUNK)
 
 
 class TestInvariantObjects:

@@ -1,5 +1,5 @@
 """Smoke test of the byte-identity oracle (tests/oracle.py), which pytest does
-not collect: one pass over its reports."""
+not collect: one pass over its reports, and its `--compare` mode on a few."""
 
 import json
 
@@ -15,3 +15,29 @@ def test_oracle_reports_are_unique_json_without_internal_errors():
         assert "internal_error" not in text, name
         names.append(name)
     assert len(names) == len(set(names)) == 167
+
+
+def test_compare_names_the_first_difference(tmp_path, monkeypatch, capsys):
+    reports = [("a.json", {"x": 1, "y": [1, 2]}), ("b.json", {"x": 2})]
+    monkeypatch.setattr(oracle, "reports", lambda: iter(reports))
+    want = tmp_path / "want"
+    assert oracle.main([str(want)]) == 0
+    assert oracle.main(["--compare", str(want)]) == 0
+    assert "2 reports match" in capsys.readouterr().out
+    text = (want / "b.json").read_text()
+    (want / "b.json").write_text(text.replace("2", "3"))
+    assert oracle.main(["--compare", str(want)]) == 1
+    out = capsys.readouterr().out
+    line = next(k for k, s in enumerate(text.splitlines()) if "2" in s) + 1
+    assert out.startswith("b.json differs at line %d:" % line)
+    (want / "b.json").write_text(text + "\n")
+    assert oracle.main(["--compare", str(want)]) == 1
+    assert "(end of file)" in capsys.readouterr().out
+    (want / "b.json").write_text(text)
+    (want / "c.json").write_text(text)
+    assert oracle.main(["--compare", str(want)]) == 1
+    assert capsys.readouterr().out.startswith("c.json: only %s has it" % want)
+    (want / "c.json").unlink()
+    (want / "a.json").unlink()
+    assert oracle.main(["--compare", str(want)]) == 1
+    assert capsys.readouterr().out.startswith("a.json: only this checkout has it")

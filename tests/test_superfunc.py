@@ -1,9 +1,10 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from superhol.scalars import MAX_DIGITS, GAUSSIAN, RATIONAL, GaussianRational, parse_scalar, scalar_str, to_field
+from superhol.scalars import MAX_DIGITS, GAUSSIAN, RATIONAL, GaussianRational, parse_scalar, scalar_bits, scalar_str, to_field
 from superhol.superfunc import (
     ChartSignature,
     Superfunction,
@@ -12,6 +13,8 @@ from superhol.superfunc import (
     MAX_EXPONENT,
     MAX_NESTING,
     SyntaxErrorAt,
+    _even_degree,
+    _tokenize,
     merge_sign,
     parse_superfunction,
     sf_to_str,
@@ -120,6 +123,236 @@ class TestParser:
         gsig = ChartSignature(1, 0, "gaussian-rational")
         f = parse_superfunction("i*x1", gsig)
         assert f.terms[0][(1,)] == GaussianRational(0, 1)
+
+
+class ReferenceParser:
+    """The parser as it was before products of atoms became monomials: every
+    factor a `Superfunction`, every `*` and `^` a superfunction product and
+    every `+` a superfunction sum."""
+
+    def __init__(self, tokens, sig):
+        self.tokens = tokens
+        self.pos = 0
+        self.sig = sig
+        self.depth = 0
+
+    def check_degree(self, degree, tok):
+        if degree > MAX_DEGREE:
+            raise SyntaxErrorAt("degree %d is above the limit %d" % (degree, MAX_DEGREE), tok[2])
+
+    def check_coefficients(self, f, tok):
+        bits = max((scalar_bits(c) for poly in f.terms.values() for c in poly.values()), default=0)
+        if bits > MAX_COEFFICIENT_BITS:
+            raise SyntaxErrorAt("a coefficient is above the limit of %d bits" % MAX_COEFFICIENT_BITS, tok[2])
+        return f
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def next(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind):
+        tok = self.next()
+        if tok[0] != kind:
+            raise SyntaxErrorAt("expected %s, found %r" % (kind, tok[1]), tok[2])
+        return tok
+
+    def parse(self):
+        f = self.expr()
+        tok = self.peek()
+        if tok[0] != "end":
+            raise SyntaxErrorAt("trailing input %r" % tok[1], tok[2])
+        return f
+
+    def expr(self):
+        sign = 1
+        if self.peek()[0] in ("+", "-"):
+            if self.next()[0] == "-":
+                sign = -1
+        f = self.term()
+        if sign < 0:
+            f = -f
+        while self.peek()[0] in ("+", "-"):
+            op = self.next()[0]
+            g = self.term()
+            f = f + g if op == "+" else f - g
+        return f
+
+    def term(self):
+        f = self.factor()
+        while self.peek()[0] == "*":
+            op = self.next()
+            g = self.factor()
+            self.check_degree(_even_degree(f) + _even_degree(g), op)
+            f = self.check_coefficients(f * g, op)
+        return f
+
+    def factor(self):
+        f = self.atom()
+        if self.peek()[0] == "^":
+            op = self.next()
+            tok = self.expect("int")
+            power = int(tok[1])
+            if power > MAX_EXPONENT:
+                raise SyntaxErrorAt("exponent %d is above the limit %d" % (power, MAX_EXPONENT), tok[2])
+            self.check_degree(power * _even_degree(f), op)
+            out = Superfunction.constant(self.sig, 1)
+            for _ in range(power):
+                out = self.check_coefficients(out * f, op)
+            return out
+        return f
+
+    def atom(self):
+        tok = self.next()
+        kind, text, pos = tok
+        if kind == "int":
+            num = int(text)
+            if self.peek()[0] == "/":
+                self.next()
+                den = self.expect("int")
+                d = int(den[1])
+                if d == 0:
+                    raise SyntaxErrorAt("zero denominator", den[2])
+                return self.check_coefficients(Superfunction.constant(self.sig, Fraction(num, d)), tok)
+            return self.check_coefficients(Superfunction.constant(self.sig, num), tok)
+        if kind == "imag":
+            if self.sig.field != GAUSSIAN:
+                raise SyntaxErrorAt("'i' is only valid over the gaussian-rational field", pos)
+            return Superfunction.constant(self.sig, GaussianRational(0, 1))
+        if kind == "evenvar":
+            i = int(text)
+            if not 1 <= i <= self.sig.n:
+                raise SyntaxErrorAt("even variable x%d out of range (n=%d)" % (i, self.sig.n), pos)
+            return Superfunction.even_var(self.sig, i)
+        if kind == "oddvar":
+            alpha = int(text)
+            if not 1 <= alpha <= self.sig.m:
+                raise SyntaxErrorAt("odd variable xi%d out of range (m=%d)" % (alpha, self.sig.m), pos)
+            return Superfunction.odd_var(self.sig, alpha)
+        if kind == "(":
+            if self.depth == MAX_NESTING:
+                raise SyntaxErrorAt("parentheses nested deeper than %d" % MAX_NESTING, pos)
+            self.depth += 1
+            f = self.expr()
+            self.expect(")")
+            self.depth -= 1
+            return f
+        raise SyntaxErrorAt("unexpected token %r" % text, pos)
+
+
+def parse_outcome(parse, text, sig):
+    """What a parser makes of a text: the terms of its superfunction, each
+    coefficient with its type, or the message and position of its error."""
+    try:
+        f = parse(text, sig)
+    except SyntaxErrorAt as exc:
+        return "error", str(exc), exc.pos
+    return "ok", {mask: {e: (c, type(c)) for e, c in poly.items()} for mask, poly in f.terms.items()}
+
+
+def reference_parse(text, sig):
+    return ReferenceParser(_tokenize(text), sig).parse()
+
+
+def random_atom(rng, sig, depth):
+    roll = rng.random()
+    if roll < 0.12 and depth < 3:
+        return "(" + random_expression(rng, sig, depth + 1) + ")"
+    if roll < (0.2 if sig.field == GAUSSIAN else 0.14):
+        return "i"
+    if roll < 0.35:
+        literals = [
+            str(rng.randint(0, 3)),
+            "%d/%d" % (rng.randint(0, 6), rng.randint(1, 6)),
+            "2^%d" % rng.randint(0, 16),
+            str(2 ** rng.choice([300, 1023, 1024]) - rng.randint(0, 1)),
+            "1/" + str(3 ** rng.randint(600, 647)),
+        ]
+        if rng.random() < 0.05:
+            literals.append("1" + "0" * MAX_DIGITS)  # one digit too many
+        return rng.choice(literals)
+    if roll < 0.7:
+        return "x%d" % rng.randint(1, sig.n + (rng.random() < 0.05))
+    return "xi%d" % rng.randint(1, sig.m + (rng.random() < 0.05))
+
+
+def random_factor(rng, sig, depth):
+    atom = random_atom(rng, sig, depth)
+    if rng.random() < 0.3:
+        atom += "^%d" % rng.choice([0, 1, 2, 3, 5, 8, 8, 16, 16, 17])
+    return atom
+
+
+def random_expression(rng, sig, depth=0):
+    out = rng.choice(["", "", "-", "+"])
+    for k in range(rng.randint(1, 3)):
+        if k:
+            out += rng.choice([" + ", " - ", "-"])
+        out += "*".join(random_factor(rng, sig, depth) for _ in range(rng.randint(1, 5)))
+    return out
+
+
+def mutated(rng, text):
+    """The text with one character dropped, doubled or replaced."""
+    k = rng.randrange(len(text))
+    return text[:k] + rng.choice(["", text[k] * 2, rng.choice("+-*^()/ix1@ ")]) + text[k + 1 :]
+
+
+class TestMonomialParser:
+    """The parser against `ReferenceParser`: equal superfunctions, or the
+    same error at the same position."""
+
+    FIELDS = [RATIONAL, GAUSSIAN]
+    BIG = str(2**MAX_COEFFICIENT_BITS)
+    CASES = [
+        # powers and products at the degree limit, and zero factors whose
+        # degree counts as 0
+        "x1^16", "x1^17", "x1^16*x2", "x1^8*x2^8*x1", "x2*x1^16", "(x1^2)^9", "((1+x1)^4)^5",
+        "0*x1^16*x1^16", "x1^16*0*x1", "0^0*x1^16*x1", "xi1*xi1*x1^16*x1^16", "x1^16*xi2^2*x2^16",
+        "x1^0", "x1^0*x2^16", "0^0", "0^3", "xi1^0", "xi1^1", "xi1^2", "xi1^17", "(xi1)^2", "(x1*xi1)^16",
+        # odd variables: signs and repeats
+        "xi2*xi1", "xi3*xi1*xi2", "xi1*x1*xi3*xi2", "xi1*xi2*xi1", "x1*xi2*x2*xi2", "-xi2*xi1 - xi1*xi2",
+        # coefficients at the bit limit: literals, products and powers
+        str(2**MAX_COEFFICIENT_BITS - 1) + "*x1", BIG, "x1 + " + BIG, "1/" + BIG, "0*" + BIG,
+        "2^16^2", "((2^16)^16)^16 * x1", "((2^16)^16)^3 * x1 + ((1/3)^16)^16", "2^1024",
+        "2^512*2^512", "2^512*2^511*x1", "2^600*xi1*xi1*2^600", "(2^600*xi1)*(xi1*2^600)",
+        "x1 + (2^16)^16 * (2^16)^16 * (2^16)^16 * (2^16)^16", "((1/3)^16)^16 * ((1/3)^16)^16 * ((1/3)^16)^16",
+        "(((2^16)^16)^3 * i) * (2^16)^16", "i*2^600*2^600", "2^600*i*x1*2^600", "(2^600)^2",
+        # i, parentheses and cancellation
+        "i", "i*x1", "2*i*x1*xi1", "i^2 + 1", "i*i*i", "(1 + i)^16", "-(x1 - x1)", "x1 - x1 + x2 + x1",
+        "(x1 + xi1)*(x2 - xi1)", "(" * MAX_NESTING + "x1" + ")" * MAX_NESTING,
+        "x2 + (" + "(" * MAX_NESTING + "x1" + ")" * MAX_NESTING + ")",
+        # syntax errors
+        "", "+", "x1 +", "x1^", "x1^x2", "x1^" + "1" * 5000, "x4", "xi9", "x0", "xi0", "x1 x2", "x1 + @",
+        "1/0", "3/", "(x1", "x1)", "x1**2", "2²", "x²", "x", "xi", "-(-x1)", "--x1", "x1^-1",
+    ]
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_cases(self, field):
+        sig = ChartSignature(2, 3, field)
+        for text in self.CASES:
+            assert parse_outcome(parse_superfunction, text, sig) == parse_outcome(reference_parse, text, sig), text
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_seeded_expressions(self, field):
+        sig = ChartSignature(2, 3, field)
+        rng = random.Random("monomial parser %s" % field)
+        kinds = Counter()
+        limits = ("degree", "a coefficient", "exponent", "a number")
+        for _ in range(600):
+            text = random_expression(rng, sig)
+            if rng.random() < 0.25:
+                text = mutated(rng, text)
+            want = parse_outcome(reference_parse, text, sig)
+            assert parse_outcome(parse_superfunction, text, sig) == want, text
+            kinds[want[0] if want[0] == "ok" else next((w for w in limits if want[1].startswith(w)), "other")] += 1
+        # results, and errors at every limit, occur
+        assert kinds["ok"] >= 150 and kinds["other"] >= 50, kinds
+        for limit in limits:
+            assert kinds[limit] >= 10, kinds
 
 
 class TestMul:
