@@ -52,33 +52,32 @@ def reduce_pair(dim: SuperDim, a: int, b: int):
 
 
 class CurvatureElement:
-    """Algebraic curvature tensor stored on canonical pairs."""
+    """Algebraic curvature tensor of one parity, kept as its nonzero entries
+    {(canonical pair, A * t + B): v}, v the entry (A, B) of its value on the
+    pair: the form `spencer_delta` returns."""
 
-    def __init__(self, dim: SuperDim, parity: int, values, field):
+    def __init__(self, dim: SuperDim, parity: int, entries, field):
         self.dim = dim
         self.parity = parity
-        self.values = values  # {(a,b) canonical: SuperMatrix}
+        self.entries = entries
         self.field = field
 
     def value(self, a: int, b: int) -> SuperMatrix:
         pair, sign = reduce_pair(self.dim, a, b)
-        if sign == 0 or pair not in self.values:
-            return SuperMatrix.zeros(self.dim, self.field)
-        m = self.values[pair]
-        return m if sign == 1 else m.scale(-1)
+        flat = {pos: sign * v for (p, pos), v in self.entries.items() if p == pair}
+        return SuperMatrix.from_flat(self.dim, flat, self.field)
 
     def is_zero(self) -> bool:
-        return all(m.is_zero() for m in self.values.values())
+        return not self.entries
 
-    def flatten(self) -> dict:
-        t = self.dim.total
-        out = {}
-        for idx, pair in enumerate(canonical_pairs(self.dim)):
-            m = self.values.get(pair)
-            if m is not None:
-                for pos, v in m._flat.items():
-                    out[idx * t * t + pos] = v
-        return out
+
+def _pair_values(elem: CurvatureElement):
+    """The nonzero values of a tensor, each as its nonzero entries
+    {A * t + B: v}, one per canonical pair."""
+    out = {}
+    for (pair, pos), v in elem.entries.items():
+        out.setdefault(pair, {})[pos] = v
+    return out.values()
 
 
 class LinearSolutionSpace:
@@ -117,11 +116,8 @@ def curvature_space(algebra: SubSuperalgebra) -> LinearSolutionSpace:
     }
 
     def element(sigma, vec):
-        terms = {}
-        for (pair, gi), coef in vec.items():
-            terms.setdefault(pair, []).append((coef, basis[gi]))
-        values = {pair: combination(dim, ts, field) for pair, ts in terms.items()}
-        return CurvatureElement(dim, sigma, values, field)
+        terms = ((coef, {(pair, pos): v for pos, v in basis[gi]._flat.items()}) for (pair, gi), coef in vec.items())
+        return CurvatureElement(dim, sigma, combine(terms), field)
 
     return LinearSolutionSpace(solve_graded(parity, _curvature_rows(dim, basis), field), element)
 
@@ -155,22 +151,21 @@ def _curvature_rows(dim: SuperDim, basis):
 
 
 def check_curvature_element(algebra: SubSuperalgebra, elem: CurvatureElement) -> bool:
-    """Re-check one tensor exactly: every value lies in g, and the graded
-    cyclic identity holds.  The identity is read, for each sorted triple, from
-    the nonzero entries of the values grouped by (canonical pair, column), so
-    no matrix is formed per term.  A term (u, v, w) reads the entries of
-    column w of the value on {u, v}, so only the sorted triples pair + (w,)
-    of a pair and a column with an entry are read: every term of any other
-    triple vanishes."""
+    """Whether one tensor lies in R(g), checked exactly: every value lies in
+    g, and the graded cyclic identity holds.  The identity is read, for each
+    sorted triple, from the nonzero entries grouped by (canonical pair,
+    column), so no matrix is formed per term.  A term (u, v, w) reads the
+    entries of column w of the value on {u, v}, so only the sorted triples
+    pair + (w,) of a pair and a column with an entry are read: every term of
+    any other triple vanishes."""
     dim = algebra.dim
     t = dim.total
-    if not all(algebra.contains_matrix(m) for m in elem.values.values()):
+    if not all(algebra.contains_matrix(SuperMatrix.from_flat(dim, flat, elem.field)) for flat in _pair_values(elem)):
         return False
     by_pair_col = {}  # (canonical pair, column) -> (row, value) of the nonzero entries
-    for pair, m in elem.values.items():
-        for pos, val in m._flat.items():
-            comp, w = divmod(pos, t)
-            by_pair_col.setdefault((pair, w), []).append((comp, val))
+    for (pair, pos), val in elem.entries.items():
+        comp, w = divmod(pos, t)
+        by_pair_col.setdefault((pair, w), []).append((comp, val))
     triples = {tuple(sorted(pair + (w,))) for pair, w in by_pair_col}
     for triple in sorted(triples):
         acc = {}
@@ -194,10 +189,9 @@ def berger_check(algebra: SubSuperalgebra, rspace: LinearSolutionSpace = None):
     """Span L of curvature values, the Berger property, and the ideal check."""
     if rspace is None:
         rspace = curvature_space(algebra)
-    mats = []
-    for elem in rspace.basis:
-        mats.extend(elem.values.values())
-    span = SubSuperalgebra.from_matrices(algebra.dim, mats, algebra.field)
+    # a homogeneous tensor's value on a pair is homogeneous, one echelon row
+    values = span_echelon(flat for elem in rspace.basis for flat in _pair_values(elem))
+    span = SubSuperalgebra(algebra.dim, values, algebra.field)
     is_berger = span.graded_dim == algebra.graded_dim and algebra.contains_algebra(span)
     # L = g is an ideal of g because g is bracket-closed
     ideal_ok = is_berger or all(
@@ -234,12 +228,12 @@ def curvature_derivative_space(algebra: SubSuperalgebra, rspace: LinearSolutionS
 def _derivative_rows(dim: SuperDim, relems):
     """The graded cyclic constraint on the unknowns (d, j) of
     `curvature_derivative_space`: one row per sorted triple and matrix entry,
-    built from the nonzero entries of the values of the R_j.  Only nonempty
-    rows are emitted."""
-    by_pair = {}  # canonical pair -> (j, nonzero entries of R_j on it)
+    built from the nonzero entries of the R_j.  Only nonempty rows are
+    emitted."""
+    by_pair = {}  # canonical pair -> (j, position, value) of the nonzero entries of the R_j on it
     for j, r in enumerate(relems):
-        for pair, m in r.values.items():
-            by_pair.setdefault(pair, []).append((j, m._flat))
+        for (pair, pos), val in r.entries.items():
+            by_pair.setdefault(pair, []).append((j, pos, val))
     for cyclic in sorted_cyclic_terms(dim.parity, dim.total):
         rows = {}
         for (d, u, v), s in cyclic:
@@ -247,14 +241,13 @@ def _derivative_rows(dim: SuperDim, relems):
             if not sign:
                 continue
             negate = s * sign < 0
-            for j, flat in by_pair.get(pair, ()):
+            for j, pos, val in by_pair.get(pair, ()):
+                row = rows.setdefault(pos, {})
                 lab = (d, j)
-                for pos, val in flat.items():
-                    row = rows.setdefault(pos, {})
-                    if negate:
-                        val = -val
-                    x = row.get(lab)
-                    row[lab] = val if x is None else x + val
+                if negate:
+                    val = -val
+                x = row.get(lab)
+                row[lab] = val if x is None else x + val
         yield from rows.values()
 
 
@@ -429,10 +422,11 @@ def spencer_rank_identity(algebra: SubSuperalgebra, tower: ProlongationTower = N
 
     Builds the map V* tensor g_1 -> curvature space, `spencer_delta` on each
     direction d and basis element of g_1, and reports dim R(g) - rank as the
-    derived quantity.  `exactness_ok` holds when every image lies in
-    the curvature space and the kernel, expanded into flat multimaps, spans
-    the g_2 that `cartan_prolongation` solves directly; False means the two
-    formulations disagree.
+    derived quantity; `rspace` is read only for its graded dim.
+    `exactness_ok` holds when every image passes `check_curvature_element`
+    and the kernel, expanded into flat multimaps, spans the g_2 that
+    `cartan_prolongation` solves directly; False means the two formulations
+    disagree.
     """
     dim = algebra.dim
     t = dim.total
@@ -443,18 +437,15 @@ def spencer_rank_identity(algebra: SubSuperalgebra, tower: ProlongationTower = N
         tower = cartan_prolongation(dim, algebra, 2)
     g1, g2 = tower.levels[:2]
     g1_maps = g1.multimaps()
-    pair_index = {pair: i for i, pair in enumerate(canonical_pairs(dim))}
-    rspace_span = span_echelon([e.flatten() for e in rspace.basis])
     images_ok = True
     # unknowns: the coefficient of g_1 element j along direction d
     parity = {(d, j): (dim.parity(d) + p) % 2 for d in range(t) for j, p in enumerate(g1.parities)}
-    rows = {}
-    for (d, j) in parity:
-        flat = {pair_index[pair] * t * t + pos: v for (pair, pos), v in spencer_delta(dim, d, g1_maps[j]).items()}
-        # the image must satisfy the curvature space constraints
-        images_ok = images_ok and rspace_span.contains(flat)
-        for coord, v in flat.items():
-            rows.setdefault(coord, {})[(d, j)] = v
+    rows = {}  # (canonical pair, A * t + B) -> the row of that entry of the images
+    for (d, j), sigma in parity.items():
+        image = spencer_delta(dim, d, g1_maps[j])
+        images_ok = images_ok and check_curvature_element(algebra, CurvatureElement(dim, sigma, image, field))
+        for key, v in image.items():
+            rows.setdefault(key, {})[(d, j)] = v
     # rank of the map and its kernel, per parity
     solution = solve_graded(parity, rows.values(), field)
     h22 = [r - ech.rank for r, (_, ech) in zip(rspace.graded_dim, solution.blocks)]
@@ -493,9 +484,9 @@ def structure_constants(algebra: SubSuperalgebra):
     return basis, table
 
 
-def is_simple(algebra: SubSuperalgebra):
+def _simplicity_of(algebra: SubSuperalgebra, representation):
     """Simplicity of a Lie superalgebra g of dimension n, read from ad(g) on
-    the parity reversal of g (`pi_adjoint_representation`).
+    the parity reversal of g, its `pi_adjoint_representation`.
 
     Exact checks first: a nonzero center and a proper derived algebra are
     proper ideals.  Then the Norton–Schur certificate
@@ -513,11 +504,6 @@ def is_simple(algebra: SubSuperalgebra):
     {'simple', 'status', 'note', 'ideal'}; 'ideal' is the proper ideal the
     last two tests find, as a SubSuperalgebra, and None otherwise.
     """
-    return _simplicity_of(algebra, pi_adjoint_representation(algebra))
-
-
-def _simplicity_of(algebra: SubSuperalgebra, representation):
-    """`is_simple`, given the `pi_adjoint_representation` of the algebra."""
     field = algebra.field
     if not algebra.total_dim:
         return _simplicity(False, "zero algebra")
@@ -731,11 +717,7 @@ def _berger_witness(dim: SuperDim, sigma: int, alpha: dict, field) -> CurvatureE
     A simple algebra has dimension at least 2, so such a d exists."""
     y = min(e for e, _, _ in alpha)
     d = 1 if y == 0 else 0
-    flats = {}
-    for (pair, p), v in spencer_delta(dim, d, alpha).items():
-        flats.setdefault(pair, {})[p] = v
-    values = {pair: SuperMatrix.from_flat(dim, flat, field) for pair, flat in flats.items()}
-    return CurvatureElement(dim, (dim.parity(d) + sigma) % 2, values, field)
+    return CurvatureElement(dim, (dim.parity(d) + sigma) % 2, spencer_delta(dim, d, alpha), field)
 
 
 def _proportional(flat_a: dict, flat_b: dict) -> bool:

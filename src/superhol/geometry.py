@@ -9,12 +9,13 @@ coordinate a; each entry is homogeneous of parity |a|+|A|+|B|.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .linalg import span_echelon
 from .scalars import RATIONAL, canonical, field_one, field_zero, to_field
 from .superfunc import ChartSignature, Superfunction, accumulated, add_into, mul_into
-from .superlin import SuperDim, SuperMatrix, cyclic_terms, sorted_cyclic_terms
+from .superlin import SuperDim, SuperMatrix, char_poly, cyclic_terms, sorted_cyclic_terms
 
 
 class Chart:
@@ -766,57 +767,20 @@ def validate_metric(metric: MetricData):
             nondegenerate = False
             failures.append("%s body block degenerate at the base point" % name)
     if sig.field == RATIONAL and even_block and nondegenerate:
-        signature = _symmetric_signature(even_block)
+        # the eigenvalues of a nondegenerate symmetric block are real and
+        # nonzero, so the sign changes of the nonzero coefficients of the
+        # characteristic polynomial of d·block, d the common denominator,
+        # count the positive ones (Descartes' rule of signs)
+        d = math.lcm(1, *(Fraction(v).denominator for row in even_block for v in row))
+        coeffs = [c for c in char_poly([[int(v * d) for v in row] for row in even_block]) if c]
+        positives = sum(a * b < 0 for a, b in zip(coeffs, coeffs[1:]))
+        signature = (positives, n - positives)
     return {
         "valid": not failures,
         "failures": failures,
         "nondegenerate_at_point": nondegenerate,
         "even_signature": signature,
     }
-
-
-def _symmetric_signature(block):
-    """(positives, negatives) of a rational symmetric matrix by congruence."""
-    m = [[Fraction(v) for v in row] for row in block]
-    n = len(m)
-    pos = neg = 0
-    for k in range(n):
-        if not m[k][k]:
-            swap = None
-            for r in range(k + 1, n):
-                if m[r][r]:
-                    swap = r
-                    break
-            if swap is not None:
-                for a in range(n):
-                    m[k][a], m[swap][a] = m[swap][a], m[k][a]
-                for a in range(n):
-                    m[a][k], m[a][swap] = m[a][swap], m[a][k]
-            else:
-                other = None
-                for r in range(k + 1, n):
-                    if m[k][r]:
-                        other = r
-                        break
-                if other is None:
-                    continue
-                for a in range(n):
-                    m[k][a] += m[other][a]
-                for a in range(n):
-                    m[a][k] += m[a][other]
-        d = m[k][k]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        for r in range(k + 1, n):
-            if m[r][k]:
-                c = m[r][k] / d
-                for a in range(n):
-                    m[r][a] -= c * m[k][a]
-                for a in range(n):
-                    m[a][r] -= c * m[a][k]
-    return (pos, neg)
 
 
 def nabla_metric(metric: MetricData, conn: ConnectionData, a: int, dg_a):

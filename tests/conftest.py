@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from superhol.berger import canonical_pairs
 from superhol.geometry import Chart, ConnectionData, curvature, sfmat_from_flat, sfmat_zeros
-from superhol.linalg import solve_graded, solve_kernel
+from superhol.linalg import solve_graded, solve_kernel, span_echelon
 from superhol.scalars import GAUSSIAN, GaussianRational
 from superhol.superfunc import ChartSignature, Superfunction
 from superhol.superlin import SubSuperalgebra, SuperDim, SuperMatrix, combination, superbracket
@@ -167,3 +168,17 @@ def defined_stabilizer(*tensors):
         for vec in kernel
     ]
     return SubSuperalgebra.from_matrices(dim, mats, field)
+
+
+def flat_curvature(elem):
+    """A `CurvatureElement` as one sparse vector: the entry (A, B) of its value
+    on the i-th canonical pair at i·t² + A·t + B."""
+    t = elem.dim.total
+    index = {pair: i for i, pair in enumerate(canonical_pairs(elem.dim))}
+    return {index[pair] * t * t + pos: v for (pair, pos), v in elem.entries.items()}
+
+
+def flat_curvature_space(rspace):
+    """The echelon of the flattened basis of a curvature space: the reference
+    test of membership in R(g), by `flat_curvature`."""
+    return span_echelon(flat_curvature(e) for e in rspace.basis)

@@ -27,20 +27,19 @@ from superhol.berger import (
     check_curvature_element,
     curvature_derivative_space,
     curvature_space,
-    is_simple,
     pi_adjoint_test,
     spencer_rank_identity,
 )
 from superhol import berger, cli, linalg
-from superhol.linalg import SparseEchelon, combine, kernel_basis, same_span, span_echelon
+from superhol.linalg import SparseEchelon, combine, kernel_basis, same_span
 from superhol.scalars import GAUSSIAN, RATIONAL, GaussianRational, to_field
 
-from conftest import random_homogeneous_matrix
+from conftest import flat_curvature, flat_curvature_space, random_homogeneous_matrix
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench"))
 
 from checks import classical_forms  # noqa: E402
-from workloads import BERGER_PI_ADJOINT  # noqa: E402
+from workloads import BERGER_ALGEBRAS, BERGER_PI_ADJOINT  # noqa: E402
 
 
 class TestCurvatureSpace:
@@ -73,7 +72,7 @@ def act_on_curvature(a_mat, elem):
     t = dim.total
     tau = a_mat.parity
     rho = elem.parity
-    values = {}
+    entries = {}
     for (a, b) in canonical_pairs(dim):
         rv = elem.value(a, b)
         # [A, R(a, b)], or the commutator when R(a, b) is mixed
@@ -88,8 +87,9 @@ def act_on_curvature(a_mat, elem):
             coef = a_mat.entries[c][b]
             if coef:
                 terms.append((-((-1) ** (tau * (rho + dim.parity(a)))) * coef, elem.value(a, c).flatten()))
-        values[(a, b)] = SuperMatrix.from_flat(dim, combine(terms), elem.field)
-    return CurvatureElement(dim, (tau + rho) % 2, values, elem.field)
+        for pos, v in combine(terms).items():
+            entries[((a, b), pos)] = v
+    return CurvatureElement(dim, (tau + rho) % 2, entries, elem.field)
 
 
 class TestActOnCurvature:
@@ -493,6 +493,47 @@ class TestSpencer:
         assert rep["h22_total"] == rs.total_dim
 
 
+def berger_rows(field):
+    """The algebra of every `BERGER_ALGEBRAS` row of the benchmark."""
+    for name, params in BERGER_ALGEBRAS:
+        yield classical_superalgebra(name, tuple(params) if len(params) == 2 else params[0], field)
+
+
+class TestSpencerImageMembership:
+    """`spencer_rank_identity` tests each image delta(e_d* (x) alpha_j) with
+    `check_curvature_element`; the reference is membership in the echelon of
+    the flattened basis of R(g)."""
+
+    @pytest.mark.parametrize("field", (RATIONAL, GAUSSIAN))
+    def test_image_test_matches_the_flattened_echelon(self, field, monkeypatch):
+        checked = []
+        check = berger.check_curvature_element
+        monkeypatch.setattr(berger, "check_curvature_element", lambda alg, elem: checked.append(elem) or check(alg, elem))
+        rng = random.Random("spencer images %s" % field)
+        images = rejected = 0
+        for alg in [*table_algebras(field), *berger_rows(field)]:
+            checked.clear()
+            rep = spencer_rank_identity(alg)
+            assert rep["exactness_ok"]
+            t = alg.dim.total
+            assert len(checked) == t * sum(rep["g1_dim"])
+            if not checked:
+                continue
+            reference = flat_curvature_space(curvature_space(alg))
+            # an entry (a, b) of R(u, v) with b outside {u, v} enters the
+            # cyclic sum of the triple u, v, b at row a alone
+            places = [(pair, b) for pair in canonical_pairs(alg.dim) for b in range(t) if b not in pair]
+            for elem in checked:
+                assert check(alg, elem) and reference.contains(flat_curvature(elem))
+                images += 1
+                if places:
+                    (pair, b), a = rng.choice(places), rng.randrange(t)
+                    changed = TestSparseCurvatureCheck.perturbed(elem, {(pair, a * t + b): rng.choice([1, -1, 2])})
+                    assert not check(alg, changed) and not reference.contains(flat_curvature(changed))
+                    rejected += 1
+        assert images > 1500 and rejected > 1500, (images, rejected)
+
+
 class TestPiAdjoint:
     def test_sl2(self):
         res = pi_adjoint_test(classical_superalgebra("sl", (2, 0)))
@@ -516,29 +557,29 @@ class TestPiAdjoint:
         "name, params", [("sl", (2, 0)), ("sl", (1, 2)), ("osp", (1, 2)), ("osp", (3, 2)), ("sl", (3, 1))], ids=str
     )
     def test_burnside_certifies_simplicity(self, name, params):
-        res = is_simple(classical_superalgebra(name, params))
+        res = simplicity(classical_superalgebra(name, params))
         assert res["simple"] and res["status"] == "certified"
 
     @pytest.mark.parametrize(
         "name, params", [("gl", (1, 1)), ("spe", 2), ("pe", 2), ("q", 2), ("sl", (2, 2)), ("gl", (2, 1))], ids=str
     )
     def test_center_and_derived_checks_reject(self, name, params):
-        assert not is_simple(classical_superalgebra(name, params))["simple"]
+        assert not simplicity(classical_superalgebra(name, params))["simple"]
 
     def test_zero_algebra_is_not_simple(self):
-        assert not is_simple(SubSuperalgebra.zero(SuperDim(1, 1)))["simple"]
+        assert not simplicity(SubSuperalgebra.zero(SuperDim(1, 1)))["simple"]
 
     def test_sl2_plus_sl2_splits_off_an_ideal(self):
         # only the commutant of ad finds a factor
         alg = explicit_algebra(*SL2_PAIR)
-        res = is_simple(alg)
+        res = simplicity(alg)
         assert not res["simple"] and res["status"] == "certified"
         assert_proper_ideal(alg, res["ideal"], (3, 0))
 
     def test_radical_moves_onto_an_ideal(self):
         # ad is not semisimple
         alg = explicit_algebra(*SL2_ON_PLANE)
-        res = is_simple(alg)
+        res = simplicity(alg)
         assert not res["simple"] and "radical" in res["note"]
         assert_proper_ideal(alg, res["ideal"], (2, 0))
 
@@ -553,6 +594,11 @@ SIMPLE_ALGEBRAS = sorted(
     | {("osp", mn) for mn in ((3, 0), (0, 2), (1, 2), (2, 2), (0, 4))}
     | {(name, tuple(params)) for name, params in BERGER_PI_ADJOINT}
 )
+
+
+def simplicity(alg):
+    """The simplicity verdict that `pi_adjoint_test` reads, from ad(g) on Pi g."""
+    return berger._simplicity_of(alg, berger.pi_adjoint_representation(alg))
 
 
 def reference_is_berger(alg):
@@ -585,7 +631,7 @@ class TestBergerFromOneTensor:
     @pytest.mark.parametrize("name, params", SIMPLE_ALGEBRAS, ids=str)
     def test_is_berger_matches_the_full_solve(self, name, params):
         alg = classical_superalgebra(name, params)
-        assert is_simple(alg)["simple"]
+        assert simplicity(alg)["simple"]
         assert pi_adjoint_test(alg)["is_berger"] == reference_is_berger(alg)
 
     @pytest.mark.parametrize("name, params", BERGER_PI_ADJOINT, ids=str)
@@ -627,17 +673,13 @@ class TestBergerFromOneTensor:
     def test_spencer_delta_is_the_coboundary(self, name, params):
         vdim, rep_alg, sigma, alpha = pi_adjoint_g1(name, params)
         t = vdim.total
-        rspace = span_echelon(e.flatten() for e in curvature_space(rep_alg).basis)
+        rspace = flat_curvature_space(curvature_space(rep_alg))
         for d in range(t):
-            flats = {}
-            for (pair, pos), v in berger.spencer_delta(vdim, d, alpha).items():
-                flats.setdefault(pair, {})[pos] = v
-            values = {pair: SuperMatrix.from_flat(vdim, flat, rep_alg.field) for pair, flat in flats.items()}
-            elem = CurvatureElement(vdim, (vdim.parity(d) + sigma) % 2, values, rep_alg.field)
+            elem = CurvatureElement(vdim, (vdim.parity(d) + sigma) % 2, berger.spencer_delta(vdim, d, alpha), rep_alg.field)
             for x in range(t):
                 for y in range(t):
                     assert elem.value(x, y).entries == delta_value(vdim, d, alpha, x, y)
-            assert rspace.contains(elem.flatten())
+            assert rspace.contains(flat_curvature(elem))
             assert check_curvature_element(rep_alg, elem)
 
     @pytest.mark.parametrize("name, params", BERGER_PI_ADJOINT, ids=str)
@@ -651,13 +693,17 @@ class TestBergerFromOneTensor:
         assert check_curvature_element(rep_alg, witness)
 
 
+def values_in(algebra, elem):
+    """Whether every value of the tensor lies in the algebra."""
+    return all(algebra.contains_matrix(elem.value(*pair)) for pair in canonical_pairs(elem.dim))
+
+
 def dense_check_curvature_element(algebra, elem):
     """`check_curvature_element` as it was: one dense matrix per term."""
     dim = algebra.dim
     t = dim.total
-    for m in elem.values.values():
-        if not algebra.contains_matrix(m):
-            return False
+    if not values_in(algebra, elem):
+        return False
     for terms in sorted_cyclic_terms(dim.parity, t):
         for comp in range(t):
             acc = 0
@@ -673,13 +719,12 @@ def full_walk_check_curvature_element(algebra, elem):
     that can be nonzero: the sparse sums of every sorted triple."""
     dim = algebra.dim
     t = dim.total
-    if not all(algebra.contains_matrix(m) for m in elem.values.values()):
+    if not values_in(algebra, elem):
         return False
     by_pair_col = {}
-    for pair, m in elem.values.items():
-        for pos, val in m._flat.items():
-            comp, w = divmod(pos, t)
-            by_pair_col.setdefault((pair, w), []).append((comp, val))
+    for (pair, pos), val in elem.entries.items():
+        comp, w = divmod(pos, t)
+        by_pair_col.setdefault((pair, w), []).append((comp, val))
     for cyclic in sorted_cyclic_terms(dim.parity, t):
         acc = {}
         for (u, v, w), s in cyclic:
@@ -716,12 +761,8 @@ class TestSparseCurvatureCheck:
 
     @staticmethod
     def perturbed(elem, changes):
-        """elem plus the flat matrices changes[pair] on their pairs."""
-        values = dict(elem.values)
-        for pair, flat in changes.items():
-            old = values.get(pair, SuperMatrix.zeros(elem.dim, elem.field))
-            values[pair] = SuperMatrix.from_flat(elem.dim, linalg.combine([(1, old.flatten()), (1, flat)]), elem.field)
-        return CurvatureElement(elem.dim, elem.parity, values, elem.field)
+        """elem plus the entries changes, {(pair, A * t + B): v}."""
+        return CurvatureElement(elem.dim, elem.parity, linalg.combine([(1, elem.entries), (1, changes)]), elem.field)
 
     def test_basis_elements_pass(self, case):
         alg, basis, _ = case
@@ -738,7 +779,7 @@ class TestSparseCurvatureCheck:
         for _ in range(10):
             elem = rng.choice(basis)
             (pair, b), a = rng.choice(places), rng.randrange(t)
-            assert not self.both(alg, self.perturbed(elem, {pair: {a * t + b: rng.choice([1, -1, 2])}}))
+            assert not self.both(alg, self.perturbed(elem, {(pair, a * t + b): rng.choice([1, -1, 2])}))
 
     @pytest.mark.parametrize(
         "name, params, field",
@@ -750,35 +791,30 @@ class TestSparseCurvatureCheck:
         # cyclic identity and moves that value out of g
         alg, basis, rng = check_case(name, params, field)
         gl = classical_superalgebra("gl", tuple(alg.dim), alg.field)
-        outside = [s for s in curvature_space(gl).basis if not all(alg.contains_matrix(m) for m in s.values.values())]
+        outside = [s for s in curvature_space(gl).basis if not values_in(alg, s)]
         assert outside
         for _ in range(10):
             elem = rng.choice(basis)
-            moved = self.perturbed(elem, {pair: m.flatten() for pair, m in rng.choice(outside).values.items()})
+            moved = self.perturbed(elem, rng.choice(outside).entries)
             assert check_curvature_element(gl, moved)
             assert not self.both(alg, moved)
 
 
 def seeded_sum(rng, elems):
     """A seeded combination of curvature tensors of one parity."""
-    changes = {}
-    for e in elems:
-        c = rng.choice([1, -1, 2])
-        for pair, m in e.values.items():
-            changes[pair] = linalg.combine([(1, changes.get(pair, {})), (c, m.flatten())])
-    zero = CurvatureElement(elems[0].dim, elems[0].parity, {}, elems[0].field)
-    return TestSparseCurvatureCheck.perturbed(zero, changes)
+    entries = linalg.combine((rng.choice([1, -1, 2]), e.entries) for e in elems)
+    return CurvatureElement(elems[0].dim, elems[0].parity, entries, elems[0].field)
 
 
 def moved_by(elem, rng, basis, count):
     """elem plus seeded multiples of the matrices of `basis` on `count`
     seeded canonical pairs, those without a value included."""
     pairs = canonical_pairs(elem.dim)
-    changes = {}
+    changes = []
     for _ in range(count):
         pair = rng.choice(pairs)
-        changes[pair] = linalg.combine([(1, changes.get(pair, {})), (rng.choice([1, -1, 2]), rng.choice(basis).flatten())])
-    return TestSparseCurvatureCheck.perturbed(elem, changes)
+        changes.append((rng.choice([1, -1, 2]), {(pair, pos): v for pos, v in rng.choice(basis).flatten().items()}))
+    return TestSparseCurvatureCheck.perturbed(elem, linalg.combine(changes))
 
 
 class TestTripleScan:
@@ -921,7 +957,7 @@ class TestNortonCertificate:
     def test_certified_rows_build_no_closure(self, name, params, monkeypatch):
         monkeypatch.setattr(berger, "associative_closure", lambda *args: pytest.fail("associative_closure was called"))
         alg = classical_superalgebra(name, params)
-        assert is_simple(alg) == BURNSIDE
+        assert simplicity(alg) == BURNSIDE
         res = pi_adjoint_test(alg)
         assert res["simplicity_status"] == "certified" and res["simplicity_note"] == BURNSIDE["note"]
 
@@ -934,13 +970,13 @@ class TestNortonCertificate:
 
     def test_no_diagonal_element_falls_back_to_the_closure(self, monkeypatch):
         calls = self.spy_closure(monkeypatch)
-        assert is_simple(explicit_algebra(*SO3_SKEW)) == BURNSIDE
+        assert simplicity(explicit_algebra(*SO3_SKEW)) == BURNSIDE
         assert len(calls) == 1
 
     def test_no_one_dimensional_eigenspace_falls_back_to_the_closure(self, monkeypatch):
         calls = self.spy_closure(monkeypatch)
         alg = conjugated_sl2_pair()
-        res = is_simple(alg)
+        res = simplicity(alg)
         assert not res["simple"] and res["status"] == "certified" and "commutant" in res["note"]
         assert_proper_ideal(alg, res["ideal"], (3, 0))
         assert len(calls) == 1
@@ -1010,8 +1046,8 @@ def reference_derivative_rows(dim, relems):
             if not sign:
                 continue
             for j, r in enumerate(relems):
-                m = r.values.get(pair)
-                if m is not None:
+                m = r.value(*pair)
+                if not m.is_zero():
                     terms.append(((d, j), s * sign, m.entries))
         for A in range(t):
             for B in range(t):

@@ -1,5 +1,8 @@
 import itertools
+import os
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -55,6 +58,10 @@ from conftest import (
     random_torsion_free_connection,
     random_unipotent_gauge,
 )
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench"))
+
+from workloads import TRANSPORT_STEPS, load_pool, make_round  # noqa: E402
 
 
 def r01_connection():
@@ -580,6 +587,15 @@ class TestCurvatureKept:
         res = rep["result"]
         assert not res["flat"] and "ricci" in res and "transport_validation" in res
         assert len(built) == 1
+        # round 0, seed 1, of the benchmark's connection and metric workloads:
+        # flatness, holonomy, both Bianchi checks, Ricci and transport read
+        # the one table each problem builds
+        for workload in ("holonomy-tower", "levi-civita"):
+            steps = TRANSPORT_STEPS if workload == "holonomy-tower" else None
+            for doc, meta in make_round(workload, 1, 0, load_pool(workload)):
+                built.clear()
+                cli.run_problem(doc, steps=steps)
+                assert len(built) == 1, (workload, meta["id"])
 
     def test_same_torsion_on_every_call(self):
         # one with torsion, and a torsion-free one whose kept table is empty
@@ -1376,6 +1392,66 @@ class TestLeviCivita:
             levi_civita(metric)
 
 
+def congruence_signature(block):
+    """(positives, negatives) of a rational symmetric matrix by congruence:
+    the diagonalization that `validate_metric` used before it read the
+    signature from the characteristic polynomial."""
+    m = [[Fraction(v) for v in row] for row in block]
+    n = len(m)
+    pos = neg = 0
+    for k in range(n):
+        if not m[k][k]:
+            swap = None
+            for r in range(k + 1, n):
+                if m[r][r]:
+                    swap = r
+                    break
+            if swap is not None:
+                for a in range(n):
+                    m[k][a], m[swap][a] = m[swap][a], m[k][a]
+                for a in range(n):
+                    m[a][k], m[a][swap] = m[a][swap], m[a][k]
+            else:
+                other = None
+                for r in range(k + 1, n):
+                    if m[k][r]:
+                        other = r
+                        break
+                if other is None:
+                    continue
+                for a in range(n):
+                    m[k][a] += m[other][a]
+                for a in range(n):
+                    m[a][k] += m[a][other]
+        d = m[k][k]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        for r in range(k + 1, n):
+            if m[r][k]:
+                c = m[r][k] / d
+                for a in range(n):
+                    m[r][a] -= c * m[k][a]
+                for a in range(n):
+                    m[a][r] -= c * m[a][k]
+    return (pos, neg)
+
+
+def random_symmetric_block(rng, n):
+    """A seeded rational symmetric n×n matrix.  In half of the draws one or
+    more diagonal entries are zero, and in the other half none is."""
+    zeros = set(rng.sample(range(n), rng.randint(1, n))) if rng.random() < 0.5 else set()
+    block = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            if a == b and a in zeros:
+                continue
+            numerator = rng.choice((-4, -3, -2, -1, 1, 2, 3, 4)) if a == b else rng.randint(-4, 4)
+            block[a][b] = block[b][a] = Fraction(numerator, rng.choice((1, 1, 2, 3)))
+    return block
+
+
 class TestValidateMetric:
     def test_standard_valid(self):
         sig = ChartSignature(1, 2)
@@ -1431,6 +1507,24 @@ class TestValidateMetric:
             ]
             failures = validate_metric(MetricData(chart, g, validate=False))["failures"]
             assert [f for f in failures if f.startswith("supersymmetry")] == want
+
+    def test_signature_matches_the_congruence_diagonalization(self):
+        # the sign changes of the characteristic polynomial against the
+        # congruence diagonalization, on nondegenerate blocks from 1x1 to 6x6
+        rng = random.Random("signature")
+        compared = Counter()
+        for n in range(1, 7):
+            sig = ChartSignature(n, 0)
+            chart = Chart.tangent(sig)
+            for _ in range(100):
+                block = random_symmetric_block(rng, n)
+                g = [[Superfunction.constant(sig, v) for v in row] for row in block]
+                report = validate_metric(MetricData(chart, g, validate=False))
+                if report["nondegenerate_at_point"]:
+                    assert report["even_signature"] == congruence_signature(block), block
+                    compared[n, not all(block[a][a] for a in range(n))] += 1
+        # every size is compared, with and without a zero diagonal entry
+        assert all(compared[n, zero] >= 10 for n in range(2, 7) for zero in (False, True)), compared
 
     def test_signature_count(self):
         sig = ChartSignature(3, 0)

@@ -71,6 +71,8 @@ from conftest import (
     cut_by_functionals,
     defined_stabilizer,
     dense_curvature,
+    flat_curvature,
+    flat_curvature_space,
     flat_of,
     random_sparse_connection,
     random_torsion_free_connection,
@@ -145,17 +147,17 @@ class TestInfinitesimalHolonomy:
         hol = infinitesimal_holonomy(conn, [])
         table = dense_curvature(conn)
         dim = hol.algebra.dim
-        values = {}
+        t = dim.total
+        entries = {}
         for (a, b) in canonical_pairs(dim):
-            mat = [
-                [table[(a, b)][A][B].value([]) for B in range(dim.total)]
-                for A in range(dim.total)
-            ]
-            values[(a, b)] = SuperMatrix(dim, mat, hol.algebra.field)
-        elem = CurvatureElement(dim, 0, values, hol.algebra.field)
-        rspace = curvature_space(hol.algebra)
-        span = span_echelon([e.flatten() for e in rspace.basis])
-        assert span.contains(elem.flatten())
+            for A in range(t):
+                for B in range(t):
+                    v = table[(a, b)][A][B].value([])
+                    if v:
+                        entries[((a, b), A * t + B)] = v
+        elem = CurvatureElement(dim, 0, entries, hol.algebra.field)
+        span = flat_curvature_space(curvature_space(hol.algebra))
+        assert span.contains(flat_curvature(elem))
 
 
 class TestTransport:
@@ -796,21 +798,20 @@ class TestCrossModuleInvariants:
 
         tables = covariant_derivatives(conn, None, 1)
         dim = hol.algebra.dim
-        rspace = curvature_space(hol.algebra)
-        span = span_echelon([e.flatten() for e in rspace.basis])
+        span = flat_curvature_space(curvature_space(hol.algebra))
         t = dim.total
         for c in range(t):
-            values = {}
+            entries = {}
             for (a, b) in canonical_pairs(dim):
                 mat = tables[1].components[((c,), a, b)]
-                values[(a, b)] = SuperMatrix(
-                    dim,
-                    [[mat[A][B].value([]) for B in range(t)] for A in range(t)],
-                    hol.algebra.field,
-                )
-            elem = CurvatureElement(dim, 1, values, hol.algebra.field)
+                for A in range(t):
+                    for B in range(t):
+                        v = mat[A][B].value([])
+                        if v:
+                            entries[((a, b), A * t + B)] = v
+            elem = CurvatureElement(dim, 1, entries, hol.algebra.field)
             if not elem.is_zero():
-                assert span.contains(elem.flatten())
+                assert span.contains(flat_curvature(elem))
 
     def test_gaussian_field_holonomy_end_to_end(self):
         from superhol.scalars import GaussianRational

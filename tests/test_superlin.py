@@ -8,6 +8,7 @@ import pytest
 
 from superhol import linalg, superlin
 from superhol.cli import _pairwise_j
+from superhol.geometry import scalar_matrix_inverse
 from superhol.reportio import encode_algebra, encode_matrix
 from superhol.scalars import GAUSSIAN, RATIONAL, GaussianRational, canonical, field_one, field_zero
 from superhol.superlin import (
@@ -828,6 +829,21 @@ def flat_matrix(dim, flat, field=RATIONAL):
     return SuperMatrix.from_flat(dim, {k: one * v for k, v in flat.items()}, field)
 
 
+def random_invertible(rng, dim, field):
+    """(P, P⁻¹) for P = L·U, L unit lower and U unit upper triangular with
+    seeded entries, so det P = 1."""
+    t = dim.total
+    one = field_one(field)
+
+    def entry():
+        return GaussianRational(rng.randint(-2, 2), rng.randint(-1, 1)) if field == GAUSSIAN else rng.randint(-2, 2)
+
+    lower = flat_matrix(dim, {a * t + b: one if a == b else entry() for a in range(t) for b in range(a + 1)}, field)
+    upper = flat_matrix(dim, {a * t + b: one if a == b else entry() for a in range(t) for b in range(a, t)}, field)
+    p = lower.matmul(upper)
+    return p, SuperMatrix(dim, scalar_matrix_inverse(p.entries, field), field)
+
+
 class TestAssociativeEngine:
     def test_commutant_of_a_diagonal_is_diagonal(self):
         dim = SuperDim(2, 0)
@@ -859,6 +875,34 @@ class TestAssociativeEngine:
         # the supertrace of the identity of a 1|1 space is 0
         dim = SuperDim(1, 1)
         assert radical(associative_closure([SuperMatrix.identity(dim)], dim), dim) == []
+
+    @pytest.mark.parametrize("field", (RATIONAL, GAUSSIAN))
+    def test_radical_of_conjugated_block_upper_triangular_algebras(self, field):
+        # diagonal blocks that are full matrix algebras or scalars, over the
+        # strict block upper part, all conjugated by a seeded invertible P:
+        # the radical is P·(strict block upper part)·P⁻¹
+        rng = random.Random("radical %s" % field)
+        for _ in range(16):
+            dim = SuperDim(rng.randint(1, 3), rng.randint(1, 2))
+            t = dim.total
+            cuts = sorted(rng.sample(range(1, t), rng.randint(1, t - 1)))
+            blocks = [range(a, b) for a, b in zip([0] + cuts, cuts + [t])]
+            block_of = {a: k for k, block in enumerate(blocks) for a in block}
+            semisimple = []
+            for block in blocks:
+                if rng.random() < 0.5:
+                    semisimple += [{a * t + b: 1} for a in block for b in block]
+                else:
+                    semisimple.append({a * t + a: 1 for a in block})
+            strict = [{a * t + b: 1} for a in range(t) for b in range(t) if block_of[a] < block_of[b]]
+            p, p_inv = random_invertible(rng, dim, field)
+
+            def conjugated(flat):
+                return p.matmul(flat_matrix(dim, flat, field)).matmul(p_inv).flatten()
+
+            algebra = linalg.span_echelon(conjugated(flat) for flat in semisimple + strict)
+            got = radical(algebra, dim, field)
+            assert len(got) == len(strict) and linalg.same_span(got, [conjugated(flat) for flat in strict])
 
     def test_split_along_a_rational_root(self):
         # minimal polynomial (x - 1)^2 (x - 2): the root 1 has multiplicity 2
