@@ -28,6 +28,7 @@ from .superlin import (
     annihilator_rows,
     classical_superalgebra,
     generate_subalgebra,
+    solved_dim,
     standard_even_form,
     standard_odd_complex_structure,
     standard_odd_form,
@@ -112,7 +113,14 @@ def connection_report(conn: geo.ConnectionData, options, metric=None):
         nonzero = {"%d,%d" % (a + 1, b + 1): sf_to_str(f) for (a, b), f in sorted(geo.ricci(conn).items())}
         report["ricci"] = {"zero": not nonzero, "entries": nonzero}
 
-    hol = hl.infinitesimal_holonomy(conn, point, cap)
+    body = None if metric is None else geo.sfmat_value(metric.g, point)
+    cands = default_candidates(chart.rank, sig.field, metric_body=body)
+    # ∇g = 0, which `levi_civita` re-verifies, makes every tower component
+    # g-skew: the holonomy algebra lies in stab(g_p), solved from the body
+    # form's annihilator rows, the first candidate (a valid metric has an
+    # even odd rank, so it has the osp one)
+    bound = None if metric is None else solved_dim(chart.rank, cands[0]["rows"], sig.field)
+    hol = hl.infinitesimal_holonomy(conn, point, cap, bound)
     report["algebra"] = rio.encode_algebra(hol.algebra)
     report["holonomy_dim"] = list(hol.algebra.graded_dim)
     report["stabilized_at_order"] = hol.stabilized_at_order
@@ -124,10 +132,6 @@ def connection_report(conn: geo.ConnectionData, options, metric=None):
         "odd": [rio.encode_vector(v) for v in odd_inv],
     }
 
-    body = None
-    if metric is not None:
-        body = geo.sfmat_value(metric.g, point)
-    cands = default_candidates(chart.rank, sig.field, metric_body=body)
     report["classification"] = hl.classify_geometry(hol.algebra, cands)
 
     if metric is not None:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .linalg import span_echelon
 from .scalars import RATIONAL, canonical, field_one, field_zero, to_field
-from .superfunc import ChartSignature, Superfunction, accumulated, add_into, mul_into
+from .superfunc import ChartSignature, Superfunction, accumulated, add_into, mul_into, partials_into
 from .superlin import SuperDim, SuperMatrix, char_poly, cyclic_terms, sorted_cyclic_terms
 
 
@@ -364,10 +364,13 @@ def curvature(conn: ConnectionData) -> DerivativeTable:
     t = chart.sig.total
     par = chart.coord_parity
     fiber = [0] * chart.rank.p + [1] * chart.rank.q
-    # ∂_x Γ_y of every nonzero entry, formed once and read for R_xy and R_yx:
-    # dgamma[y][x] lists (A, B, ∂_x Γ_y^A_B)
+    # ∂_x Γ_y of every nonzero entry, from one walk over each Γ_y and read
+    # for R_xy and R_yx: dgamma[y][x] maps (A, B) to the raw ∂_x Γ_y^A_B
     nonzero = [[((A, B), g) for A, row in enumerate(conn.nonzero_gamma(y)[1]) for B, g in row] for y in range(t)]
-    dgamma = [[[(key, g.partial(x + 1)) for key, g in entries] for x in range(t)] for entries in nonzero]
+    dgamma = [[{} for _ in range(t)] for _ in range(t)]
+    for y, entries in enumerate(nonzero):
+        for key, g in entries:
+            partials_into(dgamma[y], key, g, t)
     comps = {}
     for a in range(t):
         pa = par(a)
@@ -376,11 +379,11 @@ def curvature(conn: ConnectionData) -> DerivativeTable:
             # R_ab = ∂_a Γ_b − (−1)^{|a||b|} ∂_b Γ_a + the Γ terms of ∇_a Γ_b
             sign = 1 if pa * pb else -1
             acc = {}
-            for key, d in dgamma[b][a]:
+            for key, d in dgamma[b][a].items():
                 add_into(acc.setdefault(key, {}), d)
-            for key, d in dgamma[a][b]:
+            for key, d in dgamma[a][b].items():
                 add_into(acc.setdefault(key, {}), d, sign)
-            flat = _gamma_step(conn, a, nonzero[b], pb, acc)
+            flat = _gamma_step(conn, a, nonzero[b], _step_signs(chart, a, pb), acc)
             for (A, B), term in flat.items():
                 if not _parity_ok(term, (pa + pb + fiber[A] + fiber[B]) % 2):
                     raise AssertionError("curvature parity law violated")
@@ -410,6 +413,12 @@ def _step_signs(chart: Chart, c: int, par: int):
     return fiber, left, right
 
 
+def _all_step_signs(chart: Chart):
+    """`_step_signs(chart, c, par)` at [c][par], for every direction c and
+    parity par: the signs of a whole tower step, formed once."""
+    return [[_step_signs(chart, c, par) for par in (0, 1)] for c in range(chart.sig.total)]
+
+
 def _covariant_step(conn: ConnectionData, c: int, flat, par: int):
     """∇_c of one End(E)-valued component over the flat coordinate reference.
 
@@ -423,27 +432,31 @@ def _covariant_step(conn: ConnectionData, c: int, flat, par: int):
     """
     acc = {}
     for key, m in flat.items():
-        add_into(acc.setdefault(key, {}), m.partial(c + 1))
-    return _gamma_step(conn, c, flat.items(), par, acc)
+        add_into(acc.setdefault(key, {}), m.partial(c + 1).terms)
+    return _gamma_step(conn, c, flat.items(), _step_signs(conn.chart, c, par), acc)
 
 
-def _gamma_step(conn: ConnectionData, c: int, entries, par: int, acc):
+def _gamma_step(conn: ConnectionData, c: int, entries, signs, acc):
     """`_covariant_step` of the matrix whose nonzero entries M^C_B are the
     ((C, B), M^C_B) of `entries`, with its ∂_c M term replaced by the raw
     accumulators {(A, B): raw} of `acc`: the Γ_c M − M Γ_c terms are scattered
     from those entries and the nonzero entries of Γ_c, each product added
-    into its entry's accumulator.  Returns the nonzero entries of the
-    result as a flat {(A, B): Superfunction} in sorted (A, B) order."""
-    chart = conn.chart
-    sig = chart.sig
+    into its entry's accumulator, with the signs `_step_signs` gives for the
+    parity of the matrix's coordinate indices.  Returns `_finished(acc)`."""
     gamma_cols, gamma_rows = conn.nonzero_gamma(c)
-    fiber, left, right = _step_signs(chart, c, par)
+    fiber, left, right = signs
     for (C, B), m in entries:
         sign = left[fiber[B] ^ fiber[C]]
         for A, g in gamma_cols[C]:
             mul_into(acc.setdefault((A, B), {}), m, g, sign)
         for B2, g in gamma_rows[B]:
             mul_into(acc.setdefault((C, B2), {}), g, m, right[fiber[B] ^ fiber[B2]])
+    return _finished(conn.chart.sig, acc)
+
+
+def _finished(sig: ChartSignature, acc):
+    """The nonzero entries of raw accumulators {(A, B): raw}, as a flat
+    {(A, B): Superfunction} in sorted (A, B) order."""
     out = {}
     for key in sorted(acc):
         f = accumulated(sig, acc[key])
@@ -453,26 +466,45 @@ def _gamma_step(conn: ConnectionData, c: int, entries, par: int, acc):
 
 
 def _tower_steps(chart: Chart, prev: DerivativeTable):
-    """(key, flat, par, directions) for each component of `prev`: its key
+    """(key, flat, par, stop) for each component of `prev`: its key
     (dirs, a, b), its nonzero entries, the total parity of its coordinate
-    indices, and the directions c of the components ((c,) + dirs, a, b)
-    that it gives at the next order, whose parity is par + |c|.  A canonical
-    table prepends a_{r+1} <= a_r, strictly when it is odd."""
+    indices, and the bound of the directions c < stop of the components
+    ((c,) + dirs, a, b) that it gives at the next order, whose parity is
+    par + |c|.  A canonical table prepends a_{r+1} <= a_r, strictly when it
+    is odd."""
     t = chart.sig.total
     for key, flat in prev.components.items():
         dirs = key[0]
         stop = t
         if prev.canonical and dirs:
             stop = dirs[0] + 1 - chart.coord_parity(dirs[0])
-        yield key, flat, prev.parities[key], range(stop)
+        yield key, flat, prev.parities[key], stop
 
 
 def _next_derivative(conn: ConnectionData, prev: DerivativeTable) -> DerivativeTable:
+    """The table of order prev.order + 1: child ((c,) + dirs, a, b) is
+    `_covariant_step(conn, c, flat, par)` of its parent, kept when nonzero.
+
+    Each component is walked once.  One pass over the terms of its entries
+    puts ∂_c of every entry into the raw accumulators of every direction c
+    it steps in (`partials_into`).  Then `_gamma_step` scatters the
+    Γ_c M − M Γ_c terms of each direction whose Γ_c has a nonzero entry;
+    the other children are their ∂_c terms alone.
+    """
     chart = conn.chart
+    sig = chart.sig
+    live = [any(conn.nonzero_gamma(c)[0]) for c in range(sig.total)]
+    signs = _all_step_signs(chart)
     out, parities = {}, {}
-    for (dirs, a, b), flat, par, directions in _tower_steps(chart, prev):
-        for c in directions:
-            step = _covariant_step(conn, c, flat, par)
+    for (dirs, a, b), flat, par, stop in _tower_steps(chart, prev):
+        accs = [{} for _ in range(stop)]
+        for key, m in flat.items():
+            partials_into(accs, key, m, stop)
+        for c, acc in enumerate(accs):
+            if live[c]:
+                step = _gamma_step(conn, c, flat.items(), signs[c][par], acc)
+            else:
+                step = _finished(sig, acc)
             if step:
                 key = ((c,) + dirs, a, b)
                 out[key] = step
@@ -506,52 +538,47 @@ def gamma_at(conn: ConnectionData, point):
     return out
 
 
-def _covariant_step_at(conn: ConnectionData, c: int, flat, values, par: int, point, gamma_c):
-    """`_covariant_step(conn, c, flat, par)` at the point, as a flat dict of
-    its nonzero values, without building the step.
+def _derivative_at(conn: ConnectionData, prev: DerivativeTable, values, point, gamma):
+    """The components of `_next_derivative(conn, prev)` at the point, as flat
+    dicts {A * rank + B: value} of their nonzero values, without building
+    that table; the zero components it drops are here too, with no values.
+    `values` maps each key of `prev` to its values at the point
+    (`values_at`), and `gamma` is `gamma_at(conn, point)`.
 
-    The body of a product is the product of the bodies, so each term of the
-    step is one product of scalars: `values` holds the body values of the
-    entries at the point (`values_at`), `gamma_c` those of Γ_c (`gamma_at`),
-    and the body of ∂_c M^C_B comes from `partial_body_value`.  The signs
-    come from `_step_signs`, as in `_covariant_step`.
+    The body of a product is the product of the bodies, so each term of a
+    child's step is one product of scalars: the body of ∂_c M^C_B, or the
+    value of M^C_B times that of an entry of Γ_c.  Each component is walked
+    once: `partial_bodies` gives the bodies of every first partial of each
+    entry, and every child reads its direction's.  A component with no
+    nonzero value at the point gives children that are those bodies alone,
+    with no scatter; the others scatter the Γ_c terms with the signs of
+    `_step_signs`, as `_covariant_step` does.
     """
     chart = conn.chart
     t = chart.rank.total
-    gamma_cols, gamma_rows = gamma_c
-    fiber, left, right = _step_signs(chart, c, par)
-    acc = {}
-
-    def add(k, v):
-        w = acc.get(k)
-        acc[k] = v if w is None else w + v
-
-    for (C, B), m in flat.items():
-        d = m.partial_body_value(c + 1, point)
-        if d:
-            add(C * t + B, d)
-        v = values.get(C * t + B)
-        if v is None:
-            continue
-        lv = left[fiber[B] ^ fiber[C]] * v
-        for A, g in gamma_cols[C]:
-            add(A * t + B, lv * g)
-        for B2, g in gamma_rows[B]:
-            add(C * t + B2, right[fiber[B] ^ fiber[B2]] * (g * v))
-    return {k: canonical(v) for k, v in acc.items() if v}
-
-
-def _derivative_at(conn: ConnectionData, prev: DerivativeTable, values, point, gamma):
-    """The components of `_next_derivative(conn, prev)` at the point, as flat
-    dicts of their nonzero values, without building that table; the zero
-    components it drops are here too, with no values.  `values` maps each
-    key of `prev` to its values at the point, and `gamma` is `gamma_at(conn, point)`."""
+    signs = _all_step_signs(chart)
     out = {}
-    for key, flat, par, directions in _tower_steps(conn.chart, prev):
-        dirs, a, b = key
-        vals = values[key]
-        for c in directions:
-            out[((c,) + dirs, a, b)] = _covariant_step_at(conn, c, flat, vals, par, point, gamma[c])
+    for (dirs, a, b), flat, par, stop in _tower_steps(chart, prev):
+        bodies = [(C, B, C * t + B, m.partial_bodies(point)) for (C, B), m in flat.items()]
+        vals = values[(dirs, a, b)]
+        for c in range(stop):
+            if not vals:
+                out[((c,) + dirs, a, b)] = {k: d[c] for _, _, k, d in bodies if d[c]}
+                continue
+            gamma_cols, gamma_rows = gamma[c]
+            fiber, left, right = signs[c][par]
+            acc = {}
+            for C, B, k, d in bodies:
+                terms = [(k, d[c])] if d[c] else []
+                v = vals.get(k)
+                if v is not None:
+                    lv = left[fiber[B] ^ fiber[C]] * v
+                    terms += [(A * t + B, lv * g) for A, g in gamma_cols[C]]
+                    terms += [(C * t + B2, right[fiber[B] ^ fiber[B2]] * (g * v)) for B2, g in gamma_rows[B]]
+                for pos, x in terms:
+                    w = acc.get(pos)
+                    acc[pos] = x if w is None else w + x
+            out[((c,) + dirs, a, b)] = {k: canonical(v) for k, v in acc.items() if v}
     return out
 
 
@@ -604,8 +631,8 @@ def torsion(conn: ConnectionData):
                 f, g = gamma[a][c][b], gamma[b][c][a]
                 if f.terms or g.terms:
                     acc = {}
-                    add_into(acc, f)
-                    add_into(acc, g, sign)
+                    add_into(acc, f.terms)
+                    add_into(acc, g.terms, sign)
                     f = accumulated(sig, acc)
                     if f.terms:
                         vec[c] = f
@@ -646,7 +673,7 @@ def check_first_bianchi(conn: ConnectionData) -> bool:
     def add_term(acc, tor, curv, u, v, w, sign):
         for (A, B), f in curv.get(((), u, v), {}).items():  # R^A_{w,uv}
             if B == w:
-                add_into(acc.setdefault(A, {}), f, sign)
+                add_into(acc.setdefault(A, {}), f.terms, sign)
 
     return _bianchi_holds(conn, "first", add_term)
 
@@ -683,7 +710,7 @@ def ricci(conn: ConnectionData):
         pc = par(c)
         for (C, b), f in flat.items():
             if C == c:
-                add_into(acc.setdefault((a, b), {}), f, (-1) ** (pc + pc * par(b)))
+                add_into(acc.setdefault((a, b), {}), f.terms, (-1) ** (pc + pc * par(b)))
     out = {}
     for key in sorted(acc):
         f = accumulated(chart.sig, acc[key])
@@ -790,7 +817,8 @@ def nabla_metric(metric: MetricData, conn: ConnectionData, a: int, dg_a):
     − Σ_d (−1)^{|b|(|a|+|c|+|d|)+|a||b|} Γ^d_{ac} g_bd, and it equals
     (−1)^{|b||c|} (∇_a g)(d_c, d_b) for every connection, so the components
     with b <= c give them all.  `dg_a[b]` maps each c with a nonzero ∂_a g_bc
-    to that derivative, as `levi_civita` forms them.  Both sums are
+    to the terms {mask: {exps: coef}} of that derivative, as `levi_civita`
+    forms them.  Both sums are
     scattered from the nonzero Γ^d_{a·} and the nonzero entries of g into
     one raw accumulator per (b, c).
     """
@@ -842,15 +870,12 @@ def levi_civita(metric: MetricData) -> ConnectionData:
     g_inv = sfmat_inverse(g, sig)
     inv_rows = [[(d, f) for d, f in enumerate(row) if f.terms] for row in g_inv]
     half = to_field(Fraction(1, 2), sig.field)
-    # dg[x][y] maps z to d_x g_yz, for the nonzero ones
+    # dg[x][y] maps z to the raw d_x g_yz, for the nonzero ones, from one
+    # walk over each g_yz
     dg = [[{} for _ in range(t)] for _ in range(t)]
     for y, row in enumerate(g):
         for z, f in enumerate(row):
-            if f.terms:
-                for x in range(t):
-                    d = f.partial(x + 1)
-                    if d.terms:
-                        dg[x][y][z] = d
+            partials_into([dg[x][y] for x in range(t)], z, f, t)
     gamma = [sfmat_zeros(sig, t, t) for _ in range(t)]
     for a in range(t):
         for b in range(t):

@@ -58,7 +58,7 @@ def default_order_cap(chart: Chart) -> int:
     return 2 * chart.rank.total ** 2 + chart.sig.m
 
 
-def infinitesimal_holonomy(conn: ConnectionData, point, cap=None) -> HolonomyResult:
+def infinitesimal_holonomy(conn: ConnectionData, point, cap=None, bound=None) -> HolonomyResult:
     """Bracket closure of evaluated curvature derivatives at the point.
 
     The tower is canonical (`DerivativeTable.holonomy_seed`): sorted
@@ -66,12 +66,19 @@ def infinitesimal_holonomy(conn: ConnectionData, point, cap=None) -> HolonomyRes
     algebra as the full tower at every order.  Each order's generators that
     lie outside the algebra closed at the order before grow it.  Stops at
     the first derivative order whose generators all lie in the algebra, or
-    at the hard cap (status 'capped').
+    at the hard cap (status 'capped').  An algebra that reaches the graded
+    dim of gl(E), or `bound`, the graded dim of an algebra known to contain
+    the holonomy algebra (stab(g_p) for a Levi-Civita connection), can grow
+    no more: the run stops there and reports the next order, which it would
+    have found adding nothing.  At `bound` it does so only when that order
+    is within the cap, so the bound changes no result.
 
     Only the values at the point of each order are read: order k is
-    evaluated at the point from the table of order k - 1 (`_derivative_at`),
-    and the table of order k is built only when the run goes on to order
-    k + 1.  `tables` holds order 0, and order 1 once it is built.
+    evaluated at the point from the table of order k - 1 by one walk over
+    each of its components (`_derivative_at`), and the table of order k is
+    built, again one walk per component (`_next_derivative`), only when the
+    run goes on to order k + 1.  `tables` holds order 0, and order 1 once
+    it is built.
     """
     chart = conn.chart
     sig = chart.sig
@@ -82,6 +89,13 @@ def infinitesimal_holonomy(conn: ConnectionData, point, cap=None) -> HolonomyRes
     field = sig.field
     rk = chart.rank
     full_dims = (rk.p ** 2 + rk.q ** 2, 2 * rk.p * rk.q)
+
+    def complete(algebra, order):
+        """Whether the algebra closed at `order` can grow no more: it has the
+        graded dim of gl(E), or that of `bound` with order + 1 within the
+        cap (past the cap the run is capped, with or without the bound)."""
+        dims = algebra.graded_dim
+        return dims == full_dims or (dims == bound and order < cap)
 
     if not curvature(conn).components:
         return HolonomyResult(SubSuperalgebra.zero(rk, field), 0, [], "stabilized")
@@ -114,7 +128,7 @@ def infinitesimal_holonomy(conn: ConnectionData, point, cap=None) -> HolonomyRes
 
     values = {key: values_at(flat, pt, rk.total) for key, flat in table.components.items()}
     algebra = generate_subalgebra(harvest(values, 0), rk, field)
-    if algebra.graded_dim == full_dims:
+    if complete(algebra, 0):
         return HolonomyResult(algebra, 1, log, "stabilized", tables)
 
     gamma = gamma_at(conn, pt)
@@ -130,7 +144,7 @@ def infinitesimal_holonomy(conn: ConnectionData, point, cap=None) -> HolonomyRes
         if not new:
             return HolonomyResult(algebra, order, log, "stabilized", tables)
         algebra = generate_subalgebra(new, rk, field, algebra)
-        if algebra.graded_dim == full_dims:
+        if complete(algebra, order):
             return HolonomyResult(algebra, order + 1, log, "stabilized", tables)
     return HolonomyResult(algebra, None, log, "capped", tables)
 

@@ -142,9 +142,12 @@ def _poly_value(poly, point, field):
     for exps, coef in poly.items():
         term = coef
         for c, e in zip(point, exps):
+            if e and not c:
+                break  # a zero coordinate to a positive power
             for _ in range(e):
                 term = term * c
-        total = total + term
+        else:
+            total = total + term
     return canonical(total)
 
 
@@ -171,15 +174,44 @@ def mul_into(acc, f, g, sign=1):
                     out[k] = v if w is None else w + v
 
 
-def add_into(acc, f, sign=1):
-    """Add sign·f into `acc`, a raw accumulator as for `mul_into`."""
-    for mask, poly in f.terms.items():
+def add_into(acc, terms, sign=1):
+    """Add sign·f into `acc`, a raw accumulator as for `mul_into`, for f
+    given by its terms {mask: {exps: coef}}: a superfunction's `terms`, or
+    a raw accumulator."""
+    for mask, poly in terms.items():
         out = acc.setdefault(mask, {})
         for k, v in poly.items():
             if sign < 0:
                 v = -v
             w = out.get(k)
             out[k] = v if w is None else w + v
+
+
+def partials_into(accs, key, f, stop):
+    """Put the left partial ∂_c f into accs[c][key], a raw accumulator as for
+    `mul_into`, for every 0-based coordinate index c < stop, from one pass
+    over the terms of f: no derivative is built as a superfunction.  No
+    accs[c] may hold `key` yet."""
+    n = f.sig.n
+    even = range(min(stop, n))
+    odd = [(accs[c], 1 << (c - n)) for c in range(n, stop)]
+    for mask, poly in f.terms.items():
+        ders = {}
+        for exps, coef in poly.items():
+            for c in even:
+                e = exps[c]
+                if e:
+                    der = ders.get(c)
+                    if der is None:
+                        der = ders[c] = {}
+                    der[exps[:c] + (e - 1,) + exps[c + 1 :]] = coef * e
+        for c, der in ders.items():
+            accs[c].setdefault(key, {})[mask] = der
+        for acc, bit in odd:
+            if mask & bit:
+                # left derivative: sign (-1)^(s-1) with s the position of the bit
+                negate = bin(mask & (bit - 1)).count("1") % 2
+                acc.setdefault(key, {})[mask ^ bit] = {k: -v for k, v in poly.items()} if negate else dict(poly)
 
 
 def accumulated(sig: ChartSignature, acc) -> "Superfunction":
@@ -382,22 +414,37 @@ class Superfunction:
         """The body polynomial at even coordinates already in the field."""
         return _poly_value(self.terms.get(0, {}), point, self.sig.field)
 
-    def partial_body_value(self, a: int, point):
-        """The body at even coordinates already in the field of the left
-        partial derivative by coordinate index a in 1..n+m, without building
-        the derivative.  For an odd a that body is the xi_a-coefficient (its
-        sign is +1: no generator comes before xi_a); for an even a it is the
-        x_a-derivative of the body."""
+    def partial_bodies(self, point):
+        """The bodies at even coordinates already in the field of the left
+        partials ∂_1 f, ..., ∂_{n+m} f, as a list by 0-based coordinate
+        index, from one pass over the terms, without building a derivative.
+        The even ones are the x_i-derivatives of the body; the one of an odd
+        ξ_α is the value of the ξ_α-coefficient (its sign is +1: no
+        generator comes before ξ_α)."""
         sig = self.sig
-        if a > sig.n:
-            return _poly_value(self.terms.get(1 << (a - sig.n - 1), {}), point, sig.field)
-        i = a - 1
-        derivative = {
-            exps[:i] + (exps[i] - 1,) + exps[i + 1 :]: coef * exps[i]
-            for exps, coef in self.terms.get(0, {}).items()
-            if exps[i]
-        }
-        return _poly_value(derivative, point, sig.field)
+        n, field = sig.n, sig.field
+        out = [field_zero(field)] * sig.total
+        for mask, poly in self.terms.items():
+            if mask & (mask - 1):
+                continue  # two or more generators: no body in any first partial
+            if mask:
+                out[n + mask.bit_length() - 1] = _poly_value(poly, point, field)
+                continue
+            for exps, coef in poly.items():
+                for i, e in enumerate(exps):
+                    if not e:
+                        continue
+                    term = coef * e
+                    for j, x in enumerate(point):
+                        k = exps[j] - (j == i)
+                        if k and not x:
+                            break  # a zero coordinate to a positive power
+                        for _ in range(k):
+                            term = term * x
+                    else:
+                        out[i] = out[i] + term
+            out[:n] = map(canonical, out[:n])
+        return out
 
     def coefficient(self, indices) -> dict:
         """Polynomial coefficient of a given odd index tuple (sorted)."""
@@ -638,7 +685,7 @@ class _Parser:
                 sign = -1
         acc = {}
         while True:
-            add_into(acc, self.superfunction(self.term()), sign)
+            add_into(acc, self.superfunction(self.term()).terms, sign)
             if self.peek()[0] not in ("+", "-"):
                 return accumulated(self.sig, acc)
             sign = 1 if self.next()[0] == "+" else -1

@@ -763,15 +763,26 @@ def supertrace_row(j: SuperMatrix):
     return {(pos % t) * t + pos // t: -v if pos >= p * t else v for pos, v in j._flat.items()}
 
 
+def _entry_parity(dim: SuperDim):
+    """The unknowns of a linear condition on a matrix A: its entries (a, b),
+    labelled a*t + b, each of parity |a| + |b|."""
+    t = dim.total
+    return {a * t + b: (dim.parity(a) + dim.parity(b)) % 2 for a in range(t) for b in range(t)}
+
+
 def solve_algebra(dim: SuperDim, rows, field=RATIONAL) -> SubSuperalgebra:
     """All homogeneous A whose entries satisfy every row, from one graded
     solve.  Each row is a dict {a*t + b: coefficient} on the entries of A,
     homogeneous like those of `annihilator_rows` and `supertrace_row`."""
-    t = dim.total
-    # unknowns: the entries (a, b) of A, each of parity |a| + |b|
-    parity = {a * t + b: (dim.parity(a) + dim.parity(b)) % 2 for a in range(t) for b in range(t)}
-    mats = [SuperMatrix.from_flat(dim, vec, field) for kernel in solve_graded(parity, rows, field).kernels for vec in kernel]
+    kernels = solve_graded(_entry_parity(dim), rows, field).kernels
+    mats = [SuperMatrix.from_flat(dim, vec, field) for kernel in kernels for vec in kernel]
     return SubSuperalgebra.from_matrices(dim, mats, field)
+
+
+def solved_dim(dim: SuperDim, rows, field=RATIONAL):
+    """The graded dim of `solve_algebra(dim, rows, field)`, read from the
+    ranks of the same graded solve, with no basis built."""
+    return solve_graded(_entry_parity(dim), rows, field).graded_dim
 
 
 def stabilizer_algebra(*tensors: StructureTensor) -> SubSuperalgebra:

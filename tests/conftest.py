@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from superhol.berger import canonical_pairs
-from superhol.geometry import Chart, ConnectionData, curvature, sfmat_from_flat, sfmat_zeros
+from superhol.geometry import Chart, ConnectionData, MetricData, curvature, sfmat_from_flat, sfmat_zeros
 from superhol.linalg import solve_graded, solve_kernel, span_echelon
 from superhol.scalars import GAUSSIAN, GaussianRational
 from superhol.superfunc import ChartSignature, Superfunction
@@ -94,6 +94,32 @@ def random_torsion_free_connection(rng, sig, maxdeg=1):
                 if a != b:
                     gamma[b][c][a] = gamma[b][c][a] + f.scale((-1) ** (pa * pb))
     return ConnectionData(chart, gamma)
+
+
+def random_soul_metric(rng, sig):
+    """A metric with a constant standard body (m even) plus a seeded soul:
+    random supersymmetric entries with every body term dropped, scaled by a
+    non-real unit over the Gaussian field."""
+    chart = Chart.tangent(sig)
+    n, t = sig.n, sig.total
+    unit = GaussianRational(1, 1) if sig.field == GAUSSIAN else 1
+    g = sfmat_zeros(sig, t, t)
+    for i in range(n):
+        g[i][i] = Superfunction.constant(sig, rng.choice([1, -1, 2]))
+    for k in range(n, t - 1, 2):
+        g[k][k + 1] = Superfunction.constant(sig, 1)
+        g[k + 1][k] = Superfunction.constant(sig, -1)
+    for b in range(t):
+        for c in range(b, t):
+            pb, pc = chart.coord_parity(b), chart.coord_parity(c)
+            if b == c and pb:
+                continue  # g(b, b) = -g(b, b) for odd b
+            soul = random_superfunction(rng, sig, (pb + pc) % 2)
+            soul = Superfunction(sig, {k: v for k, v in soul.terms.items() if k}).scale(unit)
+            g[b][c] = g[b][c] + soul
+            if b != c:
+                g[c][b] = g[b][c].scale((-1) ** (pb * pc))
+    return MetricData(chart, g)
 
 
 def random_unipotent_gauge(rng, sig, rank, maxdeg=1):

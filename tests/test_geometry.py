@@ -53,6 +53,7 @@ from conftest import (
     flat_of,
     is_canonical_rational,
     random_connection,
+    random_soul_metric,
     random_sparse_connection,
     random_superfunction,
     random_torsion_free_connection,
@@ -558,6 +559,100 @@ class TestSparseTower:
 
         assert self.mutant_killed(monkeypatch, "_step_signs", mutant)
 
+    def test_a_flipped_odd_derivative_sign_is_caught(self, monkeypatch):
+        # the walk's ∂_c of an odd c with the opposite sign
+        def mutant(walk):
+            def flipped(accs, key, f, stop):
+                walk(accs, key, f, stop)
+                for c in range(f.sig.n, stop):
+                    if key in accs[c]:
+                        accs[c][key] = {mask: {k: -v for k, v in poly.items()} for mask, poly in accs[c][key].items()}
+            return flipped
+
+        assert self.mutant_killed(monkeypatch, "partials_into", mutant)
+
+
+def stepwise_next(conn, prev):
+    """The components and parities of the table after `prev`, stepped one
+    direction at a time: `_covariant_step` of each component in each
+    direction its key allows, the zero steps dropped."""
+    out, parities = {}, {}
+    for (dirs, a, b), flat, par, stop in geo._tower_steps(conn.chart, prev):
+        for c in range(stop):
+            step = geo._covariant_step(conn, c, flat, par)
+            if step:
+                out[((c,) + dirs, a, b)] = step
+                parities[((c,) + dirs, a, b)] = par ^ conn.chart.coord_parity(c)
+    return out, parities
+
+
+class TestOnePassTower:
+    """`_next_derivative` walks each component once for every direction,
+    and `_derivative_at` reads every first partial's body from one pass:
+    both against the per-direction steps, on seeded sparse connections
+    over both fields, on free and tangent sheaves."""
+
+    # field, chart n|m, rank p|q (None: the tangent sheaf), Christoffel entries
+    CASES = [
+        (RATIONAL, (1, 1), (1, 1), 4),
+        (GAUSSIAN, (1, 1), (2, 1), 4),
+        (RATIONAL, (2, 1), None, 5),
+        (GAUSSIAN, (1, 2), None, 4),
+        (RATIONAL, (0, 2), (1, 2), 4),
+        (GAUSSIAN, (2, 2), (1, 1), 4),
+    ]
+
+    @staticmethod
+    def connections(field, nm, pq, entries, maxdeg):
+        sig = ChartSignature(*nm, field)
+        chart = Chart.tangent(sig) if pq is None else Chart(sig, SuperDim(*pq))
+        rng = random.Random("one-pass tower %d|%d %s %s %d" % (nm + (pq, field, maxdeg)))
+        for _ in range(3):
+            yield random_sparse_connection(rng, chart, entries, maxdeg)
+
+    @pytest.mark.parametrize("field, nm, pq, entries", CASES)
+    def test_tables_equal_the_stepwise_tables(self, field, nm, pq, entries):
+        kept = 0
+        for conn in self.connections(field, nm, pq, entries, 2):
+            for canonical in (True, False):
+                table = geo.DerivativeTable.holonomy_seed(conn) if canonical else curvature(conn)
+                for order in (1, 2, 3):
+                    want, parities = stepwise_next(conn, table)
+                    table = geo._next_derivative(conn, table)
+                    assert (table.order, table.canonical) == (order, canonical)
+                    # key by key and in order, each flat entry by entry and in order
+                    assert list(table.components) == list(want)
+                    for key, flat in table.components.items():
+                        assert list(flat.items()) == list(want[key].items()), key
+                    assert table.parities == parities
+                    kept += len(want)
+        assert kept
+
+    @pytest.mark.parametrize("field, nm, pq, entries", [case for case in CASES if case[1][0]])
+    def test_point_step_at_a_nonzero_point(self, field, nm, pq, entries):
+        # exponents up to 3 at a point with no zero coordinate: every even
+        # partial's body takes powers of the coordinates
+        scattered = squares = 0
+        for conn in self.connections(field, nm, pq, entries, 3):
+            sig, rk = conn.chart.sig, conn.chart.rank.total
+            squares += any(
+                max(exps) >= 2 for g in conn.gamma for row in g for f in row for poly in f.terms.values() for exps in poly
+            )
+            pt = sig.coerce_point([Fraction(3, 7), Fraction(-5, 2)][: sig.n])
+            gamma = geo.gamma_at(conn, pt)
+            table = geo.DerivativeTable.holonomy_seed(conn)
+            values = {key: geo.values_at(flat, pt, rk) for key, flat in table.components.items()}
+            for _ in (1, 2):
+                got = geo._derivative_at(conn, table, values, pt, gamma)
+                scattered += sum(bool(values[key[0][1:], key[1], key[2]]) for key in got)
+                table = geo._next_derivative(conn, table)
+                values = {key: geo.values_at(flat, pt, rk) for key, flat in table.components.items()}
+                # the built table's keys at the point, and no value elsewhere
+                assert {key: vals for key, vals in got.items() if key in values} == values
+                assert list(key for key in got if key in values) == list(values)
+                assert not any(vals for key, vals in got.items() if key not in values)
+        assert scattered and squares
+
 
 class TestCurvatureKept:
     def test_same_table_on_every_call(self):
@@ -937,8 +1032,8 @@ class TestCanonicalCoefficients:
             f, g = halved(rng, sig), halved(rng, sig)
             acc = {}
             mul_into(acc, f, g)
-            add_into(acc, f, -1)
-            add_into(acc, g)
+            add_into(acc, f.terms, -1)
+            add_into(acc, g.terms)
             results = [f * g, g * f, f + g, f - g, f + f, f.scale(2), f.scale(Fraction(2, 3)), accumulated(sig, acc)]
             results += [f.partial(a) for a in range(1, sig.total + 1)]
             for h in results:
@@ -1215,35 +1310,10 @@ def reference_nabla_metric_component(metric, conn, a, b, c):
 
 
 def metric_derivatives(metric, a):
-    """The nonzero d_a g_bc as `nabla_metric` reads them: row b maps c to it."""
+    """The nonzero d_a g_bc as `nabla_metric` reads them: row b maps c to
+    its terms."""
     rows = ({c: f.partial(a + 1) for c, f in enumerate(row)} for row in metric.g)
-    return [{c: d for c, d in row.items() if d} for row in rows]
-
-
-def random_soul_metric(rng, sig):
-    """A metric with a constant standard body (m even) plus a seeded soul:
-    random supersymmetric entries with every body term dropped, scaled by a
-    non-real unit over the Gaussian field."""
-    chart = Chart.tangent(sig)
-    n, t = sig.n, sig.total
-    unit = GaussianRational(1, 1) if sig.field == GAUSSIAN else 1
-    g = sfmat_zeros(sig, t, t)
-    for i in range(n):
-        g[i][i] = Superfunction.constant(sig, rng.choice([1, -1, 2]))
-    for k in range(n, t - 1, 2):
-        g[k][k + 1] = Superfunction.constant(sig, 1)
-        g[k + 1][k] = Superfunction.constant(sig, -1)
-    for b in range(t):
-        for c in range(b, t):
-            pb, pc = chart.coord_parity(b), chart.coord_parity(c)
-            if b == c and pb:
-                continue  # g(b, b) = -g(b, b) for odd b
-            soul = random_superfunction(rng, sig, (pb + pc) % 2)
-            soul = Superfunction(sig, {k: v for k, v in soul.terms.items() if k}).scale(unit)
-            g[b][c] = g[b][c] + soul
-            if b != c:
-                g[c][b] = g[b][c].scale((-1) ** (pb * pc))
-    return MetricData(chart, g)
+    return [{c: d.terms for c, d in row.items() if d} for row in rows]
 
 
 class TestLeviCivita:

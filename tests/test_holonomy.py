@@ -74,6 +74,7 @@ from conftest import (
     flat_curvature,
     flat_curvature_space,
     flat_of,
+    random_soul_metric,
     random_sparse_connection,
     random_torsion_free_connection,
     random_unipotent_gauge,
@@ -1208,6 +1209,50 @@ class TestEvaluatedOrders:
                     assert list(kept) == list(values[k])
                     assert kept == values[k]
                     assert not any(vals for key, vals in got.items() if key not in values[k])
+
+
+class TestStabilizerBound:
+    """A Levi-Civita run with the graded dim of stab(g_p) as its bound,
+    against the same run without it, on seeded metrics over both fields:
+    soul metrics, with a constant standard body, which often reach osp, at
+    the origin and at a nonzero point, and two metrics that do not."""
+
+    NM = [(0, 2), (1, 2), (2, 2), (0, 4)]
+
+    @classmethod
+    def metrics(cls, field):
+        for nm in cls.NM:
+            sig = ChartSignature(*nm, field)
+            rng = random.Random("stabilizer bound %d|%d %s" % (nm + (field,)))
+            for _ in range(2):
+                metric = random_soul_metric(rng, sig)
+                yield metric, [0] * sig.n
+                if sig.n:
+                    yield metric, [Fraction(3, 7)] + [Fraction(-5, 11)] * (sig.n - 1)
+        if field == RATIONAL:
+            yield cli.product_test_metric(), []
+            yield curved_02_metric(), []
+
+    @pytest.mark.parametrize("field", [RATIONAL, GAUSSIAN])
+    def test_the_bound_changes_no_run(self, field):
+        stopped_early = short_of_the_bound = 0
+        for metric, point in self.metrics(field):
+            conn = levi_civita(metric)
+            rank = conn.chart.rank
+            rows = cli.default_candidates(rank, field, sfmat_value(metric.g, point))[0]["rows"]
+            bound = superlin.solved_dim(rank, rows, field)
+            assert bound == solve_algebra(rank, rows, field).graded_dim
+            for cap in (0, 1, None):
+                free = infinitesimal_holonomy(conn, point, cap)
+                bounded = infinitesimal_holonomy(conn, point, cap, bound)
+                assert bounded.algebra.basis() == free.algebra.basis()
+                assert (bounded.stabilized_at_order, bounded.status) == (free.stabilized_at_order, free.status)
+                # the bounded run stops no later, on the same generators
+                log = bounded.generator_log
+                assert [(r, label) for r, label, _ in log] == [(r, label) for r, label, _ in free.generator_log[: len(log)]]
+                stopped_early += len(log) < len(free.generator_log)
+                short_of_the_bound += free.algebra.graded_dim != bound
+        assert stopped_early and short_of_the_bound
 
 
 def defined_candidate(label, dim, field, metric_body=None):

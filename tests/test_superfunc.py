@@ -15,8 +15,10 @@ from superhol.superfunc import (
     SyntaxErrorAt,
     _even_degree,
     _tokenize,
+    accumulated,
     merge_sign,
     parse_superfunction,
+    partials_into,
     sf_to_str,
 )
 
@@ -408,17 +410,40 @@ class TestPartial:
 
     @pytest.mark.parametrize("field", [RATIONAL, GAUSSIAN])
     def test_body_value_of_the_derivative(self, field):
-        # the body at a point of every partial, without building the partial
+        # the body at a point of every partial from one pass, without
+        # building a partial: at the origin, at a point with one zero
+        # coordinate, and at a point with none, for exponents up to 3
         sig = ChartSignature(2, 2, field)
         rng = random.Random("partial body %s" % field)
         far = [to_field(Fraction(3, 7), field), to_field(Fraction(-5, 11), field)]
         if field == GAUSSIAN:
             far[1] = GaussianRational(Fraction(-5, 11), Fraction(1, 2))
+        zero = to_field(0, field)
         for _ in range(20):
-            f = random_superfunction(rng, sig, maxdeg=3)
-            for point in ([to_field(0, field)] * 2, far):
+            f = random_superfunction(rng, sig, maxdeg=3).scale(Fraction(rng.randint(1, 5), rng.randint(1, 5)))
+            for point in ([zero] * 2, [zero, far[1]], far):
+                bodies = f.partial_bodies(point)
+                assert len(bodies) == sig.total
                 for a in range(1, sig.total + 1):
-                    assert f.partial_body_value(a, point) == f.partial(a).body_value(point)
+                    assert bodies[a - 1] == f.partial(a).body_value(point)
+                    assert field == GAUSSIAN or is_canonical_rational(bodies[a - 1])
+
+    @pytest.mark.parametrize("field", [RATIONAL, GAUSSIAN])
+    def test_every_partial_from_one_pass(self, field):
+        # partials_into puts each ∂_c f below the bound into its own raw
+        # accumulator, and nothing at or past the bound
+        sig = ChartSignature(2, 3, field)
+        rng = random.Random("one-pass partials %s" % field)
+        for _ in range(20):
+            f = random_superfunction(rng, sig, maxdeg=3, density=2).scale(Fraction(rng.randint(1, 5), 3))
+            for stop in range(sig.total + 1):
+                accs = [{} for _ in range(sig.total)]
+                partials_into(accs, "key", f, stop)
+                for c in range(sig.total):
+                    if c < stop:
+                        assert accumulated(sig, accs[c].get("key", {})) == f.partial(c + 1)
+                    else:
+                        assert accs[c] == {}
 
 
 class TestValueAndParity:
