@@ -26,6 +26,7 @@ from .superlin import (
     cyclic_terms,
     radical,
     sorted_cyclic_terms,
+    sparse_lines,
     split,
     superbracket,
 )
@@ -513,7 +514,7 @@ def _simplicity_of(algebra: SubSuperalgebra, representation):
     if rep_alg.total_dim < n:
         return _simplicity(False, "nontrivial center")
     # the columns of ad(x) span the derived algebra
-    if span_echelon(dict(enumerate(col)) for m in ad for col in zip(*m.entries)).rank < n:
+    if span_echelon(col for m in ad for col in sparse_lines(m, rows=False)).rank < n:
         return _simplicity(False, "derived subalgebra is proper")
     closure = None if _norton_irreducible(algebra, ad) else associative_closure(ad, vdim)
     if closure is None or closure.rank == n * n:

@@ -639,18 +639,19 @@ def ricci_kahler_identity_holds(conn, j_mat) -> bool:
     ric = geo.ricci(conn)
     zero = Superfunction.zero(sig)
     half = Fraction(1, 2)
+    j_flat = j_mat.flatten()
     for a in range(t):
         for b in range(t):
             rhs = zero
             for c in range(t):
-                coef = j_mat.entries[c][a]
+                coef = j_flat.get(c * t + a)
                 if not coef:
                     continue
                 r_cb = curv.get(((), c, b), {})
                 for A in range(t):
                     ent = zero
                     for C in range(t):
-                        jac = j_mat.entries[A][C]
+                        jac = j_flat.get(A * t + C)
                         if jac and (C, A) in r_cb:
                             ent = ent + r_cb[(C, A)].scale(jac)
                     sign = 1 if chart.coord_parity(A) == 0 else -1

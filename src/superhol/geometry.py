@@ -419,30 +419,18 @@ def _all_step_signs(chart: Chart):
     return [[_step_signs(chart, c, par) for par in (0, 1)] for c in range(chart.sig.total)]
 
 
-def _covariant_step(conn: ConnectionData, c: int, flat, par: int):
-    """∇_c of one End(E)-valued component over the flat coordinate reference.
-
-    The component is given by its nonzero entries, a flat {(A, B): M^A_B},
-    and the step is returned in that form.  `par` is the total parity of the
-    component's coordinate indices, so entry (A, B) has parity
-    par + |A| + |B|.  Entry (A, B) of the result is
+def _gamma_step(conn: ConnectionData, c: int, entries, signs, acc):
+    """∇_c of one End(E)-valued component over the flat coordinate
+    reference, given its ∂_c M terms as the raw accumulators {(A, B): raw}
+    of `acc`.  The component's nonzero entries M^C_B are the
+    ((C, B), M^C_B) of `entries`, and `signs` are those `_step_signs` gives
+    for the total parity par of its coordinate indices, so entry (A, B) has
+    parity par + |A| + |B|.  Entry (A, B) of the step is
     ∂_c M^A_B + Σ_C (−1)^{|c|(par+|B|+|C|)} M^C_B Γ^A_{cC}
     − Σ_C (−1)^{par(|C|+|B|)} Γ^C_{cB} M^A_C, that is ∂_c M + Γ_c M − M Γ_c
-    with the super signs of that grading: the ∂_c M term, then `_gamma_step`.
-    """
-    acc = {}
-    for key, m in flat.items():
-        add_into(acc.setdefault(key, {}), m.partial(c + 1).terms)
-    return _gamma_step(conn, c, flat.items(), _step_signs(conn.chart, c, par), acc)
-
-
-def _gamma_step(conn: ConnectionData, c: int, entries, signs, acc):
-    """`_covariant_step` of the matrix whose nonzero entries M^C_B are the
-    ((C, B), M^C_B) of `entries`, with its ∂_c M term replaced by the raw
-    accumulators {(A, B): raw} of `acc`: the Γ_c M − M Γ_c terms are scattered
-    from those entries and the nonzero entries of Γ_c, each product added
-    into its entry's accumulator, with the signs `_step_signs` gives for the
-    parity of the matrix's coordinate indices.  Returns `_finished(acc)`."""
+    with the super signs of that grading.  The Γ_c M − M Γ_c terms are
+    scattered from the nonzero entries of M and of Γ_c, each product added
+    into its entry's accumulator.  Returns `_finished(acc)`."""
     gamma_cols, gamma_rows = conn.nonzero_gamma(c)
     fiber, left, right = signs
     for (C, B), m in entries:
@@ -482,8 +470,8 @@ def _tower_steps(chart: Chart, prev: DerivativeTable):
 
 
 def _next_derivative(conn: ConnectionData, prev: DerivativeTable) -> DerivativeTable:
-    """The table of order prev.order + 1: child ((c,) + dirs, a, b) is
-    `_covariant_step(conn, c, flat, par)` of its parent, kept when nonzero.
+    """The table of order prev.order + 1: child ((c,) + dirs, a, b) is ∇_c
+    of its parent, kept when nonzero.
 
     Each component is walked once.  One pass over the terms of its entries
     puts ∂_c of every entry into the raw accumulators of every direction c
@@ -552,7 +540,7 @@ def _derivative_at(conn: ConnectionData, prev: DerivativeTable, values, point, g
     entry, and every child reads its direction's.  A component with no
     nonzero value at the point gives children that are those bodies alone,
     with no scatter; the others scatter the Γ_c terms with the signs of
-    `_step_signs`, as `_covariant_step` does.
+    `_step_signs`, as `_gamma_step` does.
     """
     chart = conn.chart
     t = chart.rank.total
@@ -910,6 +898,8 @@ def levi_civita(metric: MetricData) -> ConnectionData:
 def nabla_endomorphism(conn: ConnectionData, j: SuperMatrix, a: int):
     """(nabla_a J) for a constant even endomorphism J of the tangent sheaf,
     as its nonzero entries {(A, B): Superfunction}."""
-    sig = conn.chart.sig
-    const = {(A, B): Superfunction.constant(sig, v) for A, row in enumerate(j.entries) for B, v in enumerate(row) if v}
-    return _covariant_step(conn, a, const, 0)
+    chart = conn.chart
+    t = chart.rank.total
+    const = {divmod(pos, t): Superfunction.constant(chart.sig, v) for pos, v in j.flatten().items()}
+    # a constant J has no ∂_a term
+    return _gamma_step(conn, a, const.items(), _step_signs(chart, a, 0), {})

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 
 from .geometry import Chart, ConnectionData, MetricData
-from .scalars import FIELDS, GAUSSIAN, MAX_COEFFICIENT_BITS, RATIONAL, parse_scalar, scalar_bits, scalar_str
+from .scalars import FIELDS, GAUSSIAN, MAX_COEFFICIENT_BITS, RATIONAL, field_zero, parse_scalar, scalar_bits, scalar_str
 from .superfunc import ChartSignature, parse_superfunction
 from .superlin import (
     SubSuperalgebra,
@@ -115,10 +115,13 @@ def _superdim(obj, path, keys=("p", "q")):
 def _scalar(value, field, path):
     """A point or explicit-algebra scalar, read from str(value) by the
     bounded `parse_scalar`, whose numerators and denominators have at most
-    MAX_COEFFICIENT_BITS bits, as a superfunction literal's must."""
-    text = str(value)
+    MAX_COEFFICIENT_BITS bits, as a superfunction literal's must.  A JSON
+    float is an error: its value is already rounded to a double, which
+    str() would then round again, so it is not read as written."""
+    if value.__class__ is float:
+        raise ProblemError(path, "must be a string or an integer, not a JSON float")
     try:
-        scalar = parse_scalar(text, field)
+        scalar = parse_scalar(str(value), field)
     except (ValueError, ZeroDivisionError) as exc:
         raise ProblemError(path, str(exc))
     if scalar_bits(scalar) > MAX_COEFFICIENT_BITS:
@@ -237,14 +240,10 @@ def decode_algebra(obj, path="/algebra") -> SubSuperalgebra:
         if not isinstance(flats, list):
             raise ProblemError("%s/%s" % (path, section), "must be a list")
         for k, flat in enumerate(flats):
-            t = dim.total
+            t, at = dim.total, "%s/%s/%d" % (path, section, k)
             if not isinstance(flat, list) or len(flat) != t * t:
-                raise ProblemError("%s/%s/%d" % (path, section, k), "expected %d entries" % (t * t))
-            entries = [
-                [_scalar(flat[a * t + b], field, "%s/%s/%d" % (path, section, k)) for b in range(t)]
-                for a in range(t)
-            ]
-            mats.append(SuperMatrix(dim, entries, field))
+                raise ProblemError(at, "expected %d entries" % (t * t))
+            mats.append(SuperMatrix.from_flat(dim, {pos: _scalar(x, field, at) for pos, x in enumerate(flat)}, field))
     alg = SubSuperalgebra.from_matrices(dim, mats, field)
     if generate_subalgebra(alg.basis(), dim, field).graded_dim != alg.graded_dim:
         raise ProblemError(path, "basis is not closed under the bracket")
@@ -299,7 +298,10 @@ def decode_point(options, sig: ChartSignature):
 
 
 def encode_matrix(m: SuperMatrix):
-    return [scalar_str(v) for row in m.entries for v in row]
+    """The t² entries of m in row-major order, as scalar strings."""
+    flat = m.flatten()
+    zero = scalar_str(field_zero(m.field))
+    return [scalar_str(flat[pos]) if pos in flat else zero for pos in range(m.dim.total ** 2)]
 
 
 def encode_algebra(alg: SubSuperalgebra):

@@ -53,20 +53,19 @@ class SuperDim:
 class SuperMatrix:
     """Parity-graded endomorphism with exact scalar entries.
 
-    The nonzero entries are also kept flat, as `flatten` gives them.
-    `parity` is read once from them: 0 or 1 for a homogeneous matrix (0 for
-    the zero matrix), None for a mixed one.  A SuperMatrix must not be
-    modified after construction.
+    A SuperMatrix is kept as its nonzero entries alone, flat as `flatten`
+    gives them: {row * t + col: scalar}.  `parity` is read once from them:
+    0 or 1 for a homogeneous matrix (0 for the zero matrix), None for a
+    mixed one.  A SuperMatrix must not be modified after construction.
     """
 
-    __slots__ = ("dim", "entries", "parity", "field", "_flat")
+    __slots__ = ("dim", "parity", "field", "_flat")
 
     def __init__(self, dim: SuperDim, entries, field=RATIONAL):
         t = dim.total
         if len(entries) != t or any(len(row) != t for row in entries):
             raise ValueError("entries must be %dx%d" % (t, t))
-        self.entries = [list(row) for row in entries]
-        self._set(dim, {a * t + b: v for a, row in enumerate(self.entries) for b, v in enumerate(row) if v}, field)
+        self._set(dim, {a * t + b: v for a, row in enumerate(entries) for b, v in enumerate(row) if v}, field)
 
     def _set(self, dim: SuperDim, flat: dict, field):
         t, p = dim.total, dim.p
@@ -75,6 +74,16 @@ class SuperMatrix:
         self._flat = flat
         seen = {(pos // t < p) != (pos % t < p) for pos in flat}
         self.parity = None if len(seen) == 2 else int(True in seen)
+
+    @property
+    def entries(self):
+        """The dense rows [A][B], built on each read."""
+        t = self.dim.total
+        z = field_zero(self.field)
+        rows = [[z] * t for _ in range(t)]
+        for pos, v in self._flat.items():
+            rows[pos // t][pos % t] = v
+        return rows
 
     @staticmethod
     def zeros(dim: SuperDim, field=RATIONAL) -> "SuperMatrix":
@@ -116,15 +125,11 @@ class SuperMatrix:
     def apply(self, vec):
         """Matrix times column vector (list of scalars)."""
         t = self.dim.total
-        z = field_zero(self.field)
-        out = [z] * t
-        for a in range(t):
-            row = self.entries[a]
-            acc = z
-            for b in range(t):
-                if vec[b] and row[b]:
-                    acc = acc + row[b] * vec[b]
-            out[a] = acc
+        out = [field_zero(self.field)] * t
+        for pos, v in self._flat.items():
+            a, b = divmod(pos, t)
+            if vec[b]:
+                out[a] = out[a] + v * vec[b]
         return out
 
     def flatten(self) -> dict:
@@ -135,15 +140,8 @@ class SuperMatrix:
     def from_flat(dim: SuperDim, vec: dict, field=RATIONAL) -> "SuperMatrix":
         """The matrix whose entries are the values of vec, as `flatten`
         gives them, and zero elsewhere."""
-        t = dim.total
-        z = field_zero(field)
         m = SuperMatrix.__new__(SuperMatrix)
-        m.entries = [[z] * t for _ in range(t)]
-        flat = {}
-        for pos, v in vec.items():
-            if v:
-                m.entries[pos // t][pos % t] = flat[pos] = v
-        m._set(dim, flat, field)
+        m._set(dim, {pos: v for pos, v in vec.items() if v}, field)
         return m
 
     def graded_flat(self):
@@ -188,13 +186,9 @@ def _product_into(acc: dict, a: SuperMatrix, b: SuperMatrix, sign: int):
 
 
 def supertrace(m: SuperMatrix):
-    total = field_zero(m.field)
-    for a in range(m.dim.total):
-        if m.dim.parity(a) == 0:
-            total = total + m.entries[a][a]
-        else:
-            total = total - m.entries[a][a]
-    return total
+    t, p = m.dim.total, m.dim.p
+    # the diagonal positions a*t + a are the multiples of t + 1
+    return sum((v if pos < p * t else -v for pos, v in m._flat.items() if not pos % (t + 1)), field_zero(m.field))
 
 
 def superbracket(a: SuperMatrix, b: SuperMatrix) -> SuperMatrix:
@@ -436,7 +430,18 @@ def common_kernel(mats, dim: SuperDim, field=RATIONAL):
     """Graded basis (even, odd) of the vectors all the given homogeneous
     matrices kill, as sparse dicts."""
     parity = {a: dim.parity(a) for a in range(dim.total)}
-    return solve_graded(parity, (dict(enumerate(row)) for m in mats for row in m.entries), field).kernels
+    return solve_graded(parity, (row for m in mats for row in sparse_lines(m)), field).kernels
+
+
+def sparse_lines(m: SuperMatrix, rows=True):
+    """The t rows of m, or its t columns when rows is False, each as a
+    sparse dict of its nonzero entries {column (or row) index: entry}."""
+    t = m.dim.total
+    out = [{} for _ in range(t)]
+    for pos, v in m._flat.items():
+        a, b = divmod(pos, t) if rows else reversed(divmod(pos, t))
+        out[a][b] = v
+    return out
 
 
 def split(mats, dim: SuperDim, field=RATIONAL):
@@ -465,7 +470,7 @@ def split(mats, dim: SuperDim, field=RATIONAL):
             if 0 < len(even) + len(odd) < t:
                 # the columns of an even matrix are homogeneous, so the
                 # reduced basis of their span is graded
-                image = span_echelon(dict(enumerate(col)) for col in zip(*power.entries)).basis()
+                image = span_echelon(sparse_lines(power, rows=False)).basis()
                 return even + odd, image
     return None
 

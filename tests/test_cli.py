@@ -18,6 +18,7 @@ from superhol.reportio import (
     OBJECT_KEYS,
     PROBLEM_KEYS,
     ProblemError,
+    decode_point,
     decode_problem,
     dumps_report,
     encode_algebra,
@@ -218,6 +219,26 @@ class TestRunPipelines:
     def test_malformed_input_is_an_error_report(self, doc, path):
         rep, ok = cli.run_problem(doc)
         assert not ok and rep["error"].startswith(path + ": ")
+
+    # a JSON float is already rounded to a double: 0.10000000000000000555
+    # loads as the float 0.1, whose str() would read as exactly 1/10
+    FLOAT_POINT = json.loads(
+        '{"kind": "connection", "chart": {"n": 1, "m": 0}, "gamma": {"1,1,1": "x1"},'
+        ' "options": {"point": [0.10000000000000000555]}}'
+    )
+    FLOAT_ENTRY = {"kind": "algebra", "algebra": {"dim": {"p": 1, "q": 0}, "even": [[2.0]]}}
+
+    @pytest.mark.parametrize("doc, path", [(FLOAT_POINT, "/options/point/0"), (FLOAT_ENTRY, "/algebra/even/0")])
+    def test_a_json_float_scalar_is_an_error(self, doc, path):
+        rep, ok = cli.run_problem(doc)
+        assert not ok and rep["error"] == path + ": must be a string or an integer, not a JSON float"
+
+    def test_scalar_strings_and_json_integers_parse_exactly(self):
+        sig = ChartSignature(2, 0)
+        assert decode_point({"point": ["0.1", 3]}, sig) == [Fraction(1, 10), 3]
+        # span{diag(1/10, 3)}, its basis scaled to a 1 at the first entry
+        doc = {"kind": "algebra", "algebra": {"dim": {"p": 2, "q": 0}, "even": [["0.1", 0, 0, 3]]}}
+        assert encode_algebra(decode_problem(doc)[1])["even"] == [["1", "0", "0", "30"]]
 
     def test_repeated_index_names_the_earlier_key(self):
         doc = {"kind": "connection", "chart": {"n": 1, "m": 0}, "gamma": {" 1,1,1": "x1", "1,1,1": "5"}}

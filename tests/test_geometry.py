@@ -18,6 +18,7 @@ from superhol.superfunc import (
     mask_to_indices,
     mul_into,
     parse_superfunction,
+    partials_into,
 )
 from superhol.holonomy import flatness_certificate
 from superhol.superlin import (
@@ -231,6 +232,17 @@ def dense_covariant_step(conn, c, mat, par):
     return new
 
 
+def covariant_step(conn, c, flat, par):
+    """∇_c of one End(E)-valued component, given by its nonzero entries
+    {(A, B): M^A_B} with coordinate indices of total parity `par`, in that
+    form: the ∂_c M terms from `partials_into`, then `_gamma_step` adds
+    Γ_c M − M Γ_c."""
+    accs = [{} for _ in range(c + 1)]
+    for key, m in flat.items():
+        partials_into(accs, key, m, c + 1)
+    return geo._gamma_step(conn, c, flat.items(), geo._step_signs(conn.chart, c, par), accs[c])
+
+
 class TestSparseCovariantStep:
     """The scattered covariant step against the dense sum, entry by entry."""
 
@@ -266,7 +278,7 @@ class TestSparseCovariantStep:
                     mats.append(sparse)
                     for mat in mats:
                         for c in range(t):
-                            got = geo._covariant_step(conn, c, flat_of(mat), par)
+                            got = covariant_step(conn, c, flat_of(mat), par)
                             want = dense_covariant_step(conn, c, mat, par)
                             # the step keeps exactly the nonzero entries, sorted
                             assert got == flat_of(want) and list(got) == sorted(got), c
@@ -280,7 +292,7 @@ class TestSparseCovariantStep:
     def test_zero_component_steps_to_no_entries(self):
         chart = Chart(ChartSignature(2, 2), SuperDim(2, 2))
         conn = random_sparse_connection(random.Random(4), chart, 2)
-        got = geo._covariant_step(conn, 0, flat_of(sfmat_zeros(chart.sig, 4, 4)), 0)
+        got = covariant_step(conn, 0, flat_of(sfmat_zeros(chart.sig, 4, 4)), 0)
         assert geo.sfmat_is_zero(geo.sfmat_from_flat(chart.sig, 4, got))
         assert got == {}
 
@@ -574,12 +586,12 @@ class TestSparseTower:
 
 def stepwise_next(conn, prev):
     """The components and parities of the table after `prev`, stepped one
-    direction at a time: `_covariant_step` of each component in each
+    direction at a time: `covariant_step` of each component in each
     direction its key allows, the zero steps dropped."""
     out, parities = {}, {}
     for (dirs, a, b), flat, par, stop in geo._tower_steps(conn.chart, prev):
         for c in range(stop):
-            step = geo._covariant_step(conn, c, flat, par)
+            step = covariant_step(conn, c, flat, par)
             if step:
                 out[((c,) + dirs, a, b)] = step
                 parities[((c,) + dirs, a, b)] = par ^ conn.chart.coord_parity(c)

@@ -1,7 +1,11 @@
 """Smoke test of the byte-identity oracle (tests/oracle.py), which pytest does
-not collect: one pass over its reports, and its `--compare` mode on a few."""
+not collect: one pass over its reports, its `--compare` mode on a few, and
+the reports written under two hash seeds."""
 
 import json
+import os
+import subprocess
+import sys
 
 import oracle
 from superhol.reportio import dumps_report
@@ -41,3 +45,22 @@ def test_compare_names_the_first_difference(tmp_path, monkeypatch, capsys):
     (want / "a.json").unlink()
     assert oracle.main(["--compare", str(want)]) == 1
     assert capsys.readouterr().out.startswith("a.json: only this checkout has it")
+
+
+def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
+    """Reports are deterministic by contract, so the oracle's reports
+    written under one PYTHONHASHSEED must match those written under
+    another: string and tuple hashes, and so set order, differ between
+    the two runs."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    path = os.environ.get("PYTHONPATH")
+    base = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    script = os.path.join(here, "oracle.py")
+    want = str(tmp_path / "want")
+    for seed, args in (("1", [want]), ("2", ["--compare", want])):
+        run = subprocess.run(
+            [sys.executable, script] + args, env=dict(base, PYTHONHASHSEED=seed), capture_output=True, text=True
+        )
+        assert run.returncode == 0, run.stdout + run.stderr
+    assert "167 reports match" in run.stdout

@@ -10,7 +10,7 @@ from superhol import linalg, superlin
 from superhol.cli import _pairwise_j
 from superhol.geometry import scalar_matrix_inverse
 from superhol.reportio import encode_algebra, encode_matrix
-from superhol.scalars import GAUSSIAN, RATIONAL, GaussianRational, canonical, field_one, field_zero
+from superhol.scalars import GAUSSIAN, RATIONAL, GaussianRational, canonical, field_one, field_zero, scalar_str
 from superhol.superlin import (
     StructureTensor,
     SubSuperalgebra,
@@ -1182,3 +1182,155 @@ def is_eigenvalue(x, r, field=RATIONAL):
     shifted = combination(x.dim, ((1, x), (-r, SuperMatrix.identity(x.dim, field))), field)
     even, odd = superlin.common_kernel([shifted], x.dim, field)
     return bool(even or odd)
+
+
+# ------------------------------------------ readers of the flat form vs dense
+
+
+def seeded_rows(rng, dim, field, parities):
+    """Dense rows of a seeded matrix with entries in the blocks of the given
+    parities, the field's zero elsewhere; sometimes one row and one column
+    are zeroed out, so zero rows and zero columns occur."""
+    t = dim.total
+    density = rng.choice([0.3, 0.7, 1])
+    rows = [
+        [
+            random_scalar(rng, field) if (dim.parity(a) + dim.parity(b)) % 2 in parities and rng.random() < density else field_zero(field)
+            for b in range(t)
+        ]
+        for a in range(t)
+    ]
+    if t and rng.random() < 0.5:
+        zero_row, zero_col = rng.randrange(t), rng.randrange(t)
+        rows[zero_row] = [field_zero(field)] * t
+        for row in rows:
+            row[zero_col] = field_zero(field)
+    return rows
+
+
+def dense_apply(rows, vec, field):
+    """Matrix times column vector, row by row over dense rows."""
+    out = []
+    for row in rows:
+        acc = field_zero(field)
+        for b, v in enumerate(row):
+            if vec[b] and v:
+                acc = acc + v * vec[b]
+        out.append(acc)
+    return out
+
+
+def dense_supertrace(rows, dim, field):
+    total = field_zero(field)
+    for a in range(dim.total):
+        total = total + rows[a][a] if dim.parity(a) == 0 else total - rows[a][a]
+    return total
+
+
+def dense_common_kernel(mats_rows, dim, field):
+    """The graded kernel solved from every dense row, its zeros included."""
+    parity = {a: dim.parity(a) for a in range(dim.total)}
+    return linalg.solve_graded(parity, (dict(enumerate(row)) for rows in mats_rows for row in rows), field).kernels
+
+
+def dense_column_span(rows):
+    """The reduced basis of the span of the dense columns."""
+    return linalg.span_echelon(dict(enumerate(col)) for col in zip(*rows)).basis()
+
+
+def dense_split(mats, dim, field):
+    """`split` with its kernel and image read from the dense rows and
+    columns of (X - r)^t."""
+    t = dim.total
+    rng = random.Random(superlin.SPLIT_SEED)
+    identity = SuperMatrix.identity(dim, field)
+    for _ in range(superlin.SPLIT_DRAWS):
+        x = combination(dim, [(1, m) for m in mats if rng.randrange(2)], field)
+        for r in superlin.eigenvalue_candidates(x, field):
+            power = combination(dim, ((1, x), (-r, identity)), field)
+            for _ in range(max(t - 1, 0).bit_length()):
+                power = power.matmul(power)
+            rows = power.entries
+            even, odd = dense_common_kernel([rows], dim, field)
+            if 0 < len(even) + len(odd) < t:
+                return even + odd, dense_column_span(rows)
+    return None
+
+
+def dense_encode_matrix(rows):
+    return [scalar_str(v) for row in rows for v in row]
+
+
+def dense_integer_rows(rows, field):
+    """The integer matrix whose characteristic polynomial
+    `eigenvalue_candidates` reads: d·M over the rationals, the real form
+    [[A, -B], [B, A]] of d·M = A + iB over the Gaussian rationals."""
+    if field == RATIONAL:
+        d = math.lcm(1, *(v.denominator for row in rows for v in row))
+        return [[int(v * d) for v in row] for row in rows]
+    parts = [[(v.re, v.im) if isinstance(v, GaussianRational) else (v, 0) for v in row] for row in rows]
+    d = math.lcm(1, *(c.denominator for row in parts for v in row for c in v))
+    re_part = [[int(re * d) for re, _ in row] for row in parts]
+    im_part = [[int(im * d) for _, im in row] for row in parts]
+    return [a + [-b for b in nb] for a, nb in zip(re_part, im_part)] + [b + a for a, b in zip(re_part, im_part)]
+
+
+class TestFlatReadersMatchDenseRows:
+    """Every reader of a matrix's entries reads its flat nonzero entries;
+    each is checked against the same computation over the dense rows the
+    matrix was built from, on seeded homogeneous and mixed matrices over
+    both fields, with zero rows and zero columns among them."""
+
+    DIMS = [SuperDim(0, 0), SuperDim(1, 0), SuperDim(0, 1), SuperDim(2, 1), SuperDim(2, 2)]
+
+    def cases(self, field, parity_sets=((0,), (1,), (0, 1)), count=6):
+        rng = random.Random("flat readers %s" % field)
+        for dim in self.DIMS:
+            for parities in parity_sets:
+                for _ in range(count):
+                    rows = seeded_rows(rng, dim, field, parities)
+                    yield rng, dim, rows, SuperMatrix(dim, rows, field)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_entries_apply_supertrace_and_encoding(self, field):
+        for rng, dim, rows, m in self.cases(field):
+            t = dim.total
+            assert m.entries == rows
+            vec = [rng.choice([field_zero(field), random_scalar(rng, field)]) for _ in range(t)]
+            assert m.apply(vec) == dense_apply(rows, vec, field)
+            assert supertrace(m) == dense_supertrace(rows, dim, field)
+            assert encode_matrix(m) == dense_encode_matrix(rows)
+            assert superlin.sparse_lines(m) == [{b: v for b, v in enumerate(row) if v} for row in rows]
+            assert superlin.sparse_lines(m, rows=False) == [{a: v for a, v in enumerate(col) if v} for col in zip(*rows)]
+            assert linalg.span_echelon(superlin.sparse_lines(m, rows=False)).basis() == dense_column_span(rows)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_common_kernel(self, field):
+        cases = list(self.cases(field, ((0,), (1,))))
+        # each dim has an even number of cases, so each pair shares its dim
+        for (_, dim, rows, m), (_, _, rows2, m2) in zip(cases[::2], cases[1::2]):
+            assert superlin.common_kernel([m, m2], dim, field) == dense_common_kernel([rows, rows2], dim, field)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_split(self, field):
+        rng = random.Random("flat split %s" % field)
+        splits = 0
+        for dim in self.DIMS:
+            for _ in range(4):
+                mats = [SuperMatrix(dim, seeded_rows(rng, dim, field, (0,)), field) for _ in range(2)]
+                if dim.p and dim.q and field == RATIONAL:
+                    mats.append(planted_even_matrix(rng, dim))
+                got = split(mats, dim, field)
+                assert got == dense_split(mats, dim, field)
+                splits += got is not None
+        assert splits
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_eigenvalue_candidates_read_the_dense_integer_rows(self, field, monkeypatch):
+        seen = []
+        char_poly = superlin.char_poly
+        monkeypatch.setattr(superlin, "char_poly", lambda rows: seen.append(rows) or char_poly(rows))
+        for _, _, rows, m in self.cases(field):
+            seen.clear()
+            superlin.eigenvalue_candidates(m, field)
+            assert seen == [dense_integer_rows(rows, field)]
