@@ -62,8 +62,9 @@ def default_candidates(dim: SuperDim, field, metric_body=None):
     Each candidate carries the "rows" that cut out its stabilizer: the
     `annihilator_rows` of its tensors, and for the su cut also the
     `supertrace_row` of the complex structure J, str(J·A) = 0.  The osp
-    candidate is the given metric body, or the standard form without one;
-    the u and su cuts need a metric body.
+    candidate is the given metric body, a scalar `SuperMatrix`
+    (`MetricData.body`), or the standard form without one; the u and su
+    cuts need a metric body.
     """
     p, q = dim
     out = []
@@ -72,7 +73,7 @@ def default_candidates(dim: SuperDim, field, metric_body=None):
         if metric_body is None:
             form = standard_even_form(p, q, field=field)
         else:
-            form = StructureTensor("even_bilinear_form", "supersymmetric", SuperMatrix(dim, metric_body, field))
+            form = StructureTensor("even_bilinear_form", "supersymmetric", metric_body)
         out.append({"label": "even supersymmetric metric (osp type)", "rows": _rows(form)})
     if p % 2 == 0 and dim.total:
         skew = standard_even_form(p, q, skew=True, field=field)
@@ -113,7 +114,7 @@ def connection_report(conn: geo.ConnectionData, options, metric=None):
         nonzero = {"%d,%d" % (a + 1, b + 1): sf_to_str(f) for (a, b), f in sorted(geo.ricci(conn).items())}
         report["ricci"] = {"zero": not nonzero, "entries": nonzero}
 
-    body = None if metric is None else geo.sfmat_value(metric.g, point)
+    body = None if metric is None else metric.body(point)
     cands = default_candidates(chart.rank, sig.field, metric_body=body)
     # ∇g = 0, which `levi_civita` re-verifies, makes every tower component
     # g-skew: the holonomy algebra lies in stab(g_p), solved from the body
@@ -497,10 +498,8 @@ def selftest_cases():
         chart = geo.Chart(sig, SuperDim(1, 1))
         flat = geo.ConnectionData.zero(chart)
         cert = hl.flatness_certificate(flat)
-        g = geo.sfmat_zeros(sig, 2, 2)
-        g[0][0] = Superfunction.constant(sig, 1)
-        g[1][1] = Superfunction.constant(sig, 1)
-        g[0][1] = parse_superfunction("x1*xi1", sig)
+        one = Superfunction.constant(sig, 1)
+        g = {(0, 0): one, (0, 1): parse_superfunction("x1*xi1", sig), (1, 1): one}
         gauge = geo.pure_gauge_connection(chart, g)
         cert2 = hl.flatness_certificate(gauge)
         return cert["flat"] and cert2["flat"], "zero and pure gauge"
@@ -509,10 +508,8 @@ def selftest_cases():
     def _():
         sig = ChartSignature(1, 1)
         chart = geo.Chart(sig, SuperDim(1, 1))
-        g = geo.sfmat_zeros(sig, 2, 2)
-        g[0][0] = Superfunction.constant(sig, 1)
-        g[1][1] = Superfunction.constant(sig, 1)
-        g[1][0] = parse_superfunction("xi1", sig)
+        one = Superfunction.constant(sig, 1)
+        g = {(0, 0): one, (1, 0): parse_superfunction("xi1", sig), (1, 1): one}
         conn = geo.pure_gauge_connection(chart, g)
         res = hl.reconstruct_parallel_section(
             conn, [Fraction(0)], [Fraction(1), Fraction(2)], gauge=g
@@ -600,7 +597,7 @@ def selftest_cases():
         metric = product_test_metric()
         lc = geo.levi_civita(metric)
         hol = hl.infinitesimal_holonomy(lc, [])
-        body = geo.sfmat_value(metric.g, [])
+        body = metric.body([])
         dec = hl.decomposability_certificate(hol.algebra, body)
         return (
             hol.algebra.graded_dim == (6, 0) and dec["status"] == "decomposable"

@@ -2,9 +2,11 @@
 
 Index conventions (all 0-based internally, 1-based at the JSON boundary):
 coordinate index a in 0..n+m-1 with parity |a| = 0 for a < n; sheaf basis
-index A in 0..p+q-1 with parity |A| = 0 for A < p.  The Christoffel table
-stores gamma[a][A][B] = coefficient of e_A in the derivative of e_B along
-coordinate a; each entry is homogeneous of parity |a|+|A|+|B|.
+index A in 0..p+q-1 with parity |A| = 0 for A < p.  Every superfunction
+matrix is a flat {(A, B): Superfunction} of its nonzero entries in sorted
+(A, B) order.  The Christoffel table stores one per coordinate a:
+gamma[a][(A, B)] is the coefficient of e_A in the derivative of e_B along
+coordinate a, homogeneous of parity |a|+|A|+|B|.
 """
 
 from __future__ import annotations
@@ -46,68 +48,24 @@ class Chart:
 
 
 # ------------------------------------------------- superfunction matrices
+#
+# A superfunction matrix is a flat {(A, B): Superfunction} of its nonzero
+# entries, in sorted (A, B) order: the form of a derivative-table component.
+# Its size is not read from the dict, so a function that needs it takes it.
 
 
-def sfmat_zeros(sig: ChartSignature, rows: int, cols: int):
-    z = Superfunction.zero(sig)
-    return [[z] * cols for _ in range(rows)]
-
-
-def sfmat_from_flat(sig: ChartSignature, rank: int, flat):
-    """The dense rank x rank rows of a flat {(A, B): Superfunction}."""
-    mat = sfmat_zeros(sig, rank, rank)
-    for (A, B), f in flat.items():
-        mat[A][B] = f
-    return mat
-
-
-def _sfmat_sig(a):
-    """Chart signature of the first entry, or None for a matrix with none."""
-    for row in a:
-        for f in row:
-            return f.sig
-    return None
-
-
-def sfmat_mul(a, b):
-    """The product of two superfunction matrices, scattered from the nonzero
-    entries of both factors into one raw accumulator per entry of a row."""
-    sig = _sfmat_sig(a)
-    cols = len(b[0])
-    zero = Superfunction.zero(sig)
-    b_rows = [[(j, g) for j, g in enumerate(row) if g.terms] for row in b]
-    out = []
-    for row in a:
-        acc = {}
-        for k, f in enumerate(row):
-            if f.terms:
-                for j, g in b_rows[k]:
-                    mul_into(acc.setdefault(j, {}), f, g)
-        new = [zero] * cols
-        for j, raw in acc.items():
-            new[j] = accumulated(sig, raw)
-        out.append(new)
-    return out
-
-
-def sfmat_partial(a, idx: int):
-    return [[f.partial(idx) for f in row] for row in a]
-
-
-def sfmat_is_zero(a) -> bool:
-    return all(f.is_zero() for row in a for f in row)
-
-
-def sfmat_value(a, point):
-    """Exact values of a superfunction matrix at a point of the even coordinates.
-
-    The point is checked and coerced into the field once for the whole matrix.
-    """
-    sig = _sfmat_sig(a)
-    if sig is None:
-        return [[] for _ in a]
-    point = sig.coerce_point(point)
-    return [[f.body_value(point) for f in row] for row in a]
+def sfmat_mul(a, b, sig: ChartSignature):
+    """The product of two superfunction matrices, each product of a nonzero
+    entry of `a` by one of `b` scattered into the raw accumulator of its
+    entry.  Returns `_finished` of those."""
+    b_rows = {}
+    for (k, j), g in b.items():
+        b_rows.setdefault(k, []).append((j, g))
+    acc = {}
+    for (i, k), f in a.items():
+        for j, g in b_rows.get(k, ()):
+            mul_into(acc.setdefault((i, j), {}), f, g)
+    return _finished(sig, acc)
 
 
 class MatrixInversionError(ValueError):
@@ -125,36 +83,35 @@ def scalar_matrix_inverse(mat, field=RATIONAL):
     return [[ech.pivot_rows[i].get(t + j, zero) for j in range(t)] for i in range(t)]
 
 
-def sfmat_inverse(a, sig: ChartSignature):
-    """Invert constant + nilpotent superfunction matrices exactly.
+def sfmat_inverse(a, t: int, sig: ChartSignature):
+    """Invert a t x t constant + nilpotent superfunction matrix exactly.
 
     Writes A = A0 + N with A0 the constant part; the inverse is the finite
     Neumann series (sum of (-A0^{-1} N)^k) A0^{-1}, which terminates iff the
     body of N is nilpotent as a polynomial matrix.  Rejected otherwise.
     N is A with the constant monomial of each entry dropped, and the series
-    adds only the nonzero entries of each power.  The inverse of the 0x0
-    matrix is itself.
+    adds only the nonzero entries of each power.
     """
-    t = len(a)
-    if not t:
-        return []
     origin, none = (0,) * sig.n, {}
-    a0 = [[f.terms.get(0, none).get(origin, 0) for f in row] for row in a]
-    n_mat = [[f - c if c else f for f, c in zip(row, consts)] for row, consts in zip(a, a0)]
-    a0_inv = [[Superfunction.constant(sig, v) for v in row] for row in scalar_matrix_inverse(a0, sig.field)]
-    m_mat = sfmat_mul([[-f for f in row] for row in a0_inv], n_mat)
-    one, zero = Superfunction.constant(sig, 1), Superfunction.zero(sig)
-    total = [[one if i == j else zero for j in range(t)] for i in range(t)]
+    consts = {key: f.terms.get(0, none).get(origin, 0) for key, f in a.items()}
+    n_mat = {key: f - consts[key] if consts[key] else f for key, f in a.items()}
+    a0 = [[consts.get((i, j), 0) for j in range(t)] for i in range(t)]
+    a0_inv = {
+        (i, j): Superfunction.constant(sig, v)
+        for i, row in enumerate(scalar_matrix_inverse(a0, sig.field))
+        for j, v in enumerate(row)
+        if v
+    }
+    m_mat = sfmat_mul({key: -f for key, f in a0_inv.items()}, n_mat, sig)
+    total = {(i, i): Superfunction.constant(sig, 1) for i in range(t)}
     term = m_mat
     cap = t * (sig.m + 1) + sig.m + 1
     for _ in range(cap):
-        if sfmat_is_zero(term):
-            return sfmat_mul(total, a0_inv)
-        for i, row in enumerate(term):
-            for j, f in enumerate(row):
-                if f.terms:
-                    total[i][j] = total[i][j] + f
-        term = sfmat_mul(term, m_mat)
+        if not term:
+            return sfmat_mul(total, a0_inv, sig)
+        for key, f in term.items():
+            total[key] = total[key] + f if key in total else f
+        term = sfmat_mul(term, m_mat, sig)
     raise MatrixInversionError(
         "matrix is not (constant invertible) + nilpotent; exact inversion unsupported"
     )
@@ -166,51 +123,46 @@ def sfmat_inverse(a, sig: ChartSignature):
 class ConnectionData:
     """Christoffel table of a connection on a rank p|q free sheaf.
 
-    The table must not be modified after construction: `curvature` and
+    gamma[c] is the matrix of direction c: the flat {(A, B): Γ^A_{cB}} of
+    its nonzero entries, the coefficient of e_A in ∇_c e_B, in sorted (A, B)
+    order.  The constructor keeps that form of any dicts it is given.  The
+    table must not be modified after construction: `curvature` and
     `torsion` keep the tables they derive from it on the connection.
     """
 
     def __init__(self, chart: Chart, gamma, validate=True):
         self.chart = chart
-        self.gamma = gamma  # gamma[a][A][B], superfunctions
         self._curvature = None
         self._torsion = None
         self._nonzero_gamma = None
         sig = chart.sig
         t, r = sig.total, chart.rank.total
-        if len(gamma) != t or any(len(g) != r or any(len(row) != r for row in g) for g in gamma):
+        if len(gamma) != t or any(not (0 <= A < r and 0 <= B < r) for g in gamma for A, B in g):
             raise ValueError("gamma must be (n+m) x (p+q) x (p+q)")
+        self.gamma = [{key: g[key] for key in sorted(g) if g[key]} for g in gamma]
         if validate:
             fiber = [chart.fiber_parity(A) for A in range(r)]
-            for a in range(t):
+            for a, g in enumerate(self.gamma):
                 pa = chart.coord_parity(a)
-                for A, row in enumerate(gamma[a]):
-                    for B, f in enumerate(row):
-                        if not f.terms:
-                            continue  # a zero entry has every parity
-                        want = (pa + fiber[A] + fiber[B]) % 2
-                        if not _parity_ok(f, want):
-                            raise ValueError(
-                                "gamma[%d][%d][%d] must be homogeneous of parity %d" % (a, A, B, want)
-                            )
+                for (A, B), f in g.items():
+                    want = (pa + fiber[A] + fiber[B]) % 2
+                    if not _parity_ok(f, want):
+                        raise ValueError("gamma[%d][%d][%d] must be homogeneous of parity %d" % (a, A, B, want))
 
     @staticmethod
     def zero(chart: Chart) -> "ConnectionData":
-        sig = chart.sig
-        gamma = [sfmat_zeros(sig, chart.rank.total, chart.rank.total) for _ in range(sig.total)]
-        return ConnectionData(chart, gamma, validate=False)
+        return ConnectionData(chart, [{} for _ in range(chart.sig.total)], validate=False)
 
     @staticmethod
     def from_entries(chart: Chart, entries) -> "ConnectionData":
         """entries: dict {(a, B, A): Superfunction} with 1-based indices."""
-        rk = chart.rank.total
-        gamma = [sfmat_zeros(chart.sig, rk, rk) for _ in range(chart.sig.total)]
+        gamma = [{} for _ in range(chart.sig.total)]
         for (a, B, A), f in entries.items():
-            gamma[a - 1][A - 1][B - 1] = gamma[a - 1][A - 1][B - 1] + f
+            gamma[a - 1][(A - 1, B - 1)] = f
         return ConnectionData(chart, gamma)
 
     def is_zero(self) -> bool:
-        return all(sfmat_is_zero(g) for g in self.gamma)
+        return not any(self.gamma)
 
     def nonzero_gamma(self, c: int):
         """The nonzero Γ^A_{cB} of direction c, as (columns, rows): column B
@@ -218,73 +170,58 @@ class ConnectionData:
         for every direction on the first call and kept on the connection."""
         if self._nonzero_gamma is None:
             r = self.chart.rank.total
-            self._nonzero_gamma = [
-                (
-                    [[(A, g[A][B]) for A in range(r) if g[A][B].terms] for B in range(r)],
-                    [[(B, f) for B, f in enumerate(row) if f.terms] for row in g],
-                )
-                for g in self.gamma
-            ]
+            self._nonzero_gamma = []
+            for g in self.gamma:
+                cols, rows = [[] for _ in range(r)], [[] for _ in range(r)]
+                for (A, B), f in g.items():
+                    cols[B].append((A, f))
+                    rows[A].append((B, f))
+                self._nonzero_gamma.append((cols, rows))
         return self._nonzero_gamma[c]
 
 
 def pure_gauge_connection(chart: Chart, gauge) -> ConnectionData:
-    """Flat connection whose parallel frame is the columns of the gauge.
+    """Flat connection whose parallel frame is the columns of the gauge, a
+    flat {(A, B): g^A_B} of its nonzero entries.
 
     For an even invertible superfunction matrix g the Christoffel table is
-    the unique solution of d_a g[A][B] + sum_C (-1)^{|a|(|C|+|B|)}
-    g[C][B] gamma[a][A][C] = 0; in the purely even case this reduces to the
-    familiar -(d_a g) g^{-1}.  The parallel-frame property is re-verified
-    before returning.
+    the unique solution of ∂_a g^A_B + Σ_C (−1)^{|a|(|C|+|B|)} g^C_B Γ^A_{aC}
+    = 0; in the purely even case this reduces to the familiar −(∂_a g) g⁻¹.
+    So Γ^A_{aC} is (−1)^{|a||C|} times entry (C, A) of (g^T)⁻¹ D, where
+    D^B_A = −(−1)^{|a||B|} ∂_a g^A_B.  The parallel-frame property is
+    re-verified before returning.
     """
     sig = chart.sig
     rk = chart.rank.total
-    g_t = [[gauge[c][b] for c in range(rk)] for b in range(rk)]
-    g_t_inv = sfmat_inverse(g_t, sig)
+    fiber = [chart.fiber_parity(A) for A in range(rk)]
+    g_t_inv = sfmat_inverse({(B, A): f for (A, B), f in gauge.items()}, rk, sig)
     gamma = []
     for a in range(sig.total):
         pa = chart.coord_parity(a)
-        deriv = sfmat_partial(gauge, a + 1)
-        mat = sfmat_zeros(sig, rk, rk)
-        for A in range(rk):
-            rhs = [
-                deriv[A][B].scale(-((-1) ** (pa * chart.fiber_parity(B))))
-                for B in range(rk)
-            ]
-            for C in range(rk):
-                acc = Superfunction.zero(sig)
-                for B in range(rk):
-                    if not (g_t_inv[C][B].is_zero() or rhs[B].is_zero()):
-                        acc = acc + g_t_inv[C][B] * rhs[B]
-                mat[A][C] = acc.scale((-1) ** (pa * chart.fiber_parity(C)))
-        gamma.append(mat)
+        rhs = {(B, A): f.partial(a + 1).scale(-((-1) ** (pa * fiber[B]))) for (A, B), f in gauge.items()}
+        prod = sfmat_mul(g_t_inv, rhs, sig)
+        gamma.append({(A, C): f.scale((-1) ** (pa * fiber[C])) for (C, A), f in prod.items()})
     conn = ConnectionData(chart, gamma)
-    for B in range(rk):
-        col = [gauge[A][B] for A in range(rk)]
-        for a in range(sig.total):
-            if any(not f.is_zero() for f in nabla_section(conn, col, a)):
-                raise AssertionError("gauge frame failed the parallel check")
+    cols = [[Superfunction.zero(sig)] * rk for _ in range(rk)]
+    for (A, B), f in gauge.items():
+        cols[B][A] = f
+    if any(any(nabla_section(conn, col, a)) for col in cols for a in range(sig.total)):
+        raise AssertionError("gauge frame failed the parallel check")
     return conn
 
 
 def nabla_section(conn: ConnectionData, comps, a: int):
     """Covariant derivative of a section along coordinate a (0-based).
 
-    Component form: d_a X^A + sum_B (-1)^{|a||X^B|} X^B gamma[a][A][B], the
+    Component form: d_a X^A + sum_B (-1)^{|a||X^B|} X^B Γ^A_{aB}, the
     parity sign applied per homogeneous part of X^B (even part +, odd part
     sign-flipped when a is odd).
     """
-    chart = conn.chart
-    pa = chart.coord_parity(a)
-    out = []
-    for A in range(chart.rank.total):
-        acc = comps[A].partial(a + 1)
-        for B in range(chart.rank.total):
-            gam = conn.gamma[a][A][B]
-            if gam.is_zero() or comps[B].is_zero():
-                continue
-            acc = acc + comps[B].sign_split(pa) * gam
-        out.append(acc)
+    pa = conn.chart.coord_parity(a)
+    out = [f.partial(a + 1) for f in comps]
+    for (A, B), gam in conn.gamma[a].items():
+        if comps[B]:
+            out[A] = out[A] + comps[B].sign_split(pa) * gam
     return out
 
 
@@ -366,11 +303,10 @@ def curvature(conn: ConnectionData) -> DerivativeTable:
     fiber = [0] * chart.rank.p + [1] * chart.rank.q
     # ∂_x Γ_y of every nonzero entry, from one walk over each Γ_y and read
     # for R_xy and R_yx: dgamma[y][x] maps (A, B) to the raw ∂_x Γ_y^A_B
-    nonzero = [[((A, B), g) for A, row in enumerate(conn.nonzero_gamma(y)[1]) for B, g in row] for y in range(t)]
     dgamma = [[{} for _ in range(t)] for _ in range(t)]
-    for y, entries in enumerate(nonzero):
-        for key, g in entries:
-            partials_into(dgamma[y], key, g, t)
+    for y, g in enumerate(conn.gamma):
+        for key, f in g.items():
+            partials_into(dgamma[y], key, f, t)
     comps = {}
     for a in range(t):
         pa = par(a)
@@ -383,7 +319,7 @@ def curvature(conn: ConnectionData) -> DerivativeTable:
                 add_into(acc.setdefault(key, {}), d)
             for key, d in dgamma[a][b].items():
                 add_into(acc.setdefault(key, {}), d, sign)
-            flat = _gamma_step(conn, a, nonzero[b], _step_signs(chart, a, pb), acc)
+            flat = _gamma_step(conn, a, conn.gamma[b].items(), _step_signs(chart, a, pb), acc)
             for (A, B), term in flat.items():
                 if not _parity_ok(term, (pa + pb + fiber[A] + fiber[B]) % 2):
                     raise AssertionError("curvature parity law violated")
@@ -481,7 +417,7 @@ def _next_derivative(conn: ConnectionData, prev: DerivativeTable) -> DerivativeT
     """
     chart = conn.chart
     sig = chart.sig
-    live = [any(conn.nonzero_gamma(c)[0]) for c in range(sig.total)]
+    live = [bool(g) for g in conn.gamma]
     signs = _all_step_signs(chart)
     out, parities = {}, {}
     for (dirs, a, b), flat, par, stop in _tower_steps(chart, prev):
@@ -574,15 +510,24 @@ def covariant_derivatives(conn: ConnectionData, ref, order: int):
     """Full tables of covariant curvature derivatives for orders 0..order.
 
     Unlike the holonomy tower's, these tables hold every key, as dense rows
-    [A][B], and no parities: they are read, not stepped.  The directions are
-    differentiated with the flat coordinate reference: `ref` must be None,
-    and any other value raises ValueError.  The parameter stays because the
-    benchmark's report checker (`bench/checks.py`) calls it with None.
+    [A][B] of superfunctions, and no parities: they are read, not stepped.
+    The rows and the parameter `ref` stay for the benchmark's report checker
+    (`bench/checks.py`), which reads each entry's value and calls this with
+    None.  The directions are differentiated with the flat coordinate
+    reference: any other `ref` raises ValueError.
     """
     if ref is not None:
         raise ValueError("covariant derivatives take only the flat coordinate reference (ref=None)")
     chart = conn.chart
-    t = chart.sig.total
+    t, rk = chart.sig.total, chart.rank.total
+    zero = Superfunction.zero(chart.sig)
+
+    def rows(flat):
+        out = [[zero] * rk for _ in range(rk)]
+        for (A, B), f in flat.items():
+            out[A][B] = f
+        return out
+
     keys = [((), a, b) for a in range(t) for b in range(t)]
     table = curvature(conn)
     tables = []
@@ -590,8 +535,7 @@ def covariant_derivatives(conn: ConnectionData, ref, order: int):
         if r:
             table = _next_derivative(conn, table)
             keys = [((c,) + dirs, a, b) for dirs, a, b in keys for c in range(t)]
-        comps = {key: sfmat_from_flat(chart.sig, chart.rank.total, table.components.get(key, {})) for key in keys}
-        tables.append(DerivativeTable(chart, r, comps))
+        tables.append(DerivativeTable(chart, r, {key: rows(table.components.get(key, {})) for key in keys}))
     return tables
 
 
@@ -600,32 +544,26 @@ def covariant_derivatives(conn: ConnectionData, ref, order: int):
 
 def torsion(conn: ConnectionData):
     """Coordinate torsion T(d_a, d_b) = T^c_ab d_c as {(a, b): {c: T^c_ab}},
-    nonzero entries only; kept on the connection like its curvature."""
+    nonzero entries only; kept on the connection like its curvature.
+
+    T^c_ab = Γ^c_ab − (−1)^{|a||b|} Γ^c_ba, so each nonzero Γ^c_ab is added
+    into T^c_ab and, with the sign −(−1)^{|a||b|}, into T^c_ba."""
     if conn._torsion is not None:
         return conn._torsion
     chart = conn.chart
     if not chart.tangent_sheaf:
         raise ValueError("torsion needs a tangent-sheaf connection")
-    sig = chart.sig
-    t = sig.total
-    gamma = conn.gamma
+    par = chart.coord_parity
+    acc = {}
+    for a, g in enumerate(conn.gamma):
+        for (c, b), f in g.items():
+            add_into(acc.setdefault((a, b), {}).setdefault(c, {}), f.terms)
+            add_into(acc.setdefault((b, a), {}).setdefault(c, {}), f.terms, -((-1) ** (par(a) * par(b))))
     out = {}
-    for a in range(t):
-        for b in range(t):
-            sign = -((-1) ** (chart.coord_parity(a) * chart.coord_parity(b)))
-            vec = {}
-            for c in range(t):
-                # T^c_ab = Γ^c_ab − (−1)^{|a||b|} Γ^c_ba
-                f, g = gamma[a][c][b], gamma[b][c][a]
-                if f.terms or g.terms:
-                    acc = {}
-                    add_into(acc, f.terms)
-                    add_into(acc, g.terms, sign)
-                    f = accumulated(sig, acc)
-                    if f.terms:
-                        vec[c] = f
-            if vec:
-                out[(a, b)] = vec
+    for key in sorted(acc):
+        vec = _finished(chart.sig, acc[key])
+        if vec:
+            out[key] = vec
     conn._torsion = out
     return out
 
@@ -711,13 +649,19 @@ def ricci(conn: ConnectionData):
 
 
 class MetricData:
-    """Even supersymmetric metric on the tangent sheaf of a chart."""
+    """Even supersymmetric metric on the tangent sheaf of a chart.
+
+    g is the flat {(a, b): g_ab} of its nonzero entries, in sorted (a, b)
+    order; the constructor keeps that form of any dict it is given.  g must
+    not be modified after construction: `inverse` keeps g⁻¹ on the metric.
+    """
 
     def __init__(self, chart: Chart, g, validate=True):
         if not chart.tangent_sheaf:
             raise ValueError("metric lives on the tangent sheaf")
         self.chart = chart
-        self.g = g  # g[a][b] superfunctions
+        self.g = {key: g[key] for key in sorted(g) if g[key]}
+        self._inverse = None
         # the `validate_metric` report, kept for reuse
         self.validation = None
         if validate:
@@ -727,57 +671,61 @@ class MetricData:
 
     @staticmethod
     def from_entries(chart: Chart, entries) -> "MetricData":
-        """entries: dict {(a,b): Superfunction}, 1-based, symmetric closure applied."""
-        sig = chart.sig
-        t = sig.total
-        g = sfmat_zeros(sig, t, t)
-        seen = set()
-        for (a, b), f in entries.items():
-            g[a - 1][b - 1] = g[a - 1][b - 1] + f
-            seen.add((a - 1, b - 1))
-        for a in range(t):
-            for b in range(a + 1, t):
-                if (a, b) in seen and (b, a) not in seen:
-                    sign = (-1) ** (chart.coord_parity(a) * chart.coord_parity(b))
-                    g[b][a] = g[a][b].scale(sign)
-                elif (b, a) in seen and (a, b) not in seen:
-                    sign = (-1) ** (chart.coord_parity(a) * chart.coord_parity(b))
-                    g[a][b] = g[b][a].scale(sign)
+        """entries: dict {(a,b): Superfunction}, 1-based, symmetric closure
+        applied: an entry given at (a, b) and not at (b, a) is copied there
+        with the sign (−1)^{|a||b|}."""
+        par = chart.coord_parity
+        g = {(a - 1, b - 1): f for (a, b), f in entries.items()}
+        for (a, b), f in list(g.items()):
+            if (b, a) not in g:
+                g[(b, a)] = f.scale((-1) ** (par(a) * par(b)))
         return MetricData(chart, g)
+
+    def body(self, point) -> SuperMatrix:
+        """The body of g at a point of the even coordinates, as a scalar
+        `SuperMatrix`."""
+        sig = self.chart.sig
+        return SuperMatrix.from_flat(self.chart.rank, values_at(self.g, sig.coerce_point(point), sig.total), sig.field)
+
+    def inverse(self):
+        """g⁻¹ as a flat of its nonzero entries (`sfmat_inverse`), built on
+        the first call and kept on the metric."""
+        if self._inverse is None:
+            self._inverse = sfmat_inverse(self.g, self.chart.sig.total, self.chart.sig)
+        return self._inverse
 
 
 def validate_metric(metric: MetricData):
-    """Structural checks plus body nondegeneracy at the origin."""
+    """Structural checks, body nondegeneracy at the origin, and, when those
+    pass, the exact inverse of g that `levi_civita` needs."""
     chart = metric.chart
     sig = chart.sig
-    t = sig.total
+    t, n = sig.total, sig.n
+    par = chart.coord_parity
     g = metric.g
-    failures = []
-    for a in range(t):
-        for b in range(t):
-            want = (chart.coord_parity(a) + chart.coord_parity(b)) % 2
-            if not _parity_ok(g[a][b], want):
-                failures.append("entry (%d,%d) has wrong parity" % (a + 1, b + 1))
-    for a in range(t):
-        for b in range(t):
-            sign = (-1) ** (chart.coord_parity(a) * chart.coord_parity(b))
-            if not _is_signed_copy(g[a][b], g[b][a], sign):
-                failures.append("supersymmetry fails at (%d,%d)" % (a + 1, b + 1))
-    body = sfmat_value(g, [0] * sig.n)
-    n = sig.n
+    failures = [
+        "entry (%d,%d) has wrong parity" % (a + 1, b + 1)
+        for (a, b), f in g.items()
+        if not _parity_ok(f, (par(a) + par(b)) % 2)
+    ]
+    zero = Superfunction.zero(sig)
+    for a, b in sorted(set(g) | {(b, a) for a, b in g}):
+        if not _is_signed_copy(g.get((a, b), zero), g.get((b, a), zero), (-1) ** (par(a) * par(b))):
+            failures.append("supersymmetry fails at (%d,%d)" % (a + 1, b + 1))
+    rows = metric.body([0] * n).entries
     for a in range(n):
         for b in range(n, t):
-            if body[a][b] or body[b][a]:
+            if rows[a][b] or rows[b][a]:
                 failures.append("even-odd body block nonzero at (%d,%d)" % (a + 1, b + 1))
-    even_block = [row[:n] for row in body[:n]]
-    odd_block = [row[n:] for row in body[n:]]
+    even_block = [row[:n] for row in rows[:n]]
+    odd_block = [row[n:] for row in rows[n:]]
     signature = None
     nondegenerate = True
     for name, block in (("even", even_block), ("odd", odd_block)):
         if not block:
             continue
         try:
-            scalar_matrix_inverse([list(r) for r in block], sig.field)
+            scalar_matrix_inverse(block, sig.field)
         except MatrixInversionError:
             nondegenerate = False
             failures.append("%s body block degenerate at the base point" % name)
@@ -790,6 +738,11 @@ def validate_metric(metric: MetricData):
         coeffs = [c for c in char_poly([[int(v * d) for v in row] for row in even_block]) if c]
         positives = sum(a * b < 0 for a, b in zip(coeffs, coeffs[1:]))
         signature = (positives, n - positives)
+    if not failures:
+        try:
+            metric.inverse()
+        except MatrixInversionError as exc:
+            failures.append(str(exc))
     return {
         "valid": not failures,
         "failures": failures,
@@ -813,11 +766,12 @@ def nabla_metric(metric: MetricData, conn: ConnectionData, a: int, dg_a):
     chart = metric.chart
     sig = chart.sig
     t = sig.total
-    g = metric.g
     par = [chart.coord_parity(x) for x in range(t)]
     pa = par[a]
-    g_rows = [[(c, f) for c, f in enumerate(row) if f.terms] for row in g]
-    g_cols = [[(b, g[b][d]) for b in range(t) if g[b][d].terms] for d in range(t)]
+    g_rows, g_cols = [[] for _ in range(t)], [[] for _ in range(t)]
+    for (b, c), f in metric.g.items():
+        g_rows[b].append((c, f))
+        g_cols[c].append((b, f))
     gamma_cols = conn.nonzero_gamma(a)[0]  # gamma_cols[b] lists (d, Γ^d_{ab})
     acc = {}
     for b in range(t):
@@ -834,12 +788,7 @@ def nabla_metric(metric: MetricData, conn: ConnectionData, a: int, dg_a):
                 if b <= c:
                     sign = (-1) ** (par[b] * (pa + par[c] + par[d]) + pa * par[b])
                     mul_into(acc.setdefault((b, c), {}), gam, f, -sign)
-    out = {}
-    for key, raw in acc.items():
-        f = accumulated(sig, raw)
-        if f.terms:
-            out[key] = f
-    return out
+    return _finished(sig, acc)
 
 
 def levi_civita(metric: MetricData) -> ConnectionData:
@@ -854,17 +803,16 @@ def levi_civita(metric: MetricData) -> ConnectionData:
     chart = metric.chart
     sig = chart.sig
     t = sig.total
-    g = metric.g
-    g_inv = sfmat_inverse(g, sig)
-    inv_rows = [[(d, f) for d, f in enumerate(row) if f.terms] for row in g_inv]
+    inv_rows = [[] for _ in range(t)]
+    for (c, d), f in metric.inverse().items():
+        inv_rows[c].append((d, f))
     half = to_field(Fraction(1, 2), sig.field)
     # dg[x][y] maps z to the raw d_x g_yz, for the nonzero ones, from one
     # walk over each g_yz
     dg = [[{} for _ in range(t)] for _ in range(t)]
-    for y, row in enumerate(g):
-        for z, f in enumerate(row):
-            partials_into([dg[x][y] for x in range(t)], z, f, t)
-    gamma = [sfmat_zeros(sig, t, t) for _ in range(t)]
+    for (y, z), f in metric.g.items():
+        partials_into([dg[x][y] for x in range(t)], z, f, t)
+    gamma = [{} for _ in range(t)]
     for a in range(t):
         for b in range(t):
             acc = {}
@@ -885,7 +833,7 @@ def levi_civita(metric: MetricData) -> ConnectionData:
             for d, raw in acc.items():
                 f = accumulated(sig, raw)
                 if f.terms:
-                    gamma[a][d][b] = f
+                    gamma[a][(d, b)] = f
     conn = ConnectionData(chart, gamma)
     if torsion(conn):
         raise AssertionError("Koszul output failed the torsion-free check")

@@ -19,7 +19,6 @@ from .geometry import (
     nabla_section,
     pure_gauge_connection,
     scalar_matrix_inverse,
-    sfmat_value,
     values_at,
 )
 from .linalg import same_span, solve_kernel, span_echelon
@@ -264,7 +263,7 @@ def numeric_parallel_transport(conn: ConnectionData, path, steps: int) -> Transp
             continue  # A = 0: every propagator is the identity
         for i in moved:
             if i not in bodies:
-                entries = [(A, B, g) for A, row in enumerate(conn.nonzero_gamma(i)[1]) for B, g in row]
+                entries = [(A, B, g) for (A, B), g in conn.gamma[i].items()]
                 bodies[i] = _compile_body(entries, (rk, rk), n)
         # A(t) as one compiled body: the monomials of every moved direction
         if len(moved) == 1:
@@ -366,7 +365,7 @@ class SectionData:
         self.components = list(components)
 
     def value(self, point):
-        return sfmat_value([self.components], point)[0]
+        return [f.value(point) for f in self.components]
 
 
 def check_parallel(conn: ConnectionData, section: SectionData) -> bool:
@@ -396,7 +395,6 @@ def _fill_odd_coefficients(conn: ConnectionData, comps):
     index present in a monomial determines each higher Grassmann coefficient.
     """
     sig = conn.chart.sig
-    rk = conn.chart.rank.total
     m = sig.m
     comps = list(comps)
     for size in range(1, m + 1):
@@ -404,14 +402,12 @@ def _fill_odd_coefficients(conn: ConnectionData, comps):
         for gi in range(1, m + 1):
             a = sig.n + gi - 1
             bit = 1 << (gi - 1)
-            for A in range(rk):
-                q = Superfunction.zero(sig)
-                for B in range(rk):
-                    gam = conn.gamma[a][A][B]
-                    if gam.is_zero() or comps[B].is_zero():
-                        continue
-                    q = q + comps[B].sign_split(1) * gam
-                for mask_t, poly in q.terms.items():
+            q = [Superfunction.zero(sig)] * len(comps)
+            for (A, B), gam in conn.gamma[a].items():
+                if comps[B]:
+                    q[A] = q[A] + comps[B].sign_split(1) * gam
+            for A, f in enumerate(q):
+                for mask_t, poly in f.terms.items():
                     if bin(mask_t).count("1") != size - 1:
                         continue
                     if mask_t & bit or (mask_t & (bit - 1)):
@@ -427,7 +423,9 @@ def reconstruct_parallel_section(conn: ConnectionData, point, value, gauge=None,
 
     The value must be annihilated by the infinitesimal holonomy; the body
     part needs either a flat body (even-direction tables with zero body) or a
-    supplied polynomial gauge.  The output is verified exactly.
+    supplied polynomial gauge, the flat {(A, B): g^A_B} of its nonzero
+    entries that `pure_gauge_connection` takes.  The output is verified
+    exactly.
     """
     chart = conn.chart
     sig = chart.sig
@@ -446,26 +444,18 @@ def reconstruct_parallel_section(conn: ConnectionData, point, value, gauge=None,
             )
 
     if gauge is not None:
-        expected = pure_gauge_connection(chart, gauge)
-        for a in range(sig.total):
-            for A in range(rk):
-                for B in range(rk):
-                    if conn.gamma[a][A][B] != expected.gamma[a][A][B]:
-                        return ReconstructionResult(
-                            "rejected", reason="supplied gauge does not produce this connection"
-                        )
-        gval_inv = scalar_matrix_inverse(sfmat_value(gauge, point), field)
+        if conn.gamma != pure_gauge_connection(chart, gauge).gamma:
+            return ReconstructionResult("rejected", reason="supplied gauge does not produce this connection")
+        gval = SuperMatrix.from_flat(chart.rank, values_at(gauge, sig.coerce_point(point), rk), field)
+        gval_inv = scalar_matrix_inverse(gval.entries, field)
         coeffs = [
             sum((gval_inv[B][C] * value[C] for C in range(rk)), field_zero(field))
             for B in range(rk)
         ]
-        cand = []
-        for A in range(rk):
-            acc = Superfunction.zero(sig)
-            for B in range(rk):
-                if coeffs[B]:
-                    acc = acc + gauge[A][B].scale(coeffs[B])
-            cand.append(acc)
+        cand = [Superfunction.zero(sig)] * rk
+        for (A, B), f in gauge.items():
+            if coeffs[B]:
+                cand[A] = cand[A] + f.scale(coeffs[B])
         # every gauge column is parallel (pure_gauge_connection checks it) and
         # the candidate is a constant combination of them, so this check holds
         section = SectionData(cand)
@@ -473,12 +463,7 @@ def reconstruct_parallel_section(conn: ConnectionData, point, value, gauge=None,
             raise AssertionError("gauge reconstruction failed verification")
         return ReconstructionResult("exact", section)
 
-    body_flat = all(
-        not conn.gamma[i][A][B].terms.get(0)
-        for i in range(sig.n)
-        for A in range(rk)
-        for B in range(rk)
-    )
+    body_flat = all(0 not in f.terms for g in conn.gamma[: sig.n] for f in g.values())
     if not body_flat:
         return ReconstructionResult(
             "needs_numeric",
@@ -533,7 +518,8 @@ def classify_geometry(algebra: SubSuperalgebra, candidates):
 
 
 def decomposability_certificate(algebra: SubSuperalgebra, metric_body):
-    """Wu decomposition of V under an algebra that preserves the metric body G.
+    """Wu decomposition of V under an algebra that preserves the metric body
+    G, a scalar `SuperMatrix` (`MetricData.body`).
 
     S is the commutant of the algebra among the G-self-adjoint even matrices
     (X^T G = G X); the G-orthogonal projections onto the nondegenerate
@@ -549,7 +535,7 @@ def decomposability_certificate(algebra: SubSuperalgebra, metric_body):
     dim = algebra.dim
     t = dim.total
     field = algebra.field
-    g = metric_body
+    g = metric_body.entries
     selfadjoint = []
     for c in range(t):
         for d in range(t):

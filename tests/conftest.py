@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from superhol.berger import canonical_pairs
-from superhol.geometry import Chart, ConnectionData, MetricData, curvature, sfmat_from_flat, sfmat_zeros
+from superhol.geometry import Chart, ConnectionData, MetricData, curvature
 from superhol.linalg import solve_graded, solve_kernel, span_echelon
 from superhol.scalars import GAUSSIAN, GaussianRational
 from superhol.superfunc import ChartSignature, Superfunction
@@ -20,8 +20,39 @@ def is_canonical_rational(value):
 
 def flat_of(mat):
     """The nonzero entries of dense rows, as the flat {(A, B): f} of a
-    sparse derivative-table component, in sorted (A, B) order."""
+    superfunction matrix, in sorted (A, B) order."""
     return {(A, B): f for A, row in enumerate(mat) for B, f in enumerate(row) if f.terms}
+
+
+def dense_zeros(sig, rows, cols):
+    """Dense rows [A][B] of zero superfunctions: the reference form of a
+    superfunction matrix."""
+    z = Superfunction.zero(sig)
+    return [[z] * cols for _ in range(rows)]
+
+
+def dense_of(sig, rank, flat):
+    """The dense rank x rank rows of a flat {(A, B): Superfunction}."""
+    mat = dense_zeros(sig, rank, rank)
+    for (A, B), f in flat.items():
+        mat[A][B] = f
+    return mat
+
+
+def dense_gamma(conn):
+    """The Christoffel table as dense rows: gamma[a][A][B] = Γ^A_{aB}."""
+    rk = conn.chart.rank.total
+    return [dense_of(conn.chart.sig, rk, g) for g in conn.gamma]
+
+
+def dense_is_zero(mat):
+    return all(f.is_zero() for row in mat for f in row)
+
+
+def dense_value(mat, point):
+    """Exact values of dense superfunction rows at a point of the even
+    coordinates."""
+    return [[f.value(point) for f in row] for row in mat]
 
 
 def dense_curvature(conn):
@@ -30,7 +61,7 @@ def dense_curvature(conn):
     chart = conn.chart
     t, rk = chart.sig.total, chart.rank.total
     comps = curvature(conn).components
-    return {(a, b): sfmat_from_flat(chart.sig, rk, comps.get(((), a, b), {})) for a in range(t) for b in range(t)}
+    return {(a, b): dense_of(chart.sig, rk, comps.get(((), a, b), {})) for a in range(t) for b in range(t)}
 
 
 def random_superfunction(rng, sig, parity=None, maxdeg=1, density=1):
@@ -49,12 +80,12 @@ def random_superfunction(rng, sig, parity=None, maxdeg=1, density=1):
 def random_connection(rng, chart, maxdeg=1):
     sig = chart.sig
     t, rk = sig.total, chart.rank.total
-    gamma = [sfmat_zeros(sig, rk, rk) for _ in range(t)]
+    gamma = [{} for _ in range(t)]
     for a in range(t):
         for A in range(rk):
             for B in range(rk):
                 want = (chart.coord_parity(a) + chart.fiber_parity(A) + chart.fiber_parity(B)) % 2
-                gamma[a][A][B] = random_superfunction(rng, sig, want, maxdeg)
+                gamma[a][(A, B)] = random_superfunction(rng, sig, want, maxdeg)
     return ConnectionData(chart, gamma)
 
 
@@ -65,14 +96,14 @@ def random_sparse_connection(rng, chart, entries=4, maxdeg=1):
     """
     sig = chart.sig
     t, rk = sig.total, chart.rank.total
-    gamma = [sfmat_zeros(sig, rk, rk) for _ in range(t)]
+    gamma = [{} for _ in range(t)]
     for _ in range(entries):
         a, A, B = rng.randrange(t), rng.randrange(rk), rng.randrange(rk)
         want = (chart.coord_parity(a) + chart.fiber_parity(A) + chart.fiber_parity(B)) % 2
         f = random_superfunction(rng, sig, want, maxdeg)
         if sig.field == GAUSSIAN:
             f = f.scale(GaussianRational(rng.choice([-1, 1]), rng.choice([-1, 1])))
-        gamma[a][A][B] = gamma[a][A][B] + f
+        gamma[a][(A, B)] = gamma[a].get((A, B), Superfunction.zero(sig)) + f
     return ConnectionData(chart, gamma)
 
 
@@ -80,7 +111,7 @@ def random_torsion_free_connection(rng, sig, maxdeg=1):
     """Tangent-sheaf connection with graded-symmetric lower indices."""
     chart = Chart.tangent(sig)
     t = sig.total
-    gamma = [sfmat_zeros(sig, t, t) for _ in range(t)]
+    gamma = [{} for _ in range(t)]
     for a in range(t):
         pa = chart.coord_parity(a)
         for b in range(a, t):
@@ -90,9 +121,9 @@ def random_torsion_free_connection(rng, sig, maxdeg=1):
                 if a == b and pa == 1:
                     continue  # odd-odd diagonal must vanish: T^c_{aa} = 2 gamma^c_{aa}
                 f = random_superfunction(rng, sig, want, maxdeg)
-                gamma[a][c][b] = gamma[a][c][b] + f
+                gamma[a][(c, b)] = f
                 if a != b:
-                    gamma[b][c][a] = gamma[b][c][a] + f.scale((-1) ** (pa * pb))
+                    gamma[b][(c, a)] = f.scale((-1) ** (pa * pb))
     return ConnectionData(chart, gamma)
 
 
@@ -103,12 +134,12 @@ def random_soul_metric(rng, sig):
     chart = Chart.tangent(sig)
     n, t = sig.n, sig.total
     unit = GaussianRational(1, 1) if sig.field == GAUSSIAN else 1
-    g = sfmat_zeros(sig, t, t)
+    g = {}
     for i in range(n):
-        g[i][i] = Superfunction.constant(sig, rng.choice([1, -1, 2]))
+        g[(i, i)] = Superfunction.constant(sig, rng.choice([1, -1, 2]))
     for k in range(n, t - 1, 2):
-        g[k][k + 1] = Superfunction.constant(sig, 1)
-        g[k + 1][k] = Superfunction.constant(sig, -1)
+        g[(k, k + 1)] = Superfunction.constant(sig, 1)
+        g[(k + 1, k)] = Superfunction.constant(sig, -1)
     for b in range(t):
         for c in range(b, t):
             pb, pc = chart.coord_parity(b), chart.coord_parity(c)
@@ -116,22 +147,22 @@ def random_soul_metric(rng, sig):
                 continue  # g(b, b) = -g(b, b) for odd b
             soul = random_superfunction(rng, sig, (pb + pc) % 2)
             soul = Superfunction(sig, {k: v for k, v in soul.terms.items() if k}).scale(unit)
-            g[b][c] = g[b][c] + soul
+            g[(b, c)] = g.get((b, c), Superfunction.zero(sig)) + soul
             if b != c:
-                g[c][b] = g[b][c].scale((-1) ** (pb * pc))
+                g[(c, b)] = g[(b, c)].scale((-1) ** (pb * pc))
     return MetricData(chart, g)
 
 
 def random_unipotent_gauge(rng, sig, rank, maxdeg=1):
-    """Even invertible matrix: identity plus strictly lower triangular part."""
+    """Even invertible matrix, the flat {(A, B): f} of its nonzero entries:
+    identity plus strictly lower triangular part."""
     t = rank.total
-    g = sfmat_zeros(sig, t, t)
-    for a in range(t):
-        g[a][a] = Superfunction.constant(sig, 1)
+    g = {(a, a): Superfunction.constant(sig, 1) for a in range(t)}
     for a in range(t):
         for b in range(a):
-            want = (rank.parity(a) + rank.parity(b)) % 2
-            g[a][b] = random_superfunction(rng, sig, want, maxdeg)
+            f = random_superfunction(rng, sig, (rank.parity(a) + rank.parity(b)) % 2, maxdeg)
+            if f:
+                g[(a, b)] = f
     return g
 
 

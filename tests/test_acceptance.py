@@ -97,8 +97,8 @@ def test_criterion_2_flatness_corollary():
             bump = random_superfunction(rng, sig, want, maxdeg=1)
             if bump.is_zero():
                 continue
-            gamma = [[[f for f in row] for row in mat] for mat in conn.gamma]
-            gamma[a][A][B] = gamma[a][A][B] + bump
+            gamma = [dict(g) for g in conn.gamma]
+            gamma[a][(A, B)] = gamma[a].get((A, B), Superfunction.zero(sig)) + bump
             perturbed = geo.ConnectionData(chart, gamma)
             cert = hl.flatness_certificate(perturbed)
             if not cert["flat"]:
@@ -224,8 +224,7 @@ def test_criterion_8_ricci_kahler():
         assert ricci_kahler_identity_holds(lc, j)
         ric_zero = geo.ricci(lc) == {}
         hol = hl.infinitesimal_holonomy(lc, [])
-        body = geo.sfmat_value(metric.g, [])
-        cands = default_candidates(SuperDim(0, 4), "rational", metric_body=body)
+        cands = default_candidates(SuperDim(0, 4), "rational", metric_body=metric.body([]))
         report = hl.classify_geometry(hol.algebra, cands)
         in_su = next(e["contained"] for e in report if e["structure"].startswith("special unitary"))
         assert ric_zero == in_su, "lam=%d breaks the equivalence" % lam
@@ -263,8 +262,7 @@ def test_criterion_9_product_decomposition():
             for b in range(4):
                 if (a < 2) != (b < 2):
                     assert not m.entries[a][b]
-    body = geo.sfmat_value(metric.g, [])
-    dec = hl.decomposability_certificate(hol.algebra, body)
+    dec = hl.decomposability_certificate(hol.algebra, metric.body([]))
     assert dec["status"] == "decomposable"
     support = {i for v in dec["witness"] for i, x in enumerate(v) if x}
     assert support in ({0, 1}, {2, 3})
@@ -274,11 +272,8 @@ def test_criterion_9_product_decomposition():
 def test_criterion_10_numeric_transport():
     sig = ChartSignature(2, 0)
     chart = geo.Chart(sig, SuperDim(2, 0))
-    gamma = [geo.sfmat_zeros(sig, 2, 2) for _ in range(2)]
     x2 = Superfunction.even_var(sig, 2)
-    gamma[0][0][1] = -x2
-    gamma[0][1][0] = x2
-    conn = geo.ConnectionData(chart, gamma)
+    conn = geo.ConnectionData(chart, [{(0, 1): -x2, (1, 0): x2}, {}])
     table = dense_curvature(conn)
     x0 = [0.5, 0.5]
     pt = [Fraction(1, 2), Fraction(1, 2)]

@@ -28,7 +28,6 @@ from superhol.superfunc import ChartSignature, Superfunction
 from superhol.superlin import (
     StructureTensor,
     SuperDim,
-    SuperMatrix,
     annihilator_rows,
     solve_algebra,
     stabilizer_algebra,
@@ -101,6 +100,21 @@ class TestRunPipelines:
         rep, ok = cli.run_problem(load("example_metric02.json"))
         assert ok and rep["result"]["metric_valid"]
         assert len(calls) == 1
+
+    def test_metric_without_an_exact_inverse_is_an_error_at_g(self):
+        # the body 1 + x1 is invertible at the origin, but g has no inverse
+        # as a polynomial matrix, so `levi_civita` cannot run: the metric is
+        # rejected when decoded, at its JSON path
+        doc = {"kind": "metric", "chart": {"n": 1, "m": 0}, "g": {"1,1": "1 + x1"}, "options": {"point": [0]}}
+        rep, ok = cli.run_problem(doc)
+        assert not ok
+        assert rep["error"] == (
+            "/g: invalid metric: matrix is not (constant invertible) + nilpotent; exact inversion unsupported"
+        )
+        # an x-dependent body whose nonconstant part is nilpotent has one
+        doc.update(chart={"n": 2, "m": 0}, g={"1,2": "1", "2,2": "x1"}, options={"point": [0, 0]})
+        rep, ok = cli.run_problem(doc)
+        assert ok and rep["result"]["metric_valid"]
 
     def test_prolongation_file(self):
         rep, ok = cli.run_problem(load("example_prolong_cosp.json"))
@@ -566,9 +580,9 @@ class TestStandardStabilizers:
 
     def test_metric_rows_and_the_unitary_cuts(self):
         metric, j = cli.kahler_test_metric(0)
-        body = geo.sfmat_value(metric.g, [])
+        body = metric.body([])
         cands = cli.default_candidates(SuperDim(0, 4), RATIONAL, metric_body=body)
-        form = StructureTensor("even_bilinear_form", "supersymmetric", SuperMatrix(SuperDim(0, 4), body))
+        form = StructureTensor("even_bilinear_form", "supersymmetric", body)
         assert cands[0]["rows"] == annihilator_rows(form)
         u, su = cands[-2:]
         assert [c["label"].split(" (")[0] for c in (u, su)] == ["unitary cut", "special unitary cut"]

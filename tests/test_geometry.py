@@ -42,15 +42,17 @@ from superhol.geometry import (
     ricci,
     sfmat_inverse,
     sfmat_mul,
-    sfmat_partial,
-    sfmat_value,
-    sfmat_zeros,
     torsion,
     validate_metric,
 )
 
 from conftest import (
     dense_curvature,
+    dense_gamma,
+    dense_is_zero,
+    dense_of,
+    dense_value,
+    dense_zeros,
     flat_of,
     is_canonical_rational,
     random_connection,
@@ -136,17 +138,18 @@ def reference_nabla_endomorphism(conn, j, a):
     `nabla_endomorphism` had before it became one covariant step."""
     sig = conn.chart.sig
     t = sig.total
-    out = sfmat_zeros(sig, t, t)
+    gamma = dense_gamma(conn)[a]
+    out = dense_zeros(sig, t, t)
     for d in range(t):
         for c in range(t):
             acc = Superfunction.zero(sig)
             for b in range(t):
                 jv = j.entries[b][c]
                 if jv:
-                    acc = acc + conn.gamma[a][d][b].scale(jv)
+                    acc = acc + gamma[d][b].scale(jv)
                 jv = j.entries[d][b]
                 if jv:
-                    acc = acc - conn.gamma[a][b][c].scale(jv)
+                    acc = acc - gamma[b][c].scale(jv)
             out[d][c] = acc
     return out
 
@@ -212,10 +215,10 @@ def dense_covariant_step(conn, c, mat, par):
     through `reference_product`."""
     chart = conn.chart
     rk = chart.rank.total
-    gamma = conn.gamma[c]
+    gamma = dense_gamma(conn)[c]
     pc = chart.coord_parity(c)
     fiber = [chart.fiber_parity(A) for A in range(rk)]
-    new = sfmat_zeros(chart.sig, rk, rk)
+    new = dense_zeros(chart.sig, rk, rk)
     for A in range(rk):
         for B in range(rk):
             fB = fiber[B]
@@ -265,13 +268,13 @@ class TestSparseCovariantStep:
             for _ in range(2):
                 conn = make(rng, chart)
                 for par in (0, 1):
-                    mats = [sfmat_zeros(sig, rk, rk)]
+                    mats = [dense_zeros(sig, rk, rk)]
                     for A, B in itertools.product(range(rk), repeat=2):
-                        one = sfmat_zeros(sig, rk, rk)
+                        one = dense_zeros(sig, rk, rk)
                         one[A][B] = entry(par, A, B)
                         mats.append(one)
                     mats.append([[entry(par, A, B) for B in range(rk)] for A in range(rk)])
-                    sparse = sfmat_zeros(sig, rk, rk)
+                    sparse = dense_zeros(sig, rk, rk)
                     for _ in range(2):
                         A, B = rng.randrange(rk), rng.randrange(rk)
                         sparse[A][B] = entry(par, A, B)
@@ -282,19 +285,74 @@ class TestSparseCovariantStep:
                             want = dense_covariant_step(conn, c, mat, par)
                             # the step keeps exactly the nonzero entries, sorted
                             assert got == flat_of(want) and list(got) == sorted(got), c
-                            dense = geo.sfmat_from_flat(sig, rk, got)
+                            dense = dense_of(sig, rk, got)
                             for A in range(rk):
                                 for B in range(rk):
                                     assert dense[A][B] == want[A][B], (c, A, B)
-                            nonzero += not geo.sfmat_is_zero(dense)
+                            nonzero += not dense_is_zero(dense)
         assert nonzero
 
     def test_zero_component_steps_to_no_entries(self):
         chart = Chart(ChartSignature(2, 2), SuperDim(2, 2))
         conn = random_sparse_connection(random.Random(4), chart, 2)
-        got = covariant_step(conn, 0, flat_of(sfmat_zeros(chart.sig, 4, 4)), 0)
-        assert geo.sfmat_is_zero(geo.sfmat_from_flat(chart.sig, 4, got))
+        got = covariant_step(conn, 0, flat_of(dense_zeros(chart.sig, 4, 4)), 0)
+        assert dense_is_zero(dense_of(chart.sig, 4, got))
         assert got == {}
+
+
+def leibniz_mismatches(field, signed=True, shifted=True):
+    """(cases, failures) of the Leibniz rule of the tower step,
+    ∇_c(f·M) = (∂_c f)·M + (−1)^{|c||f|} f·∇_c M, on seeded sparse
+    connections, components M and homogeneous superfunctions f of both
+    parities.  f·M is the entrywise product, stepped with the coordinate
+    parity par(M) + |f|; both sides step through `partials_into` and
+    `_gamma_step` (`covariant_step`).  The mutants: the sign left out when
+    not `signed`, and f·M stepped with par(M) when not `shifted`."""
+    cases = bad = 0
+    unit = GaussianRational(1, 1) if field == GAUSSIAN else 1
+    for nm, pq in (((1, 1), (1, 1)), ((1, 2), (2, 1)), ((2, 1), (1, 2)), ((0, 2), (1, 1))):
+        sig = ChartSignature(*nm, field)
+        chart = Chart(sig, SuperDim(*pq))
+        rk = chart.rank.total
+        zero = Superfunction.zero(sig)
+        rng = random.Random("leibniz %d|%d %d|%d %s" % (nm + pq + (field,)))
+        for _ in range(4):
+            conn = random_sparse_connection(rng, chart, 4, maxdeg=2)
+            for par, pf in itertools.product((0, 1), repeat=2):
+                m = {}
+                for A, B in itertools.product(range(rk), repeat=2):
+                    want = (par + chart.fiber_parity(A) + chart.fiber_parity(B)) % 2
+                    m[(A, B)] = random_superfunction(rng, sig, want, 2).scale(unit)
+                m = {key: v for key, v in m.items() if v}
+                f = random_superfunction(rng, sig, pf, 2).scale(unit)
+                fm = {key: f * v for key, v in m.items() if f * v}
+                for c in range(sig.total):
+                    lhs = covariant_step(conn, c, fm, (par + pf) % 2 if shifted else par)
+                    sign = (-1) ** (chart.coord_parity(c) * pf) if signed else 1
+                    df, step = f.partial(c + 1), covariant_step(conn, c, m, par)
+                    rhs = {}
+                    for key in sorted(set(m) | set(step)):
+                        v = df * m.get(key, zero) + (f * step.get(key, zero)).scale(sign)
+                        if v:
+                            rhs[key] = v
+                    cases += 1
+                    bad += lhs != rhs
+    return cases, bad
+
+
+class TestTowerStepLeibniz:
+    """The tower step is a derivation over superfunctions, with odd f and odd
+    directions c included, over both fields."""
+
+    @pytest.mark.parametrize("field", [RATIONAL, GAUSSIAN])
+    def test_the_rule_holds(self, field):
+        cases, bad = leibniz_mismatches(field)
+        assert cases > 100 and bad == 0
+
+    @pytest.mark.parametrize("field", [RATIONAL, GAUSSIAN])
+    def test_a_dropped_sign_and_an_unshifted_parity_are_caught(self, field):
+        assert leibniz_mismatches(field, signed=False)[1]
+        assert leibniz_mismatches(field, shifted=False)[1]
 
 
 def unfolded_curvature(conn):
@@ -302,12 +360,13 @@ def unfolded_curvature(conn):
     then added entry by entry as a superfunction of its own."""
     chart = conn.chart
     t, rk = chart.sig.total, chart.rank.total
+    gamma = dense_gamma(conn)
     mats = {}
     for a, b in itertools.product(range(t), repeat=2):
         pa, pb = chart.coord_parity(a), chart.coord_parity(b)
-        mat = dense_covariant_step(conn, a, conn.gamma[b], pb)
+        mat = dense_covariant_step(conn, a, gamma[b], pb)
         for A, B in itertools.product(range(rk), repeat=2):
-            mat[A][B] = mat[A][B] - conn.gamma[a][A][B].partial(b + 1).scale((-1) ** (pa * pb))
+            mat[A][B] = mat[A][B] - gamma[a][A][B].partial(b + 1).scale((-1) ** (pa * pb))
         mats[(a, b)] = mat
     return mats
 
@@ -329,7 +388,7 @@ class TestFoldedCurvature:
             conn = make(rng, chart)
             got, want = curvature(conn).components, unfolded_curvature(conn)
             # exactly the nonzero components, each with its nonzero entries
-            assert got == {((), a, b): flat_of(mat) for (a, b), mat in want.items() if not geo.sfmat_is_zero(mat)}
+            assert got == {((), a, b): flat_of(mat) for (a, b), mat in want.items() if not dense_is_zero(mat)}
             assert list(got) == sorted(got) and all(list(flat) == sorted(flat) for flat in got.values())
             nonzero += len(got)
         assert nonzero
@@ -379,7 +438,7 @@ class TestNoStoredZeros:
     def dense_torsion(conn):
         par = conn.chart.coord_parity
         t = conn.chart.sig.total
-        gamma = conn.gamma
+        gamma = dense_gamma(conn)
         return {
             (a, b, c): gamma[a][c][b] - gamma[b][c][a].scale((-1) ** (par(a) * par(b)))
             for a, b, c in itertools.product(range(t), repeat=3)
@@ -474,14 +533,14 @@ def tower_mismatches(conn, dense, order, canonical, point):
     pt = chart.sig.coerce_point(point)
     bad = []
     for r, (tab, want) in enumerate(zip(sparse_tower(conn, order, canonical), dense)):
-        nonzero = [key for key, mat in want.items() if not geo.sfmat_is_zero(mat)]
+        nonzero = [key for key, mat in want.items() if not dense_is_zero(mat)]
         if list(tab.components) != nonzero:
             bad.append((r, "keys"))
         for key in nonzero:
             flat = tab.components.get(key, {})
             if flat != flat_of(want[key]) or list(flat) != sorted(flat):
                 bad.append((r, key, "entries"))
-            body = sfmat_value(want[key], pt)
+            body = dense_value(want[key], pt)
             values = {A * rk + B: v for A, row in enumerate(body) for B, v in enumerate(row) if v}
             if geo.values_at(flat, pt, rk) != values:
                 bad.append((r, key, "values"))
@@ -526,7 +585,7 @@ class TestSparseTower:
                 for tab, want in zip(sparse_tower(conn, order, canonical), dense):
                     # the dropped keys are exactly the zero components
                     gone = want.keys() - tab.components.keys()
-                    assert all(geo.sfmat_is_zero(want[key]) for key in gone)
+                    assert all(dense_is_zero(want[key]) for key in gone)
                     dropped += len(gone)
                     kept += len(tab.components)
             # covariant_derivatives keeps every key, as dense rows
@@ -648,7 +707,7 @@ class TestOnePassTower:
         for conn in self.connections(field, nm, pq, entries, 3):
             sig, rk = conn.chart.sig, conn.chart.rank.total
             squares += any(
-                max(exps) >= 2 for g in conn.gamma for row in g for f in row for poly in f.terms.values() for exps in poly
+                max(exps) >= 2 for g in conn.gamma for f in g.values() for poly in f.terms.values() for exps in poly
             )
             pt = sig.coerce_point([Fraction(3, 7), Fraction(-5, 2)][: sig.n])
             gamma = geo.gamma_at(conn, pt)
@@ -737,7 +796,7 @@ class TestCurvatureKept:
 
 class TestEvaluation:
     @pytest.mark.parametrize("field", [RATIONAL, GAUSSIAN])
-    def test_sfmat_value_matches_entrywise_value(self, field):
+    def test_values_at_matches_entrywise_value(self, field):
         rng = random.Random(41)
         sig = ChartSignature(2, 2, field)
 
@@ -752,15 +811,35 @@ class TestEvaluation:
                 for _ in range(rows)
             ]
             point = [rng.randint(-2, 2), scalar()]
-            got = sfmat_value(mat, point)
-            assert got == [[f.value(point) for f in row] for row in mat]
+            got = geo.values_at(flat_of(mat), sig.coerce_point(point), cols)
+            want = {A * cols + B: f.value(point) for A, row in enumerate(mat) for B, f in enumerate(row)}
+            assert got == {pos: v for pos, v in want.items() if v}
             if field == RATIONAL:
-                assert all(is_canonical_rational(v) for row in got for v in row)
+                assert all(is_canonical_rational(v) for v in got.values())
             else:
-                assert all(type(v) is GaussianRational for row in got for v in row)
+                assert all(type(v) is GaussianRational for v in got.values())
+
+    @pytest.mark.parametrize("field", [RATIONAL, GAUSSIAN])
+    def test_metric_body_is_the_entrywise_value(self, field):
+        # a supersymmetric g whose body depends on x, unvalidated
+        rng = random.Random("metric body %s" % field)
+        sig = ChartSignature(2, 2, field)
+        chart = Chart.tangent(sig)
+        for _ in range(10):
+            g = {}
+            for a, b in itertools.combinations_with_replacement(range(4), 2):
+                pa, pb = chart.coord_parity(a), chart.coord_parity(b)
+                if not (a == b and pa):
+                    g[(a, b)] = random_superfunction(rng, sig, (pa + pb) % 2, maxdeg=2)
+                    g[(b, a)] = g[(a, b)].scale((-1) ** (pa * pb))
+            metric = MetricData(chart, g, validate=False)
+            point = [rng.randint(-2, 2), Fraction(rng.randint(-3, 3), 2)]
+            body = metric.body(point)
+            assert body.field == field and body.dim == SuperDim(2, 2)
+            assert body == SuperMatrix(SuperDim(2, 2), dense_value(dense_of(sig, 4, metric.g), point), field)
             for bad in ([1], [1, 2, 3]):
                 with pytest.raises(ValueError):
-                    sfmat_value(mat, bad)
+                    metric.body(bad)
 
 
 class TestCovariantDerivatives:
@@ -831,7 +910,7 @@ def random_sf_matrix(rng, sig, rows, cols, zeros=0.4, soul_only=False):
     """Seeded superfunction entries of mixed parity, about a `zeros` share of
     them zero; `soul_only` drops every body term."""
     unit = GaussianRational(1, 1) if sig.field == GAUSSIAN else 1
-    mat = sfmat_zeros(sig, rows, cols)
+    mat = dense_zeros(sig, rows, cols)
     for i, j in itertools.product(range(rows), range(cols)):
         if rng.random() >= zeros:
             f = random_superfunction(rng, sig)
@@ -855,50 +934,12 @@ def random_invertible_sf_matrix(rng, sig, t):
     return mat
 
 
-class TestSparseMatrixProducts:
-    """`sfmat_mul` scatters from nonzero entries; `sfmat_inverse` runs its
-    Neumann series through it.  Both against dense references."""
-
-    @pytest.mark.parametrize("field", [RATIONAL, GAUSSIAN])
-    @pytest.mark.parametrize("nm", [(2, 0), (0, 2), (1, 2), (2, 2)], ids=lambda d: "%d|%d" % d)
-    def test_mul_matches_the_dense_sum(self, nm, field):
-        rng = random.Random("sfmat mul %d|%d %s" % (nm + (field,)))
-        sig = ChartSignature(*nm, field)
-        for zeros in (0.0, 0.5, 0.9, 1.0):
-            for _ in range(4):
-                rows, inner, cols = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
-                a = random_sf_matrix(rng, sig, rows, inner, zeros)
-                b = random_sf_matrix(rng, sig, inner, cols, zeros)
-                assert sfmat_mul(a, b) == dense_sfmat_mul(a, b)
-
-    @pytest.mark.parametrize("field", [RATIONAL, GAUSSIAN])
-    @pytest.mark.parametrize("nm", [(2, 0), (0, 2), (1, 2), (2, 2), (1, 4)], ids=lambda d: "%d|%d" % d)
-    def test_inverse_is_a_two_sided_inverse(self, nm, field):
-        rng = random.Random("sfmat inverse %d|%d %s" % (nm + (field,)))
-        sig = ChartSignature(*nm, field)
-        for t in (1, 2, 3, 4):
-            a = random_invertible_sf_matrix(rng, sig, t)
-            inv = sfmat_inverse(a, sig)
-            one = [[Superfunction.constant(sig, int(i == j)) for j in range(t)] for i in range(t)]
-            assert dense_sfmat_mul(a, inv) == one
-            assert dense_sfmat_mul(inv, a) == one
-
-    @pytest.mark.parametrize(
-        "entries", [[["1 + x1"]], [["1", "x1"], ["x1", "1"]], [["2", "0"], ["0", "x1*x2"]]], ids=str
-    )
-    def test_non_nilpotent_body_rejected(self, entries):
-        sig = ChartSignature(2, 1)
-        a = [[parse_superfunction(text, sig) for text in row] for row in entries]
-        with pytest.raises(MatrixInversionError):
-            sfmat_inverse(a, sig)
-
-
 def dense_neumann_inverse(a, sig):
     """The Neumann series inverse over dense matrices: N = A − A0 as t²
     subtractions, and every power of −A0⁻¹N added entry by entry, zeros
     included."""
     t = len(a)
-    a0 = sfmat_value(a, [0] * sig.n)
+    a0 = dense_value(a, [0] * sig.n)
     a0_inv_s = geo.scalar_matrix_inverse(a0, sig.field)
     a0_sf = [[Superfunction.constant(sig, v) for v in row] for row in a0]
     a0_inv = [[Superfunction.constant(sig, v) for v in row] for row in a0_inv_s]
@@ -908,10 +949,72 @@ def dense_neumann_inverse(a, sig):
     total, term = one, one
     for _ in range(t * (sig.m + 1) + sig.m + 1):
         term = dense_sfmat_mul(term, m_mat)
-        if geo.sfmat_is_zero(term):
+        if dense_is_zero(term):
             return dense_sfmat_mul(total, a0_inv)
         total = [[x + y for x, y in zip(r, s)] for r, s in zip(total, term)]
     raise MatrixInversionError("not constant + nilpotent")
+
+
+def flat_mul_mismatches(pairs, sig):
+    """How many pairs (a, b) of dense factors have a flat product
+    `geo.sfmat_mul` that is not the nonzero entries of the dense product in
+    sorted order."""
+    bad = 0
+    for a, b in pairs:
+        got = geo.sfmat_mul(flat_of(a), flat_of(b), sig)
+        bad += got != flat_of(dense_sfmat_mul(a, b)) or list(got) != sorted(got)
+    return bad
+
+
+def flat_inverse_mismatches(mats, sig):
+    """How many dense matrices have a flat inverse `geo.sfmat_inverse` that
+    is not the nonzero entries of the dense Neumann series in sorted order."""
+    bad = 0
+    for a in mats:
+        got = geo.sfmat_inverse(flat_of(a), len(a), sig)
+        bad += got != flat_of(dense_neumann_inverse(a, sig)) or list(got) != sorted(got)
+    return bad
+
+
+class TestSparseMatrixProducts:
+    """`sfmat_mul` scatters from the nonzero entries of two flats;
+    `sfmat_inverse` runs its Neumann series through it.  Both against dense
+    references."""
+
+    @pytest.mark.parametrize("field", [RATIONAL, GAUSSIAN])
+    @pytest.mark.parametrize("nm", [(2, 0), (0, 2), (1, 2), (2, 2)], ids=lambda d: "%d|%d" % d)
+    def test_mul_matches_the_dense_sum(self, nm, field):
+        rng = random.Random("sfmat mul %d|%d %s" % (nm + (field,)))
+        sig = ChartSignature(*nm, field)
+        pairs = []
+        for zeros in (0.0, 0.5, 0.9, 1.0):
+            for _ in range(4):
+                rows, inner, cols = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+                a = random_sf_matrix(rng, sig, rows, inner, zeros)
+                pairs.append((a, random_sf_matrix(rng, sig, inner, cols, zeros)))
+        assert flat_mul_mismatches(pairs, sig) == 0
+
+    @pytest.mark.parametrize("field", [RATIONAL, GAUSSIAN])
+    @pytest.mark.parametrize("nm", [(2, 0), (0, 2), (1, 2), (2, 2), (1, 4)], ids=lambda d: "%d|%d" % d)
+    def test_inverse_is_a_two_sided_inverse(self, nm, field):
+        rng = random.Random("sfmat inverse %d|%d %s" % (nm + (field,)))
+        sig = ChartSignature(*nm, field)
+        for t in (1, 2, 3, 4):
+            a = random_invertible_sf_matrix(rng, sig, t)
+            inv = sfmat_inverse(flat_of(a), t, sig)
+            one = [[Superfunction.constant(sig, int(i == j)) for j in range(t)] for i in range(t)]
+            assert dense_sfmat_mul(a, dense_of(sig, t, inv)) == one
+            assert dense_sfmat_mul(dense_of(sig, t, inv), a) == one
+
+    @pytest.mark.parametrize(
+        "entries", [[["1 + x1"]], [["1", "x1"], ["x1", "1"]], [["2", "0"], ["0", "x1*x2"]]], ids=str
+    )
+    def test_non_nilpotent_body_rejected(self, entries):
+        sig = ChartSignature(2, 1)
+        a = flat_of([[parse_superfunction(text, sig) for text in row] for row in entries])
+        with pytest.raises(MatrixInversionError):
+            sfmat_inverse(a, len(entries), sig)
+
 
 
 class TestSparseInverse:
@@ -924,12 +1027,8 @@ class TestSparseInverse:
     def test_matches_the_dense_series(self, nm, field):
         rng = random.Random("sparse inverse %d|%d %s" % (nm + (field,)))
         sig = ChartSignature(*nm, field)
-        for t in (1, 2, 3, 4):
-            for _ in range(3):
-                a = random_invertible_sf_matrix(rng, sig, t)
-                got = sfmat_inverse(a, sig)
-                assert got == dense_neumann_inverse(a, sig)
-                assert all(len(row) == t for row in got) and len(got) == t
+        mats = [random_invertible_sf_matrix(rng, sig, t) for t in (1, 2, 3, 4) for _ in range(3)]
+        assert flat_inverse_mismatches(mats, sig) == 0
 
     @pytest.mark.parametrize("field", [RATIONAL, GAUSSIAN])
     @pytest.mark.parametrize("nm", [(1, 0), (2, 1), (1, 2)], ids=lambda d: "%d|%d" % d)
@@ -944,11 +1043,157 @@ class TestSparseInverse:
             with pytest.raises(MatrixInversionError):
                 dense_neumann_inverse(a, sig)
             with pytest.raises(MatrixInversionError):
-                sfmat_inverse(a, sig)
+                sfmat_inverse(flat_of(a), t, sig)
 
     @pytest.mark.parametrize("field", [RATIONAL, GAUSSIAN])
     def test_empty_matrix_is_its_own_inverse(self, field):
-        assert sfmat_inverse([], ChartSignature(1, 0, field)) == []
+        assert sfmat_inverse({}, 0, ChartSignature(1, 0, field)) == {}
+
+
+class TestFlatMatrixLayer:
+    """`sfmat_mul` and `sfmat_inverse` take and return flats of nonzero
+    entries.  Both against dense references: on seeded matrices with zero
+    rows and zero columns, and on the matrices of seeded connections,
+    metrics and gauges, over both fields."""
+
+    CASES = [
+        (RATIONAL, (2, 0)), (GAUSSIAN, (0, 2)), (RATIONAL, (1, 2)), (GAUSSIAN, (1, 2)), (RATIONAL, (2, 2)), (GAUSSIAN, (2, 2))
+    ]
+
+    @staticmethod
+    def cases(field, nm):
+        """The signature, the pairs of dense factors and the dense matrices
+        to invert: seeded ones, each product with a zero row in its first
+        factor and a zero column in its second; every Γ_a Γ_b of seeded
+        connections; and seeded soul metrics and unipotent gauges, a gauge
+        transposed too."""
+        rng = random.Random("flat layer %d|%d %s" % (nm + (field,)))
+        sig = ChartSignature(*nm, field)
+        chart = Chart.tangent(sig)
+        t = sig.total
+        products = []
+        for zeros in (0.0, 0.5, 0.9, 1.0):
+            for _ in range(3):
+                rows, inner, cols = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+                a = random_sf_matrix(rng, sig, rows, inner, zeros)
+                b = random_sf_matrix(rng, sig, inner, cols, zeros)
+                a[rng.randrange(rows)] = [Superfunction.zero(sig)] * inner
+                j = rng.randrange(cols)
+                for row in b:
+                    row[j] = Superfunction.zero(sig)
+                products.append((a, b))
+        inverses = [random_invertible_sf_matrix(rng, sig, k) for k in (1, 2, 3, 4)]
+        for conn in (random_connection(rng, chart), random_sparse_connection(rng, chart)):
+            gamma = dense_gamma(conn)
+            products += [(gamma[a], gamma[b]) for a in range(t) for b in range(t)]
+        for _ in range(2):
+            g = dense_of(sig, t, random_soul_metric(rng, sig).g)
+            gauge = dense_of(sig, t, random_unipotent_gauge(rng, sig, chart.rank))
+            products += [(g, g), (g, gauge), (gauge, g)]
+            inverses += [g, gauge, [list(col) for col in zip(*gauge)]]
+        return sig, products, inverses
+
+    @pytest.mark.parametrize("field, nm", CASES)
+    def test_flats_match_the_dense_products_and_series(self, field, nm):
+        sig, products, inverses = self.cases(field, nm)
+        assert flat_mul_mismatches(products, sig) == 0
+        assert flat_inverse_mismatches(inverses, sig) == 0
+        for a in inverses:
+            # a two-sided inverse, and no zero entry kept
+            t = len(a)
+            inv = sfmat_inverse(flat_of(a), t, sig)
+            one = {(i, i): Superfunction.constant(sig, 1) for i in range(t)}
+            assert sfmat_mul(flat_of(a), inv, sig) == one == sfmat_mul(inv, flat_of(a), sig)
+            assert all(inv.values())
+
+    def test_a_transposed_product_entry_is_caught(self, monkeypatch):
+        mul = geo.sfmat_mul
+
+        def transposing(a, b, sig):
+            out = mul(a, b, sig)
+            key = next((key for key in out if key[0] != key[1]), None)
+            if key is not None:
+                out[key[::-1]] = out.pop(key)
+            return out
+
+        monkeypatch.setattr(geo, "sfmat_mul", transposing)
+        caught = []
+        for case in self.CASES:
+            sig, products, _ = self.cases(*case)
+            caught.append(flat_mul_mismatches(products, sig))
+        assert all(caught), caught
+
+    def test_a_dropped_soul_term_in_the_inverse_is_caught(self, monkeypatch):
+        inverse = geo.sfmat_inverse
+
+        def dropping(a, t, sig):
+            out = inverse(a, t, sig)
+            key = next((key for key, f in out.items() if set(f.terms) - {0}), None)
+            if key is not None:
+                soul = min(set(out[key].terms) - {0})
+                out[key] = Superfunction(sig, {mask: poly for mask, poly in out[key].terms.items() if mask != soul})
+            return out
+
+        monkeypatch.setattr(geo, "sfmat_inverse", dropping)
+        caught = []
+        for case in self.CASES:
+            sig, _, inverses = self.cases(*case)
+            # a signature with odd coordinates has soul terms to drop
+            if sig.m:
+                caught.append(flat_inverse_mismatches(inverses, sig))
+        assert caught and all(caught), caught
+
+    def test_a_zero_row_is_singular(self):
+        # the size is not read from the flat: a 2x2 matrix with a zero row
+        sig = ChartSignature(1, 1)
+        with pytest.raises(MatrixInversionError):
+            sfmat_inverse({(0, 0): Superfunction.constant(sig, 1)}, 2, sig)
+
+
+def dense_nonzero_gamma(conn):
+    """`nonzero_gamma` of every direction read off dense rows, as it was
+    before the table became flats: column B lists (A, Γ^A_{cB}) and row A
+    lists (B, Γ^A_{cB}) for the nonzero entries."""
+    r = conn.chart.rank.total
+    return [
+        (
+            [[(A, g[A][B]) for A in range(r) if g[A][B].terms] for B in range(r)],
+            [[(B, f) for B, f in enumerate(row) if f.terms] for row in g],
+        )
+        for g in dense_gamma(conn)
+    ]
+
+
+class TestFlatChristoffelTable:
+    """A connection built from flats and the same table given as every entry
+    of its dense rows, zeros included and in reverse order, are one
+    connection: the same flats, `nonzero_gamma`, curvature, torsion and
+    tower tables."""
+
+    @pytest.mark.parametrize("field", [RATIONAL, GAUSSIAN])
+    @pytest.mark.parametrize("nm", [(1, 2), (2, 1)], ids=lambda d: "%d|%d" % d)
+    def test_flats_and_dense_rows_give_one_connection(self, nm, field):
+        rng = random.Random("flat table %d|%d %s" % (nm + (field,)))
+        sig = ChartSignature(*nm, field)
+        chart = Chart.tangent(sig)
+        t = sig.total
+        conns = [random_connection(rng, chart), random_sparse_connection(rng, chart, 5)]
+        conns += [random_torsion_free_connection(rng, sig)]
+        for conn in conns:
+            rows = dense_gamma(conn)
+            every = [
+                {(A, B): mat[A][B] for A, B in reversed(list(itertools.product(range(t), repeat=2)))} for mat in rows
+            ]
+            dense = ConnectionData(chart, every)
+            assert dense.gamma == conn.gamma == [flat_of(mat) for mat in rows]
+            assert all(list(g) == sorted(g) and all(g.values()) for g in dense.gamma)
+            assert [dense.nonzero_gamma(c) for c in range(t)] == dense_nonzero_gamma(conn)
+            assert [conn.nonzero_gamma(c) for c in range(t)] == dense_nonzero_gamma(conn)
+            assert curvature(dense).components == curvature(conn).components
+            assert torsion(dense) == torsion(conn)
+            for canonical in (True, False):
+                for x, y in zip(sparse_tower(dense, 2, canonical), sparse_tower(conn, 2, canonical)):
+                    assert list(x.components.items()) == list(y.components.items()) and x.parities == y.parities
 
 
 def dense_validation_error(chart, gamma):
@@ -966,8 +1211,9 @@ def dense_validation_error(chart, gamma):
 
 
 class TestConnectionValidation:
-    """`ConnectionData` checks only the nonzero entries; the first bad entry
-    and its message must be those of the dense scan."""
+    """`ConnectionData` checks only the nonzero entries, in sorted order
+    whatever the order it is given them in; the first bad entry and its
+    message must be those of the dense scan."""
 
     @pytest.mark.parametrize("field", [RATIONAL, GAUSSIAN])
     @pytest.mark.parametrize("nm, pq", [((1, 1), (1, 1)), ((2, 1), (1, 2)), ((1, 2), (2, 0)), ((0, 2), (1, 1))], ids=str)
@@ -978,9 +1224,9 @@ class TestConnectionValidation:
         t, rk = sig.total, chart.rank.total
         failed = 0
         for _ in range(10):
-            gamma = [[list(row) for row in g] for g in random_sparse_connection(rng, chart, entries=3).gamma]
+            gamma = dense_gamma(random_sparse_connection(rng, chart, entries=3))
             assert dense_validation_error(chart, gamma) is None
-            ConnectionData(chart, gamma)
+            ConnectionData(chart, [flat_of(g) for g in gamma])
             for _ in range(rng.randint(1, 3)):
                 a, A, B = rng.randrange(t), rng.randrange(rk), rng.randrange(rk)
                 # an entry of the wrong parity, or of both parities
@@ -988,14 +1234,23 @@ class TestConnectionValidation:
                 f = random_superfunction(rng, sig, wrong)
                 gamma[a][A][B] = f + random_superfunction(rng, sig, 1 - wrong) if rng.random() < 0.3 else f
             want = dense_validation_error(chart, gamma)
+            flats = [dict(reversed(list(flat_of(g).items()))) for g in gamma]
             if want is None:
-                ConnectionData(chart, gamma)
+                ConnectionData(chart, flats)
                 continue
             failed += 1
             with pytest.raises(ValueError) as err:
-                ConnectionData(chart, gamma)
+                ConnectionData(chart, flats)
             assert str(err.value) == want
         assert failed
+
+    def test_out_of_range_entries_and_direction_counts(self):
+        sig = ChartSignature(1, 1)
+        chart = Chart(sig, SuperDim(1, 1))
+        x1 = Superfunction.even_var(sig, 1)
+        for gamma in ([{}], [{}, {}, {}], [{(2, 0): x1}, {}], [{}, {(0, -1): x1}]):
+            with pytest.raises(ValueError, match=r"^gamma must be \(n\+m\) x \(p\+q\) x \(p\+q\)$"):
+                ConnectionData(chart, gamma)
 
 
 def assert_canonical(f):
@@ -1058,15 +1313,13 @@ class TestCanonicalCoefficients:
         sig = ChartSignature(*nm, field)
         point = sig.coerce_point([Fraction(1, 2)] * sig.n)
         for t in (1, 2, 3):
-            for row in sfmat_inverse(random_invertible_sf_matrix(rng, sig, t), sig):
-                for f in row:
-                    assert_canonical(f)
+            for f in sfmat_inverse(flat_of(random_invertible_sf_matrix(rng, sig, t)), t, sig).values():
+                assert_canonical(f)
         for _ in range(3):
             lc = levi_civita(random_soul_metric(rng, sig))
             for g in lc.gamma:
-                for row in g:
-                    for f in row:
-                        assert_canonical(f)
+                for f in g.values():
+                    assert_canonical(f)
             rk = lc.chart.rank.total
             tables = sparse_tower(lc, 1, False) + sparse_tower(lc, 2, True)
             for table in tables:
@@ -1091,10 +1344,11 @@ class TestTorsionAndBianchi:
         nonzero = 0
         for conn in (random_connection(rng, chart), random_sparse_connection(rng, chart),
                      random_torsion_free_connection(rng, sig)):
+            gamma = dense_gamma(conn)
             want = {}
             for a, b in itertools.product(range(t), repeat=2):
                 sign = (-1) ** (chart.coord_parity(a) * chart.coord_parity(b))
-                vec = {c: conn.gamma[a][c][b] - conn.gamma[b][c][a].scale(sign) for c in range(t)}
+                vec = {c: gamma[a][c][b] - gamma[b][c][a].scale(sign) for c in range(t)}
                 if any(vec.values()):
                     want[(a, b)] = {c: f for c, f in vec.items() if f}
             # exactly the nonzero T^c_ab, every pair with one kept
@@ -1154,7 +1408,7 @@ def second_bianchi_oracle(conn):
     """
     par = conn.chart.coord_parity
     t, rk = conn.chart.sig.total, conn.chart.rank.total
-    gamma = conn.gamma
+    gamma = dense_gamma(conn)
     curv, first = (tab.components for tab in covariant_derivatives(conn, None, 1))
     nabla = {}
     for x, y, z in itertools.product(range(t), repeat=3):
@@ -1202,7 +1456,7 @@ def dense_second_bianchi(conn):
     t, rk = sig.total, chart.rank.total
     rt = {}
     for x, y, z in itertools.product(range(t), repeat=3):
-        mat = sfmat_zeros(sig, rk, rk)
+        mat = dense_zeros(sig, rk, rk)
         for c, coef in tor.get((x, y), {}).items():
             mat = [[x + coef * f for x, f in zip(r, row)] for r, row in zip(mat, mats[(c, z)])]
         rt[(x, y, z)] = mat
@@ -1309,22 +1563,24 @@ def reference_nabla_metric_component(metric, conn, a, b, c):
     superfunction."""
     chart = metric.chart
     pa, pb = chart.coord_parity(a), chart.coord_parity(b)
-    term = metric.g[b][c].partial(a + 1)
+    g, gamma = dense_of(chart.sig, chart.sig.total, metric.g), dense_gamma(conn)[a]
+    term = g[b][c].partial(a + 1)
     for d in range(chart.sig.total):
-        gam = conn.gamma[a][d][b]
-        if not (gam.is_zero() or metric.g[d][c].is_zero()):
-            term = term - gam * metric.g[d][c]
-        gam = conn.gamma[a][d][c]
-        if not (gam.is_zero() or metric.g[b][d].is_zero()):
+        gam = gamma[d][b]
+        if not (gam.is_zero() or g[d][c].is_zero()):
+            term = term - gam * g[d][c]
+        gam = gamma[d][c]
+        if not (gam.is_zero() or g[b][d].is_zero()):
             sign = (-1) ** (pb * (pa + chart.coord_parity(c) + chart.coord_parity(d)) + pa * pb)
-            term = term - (gam * metric.g[b][d]).scale(sign)
+            term = term - (gam * g[b][d]).scale(sign)
     return term
 
 
 def metric_derivatives(metric, a):
     """The nonzero d_a g_bc as `nabla_metric` reads them: row b maps c to
     its terms."""
-    rows = ({c: f.partial(a + 1) for c, f in enumerate(row)} for row in metric.g)
+    t = metric.chart.sig.total
+    rows = ({c: f.partial(a + 1) for c, f in enumerate(row)} for row in dense_of(metric.chart.sig, t, metric.g))
     return [{c: d.terms for c, d in row.items() if d} for row in rows]
 
 
@@ -1351,9 +1607,9 @@ class TestLeviCivita:
             chart, {(1, 1): parse_superfunction("1 + x1*xi1*xi2", sig), (2, 3): Superfunction.constant(sig, 1)}
         )
         conn = levi_civita(metric)
-        assert conn.gamma[0][0][0] == parse_superfunction("1/2*xi1*xi2", sig)
+        assert conn.gamma[0][(0, 0)] == parse_superfunction("1/2*xi1*xi2", sig)
         coefficients = [
-            v for plane in conn.gamma for row in plane for f in row for poly in f.terms.values() for v in poly.values()
+            v for plane in conn.gamma for f in plane.values() for poly in f.terms.values() for v in poly.values()
         ]
         assert coefficients and all(type(v) in (int, Fraction) for v in coefficients)
         assert Fraction(1, 2) in coefficients
@@ -1374,7 +1630,7 @@ class TestLeviCivita:
 
         # independent classical oracle: explicit adjugate inverse (det = 1)
         ginv = [[g22, -g12], [-g12, g11]]
-        gm = metric.g
+        gm, gamma = dense_of(sig, 2, metric.g), dense_gamma(conn)
         for k in range(2):
             for a in range(2):
                 for b in range(2):
@@ -1386,7 +1642,7 @@ class TestLeviCivita:
                             - gm[a][b].partial(l + 1)
                         )
                         koszul = koszul + term * ginv[l][k]
-                    assert conn.gamma[a][k][b] == koszul.scale(Fraction(1, 2))
+                    assert gamma[a][k][b] == koszul.scale(Fraction(1, 2))
         assert torsion(conn) == {}
 
     def test_soul_perturbed_metric_postconditions(self):
@@ -1422,14 +1678,14 @@ class TestLeviCivita:
         rng = random.Random(10 * n + m)
         for _ in range(2):
             conn = random_connection(rng, chart)
-            g = sfmat_zeros(sig, t, t)
+            g = {}
             for b in range(t):
                 for c in range(b, t):
                     pb, pc = chart.coord_parity(b), chart.coord_parity(c)
                     if b == c and pb:
                         continue  # g(b, b) = -g(b, b) for odd b
-                    g[b][c] = random_superfunction(rng, sig, (pb + pc) % 2)
-                    g[c][b] = g[b][c].scale((-1) ** (pb * pc))
+                    g[(b, c)] = random_superfunction(rng, sig, (pb + pc) % 2)
+                    g[(c, b)] = g[(b, c)].scale((-1) ** (pb * pc))
             metric = MetricData(chart, g, validate=False)
             for a in range(t):
                 for b in range(t):
@@ -1464,14 +1720,19 @@ class TestLeviCivita:
 
     def test_non_nilpotent_body_rejected(self):
         # the classical surface metric diag(1, (1+x1)^2) has no polynomial
-        # inverse; it must be rejected with a diagnostic
+        # inverse; it must be rejected with a diagnostic: when validated, as
+        # an invalid metric, and unvalidated, by `levi_civita`
         sig = ChartSignature(2, 0)
         chart = Chart.tangent(sig)
         one = Superfunction.constant(sig, 1)
         g22 = parse_superfunction("1 + 2*x1 + x1^2", sig)
-        metric = MetricData.from_entries(chart, {(1, 1): one, (2, 2): g22})
+        with pytest.raises(ValueError, match="^invalid metric: matrix is not .constant invertible. . nilpotent"):
+            MetricData.from_entries(chart, {(1, 1): one, (2, 2): g22})
+        report = validate_metric(MetricData(chart, {(0, 0): one, (1, 1): g22}, validate=False))
+        assert report["failures"] == ["matrix is not (constant invertible) + nilpotent; exact inversion unsupported"]
+        assert report["nondegenerate_at_point"] and report["even_signature"] == (2, 0)
         with pytest.raises(MatrixInversionError):
-            levi_civita(metric)
+            levi_civita(MetricData(chart, {(0, 0): one, (1, 1): g22}, validate=False))
 
 
 def congruence_signature(block):
@@ -1549,21 +1810,16 @@ class TestValidateMetric:
     def test_even_odd_body_block_invalid(self):
         sig = ChartSignature(1, 2)
         chart = Chart.tangent(sig)
-        g = sfmat_zeros(sig, 3, 3)
-        g[0][0] = Superfunction.constant(sig, 1)
-        g[1][2] = Superfunction.constant(sig, 1)
-        g[2][1] = Superfunction.constant(sig, -1)
-        g[0][1] = Superfunction.constant(sig, 1)  # even-odd block, wrong parity
-        g[1][0] = Superfunction.constant(sig, 1)
+        one = Superfunction.constant(sig, 1)
+        g = {(0, 0): one, (1, 2): one, (2, 1): -one}
+        g[(0, 1)] = g[(1, 0)] = one  # even-odd block, wrong parity
         report = validate_metric(MetricData(chart, g, validate=False))
         assert not report["valid"]
 
     def test_symmetric_odd_block_invalid(self):
         sig = ChartSignature(0, 2)
         chart = Chart.tangent(sig)
-        g = sfmat_zeros(sig, 2, 2)
-        g[0][1] = Superfunction.constant(sig, 1)
-        g[1][0] = Superfunction.constant(sig, 1)  # symmetric, must be skew
+        g = {(0, 1): Superfunction.constant(sig, 1), (1, 0): Superfunction.constant(sig, 1)}  # symmetric, must be skew
         report = validate_metric(MetricData(chart, g, validate=False))
         assert any("supersymmetry" in f for f in report["failures"])
 
@@ -1578,7 +1834,7 @@ class TestValidateMetric:
         chart = Chart.tangent(sig)
         t = sig.total
         for _ in range(4):
-            g = [row[:] for row in random_soul_metric(rng, sig).g]
+            g = dense_of(sig, t, random_soul_metric(rng, sig).g)
             for _ in range(2):
                 a, b = rng.randrange(t), rng.randrange(t)
                 g[a][b] = rng.choice([-g[a][b], g[b][a], g[a][b] + Superfunction.constant(sig, 1)])
@@ -1587,7 +1843,7 @@ class TestValidateMetric:
                 for a, b in itertools.product(range(t), repeat=2)
                 if g[a][b] != g[b][a].scale((-1) ** (chart.coord_parity(a) * chart.coord_parity(b)))
             ]
-            failures = validate_metric(MetricData(chart, g, validate=False))["failures"]
+            failures = validate_metric(MetricData(chart, flat_of(g), validate=False))["failures"]
             assert [f for f in failures if f.startswith("supersymmetry")] == want
 
     def test_signature_matches_the_congruence_diagonalization(self):
@@ -1600,7 +1856,7 @@ class TestValidateMetric:
             chart = Chart.tangent(sig)
             for _ in range(100):
                 block = random_symmetric_block(rng, n)
-                g = [[Superfunction.constant(sig, v) for v in row] for row in block]
+                g = {(a, b): Superfunction.constant(sig, v) for a, row in enumerate(block) for b, v in enumerate(row)}
                 report = validate_metric(MetricData(chart, g, validate=False))
                 if report["nondegenerate_at_point"]:
                     assert report["even_signature"] == congruence_signature(block), block

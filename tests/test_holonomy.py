@@ -41,10 +41,6 @@ from superhol.geometry import (
     gamma_at,
     levi_civita,
     pure_gauge_connection,
-    sfmat_from_flat,
-    sfmat_is_zero,
-    sfmat_value,
-    sfmat_zeros,
     torsion,
     values_at,
 )
@@ -71,9 +67,12 @@ from conftest import (
     cut_by_functionals,
     defined_stabilizer,
     dense_curvature,
+    dense_gamma,
+    dense_is_zero,
+    dense_of,
+    dense_value,
     flat_curvature,
     flat_curvature_space,
-    flat_of,
     random_soul_metric,
     random_sparse_connection,
     random_torsion_free_connection,
@@ -165,11 +164,8 @@ class TestTransport:
     def rotation_connection(self):
         sig = ChartSignature(2, 0)
         chart = Chart(sig, SuperDim(2, 0))
-        gamma = [sfmat_zeros(sig, 2, 2) for _ in range(2)]
         x2 = Superfunction.even_var(sig, 2)
-        gamma[0][0][1] = -x2
-        gamma[0][1][0] = x2
-        return ConnectionData(chart, gamma)
+        return ConnectionData(chart, [{(0, 1): -x2, (1, 0): x2}, {}])
 
     def test_flat_loop_identity(self):
         sig = ChartSignature(2, 0)
@@ -344,6 +340,7 @@ def reference_transport(conn, path, steps):
     lengths = [np.linalg.norm(q - p) for p, q in zip(pts, pts[1:])]
     total = sum(lengths) or 1.0
     u = np.eye(rk)
+    gamma = dense_gamma(conn)
     for p, q, ell in zip(pts, pts[1:], lengths):
         nseg = max(1, int(round(steps * ell / total)))
         vel = q - p
@@ -354,7 +351,7 @@ def reference_transport(conn, path, steps):
             m = np.zeros((rk, rk))
             for i in range(chart.sig.n):
                 if vel[i]:
-                    m += vel[i] * reference_float_matrix(conn.gamma[i], x)
+                    m += vel[i] * reference_float_matrix(gamma[i], x)
             return -m
 
         for k in range(nseg):
@@ -375,7 +372,7 @@ def real_gaussian_copy(conn):
     def copy(f):
         return Superfunction(gsig, {mask: {e: GaussianRational(c) for e, c in poly.items()} for mask, poly in f.terms.items()})
 
-    gamma = [[[copy(f) for f in row] for row in mat] for mat in conn.gamma]
+    gamma = [{key: copy(f) for key, f in g.items()} for g in conn.gamma]
     return ConnectionData(Chart(gsig, conn.chart.rank), gamma)
 
 
@@ -414,8 +411,8 @@ class TestCompiledTransport:
                         p = pq[0]
                         assert not op.matrix[:p, p:].any() and not op.matrix[p:, :p].any()
                     x = np.asarray(path[-1], dtype=float)
-                    for mat in conn.gamma:
-                        got = _float_matrix(flat_of(mat), len(mat), x)
+                    for flat, mat in zip(conn.gamma, dense_gamma(conn)):
+                        got = _float_matrix(flat, len(mat), x)
                         assert np.max(np.abs(got - reference_float_matrix(mat, x))) <= 1e-12 * (1 + np.max(np.abs(got)))
 
     def test_memory_is_bounded_in_steps(self):
@@ -640,9 +637,7 @@ class TestParallelSections:
     def test_needs_numeric_status(self):
         sig = ChartSignature(1, 0)
         chart = Chart(sig, SuperDim(1, 0))
-        gamma = [sfmat_zeros(sig, 1, 1)]
-        gamma[0][0][0] = Superfunction.even_var(sig, 1)
-        conn = ConnectionData(chart, gamma)
+        conn = ConnectionData(chart, [{(0, 0): Superfunction.even_var(sig, 1)}])
         res = reconstruct_parallel_section(conn, [Fraction(0)], [Fraction(1)])
         assert res.status == "needs_numeric"
 
@@ -695,20 +690,19 @@ class TestCertificates:
             {(1, 2): one + (xs[0] * xs[1]).scale(3), (3, 4): one + (xs[2] * xs[3]).scale(5)},
         )
         hol = infinitesimal_holonomy(levi_civita(metric), [])
-        body = sfmat_value(metric.g, [])
-        res = decomposability_certificate(hol.algebra, body)
+        res = decomposability_certificate(hol.algebra, metric.body([]))
         assert res["status"] == "decomposable"
         support = {i for v in res["witness"] for i, x in enumerate(v) if x}
         assert support in ({0, 1}, {2, 3})
 
     def test_full_stabilizer_weakly_irreducible(self):
         stab = stabilizer_algebra(standard_even_form(0, 4))
-        body = standard_even_form(0, 4).data.entries
+        body = standard_even_form(0, 4).data
         res = decomposability_certificate(stab, body)
         assert res["status"] == "weakly_irreducible"
 
     def test_zero_algebra_decomposable(self):
-        body = standard_even_form(2, 2).data.entries
+        body = standard_even_form(2, 2).data
         res = decomposability_certificate(SubSuperalgebra.zero(SuperDim(2, 2)), body)
         assert res["status"] == "decomposable"
 
@@ -730,8 +724,7 @@ class TestCertificates:
         assert dec["status"] == status
         if status == "decomposable":
             metric = rio.decode_metric({"chart": {"n": n, "m": m}, "g": g})
-            body = sfmat_value(metric.g, [0] * n)
-            assert_wu_split(SubSuperalgebra.zero(SuperDim(n, m)), dec, body, RATIONAL)
+            assert_wu_split(SubSuperalgebra.zero(SuperDim(n, m)), dec, metric.body([0] * n), RATIONAL)
 
     def test_gaussian_product_metric_is_decomposable(self):
         doc = {
@@ -744,7 +737,7 @@ class TestCertificates:
         assert ok and res["holonomy_dim"] == [6, 0]
         metric = rio.decode_metric(doc)
         algebra = infinitesimal_holonomy(levi_civita(metric), []).algebra
-        assert_wu_split(algebra, res["decomposable"], sfmat_value(metric.g, []), GAUSSIAN)
+        assert_wu_split(algebra, res["decomposable"], metric.body([]), GAUSSIAN)
 
     def test_wide_body_entries_split_exactly(self):
         # the entries 2^1000 and 2^-1000 have no float eigenvalues
@@ -772,8 +765,9 @@ class TestCertificates:
 
 
 def assert_wu_split(algebra, dec, body, field):
-    """The reported witness and complement are invariant, G-orthogonal and
-    span V together."""
+    """The reported witness and complement are invariant, orthogonal for the
+    body G (a `SuperMatrix`) and span V together."""
+    body = body.entries
     assert dec["status"] == "decomposable"
     witness, complement = (
         [[parse_scalar(x, field) for x in vec] for vec in dec[key]] for key in ("witness", "complement")
@@ -831,14 +825,9 @@ class TestCrossModuleInvariants:
         hol = infinitesimal_holonomy(conn, [0, 0])
         assert hol.status == "stabilized"
         # metric holonomy sits inside the stabilizer of the body metric
-        body = sfmat_value(metric.g, [0, 0])
         from superhol.superlin import StructureTensor, stabilizer_algebra as stab_of
 
-        form = StructureTensor(
-            "even_bilinear_form",
-            "supersymmetric",
-            SuperMatrix(SuperDim(2, 0), body, sig.field),
-        )
+        form = StructureTensor("even_bilinear_form", "supersymmetric", metric.body([0, 0]))
         assert stab_of(form).contains_algebra(hol.algebra)
 
     def test_covariant_derivatives_refuse_a_reference(self):
@@ -853,7 +842,7 @@ def _dense(tab):
     if tab.parities is None:
         return tab.components
     sig, rk = tab.chart.sig, tab.chart.rank.total
-    return {key: sfmat_from_flat(sig, rk, flat) for key, flat in tab.components.items()}
+    return {key: dense_of(sig, rk, flat) for key, flat in tab.components.items()}
 
 
 def _closures_by_order(tables, point, rank, field):
@@ -862,7 +851,7 @@ def _closures_by_order(tables, point, rank, field):
     for tab in tables:
         comps = _dense(tab)
         for key in sorted(comps):
-            m = SuperMatrix(rank, sfmat_value(comps[key], point), field)
+            m = SuperMatrix(rank, dense_value(comps[key], point), field)
             if not m.is_zero():
                 gens.append(m)
         out.append(encode_algebra(generate_subalgebra(gens, rank, field)))
@@ -914,7 +903,7 @@ class TestCanonicalTower:
             full = covariant_derivatives(conn, None, order)
             for r, tab in enumerate(canonical):
                 # the canonical keys, less those whose full component is zero
-                nonzero = {key for key in _canonical_keys(chart, r) if not sfmat_is_zero(full[r].components[key])}
+                nonzero = {key for key in _canonical_keys(chart, r) if not dense_is_zero(full[r].components[key])}
                 assert set(tab.components) == nonzero
             assert _closures_by_order(canonical, point, chart.rank, field) == _closures_by_order(
                 full, point, chart.rank, field
@@ -926,7 +915,7 @@ class TestCanonicalTower:
         full = covariant_derivatives(conn, None, 2)[2].components
         assert len(_canonical_keys(chart, 2)) == 64
         assert len(_canonical_tower(conn, 2)[2].components) == sum(
-            not sfmat_is_zero(full[key]) for key in _canonical_keys(chart, 2)
+            not dense_is_zero(full[key]) for key in _canonical_keys(chart, 2)
         )
         assert len(full) == 4 ** 2 * 4 ** 2
 
@@ -936,7 +925,7 @@ class TestCanonicalTower:
         full = covariant_derivatives(conn, None, 1)[1].components
         assert len(full) == 3 ** 3
         got = _next_derivative(conn, curvature(conn)).components
-        assert set(got) == {key for key, mat in full.items() if not sfmat_is_zero(mat)}
+        assert set(got) == {key for key, mat in full.items() if not dense_is_zero(mat)}
 
 
 def scratch_holonomy(conn, log):
@@ -1012,7 +1001,7 @@ class TestClosureGrowsAcrossOrders:
 
 def dense_generator_log(conn, point, cap=None):
     """The generator log of `infinitesimal_holonomy`, each canonical component
-    evaluated whole with `sfmat_value` and kept when the matrix is nonzero,
+    evaluated whole, entry by entry, and kept when the matrix is nonzero,
     under the same stopping rule."""
     chart = conn.chart
     rk, field = chart.rank, chart.sig.field
@@ -1029,7 +1018,7 @@ def dense_generator_log(conn, point, cap=None):
         gens = []
         comps = _dense(table)
         for dirs, a, b in sorted(comps):
-            m = SuperMatrix(rk, sfmat_value(comps[(dirs, a, b)], point), field)
+            m = SuperMatrix(rk, dense_value(comps[(dirs, a, b)], point), field)
             if not m.is_zero():
                 log.append((order, (tuple(d + 1 for d in dirs), a + 1, b + 1), m))
                 gens.append(m)
@@ -1044,7 +1033,7 @@ def dense_generator_log(conn, point, cap=None):
 
 class TestSparseHarvest:
     """The generators harvested from nonzero entries only, against whole
-    components evaluated with `sfmat_value`."""
+    components evaluated entry by entry."""
 
     @staticmethod
     def assert_same_log(hol, want):
@@ -1099,7 +1088,7 @@ class TestSparseHarvest:
             for tab in _canonical_tower(conn, 1)
             for key, mat in _dense(tab).items()
             if not all(f.is_zero() for row in mat for f in row)
-            and not any(v for row in sfmat_value(mat, point) for v in row)
+            and not any(v for row in dense_value(mat, point) for v in row)
         ]
         assert vanishing
 
@@ -1239,7 +1228,7 @@ class TestStabilizerBound:
         for metric, point in self.metrics(field):
             conn = levi_civita(metric)
             rank = conn.chart.rank
-            rows = cli.default_candidates(rank, field, sfmat_value(metric.g, point))[0]["rows"]
+            rows = cli.default_candidates(rank, field, metric.body(point))[0]["rows"]
             bound = superlin.solved_dim(rank, rows, field)
             assert bound == solve_algebra(rank, rows, field).graded_dim
             for cap in (0, 1, None):
@@ -1265,7 +1254,7 @@ def defined_candidate(label, dim, field, metric_body=None):
     def form():
         if metric_body is None:
             return standard_even_form(p, q, field=field)
-        return StructureTensor("even_bilinear_form", "supersymmetric", SuperMatrix(dim, metric_body, field))
+        return StructureTensor("even_bilinear_form", "supersymmetric", metric_body)
 
     j = cli._pairwise_j(dim, field)
     complex_structure = StructureTensor("even_endomorphism", "none", j)
@@ -1342,7 +1331,7 @@ class TestClassifyByEvaluation:
         seen = set()
         for lam in (0, 1, -1, 2):
             metric, _ = cli.kahler_test_metric(lam, field)
-            body = sfmat_value(metric.g, [])
+            body = metric.body([])
             cands = cli.default_candidates(SuperDim(0, 4), field, metric_body=body)
             assert [c["label"].split(" (")[0] for c in cands[-2:]] == ["unitary cut", "special unitary cut"]
             stabilizers = [solve_algebra(SuperDim(0, 4), cand["rows"], field) for cand in cands]
