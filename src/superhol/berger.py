@@ -207,7 +207,8 @@ def berger_check(algebra: SubSuperalgebra, rspace: LinearSolutionSpace = None):
 
 
 def curvature_derivative_space(algebra: SubSuperalgebra, rspace: LinearSolutionSpace = None) -> LinearSolutionSpace:
-    """Solutions S in V* tensor R(g) of the graded cyclic constraint."""
+    """Solutions S in V* tensor R(g) of the graded cyclic constraint, written
+    by `_derivative_rows` at g's pivot positions only."""
     if rspace is None:
         rspace = curvature_space(algebra)
     dim = algebra.dim
@@ -223,18 +224,23 @@ def curvature_derivative_space(algebra: SubSuperalgebra, rspace: LinearSolutionS
             comps.setdefault(d, []).append((coef, relems[j]))
         return sigma, comps
 
-    return LinearSolutionSpace(solve_graded(parity, _derivative_rows(dim, relems), field), element)
+    rows = _derivative_rows(dim, relems, algebra._echelon.pivot_rows)
+    return LinearSolutionSpace(solve_graded(parity, rows, field), element)
 
 
-def _derivative_rows(dim: SuperDim, relems):
+def _derivative_rows(dim: SuperDim, relems, pivots):
     """The graded cyclic constraint on the unknowns (d, j) of
-    `curvature_derivative_space`: one row per sorted triple and matrix entry,
-    built from the nonzero entries of the R_j.  Only nonempty rows are
-    emitted."""
-    by_pair = {}  # canonical pair -> (j, position, value) of the nonzero entries of the R_j on it
+    `curvature_derivative_space`: one row per sorted triple and pivot
+    position of g, built from the nonzero entries of the R_j.  Each constraint
+    asks a combination of values of the R_j, a matrix in g, to vanish, and an
+    element of g vanishes exactly when its entries at g's pivots do, so the
+    rows at the other positions add nothing to the row space.  Only nonempty
+    rows are emitted."""
+    by_pair = {}  # canonical pair -> (j, pivot position, value) of the entries of the R_j on it
     for j, r in enumerate(relems):
         for (pair, pos), val in r.entries.items():
-            by_pair.setdefault(pair, []).append((j, pos, val))
+            if pos in pivots:
+                by_pair.setdefault(pair, []).append((j, pos, val))
     for cyclic in sorted_cyclic_terms(dim.parity, dim.total):
         rows = {}
         for (d, u, v), s in cyclic:
@@ -314,26 +320,34 @@ def _insertion(p: int, i, b: int):
 
 def _level_unknowns(dim: SuperDim, support):
     """The unknowns (S, A) of the next level that the support of this one
-    allows, mapped to their parities in column order.  g^(k) lies in
+    allows, as (their parities in column order, {S: bitmask of their A}).
+    The support is {S0: bitmask of the A with (S0, A) reached}.  g^(k) lies in
     V* (x) g^(k-1), so U[(S, A)] can be nonzero only if (S minus one copy of d,
-    A) is in the support for every d in S.  Each S is reached once, as S0 + (b,)
-    from a tuple S0 of the support and a b past its end, and its other faces
-    are S0 minus one copy of an index, then b."""
+    A) is in the support for every d in S: the mask of S is the AND of its
+    faces' masks.  Each S is reached once, as S0 + (b,) from a tuple S0 of the
+    support and a b past its end, and its other faces are S0 minus one copy of
+    an index, then b.  The A of each S come in increasing bit order."""
     t, p = dim.total, dim.p
     fiber = [dim.parity(a) for a in range(t)]
-    reach = {}  # S0 -> the A with (S0, A) in the support
-    for s0, a in support:
-        reach.setdefault(s0, set()).add(a)
-    parity = {}
-    for s0 in sorted(reach):
+    parity, masks = {}, {}
+    for s0 in sorted(support):
         n, last = len(s0), s0[-1]
         drops = [s0[:j] + s0[j + 1:] for j in range(n) if j + 1 == n or s0[j] != s0[j + 1]]
         odd = n - bisect_left(s0, p)
         for b in range(last + (last >= p), t):
+            mask = support[s0]
+            for r in drops:
+                mask &= support.get(r + (b,), 0)
+            if not mask:
+                continue
             s, sigma = s0 + (b,), (odd + (b >= p)) % 2
-            for a in sorted(reach[s0].intersection(*(reach.get(r + (b,), ()) for r in drops))):
+            masks[s] = mask
+            while mask:
+                low = mask & -mask
+                a = low.bit_length() - 1
                 parity[(s, a)] = sigma ^ fiber[a]
-    return parity
+                mask ^= low
+    return parity, masks
 
 
 def cartan_prolongation(dim: SuperDim, g0: SubSuperalgebra, order: int) -> ProlongationTower:
@@ -346,8 +360,11 @@ def cartan_prolongation(dim: SuperDim, g0: SubSuperalgebra, order: int) -> Prolo
     sum_{A,B} phi_AB eps(I + B) U[sort(I + B), A] = 0, with eps the Koszul
     sign.  Since g^(k) lies in V* (x) g^(k-1), an unknown is kept only where
     the level below allows it (`_level_unknowns`); the kept unknowns keep
-    their order, so the canonical basis is the one of the whole system.  A
-    level after a zero level has no unknowns and no rows.
+    their order, so the canonical basis is the one of the whole system.  Each
+    level's support, {S: bitmask of the A that some element reaches}, is read
+    once from its echelons (`_level_support`); level 0 is the entries (A, B)
+    of g0, as {(B,): mask of A}.  A level after a zero level has no
+    unknowns and no rows, and when g0 = gl(V) no level has rows.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -358,38 +375,55 @@ def cartan_prolongation(dim: SuperDim, g0: SubSuperalgebra, order: int) -> Prolo
     basis = g0.basis()
     rows = ({divmod(pos, t): v for pos, v in m._flat.items()} for m in basis)
     annihilator = [phi for kernel in solve_graded(cols, rows, field).kernels for phi in kernel]
-    # the support of g0 as level 0: the entries (A, B) that g0 reaches
-    support = {((pos % t,), pos // t) for m in basis for pos in m._flat}
+    support = {}
+    for m in basis:
+        for pos in m._flat:
+            a, b = divmod(pos, t)
+            support[(b,)] = support.get((b,), 0) | 1 << a
     levels = []
     for k in range(1, order + 1):
-        parity = _level_unknowns(dim, support)
-        faces = sorted({s0 for s0, _ in support})
-        rows = _prolongation_rows(dim, annihilator, faces, parity)
+        parity, masks = _level_unknowns(dim, support)
+        rows = _prolongation_rows(dim, annihilator, sorted(support), masks)
         levels.append(ProlongationLevel(dim, k, solve_graded(parity, rows, field)))
         if k < order:
-            support = levels[-1].solution.support()
+            support = _level_support(levels[-1].solution)
     return ProlongationTower(levels)
 
 
-def _prolongation_rows(dim: SuperDim, annihilator, faces, unknowns):
+def _level_support(solution):
+    """The support of a level, {S: bitmask of the A on which some element
+    has a nonzero value U[(S, A)]}, read from its echelons with
+    `kernel_support`."""
+    support = {}
+    for labels, ech in solution.blocks:
+        for c in ech.kernel_support(len(labels)):
+            s, a = labels[c]
+            support[s] = support.get(s, 0) | 1 << a
+    return support
+
+
+def _prolongation_rows(dim: SuperDim, annihilator, faces, masks):
     """phi(T(I, -)) = 0 for every functional phi and sorted k-tuple I in
-    faces, with only the terms on the given unknowns.  An unknown that the
-    support below allows has all its faces there, so the faces are the tuples
-    of that support.  For each I only the functionals with an entry in a
-    column B that reaches an unknown are written."""
+    faces, with only the terms on the unknowns {S: bitmask of A} of masks.  An
+    unknown that the support below allows has all its faces there, so the
+    faces are the tuples of that support.  For each I only the functionals
+    with an entry in a column B that reaches an unknown are written, and an
+    empty annihilator (g0 = gl(V)) writes no row at all."""
+    if not annihilator:
+        return
     t, p = dim.total, dim.p
     by_column = [set() for _ in range(t)]  # B -> the functionals with an entry in column B
     for n, phi in enumerate(annihilator):
         for _, b in phi:
             by_column[b].add(n)
-    heads = {s for s, _ in unknowns}
     for i in faces:
         sorts = [_insertion(p, i, b) for b in range(t)]
-        for n in sorted(set().union(*(by_column[b] for b, (s, _) in enumerate(sorts) if s in heads))):
+        reach = [masks.get(s, 0) for s, _ in sorts]  # B -> the A of the unknowns at sort(I + B)
+        for n in sorted(set().union(*(by_column[b] for b in range(t) if reach[b]))):
             row = {}
             for (a, b), v in annihilator[n].items():
-                s, sign = sorts[b]
-                if sign and (s, a) in unknowns:
+                if reach[b] >> a & 1:
+                    s, sign = sorts[b]
                     row[(s, a)] = v if sign > 0 else -v
             yield row
 
@@ -423,7 +457,10 @@ def spencer_rank_identity(algebra: SubSuperalgebra, tower: ProlongationTower = N
 
     Builds the map V* tensor g_1 -> curvature space, `spencer_delta` on each
     direction d and basis element of g_1, and reports dim R(g) - rank as the
-    derived quantity; `rspace` is read only for its graded dim.
+    derived quantity; `rspace` is read only for its graded dim.  The map's
+    rows are the entries of the images at g's pivot positions only: every
+    image value is a value of an element of g_1, so lies in g, and an element
+    of g vanishes exactly when its entries at g's pivots do.
     `exactness_ok` holds when every image passes `check_curvature_element`
     and the kernel, expanded into flat multimaps, spans the g_2 that
     `cartan_prolongation` solves directly; False means the two formulations
@@ -441,12 +478,14 @@ def spencer_rank_identity(algebra: SubSuperalgebra, tower: ProlongationTower = N
     images_ok = True
     # unknowns: the coefficient of g_1 element j along direction d
     parity = {(d, j): (dim.parity(d) + p) % 2 for d in range(t) for j, p in enumerate(g1.parities)}
-    rows = {}  # (canonical pair, A * t + B) -> the row of that entry of the images
+    pivots = algebra._echelon.pivot_rows
+    rows = {}  # (canonical pair, pivot position of g) -> the row of that entry of the images
     for (d, j), sigma in parity.items():
         image = spencer_delta(dim, d, g1_maps[j])
         images_ok = images_ok and check_curvature_element(algebra, CurvatureElement(dim, sigma, image, field))
         for key, v in image.items():
-            rows.setdefault(key, {})[(d, j)] = v
+            if key[1] in pivots:
+                rows.setdefault(key, {})[(d, j)] = v
     # rank of the map and its kernel, per parity
     solution = solve_graded(parity, rows.values(), field)
     h22 = [r - ech.rank for r, (_, ech) in zip(rspace.graded_dim, solution.blocks)]

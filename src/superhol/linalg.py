@@ -173,10 +173,6 @@ class GradedKernel:
             for labels, ech in self.blocks
         )
 
-    def support(self):
-        """The labels on which some kernel vector is nonzero."""
-        return {labels[c] for labels, ech in self.blocks for c in ech.kernel_support(len(labels))}
-
 
 def solve_graded(parity, rows, field) -> GradedKernel:
     """Solve a sparse system whose unknowns carry labels and whose every row

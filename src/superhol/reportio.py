@@ -63,10 +63,18 @@ MAX_TOTAL_DIM = 16
 # cap, 2 (p+q)^2 + m (`holonomy.default_order_cap`), of a problem within
 # MAX_TOTAL_DIM.
 MAX_CAP_ORDER = 2 * MAX_TOTAL_DIM ** 2 + MAX_TOTAL_DIM
+# Largest `options.order` of a prolongation problem accepted: its time grows
+# at least quadratically with the order, even on gl(1|0).  Every bundled, test
+# and benchmark problem asks for order 4 or less.
+MAX_PROLONGATION_ORDER = 64
 # The integer options, each with the least value it may take, and those with
 # a largest value, with it.
 INTEGER_OPTIONS = {"cap_order": 0, "transport_steps": 0, "order": 1}
-INTEGER_MAXIMA = {"cap_order": MAX_CAP_ORDER, "transport_steps": MAX_TRANSPORT_STEPS}
+INTEGER_MAXIMA = {
+    "cap_order": MAX_CAP_ORDER,
+    "transport_steps": MAX_TRANSPORT_STEPS,
+    "order": MAX_PROLONGATION_ORDER,
+}
 
 
 def _known(obj, keys, what, path):

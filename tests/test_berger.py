@@ -2,6 +2,7 @@ import itertools
 import os
 import random
 import sys
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 
@@ -39,7 +40,7 @@ from conftest import flat_curvature, flat_curvature_space, random_homogeneous_ma
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench"))
 
 from checks import classical_forms  # noqa: E402
-from workloads import BERGER_ALGEBRAS, BERGER_PI_ADJOINT  # noqa: E402
+from workloads import BERGER_ALGEBRAS, BERGER_PI_ADJOINT, BERGER_PROLONGATIONS  # noqa: E402
 
 
 class TestCurvatureSpace:
@@ -372,6 +373,14 @@ def eager_prolongation(dim, g0, order):
     return levels
 
 
+def mask_support(keys):
+    """{S: bitmask of the A} of a set of keys (S, A)."""
+    out = {}
+    for s, a in keys:
+        out[s] = out.get(s, 0) | 1 << a
+    return out
+
+
 def unknown_count(level):
     return sum(len(labels) for labels, _ in level.solution.blocks)
 
@@ -388,7 +397,7 @@ class TestPrunedLazyLevels:
             assert "kernels" not in vars(level.solution)
             assert level.graded_dim == (parities.count(0), parities.count(1))
             assert level.basis == tensors and level.parities == parities
-            assert level.solution.support() == {key for tensor in tensors for key in tensor}
+            assert berger._level_support(level.solution) == mask_support({key for tensor in tensors for key in tensor})
             unknowns = len(symmetric_tuples(dim, level.k + 1)) * dim.total
             pruned += bool(level.total_dim and unknown_count(level) < unknowns)
         return pruned
@@ -410,6 +419,20 @@ class TestPrunedLazyLevels:
         self.assert_matches_eager(vdim, rep_alg, 2)
         # level 2 is solved over a handful of the unknowns of S^3 V* (x) V
         assert unknown_count(tower.levels[1]) <= 4
+
+    @pytest.mark.parametrize("p, q", [(2, 2), (3, 1), (0, 3)])
+    def test_gl_writes_no_rows(self, p, q, monkeypatch):
+        # gl(V) has an empty annihilator: every level is all of its unknowns,
+        # solved from no row and with no Koszul insertion
+        dim = SuperDim(p, q)
+        gl = classical_superalgebra("gl", (p, q))
+        eager = eager_prolongation(dim, gl, 3)
+        monkeypatch.setattr(berger, "_insertion", lambda *args: pytest.fail("_insertion was called"))
+        tower = cartan_prolongation(dim, gl, 3)
+        for level, (tensors, parities) in zip(tower.levels, eager):
+            assert all(ech.rank == 0 for _, ech in level.solution.blocks)
+            assert unknown_count(level) == len(symmetric_tuples(dim, level.k + 1)) * dim.total
+            assert level.basis == tensors and level.parities == parities
 
     @pytest.mark.parametrize("p, q", [(2, 2), (3, 1), (1, 3), (0, 3), (4, 2)])
     def test_insertion_sign_is_the_koszul_sign(self, p, q):
@@ -1035,9 +1058,10 @@ def reference_curvature_rows(dim, basis):
             yield row
 
 
-def reference_derivative_rows(dim, relems):
+def reference_derivative_rows(dim, relems, positions=None):
     """`curvature_derivative_space`'s rows as they were built before: dense,
-    one per sorted triple and matrix entry."""
+    one per sorted triple and matrix entry, or only the entries at the given
+    flat positions."""
     t = dim.total
     for cyclic in sorted_cyclic_terms(dim.parity, t):
         terms = []
@@ -1051,6 +1075,8 @@ def reference_derivative_rows(dim, relems):
                     terms.append(((d, j), s * sign, m.entries))
         for A in range(t):
             for B in range(t):
+                if positions is not None and A * t + B not in positions:
+                    continue
                 row = {}
                 for (lab, s, entries) in terms:
                     val = entries[A][B]
@@ -1074,6 +1100,13 @@ def reference_prolongation_rows(dim, annihilator, k):
 def row_multiset(rows):
     """The nonempty rows, zero coefficients dropped, as a multiset."""
     return Counter(frozenset((k, v) for k, v in row.items() if v) for row in rows if any(row.values()))
+
+
+def assert_same_solutions(parity, rows, reference, field):
+    """Two systems on the same unknowns have the same graded dims and the
+    same canonical kernels."""
+    got, want = linalg.solve_graded(parity, rows, field), linalg.solve_graded(parity, reference, field)
+    assert got.graded_dim == want.graded_dim and got.kernels == want.kernels
 
 
 def gaussian_algebra():
@@ -1102,7 +1135,7 @@ class TestRowBuildersMatchTheDenseOnes:
     def assert_same_system(parity, rows, reference, field):
         reference = list(reference)
         assert row_multiset(rows) == row_multiset(reference)
-        assert linalg.solve_graded(parity, rows, field).kernels == linalg.solve_graded(parity, reference, field).kernels
+        assert_same_solutions(parity, rows, reference, field)
 
     def test_curvature_rows(self, algebra):
         dim, basis = algebra.dim, algebra.basis()
@@ -1116,12 +1149,16 @@ class TestRowBuildersMatchTheDenseOnes:
         self.assert_same_system(parity, rows, reference_curvature_rows(dim, basis), algebra.field)
 
     def test_derivative_rows(self, algebra):
+        # the rows are the dense ones at g's pivot positions, and they have
+        # the solutions of the dense rows at every entry
         dim, relems = algebra.dim, curvature_space(algebra).basis
         assert relems
         parity = {(d, j): (dim.parity(d) + r.parity) % 2 for d in range(dim.total) for j, r in enumerate(relems)}
-        rows = list(berger._derivative_rows(dim, relems))
+        pivots = algebra._echelon.pivot_rows
+        rows = list(berger._derivative_rows(dim, relems, pivots))
         assert all(rows)
-        self.assert_same_system(parity, rows, reference_derivative_rows(dim, relems), algebra.field)
+        self.assert_same_system(parity, rows, reference_derivative_rows(dim, relems, pivots), algebra.field)
+        assert_same_solutions(parity, rows, reference_derivative_rows(dim, relems), algebra.field)
 
     @pytest.mark.parametrize("k", (1, 2))
     def test_prolongation_rows(self, algebra, k):
@@ -1134,5 +1171,129 @@ class TestRowBuildersMatchTheDenseOnes:
             for s in symmetric_tuples(dim, k + 1)
             for a in range(t)
         }
-        rows = list(berger._prolongation_rows(dim, annihilator, symmetric_tuples(dim, k), parity))
+        rows = list(berger._prolongation_rows(dim, annihilator, symmetric_tuples(dim, k), mask_support(parity)))
         self.assert_same_system(parity, rows, reference_prolongation_rows(dim, annihilator, k), field)
+
+
+def reference_spencer_rows(dim, g1):
+    """`spencer_rank_identity`'s unknowns and rows as they were built before:
+    one row per entry (canonical pair, A * t + B) of the images
+    delta(e_d* (x) alpha_j), at every position."""
+    g1_maps = g1.multimaps()
+    parity = {(d, j): (dim.parity(d) + p) % 2 for d in range(dim.total) for j, p in enumerate(g1.parities)}
+    rows = {}
+    for d, j in parity:
+        for key, v in berger.spencer_delta(dim, d, g1_maps[j]).items():
+            rows.setdefault(key, {})[(d, j)] = v
+    return parity, list(rows.values())
+
+
+class TestPivotRows:
+    """The derivative-space and Spencer systems write rows at g's pivot
+    positions only; the references write one at every entry.  Both give the
+    same graded dims and the same canonical kernels, on every algebra of
+    `tables F --max-dim 4` and every `BERGER_ALGEBRAS` row."""
+
+    @pytest.mark.parametrize("field", (RATIONAL, GAUSSIAN))
+    def test_derivative_space(self, field):
+        fewer = 0
+        for alg in [*table_algebras(field), *berger_rows(field)]:
+            dim, rspace = alg.dim, curvature_space(alg)
+            relems = rspace.basis
+            parity = {(d, j): (dim.parity(d) + r.parity) % 2 for d in range(dim.total) for j, r in enumerate(relems)}
+            reference = [row for row in reference_derivative_rows(dim, relems) if any(row.values())]
+            got = curvature_derivative_space(alg, rspace).solution
+            want = linalg.solve_graded(parity, reference, field)
+            assert (got.graded_dim, got.kernels) == (want.graded_dim, want.kernels)
+            fewer += len(list(berger._derivative_rows(dim, relems, alg._echelon.pivot_rows))) < len(reference)
+        # the proper subalgebras of gl with R(g) != 0 leave rows out
+        assert fewer >= 15, fewer
+
+    @pytest.mark.parametrize("field", (RATIONAL, GAUSSIAN))
+    def test_spencer_map(self, field, monkeypatch):
+        solves = []
+        solve = berger.solve_graded
+
+        def spy(parity, rows, field):
+            rows = list(rows)
+            solves.append((rows, solve(parity, rows, field)))
+            return solves[-1][1]
+
+        monkeypatch.setattr(berger, "solve_graded", spy)
+        fewer = 0
+        for alg in [*table_algebras(field), *berger_rows(field)]:
+            rspace, tower = curvature_space(alg), cartan_prolongation(alg.dim, alg, 2)
+            solves.clear()
+            rep = spencer_rank_identity(alg, tower, rspace)
+            ((rows, got),) = solves
+            parity, reference = reference_spencer_rows(alg.dim, tower.levels[0])
+            want = solve(parity, reference, field)
+            assert [ech.rank for _, ech in got.blocks] == [ech.rank for _, ech in want.blocks]
+            assert (got.graded_dim, got.kernels) == (want.graded_dim, want.kernels)
+            assert rep["exactness_ok"]
+            fewer += len(rows) < len(reference)
+        assert fewer >= 10, fewer
+
+
+def reference_level_unknowns(dim, support):
+    """`_level_unknowns` as it was: the support a set of keys (S0, A),
+    regrouped into a set of A per S0, and the unknowns as their parities in
+    column order."""
+    t, p = dim.total, dim.p
+    fiber = [dim.parity(a) for a in range(t)]
+    reach = {}
+    for s0, a in support:
+        reach.setdefault(s0, set()).add(a)
+    parity = {}
+    for s0 in sorted(reach):
+        n, last = len(s0), s0[-1]
+        drops = [s0[:j] + s0[j + 1:] for j in range(n) if j + 1 == n or s0[j] != s0[j + 1]]
+        odd = n - bisect_left(s0, p)
+        for b in range(last + (last >= p), t):
+            s, sigma = s0 + (b,), (odd + (b >= p)) % 2
+            for a in sorted(reach[s0].intersection(*(reach.get(r + (b,), ()) for r in drops))):
+                parity[(s, a)] = sigma ^ fiber[a]
+    return parity
+
+
+class TestMaskLevelUnknowns:
+    """`_level_unknowns` on bitmask supports gives the set-based reference's
+    unknowns, with the same parities in the same key order: the column order
+    fixes the canonical basis."""
+
+    @staticmethod
+    def assert_same_unknowns(dim, g0, order):
+        t = dim.total
+        support = {((pos % t,), pos // t) for m in g0.basis() for pos in m._flat}
+        pruned = 0
+        for level in cartan_prolongation(dim, g0, order).levels:
+            parity, masks = berger._level_unknowns(dim, mask_support(support))
+            assert list(parity.items()) == list(reference_level_unknowns(dim, support).items())
+            assert masks == mask_support(parity)
+            # the level was solved over these unknowns, even ones first
+            assert [c for labels, _ in level.solution.blocks for c in labels] == sorted(parity, key=parity.get)
+            support = {key for kernel in level.solution.kernels for vec in kernel for key in vec}
+            # a bit of the level's mask support is set exactly when some
+            # kernel vector reaches that (S, A)
+            assert berger._level_support(level.solution) == mask_support(support)
+            pruned += len(parity) < len(symmetric_tuples(dim, level.k + 1)) * t
+        return pruned
+
+    @pytest.mark.parametrize("field", (RATIONAL, GAUSSIAN))
+    def test_table_algebras(self, field):
+        pruned = sum(self.assert_same_unknowns(alg.dim, alg, 4) for alg in table_algebras(field))
+        assert pruned >= 20, pruned
+
+    @pytest.mark.parametrize("field", (RATIONAL, GAUSSIAN))
+    def test_berger_prolongations(self, field):
+        for name, params, order in BERGER_PROLONGATIONS:
+            alg = classical_superalgebra(name, tuple(params), field)
+            self.assert_same_unknowns(alg.dim, alg, order)
+
+    @pytest.mark.parametrize("field", (RATIONAL, GAUSSIAN))
+    def test_pi_adjoint_representations(self, field):
+        pruned = 0
+        for name, params in BERGER_PI_ADJOINT:
+            vdim, rep_alg, _, _ = berger.pi_adjoint_representation(classical_superalgebra(name, tuple(params), field))
+            pruned += self.assert_same_unknowns(vdim, rep_alg, 4)
+        assert pruned >= 4, pruned

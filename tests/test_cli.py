@@ -12,6 +12,7 @@ from superhol import geometry as geo
 from superhol import holonomy as hl
 from superhol.reportio import (
     MAX_CAP_ORDER,
+    MAX_PROLONGATION_ORDER,
     MAX_TOTAL_DIM,
     MAX_TRANSPORT_STEPS,
     KINDS,
@@ -531,6 +532,25 @@ class TestTransportStepsLimit:
         first, second = json.loads(out.read_text())["reports"]
         assert first["error"].startswith("/options/transport_steps: ")
         assert "error" not in second and second["result"]["holonomy_dim"] == [1, 0]
+
+    def test_prolongation_order_up_to_the_limit_is_accepted(self):
+        doc = {"kind": "prolongation", "algebra": {"name": "gl", "params": [1, 0]}, "options": {"order": 64}}
+        assert MAX_PROLONGATION_ORDER == 64
+        rep, ok = cli.run_problem(doc)
+        assert ok and [level["k"] for level in rep["result"]["levels"]] == list(range(1, 65))
+        assert all(level["dim"] == [1, 0] for level in rep["result"]["levels"])
+
+    @pytest.mark.parametrize("order", (65, 10 ** 6))
+    def test_prolongation_order_above_the_limit(self, order):
+        doc = {"kind": "prolongation", "algebra": {"name": "gl", "params": [1, 0]}, "options": {"order": order}}
+        with pytest.raises(ProblemError) as err:
+            decode_problem(doc)
+        assert err.value.path == "/options/order"
+        t0 = time.perf_counter()
+        rep, ok = cli.run_problem(doc)
+        # order 10^6 would run for hours; the rejection builds no level
+        assert time.perf_counter() - t0 < 5
+        assert not ok and rep["error"] == "/options/order: must be at most 64"
 
     def test_tangent_and_field_values(self):
         doc = {"kind": "connection", "chart": {"n": 1, "m": 1}, "rank": {"p": 1, "q": 1}, "gamma": {"1,2,1": "xi1"}}

@@ -21,7 +21,15 @@ from itertools import islice
 
 import pytest
 
-from superhol.reportio import MAX_TOTAL_DIM, OBJECT_KEYS, PROBLEM_KEYS, ProblemError, decode_point, decode_problem
+from superhol.reportio import (
+    MAX_PROLONGATION_ORDER,
+    MAX_TOTAL_DIM,
+    OBJECT_KEYS,
+    PROBLEM_KEYS,
+    ProblemError,
+    decode_point,
+    decode_problem,
+)
 from superhol.superfunc import ChartSignature, Superfunction, SyntaxErrorAt, parse_superfunction
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -38,6 +46,8 @@ EXTRA_DOCS = [
                                     "even": [["1", "0", "0", "1"]], "odd": [["0", "1", "0", "0"]]}},
     {"kind": "prolongation", "algebra": {"name": "q", "params": 2, "field": "gaussian-rational"},
      "options": {"order": 1}},
+    {"kind": "prolongation", "algebra": {"name": "gl", "params": [1, 0]}, "options": {"order": MAX_PROLONGATION_ORDER}},
+    {"kind": "prolongation", "algebra": {"name": "sl", "params": [2, 1]}, "options": {"order": 10 ** 6}},
 ]
 # every key of the schema's tables, and two entry keys
 KEYS = tuple(sorted({key for keys in (*PROBLEM_KEYS.values(), *OBJECT_KEYS.values()) for key in keys})) + ("1,1", "1,1,1")
@@ -60,7 +70,7 @@ def random_json(rng):
     return rng.choice((
         None, True, False, 0, 1, 2, -1, 3, 0.5, 2.0, "", "x1", "1/2", "gl", "rational", "gaussian", [], {}, [1],
         [1, 1], ["1", "0"], {"p": 1, "q": 0}, {"n": 1, "m": 1}, rng.randint(-3, 4), mutate_text(rng, "1 + x1"),
-        rng.choice((MAX_TOTAL_DIM + 1, 10 ** 6, 2 ** 64)),
+        rng.choice((MAX_TOTAL_DIM + 1, MAX_PROLONGATION_ORDER, MAX_PROLONGATION_ORDER + 1, 10 ** 6, 2 ** 64)),
         rng.choice(("1e308", "1e309", "1e-309", "1e2000000", "1" + "0" * 308, "1" + "0" * 309, 10 ** 308, 10 ** 309)),
         [rng.choice(("3/4", "1e308", "1e309", "1e2000000", "2e308 i"))],
     ))
@@ -140,6 +150,7 @@ def test_decode_problem_gives_a_problem_or_a_problem_error():
     def call(doc):
         kind, payload, options = decode_problem(doc)
         assert payload is not None and isinstance(options, dict)
+        assert options.get("order", 1) <= MAX_PROLONGATION_ORDER
         if kind in ("connection", "metric"):
             decode_point(options, payload.chart.sig)
 

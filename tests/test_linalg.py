@@ -367,4 +367,3 @@ def test_kernel_support_is_read_from_the_echelon(field):
             assert labs == [c for c, p in parity.items() if p == sigma]
             support = {labs[c] for c in ech.kernel_support(len(labs))}
             assert support == {key for vec in kernel for key in vec}
-        assert solution.support() == {key for kernel in solution.kernels for vec in kernel for key in vec}

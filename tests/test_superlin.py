@@ -512,7 +512,9 @@ class TestSolveGraded:
             got = solution.kernels
             assert got == reference_graded_solve(parity, rows, field)
             assert solution.graded_dim == tuple(map(len, got))
-            assert solution.support() == {c for kernel in got for vec in kernel for c in vec}
+            # the columns some kernel vector reaches are read from the echelons
+            support = {labs[c] for labs, ech in solution.blocks for c in ech.kernel_support(len(labs))}
+            assert support == {c for kernel in got for vec in kernel for c in vec}
             for sigma, kernel in enumerate(got):
                 for vec in kernel:
                     assert all(parity[c] == sigma for c in vec)
