@@ -31,6 +31,12 @@ from .superlin import (
     superbracket,
 )
 
+# Most unknowns one prolongation level may have.  gl(t|0) has C(t+k, k+1)·t
+# of them at level k, each an entry of the level's system, so the bounds on
+# t and on the order alone do not bound a level's memory: gl(16|0) would
+# have 868,224 at level 5, and gl(14|0) has 379,848 there.
+MAX_LEVEL_UNKNOWNS = 500_000
+
 
 def canonical_pairs(dim: SuperDim):
     t = dim.total
@@ -318,9 +324,10 @@ def _insertion(p: int, i, b: int):
     return i[:j] + (b,) + i[j:], -1 if (len(i) - j) % 2 else 1
 
 
-def _level_unknowns(dim: SuperDim, support):
-    """The unknowns (S, A) of the next level that the support of this one
-    allows, as (their parities in column order, {S: bitmask of their A}).
+def _level_unknowns(dim: SuperDim, support, k: int):
+    """The unknowns (S, A) of level k that the support of level k - 1
+    allows, as (their parities in column order, {S: bitmask of their A});
+    more than MAX_LEVEL_UNKNOWNS of them is a ValueError that names k.
     The support is {S0: bitmask of the A with (S0, A) reached}.  g^(k) lies in
     V* (x) g^(k-1), so U[(S, A)] can be nonzero only if (S minus one copy of d,
     A) is in the support for every d in S: the mask of S is the AND of its
@@ -347,6 +354,8 @@ def _level_unknowns(dim: SuperDim, support):
                 a = low.bit_length() - 1
                 parity[(s, a)] = sigma ^ fiber[a]
                 mask ^= low
+            if len(parity) > MAX_LEVEL_UNKNOWNS:
+                raise ValueError("prolongation level %d has more than %d unknowns" % (k, MAX_LEVEL_UNKNOWNS))
     return parity, masks
 
 
@@ -364,7 +373,9 @@ def cartan_prolongation(dim: SuperDim, g0: SubSuperalgebra, order: int) -> Prolo
     level's support, {S: bitmask of the A that some element reaches}, is read
     once from its echelons (`_level_support`); level 0 is the entries (A, B)
     of g0, as {(B,): mask of A}.  A level after a zero level has no
-    unknowns and no rows, and when g0 = gl(V) no level has rows.
+    unknowns and no rows, and when g0 = gl(V) no level has rows.  A level of
+    more than MAX_LEVEL_UNKNOWNS unknowns is a ValueError, raised before its
+    rows are written.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -382,7 +393,7 @@ def cartan_prolongation(dim: SuperDim, g0: SubSuperalgebra, order: int) -> Prolo
             support[(b,)] = support.get((b,), 0) | 1 << a
     levels = []
     for k in range(1, order + 1):
-        parity, masks = _level_unknowns(dim, support)
+        parity, masks = _level_unknowns(dim, support, k)
         rows = _prolongation_rows(dim, annihilator, sorted(support), masks)
         levels.append(ProlongationLevel(dim, k, solve_graded(parity, rows, field)))
         if k < order:

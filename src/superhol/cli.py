@@ -230,7 +230,10 @@ def algebra_report(alg: SubSuperalgebra):
 
 def prolongation_report(alg: SubSuperalgebra, options):
     order = options.get("order", 2)
-    tower = bg.cartan_prolongation(alg.dim, alg, order)
+    try:
+        tower = bg.cartan_prolongation(alg.dim, alg, order)
+    except ValueError as exc:
+        raise rio.ProblemError("/options/order", str(exc))
     return {
         "algebra_dim": list(alg.graded_dim),
         "levels": [

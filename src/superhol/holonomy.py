@@ -425,12 +425,14 @@ def reconstruct_parallel_section(conn: ConnectionData, point, value, gauge=None,
     part needs either a flat body (even-direction tables with zero body) or a
     supplied polynomial gauge, the flat {(A, B): g^A_B} of its nonzero
     entries that `pure_gauge_connection` takes.  The output is verified
-    exactly.
+    exactly.  A value whose length is not the rank is a ValueError.
     """
     chart = conn.chart
     sig = chart.sig
     rk = chart.rank.total
     field = sig.field
+    if len(value) != rk:
+        raise ValueError("value must have %d entries, the rank" % rk)
     value = [to_field(v, field) for v in value]
 
     hol = infinitesimal_holonomy(conn, point, cap)

@@ -189,18 +189,18 @@ def decode_chart(obj, path="/chart") -> ChartSignature:
 def decode_connection(obj, path="") -> ConnectionData:
     sig = decode_chart(_require_object(obj, "chart", path), path + "/chart")
     if obj.get("rank") is None:
-        chart = Chart.tangent(sig)
+        rank = SuperDim(sig.n, sig.m)
     else:
         rank_obj = _require_object(obj, "rank", path)
         _known(rank_obj, OBJECT_KEYS["rank"], "a rank", path + "/rank")
         rank = SuperDim(*_superdim(rank_obj, path + "/rank"))
-        fits = rank.p == sig.n and rank.q == sig.m
-        tangent = obj.get("tangent", fits)
-        if tangent.__class__ is not bool:
-            raise ProblemError(path + "/tangent", "must be true or false")
-        if tangent and not fits:
-            raise ProblemError(path + "/tangent", "the tangent sheaf has rank %d|%d, the chart's n|m" % (sig.n, sig.m))
-        chart = Chart(sig, rank, tangent_sheaf=tangent)
+    fits = rank.p == sig.n and rank.q == sig.m
+    tangent = obj.get("tangent", fits)
+    if tangent.__class__ is not bool:
+        raise ProblemError(path + "/tangent", "must be true or false")
+    if tangent and not fits:
+        raise ProblemError(path + "/tangent", "the tangent sheaf has rank %d|%d, the chart's n|m" % (sig.n, sig.m))
+    chart = Chart(sig, rank, tangent_sheaf=tangent)
     entries = _entries(obj, "gamma", "a,B,A", (sig.total, chart.rank.total, chart.rank.total), sig, path)
     try:
         return ConnectionData.from_entries(chart, entries)

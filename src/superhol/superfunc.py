@@ -114,32 +114,24 @@ def merge_sign(left_mask: int, right_mask: int) -> int:
     return sign
 
 
-def _poly_add(p, q):
-    out = dict(p)
-    for k, v in q.items():
-        w = out.get(k)
-        if w is None:
-            out[k] = v
-        else:
-            w = w + v
-            if w:
-                out[k] = canonical(w)
-            else:
-                del out[k]
-    return out
-
-
 def _poly_scale(p, c):
     if not c:
         return {}
     return {k: canonical(c * v) for k, v in p.items()}
 
 
-def _poly_value(poly, point, field):
-    """An even polynomial {exps: coef} at even coordinates in the field, as
+def _poly_value(poly, point, field, d=None):
+    """An even polynomial {exps: coef} at even coordinates in the field, or
+    with a 0-based even index d its x_d-derivative there, as
     `scalars.canonical` gives it."""
     total = field_zero(field)
     for exps, coef in poly.items():
+        if d is not None:
+            e = exps[d]
+            if not e:
+                continue
+            coef = coef * e
+            exps = exps[:d] + (e - 1,) + exps[d + 1 :]
         term = coef
         for c, e in zip(point, exps):
             if e and not c:
@@ -241,14 +233,10 @@ class Superfunction:
         if terms is None:
             terms = {}
         if not _normalized:
-            clean = {}
-            for mask, poly in terms.items():
+            for mask in terms:
                 if mask < 0 or mask >= (1 << sig.m):
                     raise ValueError("odd index set out of range for m=%d" % sig.m)
-                poly = {k: canonical(v) for k, v in poly.items() if v}
-                if poly:
-                    clean[mask] = poly
-            terms = clean
+            terms = accumulated(sig, terms).terms
         self.terms = terms
 
     # ------------------------------------------------------------------ basic
@@ -316,17 +304,10 @@ class Superfunction:
         if isinstance(other, (int, Fraction, GaussianRational)):
             other = Superfunction.constant(self.sig, other)
         self._check(other)
-        out = dict(self.terms)
-        for mask, poly in other.terms.items():
-            if mask in out:
-                s = _poly_add(out[mask], poly)
-                if s:
-                    out[mask] = s
-                else:
-                    del out[mask]
-            else:
-                out[mask] = poly
-        return Superfunction(self.sig, out, _normalized=True)
+        acc = {}
+        add_into(acc, self.terms)
+        add_into(acc, other.terms)
+        return accumulated(self.sig, acc)
 
     __radd__ = __add__
 
@@ -371,38 +352,14 @@ class Superfunction:
     # ------------------------------------------------------------ derivatives
 
     def partial(self, a: int) -> "Superfunction":
-        """Left partial derivative by coordinate index a in 1..n+m."""
-        sig = self.sig
-        if not 1 <= a <= sig.total:
+        """Left partial derivative by coordinate index a in 1..n+m: the
+        ∂_a accumulator of `partials_into` with stop a, which forms the
+        lower directions too."""
+        if not 1 <= a <= self.sig.total:
             raise IndexError("coordinate index %d out of range" % a)
-        if a <= sig.n:
-            i = a - 1
-            out = {}
-            for mask, poly in self.terms.items():
-                der = {}
-                for exps, coef in poly.items():
-                    e = exps[i]
-                    if e:
-                        k = exps[:i] + (e - 1,) + exps[i + 1 :]
-                        v = coef * e
-                        w = der.get(k)
-                        der[k] = v if w is None else w + v
-                der = {k: canonical(v) for k, v in der.items() if v}
-                if der:
-                    out[mask] = der
-            return Superfunction(sig, out, _normalized=True)
-        alpha = a - sig.n
-        bit = 1 << (alpha - 1)
-        out = {}
-        for mask, poly in self.terms.items():
-            if not mask & bit:
-                continue
-            # left derivative: sign (-1)^(s-1) with s the position of alpha
-            below = bin(mask & (bit - 1)).count("1")
-            sign = 1 if below % 2 == 0 else -1
-            # distinct masks holding the bit stay distinct once it is cleared
-            out[mask & ~bit] = dict(poly) if sign > 0 else {k: -v for k, v in poly.items()}
-        return Superfunction(sig, out, _normalized=True)
+        accs = [{} for _ in range(a)]
+        partials_into(accs, 0, self, a)
+        return accumulated(self.sig, accs[a - 1].get(0, {}))
 
     # ------------------------------------------------------------- evaluation
 
@@ -417,9 +374,9 @@ class Superfunction:
     def partial_bodies(self, point):
         """The bodies at even coordinates already in the field of the left
         partials ∂_1 f, ..., ∂_{n+m} f, as a list by 0-based coordinate
-        index, from one pass over the terms, without building a derivative.
-        The even ones are the x_i-derivatives of the body; the one of an odd
-        ξ_α is the value of the ξ_α-coefficient (its sign is +1: no
+        index, without building a derivative: the even ones are the
+        `_poly_value` x_i-derivatives of the body, and the one of an odd ξ_α
+        is the `_poly_value` of the ξ_α-coefficient (its sign is +1: no
         generator comes before ξ_α)."""
         sig = self.sig
         n, field = sig.n, sig.field
@@ -429,21 +386,8 @@ class Superfunction:
                 continue  # two or more generators: no body in any first partial
             if mask:
                 out[n + mask.bit_length() - 1] = _poly_value(poly, point, field)
-                continue
-            for exps, coef in poly.items():
-                for i, e in enumerate(exps):
-                    if not e:
-                        continue
-                    term = coef * e
-                    for j, x in enumerate(point):
-                        k = exps[j] - (j == i)
-                        if k and not x:
-                            break  # a zero coordinate to a positive power
-                        for _ in range(k):
-                            term = term * x
-                    else:
-                        out[i] = out[i] + term
-            out[:n] = map(canonical, out[:n])
+            else:
+                out[:n] = [_poly_value(poly, point, field, i) for i in range(n)]
         return out
 
     def coefficient(self, indices) -> dict:

@@ -123,8 +123,11 @@ class SuperMatrix:
         return SuperMatrix.from_flat(self.dim, acc, self.field)
 
     def apply(self, vec):
-        """Matrix times column vector (list of scalars)."""
+        """Matrix times column vector (list of scalars); a vector whose length
+        is not t is a ValueError."""
         t = self.dim.total
+        if len(vec) != t:
+            raise ValueError("vector must have %d entries" % t)
         out = [field_zero(self.field)] * t
         for pos, v in self._flat.items():
             a, b = divmod(pos, t)

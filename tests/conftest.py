@@ -7,7 +7,7 @@ import pytest
 from superhol.berger import canonical_pairs
 from superhol.geometry import Chart, ConnectionData, MetricData, curvature
 from superhol.linalg import solve_graded, solve_kernel, span_echelon
-from superhol.scalars import GAUSSIAN, GaussianRational
+from superhol.scalars import GAUSSIAN, GaussianRational, canonical, field_zero
 from superhol.superfunc import ChartSignature, Superfunction
 from superhol.superlin import SubSuperalgebra, SuperDim, SuperMatrix, combination, superbracket
 
@@ -62,6 +62,109 @@ def dense_curvature(conn):
     t, rk = chart.sig.total, chart.rank.total
     comps = curvature(conn).components
     return {(a, b): dense_of(chart.sig, rk, comps.get(((), a, b), {})) for a in range(t) for b in range(t)}
+
+
+# ------------------------------------ reference superfunction operations
+#
+# Each is written apart from the kernels `Superfunction` calls into
+# (`partials_into`, `add_into`, `accumulated`, `_poly_value`), so that a
+# fault in a kernel cannot cancel out of a test that compares with them.
+
+
+def reference_terms(sig, terms):
+    """The superfunction of raw terms {mask: {exps: coef}}: zero
+    coefficients and empty masks dropped, each coefficient canonical."""
+    clean = {}
+    for mask, poly in terms.items():
+        poly = {k: canonical(v) for k, v in poly.items() if v}
+        if poly:
+            clean[mask] = poly
+    return Superfunction(sig, clean, _normalized=True)
+
+
+def reference_sum(f, g):
+    """f + g, mask by mask and monomial by monomial."""
+    out = dict(f.terms)
+    for mask, q in g.terms.items():
+        p = dict(out.get(mask, {}))
+        for k, v in q.items():
+            w = p.get(k)
+            if w is None:
+                p[k] = v
+            else:
+                w = w + v
+                if w:
+                    p[k] = canonical(w)
+                else:
+                    del p[k]
+        if p:
+            out[mask] = p
+        else:
+            out.pop(mask, None)
+    return Superfunction(f.sig, out, _normalized=True)
+
+
+def reference_partial(f, a):
+    """The left partial ∂_a f by coordinate index a in 1..n+m, one loop for
+    an even coordinate and one for an odd one."""
+    sig = f.sig
+    if a <= sig.n:
+        i = a - 1
+        out = {}
+        for mask, poly in f.terms.items():
+            der = {}
+            for exps, coef in poly.items():
+                e = exps[i]
+                if e:
+                    k = exps[:i] + (e - 1,) + exps[i + 1 :]
+                    v = coef * e
+                    w = der.get(k)
+                    der[k] = v if w is None else w + v
+            der = {k: canonical(v) for k, v in der.items() if v}
+            if der:
+                out[mask] = der
+        return Superfunction(sig, out, _normalized=True)
+    bit = 1 << (a - sig.n - 1)
+    out = {}
+    for mask, poly in f.terms.items():
+        if not mask & bit:
+            continue
+        # left derivative: sign (-1)^(s-1) with s the position of the bit
+        below = bin(mask & (bit - 1)).count("1")
+        out[mask & ~bit] = dict(poly) if below % 2 == 0 else {k: -v for k, v in poly.items()}
+    return Superfunction(sig, out, _normalized=True)
+
+
+def reference_partial_bodies(f, point):
+    """The bodies at even coordinates in the field of ∂_1 f, ..., ∂_{n+m} f,
+    each monomial's derivative evaluated in one inline loop."""
+    sig = f.sig
+    n, field = sig.n, sig.field
+    out = [field_zero(field)] * sig.total
+    for mask, poly in f.terms.items():
+        if mask & (mask - 1):
+            continue  # two or more generators: no body in any first partial
+        if mask:
+            total = field_zero(field)
+            for exps, coef in poly.items():
+                term = coef
+                for x, e in zip(point, exps):
+                    for _ in range(e):
+                        term = term * x
+                total = total + term
+            out[n + mask.bit_length() - 1] = canonical(total)
+            continue
+        for exps, coef in poly.items():
+            for i, e in enumerate(exps):
+                if not e:
+                    continue
+                term = coef * e
+                for j, x in enumerate(point):
+                    for _ in range(exps[j] - (j == i)):
+                        term = term * x
+                out[i] = out[i] + term
+        out[:n] = map(canonical, out[:n])
+    return out
 
 
 def random_superfunction(rng, sig, parity=None, maxdeg=1, density=1):

@@ -1267,7 +1267,7 @@ class TestMaskLevelUnknowns:
         support = {((pos % t,), pos // t) for m in g0.basis() for pos in m._flat}
         pruned = 0
         for level in cartan_prolongation(dim, g0, order).levels:
-            parity, masks = berger._level_unknowns(dim, mask_support(support))
+            parity, masks = berger._level_unknowns(dim, mask_support(support), 1)
             assert list(parity.items()) == list(reference_level_unknowns(dim, support).items())
             assert masks == mask_support(parity)
             # the level was solved over these unknowns, even ones first

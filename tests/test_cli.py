@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from superhol import cli
+from superhol.berger import MAX_LEVEL_UNKNOWNS
 from superhol import geometry as geo
 from superhol import holonomy as hl
 from superhol.reportio import (
@@ -214,6 +215,9 @@ class TestRunPipelines:
                 "/tangent",
             ),
             ({"kind": "connection", "chart": {"n": 1, "m": 1}, "rank": {"p": 1, "q": 1}, "tangent": [0], "gamma": {}}, "/tangent"),
+            # with no rank too, whose rank is then the chart's n|m
+            ({"kind": "connection", "chart": {"n": 1, "m": 0}, "tangent": "yes", "gamma": {"1,1,1": "x1"}}, "/tangent"),
+            ({"kind": "connection", "chart": {"n": 1, "m": 0}, "rank": None, "tangent": 1, "gamma": {}}, "/tangent"),
             # the tangent sheaf has the chart's rank n|m
             ({"kind": "connection", "chart": {"n": 1, "m": 0}, "rank": {"p": 2, "q": 0}, "tangent": True, "gamma": {}}, "/tangent"),
             # a point or explicit-algebra scalar has at most 1024-bit numerator
@@ -552,11 +556,35 @@ class TestTransportStepsLimit:
         assert time.perf_counter() - t0 < 5
         assert not ok and rep["error"] == "/options/order: must be at most 64"
 
+    def test_a_prolongation_level_of_too_many_unknowns_is_refused(self):
+        # gl(16|0) has C(16 + k, k + 1)·16 unknowns at level k: 248,064 at
+        # level 4 and 868,224 at level 5, so order 10 (123,618,560 unknowns
+        # at level 10) stops at level 5, before that level's system is built
+        doc = {"kind": "prolongation", "algebra": {"name": "gl", "params": [16, 0]}, "options": {"order": 10}}
+        t0 = time.perf_counter()
+        rep, ok = cli.run_problem(doc)
+        assert time.perf_counter() - t0 < 5
+        assert not ok and "internal_error" not in rep
+        assert rep["error"] == "/options/order: prolongation level 5 has more than %d unknowns" % MAX_LEVEL_UNKNOWNS
+
+    def test_a_prolongation_level_below_the_unknown_bound_is_solved(self):
+        # gl(12|0) at order 5 has 148,512 unknowns on level 5
+        doc = {"kind": "prolongation", "algebra": {"name": "gl", "params": [12, 0]}, "options": {"order": 5}}
+        rep, ok = cli.run_problem(doc)
+        assert ok and rep["result"]["levels"][-1] == {"k": 5, "dim": [148512, 0]}
+
     def test_tangent_and_field_values(self):
         doc = {"kind": "connection", "chart": {"n": 1, "m": 1}, "rank": {"p": 1, "q": 1}, "gamma": {"1,2,1": "xi1"}}
+        no_rank = {"kind": "connection", "chart": {"n": 1, "m": 0}, "gamma": {"1,1,1": "x1"}}
         for tangent in (True, False):
-            rep, ok = cli.run_problem(dict(doc, tangent=tangent))
-            assert ok and ("torsion_free" in rep["result"]) == tangent
+            for d in (doc, no_rank):
+                rep, ok = cli.run_problem(dict(d, tangent=tangent))
+                assert ok and ("torsion_free" in rep["result"]) == tangent
+                assert ("ricci" in rep["result"]) == tangent
+        # an absent tangent is true exactly when the rank is the chart's n|m
+        assert "torsion_free" in cli.run_problem(no_rank)[0]["result"]
+        with_rank = dict(no_rank, rank={"p": 1, "q": 0}, tangent=False)
+        assert cli.run_problem(dict(no_rank, tangent=False))[0]["result"] == cli.run_problem(with_rank)[0]["result"]
         for tag, field in (("rational", RATIONAL), ("gaussian", GAUSSIAN), ("gaussian-rational", GAUSSIAN)):
             _, algebra, _ = decode_problem({"kind": "algebra", "algebra": {"name": "sl", "params": [1, 1], "field": tag}})
             assert algebra.field == field

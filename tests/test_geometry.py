@@ -61,6 +61,8 @@ from conftest import (
     random_superfunction,
     random_torsion_free_connection,
     random_unipotent_gauge,
+    reference_partial,
+    reference_sum,
 )
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench"))
@@ -205,7 +207,7 @@ def reference_product(f, g):
             for ke, ve in pi.items():
                 for kf, vf in pj.items():
                     prod = {tuple(a + b for a, b in zip(ke, kf)): (-1) ** swaps * ve * vf}
-                    terms = (Superfunction(f.sig, terms) + Superfunction(f.sig, {mi | mj: prod})).terms
+                    terms = reference_sum(Superfunction(f.sig, terms), Superfunction(f.sig, {mi | mj: prod})).terms
     return Superfunction(f.sig, terms)
 
 
@@ -222,15 +224,15 @@ def dense_covariant_step(conn, c, mat, par):
     for A in range(rk):
         for B in range(rk):
             fB = fiber[B]
-            term = mat[A][B].partial(c + 1)
+            term = reference_partial(mat[A][B], c + 1)
             for C in range(rk):
                 fC = fiber[C]
                 g2 = gamma[A][C]
                 if not (mat[C][B].is_zero() or g2.is_zero()):
-                    term = term + reference_product(mat[C][B], g2).scale((-1) ** (pc * (par + fB + fC)))
+                    term = reference_sum(term, reference_product(mat[C][B], g2).scale((-1) ** (pc * (par + fB + fC))))
                 g1 = gamma[C][B]
                 if not (g1.is_zero() or mat[A][C].is_zero()):
-                    term = term - reference_product(g1, mat[A][C]).scale((-1) ** ((fC + fB) * par))
+                    term = reference_sum(term, reference_product(g1, mat[A][C]).scale(-((-1) ** ((fC + fB) * par))))
             new[A][B] = term
     return new
 
@@ -329,7 +331,7 @@ def leibniz_mismatches(field, signed=True, shifted=True):
                 for c in range(sig.total):
                     lhs = covariant_step(conn, c, fm, (par + pf) % 2 if shifted else par)
                     sign = (-1) ** (chart.coord_parity(c) * pf) if signed else 1
-                    df, step = f.partial(c + 1), covariant_step(conn, c, m, par)
+                    df, step = reference_partial(f, c + 1), covariant_step(conn, c, m, par)
                     rhs = {}
                     for key in sorted(set(m) | set(step)):
                         v = df * m.get(key, zero) + (f * step.get(key, zero)).scale(sign)
@@ -366,7 +368,7 @@ def unfolded_curvature(conn):
         pa, pb = chart.coord_parity(a), chart.coord_parity(b)
         mat = dense_covariant_step(conn, a, gamma[b], pb)
         for A, B in itertools.product(range(rk), repeat=2):
-            mat[A][B] = mat[A][B] - gamma[a][A][B].partial(b + 1).scale((-1) ** (pa * pb))
+            mat[A][B] = reference_sum(mat[A][B], reference_partial(gamma[a][A][B], b + 1).scale(-((-1) ** (pa * pb))))
         mats[(a, b)] = mat
     return mats
 
@@ -1564,15 +1566,15 @@ def reference_nabla_metric_component(metric, conn, a, b, c):
     chart = metric.chart
     pa, pb = chart.coord_parity(a), chart.coord_parity(b)
     g, gamma = dense_of(chart.sig, chart.sig.total, metric.g), dense_gamma(conn)[a]
-    term = g[b][c].partial(a + 1)
+    term = reference_partial(g[b][c], a + 1)
     for d in range(chart.sig.total):
         gam = gamma[d][b]
         if not (gam.is_zero() or g[d][c].is_zero()):
-            term = term - gam * g[d][c]
+            term = reference_sum(term, -(gam * g[d][c]))
         gam = gamma[d][c]
         if not (gam.is_zero() or g[b][d].is_zero()):
             sign = (-1) ** (pb * (pa + chart.coord_parity(c) + chart.coord_parity(d)) + pa * pb)
-            term = term - (gam * g[b][d]).scale(sign)
+            term = reference_sum(term, (gam * g[b][d]).scale(-sign))
     return term
 
 
@@ -1580,7 +1582,7 @@ def metric_derivatives(metric, a):
     """The nonzero d_a g_bc as `nabla_metric` reads them: row b maps c to
     its terms."""
     t = metric.chart.sig.total
-    rows = ({c: f.partial(a + 1) for c, f in enumerate(row)} for row in dense_of(metric.chart.sig, t, metric.g))
+    rows = ({c: reference_partial(f, a + 1) for c, f in enumerate(row)} for row in dense_of(metric.chart.sig, t, metric.g))
     return [{c: d.terms for c, d in row.items() if d} for row in rows]
 
 
@@ -1636,12 +1638,11 @@ class TestLeviCivita:
                 for b in range(2):
                     koszul = Superfunction.zero(sig)
                     for l in range(2):
-                        term = (
-                            gm[b][l].partial(a + 1)
-                            + gm[a][l].partial(b + 1)
-                            - gm[a][b].partial(l + 1)
+                        term = reference_sum(
+                            reference_sum(reference_partial(gm[b][l], a + 1), reference_partial(gm[a][l], b + 1)),
+                            -reference_partial(gm[a][b], l + 1),
                         )
-                        koszul = koszul + term * ginv[l][k]
+                        koszul = reference_sum(koszul, term * ginv[l][k])
                     assert gamma[a][k][b] == koszul.scale(Fraction(1, 2))
         assert torsion(conn) == {}
 

@@ -629,6 +629,21 @@ class TestParallelSections:
         ]
         assert first.section.value([Fraction(0)]) == value
 
+    def test_a_value_of_the_wrong_length_is_refused(self):
+        # the pure-gauge 1|1 connection of the selftest: a value of three
+        # entries was read as its first two, and one of one entry raised
+        # IndexError
+        sig = ChartSignature(1, 1)
+        one = Superfunction.constant(sig, 1)
+        gauge = {(0, 0): one, (1, 0): parse_superfunction("xi1", sig), (1, 1): one}
+        conn = pure_gauge_connection(Chart(sig, SuperDim(1, 1)), gauge)
+        for value in ([1, 2, 3], [1], []):
+            for g in (gauge, None):
+                with pytest.raises(ValueError, match="value must have 2 entries"):
+                    reconstruct_parallel_section(conn, [0], value, gauge=g)
+        res = reconstruct_parallel_section(conn, [0], [1, 2], gauge=gauge)
+        assert res.ok and res.section.value([0]) == [1, 2]
+
     def test_r01_rejection(self):
         res = reconstruct_parallel_section(r01_connection(), [], [Fraction(1)])
         assert res.status == "rejected"

@@ -22,7 +22,14 @@ from superhol.superfunc import (
     sf_to_str,
 )
 
-from conftest import is_canonical_rational, random_superfunction
+from conftest import (
+    is_canonical_rational,
+    random_superfunction,
+    reference_partial,
+    reference_partial_bodies,
+    reference_sum,
+    reference_terms,
+)
 
 
 SIG = ChartSignature(2, 2)
@@ -425,7 +432,7 @@ class TestPartial:
                 bodies = f.partial_bodies(point)
                 assert len(bodies) == sig.total
                 for a in range(1, sig.total + 1):
-                    assert bodies[a - 1] == f.partial(a).body_value(point)
+                    assert bodies[a - 1] == reference_partial(f, a).body_value(point)
                     assert field == GAUSSIAN or is_canonical_rational(bodies[a - 1])
 
     @pytest.mark.parametrize("field", [RATIONAL, GAUSSIAN])
@@ -441,9 +448,84 @@ class TestPartial:
                 partials_into(accs, "key", f, stop)
                 for c in range(sig.total):
                     if c < stop:
-                        assert accumulated(sig, accs[c].get("key", {})) == f.partial(c + 1)
+                        assert accumulated(sig, accs[c].get("key", {})) == reference_partial(f, c + 1)
                     else:
                         assert accs[c] == {}
+
+
+def typed(values):
+    """Scalars with their types, so that an integral `Fraction` does not
+    compare equal to its int: a superfunction's terms, or a list."""
+    if isinstance(values, Superfunction):
+        return {mask: {k: (type(v), v) for k, v in poly.items()} for mask, poly in values.terms.items()}
+    return [(type(v), v) for v in values]
+
+
+def raw_terms(rng, sig):
+    """Seeded raw terms {mask: {exps: coef}} over every mask from no odd
+    generator to all m: exponents up to 2 and coefficients in halves, so that
+    sums and derivatives meet integral `Fraction`s, zeros included; over the
+    Gaussian field the coefficients are Gaussian."""
+
+    def coefficient():
+        c = Fraction(rng.randint(-2, 2), rng.choice([1, 2]))
+        if sig.field == GAUSSIAN:
+            return GaussianRational(c, Fraction(rng.randint(-1, 1), rng.choice([1, 2])))
+        return c
+
+    terms = {}
+    for mask in range(1 << sig.m):
+        if rng.random() < 0.8:
+            terms[mask] = {tuple(rng.randint(0, 2) for _ in range(sig.n)): coefficient() for _ in range(3)}
+    return terms
+
+
+class TestKernelsAgainstReferences:
+    """Every `Superfunction` operation that calls into a kernel, against the
+    test-side references written apart from those kernels, with the types of
+    the coefficients compared too."""
+
+    @pytest.mark.parametrize("field", [RATIONAL, GAUSSIAN])
+    @pytest.mark.parametrize("nm", [(2, 3), (1, 2), (0, 2), (2, 0)], ids=lambda d: "%d|%d" % d)
+    def test_operations_match_the_references(self, nm, field):
+        sig = ChartSignature(*nm, field)
+        rng = random.Random("kernels %d|%d %s" % (nm + (field,)))
+        half = to_field(Fraction(1, 2), field)
+        third = to_field(Fraction(-1, 3), field)
+        if field == GAUSSIAN:
+            third = GaussianRational(Fraction(-1, 3), Fraction(2, 5))
+        points = [[to_field(0, field)] * sig.n, [half] * sig.n, [third] + [to_field(0, field)] * (sig.n - 1)]
+        sizes = set()
+        for _ in range(25):
+            terms = [raw_terms(rng, sig) for _ in range(2)]
+            f, g = (Superfunction(sig, t) for t in terms)
+            for t, h in zip(terms, (f, g)):
+                assert typed(h) == typed(reference_terms(sig, t))
+            sizes |= {bin(mask).count("1") for mask in f.terms}
+            assert typed(f + g) == typed(reference_sum(f, g))
+            assert typed(f - g) == typed(reference_sum(f, -g))
+            assert typed(f + f) == typed(reference_sum(f, f))
+            assert (f - f).terms == {}
+            for a in range(1, sig.total + 1):
+                assert typed(f.partial(a)) == typed(reference_partial(f, a))
+            for point in points:
+                assert typed(f.partial_bodies(point)) == typed(reference_partial_bodies(f, point))
+        assert sizes == set(range(sig.m + 1))
+
+    def test_sums_and_derivatives_store_integral_values_as_ints(self):
+        sig = ChartSignature(1, 1)
+        half = Superfunction(sig, {0: {(2,): Fraction(1, 2)}, 1: {(0,): Fraction(1, 2)}})
+        for f in (half + half, half.partial(1), Superfunction(sig, {1: {(1,): Fraction(4, 2)}})):
+            assert f.terms and all(type(v) is int for poly in f.terms.values() for v in poly.values())
+        assert typed(half.partial_bodies([1])) == [(int, 1), (Fraction, Fraction(1, 2))]
+
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    def test_a_mask_out_of_range_is_refused(self, m):
+        sig = ChartSignature(1, m)
+        for mask in (-1, 1 << m):
+            with pytest.raises(ValueError, match="odd index set out of range"):
+                Superfunction(sig, {mask: {(0,): 1}})
+        assert Superfunction(sig, {(1 << m) - 1: {(0,): 1}}).terms == {(1 << m) - 1: {(0,): 1}}
 
 
 class TestValueAndParity:

@@ -1307,6 +1307,14 @@ class TestFlatReadersMatchDenseRows:
             assert linalg.span_echelon(superlin.sparse_lines(m, rows=False)).basis() == dense_column_span(rows)
 
     @pytest.mark.parametrize("field", FIELDS)
+    def test_apply_refuses_a_vector_of_the_wrong_length(self, field):
+        for _, dim, _, m in self.cases(field):
+            t = dim.total
+            for length in {abs(t - 1), t + 1}:
+                with pytest.raises(ValueError, match="vector must have %d entries" % t):
+                    m.apply([field_zero(field)] * length)
+
+    @pytest.mark.parametrize("field", FIELDS)
     def test_common_kernel(self, field):
         cases = list(self.cases(field, ((0,), (1,))))
         # each dim has an even number of cases, so each pair shares its dim
