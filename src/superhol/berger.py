@@ -14,7 +14,7 @@ from bisect import bisect_left
 from functools import cached_property
 from itertools import permutations
 
-from .linalg import SparseEchelon, combine, same_span, solve_graded, solve_kernel, span_echelon
+from .linalg import combine, same_span, solve_graded, solve_kernel, span_echelon
 from .scalars import GaussianRational, to_field
 from .superlin import (
     SubSuperalgebra,
@@ -27,6 +27,7 @@ from .superlin import (
     radical,
     sorted_cyclic_terms,
     sparse_lines,
+    spin,
     split,
     superbracket,
 )
@@ -359,8 +360,9 @@ def _level_unknowns(dim: SuperDim, support, k: int):
     return parity, masks
 
 
-def cartan_prolongation(dim: SuperDim, g0: SubSuperalgebra, order: int) -> ProlongationTower:
-    """Levels 1..order of the prolongation tower of g0 acting on V.
+def cartan_prolongation(g0: SubSuperalgebra, order: int) -> ProlongationTower:
+    """Levels 1..order of the prolongation tower of g0 acting on V, read
+    from g0 (`g0.dim`).
 
     Each level is one graded system from g0 alone (Sternberg, Lectures on
     Differential Geometry, ch. VII): the unknowns are the values U[(S, A)] of
@@ -379,6 +381,7 @@ def cartan_prolongation(dim: SuperDim, g0: SubSuperalgebra, order: int) -> Prolo
     """
     if order < 1:
         raise ValueError("order must be at least 1")
+    dim = g0.dim
     t = dim.total
     field = g0.field
     # homogeneous functionals phi_AB on gl(V) that vanish on g0
@@ -483,7 +486,7 @@ def spencer_rank_identity(algebra: SubSuperalgebra, tower: ProlongationTower = N
     if rspace is None:
         rspace = curvature_space(algebra)
     if tower is None:
-        tower = cartan_prolongation(dim, algebra, 2)
+        tower = cartan_prolongation(algebra, 2)
     g1, g2 = tower.levels[:2]
     g1_maps = g1.multimaps()
     images_ok = True
@@ -609,17 +612,18 @@ def _norton_irreducible(algebra: SubSuperalgebra, ad):
     θ = ad(h) - λ is one-dimensional, v spans N and w spans ker θᵀ.  A proper
     submodule either meets N, so holds v, or has an annihilator that meets
     ker θᵀ, so holds w.  So Pi g is irreducible when v spins to the whole
-    space under ad(g) and w under the transposes, and it is absolutely
-    irreducible: an endomorphism commuting with ad(g) keeps N, so is a scalar
-    on v, which generates Pi g.  Then ad(g) and 1 generate End(Pi g)
-    (Burnside), and so does ad(g) alone: what it generates is a two-sided
-    ideal of End(Pi g), nonzero since λ ≠ 0 makes ad(h) ≠ 0.  Returns True
-    then, False when a spin falls short (it spans a proper invariant
-    subspace), and None when no such h and λ exist.
+    space under ad(g) and w under the transposes (`superlin.spin`), and it
+    is absolutely irreducible: an endomorphism commuting with ad(g) keeps
+    N, so is a scalar on v, which generates Pi g.  Then ad(g) and 1
+    generate End(Pi g) (Burnside), and so does ad(g) alone: what it
+    generates is a two-sided ideal of End(Pi g), nonzero since λ ≠ 0 makes
+    ad(h) ≠ 0.  Returns True then, False when a spin falls short (it spans
+    a proper invariant subspace), and None when no such h and λ exist.
     """
     field = algebra.field
     t = algebra.dim.total
     n = len(ad)
+    vdim = ad[0].dim
     even = algebra.even_basis
     rows = {}  # off-diagonal position -> {even basis index: entry}
     for i, m in enumerate(even):
@@ -630,53 +634,24 @@ def _norton_irreducible(algebra: SubSuperalgebra, ad):
     coords = combine((rng.randint(1, 100), vec) for vec in solve_kernel(range(len(even)), rows.values(), field))
     h = combine((c, even[i]._flat) for i, c in coords.items())
     entries = {h.get(a * t + a, 0) for a in range(t)}
-    ad_h = combine((c, ad[i]._flat) for i, c in coords.items())
+    ad_h = combination(vdim, ((c, ad[i]) for i, c in coords.items()), field)
+    one = SuperMatrix.identity(vdim, field)
     for lam in sorted({x - y for x in entries for y in entries if x != y}, key=_scalar_key):
-        theta = dict(ad_h)
-        for k in range(n):
-            theta[k * n + k] = theta.get(k * n + k, 0) - lam
-        theta_rows, theta_cols = [{} for _ in range(n)], [{} for _ in range(n)]
-        for p, v in theta.items():
-            r, c = divmod(p, n)
-            theta_rows[r][c] = theta_cols[c][r] = v
-        echelon = span_echelon(theta_rows)
+        theta = combination(vdim, ((1, ad_h), (-lam, one)), field)
+        echelon = span_echelon(sparse_lines(theta))
         if echelon.rank == n - 1:
             (v,) = echelon.kernel(n)
-            (w,) = span_echelon(theta_cols).kernel(n)
-            return _spins(v, ad, n) and _spins(w, ad, n, transpose=True)
+            (w,) = span_echelon(sparse_lines(theta, rows=False)).kernel(n)
+            # the rows of ad(x) are the columns of its transpose
+            return (
+                spin(span_echelon([v]), [v], [sparse_lines(m, rows=False) for m in ad], n).rank == n
+                and spin(span_echelon([w]), [w], [sparse_lines(m) for m in ad], n).rank == n
+            )
     return None
 
 
 def _scalar_key(v):
     return (v.re, v.im) if isinstance(v, GaussianRational) else (v, 0)
-
-
-def _spins(vec, mats, n, transpose=False):
-    """Whether vec and its images under all products of the n×n matrices (of
-    their transposes, when asked) span all n coordinates."""
-    maps = []  # each matrix as {column: {row: entry}}
-    for m in mats:
-        cols = {}
-        for p, v in m._flat.items():
-            r, c = divmod(p, n)
-            if transpose:
-                r, c = c, r
-            cols.setdefault(c, {})[r] = v
-        maps.append(cols)
-    echelon = SparseEchelon()
-    echelon.insert(vec)
-    frontier = [vec]
-    while frontier:
-        grown = []
-        for u in frontier:
-            for cols in maps:
-                image = combine((c, cols[b]) for b, c in u.items() if b in cols)
-                if image and echelon.insert(image):
-                    if echelon.rank == n:
-                        return True
-                    grown.append(image)
-        frontier = grown
-    return echelon.rank == n
 
 
 def _simplicity(simple, note, ideal=None, status="certified"):
@@ -732,7 +707,7 @@ def pi_adjoint_test(algebra: SubSuperalgebra):
         raise ValueError("input algebra is not simple: %s" % simplicity["note"])
     basis = algebra.basis()
     vdim, rep_alg, rep, pos = representation
-    tower = cartan_prolongation(vdim, rep_alg, 2)
+    tower = cartan_prolongation(rep_alg, 2)
     g1, g2 = tower.levels[0], tower.levels[1]
     g1_maps = g1.multimaps() if g1.total_dim else []
     # expected generator x -> (-1)^{|x|} Pi(x)

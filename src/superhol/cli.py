@@ -206,7 +206,7 @@ def algebra_report(alg: SubSuperalgebra):
     rs = bg.curvature_space(alg)
     bc = bg.berger_check(alg, rs)
     deriv = bg.curvature_derivative_space(alg, rs)
-    tower = bg.cartan_prolongation(alg.dim, alg, 2)
+    tower = bg.cartan_prolongation(alg, 2)
     spencer = bg.spencer_rank_identity(alg, tower, rs)
     return {
         "algebra_dim": list(alg.graded_dim),
@@ -231,7 +231,7 @@ def algebra_report(alg: SubSuperalgebra):
 def prolongation_report(alg: SubSuperalgebra, options):
     order = options.get("order", 2)
     try:
-        tower = bg.cartan_prolongation(alg.dim, alg, order)
+        tower = bg.cartan_prolongation(alg, order)
     except ValueError as exc:
         raise rio.ProblemError("/options/order", str(exc))
     return {
@@ -545,9 +545,7 @@ def selftest_cases():
 
     @case("berger: cosp(2|2) prolongation profile")
     def _():
-        tower = bg.cartan_prolongation(
-            SuperDim(2, 2), classical_superalgebra("cosp", (2, 2)), 2
-        )
+        tower = bg.cartan_prolongation(classical_superalgebra("cosp", (2, 2)), 2)
         dims = tower.graded_dims()
         return dims == [(2, 2), (0, 0)], str(dims)
 

@@ -33,6 +33,8 @@ from .superlin import (
     common_kernel,
     generate_subalgebra,
     radical,
+    sparse_lines,
+    spin,
     split,
 )
 
@@ -347,14 +349,16 @@ def invariant_vectors(algebra: SubSuperalgebra):
 
 
 def test_invariant_subspace(algebra: SubSuperalgebra, basis_vectors) -> bool:
-    """True iff A w stays in span(W) for all basis A and w."""
-    ech = span_echelon([{i: v for i, v in enumerate(w) if v} for w in basis_vectors])
-    for m in algebra.basis():
-        for w in basis_vectors:
-            img = m.apply(list(w))
-            if not ech.contains({i: v for i, v in enumerate(img) if v}):
-                return False
-    return True
+    """True iff A w stays in span(W) for all basis A and w: the `spin` of W
+    under the basis, stopped at rank W + 1, stays at rank W.  A vector whose
+    length is not t is a ValueError."""
+    t = algebra.dim.total
+    if any(len(w) != t for w in basis_vectors):
+        raise ValueError("vector must have %d entries" % t)
+    vectors = [{i: v for i, v in enumerate(w) if v} for w in basis_vectors]
+    ech = span_echelon(vectors)
+    rank = ech.rank
+    return spin(ech, vectors, [sparse_lines(m, rows=False) for m in algebra.basis()], rank + 1).rank == rank
 
 
 # ------------------------------------------------------- parallel sections
@@ -525,14 +529,15 @@ def decomposability_certificate(algebra: SubSuperalgebra, metric_body):
 
     S is the commutant of the algebra among the G-self-adjoint even matrices
     (X^T G = G X); the G-orthogonal projections onto the nondegenerate
-    invariant graded subspaces are exactly the idempotents of S.  When the
-    associative algebra A that S and 1 generate has dim A/rad A = 1, A is
-    local, its only idempotents are 0 and 1, and the result is
-    {'status': 'weakly_irreducible'}.  Otherwise `split` on S gives a witness
-    and its complement, and the result is {'status': 'decomposable',
-    'witness': ..., 'complement': ...} once both are checked exactly:
-    invariant, each the G-orthogonal complement of the other, and together
-    spanning V.  Failing that, {'status': 'inconclusive', 'reason': ...}.
+    invariant graded subspaces are exactly the idempotents of S.  The
+    identity commutes with the algebra and is G-self-adjoint, so it lies in
+    S, and the associative algebra A that S generates is unital.  When
+    dim A/rad A = 1, A is local, its only idempotents are 0 and 1, and the
+    result is {'status': 'weakly_irreducible'}.  Otherwise `split` on S
+    gives a witness and its complement, and the result is
+    {'status': 'decomposable', 'witness': ..., 'complement': ...} once both
+    are checked exactly: invariant, each the G-orthogonal complement of the
+    other, and together spanning V.  Failing that, {'status': 'inconclusive', 'reason': ...}.
     """
     dim = algebra.dim
     t = dim.total
@@ -548,7 +553,7 @@ def decomposability_certificate(algebra: SubSuperalgebra, metric_body):
                 row[b * t + d] = row.get(b * t + d, 0) - g[c][b]
             selfadjoint.append(row)
     sym = commutant(algebra.basis(), dim, field, selfadjoint)
-    closure = associative_closure(sym + [SuperMatrix.identity(dim, field)], dim)
+    closure = associative_closure(sym, dim)
     quotient = closure.rank - len(radical(closure, dim, field))
     if quotient == 1:
         return {"status": "weakly_irreducible"}

@@ -233,9 +233,12 @@ class Superfunction:
         if terms is None:
             terms = {}
         if not _normalized:
-            for mask in terms:
+            for mask, poly in terms.items():
                 if mask < 0 or mask >= (1 << sig.m):
                     raise ValueError("odd index set out of range for m=%d" % sig.m)
+                for exps in poly:
+                    if len(exps) != sig.n:
+                        raise ValueError("exponent tuple %r must have n=%d entries" % (exps, sig.n))
             terms = accumulated(sig, terms).terms
         self.terms = terms
 

@@ -392,24 +392,43 @@ def commutant(mats, dim: SuperDim, field=RATIONAL, extra_rows=()):
     ]
 
 
-def associative_closure(mats, dim: SuperDim) -> SparseEchelon:
-    """Echelon of the flattened span of all products of the given matrices,
-    of one factor or more; it stops once it spans all t² positions."""
-    full = dim.total ** 2
-    echelon = SparseEchelon()
-    gens = [m for m in mats if echelon.insert(m.flatten())]
-    frontier = list(gens)
-    while frontier:
+def spin(echelon: SparseEchelon, frontier, maps, n: int) -> SparseEchelon:
+    """Grow the echelon, which already holds the frontier vectors, to the
+    span of their images under all products of the maps, breadth first:
+    each vector is mapped by every map, and each image that enlarges the
+    span is mapped in turn.  A map is the list of its columns as sparse
+    dicts, the form `sparse_lines(m, rows=False)` gives; empty columns are
+    skipped.  It stops when no image enlarges the span, or when the rank
+    reaches n, and returns the echelon.  The associative closure, Norton's
+    spins and the invariance test are its calls.
+    """
+    frontier = list(frontier)
+    while frontier and echelon.rank < n:
         grown = []
-        for f in frontier:
-            for g in gens:
-                if echelon.rank == full:
-                    return echelon
-                prod = g.matmul(f)
-                if echelon.insert(prod.flatten()):
-                    grown.append(prod)
+        for u in frontier:
+            for cols in maps:
+                image = combine((c, cols[b]) for b, c in u.items() if cols[b])
+                if image and echelon.insert(image):
+                    if echelon.rank == n:
+                        return echelon
+                    grown.append(image)
         frontier = grown
     return echelon
+
+
+def associative_closure(mats, dim: SuperDim) -> SparseEchelon:
+    """Echelon of the flattened span of all products of the given matrices,
+    of one factor or more: the `spin` of their flats under left
+    multiplication by each of them, which sends flat column c·t + b to
+    {a·t + b: g[a][c]}.  It stops once it spans all t² positions."""
+    t = dim.total
+    echelon = SparseEchelon()
+    gens = [m for m in mats if echelon.insert(m.flatten())]
+    maps = [
+        [{a * t + b: v for a, v in col.items()} for col in sparse_lines(g, rows=False) for b in range(t)]
+        for g in gens
+    ]
+    return spin(echelon, [g._flat for g in gens], maps, t * t)
 
 
 def radical(echelon: SparseEchelon, dim: SuperDim, field=RATIONAL):

@@ -6,7 +6,7 @@ import pytest
 
 from superhol.berger import canonical_pairs
 from superhol.geometry import Chart, ConnectionData, MetricData, curvature
-from superhol.linalg import solve_graded, solve_kernel, span_echelon
+from superhol.linalg import SparseEchelon, combine, solve_graded, solve_kernel, span_echelon
 from superhol.scalars import GAUSSIAN, GaussianRational, canonical, field_zero
 from superhol.superfunc import ChartSignature, Superfunction
 from superhol.superlin import SubSuperalgebra, SuperDim, SuperMatrix, combination, superbracket
@@ -342,3 +342,69 @@ def flat_curvature_space(rspace):
     """The echelon of the flattened basis of a curvature space: the reference
     test of membership in R(g), by `flat_curvature`."""
     return span_echelon(flat_curvature(e) for e in rspace.basis)
+
+
+# ---------------------------------- reference closures of invariant subspaces
+
+
+def reference_spins(vec, mats, n, transpose=False):
+    """The span of vec and its images under all products of the n×n matrices
+    (of their transposes, when asked), as an echelon: the loop of Norton's
+    spins that `superlin.spin` replaced.  It stops once the rank is n."""
+    maps = []  # each matrix as {column: {row: entry}}
+    for m in mats:
+        cols = {}
+        for p, v in m._flat.items():
+            r, c = divmod(p, n)
+            if transpose:
+                r, c = c, r
+            cols.setdefault(c, {})[r] = v
+        maps.append(cols)
+    echelon = SparseEchelon()
+    echelon.insert(vec)
+    frontier = [vec]
+    while frontier:
+        grown = []
+        for u in frontier:
+            for cols in maps:
+                image = combine((c, cols[b]) for b, c in u.items() if b in cols)
+                if image and echelon.insert(image):
+                    if echelon.rank == n:
+                        return echelon
+                    grown.append(image)
+        frontier = grown
+    return echelon
+
+
+def reference_associative_closure(mats, dim):
+    """Echelon of the flattened span of all products of the matrices, of one
+    factor or more, each product formed by `SuperMatrix.matmul`: the loop
+    that `superlin.associative_closure` replaced."""
+    full = dim.total ** 2
+    echelon = SparseEchelon()
+    gens = [m for m in mats if echelon.insert(m.flatten())]
+    frontier = list(gens)
+    while frontier:
+        grown = []
+        for f in frontier:
+            for g in gens:
+                if echelon.rank == full:
+                    return echelon
+                prod = g.matmul(f)
+                if echelon.insert(prod.flatten()):
+                    grown.append(prod)
+        frontier = grown
+    return echelon
+
+
+def reference_is_invariant(algebra, basis_vectors):
+    """Whether A w stays in span(W) for every basis A and w, each image
+    formed by `SuperMatrix.apply`: the loop that
+    `holonomy.test_invariant_subspace` replaced."""
+    ech = span_echelon([{i: v for i, v in enumerate(w) if v} for w in basis_vectors])
+    for m in algebra.basis():
+        for w in basis_vectors:
+            img = m.apply(list(w))
+            if not ech.contains({i: v for i, v in enumerate(img) if v}):
+                return False
+    return True

@@ -173,7 +173,7 @@ def test_criterion_5_prolongation_rows():
 
     g0 = classical_superalgebra("cosp", (2, 2))
     dim = SuperDim(2, 2)
-    tower = bg.cartan_prolongation(dim, g0, 2)
+    tower = bg.cartan_prolongation(g0, 2)
     assert tower.levels[0].graded_dim == (2, 2)
     assert tower.levels[1].graded_dim == (0, 0)
     naive, _ = naive_prolongation_dims(dim, g0, 2)
@@ -181,7 +181,7 @@ def test_criterion_5_prolongation_rows():
     # oracle agreement on the other prolongation data used in acceptance
     for name, params, vdim in (("gl", (1, 1), SuperDim(1, 1)), ("osp", (2, 2), SuperDim(2, 2))):
         g = classical_superalgebra(name, params)
-        t = bg.cartan_prolongation(vdim, g, 2)
+        t = bg.cartan_prolongation(g, 2)
         assert [lvl.total_dim for lvl in t.levels] == naive_prolongation_dims(vdim, g, 2)[0]
     _report(5, True, "cosp(2|2): g1 = 2|2, g2 = 0, naive enumerator agrees")
 

@@ -255,15 +255,15 @@ def random_subalgebra(rng, dim, field):
 
 class TestProlongations:
     def test_gl11_first_prolongation(self):
-        tower = cartan_prolongation(SuperDim(1, 1), classical_superalgebra("gl", (1, 1)), 1)
+        tower = cartan_prolongation(classical_superalgebra("gl", (1, 1)), 1)
         assert tower.levels[0].graded_dim == (2, 2)
 
     def test_cosp22_profile(self):
-        tower = cartan_prolongation(SuperDim(2, 2), classical_superalgebra("cosp", (2, 2)), 2)
+        tower = cartan_prolongation(classical_superalgebra("cosp", (2, 2)), 2)
         assert tower.graded_dims() == [(2, 2), (0, 0)]
 
     def test_osp22_rigid(self):
-        tower = cartan_prolongation(SuperDim(2, 2), classical_superalgebra("osp", (2, 2)), 1)
+        tower = cartan_prolongation(classical_superalgebra("osp", (2, 2)), 1)
         assert tower.levels[0].graded_dim == (0, 0)
 
     @pytest.mark.parametrize(
@@ -291,7 +291,7 @@ class TestProlongations:
         # g_k(gl(p|q)) = S^(k+1) V* (x) V, and sl loses one S^k V*; p = 0 is
         # left out: for sl(0|3) at order 3 the closed form reads 0|-1
         g_k = classical_forms(name, p, q)["g"]
-        tower = cartan_prolongation(SuperDim(p, q), classical_superalgebra(name, (p, q)), 5)
+        tower = cartan_prolongation(classical_superalgebra(name, (p, q)), 5)
         assert tower.graded_dims() == [g_k(k) for k in range(1, 6)]
 
     @pytest.mark.parametrize("name, params, solved", [("gl", (1, 1), 3), ("osp", (2, 2), 1)], ids=str)
@@ -309,7 +309,7 @@ class TestProlongations:
 
         g0 = classical_superalgebra(name, params)
         monkeypatch.setattr(berger, "solve_graded", spy)
-        tower = cartan_prolongation(g0.dim, g0, 3)
+        tower = cartan_prolongation(g0, 3)
         assert len(systems) == 4
         levels = systems[1:]
         assert all(unknowns for unknowns, _ in levels[:solved]) and levels[solved:] == [(0, 0)] * (3 - solved)
@@ -320,7 +320,7 @@ class TestProlongations:
         # every level-1 element must satisfy the graded symmetry exactly
         g0 = classical_superalgebra("cosp", (2, 2))
         dim = SuperDim(2, 2)
-        tower = cartan_prolongation(dim, g0, 1)
+        tower = cartan_prolongation(g0, 1)
         t = dim.total
         for elem in tower.levels[0].multimaps():
             # keys are (direction, A, B); phi(x) e_y is the column B = y
@@ -336,7 +336,7 @@ class TestProlongations:
 def assert_matches_naive(dim, g0, order):
     """Each level spans the same flat multimaps as the recursive enumerator;
     returns the level dims."""
-    tower = cartan_prolongation(dim, g0, order)
+    tower = cartan_prolongation(g0, order)
     dims, levels = naive_prolongation_dims(dim, g0, order)
     assert [lvl.total_dim for lvl in tower.levels] == dims
     for lvl, naive in zip(tower.levels, levels):
@@ -390,7 +390,7 @@ class TestPrunedLazyLevels:
     def assert_matches_eager(dim, g0, order):
         """The pruned, lazy levels give the eager solve's canonical bases;
         returns how many nonzero levels were solved over fewer unknowns."""
-        tower = cartan_prolongation(dim, g0, order)
+        tower = cartan_prolongation(g0, order)
         pruned = 0
         for level, (tensors, parities) in zip(tower.levels, eager_prolongation(dim, g0, order)):
             assert "basis" not in vars(level)  # nothing built before it is read
@@ -415,7 +415,7 @@ class TestPrunedLazyLevels:
     @pytest.mark.parametrize("name, params", BERGER_PI_ADJOINT, ids=str)
     def test_pi_adjoint_representations(self, name, params):
         vdim, rep_alg, _, _ = berger.pi_adjoint_representation(classical_superalgebra(name, params))
-        tower = cartan_prolongation(vdim, rep_alg, 2)
+        tower = cartan_prolongation(rep_alg, 2)
         self.assert_matches_eager(vdim, rep_alg, 2)
         # level 2 is solved over a handful of the unknowns of S^3 V* (x) V
         assert unknown_count(tower.levels[1]) <= 4
@@ -428,7 +428,7 @@ class TestPrunedLazyLevels:
         gl = classical_superalgebra("gl", (p, q))
         eager = eager_prolongation(dim, gl, 3)
         monkeypatch.setattr(berger, "_insertion", lambda *args: pytest.fail("_insertion was called"))
-        tower = cartan_prolongation(dim, gl, 3)
+        tower = cartan_prolongation(gl, 3)
         for level, (tensors, parities) in zip(tower.levels, eager):
             assert all(ech.rank == 0 for _, ech in level.solution.blocks)
             assert unknown_count(level) == len(symmetric_tuples(dim, level.k + 1)) * dim.total
@@ -646,7 +646,7 @@ def pi_adjoint_g1(name, params):
     """(V dim, ad(g) on Pi g, the parity and flat multimap of the first g^(1)
     element) of a simple algebra."""
     vdim, rep_alg, _, _ = berger.pi_adjoint_representation(classical_superalgebra(name, params))
-    g1 = cartan_prolongation(vdim, rep_alg, 1).levels[0]
+    g1 = cartan_prolongation(rep_alg, 1).levels[0]
     return vdim, rep_alg, g1.parities[0], g1.multimaps()[0]
 
 
@@ -1222,7 +1222,7 @@ class TestPivotRows:
         monkeypatch.setattr(berger, "solve_graded", spy)
         fewer = 0
         for alg in [*table_algebras(field), *berger_rows(field)]:
-            rspace, tower = curvature_space(alg), cartan_prolongation(alg.dim, alg, 2)
+            rspace, tower = curvature_space(alg), cartan_prolongation(alg, 2)
             solves.clear()
             rep = spencer_rank_identity(alg, tower, rspace)
             ((rows, got),) = solves
@@ -1266,7 +1266,7 @@ class TestMaskLevelUnknowns:
         t = dim.total
         support = {((pos % t,), pos // t) for m in g0.basis() for pos in m._flat}
         pruned = 0
-        for level in cartan_prolongation(dim, g0, order).levels:
+        for level in cartan_prolongation(g0, order).levels:
             parity, masks = berger._level_unknowns(dim, mask_support(support), 1)
             assert list(parity.items()) == list(reference_level_unknowns(dim, support).items())
             assert masks == mask_support(parity)

@@ -796,6 +796,45 @@ def assert_wu_split(algebra, dec, body, field):
     assert span_echelon([dict(enumerate(v)) for v in witness + complement]).rank == t == len(witness + complement)
 
 
+class TestSelfAdjointCommutant:
+    @staticmethod
+    def metrics(field):
+        """Seeded soul metrics at the origin and at a nonzero point, and
+        products of two 0|2 soul metrics, whose holonomy splits."""
+        rng = random.Random("self-adjoint commutant %s" % field)
+        for nm in [(1, 0), (2, 0), (0, 2), (1, 2), (2, 2), (0, 4)]:
+            sig = ChartSignature(*nm, field)
+            for point in ([0] * sig.n, [Fraction(2, 5)] * sig.n):
+                yield random_soul_metric(rng, sig), point
+        sig = ChartSignature(0, 4, field)
+        xs = [Superfunction.odd_var(sig, i + 1) for i in range(4)]
+        one = Superfunction.constant(sig, 1)
+        unit = GaussianRational(2, -1) if field == GAUSSIAN else 1
+        for c, d in ((3, 5), (-1, 7)):
+            entries = {(1, 2): one + (xs[0] * xs[1]).scale(c * unit), (3, 4): one + (xs[2] * xs[3]).scale(d)}
+            yield MetricData.from_entries(Chart.tangent(sig), entries), []
+
+    @pytest.mark.parametrize("field", [RATIONAL, GAUSSIAN])
+    def test_the_identity_lies_in_its_span(self, field, monkeypatch):
+        # so the closure of S alone is the unital algebra that S and 1 generate
+        closed = []
+        closure = hl.associative_closure
+        monkeypatch.setattr(hl, "associative_closure", lambda mats, dim: closed.append(mats) or closure(mats, dim))
+        seen = set()
+        for metric, point in self.metrics(field):
+            hol = infinitesimal_holonomy(levi_civita(metric), point)
+            decomposability_certificate(hol.algebra, metric.body(point))
+            (sym,) = closed
+            closed.clear()
+            dim = hol.algebra.dim
+            identity = SuperMatrix.identity(dim, field)
+            assert span_echelon(m.flatten() for m in sym).contains(identity.flatten())
+            assert closure(sym, dim).basis() == closure(sym + [identity], dim).basis()
+            seen.add((hol.algebra.total_dim > 0, len(sym) > 1))
+        # zero and nonzero holonomy, with a commutant of one dimension and of more
+        assert seen >= {(False, True), (True, False), (True, True)}
+
+
 class TestCrossModuleInvariants:
     def test_first_derivative_blocks_lie_in_r_of_hol(self):
         # for torsion-free connections the evaluated first derivative of the

@@ -527,6 +527,16 @@ class TestKernelsAgainstReferences:
                 Superfunction(sig, {mask: {(0,): 1}})
         assert Superfunction(sig, {(1 << m) - 1: {(0,): 1}}).terms == {(1 << m) - 1: {(0,): 1}}
 
+    @pytest.mark.parametrize("exps", [(1, 2), ()])
+    def test_an_exponent_tuple_of_the_wrong_length_is_refused(self, exps):
+        # (1, 2) would print as x1*x2^2 on a chart with no x2; () would fail
+        # only later, in partial
+        for coef in (1, 0):
+            with pytest.raises(ValueError, match="exponent tuple .* must have n=1 entries"):
+                Superfunction(ChartSignature(1, 0), {0: {exps: coef}})
+        with pytest.raises(ValueError, match="must have n=2 entries"):
+            Superfunction(ChartSignature(2, 1), {1: {(0, 0): 1, exps[:1]: 5}})
+
 
 class TestValueAndParity:
     def test_body_projection(self):

@@ -9,6 +9,7 @@ import pytest
 from superhol import linalg, superlin
 from superhol.cli import _pairwise_j
 from superhol.geometry import scalar_matrix_inverse
+from superhol.holonomy import test_invariant_subspace as check_invariant_subspace
 from superhol.reportio import encode_algebra, encode_matrix
 from superhol.scalars import GAUSSIAN, RATIONAL, GaussianRational, canonical, field_one, field_zero, scalar_str
 from superhol.superlin import (
@@ -34,7 +35,16 @@ from superhol.superlin import (
     supertrace_row,
 )
 
-from conftest import cut_by_functionals, defined_stabilizer, is_canonical_rational, random_homogeneous_matrix, unit_gl
+from conftest import (
+    cut_by_functionals,
+    defined_stabilizer,
+    is_canonical_rational,
+    random_homogeneous_matrix,
+    reference_associative_closure,
+    reference_is_invariant,
+    reference_spins,
+    unit_gl,
+)
 
 FIELDS = (RATIONAL, GAUSSIAN)
 
@@ -935,6 +945,114 @@ class TestAssociativeEngine:
     def test_scalar_draws_do_not_split(self):
         dim = SuperDim(2, 1)
         assert split([SuperMatrix.identity(dim)], dim) is None
+
+
+# 0|0, the two one-dimensional spaces, and two with both parities
+SPIN_DIMS = [SuperDim(0, 0), SuperDim(1, 0), SuperDim(0, 1), SuperDim(2, 1), SuperDim(2, 2)]
+
+
+def spin_generator_sets(rng, dim, field):
+    """Seeded generator sets: one to three even, odd or mixed matrices; a
+    strictly upper triangular shift, whose closure needs every power; a zero
+    matrix alone; a set with zero, repeated and dependent members; and the
+    empty set."""
+    t = dim.total
+    sets = [
+        [random_matrix(rng, dim, field, parities, rng.choice((0.3, 0.6))) for _ in range(k)]
+        for k in (1, 2, 3)
+        for parities in ((0,), (1,), (0, 1))
+    ]
+    sets.append([flat_matrix(dim, {a * t + a + 1: random_scalar(rng, field) or 1 for a in range(t - 1)}, field)])
+    a, b = random_matrix(rng, dim, field, (1,), 0.5), random_matrix(rng, dim, field, (0,), 0.5)
+    zero = SuperMatrix.zeros(dim, field)
+    sets += [[zero], [a, zero, a, a + b, b, b.scale(3)], []]
+    return sets
+
+
+def random_vector(rng, t, field, density=0.5):
+    """A dense seeded vector of t scalars, often with zero entries."""
+    return [random_scalar(rng, field) if rng.random() < density else field_zero(field) for _ in range(t)]
+
+
+class TestSpinMatchesTheLoopsItReplaced:
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_associative_closure(self, field):
+        rng = random.Random("closure %s" % field)
+        ranks = set()
+        for dim in SPIN_DIMS:
+            for mats in spin_generator_sets(rng, dim, field):
+                got, ref = associative_closure(mats, dim), reference_associative_closure(mats, dim)
+                assert got.basis() == ref.basis(), (dim, mats)
+                ranks.add((dim.total, got.rank))
+        # zero, proper and full closures all occur
+        assert {(0, 0), (1, 0), (1, 1), (3, 9), (4, 16)} <= ranks
+        assert any(0 < r < t * t for t, r in ranks)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("transpose", (False, True))
+    def test_spins_of_a_vector(self, field, transpose):
+        rng = random.Random("spins %s %s" % (field, transpose))
+        verdicts = set()
+        for dim in SPIN_DIMS:
+            t = dim.total
+            for mats in spin_generator_sets(rng, dim, field):
+                maps = [superlin.sparse_lines(m, rows=transpose) for m in mats]
+                for density in (0, 0.3, 1):
+                    vec = {a: v for a, v in enumerate(random_vector(rng, t, field, density)) if v}
+                    got = superlin.spin(linalg.span_echelon([vec]), [vec], maps, t)
+                    ref = reference_spins(vec, mats, t, transpose)
+                    assert got.basis() == ref.basis(), (dim, mats, vec)
+                    verdicts.add((t, got.rank == t, bool(vec)))
+        assert {(4, True, True), (4, False, True), (3, True, True), (3, False, True), (4, False, False)} <= verdicts
+
+    def test_the_frontier_is_mapped_until_nothing_grows(self):
+        # the cyclic shift of e_1 reaches e_4 only at the third image
+        dim = SuperDim(2, 2)
+        shift = superlin.sparse_lines(flat_matrix(dim, {4: 1, 9: 1, 14: 1}), rows=False)
+        assert superlin.spin(linalg.span_echelon([{0: 1}]), [{0: 1}], [shift], 4).rank == 4
+        assert superlin.spin(linalg.span_echelon([{3: 1}]), [{3: 1}], [shift], 4).rank == 1
+
+    def test_left_multiplication_is_not_by_the_transpose(self):
+        # E_12 E_12 = 0, but E_21 E_12 = E_22 would be in a closure built
+        # from the transposes
+        dim = SuperDim(2, 0)
+        assert associative_closure([flat_matrix(dim, {1: 1})], dim).basis() == [{1: 1}]
+        assert associative_closure([flat_matrix(dim, {1: 1}), flat_matrix(dim, {0: 1})], dim).basis() == [{0: 1}, {1: 1}]
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_invariant_subspace_verdicts(self, field):
+        rng = random.Random("invariance %s" % field)
+        verdicts = set()
+        for dim in SPIN_DIMS:
+            t = dim.total
+            zero = field_zero(field)
+            for mats in spin_generator_sets(rng, dim, field):
+                algebra = SubSuperalgebra.from_matrices(dim, mats, field)
+                maps = [superlin.sparse_lines(m, rows=False) for m in algebra.basis()]
+                # seeded vectors, with zero and dependent ones; the span of
+                # one vector's images, which is invariant; a coordinate
+                # flag, invariant under upper triangular matrices; and the
+                # empty and the whole space
+                candidates = [[random_vector(rng, t, field) for _ in range(k)] for k in range(1, t + 1)]
+                vec = random_vector(rng, t, field)
+                candidates.append([vec, [zero] * t, [2 * v for v in vec]])
+                sparse = {a: v for a, v in enumerate(vec) if v}
+                spun = superlin.spin(linalg.span_echelon([sparse]), [sparse], maps, t)
+                candidates.append([[row.get(a, zero) for a in range(t)] for row in spun.basis()])
+                candidates += [[[field_one(field) if a == b else zero for a in range(t)] for b in range(k)] for k in range(t + 1)]
+                for w in candidates:
+                    verdict = check_invariant_subspace(algebra, w)
+                    assert verdict == reference_is_invariant(algebra, w), (dim, mats, w)
+                    rank = linalg.span_echelon([dict(enumerate(v)) for v in w]).rank
+                    verdicts.add((t, verdict, 0 < rank < t))
+        # proper invariant and proper non-invariant subspaces both occur
+        assert {(3, True, True), (3, False, True), (4, True, True), (4, False, True)} <= verdicts
+
+    def test_invariance_of_vectors_of_the_wrong_length_is_refused(self):
+        gl = classical_superalgebra("gl", (2, 1))
+        for w in ([1, 0], [1, 0, 0, 0]):
+            with pytest.raises(ValueError, match="vector must have 3 entries"):
+                check_invariant_subspace(gl, [[0, 1, 0], w])
 
 
 def poly_product(factors):
