@@ -26,7 +26,6 @@ from .scalars import field_zero, scalar_float, to_field
 from .superfunc import Superfunction
 from .superlin import (
     SubSuperalgebra,
-    SuperDim,
     SuperMatrix,
     associative_closure,
     commutant,
@@ -166,26 +165,6 @@ def transport_tables(conn: ConnectionData, hol: HolonomyResult):
 TRANSPORT_CHUNK = 256
 
 
-class TransportOperator:
-    """Float parallel displacement on the body bundle along a polyline.
-
-    `matrix` is the product of the per-step RK4 propagators; it must keep the
-    even block structure of the rank, which the constructor checks.
-    """
-
-    def __init__(self, matrix, path, steps, rank: SuperDim):
-        import numpy as np
-
-        self.matrix = matrix
-        self.path = path
-        self.steps = steps
-        self.rank = rank
-        p = rank.p
-        if p and rank.q:
-            if np.max(np.abs(matrix[:p, p:])) > 0 or np.max(np.abs(matrix[p:, :p])) > 0:
-                raise AssertionError("transport lost the even block structure")
-
-
 def _compile_body(entries, shape, n):
     """The body of a superfunction matrix of the given shape, given as its
     nonzero entries (row, col, f), compiled for float evaluation: the
@@ -229,8 +208,9 @@ def _ordered_product(s):
     return s[0]
 
 
-def numeric_parallel_transport(conn: ConnectionData, path, steps: int) -> TransportOperator:
-    """RK4 integration of dX/dt + Gamma(gamma')X = 0 on the body bundle.
+def numeric_parallel_transport(conn: ConnectionData, path, steps: int):
+    """RK4 integration of dX/dt + Gamma(gamma')X = 0 on the body bundle, as
+    the float matrix X(1); a path of fewer than two points gives the identity.
 
     Each segment of the polyline gets its share of `steps`, by length.  The
     bodies of the Gamma_i that the path moves along are compiled once; the
@@ -241,7 +221,8 @@ def numeric_parallel_transport(conn: ConnectionData, path, steps: int) -> Transp
     and end of the step.  For each chunk of TRANSPORT_CHUNK steps, A is
     evaluated at all of its nodes in one pass and the propagators are built
     as one batch; `_ordered_product` multiplies them pairwise in step order,
-    and that product of the chunk is folded into X.
+    and that product of the chunk is folded into X.  X must keep the even
+    block structure of the rank, which is checked.
     """
     import numpy as np
 
@@ -249,8 +230,6 @@ def numeric_parallel_transport(conn: ConnectionData, path, steps: int) -> Transp
     n = chart.sig.n
     rk = chart.rank.total
     pts = [np.asarray(p, dtype=float) for p in path]
-    if len(pts) < 2:
-        return TransportOperator(np.eye(rk), path, steps, chart.rank)
     lengths = [np.linalg.norm(q - p) for p, q in zip(pts, pts[1:])]
     total = sum(lengths) or 1.0
     eye = np.eye(rk)
@@ -268,13 +247,10 @@ def numeric_parallel_transport(conn: ConnectionData, path, steps: int) -> Transp
                 entries = [(A, B, g) for (A, B), g in conn.gamma[i].items()]
                 bodies[i] = _compile_body(entries, (rk, rk), n)
         # A(t) as one compiled body: the monomials of every moved direction
-        if len(moved) == 1:
-            body = (bodies[moved[0]][0], -vel[moved[0]] * bodies[moved[0]][1])
-        else:
-            body = (
-                np.concatenate([bodies[i][0] for i in moved]),
-                np.concatenate([-vel[i] * bodies[i][1] for i in moved]),
-            )
+        body = (
+            np.concatenate([bodies[i][0] for i in moved]),
+            np.concatenate([-vel[i] * bodies[i][1] for i in moved]),
+        )
         for start in range(0, nseg, TRANSPORT_CHUNK):
             stop = min(nseg, start + TRANSPORT_CHUNK)
             # nodes j h/2: step k has its start, midpoint and end at j = 2k, 2k+1, 2k+2
@@ -285,35 +261,39 @@ def numeric_parallel_transport(conn: ConnectionData, path, steps: int) -> Transp
             k3 = am + h / 2 * (am @ k2)
             k4 = a1 + h * (a1 @ k3)
             u = _ordered_product(eye + h / 6 * (a0 + 2 * k2 + 2 * k3 + k4)) @ u
-    return TransportOperator(u, path, steps, chart.rank)
+    even = chart.rank.p
+    if even and chart.rank.q and (np.max(np.abs(u[:even, even:])) > 0 or np.max(np.abs(u[even:, :even])) > 0):
+        raise AssertionError("transport lost the even block structure")
+    return u
 
 
-def conjugated_generators(conn: ConnectionData, point, loops, tables, steps=2000):
+def conjugated_generators(conn: ConnectionData, point, path, tables, steps=2000):
     """Transport-conjugated components of the given sparse derivative tables
-    (`DerivativeTable`), as float matrices; the zero ones are left out.
+    (`DerivativeTable`), as float matrices; the zero ones are left out.  The
+    components are evaluated at the end of `path`, which starts at `point`
+    (an empty path stays there).  Raises OverflowError when the transport
+    matrix or a conjugated component is not finite.
 
     Only used to validate that their span embeds into the float image of the
     exact algebra; never used to extend it.
     """
     import numpy as np
 
+    if len(path) and list(path[0]) != list(point):
+        raise ValueError("the path must start at the base point")
     rk = conn.chart.rank.total
     mats = [tab.components[key] for tab in tables for key in sorted(tab.components)]
     # every component as one compiled body, component k in rows k*rk .. k*rk + rk - 1
     stacked = [(k * rk + A, B, f) for k, flat in enumerate(mats) for (A, B), f in flat.items()]
-    body = None
-    out = []
-    for path in loops:
-        if list(path) and list(path[0]) != list(point):
-            raise ValueError("loops must start at the base point")
-        tau = numeric_parallel_transport(conn, path, steps).matrix
-        end = np.asarray(path[-1] if len(path) else point, dtype=float)
-        if body is None:
-            body = _compile_body(stacked, (len(mats) * rk, rk), len(end))
-        values = _eval_body(body, end[None, :]).reshape(len(mats), rk, rk)
-        nonzero = values[np.abs(values).max(axis=(1, 2), initial=0.0) > 0]
-        out.extend(np.linalg.inv(tau) @ nonzero @ tau)
-    return out
+    tau = numeric_parallel_transport(conn, path, steps)
+    end = np.asarray(path[-1] if len(path) else point, dtype=float)
+    body = _compile_body(stacked, (len(mats) * rk, rk), conn.chart.sig.n)
+    values = _eval_body(body, end[None, :]).reshape(len(mats), rk, rk)
+    nonzero = values[np.abs(values).max(axis=(1, 2), initial=0.0) > 0]
+    out = np.linalg.inv(tau) @ nonzero @ tau
+    if not (np.isfinite(tau).all() and np.isfinite(out).all()):
+        raise OverflowError("the transport matrix or a conjugated component is not finite")
+    return list(out)
 
 
 def span_embedding_residual(float_mats, algebra: SubSuperalgebra):

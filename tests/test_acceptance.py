@@ -290,8 +290,8 @@ def test_criterion_10_numeric_transport():
             [x0[0], x0[1] + eps],
             x0,
         ]
-        op = hl.numeric_parallel_transport(conn, loop, 4000)
-        residuals.append(float(np.max(np.abs(op.matrix - (np.eye(2) - eps ** 2 * r_body)))))
+        tau = hl.numeric_parallel_transport(conn, loop, 4000)
+        residuals.append(float(np.max(np.abs(tau - (np.eye(2) - eps ** 2 * r_body)))))
     c_fit = residuals[0] / eps_list[0] ** 3
     assert all(res <= c_fit * eps ** 3 * 1.0001 for res, eps in zip(residuals, eps_list))
     orders = [
@@ -303,7 +303,7 @@ def test_criterion_10_numeric_transport():
     tables = hl.transport_tables(conn, hol)
     assert [tab.order for tab in tables] == [0, 1]
     gens = hl.conjugated_generators(
-        conn, x0, [[x0, [0.8, 0.5], [0.8, 0.8]]], tables, steps=10000
+        conn, x0, [x0, [0.8, 0.5], [0.8, 0.8]], tables, steps=10000
     )
     residual = hl.span_embedding_residual(gens, hol.algebra)
     assert residual < 1e-6

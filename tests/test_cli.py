@@ -673,6 +673,39 @@ class TestStatusFlags:
         assert "cannot take a real float" in tv["reason"]
         assert rep == exact
 
+    # 2^1024 - 1 has 1,024 bits, inside MAX_COEFFICIENT_BITS, and is above
+    # the largest float; C^2 for C = 10^200 is too (a curvature component)
+    BEYOND = str(2 ** 1024 - 1)
+    C200, C300 = str(10 ** 200), str(10 ** 300)
+    BEYOND_FLOAT_RANGE = {
+        "point coordinate": ({"1,1,2": "0-x2", "1,2,1": "x2"}, [BEYOND, "1/2"]),
+        "Christoffel coefficient": ({"1,1,2": BEYOND + "*x2", "1,2,1": "x2"}, ["1/2", "1/2"]),
+        "curvature component": ({"1,1,2": C200, "1,2,1": C200 + "*x2"}, ["1/2", "1/2"]),
+        "infinite residual": ({"1,1,2": "-" + C300 + "*x2", "1,2,1": C300 + "*x2"}, None),
+        "NaN transport": ({"1,1,1": C300 + "*x2", "1,2,2": "-" + C300 + "*x1"}, None),
+        "NaN transport, C = 10^200": ({"1,1,1": C200 + "*x2", "1,2,2": "-" + C200 + "*x1"}, None),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BEYOND_FLOAT_RANGE))
+    def test_transport_validation_skipped_beyond_float_range(self, case):
+        gamma, point = self.BEYOND_FLOAT_RANGE[case]
+        doc = {"kind": "connection", "chart": {"n": 2, "m": 0}, "rank": {"p": 2, "q": 0}, "gamma": gamma}
+        if point is not None:
+            doc["options"] = {"point": point}
+        exact, _ = cli.run_problem(doc)
+        rep, ok = cli.run_problem(doc, steps=200)
+        assert ok and "internal_error" not in rep
+        text = dumps_report(rep)
+
+        def no_constant(name):
+            raise ValueError("not JSON: %s" % name)
+
+        json.loads(text, parse_constant=no_constant)
+        tv = rep["result"].pop("transport_validation")
+        assert tv["steps"] == 200 and tv["status"] == "skipped"
+        assert tv["reason"].startswith("float transport left float range: ")
+        assert rep == exact
+
     @pytest.mark.parametrize("entry, status", [("3,1,1", None), ("1,1,1", "skipped")])
     def test_transport_reads_only_the_directions_it_moves(self, entry, status):
         # the non-real body i sits in Gamma_3, which the transport path never

@@ -170,8 +170,8 @@ class TestTransport:
     def test_flat_loop_identity(self):
         sig = ChartSignature(2, 0)
         conn = ConnectionData.zero(Chart(sig, SuperDim(2, 0)))
-        op = numeric_parallel_transport(conn, [[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]], 400)
-        assert np.max(np.abs(op.matrix - np.eye(2))) < 1e-12
+        tau = numeric_parallel_transport(conn, [[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]], 400)
+        assert np.max(np.abs(tau - np.eye(2))) < 1e-12
 
     def test_square_loop_curvature_expansion(self):
         conn = self.rotation_connection()
@@ -189,8 +189,8 @@ class TestTransport:
                 [x0[0], x0[1] + eps],
                 x0,
             ]
-            op = numeric_parallel_transport(conn, loop, 4000)
-            residuals.append(np.max(np.abs(op.matrix - (np.eye(2) - eps ** 2 * r_body))))
+            tau = numeric_parallel_transport(conn, loop, 4000)
+            residuals.append(np.max(np.abs(tau - (np.eye(2) - eps ** 2 * r_body))))
         order1 = np.log2(residuals[0] / residuals[1])
         order2 = np.log2(residuals[1] / residuals[2])
         assert order1 >= 2.7 and order2 >= 2.7
@@ -198,8 +198,8 @@ class TestTransport:
     def test_reversal_composes_to_identity(self):
         conn = self.rotation_connection()
         path = [[0.5, 0.5], [1.0, 0.5], [1.0, 1.0]]
-        fwd = numeric_parallel_transport(conn, path, 2000).matrix
-        bwd = numeric_parallel_transport(conn, list(reversed(path)), 2000).matrix
+        fwd = numeric_parallel_transport(conn, path, 2000)
+        bwd = numeric_parallel_transport(conn, list(reversed(path)), 2000)
         assert np.max(np.abs(fwd @ bwd - np.eye(2))) < 1e-9
 
     def test_conjugated_generators_embed(self):
@@ -209,7 +209,7 @@ class TestTransport:
         assert [tab.order for tab in tables] == [0, 1]
         assert hl.transport_tables(conn, hol) is tables
         gens = conjugated_generators(
-            conn, [0.5, 0.5], [[[0.5, 0.5], [0.9, 0.6], [0.7, 0.9]]], tables, steps=5000
+            conn, [0.5, 0.5], [[0.5, 0.5], [0.9, 0.6], [0.7, 0.9]], tables, steps=5000
         )
         assert gens
         assert span_embedding_residual(gens, hol.algebra) < 1e-6
@@ -217,7 +217,7 @@ class TestTransport:
     def test_trivial_loop_gives_plain_curvature(self):
         conn = self.rotation_connection()
         hol = infinitesimal_holonomy(conn, [Fraction(1, 2), Fraction(1, 2)])
-        gens = conjugated_generators(conn, [0.5, 0.5], [[[0.5, 0.5]]], hol.tables[:1])
+        gens = conjugated_generators(conn, [0.5, 0.5], [[0.5, 0.5]], hol.tables[:1])
         table = dense_curvature(conn)
         want = np.array(
             [[float(table[(0, 1)][a][b].value([Fraction(1, 2), Fraction(1, 2)])) for b in range(2)] for a in range(2)]
@@ -230,7 +230,7 @@ class TestTransport:
         conn = ConnectionData.zero(Chart(sig, SuperDim(2, 0)))
         zero = curvature(conn)
         gens = conjugated_generators(
-            conn, [0.0, 0.0], [[[0.0, 0.0], [1.0, 1.0]]], [zero, _next_derivative(conn, zero)]
+            conn, [0.0, 0.0], [[0.0, 0.0], [1.0, 1.0]], [zero, _next_derivative(conn, zero)]
         )
         assert gens == []
 
@@ -253,7 +253,7 @@ def full_table_generators(conn, point, loops, max_order=1, steps=2000):
     for path in loops:
         if list(path) and list(path[0]) != list(point):
             raise ValueError("loops must start at the base point")
-        tau = numeric_parallel_transport(conn, path, steps).matrix
+        tau = numeric_parallel_transport(conn, path, steps)
         tau_inv = np.linalg.inv(tau)
         end = np.asarray(path[-1], dtype=float) if len(path) else np.asarray(point, float)
         for tab in tables:
@@ -290,9 +290,9 @@ class TestTransportReusesTheTower:
                 got = cli.transport_validation(conn, point, hol, 200)
                 loops = []
 
-                def oracle(conn, point, paths, tables, steps):
-                    loops.extend(paths)
-                    return full_table_generators(conn, point, paths, steps=steps)
+                def oracle(conn, point, path, tables, steps):
+                    loops.append(path)
+                    return full_table_generators(conn, point, [path], steps=steps)
 
                 with monkeypatch.context() as m:
                     m.setattr(hl, "conjugated_generators", oracle)
@@ -403,13 +403,13 @@ class TestCompiledTransport:
             for conn in self.connections(nm, pq):
                 for path in paths:
                     for steps in self.STEPS:
-                        op = numeric_parallel_transport(conn, path, steps)
+                        tau = numeric_parallel_transport(conn, path, steps)
                         want = reference_transport(conn, path, steps)
                         assert np.max(np.abs(want - np.eye(len(want)))) > 1e-3
-                        assert np.max(np.abs(op.matrix - want)) <= 1e-12 * (1 + np.max(np.abs(want)))
+                        assert np.max(np.abs(tau - want)) <= 1e-12 * (1 + np.max(np.abs(want)))
                         # the even block structure survives the propagators exactly
                         p = pq[0]
-                        assert not op.matrix[:p, p:].any() and not op.matrix[p:, :p].any()
+                        assert not tau[:p, p:].any() and not tau[p:, :p].any()
                     x = np.asarray(path[-1], dtype=float)
                     for flat, mat in zip(conn.gamma, dense_gamma(conn)):
                         got = _float_matrix(flat, len(mat), x)
@@ -541,9 +541,9 @@ class TestPairwiseProduct:
             for steps in self.COUNTS:
                 batches = []
                 monkeypatch.setattr(hl, "_ordered_product", lambda s: batches.append(len(s)) or pairwise(s))
-                got = numeric_parallel_transport(conn, path, steps).matrix
+                got = numeric_parallel_transport(conn, path, steps)
                 monkeypatch.setattr(hl, "_ordered_product", stepwise_product)
-                want = numeric_parallel_transport(conn, path, steps).matrix
+                want = numeric_parallel_transport(conn, path, steps)
                 assert np.max(np.abs(want - np.eye(3))) > 1e-3
                 self.assert_close(got, want)
                 # every step is in one batch, and no batch is above the chunk
@@ -551,6 +551,106 @@ class TestPairwiseProduct:
                 if len(path) == 2:
                     assert sum(batches) == steps
                     assert max(batches) == min(steps, hl.TRANSPORT_CHUNK)
+
+
+class TransportOperator:
+    """The object `numeric_parallel_transport` returned before it returned
+    the matrix itself; it checked the even block structure of the rank."""
+
+    def __init__(self, matrix, path, steps, rank: SuperDim):
+        self.matrix = matrix
+        self.path = path
+        self.steps = steps
+        self.rank = rank
+        p = rank.p
+        if p and rank.q:
+            if np.max(np.abs(matrix[:p, p:])) > 0 or np.max(np.abs(matrix[p:, :p])) > 0:
+                raise AssertionError("transport lost the even block structure")
+
+
+def operator_transport(conn, path, steps):
+    """`numeric_parallel_transport` as it was with `TransportOperator`: an
+    early return for a path of fewer than two points, and a segment that
+    moves one direction scales that direction's body instead of
+    concatenating the bodies of every moved direction."""
+    chart = conn.chart
+    n = chart.sig.n
+    rk = chart.rank.total
+    pts = [np.asarray(p, dtype=float) for p in path]
+    if len(pts) < 2:
+        return TransportOperator(np.eye(rk), path, steps, chart.rank)
+    lengths = [np.linalg.norm(q - p) for p, q in zip(pts, pts[1:])]
+    total = sum(lengths) or 1.0
+    eye = np.eye(rk)
+    u = eye
+    bodies = {}
+    for p, q, ell in zip(pts, pts[1:], lengths):
+        nseg = max(1, int(round(steps * ell / total)))
+        vel = q - p
+        h = 1.0 / nseg
+        moved = [i for i in range(n) if vel[i]]
+        if not moved:
+            continue
+        for i in moved:
+            if i not in bodies:
+                entries = [(A, B, g) for (A, B), g in conn.gamma[i].items()]
+                bodies[i] = hl._compile_body(entries, (rk, rk), n)
+        if len(moved) == 1:
+            body = (bodies[moved[0]][0], -vel[moved[0]] * bodies[moved[0]][1])
+        else:
+            body = (
+                np.concatenate([bodies[i][0] for i in moved]),
+                np.concatenate([-vel[i] * bodies[i][1] for i in moved]),
+            )
+        for start in range(0, nseg, hl.TRANSPORT_CHUNK):
+            stop = min(nseg, start + hl.TRANSPORT_CHUNK)
+            t = np.arange(2 * start, 2 * stop + 1) * (h / 2)
+            a = hl._eval_body(body, p + t[:, None] * vel)
+            a0, am, a1 = a[0:-1:2], a[1::2], a[2::2]
+            k2 = am + h / 2 * (am @ a0)
+            k3 = am + h / 2 * (am @ k2)
+            k4 = a1 + h * (a1 @ k3)
+            u = hl._ordered_product(eye + h / 6 * (a0 + 2 * k2 + 2 * k3 + k4)) @ u
+    return TransportOperator(u, path, steps, chart.rank)
+
+
+class TestTransportMatrix:
+    """numeric_parallel_transport, which returns the bare matrix and builds
+    every segment's A(t) by concatenation, against `operator_transport`:
+    the floats must be bitwise the same."""
+
+    # chart n|m, rank p|q; paths that move one direction per segment, that
+    # move several, a one-point path and an empty path
+    CASES = [
+        ((2, 1), (2, 1), [[[0.1, 0.2], [0.7, 0.2], [0.7, 0.9]], [[0.1, 0.2], [0.7, 0.5], [0.3, 0.9]], [[0.4, 0.4]], []]),
+        ((3, 1), (1, 2), [[[0.0, 0.1, 0.2], [0.0, 0.6, 0.2], [0.5, 0.6, 0.2]], [[0.0, 0.1, 0.2], [0.5, 0.3, 0.6]], [[0.3, 0.3, 0.3]], []]),
+    ]
+
+    def test_bitwise_equal_to_the_operator(self):
+        moved = 0
+        for nm, pq, paths in self.CASES:
+            chart = Chart(ChartSignature(*nm), SuperDim(*pq))
+            for seed in (1, 2, 3):
+                conn = random_sparse_connection(random.Random(seed), chart, 3 * nm[0] + 3, maxdeg=2)
+                for path in paths:
+                    for steps in TestPairwiseProduct.COUNTS:
+                        got = numeric_parallel_transport(conn, path, steps)
+                        want = operator_transport(conn, path, steps).matrix
+                        assert isinstance(got, np.ndarray) and np.array_equal(got, want)
+                        moved += bool(np.max(np.abs(got - np.eye(len(got)))) > 1e-3)
+                        if len(path) < 2:
+                            assert np.array_equal(got, np.eye(pq[0] + pq[1]))
+        assert moved > 0
+
+    def test_an_off_block_entry_raises(self, monkeypatch):
+        chart = Chart(ChartSignature(2, 1), SuperDim(2, 1))
+        conn = random_sparse_connection(random.Random(3), chart, 9, maxdeg=2)
+        pairwise = hl._ordered_product
+        leak = np.zeros((3, 3))
+        leak[0, 2] = 1e-3  # even row, odd column
+        monkeypatch.setattr(hl, "_ordered_product", lambda s: pairwise(s) + leak)
+        with pytest.raises(AssertionError, match="transport lost the even block structure"):
+            numeric_parallel_transport(conn, [[0.1, 0.2], [0.7, 0.5]], 100)
 
 
 class TestInvariantObjects:
