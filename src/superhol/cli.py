@@ -179,6 +179,8 @@ def transport_validation(conn: geo.ConnectionData, point, hol: hl.HolonomyResult
         reason = "float transport needs real values: %s" % exc
     except OverflowError as exc:
         reason = "float transport left float range: %s" % exc
+    except hl.TransportStepsError as exc:
+        reason = "float transport %s" % exc
     else:
         if math.isfinite(residual):
             return {

@@ -238,15 +238,15 @@ class DerivativeTable:
     dropped, and so are its ∇_c, which are zero too.  parities maps each key
     to the total parity of its coordinate indices.
 
-    A full table holds every pair (a, b) and every direction tuple.  A
-    canonical table (`holonomy_seed`) holds only the pairs a < b and (α, α)
-    for odd α, and only the direction tuples with a_r <= ... <= a_1 in
-    which no odd direction repeats.  With the flat coordinate reference,
-    ∇_c∇_d − (−1)^{|c||d|}∇_d∇_c = [R_cd, ·] on End(E)-valued tensors, and
-    ∇_α∇_α = ½[R_αα, ·] for odd α; R_ba = −(−1)^{|a||b|}R_ab, and R_aa = 0
-    for even a.  So at every order the dropped components lie in the
-    bracket closure of the kept ones and of lower orders: both tables close
-    to the same holonomy algebra.
+    A full table holds every pair (a, b), the b < a ones copied at order 0,
+    and every direction tuple.  A canonical table (`holonomy_seed`) holds
+    only the pairs a < b and (α, α) for odd α, and only the direction tuples
+    with a_r <= ... <= a_1 in which no odd direction repeats.  With the flat
+    coordinate reference, ∇_c∇_d − (−1)^{|c||d|}∇_d∇_c = [R_cd, ·] on
+    End(E)-valued tensors, and ∇_α∇_α = ½[R_αα, ·] for odd α;
+    R_ba = −(−1)^{|a||b|}R_ab, and R_aa = 0 for even a.  So at every order
+    the dropped components lie in the bracket closure of the kept ones and
+    of lower orders: both tables close to the same holonomy algebra.
     """
 
     def __init__(self, chart: Chart, order: int, components, canonical=False, parities=None):
@@ -259,12 +259,9 @@ class DerivativeTable:
     @staticmethod
     def holonomy_seed(conn: ConnectionData) -> "DerivativeTable":
         """The canonical order-0 table, for the infinitesimal holonomy: the
-        curvature's components at a < b and at (α, α) for odd α."""
+        curvature's solved half a <= b, with no even (a, a) as R_aa = 0."""
         full = curvature(conn)
-        par = conn.chart.coord_parity
-        comps = {
-            key: flat for key, flat in full.components.items() if key[1] < key[2] or (key[1] == key[2] and par(key[1]))
-        }
+        comps = {key: flat for key, flat in full.components.items() if key[1] <= key[2]}
         return DerivativeTable(conn.chart, 0, comps, True, {key: full.parities[key] for key in comps})
 
 
@@ -291,6 +288,7 @@ def curvature(conn: ConnectionData) -> DerivativeTable:
     """The curvature R_ab, R(d_a, d_b) e_B = R^A_{Bab} e_A, as the full
     order-0 table of the derivative tower: components {((), a, b): flat}
     for the nonzero R_ab, each flat holding the nonzero R^A_{Bab} at (A, B).
+    R_ab is solved for a <= b, and R_ba written as its copy −(−1)^{|a||b|}R_ab.
 
     The table is built on the first call and kept on the connection; later
     calls return the same table.
@@ -301,8 +299,8 @@ def curvature(conn: ConnectionData) -> DerivativeTable:
     t = chart.sig.total
     par = chart.coord_parity
     fiber = [0] * chart.rank.p + [1] * chart.rank.q
-    # ∂_x Γ_y of every nonzero entry, from one walk over each Γ_y and read
-    # for R_xy and R_yx: dgamma[y][x] maps (A, B) to the raw ∂_x Γ_y^A_B
+    # ∂_x Γ_y of every nonzero entry, from one walk over each Γ_y: dgamma[y][x]
+    # maps (A, B) to the raw ∂_x Γ_y^A_B
     dgamma = [[{} for _ in range(t)] for _ in range(t)]
     for y, g in enumerate(conn.gamma):
         for key, f in g.items():
@@ -310,7 +308,7 @@ def curvature(conn: ConnectionData) -> DerivativeTable:
     comps = {}
     for a in range(t):
         pa = par(a)
-        for b in range(t):
+        for b in range(a, t):
             pb = par(b)
             # R_ab = ∂_a Γ_b − (−1)^{|a||b|} ∂_b Γ_a + the Γ terms of ∇_a Γ_b
             sign = 1 if pa * pb else -1
@@ -325,13 +323,9 @@ def curvature(conn: ConnectionData) -> DerivativeTable:
                     raise AssertionError("curvature parity law violated")
             if flat:
                 comps[((), a, b)] = flat
-    # R_ba = −(−1)^{|a||b|} R_ab, checked once for each unordered pair
-    for a in range(t):
-        for b in range(a, t):
-            sign = 1 if par(a) * par(b) else -1
-            ab, ba = comps.get(((), a, b), {}), comps.get(((), b, a), {})
-            if ab.keys() != ba.keys() or not all(_is_signed_copy(f, ba[key], sign) for key, f in ab.items()):
-                raise AssertionError("curvature super-antisymmetry violated")
+                if a < b:
+                    comps[((), b, a)] = dict(flat) if pa * pb else {key: -f for key, f in flat.items()}
+    comps = dict(sorted(comps.items()))
     conn._curvature = DerivativeTable(chart, 0, comps, False, {key: par(key[1]) ^ par(key[2]) for key in comps})
     return conn._curvature
 
@@ -794,11 +788,13 @@ def nabla_metric(metric: MetricData, conn: ConnectionData, a: int, dg_a):
 def levi_civita(metric: MetricData) -> ConnectionData:
     """Torsion-free metric connection via the graded Koszul formula.
 
-    Both defining properties are re-verified symbolically before returning.
-    Only the nonzero entries take part: the nonzero g_yz are differentiated,
-    a Koszul sum K_abc is formed where one of its three ∂g terms is nonzero,
-    and Γ^d_{ab} = Σ_c K_abc (g⁻¹)_cd reads d from the nonzero entries of
-    row c of g⁻¹.
+    Γ_{ab} is formed for a <= b, and Γ^d_{ba} written as its copy
+    (−1)^{|a||b|} Γ^d_{ab}.  Both defining properties are re-verified before
+    returning: ∇g = 0 on every Γ, and torsion-freeness, a real test where
+    T^d_{αα} = 2Γ^d_{αα} for odd α.  Only the nonzero entries take part: the
+    nonzero g_yz are differentiated, a Koszul sum K_abc is formed where one
+    of its three ∂g terms is nonzero, and Γ^d_{ab} = Σ_c K_abc (g⁻¹)_cd
+    reads d from the nonzero entries of row c of g⁻¹.
     """
     chart = metric.chart
     sig = chart.sig
@@ -814,7 +810,7 @@ def levi_civita(metric: MetricData) -> ConnectionData:
         partials_into([dg[x][y] for x in range(t)], z, f, t)
     gamma = [{} for _ in range(t)]
     for a in range(t):
-        for b in range(t):
+        for b in range(a, t):
             acc = {}
             for c in range(t):
                 terms = (dg[a][b].get(c), dg[b][c].get(a), dg[c][a].get(b))
@@ -834,6 +830,8 @@ def levi_civita(metric: MetricData) -> ConnectionData:
                 f = accumulated(sig, raw)
                 if f.terms:
                     gamma[a][(d, b)] = f
+                    if a < b:
+                        gamma[b][(d, a)] = -f if chart.coord_parity(a) * chart.coord_parity(b) else f
     conn = ConnectionData(chart, gamma)
     if torsion(conn):
         raise AssertionError("Koszul output failed the torsion-free check")

@@ -8,6 +8,8 @@ exact algebra.
 
 from __future__ import annotations
 
+import math
+
 from .geometry import (
     Chart,
     ConnectionData,
@@ -22,6 +24,7 @@ from .geometry import (
     values_at,
 )
 from .linalg import same_span, solve_kernel, span_echelon
+from .reportio import MAX_TRANSPORT_STEPS
 from .scalars import field_zero, scalar_float, to_field
 from .superfunc import Superfunction
 from .superlin import (
@@ -89,6 +92,7 @@ def infinitesimal_holonomy(conn: ConnectionData, point, cap=None, bound=None) ->
     field = sig.field
     rk = chart.rank
     full_dims = (rk.p ** 2 + rk.q ** 2, 2 * rk.p * rk.q)
+    most = sum(bound or full_dims)  # the closure stops at that dimension
 
     def complete(algebra, order):
         """Whether the algebra closed at `order` can grow no more: it has the
@@ -127,7 +131,7 @@ def infinitesimal_holonomy(conn: ConnectionData, point, cap=None, bound=None) ->
         return added
 
     values = {key: values_at(flat, pt, rk.total) for key, flat in table.components.items()}
-    algebra = generate_subalgebra(harvest(values, 0), rk, field)
+    algebra = generate_subalgebra(harvest(values, 0), rk, field, None, most)
     if complete(algebra, 0):
         return HolonomyResult(algebra, 1, log, "stabilized", tables)
 
@@ -143,7 +147,7 @@ def infinitesimal_holonomy(conn: ConnectionData, point, cap=None, bound=None) ->
         new = [m for m in harvest(values, order) if not algebra.contains_matrix(m)]
         if not new:
             return HolonomyResult(algebra, order, log, "stabilized", tables)
-        algebra = generate_subalgebra(new, rk, field, algebra)
+        algebra = generate_subalgebra(new, rk, field, algebra, most)
         if complete(algebra, order):
             return HolonomyResult(algebra, order + 1, log, "stabilized", tables)
     return HolonomyResult(algebra, None, log, "capped", tables)
@@ -163,6 +167,13 @@ def transport_tables(conn: ConnectionData, hol: HolonomyResult):
 # RK4 steps whose propagators are built in one batch: transport memory is
 # O(TRANSPORT_CHUNK * rank^2) whatever the number of steps.
 TRANSPORT_CHUNK = 256
+# Largest h·rank·bound on |A(t)| entries at which a segment is stepped: a
+# bound on h·‖A‖, well inside RK4's stability interval (about 2.8).
+TRANSPORT_STEP_MARGIN = 0.5
+
+
+class TransportStepsError(ArithmeticError):
+    """The RK4 step count a stable transport needs is above the cap."""
 
 
 def _compile_body(entries, shape, n):
@@ -195,6 +206,18 @@ def _eval_body(body, points):
     return (monomials @ coefs.reshape(count, rows * columns)).reshape(len(points), rows, columns)
 
 
+def _entry_bound(body, p, q):
+    """A bound on every entry of a compiled body on the segment from p to q:
+    Σ_k |c_k| Π_i max(|p_i|, |q_i|)^{e_ki}, the largest over the entries,
+    since each |x_i|^e is largest at an end of the segment's range in x_i."""
+    import numpy as np
+
+    exps, coefs = body
+    count, rows, columns = coefs.shape
+    monomials = np.prod(np.maximum(np.abs(p), np.abs(q)) ** exps, axis=1)
+    return float((monomials @ np.abs(coefs).reshape(count, rows * columns)).max(initial=0.0))
+
+
 def _ordered_product(s):
     """The product s[-1] @ ... @ s[1] @ s[0] of a batch of square matrices,
     taken pairwise in step order: each pass multiplies s[2k + 1] @ s[2k] as
@@ -212,7 +235,11 @@ def numeric_parallel_transport(conn: ConnectionData, path, steps: int):
     """RK4 integration of dX/dt + Gamma(gamma')X = 0 on the body bundle, as
     the float matrix X(1); a path of fewer than two points gives the identity.
 
-    Each segment of the polyline gets its share of `steps`, by length.  The
+    Each segment of the polyline gets its share of `steps`, by length, or
+    more: its count is raised until h·rank·bound <= TRANSPORT_STEP_MARGIN,
+    for the bound on every entry of A on the segment (`_entry_bound`).  A
+    segment that would need more than MAX_TRANSPORT_STEPS raises
+    TransportStepsError, and a bound beyond float range OverflowError.  The
     bodies of the Gamma_i that the path moves along are compiled once; the
     others are never read, so only those can raise NotRealError.  The ODE is
     linear, so each step is the propagator S_k = I + h/6 (K1 + 2 K2 + 2 K3 + K4)
@@ -238,7 +265,6 @@ def numeric_parallel_transport(conn: ConnectionData, path, steps: int):
     for p, q, ell in zip(pts, pts[1:], lengths):
         nseg = max(1, int(round(steps * ell / total)))
         vel = q - p
-        h = 1.0 / nseg
         moved = [i for i in range(n) if vel[i]]
         if not moved:
             continue  # A = 0: every propagator is the identity
@@ -251,6 +277,15 @@ def numeric_parallel_transport(conn: ConnectionData, path, steps: int):
             np.concatenate([bodies[i][0] for i in moved]),
             np.concatenate([-vel[i] * bodies[i][1] for i in moved]),
         )
+        need = rk * _entry_bound(body, p, q) / TRANSPORT_STEP_MARGIN
+        if not math.isfinite(need):
+            raise OverflowError("the bound on A(t) on a path segment is not finite")
+        if need > MAX_TRANSPORT_STEPS:
+            raise TransportStepsError(
+                "needs %.6g RK4 steps on a path segment, above the cap of %d" % (math.ceil(need), MAX_TRANSPORT_STEPS)
+            )
+        nseg = max(nseg, math.ceil(need))
+        h = 1.0 / nseg
         for start in range(0, nseg, TRANSPORT_CHUNK):
             stop = min(nseg, start + TRANSPORT_CHUNK)
             # nodes j h/2: step k has its start, midpoint and end at j = 2k, 2k+1, 2k+2
@@ -271,8 +306,9 @@ def conjugated_generators(conn: ConnectionData, point, path, tables, steps=2000)
     """Transport-conjugated components of the given sparse derivative tables
     (`DerivativeTable`), as float matrices; the zero ones are left out.  The
     components are evaluated at the end of `path`, which starts at `point`
-    (an empty path stays there).  Raises OverflowError when the transport
-    matrix or a conjugated component is not finite.
+    (an empty path stays there).  Raises OverflowError when a component's
+    body or the transport matrix or a conjugated component is not finite,
+    and TransportStepsError when the transport needs too many steps.
 
     Only used to validate that their span embeds into the float image of the
     exact algebra; never used to extend it.
@@ -285,9 +321,9 @@ def conjugated_generators(conn: ConnectionData, point, path, tables, steps=2000)
     mats = [tab.components[key] for tab in tables for key in sorted(tab.components)]
     # every component as one compiled body, component k in rows k*rk .. k*rk + rk - 1
     stacked = [(k * rk + A, B, f) for k, flat in enumerate(mats) for (A, B), f in flat.items()]
+    body = _compile_body(stacked, (len(mats) * rk, rk), conn.chart.sig.n)
     tau = numeric_parallel_transport(conn, path, steps)
     end = np.asarray(path[-1] if len(path) else point, dtype=float)
-    body = _compile_body(stacked, (len(mats) * rk, rk), conn.chart.sig.n)
     values = _eval_body(body, end[None, :]).reshape(len(mats), rk, rk)
     nonzero = values[np.abs(values).max(axis=(1, 2), initial=0.0) > 0]
     out = np.linalg.inv(tau) @ nonzero @ tau

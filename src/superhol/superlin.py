@@ -308,7 +308,7 @@ class SubSuperalgebra:
         )
 
 
-def generate_subalgebra(generators, dim=None, field=None, closed=None) -> SubSuperalgebra:
+def generate_subalgebra(generators, dim=None, field=None, closed=None, n=None) -> SubSuperalgebra:
     """Smallest bracket-closed graded subspace containing the generators and
     the algebra `closed`, which must itself be bracket-closed.
 
@@ -318,7 +318,8 @@ def generate_subalgebra(generators, dim=None, field=None, closed=None) -> SubSup
     enlarges the span: the i-th new element with the older basis, itself and
     the new elements before it, since [b, a] = ±[a, b] adds nothing ([a, a]
     is formed, as it is nonzero for an odd a).  Brackets within `closed`
-    already lie in it, so they are never formed.
+    already lie in it, so they are never formed, nor any once the span has
+    dimension n, that of an algebra known to hold it (gl(E)'s t² by default).
     """
     generators = list(generators)
     if dim is None:
@@ -327,6 +328,7 @@ def generate_subalgebra(generators, dim=None, field=None, closed=None) -> SubSup
         dim = generators[0].dim
     if field is None:
         field = generators[0].field if generators else RATIONAL
+    n = dim.total ** 2 if n is None else n
     for g in generators:
         if g.dim != dim:
             raise ValueError("generator dimension mismatch")
@@ -343,6 +345,7 @@ def generate_subalgebra(generators, dim=None, field=None, closed=None) -> SubSup
             part
             for i, a in enumerate(frontier)
             for b in basis_mats[: old + i + 1]
+            if echelon.rank < n
             for part in insert_parts(echelon, superbracket(a, b))
         ]
         basis_mats += frontier

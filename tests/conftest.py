@@ -7,9 +7,9 @@ import pytest
 from superhol.berger import canonical_pairs
 from superhol.geometry import Chart, ConnectionData, MetricData, curvature
 from superhol.linalg import SparseEchelon, combine, solve_graded, solve_kernel, span_echelon
-from superhol.scalars import GAUSSIAN, GaussianRational, canonical, field_zero
-from superhol.superfunc import ChartSignature, Superfunction
-from superhol.superlin import SubSuperalgebra, SuperDim, SuperMatrix, combination, superbracket
+from superhol.scalars import GAUSSIAN, GaussianRational, canonical, field_zero, to_field
+from superhol.superfunc import ChartSignature, Superfunction, accumulated, add_into, mul_into, partials_into
+from superhol.superlin import SubSuperalgebra, SuperDim, SuperMatrix, combination, cyclic_terms, superbracket
 
 
 def is_canonical_rational(value):
@@ -254,6 +254,73 @@ def random_soul_metric(rng, sig):
             if b != c:
                 g[(c, b)] = g[(b, c)].scale((-1) ** (pb * pc))
     return MetricData(chart, g)
+
+
+def random_block_product(rng, sig, first):
+    """A soul metric (`random_soul_metric`) cut to a block product: the
+    coordinates in `first` (0-based) form one factor and the others the
+    second, every entry across the factors is dropped, and an entry within a
+    factor keeps only the terms in that factor's coordinates.  The odd
+    coordinates of `first` must be pairs (n + 2k, n + 2k + 1), as the
+    standard body pairs them."""
+    chart = Chart.tangent(sig)
+    n, t = sig.n, sig.total
+    blocks = [sorted(first), [a for a in range(t) if a not in first]]
+    g = {}
+    for block in blocks:
+        even = [a for a in block if a < n]
+        mask = sum(1 << (a - n) for a in block if a >= n)
+
+        def own(f):
+            terms = {
+                k: {e: v for e, v in poly.items() if all(e[i] == 0 for i in range(n) if i not in even)}
+                for k, poly in f.terms.items()
+                if not k & ~mask
+            }
+            return Superfunction(sig, {k: poly for k, poly in terms.items() if poly})
+
+        for (b, c), f in random_soul_metric(rng, sig).g.items():
+            if b in block and c in block and own(f):
+                g[(b, c)] = own(f)
+    return MetricData(chart, g)
+
+
+def reference_levi_civita(metric):
+    """The Levi-Civita connection from the Koszul sum over all t² pairs
+    (a, b), each Γ_{ab} formed on its own, with no check."""
+    chart = metric.chart
+    sig = chart.sig
+    t = sig.total
+    inv_rows = [[] for _ in range(t)]
+    for (c, d), f in metric.inverse().items():
+        inv_rows[c].append((d, f))
+    half = to_field(Fraction(1, 2), sig.field)
+    dg = [[{} for _ in range(t)] for _ in range(t)]
+    for (y, z), f in metric.g.items():
+        partials_into([dg[x][y] for x in range(t)], z, f, t)
+    gamma = [{} for _ in range(t)]
+    for a in range(t):
+        for b in range(t):
+            acc = {}
+            for c in range(t):
+                terms = (dg[a][b].get(c), dg[b][c].get(a), dg[c][a].get(b))
+                if not any(terms):
+                    continue
+                _, (_, s2), (_, s3) = cyclic_terms(chart.coord_parity, a, b, c)
+                koszul = {}
+                for f, sign in zip(terms, (1, s2, -s3)):
+                    if f is not None:
+                        add_into(koszul, f, sign)
+                k = accumulated(sig, koszul).scale(half)
+                if not k.terms:
+                    continue
+                for d, h in inv_rows[c]:
+                    mul_into(acc.setdefault(d, {}), k, h)
+            for d, raw in acc.items():
+                f = accumulated(sig, raw)
+                if f.terms:
+                    gamma[a][(d, b)] = f
+    return ConnectionData(chart, gamma)
 
 
 def random_unipotent_gauge(rng, sig, rank, maxdeg=1):

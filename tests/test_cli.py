@@ -674,21 +674,24 @@ class TestStatusFlags:
         assert rep == exact
 
     # 2^1024 - 1 has 1,024 bits, inside MAX_COEFFICIENT_BITS, and is above
-    # the largest float; C^2 for C = 10^200 is too (a curvature component)
+    # the largest float; C^2 for C = 10^200 is too (a curvature component).
+    # The NaN transports, which fixed-step RK4 gave at 200 steps, are now
+    # skipped before stepping, for the step count a stable RK4 would need.
     BEYOND = str(2 ** 1024 - 1)
     C200, C300 = str(10 ** 200), str(10 ** 300)
+    LEFT_RANGE, NEEDS_STEPS = "float transport left float range: ", "float transport needs "
     BEYOND_FLOAT_RANGE = {
-        "point coordinate": ({"1,1,2": "0-x2", "1,2,1": "x2"}, [BEYOND, "1/2"]),
-        "Christoffel coefficient": ({"1,1,2": BEYOND + "*x2", "1,2,1": "x2"}, ["1/2", "1/2"]),
-        "curvature component": ({"1,1,2": C200, "1,2,1": C200 + "*x2"}, ["1/2", "1/2"]),
-        "infinite residual": ({"1,1,2": "-" + C300 + "*x2", "1,2,1": C300 + "*x2"}, None),
-        "NaN transport": ({"1,1,1": C300 + "*x2", "1,2,2": "-" + C300 + "*x1"}, None),
-        "NaN transport, C = 10^200": ({"1,1,1": C200 + "*x2", "1,2,2": "-" + C200 + "*x1"}, None),
+        "point coordinate": ({"1,1,2": "0-x2", "1,2,1": "x2"}, [BEYOND, "1/2"], LEFT_RANGE),
+        "Christoffel coefficient": ({"1,1,2": BEYOND + "*x2", "1,2,1": "x2"}, ["1/2", "1/2"], LEFT_RANGE),
+        "curvature component": ({"1,1,2": C200, "1,2,1": C200 + "*x2"}, ["1/2", "1/2"], LEFT_RANGE),
+        "infinite residual": ({"1,1,2": "-" + C300 + "*x2", "1,2,1": C300 + "*x2"}, None, LEFT_RANGE),
+        "NaN transport": ({"1,1,1": C300 + "*x2", "1,2,2": "-" + C300 + "*x1"}, None, NEEDS_STEPS),
+        "NaN transport, C = 10^200": ({"1,1,1": C200 + "*x2", "1,2,2": "-" + C200 + "*x1"}, None, NEEDS_STEPS),
     }
 
     @pytest.mark.parametrize("case", sorted(BEYOND_FLOAT_RANGE))
     def test_transport_validation_skipped_beyond_float_range(self, case):
-        gamma, point = self.BEYOND_FLOAT_RANGE[case]
+        gamma, point, reason = self.BEYOND_FLOAT_RANGE[case]
         doc = {"kind": "connection", "chart": {"n": 2, "m": 0}, "rank": {"p": 2, "q": 0}, "gamma": gamma}
         if point is not None:
             doc["options"] = {"point": point}
@@ -703,8 +706,56 @@ class TestStatusFlags:
         json.loads(text, parse_constant=no_constant)
         tv = rep["result"].pop("transport_validation")
         assert tv["steps"] == 200 and tv["status"] == "skipped"
-        assert tv["reason"].startswith("float transport left float range: ")
+        assert tv["reason"].startswith(reason)
         assert rep == exact
+
+    @pytest.mark.parametrize("exponent", [3, 4, 4.5, 5, 5.5, 6, 10, 15])
+    def test_transport_steps_follow_the_connection(self, exponent):
+        # Γ_1 = C·x2·J on 2|0 at (1/2, 1/2): A = −(1/4)·C·x2·J on the first
+        # segment, where x2 = 1/2, so each entry is at most C/8 and RK4 needs
+        # 2·(C/8)/0.5 = C/2 steps there.  200 steps overflowed from C = 3·10^4.
+        C = round(10 ** exponent)
+        doc = {
+            "kind": "connection",
+            "chart": {"n": 2, "m": 0},
+            "rank": {"p": 2, "q": 0},
+            "gamma": {"1,1,2": "-%d*x2" % C, "1,2,1": "%d*x2" % C},
+            "options": {"point": ["1/2", "1/2"]},
+        }
+        exact, _ = cli.run_problem(doc)
+        rep, ok = cli.run_problem(doc, steps=200)
+        assert ok
+        tv = rep["result"].pop("transport_validation")
+        assert rep == exact and tv["steps"] == 200
+        if C // 2 <= MAX_TRANSPORT_STEPS:
+            assert tv["ok"] and tv["residual"] < 1e-6
+        else:
+            assert tv["status"] == "skipped"
+            assert tv["reason"] == "float transport needs %.6g RK4 steps on a path segment, above the cap of %d" % (
+                C // 2,
+                MAX_TRANSPORT_STEPS,
+            )
+
+    def test_the_bound_reads_the_whole_segment(self):
+        # Γ_1 = C·x1·J at the origin: A vanishes at the first segment's start
+        # and reaches C/16 at its end, where RK4 needs 2·(C/16)/0.5 = C/4
+        # steps; a bound read at the start alone would keep 200 and overflow
+        C = 10 ** 6
+        doc = {
+            "kind": "connection",
+            "chart": {"n": 2, "m": 0},
+            "rank": {"p": 2, "q": 0},
+            "gamma": {"1,1,2": "-%d*x1" % C, "1,2,1": "%d*x1" % C},
+            "options": {"point": ["0", "0"]},
+        }
+        tv = cli.run_problem(doc, steps=200)[0]["result"]["transport_validation"]
+        assert tv["reason"] == "float transport needs %.6g RK4 steps on a path segment, above the cap of %d" % (
+            C // 4,
+            MAX_TRANSPORT_STEPS,
+        )
+        doc["gamma"] = {"1,1,2": "-%d*x1" % (C // 10), "1,2,1": "%d*x1" % (C // 10)}
+        tv = cli.run_problem(doc, steps=200)[0]["result"]["transport_validation"]
+        assert tv["ok"] and tv["residual"] < 1e-6
 
     @pytest.mark.parametrize("entry, status", [("3,1,1", None), ("1,1,1", "skipped")])
     def test_transport_reads_only_the_directions_it_moves(self, entry, status):

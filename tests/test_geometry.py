@@ -9,6 +9,7 @@ import pytest
 
 from superhol import cli
 from superhol import geometry as geo
+from superhol import reportio as rio
 from superhol.scalars import GAUSSIAN, RATIONAL, GaussianRational, field_zero
 from superhol.superfunc import (
     ChartSignature,
@@ -55,12 +56,14 @@ from conftest import (
     dense_zeros,
     flat_of,
     is_canonical_rational,
+    random_block_product,
     random_connection,
     random_soul_metric,
     random_sparse_connection,
     random_superfunction,
     random_torsion_free_connection,
     random_unipotent_gauge,
+    reference_levi_civita,
     reference_partial,
     reference_sum,
 )
@@ -394,6 +397,83 @@ class TestFoldedCurvature:
             assert list(got) == sorted(got) and all(list(flat) == sorted(flat) for flat in got.values())
             nonzero += len(got)
         assert nonzero
+
+
+def metric_cases(rng, sig):
+    """Metrics for the graded-symmetric halves: a block product whose first
+    factor is x1 with xi1, xi2 (or xi1, xi2 alone), and up to n + m = 4 two
+    soul metrics (beyond, their dense souls take seconds)."""
+    first = ([0] if sig.n else []) + [sig.n, sig.n + 1]
+    souls = [random_soul_metric(rng, sig) for _ in range(2)] if sig.total <= 4 else []
+    return souls + [random_block_product(rng, sig, first)]
+
+
+def pool_metrics():
+    """The metrics of the levi-civita benchmark pool, block products included."""
+    return [rio.decode_metric(entry["doc"]) for entry in load_pool("levi-civita")["problems"]]
+
+
+def pair_kind(chart, a, b):
+    """What kind of coordinate pair (a, b) is, for the tests' coverage."""
+    odd = chart.coord_parity(a) + chart.coord_parity(b)
+    if a == b:
+        return "(α, α)" if odd else "even diagonal"
+    return ("even-even", "mixed", "odd-odd")[odd]
+
+
+HALF_CHARTS = [(0, 2), (1, 2), (0, 4), (2, 2), (2, 4)]
+
+
+class TestCurvatureHalf:
+    """`curvature` solves R_ab for a <= b and writes R_ba as the signed copy
+    −(−1)^{|a||b|} R_ab: +R_ab when a and b are both odd, −R_ab otherwise.
+    Its table must equal the unfolded sum, which forms every R_ab of the t²
+    pairs on its own, on Levi-Civita connections of soul metrics and block
+    products and on torsion-free connections, with nonzero odd–odd pairs,
+    copied with +1, and nonzero (α, α), which nothing copies."""
+
+    @pytest.mark.parametrize("field", [RATIONAL, GAUSSIAN])
+    @pytest.mark.parametrize("nm", HALF_CHARTS, ids=lambda d: "%d|%d" % d)
+    def test_matches_the_unfolded_table(self, nm, field):
+        rng = random.Random("curvature half %d|%d %s" % (nm + (field,)))
+        sig = ChartSignature(*nm, field)
+        conns = [levi_civita(metric) for metric in metric_cases(rng, sig)]
+        if sig.total <= 4:
+            conns.append(random_torsion_free_connection(rng, sig))
+        seen = Counter()
+        for conn in conns:
+            got = curvature(conn).components
+            want = unfolded_curvature(conn)
+            assert got == {((), a, b): flat_of(mat) for (a, b), mat in want.items() if not dense_is_zero(mat)}
+            assert list(got) == sorted(got)
+            seen.update(pair_kind(conn.chart, a, b) for _, a, b in got)
+        assert seen["odd-odd"] and seen["(α, α)"] and not seen["even diagonal"]
+        assert seen["mixed"] or not sig.n
+
+    def test_pool_metrics_match_the_unfolded_table(self):
+        seen = Counter()
+        for metric in pool_metrics():
+            conn = levi_civita(metric)
+            got = curvature(conn).components
+            want = unfolded_curvature(conn)
+            assert got == {((), a, b): flat_of(mat) for (a, b), mat in want.items() if not dense_is_zero(mat)}
+            seen.update(pair_kind(conn.chart, a, b) for _, a, b in got)
+        assert seen["odd-odd"] and seen["(α, α)"] and seen["mixed"]
+
+    def test_holonomy_seed_is_the_solved_half(self):
+        rng = random.Random("holonomy seed half")
+        sig = ChartSignature(1, 2)
+        for metric in metric_cases(rng, sig):
+            conn = levi_civita(metric)
+            full = curvature(conn)
+            seed = geo.DerivativeTable.holonomy_seed(conn)
+            want = {
+                key: flat
+                for key, flat in full.components.items()
+                if key[1] < key[2] or key[1] == key[2] and sig.n <= key[1]
+            }
+            assert seed.components == want and seed.canonical
+            assert seed.parities == {key: full.parities[key] for key in want}
 
 
 class TestFlatnessWitness:
@@ -1718,6 +1798,29 @@ class TestLeviCivita:
                         assert got.get((b, c), Superfunction.zero(sig)) == want, (a, b, c)
                 nonzero += len(got)
         assert nonzero
+
+    @pytest.mark.parametrize("field", [RATIONAL, GAUSSIAN])
+    @pytest.mark.parametrize("nm", HALF_CHARTS, ids=lambda d: "%d|%d" % d)
+    def test_matches_the_all_pairs_koszul_sum(self, nm, field):
+        # Γ_{ab} is formed for a <= b and Γ^d_{ba} = (−1)^{|a||b|} Γ^d_{ab}
+        # copied: −1 when a and b are both odd, +1 otherwise
+        rng = random.Random("koszul half %d|%d %s" % (nm + (field,)))
+        seen = Counter()
+        for metric in metric_cases(rng, ChartSignature(*nm, field)):
+            conn = levi_civita(metric)
+            assert conn.gamma == reference_levi_civita(metric).gamma
+            seen.update(pair_kind(metric.chart, a, b) for a, g in enumerate(conn.gamma) for _, b in g if a < b)
+        # on 0|2, Γ_{ξ1 ξ2} vanishes
+        assert seen["odd-odd"] or nm == (0, 2)
+        assert seen["mixed"] or not nm[0]
+
+    def test_pool_metrics_match_the_all_pairs_koszul_sum(self):
+        seen = Counter()
+        for metric in pool_metrics():
+            conn = levi_civita(metric)
+            assert conn.gamma == reference_levi_civita(metric).gamma
+            seen.update(pair_kind(metric.chart, a, b) for a, g in enumerate(conn.gamma) for _, b in g if a < b)
+        assert seen["odd-odd"] and seen["mixed"]
 
     def test_non_nilpotent_body_rejected(self):
         # the classical surface metric diag(1, (1+x1)^2) has no polynomial

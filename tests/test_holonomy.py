@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -194,6 +195,34 @@ class TestTransport:
         order1 = np.log2(residuals[0] / residuals[1])
         order2 = np.log2(residuals[1] / residuals[2])
         assert order1 >= 2.7 and order2 >= 2.7
+
+    @pytest.mark.parametrize("C", [10 ** 3, 10 ** 4])
+    def test_large_rotation_matches_the_exact_transport(self, C):
+        # Γ_1 = C·J, J = [[0, −1], [1, 0]]: along x1 from 0 to 1/4,
+        # dX/dt = −(C/4)·J X, so X(1) is the rotation by −C/4.  At 200 steps
+        # h·C/4 lies far outside RK4's stability interval; raised to C steps,
+        # h·C/4 = 1/4 and each step's phase error is about (1/4)^5/120 < 1e-5
+        sig = ChartSignature(2, 0)
+        c = Superfunction.constant(sig, C)
+        conn = ConnectionData(Chart(sig, SuperDim(2, 0)), [{(0, 1): -c, (1, 0): c}, {}])
+        tau = numeric_parallel_transport(conn, [[0, 0], [0.25, 0]], 200)
+        cos, sin = np.cos(-C / 4), np.sin(-C / 4)
+        assert np.max(np.abs(tau - np.array([[cos, -sin], [sin, cos]]))) < C * 1e-5
+
+    def test_entry_bound_holds_on_the_segment(self):
+        # the bound is read at both ends of each coordinate's range, so it
+        # holds where A peaks inside a segment or at its end alone
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            exps = rng.integers(0, 3, size=(4, 2)).astype(float)
+            body = (exps, rng.normal(size=(4, 3, 3)))
+            p, q = rng.uniform(-1, 1, size=2), rng.uniform(-1, 1, size=2)
+            t = np.linspace(0, 1, 101)
+            values = hl._eval_body(body, p + t[:, None] * (q - p))
+            assert np.max(np.abs(values)) <= hl._entry_bound(body, p, q) * (1 + 1e-12)
+        # A = x1 from 0 to 1: zero at the start, 1 at the end
+        body = (np.array([[1.0, 0.0]]), np.ones((1, 1, 1)))
+        assert hl._entry_bound(body, np.array([0.0, 0.0]), np.array([1.0, 0.0])) == 1.0
 
     def test_reversal_composes_to_identity(self):
         conn = self.rotation_connection()
@@ -534,6 +563,9 @@ class TestPairwiseProduct:
             self.assert_close(hl._ordered_product(s), want)
 
     def test_transport_matches_the_stepwise_fold(self, monkeypatch):
+        # at exactly the given step counts: the counts a stable RK4 would
+        # raise them to are `test_a_raised_count_is_stepped_as_given`'s
+        monkeypatch.setattr(hl, "TRANSPORT_STEP_MARGIN", math.inf)
         chart = Chart(ChartSignature(2, 1), SuperDim(2, 1))
         conn = random_sparse_connection(random.Random(3), chart, 9, maxdeg=2)
         pairwise = hl._ordered_product
@@ -551,6 +583,24 @@ class TestPairwiseProduct:
                 if len(path) == 2:
                     assert sum(batches) == steps
                     assert max(batches) == min(steps, hl.TRANSPORT_CHUNK)
+
+    def test_a_raised_count_is_stepped_as_given(self, monkeypatch):
+        # a segment whose share of the steps puts h·rank·bound above the
+        # margin is stepped as if it had been given the raised count
+        chart = Chart(ChartSignature(2, 1), SuperDim(2, 1))
+        conn = random_sparse_connection(random.Random(3), chart, 9, maxdeg=2)
+        path = [[0.1, 0.2], [0.7, 0.5]]
+        pairwise = hl._ordered_product
+        batches = []
+        monkeypatch.setattr(hl, "_ordered_product", lambda s: batches.append(len(s)) or pairwise(s))
+        raised = []
+        for steps in (1, 2, 3):
+            batches.clear()
+            got = numeric_parallel_transport(conn, path, steps)
+            raised.append(sum(batches))
+        assert raised[0] > 3 and raised == [raised[0]] * 3
+        monkeypatch.setattr(hl, "TRANSPORT_STEP_MARGIN", math.inf)
+        assert np.array_equal(got, numeric_parallel_transport(conn, path, raised[0]))
 
 
 class TransportOperator:
@@ -626,7 +676,9 @@ class TestTransportMatrix:
         ((3, 1), (1, 2), [[[0.0, 0.1, 0.2], [0.0, 0.6, 0.2], [0.5, 0.6, 0.2]], [[0.0, 0.1, 0.2], [0.5, 0.3, 0.6]], [[0.3, 0.3, 0.3]], []]),
     ]
 
-    def test_bitwise_equal_to_the_operator(self):
+    def test_bitwise_equal_to_the_operator(self, monkeypatch):
+        # at exactly the given step counts, which `operator_transport` takes
+        monkeypatch.setattr(hl, "TRANSPORT_STEP_MARGIN", math.inf)
         moved = 0
         for nm, pq, paths in self.CASES:
             chart = Chart(ChartSignature(*nm), SuperDim(*pq))
@@ -1378,7 +1430,7 @@ class TestStabilizerBound:
 
     @pytest.mark.parametrize("field", [RATIONAL, GAUSSIAN])
     def test_the_bound_changes_no_run(self, field):
-        stopped_early = short_of_the_bound = 0
+        stopped_early = short_of_the_bound = at_the_bound = 0
         for metric, point in self.metrics(field):
             conn = levi_civita(metric)
             rank = conn.chart.rank
@@ -1395,7 +1447,8 @@ class TestStabilizerBound:
                 assert [(r, label) for r, label, _ in log] == [(r, label) for r, label, _ in free.generator_log[: len(log)]]
                 stopped_early += len(log) < len(free.generator_log)
                 short_of_the_bound += free.algebra.graded_dim != bound
-        assert stopped_early and short_of_the_bound
+                at_the_bound += free.algebra.graded_dim == bound
+        assert stopped_early and short_of_the_bound and at_the_bound
 
 
 def defined_candidate(label, dim, field, metric_body=None):

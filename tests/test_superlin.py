@@ -785,6 +785,69 @@ class TestClosureBracketsEachPairOnce:
         assert alg.graded_dim == (1, 1) and alg.contains_matrix(SuperMatrix.identity(dim))
 
 
+class TestClosureStopsAtItsBound:
+    """`generate_subalgebra(..., n)` stops once the span has dimension n, that
+    of an algebra known to hold the closure: t², gl(E)'s, by default, and
+    dim stab(g) for generators that annihilate a form g.  Its reduced
+    echelon must still be the uncapped all-pairs closure's, row for row, and
+    a run that reaches n must form fewer brackets than the uncapped run."""
+
+    # the ambient dim and, for the bounded runs, the form whose stabilizer
+    # holds the generators
+    CASES = [
+        (SuperDim(1, 1), None),
+        (SuperDim(2, 1), None),
+        (SuperDim(1, 2), lambda field: standard_even_form(1, 2, field=field)),
+        (SuperDim(2, 2), lambda field: standard_even_form(2, 2, field=field)),
+        (SuperDim(2, 2), lambda field: standard_odd_form(2, field=field)),
+        (SuperDim(0, 2), lambda field: standard_even_form(0, 2, field=field)),
+    ]
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_capped_equals_uncapped(self, case, field, monkeypatch):
+        dim, form = self.CASES[case]
+        rng = random.Random("closure cap %d %s" % (case, field))
+        t = dim.total
+        if form is None:
+            bound = t * t
+            pool = None
+        else:
+            stab = stabilizer_algebra(form(field))
+            bound, pool = stab.total_dim, stab.basis()
+        kinds = [(0,), (1,), (0, 1)]
+        formed = []
+
+        def counted(a, b):
+            formed.append(1)
+            return superbracket(a, b)
+
+        monkeypatch.setattr(superlin, "superbracket", counted)
+
+        def generator():
+            if pool is None:
+                return random_matrix(rng, dim, field, rng.choice(kinds), rng.choice([0.2, 0.5]))
+            acc = SuperMatrix.zeros(dim, field)
+            for m in rng.sample(pool, rng.randint(1, min(4, len(pool)))):
+                acc = acc + m.scale(random_scalar(rng, field))
+            return acc
+
+        reached = saved = 0
+        for k in range(12):
+            closed = generate_subalgebra([generator()], dim, field, None, bound) if k % 3 == 2 else None
+            gens = [generator() for _ in range(rng.randint(1, 3))]
+            formed.clear()
+            alg = generate_subalgebra(gens, dim, field, closed, bound if form else None)
+            capped = len(formed)
+            formed.clear()
+            uncapped = generate_subalgebra(gens, dim, field, closed, t * t + 1)
+            assert alg._echelon.pivot_rows == uncapped._echelon.pivot_rows
+            assert alg._echelon.pivot_rows == all_pairs_closure(gens, dim, closed).pivot_rows
+            reached += alg.total_dim == bound
+            saved += capped < len(formed)
+        assert reached and saved
+
+
 def reference_coordinates(columns, target, field):
     """Solve sum c_i columns_i = target exactly, None if unsolvable: the
     kernel solve that `berger.structure_constants` made for each bracket
